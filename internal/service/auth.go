@@ -61,12 +61,9 @@ func newNonce() (uint64, error) {
 	return binary.BigEndian.Uint64(b[:]), nil
 }
 
-// writeFrameBuf sends one frame built by fn through a leased buffer.
+// writeFrameBuf sends one frame built by fn.
 func writeFrameBuf(conn net.Conn, fn func([]byte) []byte) error {
-	buf := leaseFrame()
-	defer releaseFrame(buf)
-	*buf = fn((*buf)[:0])
-	_, err := conn.Write(*buf)
+	_, err := conn.Write(fn(nil))
 	return err
 }
 

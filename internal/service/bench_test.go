@@ -1,0 +1,83 @@
+package service
+
+import (
+	"fmt"
+	"net"
+	"runtime"
+	"testing"
+	"time"
+)
+
+// discardConn accepts every Write and reports it on wrote.
+type discardConn struct {
+	net.Conn // nil: the writer only calls Write and Close
+	wrote    chan int
+}
+
+func (c discardConn) Write(b []byte) (int, error) { c.wrote <- len(b); return len(b), nil }
+func (c discardConn) Close() error                { return nil }
+
+// BenchmarkLinkWriteBatch is the pool/write-batch layer record: queue k
+// frames on a link, ring its writer, and wait for the one Write that
+// carries them (to a conn that discards). The time is per frame; k = 1 is
+// the unbatched hand-off cost batching amortizes.
+func BenchmarkLinkWriteBatch(b *testing.B) {
+	frame := report(1)
+	for _, k := range []int{1, 16, 256} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			svc, p := newBenchLink(BlockSlowPeer, 1024)
+			conn := discardConn{wrote: make(chan int)}
+			connect(p, conn)
+			done := make(chan struct{})
+			go func() { p.writeLoop(); close(done) }()
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += k {
+				for j := 0; j < k; j++ {
+					p.enqueue(frame, nil)
+				}
+				p.out.ring()
+				if got := <-conn.wrote; got != k*len(frame) {
+					b.Fatalf("Write carried %d bytes, want %d", got, k*len(frame))
+				}
+			}
+			b.StopTimer()
+			close(svc.stop)
+			p.stop()
+			<-done
+		})
+	}
+}
+
+// BenchmarkShardDispatch is the shard/dispatch layer record: a reader-side
+// burst of k decoded frames appended to the shard's inbox, swapped out by
+// the running shard and routed by instance id — to a tombstone, so the
+// protocol's own cost stays out. No sockets; the producer runs ahead until
+// QueueDepth pushes back, so the time per frame is the shard's.
+func BenchmarkShardDispatch(b *testing.B) {
+	for _, k := range []int{1, 16, 256} {
+		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
+			sh, _ := detachedShard(0, 5, Config{QueueDepth: 4096, InstanceTimeout: time.Hour})
+			sh.tombs[9] = time.Now()
+			done := make(chan struct{})
+			go func() { sh.run(); close(done) }()
+			burst := make([]inMsg, k)
+			for i := range burst {
+				burst[i] = inMsg{instance: 9, from: 1}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i += k {
+				if !sh.receive(burst) {
+					b.Fatal("shard stopped")
+				}
+			}
+			for sh.in.depth() > 0 {
+				runtime.Gosched()
+			}
+			b.StopTimer()
+			close(sh.svc.stop)
+			<-done
+		})
+	}
+}

@@ -252,13 +252,12 @@ func (s *Service) announceEpoch(epoch uint64, addrs []string) {
 	if m == nil {
 		return
 	}
+	frame := wire.AppendEpochAnnounce(nil, epoch, addrs)
 	for _, p := range m.peers {
 		if p == nil {
 			continue
 		}
-		buf := leaseFrame()
-		*buf = wire.AppendEpochAnnounce((*buf)[:0], epoch, addrs)
-		p.enqueue(buf)
+		p.send(frame)
 		s.ctr.epochAnnounces.Add(1)
 	}
 }

@@ -167,11 +167,14 @@ func newBenchLink(policy Policy, depth int) (*Service, *peerLink) {
 	return svc, newPeerLink(svc, 1, "detached")
 }
 
-func fill(p *peerLink) {
-	for i := 0; i < cap(p.outbox); i++ {
-		buf := leaseFrame()
-		*buf = append(*buf, 0)
-		p.outbox <- buf
+// fill queues frames through enqueue until the outbox is at its bound.
+func fill(t *testing.T, p *peerLink) {
+	t.Helper()
+	for i := 0; i < p.svc.cfg.OutboxDepth; i++ {
+		p.enqueue([]byte{byte(i)}, nil)
+	}
+	if got := p.out.depth(); got != p.svc.cfg.OutboxDepth {
+		t.Fatalf("outbox depth = %d after filling, want %d", got, p.svc.cfg.OutboxDepth)
 	}
 }
 
@@ -179,62 +182,94 @@ func fill(p *peerLink) {
 // immediately and counts it.
 func TestSlowPeerShedPolicy(t *testing.T) {
 	svc, p := newBenchLink(ShedSlowPeer, 4)
-	fill(p)
-	buf := leaseFrame()
-	*buf = append(*buf, 0)
-	p.enqueue(buf)
+	fill(t, p)
+	p.enqueue([]byte{0xff}, nil)
 	if got := svc.ctr.sheds.Load(); got != 1 {
 		t.Fatalf("sheds = %d, want 1", got)
 	}
-	if got := len(p.outbox); got != 4 {
-		t.Fatalf("outbox len = %d, want 4", got)
+	if got := p.out.depth(); got != 4 {
+		t.Fatalf("outbox depth = %d, want 4", got)
 	}
 }
 
 // TestSlowPeerBlockPolicy: a full outbox under BlockSlowPeer blocks the
-// sender while the peer is connected (backpressure), resumes when space
-// frees, and sheds (as WriteDrops) once the peer is disconnected —
-// blocking on a crashed peer would stall the shard forever.
+// sender while the peer is connected (backpressure) after giving it the
+// chance to ring what it deferred, resumes when the writer swaps the
+// outbox out, and sheds (as WriteDrops) once the peer is disconnected —
+// blocking on a crashed peer would stall the shard forever. A sender
+// already blocked when the link fails is released the same way.
 func TestSlowPeerBlockPolicy(t *testing.T) {
 	svc, p := newBenchLink(BlockSlowPeer, 4)
 	c1, c2 := net.Pipe()
 	defer func() { _ = c1.Close(); _ = c2.Close() }()
 	p.mu.Lock()
 	p.conn = c1 // connected, but no read/write loops — pure policy test
+	p.gen = 1
 	p.mu.Unlock()
 
-	fill(p)
-	done := make(chan struct{})
-	go func() {
-		buf := leaseFrame()
-		*buf = append(*buf, 0)
-		p.enqueue(buf)
-		close(done)
-	}()
-	select {
-	case <-done:
-		t.Fatal("enqueue returned with a full outbox on a connected peer")
-	case <-time.After(50 * time.Millisecond):
+	fill(t, p)
+	blocked := func() (done chan struct{}) {
+		stalled, done := make(chan struct{}), make(chan struct{})
+		go func() {
+			p.enqueue([]byte{0xff}, func() { close(stalled) })
+			close(done)
+		}()
+		select {
+		case <-stalled:
+		case <-time.After(5 * time.Second):
+			t.Fatal("enqueue at the bound never reported the stall")
+		}
+		select {
+		case <-done:
+			t.Fatal("enqueue returned with a full outbox on a connected peer")
+		case <-time.After(50 * time.Millisecond):
+		}
+		return done
 	}
-	releaseFrame(<-p.outbox) // make room: the blocked sender must proceed
+	done := blocked()
+	select {
+	case <-p.out.bell:
+	default:
+		t.Fatal("blocked sender did not ring the writer")
+	}
+	batch, frames := p.out.take(nil) // the writer's swap makes room
+	if frames != 4 || len(batch) != 4 {
+		t.Fatalf("swap took %d frames / %d bytes, want 4 / 4", frames, len(batch))
+	}
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
-		t.Fatal("enqueue still blocked after outbox space freed")
+		t.Fatal("enqueue still blocked after the outbox was swapped out")
+	}
+	if got := p.out.depth(); got != 1 {
+		t.Fatalf("outbox depth = %d after the blocked frame landed, want 1", got)
 	}
 
-	// Disconnect the peer: further sends on a full outbox must shed.
-	p.mu.Lock()
-	p.conn = nil
-	p.mu.Unlock()
-	buf := leaseFrame()
-	*buf = append(*buf, 0)
-	p.enqueue(buf)
+	// The link fails under a blocked sender: it must stop waiting and shed.
+	for p.out.depth() < 4 {
+		p.enqueue([]byte{0}, nil)
+	}
+	done = blocked()
+	p.failed(1)
+	select {
+	case <-done:
+	case <-time.After(5 * time.Second):
+		t.Fatal("enqueue still blocked after the link failed")
+	}
 	if got := svc.ctr.writeDrops.Load(); got != 1 {
-		t.Fatalf("writeDrops = %d, want 1", got)
+		t.Fatalf("writeDrops = %d after the link failed, want 1", got)
+	}
+
+	// Disconnected: further sends on a full outbox shed without waiting.
+	p.enqueue([]byte{0xff}, nil)
+	if got := svc.ctr.writeDrops.Load(); got != 2 {
+		t.Fatalf("writeDrops = %d, want 2", got)
 	}
 	if got := svc.ctr.sheds.Load(); got != 0 {
 		t.Fatalf("sheds = %d, want 0 under block policy", got)
+	}
+	if got := svc.ctr.outboxStalls.Load(); got != 3 {
+		t.Fatalf("outboxStalls = %d, want 3", got)
 	}
 }
 

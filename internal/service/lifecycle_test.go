@@ -141,11 +141,9 @@ func TestServiceLateReportAfterLingerExpiry(t *testing.T) {
 	// Inject the late report: a peer that (from process 0's view) is still
 	// catching up on instance 3. The frame takes the real pooled-connection
 	// path into process 0's shard, where the tombstone must drop it.
-	buf := leaseFrame()
-	*buf = wire.AppendConsensus((*buf)[:0], 3, &wire.ConsensusMsg{
+	svcs[1].peerAt(0).send(wire.AppendConsensus(nil, 3, &wire.ConsensusMsg{
 		Kind: wire.ConsensusReport, Origin: 1, Round: 2,
-	})
-	svcs[1].peerAt(0).enqueue(buf)
+	}))
 
 	time.Sleep(200 * time.Millisecond)
 	if err := svcs[0].Err(); err != nil {

@@ -3,6 +3,7 @@ package service
 import (
 	"bufio"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
 	"io"
@@ -15,14 +16,6 @@ import (
 	"repro/internal/wire"
 )
 
-// framePool leases encode buffers to senders; writers return them after
-// the frame is copied into the coalescing write buffer. Frames are small
-// (tens of bytes), so one pool class is enough.
-var framePool = sync.Pool{New: func() any { b := make([]byte, 0, 256); return &b }}
-
-func leaseFrame() *[]byte    { return framePool.Get().(*[]byte) }
-func releaseFrame(b *[]byte) { *b = (*b)[:0]; framePool.Put(b) }
-
 // pressureSuspectAfter is the consecutive-outbox-stall count past which a
 // connected peer is suspected: the link is up but the peer is not keeping
 // pace, so quorum math should stop counting on it.
@@ -30,16 +23,18 @@ const pressureSuspectAfter = 64
 
 // peerLink is one peer's slot in the connection pool: the persistent
 // connection (replaced transparently on failure), the bounded outbox its
-// writer goroutine drains, the reconnect state, and the health ladder
-// (consecutive dial failures and outbox pressure feeding suspicion). The
-// mesh convention is the transport package's: the higher id dials the
-// lower, so exactly one side owns redialing after a failure.
+// writer goroutine swaps out and writes, the reconnect state, and the
+// health ladder (consecutive dial failures and outbox pressure feeding
+// suspicion). The mesh convention is the transport package's: the higher
+// id dials the lower, so exactly one side owns redialing after a failure.
 type peerLink struct {
 	svc  *Service
 	id   int
 	addr string
 
-	outbox chan *[]byte
+	// out holds encoded frames laid end to end, bounded at OutboxDepth
+	// frames; the writer swaps it for its own buffer and issues one Write.
+	out *mailbox[byte]
 
 	mu      sync.Mutex
 	cond    *sync.Cond
@@ -70,13 +65,13 @@ type peerLink struct {
 
 func newPeerLink(svc *Service, id int, addr string) *peerLink {
 	p := &peerLink{
-		svc:    svc,
-		id:     id,
-		addr:   addr,
-		epoch:  svc.cfg.Epoch,
-		outbox: make(chan *[]byte, svc.cfg.OutboxDepth),
-		ready:  make(chan struct{}),
-		rng:    rand.New(rand.NewSource(svc.cfg.Seed ^ int64(uint64(id+1)*0x9e3779b97f4a7c15))),
+		svc:   svc,
+		id:    id,
+		addr:  addr,
+		epoch: svc.cfg.Epoch,
+		out:   newMailbox[byte](svc.cfg.OutboxDepth),
+		ready: make(chan struct{}),
+		rng:   rand.New(rand.NewSource(svc.cfg.Seed ^ int64(uint64(id+1)*0x9e3779b97f4a7c15))),
 	}
 	p.cond = sync.NewCond(&p.mu)
 	return p
@@ -224,6 +219,7 @@ func (p *peerLink) failed(gen int) {
 		p.redialing = true
 	}
 	p.mu.Unlock()
+	p.out.kick() // senders blocked on a full outbox stop waiting on a down peer
 	if redial {
 		p.svc.wg.Add(1)
 		go func() {
@@ -243,6 +239,7 @@ func (p *peerLink) stop() {
 	}
 	p.cond.Broadcast()
 	p.mu.Unlock()
+	p.out.kick()
 }
 
 // sawGoodbye marks the peer as draining; the redial loop gives up on it.
@@ -270,102 +267,99 @@ func (p *peerLink) connected() bool {
 	return p.conn != nil
 }
 
-// enqueue queues one leased frame for transmission, applying the slow-peer
-// policy when the outbox is full: shed drops the frame (counted), block
-// waits for space — backpressure that propagates to the proposing shard.
-// Block only blocks while the peer is connected: a full outbox on a
-// disconnected link sheds instead (counted as WriteDrops), because
-// blocking on a crashed peer would stall the whole shard — the protocols
-// tolerate the loss exactly as they tolerate the crash itself.
-func (p *peerLink) enqueue(buf *[]byte) {
-	select {
-	case p.outbox <- buf:
-		return
-	default:
+// enqueue appends one encoded frame to the outbox (the bytes are copied;
+// the caller keeps its buffer) and reports whether the writer needs
+// ringing: the outbox was empty, so no earlier sender's ring covers this
+// frame. Senders inside a shard wake-up collect those links and ring them
+// once when the wake-up ends (shard.flush); everyone else uses send.
+//
+// At OutboxDepth frames the slow-peer policy applies: shed drops the frame
+// (counted), block waits for the writer's next swap — backpressure that
+// propagates to the proposing shard — after calling stalled, the caller's
+// chance to ring what it has deferred before it sleeps. Block only blocks
+// while the peer is connected: a full outbox on a disconnected link sheds
+// instead (counted as WriteDrops), because blocking on a crashed peer
+// would stall the whole shard — the protocols tolerate the loss exactly as
+// they tolerate the crash itself.
+func (p *peerLink) enqueue(frame []byte, stalled func()) (ring bool) {
+	n, ring := p.out.put(frame, 1, nil)
+	if n == 1 {
+		return ring
 	}
 	if p.svc.cfg.SlowPeer == ShedSlowPeer {
-		releaseFrame(buf)
 		p.svc.ctr.sheds.Add(1)
-		return
+		return false
 	}
 	p.noteStall()
-	for {
-		if !p.connected() {
-			releaseFrame(buf)
-			p.svc.ctr.writeDrops.Add(1)
-			return
+	if p.connected() {
+		if stalled != nil {
+			stalled()
 		}
-		select {
-		case p.outbox <- buf:
-			return
-		case <-p.svc.stop:
-			releaseFrame(buf)
-			return
-		case <-time.After(5 * time.Millisecond):
-			// Re-check the link: the peer may have died while we waited.
-		}
+		n, ring = p.out.put(frame, 1, p.connected)
+	}
+	if n == 0 && !stopping(p.svc) {
+		p.svc.ctr.writeDrops.Add(1)
+	}
+	return ring
+}
+
+// send queues one frame from outside a shard wake-up — Drain's goodbye,
+// epoch gossip, the reader's acks — and rings the writer at once.
+func (p *peerLink) send(frame []byte) {
+	if p.enqueue(frame, nil) {
+		p.out.ring()
 	}
 }
 
-// writeLoop drains the outbox, coalescing bursts of frames into single
-// writes (the "streamed frames" path: one syscall carries many frames).
-// A batch that fails mid-write is RETAINED and resent on the next
-// connection generation: the receiver discards any torn frame with the
-// dead conn (framing is per-conn), and whole frames it already consumed
-// arrive again as duplicates, which the protocols dedup exactly as they
-// dedup injected duplicate faults. Delivery is therefore at-least-once
-// per link while the peer is reachable; frames are lost only when the
-// outbox itself overflows against a down peer (see enqueue).
+// writeLoop sends what the outbox holds each time it is rung: it swaps the
+// outbox for its own buffer and issues one Write, so every frame queued
+// since the last swap shares a syscall. The swap waits for a connection —
+// while the peer is down frames accumulate in the outbox, which is the
+// partition buffer OutboxDepth sizes. A batch that fails mid-write is
+// RETAINED and resent on the next connection generation, ahead of anything
+// queued since: the receiver discards any torn frame with the dead conn
+// (framing is per-conn), and whole frames it already consumed arrive again
+// as duplicates, which the protocols dedup exactly as they dedup injected
+// duplicate faults. Delivery is therefore at-least-once per link while the
+// peer is reachable; frames are lost only when the outbox itself overflows
+// against a down peer (see enqueue).
 func (p *peerLink) writeLoop() {
-	const coalesceBytes = 32 << 10
-	wbuf := make([]byte, 0, coalesceBytes+1024)
-	frames := 0
-	retained := false
+	var batch []byte
 	for {
-		if !retained {
-			var first *[]byte
-			select {
-			case first = <-p.outbox:
-			case <-p.svc.stop:
-				return
-			}
-			frames = 1
-			wbuf = append(wbuf[:0], *first...)
-			releaseFrame(first)
-		coalesce:
-			for len(wbuf) < coalesceBytes {
-				select {
-				case b := <-p.outbox:
-					wbuf = append(wbuf, *b...)
-					releaseFrame(b)
-					frames++
-				default:
-					break coalesce
-				}
-			}
+		select {
+		case <-p.out.bell:
+		case <-p.svc.stop:
+			return
 		}
 		conn, gen := p.waitConn()
 		if conn == nil {
 			return // stopped
 		}
-		if _, err := conn.Write(wbuf); err != nil {
+		var frames int
+		batch, frames = p.out.take(batch)
+		for frames > 0 {
+			if _, err := conn.Write(batch); err == nil {
+				p.clearPressure()
+				p.svc.ctr.framesOut.Add(int64(frames))
+				p.svc.ctr.bytesOut.Add(int64(len(batch)))
+				break
+			}
 			p.svc.ctr.writeRetries.Add(int64(frames))
 			p.failed(gen)
-			retained = true
-			continue
+			if conn, gen = p.waitConn(); conn == nil {
+				return
+			}
 		}
-		retained = false
-		p.clearPressure()
-		p.svc.ctr.framesOut.Add(int64(frames))
-		p.svc.ctr.bytesOut.Add(int64(len(wbuf)))
 	}
 }
 
 // readLoop decodes frames off one connection and routes consensus
-// messages to their instance's shard. Clean peer shutdowns (EOF, reset,
-// local close) end the loop quietly; anything else counts as a read
-// error. Either way the link is marked failed so the dialing side
-// reconnects.
+// messages to their instance's shard. It works in bursts: after the read
+// that blocks, every complete frame already in the bufio.Reader is decoded
+// too, and the burst reaches each shard's inbox as one append and at most
+// one wake-up. Clean peer shutdowns (EOF, reset, local close) end the loop
+// quietly; anything else counts as a read error. Either way the link is
+// marked failed so the dialing side reconnects.
 //
 // Malformed or undecodable frames are peer-attributable faults — line
 // corruption or a hostile sender, both of which the protocols tolerate
@@ -374,9 +368,33 @@ func (p *peerLink) writeLoop() {
 // for local/structural failures (see Service.Err).
 func (p *peerLink) readLoop(conn net.Conn, gen int) {
 	br := bufio.NewReaderSize(conn, 64<<10)
-	var buf []byte
+	var buf, ack []byte
 	var dec wire.ConsensusMsg
+	burst := make([][]inMsg, len(p.svc.shards)) // by shard, this burst's deliveries
+	var frames, bytes int64
+	// deliver hands the burst to the shards; false means the service
+	// stopped. The frames were consumed off the conn — the sender will not
+	// resend them — so every exit path delivers before it returns.
+	deliver := func() bool {
+		p.svc.ctr.framesIn.Add(frames)
+		p.svc.ctr.bytesIn.Add(bytes)
+		frames, bytes = 0, 0
+		for i, msgs := range burst {
+			if len(msgs) == 0 {
+				continue
+			}
+			burst[i] = msgs[:0]
+			if !p.svc.shards[i].receive(msgs) {
+				return false
+			}
+		}
+		return true
+	}
+read:
 	for {
+		if !frameBuffered(br) && !deliver() {
+			return
+		}
 		frame, nb, err := wire.ReadFrameInto(br, buf)
 		if err != nil {
 			// ErrUnexpectedEOF is a peer that crashed mid-frame — as clean
@@ -385,36 +403,29 @@ func (p *peerLink) readLoop(conn net.Conn, gen int) {
 				!errors.Is(err, syscall.ECONNRESET) && !errors.Is(err, net.ErrClosed) && !stopping(p.svc) {
 				p.svc.ctr.readErrors.Add(1)
 			}
-			p.failed(gen)
-			return
+			break read
 		}
 		buf = nb
 		h, body, err := wire.ParseFrame(frame)
 		if err != nil {
 			p.svc.ctr.readErrors.Add(1)
-			p.failed(gen)
-			return
+			break read
 		}
-		p.svc.ctr.framesIn.Add(1)
-		p.svc.ctr.bytesIn.Add(int64(len(frame) + 4))
+		frames++
+		bytes += int64(len(frame) + 4)
 		switch h.Kind {
 		case wire.FrameConsensus:
 			if err := wire.DecodeConsensus(&dec, body); err != nil {
 				p.svc.ctr.readErrors.Add(1)
-				p.failed(gen)
-				return
+				break read
 			}
 			m, err := fromWire(&dec)
 			if err != nil {
 				p.svc.ctr.readErrors.Add(1)
 				continue
 			}
-			sh := p.svc.shardFor(h.Instance)
-			select {
-			case sh.queue <- inMsg{instance: h.Instance, from: p.id, msg: m}:
-			case <-p.svc.stop:
-				return
-			}
+			i := p.svc.shardFor(h.Instance).idx
+			burst[i] = append(burst[i], inMsg{instance: h.Instance, from: p.id, msg: m})
 		case wire.FrameGoodbye:
 			p.sawGoodbye()
 		case wire.FrameEpochAnnounce:
@@ -433,9 +444,8 @@ func (p *peerLink) readLoop(conn net.Conn, gen int) {
 				// mesh even when some links are down.
 				p.svc.announceEpoch(epoch, addrs)
 			}
-			ack := leaseFrame()
-			*ack = wire.AppendEpochAck((*ack)[:0], epoch)
-			p.enqueue(ack)
+			ack = wire.AppendEpochAck(ack[:0], epoch)
+			p.send(ack)
 		case wire.FrameEpochAck:
 			if _, err := wire.ParseEpochAck(body); err == nil {
 				p.svc.ctr.epochAcks.Add(1)
@@ -446,6 +456,18 @@ func (p *peerLink) readLoop(conn net.Conn, gen int) {
 			// Unknown frame kind: skip (forward compatibility).
 		}
 	}
+	deliver()
+	p.failed(gen)
+}
+
+// frameBuffered reports whether br already holds a complete frame, so
+// reading it cannot block.
+func frameBuffered(br *bufio.Reader) bool {
+	if br.Buffered() < 4 {
+		return false
+	}
+	hdr, _ := br.Peek(4)
+	return br.Buffered()-4 >= int(binary.BigEndian.Uint32(hdr))
 }
 
 // redial re-establishes a failed connection with jittered capped
@@ -520,10 +542,7 @@ func (s *Service) handshakeDeadline() time.Time {
 // writeHello sends the handshake frame announcing our process id and
 // membership epoch.
 func writeHello(conn net.Conn, id uint32, epoch uint64) error {
-	buf := leaseFrame()
-	defer releaseFrame(buf)
-	*buf = wire.AppendHello((*buf)[:0], id, epoch)
-	_, err := conn.Write(*buf)
+	_, err := conn.Write(wire.AppendHello(nil, id, epoch))
 	return err
 }
 

@@ -429,10 +429,9 @@ func (s *Service) Propose(id uint64, input geometry.Vector) (<-chan Result, erro
 func (s *Service) Drain(ctx context.Context) error {
 	s.draining.Do(func() {
 		close(s.isDrain)
+		goodbye := wire.AppendGoodbye(nil)
 		for _, p := range s.allLinks() {
-			buf := leaseFrame()
-			*buf = wire.AppendGoodbye((*buf)[:0])
-			p.enqueue(buf)
+			p.send(goodbye)
 		}
 	})
 	s.checkDrained()
@@ -465,6 +464,9 @@ func (s *Service) Close() error {
 		err := s.ln.Close()
 		for _, p := range s.allLinks() {
 			p.stop()
+		}
+		for _, sh := range s.shards {
+			sh.in.kick() // readers blocked on a full inbox see stop
 		}
 		s.wg.Wait()
 		// The shards are gone; answer any requests still in their inboxes.
@@ -540,27 +542,63 @@ type pendingBox struct {
 type shard struct {
 	svc     *Service
 	idx     int
-	queue   chan inMsg
 	propose chan proposeReq
+
+	// in is the inbound queue, bounded at QueueDepth frames: connection
+	// readers append bursts, run swaps it for batch and delivers that.
+	in    *mailbox[inMsg]
+	batch []inMsg
 
 	local     []localMsg
 	instances map[uint64]*instance
 	pending   map[uint64]*pendingBox
 	tombs     map[uint64]time.Time
 
-	enc wire.ConsensusMsg // sender-side encode scratch
+	// Sender side. A frame is encoded once into frame and copied into the
+	// outbox of each peer it goes to; rung collects the links whose writer
+	// this wake-up owes a ring, and flush pays them.
+	enc   wire.ConsensusMsg
+	frame []byte
+	rung  []*peerLink
 }
 
 func newShard(s *Service, idx int) *shard {
 	return &shard{
 		svc:       s,
 		idx:       idx,
-		queue:     make(chan inMsg, s.cfg.QueueDepth),
 		propose:   make(chan proposeReq, 16),
+		in:        newMailbox[inMsg](s.cfg.QueueDepth),
 		instances: make(map[uint64]*instance),
 		pending:   make(map[uint64]*pendingBox),
 		tombs:     make(map[uint64]time.Time),
 	}
+}
+
+// receive queues a reader's burst for the shard, blocking while the inbox
+// is at QueueDepth — backpressure that reaches the remote sender through
+// TCP. It reports false when the service stopped first.
+func (sh *shard) receive(msgs []inMsg) bool {
+	n, ring := sh.in.put(msgs, len(msgs), sh.running)
+	if ring {
+		sh.in.ring()
+	}
+	return n == len(msgs)
+}
+
+// running holds until the service stops; readers wait on a full inbox
+// while it does.
+func (sh *shard) running() bool { return !stopping(sh.svc) }
+
+// flush rings the writer of every link this wake-up queued the first
+// frame on. It runs when the wake-up ends, so each writer finds everything
+// the wake-up produced for its peer and sends it with one Write, and no
+// frame waits on anything but the shard step that emitted it.
+func (sh *shard) flush() {
+	for i, p := range sh.rung {
+		p.out.ring()
+		sh.rung[i] = nil
+	}
+	sh.rung = sh.rung[:0]
 }
 
 // tick is the shard housekeeping cadence: instance expiry, pending and
@@ -572,8 +610,13 @@ func (sh *shard) run() {
 	defer ticker.Stop()
 	for {
 		select {
-		case m := <-sh.queue:
-			sh.deliver(m)
+		case <-sh.in.bell:
+			sh.batch, _ = sh.in.take(sh.batch)
+			for _, m := range sh.batch {
+				sh.deliver(m)
+				sh.drainLocal()
+			}
+			clear(sh.batch) // the spare must not pin delivered vectors
 		case req := <-sh.propose:
 			sh.open(req)
 		case <-ticker.C:
@@ -589,14 +632,17 @@ func (sh *shard) run() {
 			return
 		}
 		sh.drainLocal()
+		sh.flush()
 	}
 }
 
-// drainLocal delivers queued self-sends; deliveries may enqueue more.
+// drainLocal delivers queued self-sends; deliveries may enqueue more, so
+// the FIFO is walked by index and reset once empty — popping from the
+// front would abandon the backing array to the appends behind it.
 func (sh *shard) drainLocal() {
-	for len(sh.local) > 0 {
-		l := sh.local[0]
-		sh.local = sh.local[1:]
+	for i := 0; i < len(sh.local); i++ {
+		l := sh.local[i]
+		sh.local[i] = localMsg{}
 		inst := l.inst
 		if _, open := sh.instances[inst.id]; !open {
 			continue // instance finished while the self-send waited
@@ -604,8 +650,10 @@ func (sh *shard) drainLocal() {
 		inst.node.OnMessage(&inst.api, sim.ProcID(sh.svc.cfg.ID), l.msg)
 		sh.afterStep(inst)
 	}
-	if len(sh.local) == 0 && cap(sh.local) > 1024 {
+	if cap(sh.local) > 1024 {
 		sh.local = nil // don't let a burst pin a large backing array
+	} else {
+		sh.local = sh.local[:0]
 	}
 }
 
@@ -661,8 +709,7 @@ func (sh *shard) open(req proposeReq) {
 		started:  now,
 		deadline: now.Add(sh.svc.cfg.InstanceTimeout),
 	}
-	inst.api = instAPI{sh: sh, inst: inst,
-		rng: rand.New(rand.NewSource(sh.svc.cfg.Seed ^ int64(req.id*0x9e3779b97f4a7c15) ^ int64(sh.svc.cfg.ID+1)))}
+	inst.api = instAPI{sh: sh, inst: inst}
 	sh.instances[req.id] = inst
 	sh.svc.ctr.active.Add(1)
 	sh.svc.ctr.proposed.Add(1)
@@ -791,12 +838,12 @@ func (sh *shard) expire(now time.Time) {
 
 // instAPI implements sim.API for one instance: sends become framed
 // transmissions on the pooled mesh, self-sends loop through the shard's
-// local FIFO (pushing to our own bounded queue from the shard goroutine
+// local FIFO (pushing to our own bounded inbox from the shard goroutine
 // could deadlock).
 type instAPI struct {
 	sh     *shard
 	inst   *instance
-	rng    *rand.Rand
+	rng    *rand.Rand // built on first Rand(): the protocols never draw
 	halted bool
 }
 
@@ -805,34 +852,83 @@ var _ sim.API = (*instAPI)(nil)
 func (a *instAPI) ID() sim.ProcID { return sim.ProcID(a.sh.svc.cfg.ID) }
 func (a *instAPI) N() int         { return a.sh.svc.n }
 
-func (a *instAPI) Send(to sim.ProcID, msg sim.Message) {
+// unwrap checks that the protocol sent the one message type the service
+// codec speaks, noting the error otherwise.
+func (a *instAPI) unwrap(msg sim.Message) (aad.Msg, bool) {
 	m, ok := msg.(aad.Msg)
 	if !ok {
 		a.sh.svc.noteErr(fmt.Errorf("service: instance %d sent %T, want aad.Msg", a.inst.id, msg))
-		return
 	}
-	if int(to) == a.sh.svc.cfg.ID {
-		a.sh.local = append(a.sh.local, localMsg{inst: a.inst, msg: m})
-		return
-	}
+	return m, ok
+}
+
+// encode frames m into the shard's scratch, which holds the bytes until
+// the next encode.
+func (a *instAPI) encode(m aad.Msg) ([]byte, bool) {
 	sh := a.sh
 	if err := toWire(m, &sh.enc); err != nil {
 		sh.svc.noteErr(err)
-		return
+		return nil, false
 	}
-	buf := leaseFrame()
-	*buf = wire.AppendConsensus((*buf)[:0], a.inst.id, &sh.enc)
-	a.inst.mesh.peers[to].enqueue(buf)
+	sh.frame = wire.AppendConsensus(sh.frame[:0], a.inst.id, &sh.enc)
+	return sh.frame, true
 }
 
+// post queues frame toward p; the writer's ring is deferred to the end of
+// the shard's wake-up.
+func (a *instAPI) post(p *peerLink, frame []byte) {
+	if p.enqueue(frame, a.sh.flush) {
+		a.sh.rung = append(a.sh.rung, p)
+	}
+}
+
+// loop queues a self-send on the shard's local FIFO.
+func (a *instAPI) loop(m aad.Msg) {
+	a.sh.local = append(a.sh.local, localMsg{inst: a.inst, msg: m})
+}
+
+func (a *instAPI) Send(to sim.ProcID, msg sim.Message) {
+	m, ok := a.unwrap(msg)
+	if !ok {
+		return
+	}
+	if int(to) == a.sh.svc.cfg.ID {
+		a.loop(m)
+		return
+	}
+	if frame, ok := a.encode(m); ok {
+		a.post(a.inst.mesh.peers[to], frame)
+	}
+}
+
+// Broadcast is one message to the complete graph: encoded once, the same
+// bytes copied into every peer's outbox, and looped back to this process.
 func (a *instAPI) Broadcast(msg sim.Message) {
-	for to := 0; to < a.sh.svc.n; to++ {
-		a.Send(sim.ProcID(to), msg)
+	m, ok := a.unwrap(msg)
+	if !ok {
+		return
+	}
+	frame, ok := a.encode(m)
+	if !ok {
+		return
+	}
+	for _, p := range a.inst.mesh.peers {
+		if p == nil { // our own slot
+			a.loop(m)
+			continue
+		}
+		a.post(p, frame)
 	}
 }
 
 func (a *instAPI) Halt() { a.halted = true }
 
-func (a *instAPI) Rand() *rand.Rand { return a.rng }
+func (a *instAPI) Rand() *rand.Rand {
+	if a.rng == nil {
+		cfg := &a.sh.svc.cfg
+		a.rng = rand.New(rand.NewSource(cfg.Seed ^ int64(a.inst.id*0x9e3779b97f4a7c15) ^ int64(cfg.ID+1)))
+	}
+	return a.rng
+}
 
 func (a *instAPI) Now() time.Duration { return time.Since(a.sh.svc.start) }

@@ -145,7 +145,7 @@ func (s *Service) Stats() Stats {
 	}
 	now := time.Now()
 	for _, p := range s.allLinks() {
-		st.QueueDepth += len(p.outbox)
+		st.QueueDepth += p.out.depth()
 		if p.suspectedNow(now) {
 			st.SuspectedPeers++
 		}
