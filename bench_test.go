@@ -215,9 +215,11 @@ func BenchmarkSafePoint(b *testing.B) {
 		{"lexmin_f1", pointsF1, 1, bvc.MethodLexMinLP},
 		{"lexmin_f2", pointsF2, 2, bvc.MethodLexMinLP},
 		{"search_f2", pointsF2, 2, bvc.MethodTverbergSearch},
+		{"lift_f2", pointsF2, 2, bvc.MethodTverbergLift},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
+			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
 				if _, err := bvc.SafePointWith(c.points, c.f, c.method); err != nil {
 					b.Fatal(err)

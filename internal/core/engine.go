@@ -211,22 +211,24 @@ func (e *Engine) SafePoint(y *geometry.Multiset, f int, method safearea.Method) 
 }
 
 // gammaScratch is one worker's reusable state for per-candidate-set
-// Γ-points: the gathered and origin-sorted tuple selection and the memo key
-// buffer.
+// Γ-points: the gathered and origin-sorted tuple selection, the value view
+// handed to the safe-area ladder, and the memo key buffer.
 type gammaScratch struct {
 	e      *Engine
 	f      int
 	method safearea.Method
 	d      int
 	sel    []tuple
+	vals   []geometry.Vector
 	key    []byte
 }
 
 func (e *Engine) scratch(k, d, f int, method safearea.Method) gammaScratch {
 	return gammaScratch{
 		e: e, f: f, method: method, d: d,
-		sel: make([]tuple, 0, k),
-		key: make([]byte, 0, 9+8*k*d),
+		sel:  make([]tuple, 0, k),
+		vals: make([]geometry.Vector, 0, k),
+		key:  make([]byte, 0, 9+8*k*d),
 	}
 }
 
@@ -249,6 +251,16 @@ func (sc *gammaScratch) pointOfSet(set []tuple) (geometry.Vector, error) {
 	return sc.pointOfSel()
 }
 
+// solve is the cache-miss compute path: the ladder on the origin-sorted
+// selection, read through the scratch's value view.
+func (sc *gammaScratch) solve(sel []tuple) (geometry.Vector, error) {
+	ms, err := viewOfValues(sc.vals[:0], sel)
+	if err != nil {
+		return nil, err
+	}
+	return safearea.PointWith(ms, sc.f, sc.method)
+}
+
 // prefixKeyTag separates sub-family (prefix) memo keys from full-multiset
 // keys of the same byte length.
 const prefixKeyTag = byte('P')
@@ -264,7 +276,7 @@ func (sc *gammaScratch) pointOfSel() (geometry.Vector, error) {
 	}
 	if !sc.e.memoize {
 		gammaStats.solves.Add(1)
-		return gammaPointOfSorted(sel, sc.f, sc.method)
+		return sc.solve(sel)
 	}
 	// Sub-family (delta-key) lookup first: under the resolved method the
 	// Γ-point depends only on the first m canonical members, so any two
@@ -282,12 +294,10 @@ func (sc *gammaScratch) pointOfSel() (geometry.Vector, error) {
 		fresh := false
 		ent.once.Do(func() {
 			fresh = true
-			ms := geometry.NewMultiset(sc.d)
-			for _, tp := range sel[:m] {
-				if err := ms.Add(tp.value); err != nil {
-					ent.err = err
-					return
-				}
+			ms, err := viewOfValues(sc.vals[:0], sel[:m])
+			if err != nil {
+				ent.err = err
+				return
 			}
 			ent.pt, ent.ok, ent.err = safearea.PointOnPrefix(ms, sc.f, sc.method)
 		})
@@ -314,7 +324,7 @@ func (sc *gammaScratch) pointOfSel() (geometry.Vector, error) {
 	fresh := false
 	ent.once.Do(func() {
 		fresh = true
-		ent.pt, ent.err = gammaPointOfSorted(sel, sc.f, sc.method)
+		ent.pt, ent.err = sc.solve(sel)
 	})
 	if fresh {
 		gammaStats.solves.Add(1)

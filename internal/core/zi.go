@@ -33,16 +33,24 @@ func gammaPointOfSet(set []tuple, f int, method safearea.Method) (geometry.Vecto
 // gammaPointOfSorted is gammaPointOfSet for an already origin-sorted set —
 // the Engine's cache-miss compute path.
 func gammaPointOfSorted(sorted []tuple, f int, method safearea.Method) (geometry.Vector, error) {
-	if len(sorted) == 0 {
-		return nil, fmt.Errorf("core: empty candidate set")
-	}
-	ms := geometry.NewMultiset(sorted[0].value.Dim())
-	for _, tp := range sorted {
-		if err := ms.Add(tp.value); err != nil {
-			return nil, err
-		}
+	ms, err := viewOfValues(make([]geometry.Vector, 0, len(sorted)), sorted)
+	if err != nil {
+		return nil, err
 	}
 	return safearea.PointWith(ms, f, method)
+}
+
+// viewOfValues views the tuples' values as a multiset over buf's backing
+// array without cloning them: delivered tuple values are immutable and the
+// safe-area ladder only reads its input.
+func viewOfValues(buf []geometry.Vector, tuples []tuple) (*geometry.Multiset, error) {
+	if len(tuples) == 0 {
+		return nil, fmt.Errorf("core: empty candidate set")
+	}
+	for _, tp := range tuples {
+		buf = append(buf, tp.value)
+	}
+	return geometry.ViewOf(buf)
 }
 
 // averageGammaPoints computes Zi = {one safe point per candidate set} and

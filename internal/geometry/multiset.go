@@ -47,6 +47,24 @@ func MustMultisetOf(points ...Vector) *Multiset {
 	return m
 }
 
+// ViewOf returns a multiset over the given points WITHOUT copying them: the
+// slice and its vectors are shared, so the caller must leave both unchanged
+// for as long as the multiset is in use. It exists for hot paths that hand
+// immutable values (the Γ-point engine's delivered tuple values) to a
+// Multiset-taking reader that only looks; everything else wants MultisetOf.
+func ViewOf(points []Vector) (*Multiset, error) {
+	if len(points) == 0 {
+		return nil, fmt.Errorf("geometry: empty multiset needs an explicit dimension; use NewMultiset")
+	}
+	d := points[0].Dim()
+	for _, p := range points[1:] {
+		if p.Dim() != d {
+			return nil, fmt.Errorf("geometry: point dimension %d, multiset dimension %d", p.Dim(), d)
+		}
+	}
+	return &Multiset{points: points, dim: d}, nil
+}
+
 // Add appends a copy of p to the multiset.
 func (m *Multiset) Add(p Vector) error {
 	if p.Dim() != m.dim {

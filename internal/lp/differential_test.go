@@ -335,52 +335,6 @@ func TestRevisedHotLongChain(t *testing.T) {
 	})
 }
 
-// TestLUSolverRoundTrip: Factor/Solve/SolveT reproduce known solutions of
-// random well-conditioned systems.
-func TestLUSolverRoundTrip(t *testing.T) {
-	rng := rand.New(rand.NewSource(8))
-	var lu LUSolver
-	for trial := 0; trial < 200; trial++ {
-		n := 1 + rng.Intn(12)
-		a := make([]float64, n*n)
-		for i := range a {
-			a[i] = rng.Float64()*2 - 1
-		}
-		for i := 0; i < n; i++ {
-			a[i*n+i] += 3 // diagonal dominance: well-conditioned
-		}
-		want := make([]float64, n)
-		for i := range want {
-			want[i] = rng.Float64()*4 - 2
-		}
-		b := make([]float64, n)
-		bt := make([]float64, n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				b[i] += a[i*n+j] * want[j]
-				bt[i] += a[j*n+i] * want[j]
-			}
-		}
-		if !lu.Factor(a, n) {
-			t.Fatalf("trial %d: factor failed", trial)
-		}
-		lu.Solve(b)
-		lu.SolveT(bt)
-		for i := 0; i < n; i++ {
-			if math.Abs(b[i]-want[i]) > 1e-8 {
-				t.Fatalf("trial %d: Solve x[%d]=%g want %g", trial, i, b[i], want[i])
-			}
-			if math.Abs(bt[i]-want[i]) > 1e-8 {
-				t.Fatalf("trial %d: SolveT x[%d]=%g want %g", trial, i, bt[i], want[i])
-			}
-		}
-	}
-	// Singular matrices must be rejected.
-	if lu.Factor(make([]float64, 9), 3) {
-		t.Fatal("zero matrix factored")
-	}
-}
-
 // TestRevisedDeterminism: the revised core must be bit-deterministic —
 // identical programs yield identical solution vectors.
 func TestRevisedDeterminism(t *testing.T) {

@@ -8,67 +8,12 @@ import "math"
 // absolute threshold is meaningful.
 const luEps = 1e-11
 
-// LUSolver is a dense LU factorization with partial pivoting, with reusable
-// buffers so repeated factor/solve cycles are allocation-free in steady
-// state. It is the factorization kernel of the revised simplex core, and is
-// exported so sibling numerical code (the Wolfe min-norm solver of
-// internal/tverberg) can share it. The zero value is ready to use; an
-// LUSolver is not safe for concurrent use.
-type LUSolver struct {
-	lu  []float64
-	lut []float64
-	piv []int
-	dim int
-	// Eps overrides the singularity threshold (luEps when zero). The
-	// simplex core's basis matrices are row-equilibrated O(1) data, which
-	// is what luEps assumes; callers factoring differently scaled systems
-	// (the Wolfe corral Gram matrices of internal/tverberg) set their own.
-	Eps float64
-}
-
-// Factor copies the dim×dim row-major matrix a and factors it as
-// P·A = L·U with partial pivoting. It reports whether the matrix is
-// numerically nonsingular; on false the solver holds no factorization.
-func (s *LUSolver) Factor(a []float64, dim int) bool {
-	lu := grow(&s.lu, dim*dim)
-	copy(lu, a[:dim*dim])
-	s.piv = grow(&s.piv, dim)
-	s.dim = 0
-	eps := s.Eps
-	if eps == 0 {
-		eps = luEps
-	}
-	if luFactorizeEps(lu, s.piv, nil, dim, eps) >= 0 {
-		return false
-	}
-	s.lut = transposeLU(&s.lut, lu, dim)
-	s.dim = dim
-	return true
-}
-
-// Solve solves A·x = b in place (b becomes x). Factor must have succeeded
-// with dim == len(b).
-func (s *LUSolver) Solve(b []float64) {
-	ftranLU(s.lu, s.lut, s.piv, s.dim, b)
-}
-
-// SolveT solves Aᵀ·x = b in place.
-func (s *LUSolver) SolveT(b []float64) {
-	btranLU(s.lu, s.lut, s.piv, s.dim, b)
-}
-
 // luFactorize factors the dim×dim row-major matrix in place (L unit lower
 // below the diagonal, U on and above) with partial pivoting, recording the
 // row interchanges in piv. It reports false when no pivot of magnitude
 // > luEps exists in some column (numerically singular).
 func luFactorize(lu []float64, piv []int, dim int) bool {
 	return luFactorizeTrack(lu, piv, nil, dim) < 0
-}
-
-// luFactorizeEps is luFactorizeTrack with a caller-chosen singularity
-// threshold.
-func luFactorizeEps(lu []float64, piv, rowID []int, dim int, eps float64) int {
-	return luFactorizeWith(lu, piv, rowID, dim, eps)
 }
 
 // luFactorizeTrack is luFactorize, additionally maintaining the physical
@@ -78,13 +23,8 @@ func luFactorizeEps(lu []float64, piv, rowID []int, dim int, eps float64) int {
 // identifies the rows still available for a basis repair. Returns −1 on
 // success.
 func luFactorizeTrack(lu []float64, piv, rowID []int, dim int) int {
-	return luFactorizeWith(lu, piv, rowID, dim, luEps)
-}
-
-// luFactorizeWith is the factorization kernel with an explicit threshold.
-func luFactorizeWith(lu []float64, piv, rowID []int, dim int, eps float64) int {
 	for k := 0; k < dim; k++ {
-		p, best := -1, eps
+		p, best := -1, luEps
 		for i := k; i < dim; i++ {
 			if a := math.Abs(lu[i*dim+k]); a > best {
 				p, best = i, a
@@ -117,22 +57,6 @@ func luFactorizeWith(lu []float64, piv, rowID []int, dim int, eps float64) int {
 		}
 	}
 	return -1
-}
-
-// transposeLU stores the transpose of the combined LU slab into *buf. The
-// triangular solves read L by column (forward substitution, Lᵀ solve) and
-// U by column (Uᵀ solve); the transposed copy turns those strided walks
-// into contiguous dot products and axpys — the solves are the revised
-// core's per-iteration inner loop, so the memory layout is load-bearing.
-func transposeLU(buf *[]float64, lu []float64, dim int) []float64 {
-	lut := grow(buf, dim*dim)
-	for i := 0; i < dim; i++ {
-		row := lu[i*dim : i*dim+dim]
-		for j, v := range row {
-			lut[j*dim+i] = v
-		}
-	}
-	return lut
 }
 
 // dotVec returns Σ a[i]·b[i] with four independent accumulators: the inner
@@ -169,55 +93,5 @@ func axpyNeg(y []float64, alpha float64, x []float64) {
 	}
 	for ; i < n; i++ {
 		y[i] -= alpha * x[i]
-	}
-}
-
-// ftranLU solves A·x = b in place given the factorization P·A = L·U (lut
-// is the transposed slab): x = U⁻¹·L⁻¹·P·b.
-func ftranLU(lu, lut []float64, piv []int, dim int, x []float64) {
-	for k := 0; k < dim; k++ {
-		if p := piv[k]; p != k {
-			x[k], x[p] = x[p], x[k]
-		}
-	}
-	for k := 0; k < dim; k++ {
-		xk := x[k]
-		if xk == 0 {
-			continue
-		}
-		colk := lut[k*dim : k*dim+dim] // column k of L, contiguous
-		axpyNeg(x[k+1:dim], xk, colk[k+1:])
-	}
-	for k := dim - 1; k >= 0; k-- {
-		rowk := lu[k*dim : k*dim+dim] // row k of U, contiguous
-		xk := x[k] - dotVec(x[k+1:dim], rowk[k+1:])
-		x[k] = xk / rowk[k]
-	}
-}
-
-// btranLU solves Aᵀ·y = c in place given P·A = L·U:
-// y = Pᵀ·L⁻ᵀ·U⁻ᵀ·c.
-func btranLU(lu, lut []float64, piv []int, dim int, y []float64) {
-	// Leading zeros of the right-hand side stay zero through the Uᵀ
-	// forward solve (each z_k reads only z_{<k} and y_k), so the solve can
-	// start at the first nonzero — phase-1 cost vectors empty out as
-	// artificials leave the basis.
-	k0 := 0
-	for k0 < dim && y[k0] == 0 {
-		k0++
-	}
-	for k := k0; k < dim; k++ {
-		colk := lut[k*dim : k*dim+dim] // column k of U, contiguous
-		zk := y[k] - dotVec(y[k0:k], colk[k0:k])
-		y[k] = zk / colk[k]
-	}
-	for k := dim - 2; k >= 0; k-- {
-		colk := lut[k*dim : k*dim+dim] // column k of L, contiguous
-		y[k] -= dotVec(y[k+1:dim], colk[k+1:])
-	}
-	for k := dim - 1; k >= 0; k-- {
-		if p := piv[k]; p != k {
-			y[k], y[p] = y[p], y[k]
-		}
 	}
 }

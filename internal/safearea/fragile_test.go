@@ -1,6 +1,7 @@
 package safearea
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -107,4 +108,65 @@ func TestFragileRegionDenseCoreComparison(t *testing.T) {
 		}
 	}
 	t.Logf("dense core: %d/%d fragile-corpus failures (revised must be 0)", failures, total)
+}
+
+// liftStallCorpus pins cluster-plus-outlier candidate sets (d = 2, f = 2)
+// dumped from `bvcbench -experiment e10` under the mixed adversary, at the
+// commit before the Gram-space lift: six converging correct values and one
+// lure three units (or, in the normalized frame, one spread) away. On each
+// the vector-space search gave up with "lifted search stalled above
+// tolerance" at a lifted residual of 2–5e-7 and the ladder fell to the
+// (f+1)-partition scan — the source of e10's allocation count. The first
+// two are as the ladder saw them after normalization, the last two raw.
+var liftStallCorpus = [][][2]uint64{
+	{
+		{0x0, 0x0}, {0x3f25bd04d02006d4, 0x3f245e98fe854435}, {0x3f275dcd9af84693, 0x3f2574c294735e6b},
+		{0x3f33683615416c64, 0x3f31efaf7b98b9da}, {0x3f33683615416c64, 0x3f31efaf7b98b9da},
+		{0x3f415c04fc5e9185, 0x3f3bdddc36de7f14}, {0x3ff0000000000000, 0x3fef3e1653946eaf},
+	},
+	{
+		{0x0, 0x0}, {0x3ec5aac2b683806c, 0x3ec24edf78a48dfd}, {0x3ef04bc9ac6598c8, 0x3efce08bffbe36b9},
+		{0x3f0c8651b607ba19, 0x3f0d99328d4c9683}, {0x3f0ce69fa6d7c8df, 0x3f117bc434104f85},
+		{0x3f0d67dbbb34f484, 0x3f11e83864cd1c11}, {0x3ff0000000000000, 0x3fef3e5835e7462e},
+	},
+	{
+		{0x3fd299f3ce8464b7, 0x3fdcc0d73819ce11}, {0x3fd299b55d97caba, 0x3fdcc08f5b6aac0b},
+		{0x3fd299b476090522, 0x3fdcc090fd8a8241}, {0x3fd299b55d97caba, 0x3fdcc08f5b6aac0b},
+		{0x3fd29b7f111a1421, 0x3fdcc245528ff17e}, {0x3fd29c75289574ee, 0x3fdcc36081cb6085},
+		{0xc008000000000000, 0xc008000000000000},
+	},
+	{
+		{0x3fd299f3ce8464b7, 0x3fdcc0d73819ce11}, {0x3fd299b476090522, 0x3fdcc090fd8a8241},
+		{0x3fd29b61dc33b163, 0x3fdcc24ac7867f7f}, {0x3fd299b55d97caba, 0x3fdcc08f5b6aac0b},
+		{0x3fd29b8d33128397, 0x3fdcc28037b87433}, {0x3fd29b7f111a1421, 0x3fdcc245528ff17e},
+		{0xc008000000000000, 0xc008000000000000},
+	},
+}
+
+// TestLiftStallCorpusStaysOnLiftRung: every pinned input must come back
+// from the lift rung itself — liftPoint, which never reaches
+// scanTverbergPoint — with a point of Γ(Y), and PointWith must return that
+// same point.
+func TestLiftStallCorpusStaysOnLiftRung(t *testing.T) {
+	const f = 2
+	for i, bits := range liftStallCorpus {
+		ms := geometry.NewMultiset(2)
+		for _, b := range bits {
+			if err := ms.Add(geometry.Vector{math.Float64frombits(b[0]), math.Float64frombits(b[1])}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		pt, ok := liftPoint(ms, f)
+		if !ok {
+			t.Errorf("input %d: lift rung failed; the ladder would fall to the partition scan", i)
+			continue
+		}
+		if in, err := Contains(ms, f, pt, 1e-6); err != nil || !in {
+			t.Errorf("input %d: point %v outside Γ(Y) (err %v)", i, pt, err)
+		}
+		full, err := PointWith(ms, f, MethodAuto)
+		if err != nil || !full.Equal(pt) {
+			t.Errorf("input %d: PointWith = %v, %v; lift rung gave %v", i, full, err, pt)
+		}
+	}
 }

@@ -70,13 +70,14 @@ func PrefixLen(n, d, f int, method Method) int {
 //
 //   - Radon: always certified (PointWith never verifies the f = 1 Radon
 //     point; the partition extension only grows the second block's hull).
-//   - Tverberg lift: certified iff the lifted partition of the prefix
-//     verifies geometrically. Appending members only grows the last block's
-//     hull, so prefix verification implies superset verification and the
-//     superset path returns the identical lift point. An unverified prefix
-//     is NOT certified: the superset's fallback (full-multiset joint LP, or
-//     a verification rescued by the appended members — impossible, but kept
-//     out of the trust base) must run from scratch.
+//   - Tverberg lift: certified iff the lift rung (liftPoint, the same
+//     helper PointWith runs) accepts the prefix's lifted partition.
+//     Appending members only grows the last block's hull, so prefix
+//     acceptance implies superset acceptance and the superset path returns
+//     the identical lift point. A rejected prefix is NOT certified: the
+//     superset's own ladder (a verification rescued by the appended
+//     members, or the fallback chain over the full multiset) must run from
+//     scratch.
 //
 // (false, nil) means the caller must fall back to the full candidate set.
 func PointOnPrefix(prefix *geometry.Multiset, f int, method Method) (geometry.Vector, bool, error) {
@@ -101,25 +102,8 @@ func PointOnPrefix(prefix *geometry.Multiset, f int, method Method) (geometry.Ve
 		if prefix.Len() < (d+1)*f+1 {
 			return nil, false, nil
 		}
-		// Mirror PointWith's degenerate-input normalization exactly: the
-		// parameters derive from the lift prefix — i.e. this whole
-		// multiset — so the certified point stays bit-identical to the
-		// full-set path.
-		if lo, spread := normParamsOf(prefix, prefix.Len()); spread > 0 && (spread < 0.25 || spread > 4) {
-			pt, ok, err := PointOnPrefix(normalizeMultiset(prefix, lo, spread), f, method)
-			if err != nil || !ok {
-				return nil, ok, err
-			}
-			return denormalizePoint(pt, lo, spread), true, nil
-		}
-		part, err := tverberg.Lift(prefix, f+1)
-		if err != nil {
-			return nil, false, nil // fall back to the full set, as PointWith would
-		}
-		if verr := tverberg.Verify(prefix, part, liftVerifyTol); verr != nil {
-			return nil, false, nil
-		}
-		return part.Point, true, nil
+		pt, ok := liftPoint(prefix, f)
+		return pt, ok, nil
 	default:
 		return nil, false, nil
 	}

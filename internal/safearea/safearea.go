@@ -18,10 +18,11 @@
 //   - MethodTverbergLift: for any f with |Y| ≥ (d+1)f+1, a Tverberg point
 //     of the first (d+1)f+1 members via Sarkaria's lifting — polynomial
 //     where the joint lex-min LP grows combinatorially, and the key to the
-//     d ≥ 2, f ≥ 2 grids. The partition is verified geometrically; on
-//     failure the ladder scans (f+1)-partitions for one whose block hulls
-//     admit a common point (any such point is in Γ), with the joint LP as
-//     the conclusive last resort. Proportionally degenerate inputs are
+//     d ≥ 2, f ≥ 2 grids. The partition is accepted on its own convex
+//     certificate, or failing that verified geometrically; on failure
+//     the ladder scans (f+1)-partitions for one whose block hulls admit a
+//     common point (any such point is in Γ), with the joint LP as the
+//     conclusive last resort. Proportionally degenerate inputs are
 //     affinely normalized to unit spread first (Γ is affine-equivariant).
 //   - MethodTverbergSearch: exhaustive Tverberg partition search (small
 //     inputs; used for validation).
@@ -92,9 +93,10 @@ var ErrEmpty = errors.New("safearea: Γ(Y) is empty")
 // search's point routinely verifies to 1e-6 but not to hull.DefaultTol —
 // rejecting those sends an avalanche of solves down the far more expensive
 // joint-LP fallback for no accuracy the consumers can observe (decisions
-// are validity-checked end-to-end at the default tolerance and pass).
-// PointOnPrefix certifies with the same tolerance, keeping prefix-shared
-// points bit-identical to the full-set path.
+// are validity-checked end-to-end at the default tolerance and pass). It is
+// measured in the lift rung's frame (liftPoint), and is what the rung's
+// membership LPs enforce when the partition's own certificate — good to
+// tverberg.CertTol, half of this — misses.
 const liftVerifyTol = 1e-6
 
 // SubsetCount returns the number of hulls intersected in Γ(Y):
@@ -382,21 +384,15 @@ func PointWith(y *geometry.Multiset, f int, method Method) (geometry.Vector, err
 		}
 	}
 
-	// Normalize proportionally degenerate inputs for the numeric-heavy
-	// methods: the solvers' tolerances are absolute and tuned for O(1)
-	// data, but mid-run candidate sets span ever-smaller ranges as the
-	// protocol converges. Γ is affine-equivariant — Γ(aY+b) = a·Γ(Y)+b,
-	// and the lex-min point maps along — so the set is translated and
-	// scaled to unit spread, solved there, and the point mapped back. The
-	// parameters derive from exactly the members the method reads (the
-	// lift's (d+1)f+1-prefix, or all members for the joint LP), keeping
-	// prefix-certified points bit-identical to the full-set path.
-	if method == MethodTverbergLift || method == MethodLexMinLP {
-		pl := y.Len()
-		if m := (d+1)*f + 1; method == MethodTverbergLift && m < pl {
-			pl = m
-		}
-		if lo, spread := normParamsOf(y, pl); spread > 0 && (spread < 0.25 || spread > 4) {
+	// Normalize proportionally degenerate inputs for the joint LP: the
+	// solver's tolerances are absolute and tuned for O(1) data, but mid-run
+	// candidate sets span ever-smaller ranges as the protocol converges. Γ
+	// is affine-equivariant — Γ(aY+b) = a·Γ(Y)+b, and the lex-min point
+	// maps along — so the set is translated and scaled to unit spread,
+	// solved there, and the point mapped back. (The lift rung normalizes
+	// the same way inside liftPoint, from the prefix it reads.)
+	if method == MethodLexMinLP {
+		if lo, spread := normParamsOf(y, y.Len()); needsRescale(spread) {
 			pt, err := PointWith(normalizeMultiset(y, lo, spread), f, method)
 			if err != nil {
 				return nil, err
@@ -451,32 +447,85 @@ func PointWith(y *geometry.Multiset, f int, method Method) (geometry.Vector, err
 			// LP decides emptiness conclusively.
 			return PointWith(y, f, MethodLexMinLP)
 		}
-		part, err := tverberg.Lift(y, f+1)
-		if err == nil {
-			if verr := tverberg.Verify(y, part, liftVerifyTol); verr == nil {
-				return part.Point, nil
-			}
+		if pt, ok := liftPoint(y, f); ok {
+			return pt, nil
 		}
 		// The lifted partition failed (numerically or geometrically) —
 		// a deterministic outcome, so every correct process takes the
-		// same fallback chain. On this branch |Y| ≥ (d+1)f+1, so a
-		// Tverberg partition EXISTS (Tverberg's theorem): enumerate
-		// partitions in canonical order and accept the first whose block
-		// hulls admit a common point — that point lies in Γ(Y) (removing
-		// any f members leaves at least one block intact), each probe is
-		// a tiny (f+1)-group LP, and the walk is deterministic. The
-		// combinatorial joint lex-min LP over all C(|Y|, f) hulls — the
-		// historical fallback, and the one solver these degenerate
-		// cluster-plus-outlier slivers can exhaust — becomes the true
-		// last resort, consulted only if the scan finds nothing.
-		if pt, ok := scanTverbergPoint(y, f); ok {
-			return pt, nil
+		// same fallback chain, in the same normalized frame the lift ran
+		// in.
+		if lo, scale := liftFrame(y, f); scale != 1 {
+			pt, err := liftFallback(normalizeMultiset(y, lo, scale), f)
+			if err != nil {
+				return nil, err
+			}
+			return denormalizePoint(pt, lo, scale), nil
 		}
-		return PointWith(y, f, MethodLexMinLP)
+		return liftFallback(y, f)
 
 	default:
 		return nil, fmt.Errorf("safearea: unknown method %v", method)
 	}
+}
+
+// liftPoint is the lift rung: the Tverberg point of y's first (d+1)f+1
+// members (|Y| must be at least that), or false when the rung fails and the
+// caller's fallback chain must decide. PointWith and PointOnPrefix both end
+// here, which is what keeps a prefix-certified point bit-identical to the
+// full-set path: the frame, the search and the certificate read the prefix
+// only.
+//
+// The search runs in the prefix's own frame — translated to its
+// coordinate-wise minimum and, when proportionally degenerate, scaled to
+// unit spread — applied as tverberg reads the members, so no normalized
+// multiset is built. The partition is accepted on its own convex
+// certificate (every block's weighted mean within tverberg.CertTol =
+// liftVerifyTol/2 of the point); only on a miss do the f+1 membership LPs
+// of tverberg.Verify run, over all of y in the same frame at liftVerifyTol.
+func liftPoint(y *geometry.Multiset, f int) (geometry.Vector, bool) {
+	lo, scale := liftFrame(y, f)
+	part, err := tverberg.LiftAffine(y, f+1, lo, 1/scale)
+	if err != nil {
+		return nil, false
+	}
+	if part.Residual > tverberg.CertTol {
+		if tverberg.Verify(normalizeMultiset(y, lo, scale), part, liftVerifyTol) != nil {
+			return nil, false
+		}
+	}
+	return denormalizePoint(part.Point, lo, scale), true
+}
+
+// liftFrame returns the offset and scale of the lift rung's frame
+// x ↦ (x − lo)/scale, from the (d+1)f+1 members the rung reads.
+func liftFrame(y *geometry.Multiset, f int) (lo geometry.Vector, scale float64) {
+	lo, spread := normParamsOf(y, (y.Dim()+1)*f+1)
+	if !needsRescale(spread) {
+		return lo, 1
+	}
+	return lo, spread
+}
+
+// liftFallback decides a candidate set whose lift rung failed. On this
+// branch |Y| ≥ (d+1)f+1, so a Tverberg partition EXISTS (Tverberg's
+// theorem): enumerate partitions in canonical order and accept the first
+// whose block hulls admit a common point — that point lies in Γ(Y)
+// (removing any f members leaves at least one block intact), each probe is
+// a tiny (f+1)-group LP, and the walk is deterministic. The combinatorial
+// joint lex-min LP over all C(|Y|, f) hulls — the historical fallback, and
+// the one solver these degenerate cluster-plus-outlier slivers can exhaust
+// — is the true last resort, consulted only if the scan finds nothing.
+func liftFallback(y *geometry.Multiset, f int) (geometry.Vector, error) {
+	if pt, ok := scanTverbergPoint(y, f); ok {
+		return pt, nil
+	}
+	return PointWith(y, f, MethodLexMinLP)
+}
+
+// needsRescale reports whether a multiset of the given spread is
+// proportionally degenerate enough to be solved at unit spread instead.
+func needsRescale(spread float64) bool {
+	return spread > 0 && (spread < 0.25 || spread > 4)
 }
 
 // Interval returns the closed-form Γ(Y) = [y₍f+1₎, y₍|Y|−f₎] for d = 1
@@ -546,13 +595,13 @@ func normalizeMultiset(y *geometry.Multiset, lo geometry.Vector, spread float64)
 	return ny
 }
 
-// denormalizePoint maps a normalized-space point back: pt·spread + lo.
+// denormalizePoint maps a normalized-space point back, in place:
+// pt·spread + lo. Every caller owns the point it passes.
 func denormalizePoint(pt geometry.Vector, lo geometry.Vector, spread float64) geometry.Vector {
-	out := geometry.NewVector(len(pt))
 	for l := range pt {
-		out[l] = pt[l]*spread + lo[l]
+		pt[l] = pt[l]*spread + lo[l]
 	}
-	return out
+	return pt
 }
 
 // scanTverbergPoint enumerates (f+1)-block partitions of y in canonical

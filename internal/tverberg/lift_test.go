@@ -99,3 +99,40 @@ func TestLiftValidation(t *testing.T) {
 		t.Error("too few points: expected error")
 	}
 }
+
+// liftBenchInput is a deterministic uniform multiset at the Tverberg number
+// for (d, r): what one Γ-point solve of the f = r−1 algorithms hands Lift.
+func liftBenchInput(d, r int) *geometry.Multiset {
+	rng := rand.New(rand.NewSource(int64(100*d + r)))
+	ms := geometry.NewMultiset(d)
+	for i := 0; i < (d+1)*(r-1)+1; i++ {
+		v := geometry.NewVector(d)
+		for j := range v {
+			v[j] = rng.Float64()
+		}
+		if err := ms.Add(v); err != nil {
+			panic(err)
+		}
+	}
+	return ms
+}
+
+// BenchmarkLift times one lifted search per case; steady state allocates
+// only the returned Partition.
+func BenchmarkLift(b *testing.B) {
+	cases := []struct {
+		name string
+		d, f int
+	}{{"d2f2", 2, 2}, {"d3f2", 3, 2}, {"d4f2", 4, 2}, {"d2f3", 2, 3}}
+	for _, c := range cases {
+		b.Run(c.name, func(b *testing.B) {
+			ms := liftBenchInput(c.d, c.f+1)
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, err := Lift(ms, c.f+1); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

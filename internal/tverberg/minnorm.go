@@ -2,27 +2,31 @@ package tverberg
 
 import (
 	"errors"
-	"fmt"
 	"math"
-
-	"repro/internal/lp"
 )
 
-// minNorm solves the minimum-norm-point problem min ‖x‖ over x ∈ conv(P)
-// with Wolfe's algorithm (Wolfe 1976): it maintains a corral — an affinely
-// independent subset whose affine minimum-norm point has strictly positive
-// convex weights — and alternates adding the most violating point (major
-// cycle) with projecting back onto the convex hull (minor cycles). The
-// points are rows of p (all the same dimension); it returns the point and
-// per-row convex weights (zero for rows outside the final corral).
+// wolfe solves the minimum-norm-point problem min ‖x‖ over x ∈ conv(P) with
+// Wolfe's algorithm (Wolfe 1976), knowing the points only through their Gram
+// matrix ⟨p_i, p_j⟩. It maintains a corral — an affinely independent subset
+// whose affine minimum-norm point has strictly positive convex weights — and
+// alternates adding the most violating point (major cycle) with projecting
+// back onto the convex hull (minor cycles). The point itself is never
+// formed: x = Σ_c w_c·p_c lives in the corral weights, so ⟨x, p_j⟩ is
+// Σ_c w_c·⟨p_c, p_j⟩ and the affine projection reads only Gram entries.
+//
+// The corral and its weights persist between solves. That is the lifted
+// search's warm start: a Bárány pivot replaces a point OUTSIDE the corral,
+// so the previous optimum stays a feasible corral of the new point set and
+// the next solve resumes from it instead of from a single point.
 //
 // The computation is deterministic: ties in point selection break toward
-// the lowest row index. It is exact up to floating point on the tiny, dense
-// systems this package produces (corral size ≤ dim+1, dim ≲ a few dozen).
-type minNormResult struct {
-	x      []float64 // the minimum-norm point
-	norm2  float64   // ‖x‖²
-	lambda []float64 // convex weights per input row
+// the lowest index, and start discards whatever an earlier call left.
+type wolfe struct {
+	corral  []int     // indices of the corral members
+	weights []float64 // their convex weights, parallel to corral
+	xp      []float64 // ⟨x, p_j⟩ for every point, as of the last major cycle
+	kkt     []float64 // the affine projection's augmented system, eliminated in place
+	affine  []float64 // its solution
 }
 
 const (
@@ -34,184 +38,175 @@ const (
 	// mnMaxIter caps major cycles; Wolfe terminates finitely, so hitting
 	// the cap indicates numerical trouble on a degenerate instance.
 	mnMaxIter = 1000
+	// kktPivotEps is the singularity threshold of the affine projection's
+	// elimination: the systems are Gram matrices of lifted points, not
+	// row-equilibrated O(1) data, and a wider threshold would push solvable
+	// corrals onto the expensive fallback ladder.
+	kktPivotEps = 1e-13
 )
 
-// minNormScratch holds every buffer one min-norm solve needs; reusing it
-// across solves (the lifted search runs one solve per Bárány pivot) makes
-// the solver allocation-free in steady state. The result's x and lambda
-// slices alias the scratch and are only valid until the next solve.
-type minNormScratch struct {
-	affine  affineScratch
-	corral  []int
-	weights []float64
-	x       []float64
-	lambda  []float64
-	res     minNormResult
-}
-
-// minNorm solves with a private scratch (one-shot callers).
-func minNorm(p [][]float64) (*minNormResult, error) {
-	return minNormWith(p, &minNormScratch{})
-}
-
-// minNormWith is minNorm with caller-managed scratch. The arithmetic is
-// identical to a fresh-scratch solve — buffers only change where the values
-// live, never the operation order — so results are bit-identical.
-func minNormWith(p [][]float64, sc *minNormScratch) (*minNormResult, error) {
-	if len(p) == 0 {
-		return nil, errors.New("tverberg: min-norm of empty set")
-	}
-	dim := len(p[0])
-
-	// Start the corral with the smallest-norm row (lowest index on ties).
-	start, best := 0, math.Inf(1)
-	for i, row := range p {
-		if len(row) != dim {
-			return nil, fmt.Errorf("tverberg: min-norm row %d has dimension %d, want %d", i, len(row), dim)
-		}
-		if n2 := dot(row, row); n2 < best {
-			start, best = i, n2
+// start resets the corral to the single point of smallest norm (lowest
+// index on ties). gram is the k×k row-major Gram matrix.
+func (w *wolfe) start(gram []float64, k int) {
+	first, best := 0, math.Inf(1)
+	for i := 0; i < k; i++ {
+		if n2 := gram[i*k+i]; n2 < best {
+			first, best = i, n2
 		}
 	}
-	corral := append(sc.corral[:0], start)
-	weights := append(sc.weights[:0], 1)
-	x := append(sc.x[:0], p[start]...)
+	w.corral = append(w.corral[:0], first)
+	w.weights = append(w.weights[:0], 1)
+}
 
-	scratch := &sc.affine
+// solve runs major cycles from the current corral until no point improves
+// on x. On return corral/weights describe the minimum-norm point; an error
+// other than errMinNormCap leaves them in an unspecified (but in-bounds)
+// state.
+func (w *wolfe) solve(gram []float64, k int) error {
+	xp := growF(&w.xp, k)
 	for iter := 0; iter < mnMaxIter; iter++ {
 		// Major cycle: the most violating point minimizes ⟨x, p_j⟩.
-		x2 := dot(x, x)
+		clear(xp)
+		for ci, c := range w.corral {
+			wc := w.weights[ci]
+			for j, g := range gram[c*k : c*k+k] {
+				xp[j] += wc * g
+			}
+		}
+		var x2 float64
+		for ci, c := range w.corral {
+			x2 += w.weights[ci] * xp[c]
+		}
 		enter, bestDot := -1, x2-mnTol*(1+x2)
-		for j, row := range p {
-			if d := dot(x, row); d < bestDot {
+		for j, d := range xp {
+			if d < bestDot {
 				enter, bestDot = j, d
 			}
 		}
-		if enter < 0 {
-			return sc.result(p, x, corral, weights), nil
+		if enter < 0 || containsIndex(w.corral, enter) {
+			// No improving point, or the best one is already in the
+			// corral: x is the convex (not just affine) optimum up to
+			// tolerance.
+			return nil
 		}
-		if containsIndex(corral, enter) {
-			// The best improving point is already in the corral: x is the
-			// convex (not just affine) optimum over it up to tolerance.
-			return sc.result(p, x, corral, weights), nil
-		}
-		corral = append(corral, enter)
-		weights = append(weights, 0)
+		w.corral = append(w.corral, enter)
+		w.weights = append(w.weights, 0)
 
 		// Minor cycles: project onto the affine hull of the corral; while
 		// the affine weights leave the simplex, step to the boundary and
 		// drop the vanished points.
 		for {
-			affine, err := scratch.affineMinNorm(p, corral)
+			affine, err := w.affineWeights(gram, k)
 			if err != nil {
-				return nil, err
+				return err
 			}
 			neg := false
-			for _, w := range affine {
-				if w < mnWeightEps {
+			for _, a := range affine {
+				if a < mnWeightEps {
 					neg = true
 					break
 				}
 			}
 			if !neg {
-				weights = weights[:len(corral)]
-				copy(weights, affine)
+				copy(w.weights, affine)
 				break
 			}
 			// Largest step θ ∈ [0,1) from weights toward affine keeping
 			// all weights ≥ 0: θ = min over decreasing weights of
 			// w/(w−a).
 			theta := 1.0
-			for i := range corral {
-				w, a := weights[i], affine[i]
-				if a < mnWeightEps && w > a {
-					if t := w / (w - a); t < theta {
+			for i, a := range affine {
+				if wi := w.weights[i]; a < mnWeightEps && wi > a {
+					if t := wi / (wi - a); t < theta {
 						theta = t
 					}
 				}
 			}
-			kept := corral[:0]
-			keptW := weights[:0]
-			for i, idx := range corral {
-				w := weights[i] + theta*(affine[i]-weights[i])
-				if w > mnWeightEps {
+			kept := w.corral[:0]
+			keptW := w.weights[:0]
+			for i, idx := range w.corral {
+				wi := w.weights[i] + theta*(affine[i]-w.weights[i])
+				if wi > mnWeightEps {
 					kept = append(kept, idx)
-					keptW = append(keptW, w)
+					keptW = append(keptW, wi)
 				}
 			}
 			if len(kept) == 0 {
-				return nil, errors.New("tverberg: min-norm corral collapsed")
+				return errors.New("tverberg: min-norm corral collapsed")
 			}
-			corral = kept
-			weights = normalize(keptW)
-		}
-
-		// Recompute x from the new corral weights.
-		clearF(x)
-		for i, idx := range corral {
-			axpy(x, weights[i], p[idx])
+			w.corral = kept
+			w.weights = normalize(keptW)
 		}
 	}
-	return nil, errors.New("tverberg: min-norm iteration cap exceeded")
+	return errMinNormCap
 }
 
-// affineScratch holds the dense solve buffers for affineMinNorm. The KKT
-// systems are factored with the shared LU kernel of the revised simplex
-// core (lp.LUSolver), so the whole Γ-point pipeline — simplex bases and
-// Wolfe corrals alike — runs on one factorization implementation.
-type affineScratch struct {
-	m   []float64
-	rhs []float64
-	lu  lp.LUSolver
-}
+// errMinNormCap reports a solve that used all mnMaxIter major cycles. The
+// corral and weights it leaves are a valid convex combination (the cap is
+// only checked between major cycles), just not a proven optimum.
+var errMinNormCap = errors.New("tverberg: min-norm iteration cap exceeded")
 
-// kktPivotEps matches the pre-LU solveDense threshold: the corral KKT
-// systems are Gram matrices of lifted points, not the row-equilibrated
-// O(1) data the solver's default assumes, and narrowing the accepted
-// pivots by two orders would push previously solvable corrals onto the
-// expensive fallback ladder.
-const kktPivotEps = 1e-13
-
-// affineMinNorm returns the weights α (Σα = 1, unconstrained sign) of the
-// minimum-norm point of the affine hull of the selected rows, from the KKT
-// system [[0 1ᵀ][1 G]]·[μ α]ᵀ = [1 0]ᵀ with G the Gram matrix.
-func (s *affineScratch) affineMinNorm(p [][]float64, sel []int) ([]float64, error) {
-	k := len(sel)
-	n := k + 1
-	m := growF(&s.m, n*n)
-	rhs := growF(&s.rhs, n)
-	clearF(m)
-	clearF(rhs)
-	rhs[0] = 1
-	s.lu.Eps = kktPivotEps
-	for i := 0; i < k; i++ {
-		m[0*n+1+i] = 1
-		m[(1+i)*n+0] = 1
-		for j := i; j < k; j++ {
-			g := dot(p[sel[i]], p[sel[j]])
-			m[(1+i)*n+1+j] = g
-			m[(1+j)*n+1+i] = g
+// affineWeights returns the weights α (Σα = 1, unconstrained sign) of the
+// minimum-norm point of the affine hull of the corral, from the KKT system
+// [[0 1ᵀ][1 G]]·[μ α]ᵀ = [1 0]ᵀ with G the corral's Gram sub-matrix. The
+// system is at most (k+1)-square, so it is assembled with its right-hand
+// side in scratch and eliminated there with partial pivoting — no copy, no
+// stored factors.
+func (w *wolfe) affineWeights(gram []float64, k int) ([]float64, error) {
+	n := len(w.corral) + 1
+	stride := n + 1 // the last column is the right-hand side
+	a := growF(&w.kkt, n*stride)
+	a[0] = 0
+	for j := 1; j <= n; j++ {
+		a[j] = 1
+	}
+	for i, ci := range w.corral {
+		row := a[(i+1)*stride : (i+2)*stride]
+		row[0] = 1
+		for j, cj := range w.corral {
+			row[1+j] = gram[ci*k+cj]
+		}
+		row[n] = 0
+	}
+	for col := 0; col < n; col++ {
+		p, best := -1, kktPivotEps
+		for i := col; i < n; i++ {
+			if v := math.Abs(a[i*stride+col]); v > best {
+				p, best = i, v
+			}
+		}
+		if p < 0 {
+			return nil, errors.New("tverberg: affine min-norm system singular")
+		}
+		pr := a[col*stride : (col+1)*stride]
+		if p != col {
+			sr := a[p*stride : (p+1)*stride]
+			for j := col; j <= n; j++ {
+				pr[j], sr[j] = sr[j], pr[j]
+			}
+		}
+		inv := 1 / pr[col]
+		for i := col + 1; i < n; i++ {
+			ri := a[i*stride : (i+1)*stride]
+			f := ri[col] * inv
+			if f == 0 {
+				continue
+			}
+			for j := col + 1; j <= n; j++ {
+				ri[j] -= f * pr[j]
+			}
 		}
 	}
-	if !s.lu.Factor(m, n) {
-		return nil, errors.New("tverberg: affine min-norm system singular")
+	x := growF(&w.affine, n)
+	for i := n - 1; i >= 0; i-- {
+		ri := a[i*stride : (i+1)*stride]
+		s := ri[n]
+		for j := i + 1; j < n; j++ {
+			s -= ri[j] * x[j]
+		}
+		x[i] = s / ri[i]
 	}
-	s.lu.Solve(rhs)
-	return rhs[1 : 1+k], nil
-}
-
-// result assembles the final point and full-length weight vector into the
-// scratch-owned buffers (valid until the next solve on this scratch) and
-// hands the grown working slices back to the scratch for reuse.
-func (sc *minNormScratch) result(p [][]float64, x []float64, corral []int, weights []float64) *minNormResult {
-	sc.corral, sc.weights, sc.x = corral, weights, x
-	lambda := growF(&sc.lambda, len(p))
-	clearF(lambda)
-	for i, idx := range corral {
-		lambda[idx] = weights[i]
-	}
-	sc.res = minNormResult{x: x, norm2: dot(x, x), lambda: lambda}
-	return &sc.res
+	return x[1:], nil
 }
 
 func dot(a, b []float64) float64 {
@@ -220,18 +215,6 @@ func dot(a, b []float64) float64 {
 		s += a[i] * b[i]
 	}
 	return s
-}
-
-func axpy(dst []float64, w float64, src []float64) {
-	for i := range dst {
-		dst[i] += w * src[i]
-	}
-}
-
-func clearF(x []float64) {
-	for i := range x {
-		x[i] = 0
-	}
 }
 
 func normalize(w []float64) []float64 {
@@ -259,6 +242,13 @@ func containsIndex(s []int, v int) bool {
 func growF(buf *[]float64, n int) []float64 {
 	if cap(*buf) < n {
 		*buf = make([]float64, n)
+	}
+	return (*buf)[:n]
+}
+
+func growI(buf *[]int, n int) []int {
+	if cap(*buf) < n {
+		*buf = make([]int, n)
 	}
 	return (*buf)[:n]
 }

@@ -29,9 +29,17 @@ import (
 // Partition is a Tverberg partition of a point multiset: Blocks holds
 // member indices of each part, and Point is a common point of the parts'
 // convex hulls (a Tverberg point).
+//
+// Lift additionally reports how it knows: Weights holds one non-negative
+// multiplier per member (zero outside the lifted prefix) under which every
+// block's weighted mean is Point, and Residual is how far from exactly
+// that they are (see the Residual function), in the coordinates the search
+// ran in. Radon and Search leave both zero.
 type Partition struct {
-	Blocks [][]int
-	Point  geometry.Vector
+	Blocks   [][]int
+	Point    geometry.Vector
+	Weights  []float64
+	Residual float64
 }
 
 // NumBlocks returns the number of parts.
