@@ -271,15 +271,21 @@ func (c *Coordinator) Completed(t int) (*Result, bool) {
 func (c *Coordinator) round(t int) *roundState {
 	st := c.rounds[t]
 	if st == nil {
+		// Both reporter-indexed tables are rows of one flat n×n slab. A
+		// reporter's sequence holds each origin at most once (reportSeen
+		// drops repeats), so a row of capacity n never grows.
 		seen := make([][]bool, c.n)
-		flat := make([]bool, c.n*c.n)
+		seq := make([][]sim.ProcID, c.n)
+		flatSeen := make([]bool, c.n*c.n)
+		flatSeq := make([]sim.ProcID, c.n*c.n)
 		for i := range seen {
-			seen[i] = flat[i*c.n : (i+1)*c.n]
+			seen[i] = flatSeen[i*c.n : (i+1)*c.n]
+			seq[i] = flatSeq[i*c.n : i*c.n : (i+1)*c.n]
 		}
 		st = &roundState{
 			deliveredVal: make([]geometry.Vector, c.n),
 			reportSeen:   seen,
-			reportSeq:    make([][]sim.ProcID, c.n),
+			reportSeq:    seq,
 			missing:      make([]int, c.n),
 		}
 		c.rounds[t] = st

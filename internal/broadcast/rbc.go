@@ -143,10 +143,8 @@ func (r *RBC) Handle(from sim.ProcID, msg RBCMsg) ([]RBCMsg, []RBCDelivery) {
 	key := rbcKey{origin: msg.Origin, tag: msg.Tag}
 	inst := r.insts[key]
 	if inst == nil {
-		inst = &rbcInst{
-			echoFrom:  make([]bool, r.n),
-			readyFrom: make([]bool, r.n),
-		}
+		from := make([]bool, 2*r.n) // one slab, split per phase
+		inst = &rbcInst{echoFrom: from[:r.n], readyFrom: from[r.n:]}
 		r.insts[key] = inst
 	}
 

@@ -155,10 +155,10 @@ func (a *AsyncNode) startRound(api sim.API) {
 // advances to the next round or decides.
 func (a *AsyncNode) finishRound(api sim.API, res *aad.Result) {
 	tuples := make([]tuple, len(res.Tuples))
-	byOrigin := make(map[int]tuple, len(res.Tuples))
+	byOrigin := make([]tuple, a.cfg.N) // nil value: origin not in B
 	for i, tp := range res.Tuples {
 		tuples[i] = tuple{origin: int(tp.Origin), value: tp.Value}
-		byOrigin[int(tp.Origin)] = tuples[i]
+		byOrigin[tp.Origin] = tuples[i]
 	}
 
 	var (
@@ -173,8 +173,8 @@ func (a *AsyncNode) finishRound(api sim.API, res *aad.Result) {
 		for _, prefix := range res.WitnessPrefixes {
 			set := make([]tuple, 0, len(prefix))
 			for _, origin := range prefix {
-				tp, ok := byOrigin[int(origin)]
-				if !ok {
+				tp := byOrigin[origin]
+				if tp.value == nil {
 					a.fail(api, fmt.Errorf("core: witness prefix references origin %d missing from B", origin))
 					return
 				}

@@ -78,13 +78,13 @@ type Engine struct {
 	nodes []Node
 	ctxs  []*engineAPI
 
-	queue   eventQueue
+	queue   laneQueue
 	seq     uint64
 	now     time.Duration
-	lastArr [][]time.Duration // lastArr[from][to]: latest scheduled arrival
+	lastArr []time.Duration // per link (from*N+to): latest scheduled arrival
 	delay   DelayModel
 	rngNet  *rand.Rand
-	halted  atomic.Int64 // nodes that called Halt (atomic: see runBatch)
+	halted  atomic.Int64 // nodes that called Halt (atomic: batch workers call Halt concurrently)
 
 	// lookahead is the delay model's promised minimum link delay (0 when
 	// the model implements no Lookahead): the conservative safety horizon
@@ -94,14 +94,6 @@ type Engine struct {
 	batches   int64 // parallel batches executed (white-box tests)
 
 	stats Stats
-}
-
-type event struct {
-	at   time.Duration
-	seq  uint64 // tie-break: enqueue order → total determinism
-	from ProcID
-	to   ProcID
-	msg  Message
 }
 
 // NewEngine validates the configuration and builds an engine over the given
@@ -129,15 +121,14 @@ func NewEngine(cfg Config, nodes []Node) (*Engine, error) {
 		nodes:  nodes,
 		delay:  cfg.Delay,
 		rngNet: rand.New(rand.NewSource(cfg.Seed ^ 0x5eed_ca11)),
+
+		queue:   newLaneQueue(cfg.N),
+		lastArr: make([]time.Duration, cfg.N*cfg.N),
 	}
 	if la, ok := cfg.Delay.(Lookahead); ok {
 		if min := la.MinDelay(); min > 0 {
 			e.lookahead = min
 		}
-	}
-	e.lastArr = make([][]time.Duration, cfg.N)
-	for i := range e.lastArr {
-		e.lastArr[i] = make([]time.Duration, cfg.N)
 	}
 	e.ctxs = make([]*engineAPI, cfg.N)
 	for i := range nodes {
@@ -171,34 +162,35 @@ func (e *Engine) Run() (Stats, error) {
 
 // runSerial is the classic one-event-at-a-time loop.
 func (e *Engine) runSerial() (Stats, error) {
-	for {
-		if e.halted.Load() == int64(len(e.nodes)) {
-			break
-		}
-		if len(e.queue) == 0 {
-			break
-		}
+	for e.halted.Load() < int64(len(e.nodes)) && !e.queue.empty() {
 		if e.stats.Delivered+e.stats.Suppressed >= int64(e.cfg.MaxEvents) {
 			return e.finish(), fmt.Errorf("%w after %d deliveries", ErrMaxEvents, e.stats.Delivered)
 		}
-		ev := e.queue.pop()
-		e.now = ev.at
+		e.now = e.queue.nextAt()
 		if e.cfg.MaxTime > 0 && e.now > e.cfg.MaxTime {
 			break
 		}
-		api := e.ctxs[ev.to]
-		if api.halted {
-			e.stats.Suppressed++
-			continue
-		}
-		e.stats.Delivered++
-		api.now = ev.at
-		e.nodes[ev.to].OnMessage(api, ev.from, ev.msg)
-		if e.cfg.Observer != nil {
-			e.cfg.Observer(Delivery{At: ev.at, From: ev.from, To: ev.to, Msg: ev.msg, Seq: ev.seq})
-		}
+		e.deliver(e.queue.pop())
 	}
 	return e.finish(), nil
+}
+
+// deliver is the serial loop's step: advance the clock to the event, hand
+// it to its destination unless that node has halted, and call the observer.
+// Sends made inside the callback are enqueued as they happen.
+func (e *Engine) deliver(ev event) {
+	e.now = ev.at
+	api := e.ctxs[ev.to]
+	if api.halted {
+		e.stats.Suppressed++
+		return
+	}
+	e.stats.Delivered++
+	api.now = ev.at
+	e.nodes[ev.to].OnMessage(api, ev.from, ev.msg)
+	if e.cfg.Observer != nil {
+		e.cfg.Observer(Delivery{At: ev.at, From: ev.from, To: ev.to, Msg: ev.msg, Seq: ev.seq})
+	}
 }
 
 // pendingSend is one message emitted by a node while its delivery batch was
@@ -206,6 +198,13 @@ func (e *Engine) runSerial() (Stats, error) {
 type pendingSend struct {
 	to  ProcID
 	msg Message
+}
+
+// outcome is what one delivery of a concurrent batch left for the merge.
+type outcome struct {
+	sends     []pendingSend
+	delivered bool // false: the destination had halted before this event
+	halted    bool // the destination was halted when the callback returned
 }
 
 // runParallel drains the event queue in causally independent batches: all
@@ -222,27 +221,42 @@ type pendingSend struct {
 // numbers, and FIFO floors exactly.
 func (e *Engine) runParallel(workers int) (Stats, error) {
 	var (
-		batch        []event
-		sends        [][]pendingSend
-		delivered    []bool
-		haltedDuring []bool
-		dests        []ProcID
-		byDest       = make([][]int, len(e.nodes)) // dest → batch indices
+		batch  []event
+		outs   []outcome // by batch index
+		dests  []ProcID
+		byDest = make([][]int, len(e.nodes)) // dest → batch indices
 	)
-	for {
-		if e.halted.Load() == int64(len(e.nodes)) {
-			break
+	// stepDest executes one destination's share of the batch, serially in
+	// (time, sequence) order, and empties the group for the next batch. A
+	// node halting mid-batch suppresses its own later deliveries, exactly
+	// as the serial loop would. Each delivery sees its own event's virtual
+	// time (api.now) — with lookahead widening, one batch spans a time
+	// window. Built once, outside the batch loop: it captures only the
+	// buffers above, by reference.
+	stepDest := func(gi int) {
+		dest := dests[gi]
+		api := e.ctxs[dest]
+		for _, bi := range byDest[dest] {
+			if api.halted {
+				break
+			}
+			o := &outs[bi]
+			o.delivered = true
+			api.now = batch[bi].at
+			api.buf = &o.sends
+			e.nodes[dest].OnMessage(api, batch[bi].from, batch[bi].msg)
+			api.buf = nil
+			o.halted = api.halted
 		}
-		if len(e.queue) == 0 {
-			break
-		}
+		byDest[dest] = byDest[dest][:0]
+	}
+	for e.halted.Load() < int64(len(e.nodes)) && !e.queue.empty() {
 		remaining := int64(e.cfg.MaxEvents) - (e.stats.Delivered + e.stats.Suppressed)
 		if remaining <= 0 {
 			return e.finish(), fmt.Errorf("%w after %d deliveries", ErrMaxEvents, e.stats.Delivered)
 		}
-		t := e.queue[0].at
-		e.now = t
-		if e.cfg.MaxTime > 0 && t > e.cfg.MaxTime {
+		e.now = e.queue.nextAt()
+		if e.cfg.MaxTime > 0 && e.now > e.cfg.MaxTime {
 			break
 		}
 
@@ -251,54 +265,46 @@ func (e *Engine) runParallel(workers int) (Stats, error) {
 		// event budget so the MaxEvents error fires at exactly the serial
 		// loop's delivery, and by MaxTime so no event the serial loop would
 		// refuse is executed.
-		horizon := t + e.lookahead
+		horizon := e.now + e.lookahead
 		if e.cfg.MaxTime > 0 && horizon > e.cfg.MaxTime {
 			horizon = e.cfg.MaxTime
 		}
 		batch = batch[:0]
-		for len(e.queue) > 0 && e.queue[0].at <= horizon && int64(len(batch)) < remaining {
+		oneDest := true
+		for !e.queue.empty() && e.queue.nextAt() <= horizon && int64(len(batch)) < remaining {
 			batch = append(batch, e.queue.pop())
+			oneDest = oneDest && batch[len(batch)-1].to == batch[0].to
 		}
 		e.batches++
 
+		// A batch for one destination (without lookahead, nearly every
+		// batch is one event) has nothing to run concurrently and takes the
+		// serial loop's steps inline: what they send arrives at or beyond
+		// the horizon with a later sequence number, after the whole batch.
+		if oneDest {
+			for _, ev := range batch {
+				if e.halted.Load() == int64(len(e.nodes)) {
+					break
+				}
+				e.deliver(ev)
+			}
+			continue
+		}
+
 		// Group by destination, preserving sequence order within a group.
 		dests = dests[:0]
+		if len(outs) < len(batch) {
+			outs = append(outs, make([]outcome, len(batch)-len(outs))...)
+		}
 		for bi, ev := range batch {
 			if len(byDest[ev.to]) == 0 {
 				dests = append(dests, ev.to)
 			}
 			byDest[ev.to] = append(byDest[ev.to], bi)
+			outs[bi] = outcome{sends: outs[bi].sends[:0]}
 		}
-		for len(sends) < len(batch) {
-			sends = append(sends, nil)
-		}
-		for bi := range batch {
-			sends[bi] = sends[bi][:0]
-		}
-		delivered = growCleared(delivered, len(batch))
-		haltedDuring = growCleared(haltedDuring, len(batch))
-		haltedAtStart := int(e.halted.Load())
-
-		// Execute: destinations in parallel, each destination serial in
-		// (time, sequence) order. A node halting mid-batch suppresses its
-		// own later deliveries, exactly as the serial loop would. Each
-		// delivery sees its own event's virtual time (api.now) — with
-		// lookahead widening, one batch spans a time window.
-		parallelFor(workers, len(dests), func(gi int) {
-			dest := dests[gi]
-			api := e.ctxs[dest]
-			for _, bi := range byDest[dest] {
-				if api.halted {
-					continue
-				}
-				delivered[bi] = true
-				api.now = batch[bi].at
-				api.buf = &sends[bi]
-				e.nodes[dest].OnMessage(api, batch[bi].from, batch[bi].msg)
-				api.buf = nil
-				haltedDuring[bi] = api.halted
-			}
-		})
+		haltedNow := int(e.halted.Load())
+		parallelFor(workers, len(dests), stepDest)
 
 		// Deterministic merge in batch (sequence) order: update statistics,
 		// enqueue the buffered sends, and run observers — the same
@@ -307,7 +313,6 @@ func (e *Engine) runParallel(workers int) (Stats, error) {
 		// halt transitions and abandons the tail of the batch at that
 		// point (those events were skipped by their halted destinations —
 		// they carry no sends and no counts).
-		haltedNow := haltedAtStart
 		for bi, ev := range batch {
 			if haltedNow == len(e.nodes) {
 				break
@@ -315,37 +320,24 @@ func (e *Engine) runParallel(workers int) (Stats, error) {
 			// Advance the engine clock to this event before drawing its
 			// sends' delays, exactly as the serial loop does.
 			e.now = ev.at
-			if !delivered[bi] {
+			o := &outs[bi]
+			if !o.delivered {
 				e.stats.Suppressed++
 				continue
 			}
 			e.stats.Delivered++
-			for _, ps := range sends[bi] {
+			for _, ps := range o.sends {
 				e.send(ev.to, ps.to, ps.msg)
 			}
 			if e.cfg.Observer != nil {
 				e.cfg.Observer(Delivery{At: ev.at, From: ev.from, To: ev.to, Msg: ev.msg, Seq: ev.seq})
 			}
-			if haltedDuring[bi] {
+			if o.halted {
 				haltedNow++
 			}
 		}
-		for _, dest := range dests {
-			byDest[dest] = byDest[dest][:0]
-		}
 	}
 	return e.finish(), nil
-}
-
-// growCleared resizes buf to n entries, all false, reusing its backing
-// array once grown (no steady-state allocation in the batch loop).
-func growCleared(buf []bool, n int) []bool {
-	if cap(buf) < n {
-		return make([]bool, n)
-	}
-	buf = buf[:n]
-	clear(buf)
-	return buf
 }
 
 // finish stamps the final wall state into the statistics.
@@ -375,10 +367,11 @@ func (e *Engine) send(from, to ProcID, msg Message) {
 		d = 0
 	}
 	at := e.now + d
-	if floor := e.lastArr[from][to] + fifoNudge; at < floor {
+	link := int(from)*len(e.nodes) + int(to)
+	if floor := e.lastArr[link] + fifoNudge; at < floor {
 		at = floor
 	}
-	e.lastArr[from][to] = at
+	e.lastArr[link] = at
 	e.seq++
 	e.queue.push(event{at: at, seq: e.seq, from: from, to: to, msg: msg})
 	e.stats.Sent++
@@ -432,66 +425,3 @@ func (a *engineAPI) Halt() {
 func (a *engineAPI) Rand() *rand.Rand { return a.rng }
 
 func (a *engineAPI) Now() time.Duration { return a.now }
-
-// eventQueue is a 4-ary min-heap ordered by (time, sequence number). The
-// ordering is a total order — no two events share a sequence number — so the
-// pop sequence is unique and any correct priority queue yields bit-identical
-// executions; the hand-rolled quaternary layout exists purely because the
-// queue is the discrete-event engine's hottest structure (container/heap's
-// interface indirection and binary fan-out both showed up in profiles).
-type eventQueue []event
-
-// before is the strict (time, seq) order.
-func (q eventQueue) before(i, j int) bool {
-	if q[i].at != q[j].at {
-		return q[i].at < q[j].at
-	}
-	return q[i].seq < q[j].seq
-}
-
-func (q *eventQueue) push(ev event) {
-	*q = append(*q, ev)
-	h := *q
-	i := len(h) - 1
-	for i > 0 {
-		parent := (i - 1) / 4
-		if !h.before(i, parent) {
-			break
-		}
-		h[i], h[parent] = h[parent], h[i]
-		i = parent
-	}
-}
-
-func (q *eventQueue) pop() event {
-	h := *q
-	top := h[0]
-	last := len(h) - 1
-	h[0] = h[last]
-	h[last] = event{} // release the Message reference
-	h = h[:last]
-	*q = h
-	i := 0
-	for {
-		first := 4*i + 1
-		if first >= len(h) {
-			break
-		}
-		best := first
-		end := first + 4
-		if end > len(h) {
-			end = len(h)
-		}
-		for c := first + 1; c < end; c++ {
-			if h.before(c, best) {
-				best = c
-			}
-		}
-		if !h.before(best, i) {
-			break
-		}
-		h[i], h[best] = h[best], h[i]
-		i = best
-	}
-	return top
-}

@@ -494,6 +494,10 @@ func TestEngineNodeWorkersDeterministic(t *testing.T) {
 		"constant":    ConstantDelay{D: time.Millisecond},
 		"uniform":     UniformDelay{Min: time.Millisecond, Max: 5 * time.Millisecond},
 		"exponential": ExponentialDelay{Mean: 2 * time.Millisecond},
+		// A cap at the mean puts e⁻¹ of all draws on one value: equal
+		// timestamps across links, so no-lookahead batches that span
+		// several destinations and see nodes halt part-way through.
+		"exponential-capped": ExponentialDelay{Mean: 2 * time.Millisecond, Cap: 2 * time.Millisecond},
 		"starve": StarveSenders{
 			Inner: ConstantDelay{D: time.Millisecond},
 			Slow:  map[ProcID]bool{0: true},
@@ -505,6 +509,19 @@ func TestEngineNodeWorkersDeterministic(t *testing.T) {
 			wantTrace, wantStats := traceOf(t, 6, 1, delay)
 			if len(wantTrace) == 0 {
 				t.Fatal("empty reference trace")
+			}
+			if name == "exponential-capped" {
+				// The case exists for batches the plain exponential never
+				// forms: one timestamp, several destinations.
+				shared := 0
+				for i := 1; i < len(wantTrace); i++ {
+					if wantTrace[i].At == wantTrace[i-1].At && wantTrace[i].To != wantTrace[i-1].To {
+						shared++
+					}
+				}
+				if shared == 0 || wantStats.Suppressed == 0 {
+					t.Fatalf("%d multi-destination timestamps, %d suppressed deliveries: case lost its point", shared, wantStats.Suppressed)
+				}
 			}
 			for _, nw := range []int{0, 2, 4, 16} {
 				trace, stats := traceOf(t, 6, nw, delay)
@@ -524,34 +541,45 @@ func TestEngineNodeWorkersDeterministic(t *testing.T) {
 	}
 }
 
+// cutoffDelays are the models the cut-off tests run under. Every gossip node
+// broadcasts all its rounds at Init, so each link's lane holds a run of
+// events one FIFO nudge apart and both cut-offs land inside a lane; the
+// capped exponential adds equal timestamps across lanes.
+var cutoffDelays = map[string]DelayModel{
+	"constant":           ConstantDelay{D: time.Millisecond},
+	"uniform":            UniformDelay{Min: time.Millisecond, Max: 2 * time.Millisecond},
+	"exponential-capped": ExponentialDelay{Mean: 2 * time.Millisecond, Cap: 2 * time.Millisecond},
+}
+
 // TestEngineNodeWorkersMaxEvents: the MaxEvents cap must trip at exactly
 // the same delivery count — with the same error — regardless of batching.
 func TestEngineNodeWorkersMaxEvents(t *testing.T) {
-	run := func(nodeWorkers int) (Stats, error) {
-		nodes := make([]Node, 4)
-		for i := range nodes {
-			nodes[i] = &gossipNode{rounds: 50, haltAfter: 1 << 30}
+	for name, delay := range cutoffDelays {
+		run := func(nodeWorkers int) (Stats, error) {
+			nodes := make([]Node, 4)
+			for i := range nodes {
+				nodes[i] = &gossipNode{rounds: 50, haltAfter: 1 << 30}
+			}
+			eng, err := NewEngine(Config{
+				N: 4, Seed: 3, MaxEvents: 100, NodeWorkers: nodeWorkers, Delay: delay,
+			}, nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			return eng.Run()
 		}
-		eng, err := NewEngine(Config{
-			N: 4, Seed: 3, MaxEvents: 100, NodeWorkers: nodeWorkers,
-			Delay: ConstantDelay{D: time.Millisecond},
-		}, nodes)
-		if err != nil {
-			t.Fatal(err)
+		wantStats, wantErr := run(1)
+		if !errors.Is(wantErr, ErrMaxEvents) {
+			t.Fatalf("%s: serial run: expected ErrMaxEvents, got %v", name, wantErr)
 		}
-		return eng.Run()
-	}
-	wantStats, wantErr := run(1)
-	if !errors.Is(wantErr, ErrMaxEvents) {
-		t.Fatalf("serial run: expected ErrMaxEvents, got %v", wantErr)
-	}
-	for _, nw := range []int{0, 3} {
-		stats, err := run(nw)
-		if !errors.Is(err, ErrMaxEvents) {
-			t.Fatalf("nodeworkers=%d: expected ErrMaxEvents, got %v", nw, err)
-		}
-		if stats != wantStats {
-			t.Fatalf("nodeworkers=%d: stats %+v, want %+v", nw, stats, wantStats)
+		for _, nw := range []int{0, 3} {
+			stats, err := run(nw)
+			if !errors.Is(err, ErrMaxEvents) {
+				t.Fatalf("%s nodeworkers=%d: expected ErrMaxEvents, got %v", name, nw, err)
+			}
+			if stats != wantStats {
+				t.Fatalf("%s nodeworkers=%d: stats %+v, want %+v", name, nw, stats, wantStats)
+			}
 		}
 	}
 }
@@ -559,28 +587,32 @@ func TestEngineNodeWorkersMaxEvents(t *testing.T) {
 // TestEngineNodeWorkersMaxTime: the MaxTime cutoff must stop parallel and
 // serial executions at the identical virtual instant and statistics.
 func TestEngineNodeWorkersMaxTime(t *testing.T) {
-	run := func(nodeWorkers int) Stats {
-		nodes := make([]Node, 4)
-		for i := range nodes {
-			nodes[i] = &gossipNode{rounds: 10, haltAfter: 1 << 30}
+	for name, delay := range cutoffDelays {
+		run := func(nodeWorkers int) Stats {
+			nodes := make([]Node, 4)
+			for i := range nodes {
+				nodes[i] = &gossipNode{rounds: 10, haltAfter: 1 << 30}
+			}
+			eng, err := NewEngine(Config{
+				N: 4, Seed: 5, MaxTime: 1500 * time.Microsecond, NodeWorkers: nodeWorkers, Delay: delay,
+			}, nodes)
+			if err != nil {
+				t.Fatal(err)
+			}
+			stats, err := eng.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			return stats
 		}
-		eng, err := NewEngine(Config{
-			N: 4, Seed: 5, MaxTime: 3 * time.Millisecond, NodeWorkers: nodeWorkers,
-			Delay: UniformDelay{Min: time.Millisecond, Max: 2 * time.Millisecond},
-		}, nodes)
-		if err != nil {
-			t.Fatal(err)
+		want := run(1)
+		if want.Delivered == 0 || want.Delivered == want.Sent {
+			t.Fatalf("%s: cut-off missed the execution: %+v", name, want)
 		}
-		stats, err := eng.Run()
-		if err != nil {
-			t.Fatal(err)
-		}
-		return stats
-	}
-	want := run(1)
-	for _, nw := range []int{0, 2} {
-		if got := run(nw); got != want {
-			t.Fatalf("nodeworkers=%d: stats %+v, want %+v", nw, got, want)
+		for _, nw := range []int{0, 2} {
+			if got := run(nw); got != want {
+				t.Fatalf("%s nodeworkers=%d: stats %+v, want %+v", name, nw, got, want)
+			}
 		}
 	}
 }
