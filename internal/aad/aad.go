@@ -67,7 +67,9 @@ type Tuple struct {
 	Value  geometry.Vector
 }
 
-// Result is the outcome of a completed round exchange.
+// Result is the outcome of a completed round exchange. Its slices alias the
+// coordinator's frozen round state (the broadcast's own copies of the
+// values, rows of the report table): retain freely, never write.
 type Result struct {
 	Round int
 	// Tuples is Bi[t] in delivery order (≥ n−f tuples, one per origin).
@@ -81,44 +83,54 @@ type Result struct {
 // Coordinator runs the witness exchange for every asynchronous round of one
 // process. It is a pure state machine: Start/Handle return the messages to
 // broadcast; the caller transmits them (simulator engine or live runtime).
+// The returned slices are the coordinator's scratch, valid until its next
+// StartRound or Handle call; the values inside them follow the
+// broadcast.RBC ownership rule (retain, never write).
 type Coordinator struct {
-	n, f   int
-	quorum int // n − f
-	self   sim.ProcID
-	rbc    *broadcast.RBC
-	rounds map[int]*roundState
+	n, f    int
+	quorum  int // n − f
+	self    sim.ProcID
+	rbc     *broadcast.RBC
+	horizon int // messages for a round outside [1, horizon] are dropped
+	dropped int
+	rounds  []*roundState // by round; nil until the round's first message
+
+	out [2]Msg // one call emits at most an RBC message and a report
+	res [1]Result
 }
 
 // roundState tracks one round's exchange with flat, origin-indexed state and
 // an incrementally maintained witness count, so the per-message completion
 // check is O(1) instead of an O(n²) rescan of every reporter's sequence.
+// Its tables are made once, when the round is first named, and never grow.
 type roundState struct {
 	started   bool
 	completed bool
 
-	deliveredVal []geometry.Vector // by origin; nil = not yet delivered
-	order        []sim.ProcID      // delivery order of origins
+	tuples    []Tuple // Bi[t] so far, in delivery order; capacity n
+	delivered []bool  // by origin
 
-	reportSeen [][]bool       // reporter → origin → reported
-	reportSeq  [][]sim.ProcID // reporter → origins in FIFO order
+	seen   []bool       // n×n: seen[r·n+o] — reporter r reported origin o
+	seq    []sim.ProcID // n×n: row r holds reporter r's origins in FIFO order
+	seqLen []int        // by reporter: entries of its seq row in use
 	// missing[r] counts reporter r's reported origins not yet delivered
-	// here. Reporter r is a witness iff len(reportSeq[r]) ≥ quorum and
-	// missing[r] == 0 — exactly the predicate the completion scan used to
-	// recompute. witnesses counts reporters currently satisfying it.
+	// here. Reporter r is a witness iff seqLen[r] ≥ quorum and
+	// missing[r] == 0; witnesses counts reporters currently satisfying it.
 	missing   []int
 	witnesses int
 
-	result *Result
+	result Result // frozen at completion
 }
 
 // isWitness reports the (non-monotone) witness predicate for reporter r.
 func (st *roundState) isWitness(r int, quorum int) bool {
-	return len(st.reportSeq[r]) >= quorum && st.missing[r] == 0
+	return st.seqLen[r] >= quorum && st.missing[r] == 0
 }
 
 // NewCoordinator builds the exchange coordinator for process self among n
-// processes (f Byzantine) exchanging dim-dimensional vectors. It requires
-// n ≥ 3f+1 (implied by the BVC bound n ≥ (d+2)f+1 for d ≥ 1).
+// processes (f Byzantine) exchanging dim-dimensional vectors, with horizon
+// broadcast.DefaultHorizon. It requires n ≥ 3f+1 (implied by the BVC bound
+// n ≥ (d+2)f+1 for d ≥ 1).
 func NewCoordinator(n, f int, self sim.ProcID, dim int) (*Coordinator, error) {
 	if f < 0 || n < 3*f+1 {
 		return nil, fmt.Errorf("aad: witness mechanism requires n ≥ 3f+1, got n=%d f=%d", n, f)
@@ -129,10 +141,32 @@ func NewCoordinator(n, f int, self sim.ProcID, dim int) (*Coordinator, error) {
 	}
 	return &Coordinator{
 		n: n, f: f, quorum: n - f,
-		self:   self,
-		rbc:    rbc,
-		rounds: make(map[int]*roundState),
+		self:    self,
+		rbc:     rbc,
+		horizon: broadcast.DefaultHorizon,
 	}, nil
+}
+
+// SetHorizon makes r — the driving protocol's termination round count —
+// the last round the coordinator keeps state for. State is created for any
+// round a peer names, so without the bound one Byzantine link could
+// allocate an n×n table per message; correct processes never start a round
+// past r, so nothing live is lost.
+func (c *Coordinator) SetHorizon(r int) {
+	c.horizon = r
+	c.rbc.SetHorizon(r)
+}
+
+// Dropped counts the messages discarded for a round outside [1, horizon].
+func (c *Coordinator) Dropped() int { return c.dropped }
+
+// inRange reports whether round t may have state, counting the drop if not.
+func (c *Coordinator) inRange(t int) bool {
+	if t < 1 || t > c.horizon {
+		c.dropped++
+		return false
+	}
+	return true
 }
 
 // StartRound begins round t with this process's current state value,
@@ -140,6 +174,9 @@ func NewCoordinator(n, f int, self sim.ProcID, dim int) (*Coordinator, error) {
 // received before StartRound is already accounted for, so the round may be
 // complete immediately; callers should consult Completed(t) after starting.
 func (c *Coordinator) StartRound(t int, value geometry.Vector) ([]Msg, error) {
+	if t < 1 || t > c.horizon {
+		return nil, fmt.Errorf("aad: round %d outside [1, %d]", t, c.horizon)
+	}
 	st := c.round(t)
 	if st.started {
 		return nil, fmt.Errorf("aad: round %d already started", t)
@@ -150,77 +187,90 @@ func (c *Coordinator) StartRound(t int, value geometry.Vector) ([]Msg, error) {
 		return nil, err
 	}
 	c.checkCompletion(st, t)
-	return []Msg{{Kind: KindRBC, RBC: initMsg}}, nil
+	c.out[0] = Msg{Kind: KindRBC, RBC: initMsg}
+	return c.out[:1], nil
 }
 
 // Handle processes one incoming message. It returns messages to broadcast
 // and the results of any rounds that completed as a consequence. Messages
-// for past or future rounds are processed unconditionally: reliable
-// broadcast must keep making progress for lagging processes even after this
-// process moved on (totality), and early round-(t+1) traffic from fast
-// processes must not be lost.
+// for past or future rounds up to the horizon are processed
+// unconditionally: reliable broadcast must keep making progress for lagging
+// processes even after this process moved on (totality), and early
+// round-(t+1) traffic from fast processes must not be lost.
 func (c *Coordinator) Handle(from sim.ProcID, m Msg) ([]Msg, []Result) {
+	var res *Result
+	nout := 0
 	switch m.Kind {
 	case KindRBC:
-		return c.handleRBC(from, m.RBC)
-	case KindReport:
-		if res := c.handleReport(from, m.Report); res != nil {
-			return nil, []Result{*res}
+		if !c.inRange(m.RBC.Tag) {
+			return nil, nil
 		}
-		return nil, nil
-	default:
-		return nil, nil
+		outRBC, deliveries := c.rbc.Handle(from, m.RBC)
+		for _, o := range outRBC {
+			c.out[nout] = Msg{Kind: KindRBC, RBC: o}
+			nout++
+		}
+		for _, d := range deliveries {
+			st := c.round(d.Tag)
+			if st.delivered[d.Origin] {
+				continue // RBC integrity makes this impossible; belt and braces
+			}
+			// Report the addition to everyone (FIFO links preserve order).
+			c.out[nout] = Msg{Kind: KindReport, Report: ReportMsg{Round: d.Tag, Origin: d.Origin}}
+			nout++
+			res = c.deliver(st, d)
+		}
+	case KindReport:
+		res = c.handleReport(from, m.Report)
 	}
+	if res == nil {
+		if nout == 0 {
+			return nil, nil // duplicates, messages that move nothing: most traffic
+		}
+		return c.out[:nout], nil
+	}
+	c.res[0] = *res
+	return c.out[:nout], c.res[:]
 }
 
-func (c *Coordinator) handleRBC(from sim.ProcID, rm broadcast.RBCMsg) ([]Msg, []Result) {
-	outRBC, deliveries := c.rbc.Handle(from, rm)
-	out := make([]Msg, 0, len(outRBC)+len(deliveries))
-	for _, o := range outRBC {
-		out = append(out, Msg{Kind: KindRBC, RBC: o})
-	}
-	var results []Result
-	for _, d := range deliveries {
-		st := c.round(d.Tag)
-		if st.deliveredVal[d.Origin] != nil {
-			continue // RBC integrity makes this impossible; belt and braces
+// deliver adds a reliably broadcast tuple to its round's B set.
+func (c *Coordinator) deliver(st *roundState, d broadcast.RBCDelivery) *Result {
+	st.delivered[d.Origin] = true
+	st.tuples = append(st.tuples, Tuple{Origin: d.Origin, Value: d.Value})
+	// The delivery may clear the last missing origin of any reporter that
+	// already reported it.
+	for r := 0; r < c.n; r++ {
+		if !st.seen[r*c.n+int(d.Origin)] {
+			continue
 		}
-		st.deliveredVal[d.Origin] = d.Value
-		st.order = append(st.order, d.Origin)
-		// The delivery may clear the last missing origin of any reporter
-		// that already reported it.
-		for r := 0; r < c.n; r++ {
-			if !st.reportSeen[r][d.Origin] {
-				continue
-			}
-			wasWitness := st.isWitness(r, c.quorum)
-			st.missing[r]--
-			if !wasWitness && st.isWitness(r, c.quorum) {
-				st.witnesses++
-			}
-		}
-		// Report the addition to everyone (FIFO links preserve order).
-		out = append(out, Msg{Kind: KindReport, Report: ReportMsg{Round: d.Tag, Origin: d.Origin}})
-		if res := c.checkCompletion(st, d.Tag); res != nil {
-			results = append(results, *res)
+		wasWitness := st.isWitness(r, c.quorum)
+		st.missing[r]--
+		if !wasWitness && st.isWitness(r, c.quorum) {
+			st.witnesses++
 		}
 	}
-	return out, results
+	return c.checkCompletion(st, d.Tag)
 }
 
 func (c *Coordinator) handleReport(from sim.ProcID, rep ReportMsg) *Result {
 	if int(rep.Origin) < 0 || int(rep.Origin) >= c.n || int(from) < 0 || int(from) >= c.n {
 		return nil
 	}
+	if !c.inRange(rep.Round) {
+		return nil
+	}
 	st := c.round(rep.Round)
 	r := int(from)
-	if st.reportSeen[r][rep.Origin] {
+	if st.seen[r*c.n+int(rep.Origin)] {
 		return nil // duplicate report (only Byzantine processes repeat)
 	}
 	wasWitness := st.isWitness(r, c.quorum)
-	st.reportSeen[r][rep.Origin] = true
-	st.reportSeq[r] = append(st.reportSeq[r], rep.Origin)
-	if st.deliveredVal[rep.Origin] == nil {
+	st.seen[r*c.n+int(rep.Origin)] = true
+	// A row holds each origin at most once (seen drops repeats), so it
+	// never outgrows its n entries.
+	st.seq[r*c.n+st.seqLen[r]] = rep.Origin
+	st.seqLen[r]++
+	if !st.delivered[rep.Origin] {
 		st.missing[r]++
 	}
 	if now := st.isWitness(r, c.quorum); now != wasWitness {
@@ -234,59 +284,52 @@ func (c *Coordinator) handleReport(from sim.ProcID, rep ReportMsg) *Result {
 }
 
 // checkCompletion consults the incrementally maintained witness count; on
-// reaching n−f witnesses it freezes the round result, materializing the
-// witness prefixes in reporter-id order exactly as the previous full rescan
-// did.
+// reaching n−f witnesses it freezes the round result. The witness prefixes,
+// in reporter-id order, and the tuples are views of the round's tables:
+// both are append-only, so what the views cover is never rewritten.
 func (c *Coordinator) checkCompletion(st *roundState, round int) *Result {
 	if st.completed || !st.started || st.witnesses < c.quorum {
 		return nil
 	}
 	prefixes := make([][]sim.ProcID, 0, st.witnesses)
-	for reporter := 0; reporter < c.n; reporter++ {
-		if !st.isWitness(reporter, c.quorum) {
-			continue
+	for r := 0; r < c.n; r++ {
+		if st.isWitness(r, c.quorum) {
+			prefixes = append(prefixes, st.seq[r*c.n:r*c.n+c.quorum:r*c.n+c.quorum])
 		}
-		prefix := make([]sim.ProcID, c.quorum)
-		copy(prefix, st.reportSeq[reporter][:c.quorum])
-		prefixes = append(prefixes, prefix)
 	}
 	st.completed = true
-	tuples := make([]Tuple, len(st.order))
-	for i, origin := range st.order {
-		tuples[i] = Tuple{Origin: origin, Value: st.deliveredVal[origin].Clone()}
-	}
-	st.result = &Result{Round: round, Tuples: tuples, WitnessPrefixes: prefixes}
-	return st.result
+	k := len(st.tuples)
+	st.result = Result{Round: round, Tuples: st.tuples[:k:k], WitnessPrefixes: prefixes}
+	return &st.result
 }
 
 // Completed reports whether round t's exchange has finished, and its result.
 func (c *Coordinator) Completed(t int) (*Result, bool) {
-	st, ok := c.rounds[t]
-	if !ok || !st.completed {
+	if t < 0 || t >= len(c.rounds) || c.rounds[t] == nil || !c.rounds[t].completed {
 		return nil, false
 	}
-	return st.result, true
+	return &c.rounds[t].result, true
 }
 
+// round returns round t's state, creating it on first use. The caller has
+// checked t against the horizon.
 func (c *Coordinator) round(t int) *roundState {
+	for len(c.rounds) <= t {
+		c.rounds = append(c.rounds, nil)
+	}
 	st := c.rounds[t]
 	if st == nil {
-		// Both reporter-indexed tables are rows of one flat n×n slab. A
-		// reporter's sequence holds each origin at most once (reportSeen
-		// drops repeats), so a row of capacity n never grows.
-		seen := make([][]bool, c.n)
-		seq := make([][]sim.ProcID, c.n)
-		flatSeen := make([]bool, c.n*c.n)
-		flatSeq := make([]sim.ProcID, c.n*c.n)
-		for i := range seen {
-			seen[i] = flatSeen[i*c.n : (i+1)*c.n]
-			seq[i] = flatSeq[i*c.n : i*c.n : (i+1)*c.n]
-		}
+		n := c.n
+		bools := make([]bool, n*n+n)
+		ids := make([]sim.ProcID, n*n)
+		counts := make([]int, 2*n)
 		st = &roundState{
-			deliveredVal: make([]geometry.Vector, c.n),
-			reportSeen:   seen,
-			reportSeq:    seq,
-			missing:      make([]int, c.n),
+			tuples:    make([]Tuple, 0, n),
+			delivered: bools[n*n:],
+			seen:      bools[:n*n],
+			seq:       ids,
+			seqLen:    counts[:n],
+			missing:   counts[n:],
 		}
 		c.rounds[t] = st
 	}

@@ -139,6 +139,55 @@ func TestExchangeRandomSchedulesWithEquivocator(t *testing.T) {
 	}
 }
 
+// TestExchangeRandomSchedulesWithOutOfRangeRounds adds a Byzantine process
+// that names rounds outside [1, R] — in reports and in every RBC phase —
+// interleaved randomly with the honest round: nothing it sends may create
+// state, and the exchange must complete as if it were silent.
+func TestExchangeRandomSchedulesWithOutOfRangeRounds(t *testing.T) {
+	const n, f, R = 4, 1, 2
+	correct := ids(0, 1, 2)
+	for seed := int64(0); seed < 20; seed++ {
+		b := newRandomOrderBus(t, n, f, 1, correct, seed)
+		values := map[sim.ProcID]geometry.Vector{0: {0}, 1: {1}, 2: {2}}
+		for _, id := range correct {
+			b.coords[id].SetHorizon(R)
+			b.start(id, 1, values[id])
+		}
+		sent := 0
+		for _, to := range correct {
+			for _, round := range []int{0, -1, R + 1, R + 2 + int(seed), 1 << 31, -(1 << 40)} {
+				for origin := sim.ProcID(0); origin < n; origin++ {
+					b.queue = append(b.queue, busItem{from: 3, to: to, msg: Msg{Kind: KindReport, Report: ReportMsg{Round: round, Origin: origin}}})
+					rbc := initMsg(origin, round, geometry.Vector{float64(round)})
+					rbc.Phase = broadcast.RBCPhase(1 + (sent+int(origin))%3)
+					b.queue = append(b.queue, busItem{from: 3, to: to, msg: Msg{Kind: KindRBC, RBC: rbc}})
+				}
+				sent += 2 * n
+			}
+		}
+		b.drain()
+		results := make(map[sim.ProcID]Result, len(correct))
+		for id, rs := range b.results {
+			if len(rs) != 1 {
+				t.Fatalf("seed %d: process %d completed %d rounds", seed, id, len(rs))
+			}
+			results[id] = rs[0]
+		}
+		if len(results) != len(correct) {
+			t.Fatalf("seed %d: %d of %d completed", seed, len(results), len(correct))
+		}
+		checkProperties(t, n, f, values, results)
+		for id, c := range b.coords {
+			if got, want := c.Dropped(), sent/len(correct); got != want {
+				t.Errorf("seed %d: process %d dropped %d messages, want %d", seed, id, got, want)
+			}
+			if slots, states := c.stateSize(); slots > R+1 || states != 1 {
+				t.Errorf("seed %d: process %d holds %d round slots and %d round tables, want ≤ %d and 1", seed, id, slots, states, R+1)
+			}
+		}
+	}
+}
+
 // initMsg builds an RBC INIT for Byzantine injection.
 func initMsg(origin sim.ProcID, tag int, v geometry.Vector) broadcast.RBCMsg {
 	return broadcast.RBCMsg{Phase: broadcast.RBCInit, Origin: origin, Tag: tag, Value: v}

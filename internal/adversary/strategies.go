@@ -177,6 +177,9 @@ func NewAsyncLure(n, f, d, rounds int, self sim.ProcID, target geometry.Vector) 
 	if err != nil {
 		return nil, err
 	}
+	coord.SetHorizon(rounds)
+	// msgs is the coordinator's scratch, valid until its next call: every
+	// message is handed on (by value) before the coordinator runs again.
 	broadcastAll := func(api sim.API, msgs []aad.Msg) {
 		for _, m := range msgs {
 			api.Broadcast(m)

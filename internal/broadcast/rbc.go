@@ -47,6 +47,12 @@ type RBCDelivery struct {
 	Value  geometry.Vector
 }
 
+// DefaultHorizon is the largest tag (one layer up: round) an RBC or
+// aad.Coordinator keeps state for until SetHorizon says otherwise. Protocol
+// nodes set their termination round count; the default bounds callers that
+// drive the state machines directly (benchmarks, adversaries, tests).
+const DefaultHorizon = 1 << 12
+
 // RBC multiplexes Bracha reliable-broadcast instances keyed by (origin,
 // tag). It guarantees, for n > 3f with at most f Byzantine processes:
 //
@@ -62,48 +68,54 @@ type RBCDelivery struct {
 // mechanism needs. RBC is a pure state machine: Handle returns the messages
 // to broadcast, and the caller owns actual transmission (engine, runtime,
 // or test harness).
+//
+// Ownership: a value is copied once, on first sight, into the instance that
+// tallies it, and that copy is never rewritten. Everything the RBC emits
+// aliases it: callers may retain emitted values but never write to them,
+// and may reuse the vector they passed in once Broadcast or Handle returns.
+// The slices Handle returns are the RBC's scratch, valid until its next call.
 type RBC struct {
-	n, f  int
-	self  sim.ProcID
-	dim   int
-	insts map[rbcKey]*rbcInst
+	n, f    int
+	self    sim.ProcID
+	dim     int
+	horizon int // messages with a tag outside [0, horizon] are dropped
+	// tags holds one slab of all n origins' instances per tag, created on
+	// the tag's first message and indexed by tag.
+	tags [][]rbcInst
 
-	keyBuf []byte // scratch for bit-exact value keys (no per-message alloc)
-}
-
-type rbcKey struct {
-	origin sim.ProcID
-	tag    int
+	out [1]RBCMsg // Handle emits at most one message and one delivery
+	del [1]RBCDelivery
 }
 
 type rbcInst struct {
 	echoed    bool
 	readied   bool
 	delivered bool
-	// echoFrom / readyFrom mark processes whose echo/ready was already
+	// from marks processes whose echo ([:n]) or ready ([n:]) was already
 	// counted: correct processes send at most one of each, and counting a
 	// Byzantine process once per phase is strictly harder for the
 	// adversary, preserving quorum-intersection safety.
-	echoFrom  []bool
-	readyFrom []bool
+	from []bool
 	// vals holds the per-distinct-value tallies. Correct instances carry one
-	// value; equivocation adds at most a handful, so a linear scan beats a
-	// map (and the bit-exact key is only materialized on first sight).
+	// value, which lives in the tag's slab — the tally in vals' first
+	// element, the vector in slot; equivocation adds at most a handful on
+	// the heap, so a linear scan beats a map.
 	vals []rbcVal
+	slot geometry.Vector // empty, capacity dim
 }
 
-// rbcVal tallies one distinct broadcast value within an instance, identified
-// by its bit-exact geometry key (vote counting must be exact, not
-// tolerance-based, or near-identical Byzantine values could split quorums).
+// rbcVal tallies one distinct broadcast value within an instance. Values
+// are told apart by exact component-wise == on finite floats (−0 equals
+// +0): vote counting must be exact, not tolerance-based, or near-identical
+// Byzantine values could split quorums.
 type rbcVal struct {
-	key     string
-	value   geometry.Vector
+	value   geometry.Vector // the instance's own copy; never rewritten
 	echoes  int
 	readies int
 }
 
 // NewRBC creates an RBC multiplexer for process self among n processes
-// carrying dim-dimensional vector values.
+// carrying dim-dimensional vector values, with horizon DefaultHorizon.
 func NewRBC(n, f int, self sim.ProcID, dim int) (*RBC, error) {
 	if f < 0 || n <= 3*f {
 		return nil, fmt.Errorf("broadcast: RBC requires n > 3f, got n=%d f=%d", n, f)
@@ -114,42 +126,87 @@ func NewRBC(n, f int, self sim.ProcID, dim int) (*RBC, error) {
 	if dim < 1 {
 		return nil, fmt.Errorf("broadcast: invalid value dimension %d", dim)
 	}
-	return &RBC{n: n, f: f, self: self, dim: dim, insts: make(map[rbcKey]*rbcInst)}, nil
+	return &RBC{n: n, f: f, self: self, dim: dim, horizon: DefaultHorizon}, nil
 }
+
+// SetHorizon makes h the largest tag the RBC keeps state for: state is
+// created for any tag a peer names, so an unbounded tag space would let one
+// Byzantine link allocate a slab per message.
+func (r *RBC) SetHorizon(h int) { r.horizon = h }
 
 // echoQuorum is ⌊(n+f)/2⌋+1: two echo quorums for different values must
 // intersect in a correct process, which echoes only once.
 func (r *RBC) echoQuorum() int { return (r.n+r.f)/2 + 1 }
 
+// inst returns origin's instance for tag, creating the tag's slab on first
+// use. The caller has checked both ranges.
+func (r *RBC) inst(origin sim.ProcID, tag int) *rbcInst {
+	for len(r.tags) <= tag {
+		r.tags = append(r.tags, nil)
+	}
+	if r.tags[tag] == nil {
+		insts := make([]rbcInst, r.n)
+		from := make([]bool, 2*r.n*r.n)
+		vals := make([]rbcVal, r.n)
+		vecs := make(geometry.Vector, r.n*r.dim)
+		for i := range insts {
+			insts[i].from = from[2*r.n*i : 2*r.n*(i+1)]
+			insts[i].vals = vals[i : i : i+1]
+			insts[i].slot = vecs[r.dim*i : r.dim*i : r.dim*(i+1)]
+		}
+		r.tags[tag] = insts
+	}
+	return &r.tags[tag][origin]
+}
+
+// tally returns the tally of value, registering it (with the instance's one
+// copy of the vector) on first sight. The pointer is valid until the next
+// tally call on this instance.
+func (i *rbcInst) tally(value geometry.Vector) *rbcVal {
+	for idx := range i.vals {
+		if i.vals[idx].value.Equal(value) {
+			return &i.vals[idx]
+		}
+	}
+	own := i.slot
+	if len(i.vals) == 0 {
+		own = append(own, value...) // the slab slot: no allocation
+	} else {
+		own = value.Clone()
+	}
+	i.vals = append(i.vals, rbcVal{value: own})
+	return &i.vals[len(i.vals)-1]
+}
+
+func (r *RBC) valid(tag int, value geometry.Vector) bool {
+	return tag >= 0 && tag <= r.horizon && value.Dim() == r.dim && value.IsFinite()
+}
+
 // Broadcast starts this process's own instance for the given tag and
 // returns the INIT message to send to every process (including self).
 func (r *RBC) Broadcast(tag int, value geometry.Vector) (RBCMsg, error) {
-	if value.Dim() != r.dim || !value.IsFinite() {
-		return RBCMsg{}, fmt.Errorf("broadcast: invalid RBC value (dim %d, want %d)", value.Dim(), r.dim)
+	if !r.valid(tag, value) {
+		return RBCMsg{}, fmt.Errorf("broadcast: invalid RBC value (tag %d, horizon %d; dim %d, want %d)", tag, r.horizon, value.Dim(), r.dim)
 	}
-	return RBCMsg{Phase: RBCInit, Origin: r.self, Tag: tag, Value: value.Clone()}, nil
+	// Registered with zero tallies, so the INIT, its loopback and the ECHO
+	// all alias the one copy.
+	v := r.inst(r.self, tag).tally(value)
+	return RBCMsg{Phase: RBCInit, Origin: r.self, Tag: tag, Value: v.value}, nil
 }
 
 // Handle processes one message from the network. It returns protocol
-// messages to broadcast to all processes and any deliveries triggered.
-// Malformed or equivocating messages are dropped or ignored per protocol.
+// messages to broadcast to all processes and any deliveries triggered; both
+// slices are valid until the next Handle call. Malformed, out-of-horizon or
+// equivocating messages are dropped or ignored per protocol.
 func (r *RBC) Handle(from sim.ProcID, msg RBCMsg) ([]RBCMsg, []RBCDelivery) {
 	if int(msg.Origin) < 0 || int(msg.Origin) >= r.n || int(from) < 0 || int(from) >= r.n {
 		return nil, nil
 	}
-	if msg.Value.Dim() != r.dim || !msg.Value.IsFinite() {
+	if !r.valid(msg.Tag, msg.Value) || msg.Phase < RBCInit || msg.Phase > RBCReady {
 		return nil, nil
 	}
-	key := rbcKey{origin: msg.Origin, tag: msg.Tag}
-	inst := r.insts[key]
-	if inst == nil {
-		from := make([]bool, 2*r.n) // one slab, split per phase
-		inst = &rbcInst{echoFrom: from[:r.n], readyFrom: from[r.n:]}
-		r.insts[key] = inst
-	}
-
-	var out []RBCMsg
-	var deliveries []RBCDelivery
+	inst := r.inst(msg.Origin, msg.Tag)
+	var ready, deliver *rbcVal
 
 	switch msg.Phase {
 	case RBCInit:
@@ -158,53 +215,46 @@ func (r *RBC) Handle(from sim.ProcID, msg RBCMsg) ([]RBCMsg, []RBCDelivery) {
 			return nil, nil
 		}
 		inst.echoed = true
-		out = append(out, RBCMsg{Phase: RBCEcho, Origin: msg.Origin, Tag: msg.Tag, Value: msg.Value.Clone()})
+		r.out[0] = RBCMsg{Phase: RBCEcho, Origin: msg.Origin, Tag: msg.Tag, Value: inst.tally(msg.Value).value}
+		return r.out[:], nil
 
 	case RBCEcho:
-		if inst.echoFrom[from] {
+		if inst.from[from] {
 			return nil, nil
 		}
-		inst.echoFrom[from] = true
-		r.keyBuf = geometry.AppendKey(r.keyBuf[:0], msg.Value)
-		c := inst.count(r.keyBuf, msg.Value)
+		inst.from[from] = true
+		c := inst.tally(msg.Value)
 		c.echoes++
 		if c.echoes >= r.echoQuorum() && !inst.readied {
-			inst.readied = true
-			out = append(out, RBCMsg{Phase: RBCReady, Origin: msg.Origin, Tag: msg.Tag, Value: msg.Value.Clone()})
+			ready = c
 		}
 
 	case RBCReady:
-		if inst.readyFrom[from] {
+		if inst.from[r.n+int(from)] {
 			return nil, nil
 		}
-		inst.readyFrom[from] = true
-		r.keyBuf = geometry.AppendKey(r.keyBuf[:0], msg.Value)
-		c := inst.count(r.keyBuf, msg.Value)
+		inst.from[r.n+int(from)] = true
+		c := inst.tally(msg.Value)
 		c.readies++
 		if c.readies >= r.f+1 && !inst.readied {
-			inst.readied = true
-			out = append(out, RBCMsg{Phase: RBCReady, Origin: msg.Origin, Tag: msg.Tag, Value: msg.Value.Clone()})
+			ready = c
 		}
 		if c.readies >= 2*r.f+1 && !inst.delivered {
-			inst.delivered = true
-			deliveries = append(deliveries, RBCDelivery{Origin: msg.Origin, Tag: msg.Tag, Value: c.value.Clone()})
+			deliver = c
 		}
+	}
 
-	default:
-		return nil, nil
+	var out []RBCMsg
+	var deliveries []RBCDelivery
+	if ready != nil {
+		inst.readied = true
+		r.out[0] = RBCMsg{Phase: RBCReady, Origin: msg.Origin, Tag: msg.Tag, Value: ready.value}
+		out = r.out[:]
+	}
+	if deliver != nil {
+		inst.delivered = true
+		r.del[0] = RBCDelivery{Origin: msg.Origin, Tag: msg.Tag, Value: deliver.value}
+		deliveries = r.del[:]
 	}
 	return out, deliveries
-}
-
-// count returns the tally of the value identified by vkey, creating it (with
-// an owned copy of the key and value) on first sight. The returned pointer
-// is only valid until the next count call on this instance.
-func (i *rbcInst) count(vkey []byte, value geometry.Vector) *rbcVal {
-	for idx := range i.vals {
-		if i.vals[idx].key == string(vkey) {
-			return &i.vals[idx]
-		}
-	}
-	i.vals = append(i.vals, rbcVal{key: string(vkey), value: value.Clone()})
-	return &i.vals[len(i.vals)-1]
 }

@@ -30,6 +30,17 @@ type AsyncConfig struct {
 	HaltWhenDecided bool
 }
 
+// StepStatus reports what a Start or Step call did to the node.
+type StepStatus uint8
+
+// Step outcomes.
+const (
+	StepContinue   StepStatus = iota // processed; nothing to report
+	StepDecided                      // this call reached the decision (reported once)
+	StepFailed                       // failed, now or earlier; Decision returns the error
+	StepOutOfRange                   // dropped: round outside [1, Rounds()], which no correct process sends
+)
+
 // AsyncNode runs the asynchronous approximate BVC algorithm of §3.2 as an
 // event-driven node:
 //
@@ -38,19 +49,32 @@ type AsyncConfig struct {
 //	vi[t] = avg(Zi); after the termination round count, decide vi.
 //
 // Correct for n ≥ (d+2)f+1 — Theorem 5.
+//
+// Like the two layers under it the node is a pure state machine: Start and
+// Step leave what the node wants broadcast in its outbox and report
+// decision or failure by return value. Init/OnMessage adapt that to sim.Node
+// (simulators, internal/runtime); the live service calls Step directly.
 type AsyncNode struct {
 	cfg   AsyncConfig
 	self  sim.ProcID
 	coord *aad.Coordinator
 
 	v       geometry.Vector
-	round   int // current round, 1-based; 0 before Init
+	round   int // current round, 1-based; 0 before Start
 	rounds  int // termination round count
 	history []geometry.Vector
 	ziSizes []int
 
 	decision geometry.Vector
 	err      error
+
+	outbox []aad.Msg // what the last Start/Step wants broadcast
+
+	// finishRound's scratch, reused every round.
+	tuples   []tuple
+	byOrigin []tuple
+	sets     [][]tuple
+	members  []tuple // backing store of the sets
 }
 
 var _ sim.Node = (*AsyncNode)(nil)
@@ -76,90 +100,140 @@ func NewAsyncNode(cfg AsyncConfig, self sim.ProcID, input geometry.Vector) (*Asy
 		gamma := Gamma(VariantApproxAsync, cfg.N, cfg.F, cfg.WitnessOpt)
 		rounds = RoundBound(gamma, cfg.Bounds.MaxRange(), cfg.Epsilon)
 	}
+	// No correct process starts a round past the termination count, so the
+	// exchange keeps no state beyond it.
+	coord.SetHorizon(rounds)
 	return &AsyncNode{
-		cfg:     cfg,
-		self:    self,
-		coord:   coord,
-		v:       input.Clone(),
-		rounds:  rounds,
-		history: []geometry.Vector{input.Clone()},
+		cfg:      cfg,
+		self:     self,
+		coord:    coord,
+		v:        input.Clone(),
+		rounds:   rounds,
+		history:  []geometry.Vector{input.Clone()},
+		byOrigin: make([]tuple, cfg.N),
 	}, nil
 }
 
 // Rounds returns the termination round count R used by this node.
 func (a *AsyncNode) Rounds() int { return a.rounds }
 
-// Init implements sim.Node: start round 1.
-func (a *AsyncNode) Init(api sim.API) {
+// Start begins round 1. Like Step it fills the outbox.
+func (a *AsyncNode) Start() StepStatus {
+	a.outbox = a.outbox[:0]
 	a.round = 1
-	a.startRound(api)
+	a.startRound()
+	return a.status()
 }
 
-// OnMessage implements sim.Node. A decided node keeps serving the exchange
-// (echoes, readies, reports) so lagging correct processes can finish; it
-// only stops advancing its own rounds.
-func (a *AsyncNode) OnMessage(api sim.API, from sim.ProcID, msg sim.Message) {
+// Step processes one message of the exchange from process from. A decided
+// node keeps serving the exchange (echoes, readies, reports) so lagging
+// correct processes can finish; it only stops advancing its own rounds.
+// m is read, not retained.
+func (a *AsyncNode) Step(from sim.ProcID, m *aad.Msg) StepStatus {
+	a.outbox = a.outbox[:0]
 	if a.err != nil {
-		return
+		return StepFailed
 	}
+	dropped := a.coord.Dropped()
+	out, results := a.coord.Handle(from, *m)
+	if a.coord.Dropped() != dropped {
+		return StepOutOfRange
+	}
+	// out is the coordinator's scratch; the next round's start reuses it.
+	a.outbox = append(a.outbox, out...)
+	if a.decision != nil {
+		return StepContinue // linger: serve the protocol, but no further rounds
+	}
+	for i := range results {
+		res := &results[i]
+		if res.Round != a.round {
+			// The coordinator only completes started rounds, and rounds
+			// are started sequentially, so this cannot happen.
+			a.fail(fmt.Errorf("core: completed round %d while in round %d", res.Round, a.round))
+			break
+		}
+		if a.finishRound(res) {
+			a.startRound()
+		}
+		if a.decision != nil || a.err != nil {
+			break
+		}
+	}
+	return a.status()
+}
+
+// status is the outcome of a call that began undecided and healthy.
+func (a *AsyncNode) status() StepStatus {
+	switch {
+	case a.err != nil:
+		return StepFailed
+	case a.decision != nil:
+		return StepDecided
+	default:
+		return StepContinue
+	}
+}
+
+// Outbox returns, in order, the messages the last Start or Step wants
+// broadcast to every process (this one included). The slice is the node's
+// scratch, valid until its next Start or Step; the values inside follow the
+// broadcast.RBC ownership rule (retain, never write).
+func (a *AsyncNode) Outbox() []aad.Msg { return a.outbox }
+
+// Init implements sim.Node: start round 1.
+func (a *AsyncNode) Init(api sim.API) { a.emit(api, a.Start()) }
+
+// OnMessage implements sim.Node over Step.
+func (a *AsyncNode) OnMessage(api sim.API, from sim.ProcID, msg sim.Message) {
 	m, ok := msg.(aad.Msg)
 	if !ok {
 		return // foreign message types are ignored
 	}
-	out, results := a.coord.Handle(from, m)
-	for _, o := range out {
+	a.emit(api, a.Step(from, &m))
+}
+
+// emit hands the outbox to a sim.API and halts a node that failed or, with
+// HaltWhenDecided, decided.
+func (a *AsyncNode) emit(api sim.API, st StepStatus) {
+	for _, o := range a.outbox {
 		api.Broadcast(o)
 	}
-	if a.decision != nil {
-		return // linger: serve the protocol, but no further rounds
-	}
-	for _, res := range results {
-		if res.Round != a.round {
-			// The coordinator only completes started rounds, and rounds
-			// are started sequentially, so this cannot happen.
-			a.fail(api, fmt.Errorf("core: completed round %d while in round %d", res.Round, a.round))
-			return
-		}
-		a.finishRound(api, &res)
-		if a.decision != nil || a.err != nil {
-			return
-		}
+	if st == StepFailed || (st == StepDecided && a.cfg.HaltWhenDecided) {
+		api.Halt()
 	}
 }
 
-// startRound begins the exchange for the current round and processes an
-// immediately-complete exchange (possible when this process lagged and the
-// round's traffic already arrived).
-func (a *AsyncNode) startRound(api sim.API) {
+// startRound begins the exchange for the current round, and for every
+// further round whose exchange is complete the moment it starts (possible
+// when this process lagged and the round's traffic already arrived).
+func (a *AsyncNode) startRound() {
 	for {
 		msgs, err := a.coord.StartRound(a.round, a.v)
 		if err != nil {
-			a.fail(api, err)
+			a.fail(err)
 			return
 		}
-		for _, m := range msgs {
-			api.Broadcast(m)
-		}
+		a.outbox = append(a.outbox, msgs...)
 		res, ok := a.coord.Completed(a.round)
-		if !ok {
-			return
-		}
-		a.finishRound(api, res)
-		if a.decision != nil || a.err != nil {
+		if !ok || !a.finishRound(res) {
 			return
 		}
 	}
 }
 
 // finishRound applies Step 2 (eq. (9)) to the completed exchange and either
-// advances to the next round or decides.
-func (a *AsyncNode) finishRound(api sim.API, res *aad.Result) {
-	tuples := make([]tuple, len(res.Tuples))
-	byOrigin := make([]tuple, a.cfg.N) // nil value: origin not in B
-	for i, tp := range res.Tuples {
-		tuples[i] = tuple{origin: int(tp.Origin), value: tp.Value}
-		byOrigin[tp.Origin] = tuples[i]
+// moves to the next round — reporting true: the caller starts it — or
+// decides. The tuples reference the exchange's own copies of the values;
+// nothing here writes to them.
+func (a *AsyncNode) finishRound(res *aad.Result) (advanced bool) {
+	tuples := a.tuples[:0]
+	clear(a.byOrigin) // nil value: origin not in B
+	for _, tp := range res.Tuples {
+		t := tuple{origin: int(tp.Origin), value: tp.Value}
+		tuples = append(tuples, t)
+		a.byOrigin[tp.Origin] = t
 	}
+	a.tuples = tuples
 
 	var (
 		next   geometry.Vector
@@ -168,20 +242,22 @@ func (a *AsyncNode) finishRound(api sim.API, res *aad.Result) {
 	)
 	if a.cfg.WitnessOpt {
 		// Appendix F: one candidate set per witness — the witness's first
-		// n−f reported tuples. |Zi| ≤ n.
-		sets := make([][]tuple, 0, len(res.WitnessPrefixes))
+		// n−f reported tuples. |Zi| ≤ n. A set keeps pointing into the
+		// members array it was cut from if a later append moves it on.
+		sets, members := a.sets[:0], a.members[:0]
 		for _, prefix := range res.WitnessPrefixes {
-			set := make([]tuple, 0, len(prefix))
+			at := len(members)
 			for _, origin := range prefix {
-				tp := byOrigin[origin]
+				tp := a.byOrigin[origin]
 				if tp.value == nil {
-					a.fail(api, fmt.Errorf("core: witness prefix references origin %d missing from B", origin))
-					return
+					a.fail(fmt.Errorf("core: witness prefix references origin %d missing from B", origin))
+					return false
 				}
-				set = append(set, tp)
+				members = append(members, tp)
 			}
-			sets = append(sets, set)
+			sets = append(sets, members[at:len(members):len(members)])
 		}
+		a.sets, a.members = sets, members
 		next, ziSize, err = a.cfg.engine().AverageGammaSets(sets, a.cfg.F, a.cfg.Method)
 	} else {
 		// §3.2 Step 2: every C ⊆ Bi[t] with |C| = n−f, streamed by the
@@ -189,8 +265,8 @@ func (a *AsyncNode) finishRound(api sim.API, res *aad.Result) {
 		next, ziSize, err = a.cfg.engine().AverageGamma(tuples, a.cfg.N-a.cfg.F, a.cfg.F, a.cfg.Method)
 	}
 	if err != nil {
-		a.fail(api, err)
-		return
+		a.fail(err)
+		return false
 	}
 	a.v = next
 	a.history = append(a.history, next.Clone())
@@ -198,20 +274,16 @@ func (a *AsyncNode) finishRound(api sim.API, res *aad.Result) {
 
 	if a.round >= a.rounds {
 		a.decision = a.v.Clone()
-		if a.cfg.HaltWhenDecided {
-			api.Halt()
-		}
-		return
+		return false
 	}
 	a.round++
-	a.startRound(api)
+	return true
 }
 
-func (a *AsyncNode) fail(api sim.API, err error) {
+func (a *AsyncNode) fail(err error) {
 	if a.err == nil {
 		a.err = err
 	}
-	api.Halt()
 }
 
 // Decided reports whether the node has reached its decision. When

@@ -1,31 +1,13 @@
 package core
 
 import (
-	"math/rand"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/aad"
 	"repro/internal/geometry"
 	"repro/internal/sim"
 )
-
-// haltAPI is the least sim.API finishRound needs: it records Halt and the
-// number of messages sent.
-type haltAPI struct {
-	n      int
-	halted bool
-	sent   int
-}
-
-func (h *haltAPI) ID() sim.ProcID               { return 0 }
-func (h *haltAPI) N() int                       { return h.n }
-func (h *haltAPI) Send(sim.ProcID, sim.Message) { h.sent++ }
-func (h *haltAPI) Broadcast(sim.Message)        { h.sent += h.n }
-func (h *haltAPI) Halt()                        { h.halted = true }
-func (h *haltAPI) Rand() *rand.Rand             { return nil }
-func (h *haltAPI) Now() time.Duration           { return 0 }
 
 // TestFinishRoundWitnessPrefixMissingOrigin: a witness prefix naming an
 // origin whose tuple is not in B must fail the node (the origin-indexed
@@ -57,19 +39,18 @@ func TestFinishRoundWitnessPrefixMissingOrigin(t *testing.T) {
 				t.Fatal(err)
 			}
 			nd.round = 1
-			api := &haltAPI{n: n}
-			nd.finishRound(api, &aad.Result{Round: 1, Tuples: tuples, WitnessPrefixes: [][]sim.ProcID{tc.prefix}})
+			advanced := nd.finishRound(&aad.Result{Round: 1, Tuples: tuples, WitnessPrefixes: [][]sim.ProcID{tc.prefix}})
 			if tc.wantErr == "" {
-				if nd.err != nil || api.halted || nd.round != 2 || api.sent == 0 {
-					t.Fatalf("err=%v halted=%v round=%d sent=%d, want round 2 started", nd.err, api.halted, nd.round, api.sent)
+				if st := nd.status(); st != StepContinue || nd.round != 2 || !advanced {
+					t.Fatalf("status=%d err=%v round=%d advanced=%v, want round 2 next", st, nd.err, nd.round, advanced)
 				}
 				return
 			}
 			if nd.err == nil || !strings.Contains(nd.err.Error(), tc.wantErr) {
 				t.Fatalf("err = %v, want %q", nd.err, tc.wantErr)
 			}
-			if !api.halted || nd.round != 1 {
-				t.Fatalf("halted=%v round=%d, want a halted node still in round 1", api.halted, nd.round)
+			if st := nd.status(); st != StepFailed || nd.round != 1 || advanced {
+				t.Fatalf("status=%d round=%d, want a failed node still in round 1", st, nd.round)
 			}
 			if _, err := nd.Decision(); err == nil {
 				t.Fatal("Decision() succeeded on a failed node")

@@ -6,6 +6,10 @@ import (
 	"runtime"
 	"testing"
 	"time"
+
+	"repro/internal/aad"
+	"repro/internal/broadcast"
+	"repro/internal/geometry"
 )
 
 // discardConn accepts every Write and reports it on wrote.
@@ -51,33 +55,49 @@ func BenchmarkLinkWriteBatch(b *testing.B) {
 
 // BenchmarkShardDispatch is the shard/dispatch layer record: a reader-side
 // burst of k decoded frames appended to the shard's inbox, swapped out by
-// the running shard and routed by instance id — to a tombstone, so the
-// protocol's own cost stays out. No sockets; the producer runs ahead until
+// the running shard and routed by instance id. The tombstone variant routes
+// to a finished instance, so the protocol's own cost stays out; the live
+// variant routes to an open instance, so every frame is one protocol step
+// (an ECHO the instance has counted — the commonest step of a real run)
+// and allocs/op is the step's. No sockets; the producer runs ahead until
 // QueueDepth pushes back, so the time per frame is the shard's.
 func BenchmarkShardDispatch(b *testing.B) {
-	for _, k := range []int{1, 16, 256} {
-		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			sh, _ := detachedShard(0, 5, Config{QueueDepth: 4096, InstanceTimeout: time.Hour})
-			sh.tombs[9] = time.Now()
-			done := make(chan struct{})
-			go func() { sh.run(); close(done) }()
-			burst := make([]inMsg, k)
-			for i := range burst {
-				burst[i] = inMsg{instance: 9, from: 1}
+	for _, live := range []bool{false, true} {
+		for _, k := range []int{1, 16, 256} {
+			name := fmt.Sprintf("k=%d", k)
+			if live {
+				name = "live/" + name
 			}
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i += k {
-				if !sh.receive(burst) {
-					b.Fatal("shard stopped")
+			b.Run(name, func(b *testing.B) {
+				sh, m := detachedShard(0, 5, Config{QueueDepth: 4096, InstanceTimeout: time.Hour})
+				msg := inMsg{instance: 9, from: 1}
+				if live {
+					openDetached(b, sh, m, 0, 9, geometry.Vector{0.5, 0.5})
+					msg.msg = aad.Msg{Kind: aad.KindRBC, RBC: broadcast.RBCMsg{
+						Phase: broadcast.RBCEcho, Origin: 2, Tag: 1, Value: geometry.Vector{0.25, 0.75}}}
+				} else {
+					sh.tombs[9] = time.Now()
 				}
-			}
-			for sh.in.depth() > 0 {
-				runtime.Gosched()
-			}
-			b.StopTimer()
-			close(sh.svc.stop)
-			<-done
-		})
+				done := make(chan struct{})
+				go func() { sh.run(); close(done) }()
+				burst := make([]inMsg, k)
+				for i := range burst {
+					burst[i] = msg
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i += k {
+					if !sh.receive(burst) {
+						b.Fatal("shard stopped")
+					}
+				}
+				for sh.in.depth() > 0 {
+					runtime.Gosched()
+				}
+				b.StopTimer()
+				close(sh.svc.stop)
+				<-done
+			})
+		}
 	}
 }

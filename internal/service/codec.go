@@ -5,7 +5,6 @@ import (
 
 	"repro/internal/aad"
 	"repro/internal/broadcast"
-	"repro/internal/geometry"
 	"repro/internal/sim"
 	"repro/internal/wire"
 )
@@ -16,10 +15,14 @@ import (
 // messages into wire.ConsensusMsg, which encodes to a fixed layout with
 // no reflection and no per-frame type preamble.
 
-// toWire flattens an AAD message into the wire form. The returned message
-// aliases m's vector — encode it before m is mutated (senders encode
-// immediately, and protocol values are immutable by convention).
-func toWire(m aad.Msg, w *wire.ConsensusMsg) error {
+// One rule covers every vector on this path: the reliable-broadcast
+// instance that tallies a value copies it once, on first sight, and every
+// message the protocol emits afterwards references that never-rewritten
+// copy. Nothing else copies — the codec only re-labels, both ways.
+
+// toWire flattens an AAD message into the wire form. w aliases m's vector,
+// which is the exchange's own copy; the sender encodes w at once.
+func toWire(m *aad.Msg, w *wire.ConsensusMsg) error {
 	switch m.Kind {
 	case aad.KindRBC:
 		w.Kind = wire.ConsensusRBC
@@ -39,19 +42,17 @@ func toWire(m aad.Msg, w *wire.ConsensusMsg) error {
 	return nil
 }
 
-// fromWire rebuilds the AAD message from its wire form. The vector is
-// copied onto fresh storage: the RBC state machine retains delivered
-// values, while w.Value aliases the reader's reusable decode buffer.
+// fromWire rebuilds the AAD message from its wire form. The message aliases
+// w.Value — for the service's readers a slice of the burst chunk, written
+// once and handed on with the burst — so it stays good while anyone holds it.
 func fromWire(w *wire.ConsensusMsg) (aad.Msg, error) {
 	switch w.Kind {
 	case wire.ConsensusRBC:
-		val := make(geometry.Vector, len(w.Value))
-		copy(val, w.Value)
 		return aad.Msg{Kind: aad.KindRBC, RBC: broadcast.RBCMsg{
 			Phase:  broadcast.RBCPhase(w.Phase),
 			Origin: sim.ProcID(w.Origin),
 			Tag:    int(w.Round),
-			Value:  val,
+			Value:  w.Value,
 		}}, nil
 	case wire.ConsensusReport:
 		return aad.Msg{Kind: aad.KindReport, Report: aad.ReportMsg{

@@ -158,3 +158,50 @@ func TestServiceLateReportAfterLingerExpiry(t *testing.T) {
 		t.Errorf("ReadErrors = %d after late report, want 0", got)
 	}
 }
+
+// TestServiceCountsOutOfRangeRounds: a peer that names rounds past the
+// termination count — a report and an RBC message, on the real
+// pooled-connection path, to an instance that is open — is counted in
+// Stats.OutOfRangeRounds and otherwise ignored: no read error, no torn
+// connection, no background error, and the instance decides.
+func TestServiceCountsOutOfRangeRounds(t *testing.T) {
+	const n, id, spam = 5, 8, 500
+	svcs := startMesh(t, n, nil)
+	inputs := randomInputs(rand.New(rand.NewSource(59)), n, 2)
+	// Only process 0 proposes for now, so its instance is open and waiting.
+	ch0, err := svcs[0].Propose(id, inputs[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	rounds := uint32(testNodeConfig(n).MaxRounds)
+	link := svcs[1].peerAt(0)
+	for k := uint32(0); k < spam; k++ {
+		link.send(wire.AppendConsensus(nil, id, &wire.ConsensusMsg{Kind: wire.ConsensusReport, Origin: 1, Round: rounds + 1 + k}))
+		link.send(wire.AppendConsensus(nil, id, &wire.ConsensusMsg{
+			Kind: wire.ConsensusRBC, Phase: 2, Origin: 1, Round: 1<<32 - 1 - k, Value: []float64{0.5, 0.5}}))
+	}
+	deadline := time.Now().Add(10 * time.Second)
+	for svcs[0].Stats().OutOfRangeRounds != 2*spam {
+		if time.Now().After(deadline) {
+			t.Fatalf("OutOfRangeRounds = %d, want %d", svcs[0].Stats().OutOfRangeRounds, 2*spam)
+		}
+		time.Sleep(5 * time.Millisecond)
+	}
+	chans := []<-chan Result{ch0}
+	for i := 1; i < n; i++ {
+		ch, err := svcs[i].Propose(id, inputs[i])
+		if err != nil {
+			t.Fatal(err)
+		}
+		chans = append(chans, ch)
+	}
+	for i, ch := range chans {
+		if res := collect(t, ch, 30*time.Second); res.Err != nil {
+			t.Fatalf("process %d: %v", i, res.Err)
+		}
+	}
+	st := svcs[0].Stats()
+	if st.ReadErrors != 0 || st.Reconnects != 0 || svcs[0].Err() != nil {
+		t.Errorf("out-of-range rounds disturbed the link: %d read errors, %d reconnects, err %v", st.ReadErrors, st.Reconnects, svcs[0].Err())
+	}
+}

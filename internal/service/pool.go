@@ -353,11 +353,41 @@ func (p *peerLink) writeLoop() {
 	}
 }
 
+// chunkFloats sizes a reader's vector chunk: one allocation per this many
+// decoded coordinates instead of one per frame.
+const chunkFloats = 512
+
+// vecChunk is a reader's bump allocator for decoded vectors. Storage is
+// handed out once and never reused: a burst's messages reference it across
+// the reader→shard hand-off, and the collector frees a chunk when the last
+// of them is gone.
+type vecChunk struct{ buf []float64 }
+
+// decode decodes a consensus body into dec with its vector cut from the
+// chunk. dim is the dimension the instances run at; a vector too long for a
+// fresh chunk gets storage of its own from DecodeConsensus (and is dropped
+// by the protocol).
+func (c *vecChunk) decode(dec *wire.ConsensusMsg, body []byte, dim int) error {
+	if cap(c.buf)-len(c.buf) < dim {
+		c.buf = make([]float64, 0, max(chunkFloats, dim))
+	}
+	room := c.buf[len(c.buf):]
+	dec.Value = room
+	if err := wire.DecodeConsensus(dec, body); err != nil {
+		return err
+	}
+	if k := len(dec.Value); k <= cap(room) {
+		c.buf = c.buf[:len(c.buf)+k]
+		dec.Value = dec.Value[:k:k]
+	}
+	return nil
+}
+
 // readLoop decodes frames off one connection and routes consensus
 // messages to their instance's shard. It works in bursts: after the read
 // that blocks, every complete frame already in the bufio.Reader is decoded
-// too, and the burst reaches each shard's inbox as one append and at most
-// one wake-up. Clean peer shutdowns (EOF, reset, local close) end the loop
+// too — vectors into the reader's chunk — and the burst reaches each
+// shard's inbox as one append and at most one wake-up. Clean peer shutdowns (EOF, reset, local close) end the loop
 // quietly; anything else counts as a read error. Either way the link is
 // marked failed so the dialing side reconnects.
 //
@@ -370,6 +400,8 @@ func (p *peerLink) readLoop(conn net.Conn, gen int) {
 	br := bufio.NewReaderSize(conn, 64<<10)
 	var buf, ack []byte
 	var dec wire.ConsensusMsg
+	var chunk vecChunk
+	dim := p.svc.cfg.Node.D
 	burst := make([][]inMsg, len(p.svc.shards)) // by shard, this burst's deliveries
 	var frames, bytes int64
 	// deliver hands the burst to the shards; false means the service
@@ -384,7 +416,9 @@ func (p *peerLink) readLoop(conn net.Conn, gen int) {
 				continue
 			}
 			burst[i] = msgs[:0]
-			if !p.svc.shards[i].receive(msgs) {
+			ok := p.svc.shards[i].receive(msgs)
+			clear(msgs) // the inbox has them; don't pin their chunks here
+			if !ok {
 				return false
 			}
 		}
@@ -415,7 +449,7 @@ read:
 		bytes += int64(len(frame) + 4)
 		switch h.Kind {
 		case wire.FrameConsensus:
-			if err := wire.DecodeConsensus(&dec, body); err != nil {
+			if err := chunk.decode(&dec, body, dim); err != nil {
 				p.svc.ctr.readErrors.Add(1)
 				break read
 			}

@@ -168,7 +168,7 @@ func TestLinkFIFOAcrossSwapsAndFailedWrite(t *testing.T) {
 	}
 }
 
-// TestBroadcastEncodesOnce: the bytes a Broadcast leaves in every peer's
+// TestBroadcastEncodesOnce: the bytes a broadcast leaves in every peer's
 // outbox are wire.AppendConsensus of the same message — what a per-peer
 // encode produced before, so old and new processes interoperate — for both
 // consensus kinds; the message loops back locally, and each link is owed
@@ -189,11 +189,10 @@ func TestBroadcastEncodesOnce(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			sh, m := detachedShard(self, n, Config{})
 			inst := &instance{id: id, mesh: m}
-			inst.api = instAPI{sh: sh, inst: inst}
 			want := wire.AppendConsensus(nil, id, &tc.want)
 
-			inst.api.Broadcast(tc.msg)
-			inst.api.Broadcast(tc.msg)
+			sh.broadcast(inst, &tc.msg)
+			sh.broadcast(inst, &tc.msg)
 			for peer, p := range m.peers {
 				if p == nil {
 					continue

@@ -18,7 +18,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"math/rand"
 	"net"
 	"runtime"
 	"sync"
@@ -108,7 +107,7 @@ type Config struct {
 	// Sleeps are jittered uniform in [b/2, b] so redials desynchronize.
 	DialBackoff    time.Duration
 	MaxDialBackoff time.Duration
-	// Seed feeds the per-instance PRNG streams.
+	// Seed feeds the per-link redial-jitter PRNG streams.
 	Seed int64
 	// Transport supplies the network surface (nil: plain TCP). The
 	// fault-injection layer internal/chaos implements it.
@@ -526,7 +525,6 @@ type instance struct {
 	done          bool
 	lingerUntil   time.Time
 	lingerExtends int // partition-aware extensions granted so far
-	api           instAPI
 }
 
 // pendingBox buffers frames for an instance peers started before the
@@ -611,12 +609,7 @@ func (sh *shard) run() {
 	for {
 		select {
 		case <-sh.in.bell:
-			sh.batch, _ = sh.in.take(sh.batch)
-			for _, m := range sh.batch {
-				sh.deliver(m)
-				sh.drainLocal()
-			}
-			clear(sh.batch) // the spare must not pin delivered vectors
+			sh.drainInbox()
 		case req := <-sh.propose:
 			sh.open(req)
 		case <-ticker.C:
@@ -636,6 +629,17 @@ func (sh *shard) run() {
 	}
 }
 
+// drainInbox swaps the inbox for the previous, finished batch and steps
+// every delivery through, each followed by the self-sends it caused.
+func (sh *shard) drainInbox() {
+	sh.batch, _ = sh.in.take(sh.batch)
+	for i := range sh.batch {
+		sh.deliver(&sh.batch[i])
+		sh.drainLocal()
+	}
+	clear(sh.batch) // the spare must not pin burst chunks
+}
+
 // drainLocal delivers queued self-sends; deliveries may enqueue more, so
 // the FIFO is walked by index and reset once empty — popping from the
 // front would abandon the backing array to the appends behind it.
@@ -647,8 +651,7 @@ func (sh *shard) drainLocal() {
 		if _, open := sh.instances[inst.id]; !open {
 			continue // instance finished while the self-send waited
 		}
-		inst.node.OnMessage(&inst.api, sim.ProcID(sh.svc.cfg.ID), l.msg)
-		sh.afterStep(inst)
+		sh.step(inst, sh.svc.cfg.ID, &l.msg)
 	}
 	if cap(sh.local) > 1024 {
 		sh.local = nil // don't let a burst pin a large backing array
@@ -658,11 +661,12 @@ func (sh *shard) drainLocal() {
 }
 
 // deliver routes one network delivery to its instance, or buffers it when
-// the local Propose has not arrived yet.
-func (sh *shard) deliver(m inMsg) {
+// the local Propose has not arrived yet. m's vector lives in its reader's
+// burst chunk: a step reads it (the exchange copies a value it has not seen
+// into its own tables), and only the pending buffer keeps the message.
+func (sh *shard) deliver(m *inMsg) {
 	if inst, ok := sh.instances[m.instance]; ok {
-		inst.node.OnMessage(&inst.api, sim.ProcID(m.from), m.msg)
-		sh.afterStep(inst)
+		sh.step(inst, m.from, &m.msg)
 		return
 	}
 	if _, dead := sh.tombs[m.instance]; dead {
@@ -680,7 +684,11 @@ func (sh *shard) deliver(m inMsg) {
 		sh.svc.ctr.pendingDropped.Add(1)
 		return
 	}
-	box.msgs = append(box.msgs, m)
+	// Copied, so an instance that is never proposed pins a few vectors for
+	// the pending TTL, not every chunk they arrived in.
+	kept := *m
+	kept.msg.RBC.Value = kept.msg.RBC.Value.Clone()
+	box.msgs = append(box.msgs, kept)
 	sh.svc.ctr.pendingFrames.Add(1)
 }
 
@@ -709,69 +717,84 @@ func (sh *shard) open(req proposeReq) {
 		started:  now,
 		deadline: now.Add(sh.svc.cfg.InstanceTimeout),
 	}
-	inst.api = instAPI{sh: sh, inst: inst}
 	sh.instances[req.id] = inst
 	sh.svc.ctr.active.Add(1)
 	sh.svc.ctr.proposed.Add(1)
 
-	inst.node.Init(&inst.api)
-	sh.afterStep(inst)
+	sh.afterStep(inst, inst.node.Start())
 	if box, ok := sh.pending[req.id]; ok {
 		delete(sh.pending, req.id)
 		sh.svc.ctr.pendingFrames.Add(-int64(len(box.msgs)))
-		for _, m := range box.msgs {
+		for i := range box.msgs {
 			if _, open := sh.instances[req.id]; !open {
-				break // decided mid-replay
+				break // failed mid-replay
 			}
-			inst.node.OnMessage(&inst.api, sim.ProcID(m.from), m.msg)
-			sh.afterStep(inst)
+			sh.step(inst, box.msgs[i].from, &box.msgs[i].msg)
 		}
 	}
 }
 
-// afterStep moves the instance along its lifecycle after a node callback:
-// a halted node failed (with lingering forced on, fail() is the only Halt
-// caller) and is retired with its error; a decided node delivers its
-// result and transitions to lingering — it stays registered, serving the
-// exchange for lagging peers, until expire tombstones it.
-func (sh *shard) afterStep(inst *instance) {
-	if inst.done {
-		return
+// step feeds one message to the instance's state machine and acts on what
+// it reports.
+func (sh *shard) step(inst *instance, from int, m *aad.Msg) {
+	sh.afterStep(inst, inst.node.Step(sim.ProcID(from), m))
+}
+
+// afterStep sends what the node's step left in its outbox and moves the
+// instance along its lifecycle: a failed node is retired with its error; a
+// node that just decided delivers its result and transitions to lingering —
+// it stays registered, serving the exchange for lagging peers, until expire
+// tombstones it.
+func (sh *shard) afterStep(inst *instance, st core.StepStatus) {
+	out := inst.node.Outbox()
+	for i := range out {
+		sh.broadcast(inst, &out[i])
 	}
-	if inst.api.halted {
+	switch st {
+	case core.StepOutOfRange:
+		sh.svc.ctr.outOfRange.Add(1)
+	case core.StepFailed:
 		_, err := inst.node.Decision()
 		sh.svc.ctr.failed.Add(1)
-		sh.retire(inst, Result{
+		sh.retire(inst, Result{Instance: inst.id, Epoch: inst.mesh.epoch, Rounds: inst.node.Rounds(), Elapsed: time.Since(inst.started), Err: err})
+	case core.StepDecided:
+		dec, _ := inst.node.Decision() // a decided node has no error
+		inst.done = true
+		inst.lingerUntil = time.Now().Add(sh.svc.cfg.LingerTimeout)
+		sh.svc.ctr.decided.Add(1)
+		sh.svc.ctr.lingering.Add(1)
+		inst.res <- Result{
 			Instance: inst.id,
 			Epoch:    inst.mesh.epoch,
+			Decision: dec,
 			Rounds:   inst.node.Rounds(),
 			Elapsed:  time.Since(inst.started),
-			Err:      err,
-		})
+		}
+		sh.svc.ctr.active.Add(-1)
+		sh.svc.checkDrained()
+	}
+}
+
+// broadcast is one message of inst to the complete graph: encoded once into
+// the shard's frame scratch, the same bytes copied into every peer's
+// outbox, and looped back to this process through the local FIFO (pushing
+// to our own bounded inbox from the shard goroutine could deadlock). A
+// writer's ring is deferred to the end of the shard's wake-up.
+func (sh *shard) broadcast(inst *instance, m *aad.Msg) {
+	if err := toWire(m, &sh.enc); err != nil {
+		sh.svc.noteErr(err)
 		return
 	}
-	if !inst.node.Decided() {
-		return
+	sh.frame = wire.AppendConsensus(sh.frame[:0], inst.id, &sh.enc)
+	for _, p := range inst.mesh.peers {
+		if p == nil { // our own slot
+			sh.local = append(sh.local, localMsg{inst: inst, msg: *m})
+			continue
+		}
+		if p.enqueue(sh.frame, sh.flush) {
+			sh.rung = append(sh.rung, p)
+		}
 	}
-	dec, err := inst.node.Decision()
-	if err != nil {
-		sh.svc.ctr.failed.Add(1)
-		sh.retire(inst, Result{Instance: inst.id, Epoch: inst.mesh.epoch, Rounds: inst.node.Rounds(), Elapsed: time.Since(inst.started), Err: err})
-		return
-	}
-	inst.done = true
-	inst.lingerUntil = time.Now().Add(sh.svc.cfg.LingerTimeout)
-	sh.svc.ctr.decided.Add(1)
-	sh.svc.ctr.lingering.Add(1)
-	inst.res <- Result{
-		Instance: inst.id,
-		Epoch:    inst.mesh.epoch,
-		Decision: dec,
-		Rounds:   inst.node.Rounds(),
-		Elapsed:  time.Since(inst.started),
-	}
-	sh.svc.ctr.active.Add(-1)
-	sh.svc.checkDrained()
 }
 
 // retire delivers the result, tombstones the id, releases the epoch
@@ -835,100 +858,3 @@ func (sh *shard) expire(now time.Time) {
 		}
 	}
 }
-
-// instAPI implements sim.API for one instance: sends become framed
-// transmissions on the pooled mesh, self-sends loop through the shard's
-// local FIFO (pushing to our own bounded inbox from the shard goroutine
-// could deadlock).
-type instAPI struct {
-	sh     *shard
-	inst   *instance
-	rng    *rand.Rand // built on first Rand(): the protocols never draw
-	halted bool
-}
-
-var _ sim.API = (*instAPI)(nil)
-
-func (a *instAPI) ID() sim.ProcID { return sim.ProcID(a.sh.svc.cfg.ID) }
-func (a *instAPI) N() int         { return a.sh.svc.n }
-
-// unwrap checks that the protocol sent the one message type the service
-// codec speaks, noting the error otherwise.
-func (a *instAPI) unwrap(msg sim.Message) (aad.Msg, bool) {
-	m, ok := msg.(aad.Msg)
-	if !ok {
-		a.sh.svc.noteErr(fmt.Errorf("service: instance %d sent %T, want aad.Msg", a.inst.id, msg))
-	}
-	return m, ok
-}
-
-// encode frames m into the shard's scratch, which holds the bytes until
-// the next encode.
-func (a *instAPI) encode(m aad.Msg) ([]byte, bool) {
-	sh := a.sh
-	if err := toWire(m, &sh.enc); err != nil {
-		sh.svc.noteErr(err)
-		return nil, false
-	}
-	sh.frame = wire.AppendConsensus(sh.frame[:0], a.inst.id, &sh.enc)
-	return sh.frame, true
-}
-
-// post queues frame toward p; the writer's ring is deferred to the end of
-// the shard's wake-up.
-func (a *instAPI) post(p *peerLink, frame []byte) {
-	if p.enqueue(frame, a.sh.flush) {
-		a.sh.rung = append(a.sh.rung, p)
-	}
-}
-
-// loop queues a self-send on the shard's local FIFO.
-func (a *instAPI) loop(m aad.Msg) {
-	a.sh.local = append(a.sh.local, localMsg{inst: a.inst, msg: m})
-}
-
-func (a *instAPI) Send(to sim.ProcID, msg sim.Message) {
-	m, ok := a.unwrap(msg)
-	if !ok {
-		return
-	}
-	if int(to) == a.sh.svc.cfg.ID {
-		a.loop(m)
-		return
-	}
-	if frame, ok := a.encode(m); ok {
-		a.post(a.inst.mesh.peers[to], frame)
-	}
-}
-
-// Broadcast is one message to the complete graph: encoded once, the same
-// bytes copied into every peer's outbox, and looped back to this process.
-func (a *instAPI) Broadcast(msg sim.Message) {
-	m, ok := a.unwrap(msg)
-	if !ok {
-		return
-	}
-	frame, ok := a.encode(m)
-	if !ok {
-		return
-	}
-	for _, p := range a.inst.mesh.peers {
-		if p == nil { // our own slot
-			a.loop(m)
-			continue
-		}
-		a.post(p, frame)
-	}
-}
-
-func (a *instAPI) Halt() { a.halted = true }
-
-func (a *instAPI) Rand() *rand.Rand {
-	if a.rng == nil {
-		cfg := &a.sh.svc.cfg
-		a.rng = rand.New(rand.NewSource(cfg.Seed ^ int64(a.inst.id*0x9e3779b97f4a7c15) ^ int64(cfg.ID+1)))
-	}
-	return a.rng
-}
-
-func (a *instAPI) Now() time.Duration { return time.Since(a.sh.svc.start) }

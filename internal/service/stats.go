@@ -28,6 +28,7 @@ type counters struct {
 	pendingDropped atomic.Int64
 	reconnects     atomic.Int64
 	readErrors     atomic.Int64
+	outOfRange     atomic.Int64
 
 	dialFailures     atomic.Int64
 	outboxStalls     atomic.Int64
@@ -76,6 +77,12 @@ type Stats struct {
 	// peer shutdowns — including malformed or corrupted inbound frames,
 	// which are peer-attributable faults and do not poison Err().
 	Reconnects, ReadErrors int64
+	// OutOfRangeRounds counts well-formed consensus messages dropped for
+	// naming a round outside [1, R], R the instance's termination round
+	// count: no correct process sends one, and state for them would hand
+	// any one peer an unbounded allocation. Peer-attributable like
+	// ReadErrors, but the connection stays up.
+	OutOfRangeRounds int64
 	// DialFailures counts failed outbound connection attempts (dial or
 	// handshake); OutboxStalls counts full-outbox stalls under the block
 	// policy. Both feed the per-peer suspicion ladder.
@@ -131,6 +138,7 @@ func (s *Service) Stats() Stats {
 		PendingDropped:   s.ctr.pendingDropped.Load(),
 		Reconnects:       s.ctr.reconnects.Load(),
 		ReadErrors:       s.ctr.readErrors.Load(),
+		OutOfRangeRounds: s.ctr.outOfRange.Load(),
 		DialFailures:     s.ctr.dialFailures.Load(),
 		OutboxStalls:     s.ctr.outboxStalls.Load(),
 		LingerExtensions: s.ctr.lingerExtensions.Load(),

@@ -303,9 +303,14 @@ func ParseAuth(body []byte) (mac []byte, err error) {
 	return body, nil
 }
 
-// DecodeConsensus decodes a FrameConsensus body into m, reusing m.Value's
-// capacity. The decoded Value aliases m's buffer — callers that retain it
-// (protocol state machines do) must pass a fresh m or copy the vector.
+// DecodeConsensus decodes a FrameConsensus body into m. The vector is
+// written into m.Value's spare capacity when it fits (a fresh slice
+// otherwise), so the caller decides where decoded values live: a slice of a
+// chunk that is never rewritten may be handed on as it is — the protocol
+// copies a value once, into the reliable-broadcast instance that first
+// sees it, and nothing before that needs a copy of its own — while a
+// caller that decodes into the same m again overwrites what it decoded
+// before.
 func DecodeConsensus(m *ConsensusMsg, body []byte) error {
 	if len(body) < 1 {
 		return fmt.Errorf("wire: empty consensus body")
@@ -348,14 +353,18 @@ func DecodeConsensus(m *ConsensusMsg, body []byte) error {
 // ReadFrameInto reads one length-prefixed frame into buf (grown when too
 // small) and returns the frame bytes (header + body, prefix stripped)
 // aliasing buf — the reuse path that keeps the service's reader loops
-// allocation-free in the steady state. It mirrors ReadFrame's error
+// allocation-free in the steady state: the length prefix is read into buf
+// too, then overwritten by the frame. It mirrors ReadFrame's error
 // contract: io.EOF passes through unwrapped for clean-shutdown detection.
 func ReadFrameInto(r io.Reader, buf []byte) (frame, newBuf []byte, err error) {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
+	if cap(buf) < 4 {
+		buf = make([]byte, 4, 256)
+	}
+	prefix := buf[:4]
+	if _, err := io.ReadFull(r, prefix); err != nil {
 		return nil, buf, err // preserve io.EOF
 	}
-	size := int(binary.BigEndian.Uint32(hdr[:]))
+	size := int(binary.BigEndian.Uint32(prefix))
 	if size > MaxFrameSize {
 		return nil, buf, ErrFrameTooLarge
 	}

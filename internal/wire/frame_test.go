@@ -5,6 +5,8 @@ import (
 	"encoding/hex"
 	"io"
 	"testing"
+
+	"repro/internal/raceflag"
 )
 
 // TestFrameGoldenBytes pins the v2 frame layout byte-for-byte. These
@@ -264,5 +266,43 @@ func TestFrameErrors(t *testing.T) {
 	}
 	if err := DecodeConsensus(&m, []byte{ConsensusReport, 0, 0}); err == nil {
 		t.Error("truncated report: no error")
+	}
+}
+
+// TestReadFrameIntoAllocs: the steady-state read — a frame that fits the
+// caller's buffer — allocates nothing, the length prefix included (it is
+// read into the buffer, not into a local that escapes through io.Reader).
+func TestReadFrameIntoAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	var stream []byte
+	for i := 0; i < 8; i++ {
+		stream = AppendConsensus(stream, uint64(i), &ConsensusMsg{Kind: ConsensusRBC, Phase: 2, Origin: 1, Round: 3, Value: []float64{0.5, float64(i)}})
+		stream = AppendConsensus(stream, uint64(i), &ConsensusMsg{Kind: ConsensusReport, Origin: 2, Round: 3})
+	}
+	r := bytes.NewReader(stream)
+	var buf []byte
+	read := func() {
+		if r.Len() == 0 {
+			r.Reset(stream)
+		}
+		frame, nb, err := ReadFrameInto(r, buf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, _, err := ParseFrame(frame); err != nil {
+			t.Fatal(err)
+		}
+		buf = nb
+	}
+	read() // sizes the buffer
+	if allocs := testing.AllocsPerRun(100, read); allocs != 0 {
+		t.Errorf("ReadFrameInto: %v allocs per frame in the steady state, want 0", allocs)
+	}
+	// A reader whose buffer is too small even for the prefix still works.
+	r.Reset(stream)
+	if frame, _, err := ReadFrameInto(r, make([]byte, 0, 2)); err != nil || len(frame) == 0 {
+		t.Errorf("ReadFrameInto with a 2-byte buffer: frame %d bytes, err %v", len(frame), err)
 	}
 }

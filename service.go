@@ -162,6 +162,9 @@ type ServiceStats struct {
 	WriteRetries                  int64
 	PendingFrames, PendingDropped int64
 	Reconnects, ReadErrors        int64
+	// OutOfRangeRounds counts consensus messages dropped for naming a
+	// round outside [1, R] — no correct process sends one.
+	OutOfRangeRounds int64
 	// DialFailures/OutboxStalls feed the per-peer suspicion ladder;
 	// LingerExtensions counts partition-aware linger window extensions;
 	// AuthFailures counts inbound connections the keyed handshake
@@ -294,6 +297,7 @@ func (s *Service) Stats() ServiceStats {
 		PendingDropped:   st.PendingDropped,
 		Reconnects:       st.Reconnects,
 		ReadErrors:       st.ReadErrors,
+		OutOfRangeRounds: st.OutOfRangeRounds,
 		DialFailures:     st.DialFailures,
 		OutboxStalls:     st.OutboxStalls,
 		LingerExtensions: st.LingerExtensions,
