@@ -5,6 +5,7 @@ import (
 	"errors"
 	"math"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -399,6 +400,62 @@ func TestRunTCPCluster(t *testing.T) {
 		if math.Abs(decisions[i][0]-decisions[0][0]) > cfg.Epsilon {
 			t.Errorf("ε-agreement violated over TCP: %v", decisions)
 		}
+	}
+}
+
+// TestRunAsyncClusterF2 runs the one-shot cluster at the asynchronous
+// bound n = (d+2)f+1 with f = 2, where a decided process must keep
+// relaying for the others to deliver (see core.AsyncNode.emit).
+func TestRunAsyncClusterF2(t *testing.T) {
+	cfg := bvc.Config{N: 7, F: 2, D: 1, Epsilon: 0.25, Lo: []float64{0}, Hi: []float64{1}}
+	inputs := []bvc.Vector{{0}, {1}, {0.5}, {0.25}, {0.75}, {0.1}, {0.9}}
+	base := runtime.NumGoroutine()
+	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
+	defer cancel()
+	decisions, err := bvc.RunAsyncCluster(ctx, cfg, inputs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, d := range decisions {
+		if math.Abs(d[0]-decisions[0][0]) > cfg.Epsilon {
+			t.Errorf("ε-agreement violated: %v", decisions)
+		}
+		if d[0] < 0 || d[0] > 1 {
+			t.Errorf("decision %v outside the inputs' hull [0, 1]", d)
+		}
+	}
+	waitGoroutines(t, base)
+}
+
+// TestRunAsyncClusterCanceled: a cancelled ctx returns promptly with the
+// cancellation and leaves nothing running.
+func TestRunAsyncClusterCanceled(t *testing.T) {
+	cfg := bvc.Config{N: 4, F: 1, D: 1, Epsilon: 0.2, Lo: []float64{0}, Hi: []float64{1}}
+	inputs := []bvc.Vector{{0}, {1}, {0.5}, {0.25}}
+	base := runtime.NumGoroutine()
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	start := time.Now()
+	_, err := bvc.RunAsyncCluster(ctx, cfg, inputs)
+	if !errors.Is(err, context.Canceled) {
+		t.Fatalf("err = %v, want context.Canceled", err)
+	}
+	if el := time.Since(start); el > 2*time.Second {
+		t.Errorf("returned after %v", el)
+	}
+	waitGoroutines(t, base)
+}
+
+// waitGoroutines fails unless the goroutine count falls back to base
+// within 2 s.
+func waitGoroutines(t *testing.T, base int) {
+	t.Helper()
+	deadline := time.Now().Add(2 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d goroutines still running, %d before the call", runtime.NumGoroutine(), base)
+		}
+		time.Sleep(10 * time.Millisecond)
 	}
 }
 

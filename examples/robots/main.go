@@ -5,9 +5,10 @@
 // allowed to operate").
 //
 // Six robots run the asynchronous approximate BVC algorithm live — one
-// goroutine per robot over in-process reliable FIFO channels, real OS
-// scheduling supplying the asynchrony — and converge on a rendezvous point
-// inside the convex hull of their positions, within ε per axis.
+// single-instance service process per robot over a loopback TCP mesh,
+// real OS scheduling supplying the asynchrony — and converge on a
+// rendezvous point inside the convex hull of their positions, within ε
+// per axis.
 package main
 
 import (
@@ -43,7 +44,7 @@ func main() {
 		}
 	}
 
-	fmt.Println("robot rendezvous: asynchronous approximate BVC, live goroutine cluster")
+	fmt.Println("robot rendezvous: asynchronous approximate BVC, live loopback cluster")
 	for i, p := range positions {
 		fmt.Printf("  robot %d at (%.1f, %.1f, %.1f)\n", i+1, p[0], p[1], p[2])
 	}

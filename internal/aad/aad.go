@@ -29,12 +29,7 @@ import (
 	"repro/internal/broadcast"
 	"repro/internal/geometry"
 	"repro/internal/sim"
-	"repro/internal/wire"
 )
-
-func init() {
-	wire.Register(Msg{}) // encoding registry (sanctioned init use)
-}
 
 // MsgKind discriminates the two message families of the exchange.
 type MsgKind int

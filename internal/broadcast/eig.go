@@ -22,15 +22,7 @@ import (
 
 	"repro/internal/geometry"
 	"repro/internal/sim"
-	"repro/internal/wire"
 )
-
-func init() {
-	// Wire registration for live transports (sanctioned init use:
-	// encoding type registry).
-	wire.Register(EIGRoundMsg{})
-	wire.Register(RBCMsg{})
-}
 
 // EIGRelay is one (path, value) pair relayed in an EIG round: "the chain of
 // processes `Path` claims the instance's sender said `Value`".

@@ -19,15 +19,6 @@ type AsyncConfig struct {
 	// experiments that sweep rounds); the default is the paper's
 	// 1 + ⌈log_{1/(1−γ)} (U−ν)/ε⌉.
 	MaxRounds int
-	// HaltWhenDecided stops the node at its decision instead of lingering
-	// to serve the reliable-broadcast instances of slower processes.
-	// Lingering (the default) is required for liveness when f ≥ 2: a
-	// delivered tuple is guaranteed only f+1 correct READY senders, and a
-	// lagging process needs the remaining correct processes' amplification
-	// to reach the 2f+1 delivery threshold. With f ≤ 1 halting is safe
-	// (f+1 correct readys plus the process's own amplification meet the
-	// threshold), which live deployments may prefer.
-	HaltWhenDecided bool
 }
 
 // StepStatus reports what a Start or Step call did to the node.
@@ -53,7 +44,7 @@ const (
 // Like the two layers under it the node is a pure state machine: Start and
 // Step leave what the node wants broadcast in its outbox and report
 // decision or failure by return value. Init/OnMessage adapt that to sim.Node
-// (simulators, internal/runtime); the live service calls Step directly.
+// (the simulators); the live service calls Step directly.
 type AsyncNode struct {
 	cfg   AsyncConfig
 	self  sim.ProcID
@@ -192,13 +183,16 @@ func (a *AsyncNode) OnMessage(api sim.API, from sim.ProcID, msg sim.Message) {
 	a.emit(api, a.Step(from, &m))
 }
 
-// emit hands the outbox to a sim.API and halts a node that failed or, with
-// HaltWhenDecided, decided.
+// emit hands the outbox to a sim.API and halts a node that failed. A
+// decided node keeps running: a delivered tuple is guaranteed only f+1
+// correct READY senders, so a lagging process needs every correct
+// process's amplification — including the decided ones' — to reach the
+// 2f+1 delivery threshold.
 func (a *AsyncNode) emit(api sim.API, st StepStatus) {
 	for _, o := range a.outbox {
 		api.Broadcast(o)
 	}
-	if st == StepFailed || (st == StepDecided && a.cfg.HaltWhenDecided) {
+	if st == StepFailed {
 		api.Halt()
 	}
 }
@@ -286,9 +280,9 @@ func (a *AsyncNode) fail(err error) {
 	}
 }
 
-// Decided reports whether the node has reached its decision. When
-// HaltWhenDecided is off the node keeps serving the exchange afterwards;
-// Decided is the cheap signal callers poll to detect the transition.
+// Decided reports whether the node has reached its decision. The node keeps
+// serving the exchange afterwards; Decided is the cheap signal callers poll
+// to detect the transition.
 func (a *AsyncNode) Decided() bool { return a.decision != nil }
 
 // Decision returns the decided vector once the node has terminated.

@@ -303,22 +303,6 @@ func TestAsyncMaxRoundsOverride(t *testing.T) {
 	}
 }
 
-func TestAsyncHaltWhenDecidedF1(t *testing.T) {
-	// With f = 1 halting at decision is live (see AsyncConfig docs).
-	cfg := asyncConfig(4, 1, 1, 0.2)
-	cfg.HaltWhenDecided = true
-	inputs := []geometry.Vector{vec(0), vec(1), vec(0.5), vec(0.25)}
-	r := newAsyncRun(t, cfg, inputs, nil)
-	stats := r.run(t, 18, sim.UniformDelay{Min: time.Millisecond, Max: 5 * time.Millisecond})
-	if stats.Halted != cfg.N {
-		t.Errorf("halted = %d, want %d", stats.Halted, cfg.N)
-	}
-	ex := r.execution(t)
-	if err := ex.VerifyApprox(cfg.Epsilon, 1e-6); err != nil {
-		t.Fatalf("verification: %v", err)
-	}
-}
-
 func TestAsyncTerminatesWithinBound(t *testing.T) {
 	// The decision must be reached after exactly the analytic round count.
 	cfg := asyncConfig(4, 1, 1, 0.1)

@@ -26,12 +26,7 @@ import (
 	"repro/internal/combin"
 	"repro/internal/geometry"
 	"repro/internal/safearea"
-	"repro/internal/wire"
 )
-
-func init() {
-	wire.Register(StateMsg{}) // encoding registry (sanctioned init use)
-}
 
 // Variant selects which of the paper's algorithms is meant when validating
 // parameters or computing resilience bounds.

@@ -10,10 +10,10 @@ import (
 )
 
 // The service path speaks the binary v2 frame layout (internal/wire,
-// docs/WIRE_FORMAT.md) rather than gob envelopes: frames are
-// instance-multiplexed and the codec below flattens the AAD exchange
-// messages into wire.ConsensusMsg, which encodes to a fixed layout with
-// no reflection and no per-frame type preamble.
+// docs/WIRE_FORMAT.md): frames are instance-multiplexed and the codec
+// below flattens the AAD exchange messages into wire.ConsensusMsg, which
+// encodes to a fixed layout with no reflection and no per-frame type
+// preamble.
 
 // One rule covers every vector on this path: the reliable-broadcast
 // instance that tallies a value copies it once, on first sight, and every

@@ -9,9 +9,9 @@
 // The architecture — instance lifecycle, connection pool, framing,
 // backpressure and slow-peer policy, drain/reconfiguration semantics, and
 // the load-test workflow with cmd/bvcload — is documented in
-// docs/SERVICE.md; the frame layout is docs/WIRE_FORMAT.md. The
-// single-tenant path (one TCP mesh per consensus run, gob envelopes)
-// remains in internal/transport + internal/runtime.
+// docs/SERVICE.md; the frame layout is docs/WIRE_FORMAT.md. The public
+// one-shot entry points (bvc.TCPProcess, bvc.RunAsyncCluster) are
+// single-instance services.
 package service
 
 import (
@@ -63,13 +63,13 @@ const (
 // Config configures one service process.
 type Config struct {
 	// Node configures the consensus algorithm every instance runs; its N
-	// must equal len(Addrs). HaltWhenDecided is forced off: the service
-	// delivers the result the moment the instance decides and then keeps
-	// the instance lingering — still serving reliable-broadcast echoes,
-	// readies, and reports — for LingerTimeout. Lingering is what keeps
-	// lagging peers live when a process crashes mid-instance: Bracha's
-	// echo quorum is ⌊(n+f)/2⌋+1, which with one peer down needs every
-	// survivor, including the ones that already decided.
+	// must equal len(Addrs). The service delivers the result the moment
+	// the instance decides and then keeps the instance lingering — still
+	// serving reliable-broadcast echoes, readies, and reports — for
+	// LingerTimeout. Lingering is what keeps lagging peers live when a
+	// process crashes mid-instance: Bracha's echo quorum is ⌊(n+f)/2⌋+1,
+	// which with one peer down needs every survivor, including the ones
+	// that already decided.
 	Node core.AsyncConfig
 	// ID is this process's id, indexing Addrs.
 	ID int
@@ -237,8 +237,6 @@ func New(cfg Config) (*Service, error) {
 	if cfg.Node.N != n {
 		return nil, fmt.Errorf("service: consensus n=%d but %d addresses", cfg.Node.N, n)
 	}
-	// Lingering (not halting) at decision is load-bearing: see Config.Node.
-	cfg.Node.HaltWhenDecided = false
 	// Validate the consensus configuration once up front so Propose
 	// failures can only be per-input: build a throwaway node.
 	if _, err := core.NewAsyncNode(cfg.Node, sim.ProcID(cfg.ID), probeInput(cfg.Node)); err != nil {

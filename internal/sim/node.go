@@ -6,10 +6,10 @@
 // lock-step round engine (synchronous executions).
 //
 // Algorithms are written as event-driven state machines (Node for
-// asynchronous protocols, SyncNode for synchronous ones). The same Node code
-// also runs on live transports via internal/runtime, mirroring the
-// state-machine-plus-transport architecture of production consensus
-// libraries.
+// asynchronous protocols, SyncNode for synchronous ones). The live service
+// (internal/service) drives the same state machines below this interface,
+// mirroring the state-machine-plus-transport architecture of production
+// consensus libraries.
 package sim
 
 import (
@@ -27,7 +27,7 @@ type ProcID int
 type Message any
 
 // API is the capability surface a node sees during a callback. Engine
-// implementations (discrete-event, live runtime) provide it.
+// implementations (the discrete-event and round engines) provide it.
 type API interface {
 	// ID returns this process's id.
 	ID() ProcID

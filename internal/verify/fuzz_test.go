@@ -5,17 +5,11 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"reflect"
 	"strings"
 	"sync"
 	"testing"
 
-	"repro/internal/aad"
-	"repro/internal/broadcast"
-	"repro/internal/core"
-	"repro/internal/geometry"
 	"repro/internal/lp"
-	"repro/internal/sim"
 	"repro/internal/wire"
 )
 
@@ -414,87 +408,6 @@ func checkFrame(t *testing.T, frame []byte) {
 		if !consensusEqual(&m, &m2) {
 			t.Fatalf("consensus round trip diverged: %+v vs %+v", m, m2)
 		}
-	}
-}
-
-// FuzzGobV1 covers the legacy v1 wire path — gob-encoded envelopes under
-// 4-byte length-prefix framing, still spoken by the single-tenant
-// transport. The contract: no input may panic the frame reader or the gob
-// decoder (gob's decode path is a type-driven virtual machine with a
-// history of hostile-input panics upstream, so this is not vacuous), and
-// every envelope that does decode must re-encode and decode again with
-// the same sender and payload type. Importing the protocol packages
-// registers their payload types (aad.Msg, broadcast messages,
-// core.StateMsg) exactly as a live process would.
-func FuzzGobV1(f *testing.F) {
-	for _, env := range seedEnvelopes() {
-		enc, err := wire.Encode(env)
-		if err != nil {
-			f.Fatal(err)
-		}
-		f.Add(enc)
-		var framed bytes.Buffer
-		if err := wire.WriteFrame(&framed, enc); err != nil {
-			f.Fatal(err)
-		}
-		f.Add(framed.Bytes())
-	}
-	f.Add([]byte{0, 0, 0, 2, 0xff, 0x81})
-	f.Fuzz(func(t *testing.T, data []byte) {
-		// Stream path: length-prefixed frames from a hostile reader.
-		r := bytes.NewReader(data)
-		for {
-			body, err := wire.ReadFrame(r)
-			if err != nil {
-				break
-			}
-			checkGobBody(t, body)
-		}
-		// Direct path: the bytes as one gob envelope.
-		checkGobBody(t, data)
-	})
-}
-
-// seedEnvelopes builds one v1 envelope per registered payload family.
-func seedEnvelopes() []*wire.Envelope {
-	return []*wire.Envelope{
-		{From: 1, Payload: aad.Msg{
-			Kind: aad.KindRBC,
-			RBC:  broadcast.RBCMsg{Phase: 1, Origin: 2, Tag: 7, Value: geometry.Vector{0.25, 0.75}},
-		}},
-		{From: 2, Payload: aad.Msg{
-			Kind:   aad.KindReport,
-			Report: aad.ReportMsg{Round: 3, Origin: sim.ProcID(4)},
-		}},
-		{From: 3, Payload: broadcast.RBCMsg{Phase: 2, Origin: 0, Tag: 1, Value: geometry.Vector{-1e9, 0, 1e-9}}},
-		{From: 0, Payload: core.StateMsg{Round: 5, Value: geometry.Vector{0.5}}},
-		{From: 4, Payload: nil},
-	}
-}
-
-// checkGobBody decodes one candidate envelope body and, when it decodes,
-// requires a clean re-encode / re-decode with sender and payload type
-// preserved. Payload values are not compared bit-for-bit: hostile bytes
-// can materialize NaNs, which defeat DeepEqual without indicating a wire
-// bug.
-func checkGobBody(t *testing.T, body []byte) {
-	env, err := wire.Decode(body)
-	if err != nil {
-		return
-	}
-	enc, err := wire.Encode(env)
-	if err != nil {
-		t.Fatalf("decoded envelope does not re-encode: %v", err)
-	}
-	env2, err := wire.Decode(enc)
-	if err != nil {
-		t.Fatalf("re-encoded envelope does not decode: %v", err)
-	}
-	if env2.From != env.From {
-		t.Fatalf("sender diverged: %d vs %d", env2.From, env.From)
-	}
-	if ta, tb := reflect.TypeOf(env.Payload), reflect.TypeOf(env2.Payload); ta != tb {
-		t.Fatalf("payload type diverged: %v vs %v", ta, tb)
 	}
 }
 

@@ -1,7 +1,6 @@
 package verify
 
 import (
-	"bytes"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -189,26 +188,6 @@ func TestRegenSeedCorpus(t *testing.T) {
 		Kind: wire.ConsensusReport, Origin: 4, Round: 2,
 	}))
 	writeEntry("FuzzWireFrame", "oversize_claim", []byte{0xff, 0xff, 0xff, 0xff, 2, 2, 0})
-
-	// Legacy v1 gob envelopes: one per registered payload family, both
-	// bare and framed, plus a truncation and a hostile type descriptor.
-	for i, env := range seedEnvelopes() {
-		enc, err := wire.Encode(env)
-		if err != nil {
-			t.Fatal(err)
-		}
-		name := "env_" + strconv.Itoa(i)
-		writeEntry("FuzzGobV1", name, enc)
-		var framed bytes.Buffer
-		if err := wire.WriteFrame(&framed, enc); err != nil {
-			t.Fatal(err)
-		}
-		writeEntry("FuzzGobV1", name+"_framed", framed.Bytes())
-		if len(enc) > 3 {
-			writeEntry("FuzzGobV1", name+"_truncated", enc[:len(enc)-3])
-		}
-	}
-	writeEntry("FuzzGobV1", "hostile_typedesc", []byte{0x2c, 0xff, 0x81, 0x03, 0x01, 0x01, 0x08})
 }
 
 // uniformTrial draws one input of the uniform harvest stream: arbitrary

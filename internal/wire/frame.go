@@ -1,24 +1,30 @@
-package wire
-
-// Version-2 framing: the multi-tenant service path (internal/service)
-// speaks a binary, instance-multiplexed frame layout instead of the gob
-// envelopes used by the single-tenant transport above. The layout is
-// specified in docs/WIRE_FORMAT.md and pinned byte-for-byte by the golden
-// test in frame_test.go; change either only together with the other and
-// with a version bump.
+// Package wire defines the binary, instance-multiplexed frame layout the
+// live service (internal/service) speaks between processes.
+// docs/WIRE_FORMAT.md is the normative specification, and the golden test
+// in frame_test.go pins it byte for byte; change either only together with
+// the other and with a version bump.
 //
 // A frame is a 4-byte big-endian length prefix (counting everything after
 // the prefix) followed by a fixed 10-byte header — version, frame kind,
 // 8-byte instance id — and a kind-specific body. Sender identity is
 // carried by the connection (established by the Hello frame), not by each
 // frame. All integers are big-endian; vectors are IEEE-754 float64 bits.
+package wire
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
 	"math"
 )
+
+// MaxFrameSize bounds a single frame; larger frames indicate corruption or
+// abuse and are rejected before allocation.
+const MaxFrameSize = 16 << 20
+
+// ErrFrameTooLarge is returned for frames exceeding MaxFrameSize.
+var ErrFrameTooLarge = errors.New("wire: frame exceeds maximum size")
 
 // FrameVersion is the current frame-layout version; it occupies the first
 // header byte of every frame. Peers speaking a different version are
@@ -90,8 +96,8 @@ const (
 
 // ConsensusMsg is the wire-level form of one consensus message. It is a
 // flattened, dependency-free mirror of the aad/broadcast message structs
-// (internal/service converts between the two) so the wire package stays
-// importable by the protocol packages that register gob types with it.
+// (internal/service converts between the two), so the wire package imports
+// no protocol package.
 type ConsensusMsg struct {
 	// Kind is ConsensusRBC or ConsensusReport.
 	Kind uint8
@@ -354,8 +360,9 @@ func DecodeConsensus(m *ConsensusMsg, body []byte) error {
 // small) and returns the frame bytes (header + body, prefix stripped)
 // aliasing buf — the reuse path that keeps the service's reader loops
 // allocation-free in the steady state: the length prefix is read into buf
-// too, then overwritten by the frame. It mirrors ReadFrame's error
-// contract: io.EOF passes through unwrapped for clean-shutdown detection.
+// too, then overwritten by the frame. A prefix over MaxFrameSize returns
+// ErrFrameTooLarge before buf grows, a short body a wrapped error, and a
+// clean end of stream io.EOF unwrapped for clean-shutdown detection.
 func ReadFrameInto(r io.Reader, buf []byte) (frame, newBuf []byte, err error) {
 	if cap(buf) < 4 {
 		buf = make([]byte, 4, 256)

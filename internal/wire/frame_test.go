@@ -2,8 +2,11 @@ package wire
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/hex"
+	"errors"
 	"io"
+	"slices"
 	"testing"
 
 	"repro/internal/raceflag"
@@ -266,6 +269,72 @@ func TestFrameErrors(t *testing.T) {
 	}
 	if err := DecodeConsensus(&m, []byte{ConsensusReport, 0, 0}); err == nil {
 		t.Error("truncated report: no error")
+	}
+}
+
+// TestReadFrameInto pins ReadFrameInto's contract, which the service's
+// reader loops branch on: frames come back prefix-stripped in the caller's
+// buffer; an oversize claim is refused before the buffer grows; a short
+// body is a wrapped error; a clean end of stream is io.EOF itself.
+func TestReadFrameInto(t *testing.T) {
+	hello := AppendHello(nil, 5, 1)
+	report := AppendConsensus(nil, 9, &ConsensusMsg{Kind: ConsensusReport, Origin: 4, Round: 2})
+	cases := []struct {
+		name   string
+		stream []byte
+		frames [][]byte // read successfully before the final read
+		want   string   // the final read's error
+		ok     func(error) bool
+	}{
+		{
+			name:   "oversize_prefix",
+			stream: binary.BigEndian.AppendUint32(nil, MaxFrameSize+1),
+			want:   "ErrFrameTooLarge",
+			ok:     func(err error) bool { return err == ErrFrameTooLarge },
+		},
+		{
+			name:   "truncated_body",
+			stream: report[:len(report)-3],
+			want:   "a wrapped io.ErrUnexpectedEOF",
+			ok: func(err error) bool {
+				return errors.Is(err, io.ErrUnexpectedEOF) && errors.Unwrap(err) != nil
+			},
+		},
+		{
+			name: "clean_eof",
+			want: "io.EOF",
+			ok:   func(err error) bool { return err == io.EOF },
+		},
+		{
+			name:   "back_to_back",
+			stream: slices.Concat(hello, report, hello),
+			frames: [][]byte{hello[4:], report[4:], hello[4:]},
+			want:   "io.EOF",
+			ok:     func(err error) bool { return err == io.EOF },
+		},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			r := bytes.NewReader(tc.stream)
+			buf := make([]byte, 0, 64)
+			for i, want := range tc.frames {
+				frame, nb, err := ReadFrameInto(r, buf)
+				if err != nil || !bytes.Equal(frame, want) {
+					t.Fatalf("frame %d = %x (err %v), want %x", i, frame, err, want)
+				}
+				if &frame[0] != &buf[:1][0] || cap(nb) != cap(buf) {
+					t.Fatalf("frame %d: buffer not reused", i)
+				}
+				buf = nb
+			}
+			_, nb, err := ReadFrameInto(r, buf)
+			if !tc.ok(err) {
+				t.Errorf("err = %v, want %s", err, tc.want)
+			}
+			if cap(nb) != cap(buf) {
+				t.Errorf("buffer grew from %d to %d", cap(buf), cap(nb))
+			}
+		})
 	}
 }
 
