@@ -1,10 +1,11 @@
 // Package lp implements a two-phase primal simplex solver for linear
 // programs, plus a small modeling layer (named variables with bounds,
-// ≤ / ≥ / = rows, minimize or maximize objectives). The default core is a
-// revised simplex maintaining only an LU-factored basis with product-form
-// updates and periodic refactorization (revised.go); the legacy dense
-// accumulated-tableau core is retained behind the Core flag for
-// differential testing (simplex.go).
+// ≤ / ≥ / = rows, minimize or maximize objectives). Two kernels run the
+// simplex, chosen by program size alone: a dense accumulated tableau for
+// programs of at most smallCoreRows rows (simplex.go), and a revised
+// simplex maintaining only an LU-factored basis with product-form updates
+// and periodic refactorization for the rest (revised.go). SolveDense pins
+// the dense kernel at every size as a differential oracle.
 //
 // The Byzantine vector consensus algorithms of Vaidya & Garg reduce their
 // geometric core to linear programming: testing whether a point lies in a
@@ -209,44 +210,53 @@ func (p *Problem) SolveWith(ws *Workspace) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	status, x, err := std.solveActive(ws)
+	return p.solveOn(std, ws, std.useDense())
+}
+
+// SolveDense is SolveWith on the dense tableau kernel at every program
+// size. It is the differential oracle for the size-chosen kernels of
+// Solve, SolveWith, SolveWithBasis and SolveHot, which production code
+// calls instead. It keeps no state between calls.
+func (p *Problem) SolveDense(ws *Workspace) (*Solution, error) {
+	std, err := p.standardize(ws)
 	if err != nil {
 		return nil, err
 	}
-	sol := &Solution{Status: status}
-	if status != Optimal {
-		return sol, nil
-	}
-	sol.Values = std.recover(x)
-	var obj float64
-	for _, t := range p.obj {
-		obj += t.Coeff * sol.Values[t.Var]
-	}
-	sol.Objective = obj
-	return sol, nil
+	return p.solveOn(std, ws, true)
 }
 
-// smallCoreRows is the revised core's tableau cutoff: programs with at most
-// this many rows run on the dense tableau kernel even under CoreRevised.
-// At these sizes the whole tableau fits in cache, a pivot is one fused
-// pass, and the pivot sequences are far too short for the incremental
-// cost row to accumulate meaningful drift — while the revised machinery
-// (factorization, triangular solves, per-iteration pricing) is pure
-// overhead. The fragile degenerate regime starts well above this size
-// (the smallest fragile joint LPs have 60+ rows) and always runs on the
-// LU-factored path.
-const smallCoreRows = 32
+// solveOn runs the cold two-phase solve of std on the dense tableau kernel
+// (dense) or on the revised kernel.
+func (p *Problem) solveOn(std *standard, ws *Workspace, dense bool) (*Solution, error) {
+	status, x, err := std.solveCold(ws, dense)
+	if err != nil {
+		return nil, err
+	}
+	return p.assemble(std, status, x)
+}
 
-// solveActive dispatches the standard-form solve to the selected simplex
-// core: the LU-based revised core by default (with the small-program
-// tableau kernel below smallCoreRows), the legacy dense tableau everywhere
-// when CoreDense is active (kept for differential testing).
-func (s *standard) solveActive(ws *Workspace) (Status, []float64, error) {
-	if ActiveCore() == CoreDense || s.m <= smallCoreRows {
+// solveCold is the standard-form half of solveOn.
+func (s *standard) solveCold(ws *Workspace, dense bool) (Status, []float64, error) {
+	if dense {
 		return s.solve(ws)
 	}
 	return s.solveRevised(ws)
 }
+
+// smallCoreRows is the dense kernel's size limit: programs with at most
+// this many rows run on the dense tableau, larger ones on the revised LU
+// simplex. At these sizes the whole tableau fits in cache, a pivot is one
+// fused pass, and the pivot sequences are far too short for the
+// incremental cost row to accumulate meaningful drift — while the revised
+// machinery (factorization, triangular solves, per-iteration pricing) is
+// pure overhead. The fragile degenerate regime starts well above this size
+// (the smallest fragile joint LPs have 60+ rows) and always runs on the
+// LU-factored path.
+const smallCoreRows = 32
+
+// useDense is the one kernel-choice rule of the public entry points: the
+// dense tableau for small programs, the revised simplex for the rest.
+func (s *standard) useDense() bool { return s.m <= smallCoreRows }
 
 // standard is the standard-form program min c·y s.t. Ay = b, y ≥ 0, together
 // with the bookkeeping needed to map a standard-form solution back to the

@@ -53,10 +53,14 @@ const (
 	// fragile hull intersections (hundreds of rows, Γ degenerated to a
 	// point) that noise floor reaches the order of 1e-7, so the margin
 	// must sit above it or Lemma-1-guaranteed-nonempty programs get
-	// declared empty by rounding. Residual infeasibility passed through as
-	// "feasible" is bounded by this margin, which every geometric consumer
-	// tolerance (hull.DefaultTol, the lex-min pin slack) matches or
-	// dominates.
+	// declared empty by rounding. Residual infeasibility up to this margin
+	// (an artificial sum over the equilibrated rows) passes as "feasible".
+	// The lex-min pin slack (1e-6) matches it; hull.DefaultTol (1e-7) and
+	// any tighter caller tolerance do not. On a program above smallCoreRows
+	// rows a hull query can therefore accept a point up to ~1e-6 outside
+	// its tolerance band, where the dense kernel — phase-1 margin feasEps =
+	// 1e-7 — rejects it (TestPhase1MarginGap). The fragile corpus needs the
+	// wider margin, so the gap is the contract, not a bug.
 	p1FeasEps = 1e-6
 	// blandEps is Bland mode's improvement threshold. Anti-cycling only
 	// holds if "improving" is noise-proof: candidate multisets routinely

@@ -99,20 +99,27 @@ func (p *Problem) SolveWithBasis(ws *Workspace, bas *Basis) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
+	return p.solveWithBasisOn(std, ws, bas, std.useDense())
+}
+
+// solveWithBasisOn is the body of SolveWithBasis on the dense tableau
+// kernel (dense) or on the revised kernel.
+func (p *Problem) solveWithBasisOn(std *standard, ws *Workspace, bas *Basis, dense bool) (*Solution, error) {
 	var (
 		status Status
 		x      []float64
 		warmed bool
+		err    error
 	)
 	if bas.Valid() && bas.m == std.m && bas.n == std.n {
-		if ActiveCore() == CoreDense || std.m <= smallCoreRows {
+		if dense {
 			status, x, warmed = std.solveWarm(ws, bas.cols)
 		} else {
 			status, x, warmed = std.solveWarmRevised(ws, bas.cols)
 		}
 	}
 	if !warmed {
-		status, x, err = std.solveActive(ws)
+		status, x, err = std.solveCold(ws, dense)
 		if err != nil {
 			bas.Reset()
 			return nil, err
@@ -194,8 +201,7 @@ func (s *standard) solveWarm(ws *Workspace, cols []int) (Status, []float64, bool
 	return Optimal, x, true
 }
 
-// assemble converts a standard-form outcome into the public Solution,
-// mirroring SolveWith's epilogue.
+// assemble converts a standard-form outcome into the public Solution.
 func (p *Problem) assemble(std *standard, status Status, x []float64) (*Solution, error) {
 	sol := &Solution{Status: status}
 	if status != Optimal {
@@ -250,7 +256,14 @@ func (p *Problem) SolveHot(ws *Workspace) (*Solution, *Hot, error) {
 	if err != nil {
 		return nil, nil, err
 	}
-	if ActiveCore() == CoreDense || std.m <= smallCoreRows {
+	return p.solveHotOn(std, ws, std.useDense())
+}
+
+// solveHotOn is the body of SolveHot on the dense tableau kernel (dense)
+// or on the revised kernel. A dense Hot stays on the dense kernel however
+// many rows AppendLE adds.
+func (p *Problem) solveHotOn(std *standard, ws *Workspace, dense bool) (*Solution, *Hot, error) {
+	if dense {
 		status, x, err := std.solve(ws)
 		if err != nil {
 			return nil, nil, err

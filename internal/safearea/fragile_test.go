@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"repro/internal/geometry"
-	"repro/internal/lp"
 )
 
 // fragileCorpus enumerates the Γ-solver's formerly fragile regime: random
@@ -51,7 +50,7 @@ func fragileInstance(t *testing.T, d, f int, seed int64) *geometry.Multiset {
 // 0/30 failures per (d, f) cell, each returned point verified to lie in
 // Γ(Y). This is the regression gate for the revised simplex core: the
 // dense core fails a double-digit percentage of exactly these instances
-// (see TestFragileRegionDenseCoreComparison for the measured gap).
+// (the FuzzLPDifferential corpus in internal/verify pins that gap).
 func TestFragileRegionLexMinLP(t *testing.T) {
 	for _, c := range fragileCorpus {
 		failures := 0
@@ -78,36 +77,6 @@ func TestFragileRegionLexMinLP(t *testing.T) {
 			t.Errorf("d=%d f=%d: %d/%d corpus failures (want 0)", c.d, c.f, failures, c.seeds)
 		}
 	}
-}
-
-// TestFragileRegionDenseCoreComparison measures the dense core on the same
-// corpus, for the record: it must not be BETTER than the revised core, and
-// historically it fails a substantial fraction. The test is informational
-// about the exact rate (numerics differ across platforms) but hard-fails
-// if the dense core somehow beats a failing revised core, which would mean
-// the flag plumbing is backwards.
-func TestFragileRegionDenseCoreComparison(t *testing.T) {
-	if testing.Short() {
-		t.Skip("dense-core comparison is informational; skip in -short")
-	}
-	prev := lp.SetCore(lp.CoreDense)
-	defer lp.SetCore(prev)
-	failures, total := 0, 0
-	for _, c := range fragileCorpus {
-		for seed := int64(0); seed < int64(c.seeds); seed++ {
-			total++
-			ms := fragileInstance(t, c.d, c.f, seed)
-			pt, err := PointWith(ms, c.f, MethodLexMinLP)
-			if err != nil {
-				failures++
-				continue
-			}
-			if in, err := Contains(ms, c.f, pt, 1e-6); err != nil || !in {
-				failures++
-			}
-		}
-	}
-	t.Logf("dense core: %d/%d fragile-corpus failures (revised must be 0)", failures, total)
 }
 
 // liftStallCorpus pins cluster-plus-outlier candidate sets (d = 2, f = 2)

@@ -19,8 +19,11 @@ import (
 // per-input hang budget. Oversized programs certify the revised core only.
 const denseRowCap = 100
 
-// FuzzLPDifferential solves the decoded program under both simplex cores
-// and cross-checks them. The asserted contract, from weakest to strongest:
+// FuzzLPDifferential solves the decoded program through Solve (the
+// production kernel choice by size) and through the SolveDense oracle and
+// cross-checks them; "revised core" below is the Solve side, which runs
+// the revised simplex above 32 rows. The asserted contract, from weakest
+// to strongest:
 //
 //   - no panics on either core, for any decodable program;
 //   - the revised core (the default) never fails where the dense core
@@ -31,7 +34,10 @@ const denseRowCap = 100
 //   - when both cores return a verdict, the statuses agree;
 //   - when both are Optimal, the objectives agree within 1e-5 (scaled)
 //     and each core's solution actually satisfies its program — the
-//     certified-optimal check, so agreeing on a wrong answer also fails.
+//     certified-optimal check, so agreeing on a wrong answer also fails;
+//   - SolveWithBasis (capture, then warm re-solve) and SolveHot (then
+//     Resolve) reach the Solve status, and for Optimal its objective
+//     within 1e-6 (checkWarmAndHot).
 //
 // Status disagreements and certificate failures adjudicated against the
 // loser's own certificate are classified into the documented fragility
@@ -51,13 +57,16 @@ func FuzzLPDifferential(f *testing.F) {
 }
 
 // diffLPOnce is the differential body shared by FuzzLPDifferential and
-// TestFragileCorpusBudget: decode, solve under both cores, cross-check.
+// TestFragileCorpusBudget: decode, solve both ways, cross-check.
 func diffLPOnce(t *testing.T, data []byte) {
 	spec := DecodeProgram(data)
 	if spec == nil {
 		return
 	}
-	rsol, rerr := solveUnder(lp.CoreRevised, spec)
+	rsol, rerr := solveSpec(spec, false)
+	if rerr == nil {
+		checkWarmAndHot(t, spec, rsol)
+	}
 	if spec.NumRows() > denseRowCap {
 		if rerr != nil {
 			return
@@ -69,7 +78,7 @@ func diffLPOnce(t *testing.T, data []byte) {
 		}
 		return
 	}
-	dsol, derr := solveUnder(lp.CoreDense, spec)
+	dsol, derr := solveSpec(spec, true)
 	switch {
 	case derr != nil && rerr != nil:
 		return // both rejected the program identically hard
@@ -223,11 +232,11 @@ func classifyFragility(data []byte) string {
 	if spec == nil {
 		return ""
 	}
-	rsol, rerr := solveUnder(lp.CoreRevised, spec)
+	rsol, rerr := solveSpec(spec, false)
 	if spec.NumRows() > denseRowCap {
 		return ""
 	}
-	dsol, derr := solveUnder(lp.CoreDense, spec)
+	dsol, derr := solveSpec(spec, true)
 	switch {
 	case derr != nil && rerr != nil:
 		return ""
@@ -277,16 +286,55 @@ func classifyDenseErr(err error) string {
 	return ""
 }
 
-// solveUnder builds a fresh copy of the program and solves it with the
-// given core active, restoring the previous core before returning.
-func solveUnder(c lp.Core, spec *ProgramSpec) (*lp.Solution, error) {
-	prev := lp.SetCore(c)
-	defer lp.SetCore(prev)
+// solveSpec builds a fresh copy of the program and solves it through Solve
+// (the production kernel choice by size) or, with dense set, through the
+// SolveDense oracle.
+func solveSpec(spec *ProgramSpec, dense bool) (*lp.Solution, error) {
 	p, err := spec.Build()
 	if err != nil {
 		return nil, err
 	}
+	if dense {
+		return p.SolveDense(lp.NewWorkspace())
+	}
 	return p.Solve()
+}
+
+// checkWarmAndHot solves the program two more ways — SolveWithBasis (a
+// capture solve, then a warm re-solve from the captured basis) and SolveHot
+// (then a Resolve on the retained state) — and requires each to match the
+// Solve outcome want: the same status and, for Optimal, an objective
+// within 1e-6.
+func checkWarmAndHot(t *testing.T, spec *ProgramSpec, want *lp.Solution) {
+	t.Helper()
+	p, err := spec.Build()
+	if err != nil {
+		t.Fatalf("rebuild: %v", err)
+	}
+	same := func(how string, got *lp.Solution, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s failed where Solve returned %v: %v", how, want.Status, err)
+		}
+		if got.Status != want.Status {
+			t.Fatalf("%s: status %v, Solve %v", how, got.Status, want.Status)
+		}
+		if want.Status == lp.Optimal && math.Abs(got.Objective-want.Objective) > 1e-6 {
+			t.Fatalf("%s: objective %g, Solve %g", how, got.Objective, want.Objective)
+		}
+	}
+	ws := lp.NewWorkspace()
+	var bas lp.Basis
+	sol, err := p.SolveWithBasis(ws, &bas)
+	same("SolveWithBasis capture", sol, err)
+	sol, err = p.SolveWithBasis(ws, &bas)
+	same("SolveWithBasis warm", sol, err)
+	sol, hot, err := p.SolveHot(lp.NewWorkspace())
+	same("SolveHot", sol, err)
+	if hot != nil {
+		sol, err = hot.Resolve()
+		same("Hot.Resolve", sol, err)
+	}
 }
 
 // checkFeasible verifies a claimed-optimal solution against the spec.
