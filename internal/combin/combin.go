@@ -11,24 +11,28 @@ import (
 	"math/big"
 )
 
+// pascal holds C(n, k) for n ≤ 40 (C(40, 20) ≈ 1.4e11 fits int64 with room
+// to spare). It is filled once at package initialization and only read
+// after, so the hot enumeration and unranking paths get a binomial from one
+// load, with no big.Int allocation and no loop.
+var pascal = func() (t [41][41]int64) {
+	for n := range t {
+		t[n][0] = 1
+		for k := 1; k <= n; k++ {
+			t[n][k] = t[n-1][k-1] + t[n-1][k]
+		}
+	}
+	return t
+}()
+
 // Binomial returns C(n, k). It returns 0 when k < 0 or k > n. The result
 // saturates at math.MaxInt64 if it would overflow.
 func Binomial(n, k int) int64 {
 	if k < 0 || k > n || n < 0 {
 		return 0
 	}
-	if k > n-k {
-		k = n - k
-	}
-	if n <= 40 {
-		// Multiplicative formula, exact in int64 for n ≤ 40 (the largest
-		// intermediate is C(40,20)·40 ≈ 5.5e12). This keeps the hot
-		// enumeration/unranking paths free of big.Int allocation.
-		var res int64 = 1
-		for i := 1; i <= k; i++ {
-			res = res * int64(n-k+i) / int64(i)
-		}
-		return res
+	if n < len(pascal) {
+		return pascal[n][k]
 	}
 	z := new(big.Int).Binomial(int64(n), int64(k))
 	if !z.IsInt64() {

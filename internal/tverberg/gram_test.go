@@ -34,7 +34,9 @@ func TestGramEntriesMatchLiftedDots(t *testing.T) {
 		k := dim + 1
 		ms := randomMultiset(rng, k, c.d, -2, 4)
 		var ls liftScratch
-		ls.read(ms, k, c.d, geometry.NewVector(c.d), 1)
+		if err := ls.read(ms, k, c.d, geometry.NewVector(c.d), 1); err != nil {
+			t.Fatal(err)
+		}
 
 		var os oracleLiftScratch
 		lifted := os.classes(k, c.r, dim)
@@ -96,34 +98,14 @@ func TestWolfeMatchesOracle(t *testing.T) {
 		if err != nil {
 			t.Fatalf("trial %d: oracle: %v", trial, err)
 		}
-		gram := make([]float64, k*k)
-		for i := range rows {
-			for j := range rows {
-				gram[i*k+j] = dot(rows[i], rows[j])
-			}
-		}
+		gram := gramOf(rows)
 		var w wolfe
 		w.start(gram, k)
 		if err := w.solve(gram, k); err != nil {
 			t.Fatalf("trial %d: gram solve: %v", trial, err)
 		}
-		lambda := make([]float64, k)
-		for ci, c := range w.corral {
-			lambda[c] = w.weights[ci]
-		}
-		var norm2 float64
-		for i := range lambda {
-			for j := range lambda {
-				norm2 += lambda[i] * lambda[j] * gram[i*k+j]
-			}
-		}
-		if math.Abs(norm2-want.norm2) > 1e-9 {
-			t.Fatalf("trial %d: ‖x‖² = %g, oracle %g", trial, norm2, want.norm2)
-		}
-		for i := range lambda {
-			if math.Abs(lambda[i]-want.lambda[i]) > 1e-6 {
-				t.Fatalf("trial %d: λ[%d] = %g, oracle %g", trial, i, lambda[i], want.lambda[i])
-			}
+		if msg := againstOracle(&w, gram, want, 1); msg != "" {
+			t.Fatalf("trial %d: %s", trial, msg)
 		}
 	}
 }

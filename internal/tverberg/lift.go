@@ -99,7 +99,9 @@ func memberDot(a, b, r int) float64 {
 // on coordinates translated to the coordinate-wise minimum of the first k
 // members (a Tverberg partition is translation-invariant; the Gram entries
 // are not, and lose their low bits to a large offset). The computation is
-// deterministic: all ties break toward the lowest index.
+// deterministic: all ties break toward the lowest index. A lifted member
+// with a NaN or infinite coordinate is an error, reported before the search
+// starts.
 //
 // The returned partition carries its convex Weights and their Residual; a
 // caller accepts it on Residual ≤ CertTol or re-checks it geometrically
@@ -164,7 +166,9 @@ func liftSize(y *geometry.Multiset, r int) (int, error) {
 // (x − lo)·inv.
 func (ls *liftScratch) lift(y *geometry.Multiset, r, k int, lo geometry.Vector, inv float64) (*Partition, error) {
 	d := y.Dim()
-	ls.read(y, k, d, lo, inv)
+	if err := ls.read(y, k, d, lo, inv); err != nil {
+		return nil, err
+	}
 
 	// Initial rainbow selection: spread classes across members round-robin.
 	sel := growI(&ls.sel, k)
@@ -247,10 +251,17 @@ func (ls *liftScratch) lift(y *geometry.Multiset, r, k int, lo geometry.Vector, 
 	}
 }
 
+// errNonFinite reports a lift input with a NaN or infinite coordinate, or
+// one whose image overflows the Gram matrix: no partition of it is
+// meaningful, so the search does not start.
+var errNonFinite = errors.New("tverberg: lift input is not finite")
+
 // read writes the augmented image points ((x_i − lo)·inv, 1) of y's first k
 // members into scratch — the one pass over the inputs — and their Gram
-// matrix.
-func (ls *liftScratch) read(y *geometry.Multiset, k, d int, lo geometry.Vector, inv float64) {
+// matrix. It fails with errNonFinite when a member's squared image norm is
+// not finite: a NaN or ±Inf coordinate (of the member or of lo) makes it so,
+// and so does an image that overflows.
+func (ls *liftScratch) read(y *geometry.Multiset, k, d int, lo geometry.Vector, inv float64) error {
 	aug := growF(&ls.aug, k*(d+1))
 	if cap(ls.pts) < k {
 		ls.pts = make([]geometry.Vector, k)
@@ -272,7 +283,11 @@ func (ls *liftScratch) read(y *geometry.Multiset, k, d int, lo geometry.Vector, 
 			g[i*k+j] = v
 			g[j*k+i] = v
 		}
+		if n2 := g[i*k+i]; math.IsNaN(n2) || math.IsInf(n2, 0) {
+			return fmt.Errorf("%w: member %d", errNonFinite, i)
+		}
 	}
+	return nil
 }
 
 // liftedPoint forms the min-norm point x = Σ λ_i·v_{j(i)} ⊗ x̄_i of the

@@ -1,6 +1,8 @@
 package tverberg
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 	"testing"
 
@@ -97,6 +99,31 @@ func TestLiftValidation(t *testing.T) {
 	}
 	if _, err := Lift(ms, 2); err == nil {
 		t.Error("too few points: expected error")
+	}
+}
+
+// TestLiftRejectsNonFinite: a member with a NaN or ±Inf coordinate — at the
+// start, in the middle or at the end of the lifted prefix — fails both entry
+// points with errNonFinite before any search runs, never with a Partition.
+func TestLiftRejectsNonFinite(t *testing.T) {
+	for _, bad := range []float64{math.NaN(), math.Inf(1), math.Inf(-1)} {
+		for _, at := range []int{0, 4, 8} {
+			ms := liftBenchInput(3, 3)
+			v := ms.At(at).Clone()
+			v[1] = bad
+			pts := ms.Points()
+			pts[at] = v
+			y := geometry.MustMultisetOf(pts...)
+			for name, lift := range map[string]func() (*Partition, error){
+				"Lift":       func() (*Partition, error) { return Lift(y, 3) },
+				"LiftAffine": func() (*Partition, error) { return LiftAffine(y, 3, geometry.NewVector(3), 1) },
+			} {
+				part, err := lift()
+				if !errors.Is(err, errNonFinite) || part != nil {
+					t.Errorf("%s with %g at member %d: partition %v, error %v; want errNonFinite", name, bad, at, part, err)
+				}
+			}
+		}
 	}
 }
 

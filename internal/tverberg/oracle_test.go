@@ -15,6 +15,10 @@ import (
 	"repro/internal/geometry"
 )
 
+// oracleKKTPivotEps is the oracle's singularity threshold: the smallest
+// pivot magnitude its KKT elimination accepts.
+const oracleKKTPivotEps = 1e-13
+
 type oracleLiftScratch struct {
 	flat   []float64
 	lifted [][][]float64
@@ -207,6 +211,12 @@ func oracleMinNorm(p [][]float64) (*oracleMinNormResult, error) {
 	return oracleMinNormWith(p, &oracleMinNormScratch{})
 }
 
+// oracleMinNormPivotEps is oracleMinNorm with the KKT elimination's
+// singularity threshold set to eps instead of oracleKKTPivotEps.
+func oracleMinNormPivotEps(p [][]float64, eps float64) (*oracleMinNormResult, error) {
+	return oracleMinNormWith(p, &oracleMinNormScratch{affine: oracleAffineScratch{pivotEps: eps}})
+}
+
 // oracleMinNormWith is oracleMinNorm with caller-managed scratch. The arithmetic is
 // identical to a fresh-scratch solve — buffers only change where the values
 // live, never the operation order — so results are bit-identical.
@@ -310,8 +320,9 @@ func oracleMinNormWith(p [][]float64, sc *oracleMinNormScratch) (*oracleMinNormR
 
 // oracleAffineScratch holds the dense solve buffers for affineMinNorm.
 type oracleAffineScratch struct {
-	m   []float64
-	rhs []float64
+	m        []float64
+	rhs      []float64
+	pivotEps float64 // the singularity threshold; 0 means oracleKKTPivotEps
 }
 
 // affineMinNorm returns the weights α (Σα = 1, unconstrained sign) of the
@@ -334,7 +345,11 @@ func (s *oracleAffineScratch) affineMinNorm(p [][]float64, sel []int) ([]float64
 			m[(1+j)*n+1+i] = g
 		}
 	}
-	if !oracleSolveDense(m, rhs, n) {
+	eps := s.pivotEps
+	if eps == 0 {
+		eps = oracleKKTPivotEps
+	}
+	if !oracleSolveDense(m, rhs, n, eps) {
 		return nil, errors.New("tverberg: affine min-norm system singular")
 	}
 	return rhs[1 : 1+k], nil
@@ -356,10 +371,10 @@ func (sc *oracleMinNormScratch) result(p [][]float64, x []float64, corral []int,
 
 // oracleSolveDense solves the n×n row-major system m·x = rhs in place by
 // Gaussian elimination with partial pivoting (rhs becomes x); false means
-// no pivot above kktPivotEps.
-func oracleSolveDense(m, rhs []float64, n int) bool {
+// no pivot above eps.
+func oracleSolveDense(m, rhs []float64, n int, eps float64) bool {
 	for col := 0; col < n; col++ {
-		p, best := -1, kktPivotEps
+		p, best := -1, eps
 		for i := col; i < n; i++ {
 			if v := math.Abs(m[i*n+col]); v > best {
 				p, best = i, v
