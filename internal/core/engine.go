@@ -29,49 +29,43 @@ import (
 //     compute the same point. The cache key is exactly that canonical
 //     multiset (bit-exact geometry.Key encoding) plus (d, f, method).
 //
-// The memoization table is effectively round-scoped: each round's states
-// move, so old entries stop being hit; the table is dropped wholesale when
-// it exceeds a fixed bound, keeping memory O(1) over long executions.
+// The memo tables (memoTable) are hash tables whose hits take no lock:
+// a lookup probes the current slot array through atomic loads, and only a
+// miss takes the table's mutex to insert. Each array starts small and
+// doubles with its content. The tables are effectively round-scoped: each
+// round's states move, so old entries stop being hit, and a table is
+// dropped wholesale when an insert finds it at its fixed bound, keeping
+// memory O(1) over long executions.
 //
 // An Engine is safe for concurrent use by multiple goroutines.
 type Engine struct {
 	workers int
 	memoize bool
 
-	mu     sync.Mutex
-	memo   map[string]*gammaEntry
-	ziMemo map[string]*ziEntry
+	memo *memoTable[gammaEntry] // per-candidate-set and prefix Γ-points
+	zi   *memoTable[meanEntry]  // whole AverageGamma reductions
 
 	// Radon-family cache (restricted-async f = 1 regime): per-B-set subset
 	// walks keyed by the canonical member-value sequence, with a drop-one
 	// sub-key index so a new B set can be built as a single-member delta of
 	// a sibling's family (safearea.RadonFamily), reusing the untouched
-	// subsets' points outright.
-	fams   map[string]*famEntry
+	// subsets' points outright. famSub is cleared whenever fams drops.
+	fams   *memoTable[meanEntry]
+	famMu  sync.Mutex
 	famSub map[string]famRef
 }
 
-// famEntry is one cached RadonFamily build (compute under once, like the
-// Γ-point entries).
-type famEntry struct {
-	once sync.Once
-	fam  *safearea.RadonFamily
-	mean geometry.Vector
-	n    int
-	err  error
-}
-
-// famRef locates a family that contains a given drop-one sub-pool: the
-// family's cache key plus the dropped slot.
+// famRef locates a finished family that contains a given drop-one
+// sub-pool: the family plus the dropped slot.
 type famRef struct {
-	key  string
+	fam  *safearea.RadonFamily
 	slot int
 }
 
-// maxMemoEntries bounds the memoization table; exceeding it drops the whole
-// table (cheap, deterministic, and correct — entries are pure functions of
-// their key). maxZiEntries bounds the coarser round-level table the same
-// way.
+// maxMemoEntries bounds the Γ-point table; an insert into a full table
+// drops the whole table first (cheap, deterministic, and correct — entries
+// are pure functions of their key). maxZiEntries and maxFamEntries bound
+// the round-level and Radon-family tables the same way.
 const (
 	maxMemoEntries = 1 << 15
 	maxZiEntries   = 1 << 12
@@ -89,11 +83,11 @@ type gammaEntry struct {
 	ok bool
 }
 
-// ziEntry memoizes a whole AverageGamma reduction: the Zi mean and size of
-// one ordered (origin, value) tuple sequence. In the synchronous exchange
-// all correct processes hold identical inboxes, so n−f reductions per round
-// collapse to one.
-type ziEntry struct {
+// meanEntry memoizes a whole Zi reduction: the mean and size of one
+// ordered (origin, value) tuple sequence (AverageGamma — in the synchronous
+// exchange all correct processes hold identical inboxes, so n−f reductions
+// per round collapse to one), or of one finished Radon family.
+type meanEntry struct {
 	once sync.Once
 	pt   geometry.Vector // read-only after once
 	n    int
@@ -108,10 +102,14 @@ func NewEngine(workers int, memoize bool) *Engine {
 	}
 	e := &Engine{workers: workers, memoize: memoize}
 	if memoize {
-		e.memo = make(map[string]*gammaEntry)
-		e.ziMemo = make(map[string]*ziEntry)
-		e.fams = make(map[string]*famEntry)
+		e.memo = newMemoTable[gammaEntry](maxMemoEntries, nil)
+		e.zi = newMemoTable[meanEntry](maxZiEntries, nil)
 		e.famSub = make(map[string]famRef)
+		e.fams = newMemoTable[meanEntry](maxFamEntries, func() {
+			e.famMu.Lock()
+			e.famSub = make(map[string]famRef)
+			e.famMu.Unlock()
+		})
 	}
 	return e
 }
@@ -129,45 +127,12 @@ func (e *Engine) Workers() int { return e.workers }
 
 // Reset drops every memoized Γ-point and round reduction.
 func (e *Engine) Reset() {
-	if e.memo == nil {
+	if !e.memoize {
 		return
 	}
-	e.mu.Lock()
-	e.memo = make(map[string]*gammaEntry)
-	e.ziMemo = make(map[string]*ziEntry)
-	e.fams = make(map[string]*famEntry)
-	e.famSub = make(map[string]famRef)
-	e.mu.Unlock()
-}
-
-// entry returns the memo entry for key, creating it if needed.
-func (e *Engine) entry(key []byte) *gammaEntry {
-	e.mu.Lock()
-	ent, ok := e.memo[string(key)]
-	if !ok {
-		if len(e.memo) >= maxMemoEntries {
-			e.memo = make(map[string]*gammaEntry)
-		}
-		ent = &gammaEntry{}
-		e.memo[string(key)] = ent
-	}
-	e.mu.Unlock()
-	return ent
-}
-
-// ziEntryFor returns the round-level memo entry for key.
-func (e *Engine) ziEntryFor(key []byte) *ziEntry {
-	e.mu.Lock()
-	ent, ok := e.ziMemo[string(key)]
-	if !ok {
-		if len(e.ziMemo) >= maxZiEntries {
-			e.ziMemo = make(map[string]*ziEntry)
-		}
-		ent = &ziEntry{}
-		e.ziMemo[string(key)] = ent
-	}
-	e.mu.Unlock()
-	return ent
+	e.memo.reset()
+	e.zi.reset()
+	e.fams.reset()
 }
 
 // appendMeta prefixes a memo key with the non-value parameters the Γ-point
@@ -193,26 +158,50 @@ func (e *Engine) SafePoint(y *geometry.Multiset, f int, method safearea.Method) 
 	for i := 0; i < y.Len(); i++ {
 		key = geometry.AppendKey(key, y.At(i))
 	}
-	ent := e.entry(key)
+	ent := e.memo.get(key)
 	fresh := false
 	ent.once.Do(func() {
 		fresh = true
 		ent.pt, ent.err = safearea.PointWith(y, f, method)
 	})
-	if fresh {
-		gammaStats.solves.Add(1)
-	} else {
-		gammaStats.cacheHits.Add(1)
-	}
+	var t gammaTally
+	t.record(fresh, ent.err, &t.cacheHits)
+	t.flush()
 	if ent.err != nil {
 		return nil, ent.err
 	}
 	return ent.pt.Clone(), nil
 }
 
+// gammaTally is one worker's share of the Γ-reuse counters, kept in plain
+// fields and added to the process-wide atomics once, by flush, when the
+// worker finishes.
+type gammaTally struct {
+	solves, cacheHits, prefixHits uint64
+}
+
+// record applies the one counting rule for a memo lookup: a fresh
+// computation is a solve, error or not; a recalled result is a hit (added
+// to *hits) only when it carries no error.
+func (t *gammaTally) record(fresh bool, err error, hits *uint64) {
+	switch {
+	case fresh:
+		t.solves++
+	case err == nil:
+		*hits++
+	}
+}
+
+func (t *gammaTally) flush() {
+	gammaStats.solves.Add(t.solves)
+	gammaStats.cacheHits.Add(t.cacheHits)
+	gammaStats.prefixHits.Add(t.prefixHits)
+}
+
 // gammaScratch is one worker's reusable state for per-candidate-set
 // Γ-points: the gathered and origin-sorted tuple selection, the value view
-// handed to the safe-area ladder, and the memo key buffer.
+// handed to the safe-area ladder, the memo key buffer, and the worker's
+// counter tally (flushed when the worker finishes).
 type gammaScratch struct {
 	e      *Engine
 	f      int
@@ -221,6 +210,7 @@ type gammaScratch struct {
 	sel    []tuple
 	vals   []geometry.Vector
 	key    []byte
+	gammaTally
 }
 
 func (e *Engine) scratch(k, d, f int, method safearea.Method) gammaScratch {
@@ -275,7 +265,7 @@ func (sc *gammaScratch) pointOfSel() (geometry.Vector, error) {
 		}
 	}
 	if !sc.e.memoize {
-		gammaStats.solves.Add(1)
+		sc.solves++
 		return sc.solve(sel)
 	}
 	// Sub-family (delta-key) lookup first: under the resolved method the
@@ -290,7 +280,7 @@ func (sc *gammaScratch) pointOfSel() (geometry.Vector, error) {
 			key = geometry.AppendKey(key, tp.value)
 		}
 		sc.key = key
-		ent := sc.e.entry(key)
+		ent := sc.e.memo.get(key)
 		fresh := false
 		ent.once.Do(func() {
 			fresh = true
@@ -301,16 +291,9 @@ func (sc *gammaScratch) pointOfSel() (geometry.Vector, error) {
 			}
 			ent.pt, ent.ok, ent.err = safearea.PointOnPrefix(ms, sc.f, sc.method)
 		})
-		if ent.err != nil {
-			return nil, ent.err
-		}
-		if ent.ok {
-			if fresh {
-				gammaStats.solves.Add(1)
-			} else {
-				gammaStats.prefixHits.Add(1)
-			}
-			return ent.pt, nil
+		if ent.ok || ent.err != nil {
+			sc.record(fresh, ent.err, &sc.prefixHits)
+			return ent.pt, ent.err
 		}
 		// Uncertified prefix: the superset's own ladder (including its
 		// fallbacks) decides, keyed by the full multiset below.
@@ -320,17 +303,13 @@ func (sc *gammaScratch) pointOfSel() (geometry.Vector, error) {
 		key = geometry.AppendKey(key, tp.value)
 	}
 	sc.key = key
-	ent := sc.e.entry(key)
+	ent := sc.e.memo.get(key)
 	fresh := false
 	ent.once.Do(func() {
 		fresh = true
 		ent.pt, ent.err = sc.solve(sel)
 	})
-	if fresh {
-		gammaStats.solves.Add(1)
-	} else if ent.err == nil {
-		gammaStats.cacheHits.Add(1)
-	}
+	sc.record(fresh, ent.err, &sc.cacheHits)
 	return ent.pt, ent.err
 }
 
@@ -389,7 +368,7 @@ func (e *Engine) AverageGamma(tuples []tuple, k, f int, method safearea.Method) 
 		key = binary.BigEndian.AppendUint32(key, uint32(tp.origin))
 		key = geometry.AppendKey(key, tp.value)
 	}
-	ent := e.ziEntryFor(key)
+	ent := e.zi.get(key)
 	fresh := false
 	ent.once.Do(func() {
 		fresh = true
@@ -436,6 +415,7 @@ func (e *Engine) averageGammaCompute(tuples []tuple, k, f int, method safearea.M
 		go func() {
 			defer wg.Done()
 			sc := e.scratch(k, d, f, method)
+			defer sc.flush()
 			idx := make([]int, k)
 			for {
 				r := next.Add(1) - 1
@@ -467,6 +447,7 @@ func (e *Engine) averageGammaCompute(tuples []tuple, k, f int, method safearea.M
 func (e *Engine) averageGammaSerial(tuples []tuple, k, f int, method safearea.Method, total int64, d int) (geometry.Vector, int, error) {
 	points := make([]geometry.Vector, 0, total)
 	sc := e.scratch(k, d, f, method)
+	defer sc.flush()
 	var gerr error
 	err := combin.Combinations(len(tuples), k, func(idx []int) bool {
 		pt, err := sc.point(tuples, idx)
@@ -512,18 +493,7 @@ func famKey(dst []byte, tuples []tuple, d, f int, method safearea.Method, skip i
 // subset walk — the family stores the identical points in the identical
 // order.
 func (e *Engine) radonFamilyMean(tuples []tuple, k, f int, method safearea.Method, d int) (geometry.Vector, int, error) {
-	key := string(famKey(make([]byte, 0, 10+8*len(tuples)*d), tuples, d, f, method, -1))
-	e.mu.Lock()
-	ent, ok := e.fams[key]
-	if !ok {
-		if len(e.fams) >= maxFamEntries {
-			e.fams = make(map[string]*famEntry)
-			e.famSub = make(map[string]famRef)
-		}
-		ent = &famEntry{}
-		e.fams[key] = ent
-	}
-	e.mu.Unlock()
+	ent := e.fams.get(famKey(make([]byte, 0, 10+8*len(tuples)*d), tuples, d, f, method, -1))
 	ent.once.Do(func() {
 		vals := make([]geometry.Vector, len(tuples))
 		for i, tp := range tuples {
@@ -531,25 +501,23 @@ func (e *Engine) radonFamilyMean(tuples []tuple, k, f int, method safearea.Metho
 		}
 		// Delta probe: find a finished sibling family missing exactly one
 		// of our members (and holding one we lack). Sub-keys are only
-		// registered after a family finishes building, so a hit is safe to
-		// read without its lock.
+		// registered after a family finishes building, and families are
+		// immutable, so a hit is safe to read without any lock.
 		var (
 			prev *safearea.RadonFamily
 			iNew = -1
 			jOld = -1
 		)
 		sub := make([]byte, 0, 10+8*len(tuples)*d)
-		e.mu.Lock()
+		e.famMu.Lock()
 		for i := range tuples {
 			sub = famKey(sub[:0], tuples, d, f, method, i)
 			if ref, ok := e.famSub[string(sub)]; ok {
-				if pe, ok := e.fams[ref.key]; ok && pe.fam != nil {
-					prev, iNew, jOld = pe.fam, i, ref.slot
-					break
-				}
+				prev, iNew, jOld = ref.fam, i, ref.slot
+				break
 			}
 		}
-		e.mu.Unlock()
+		e.famMu.Unlock()
 		var (
 			fam            *safearea.RadonFamily
 			reused, solved int
@@ -566,30 +534,24 @@ func (e *Engine) radonFamilyMean(tuples []tuple, k, f int, method safearea.Metho
 			ent.err = err
 			return
 		}
-		mean, count, merr := fam.MeanPoint()
-		ent.mean, ent.n, ent.err = mean, count, merr
-		if merr != nil {
+		ent.pt, ent.n, ent.err = fam.MeanPoint()
+		if ent.err != nil {
 			return
 		}
-		// Publish the family and register the drop-one sub-keys under the
-		// lock: delta probes read pe.fam under e.mu, and after a
-		// bound-triggered cache clear a probe can reach a RECREATED entry
-		// for this key while this builder is still finishing — the locked
-		// publication keeps that visibility race out of the memory model.
-		// Last registration wins; any finished family with the same
-		// sub-pool yields identical reused points.
-		e.mu.Lock()
-		ent.fam = fam
+		// Register the drop-one sub-keys of the finished family. Last
+		// registration wins; any finished family with the same sub-pool
+		// yields identical reused points.
+		e.famMu.Lock()
 		for i := range tuples {
 			sub = famKey(sub[:0], tuples, d, f, method, i)
-			e.famSub[string(sub)] = famRef{key: key, slot: i}
+			e.famSub[string(sub)] = famRef{fam: fam, slot: i}
 		}
-		e.mu.Unlock()
+		e.famMu.Unlock()
 	})
 	if ent.err != nil {
 		return nil, 0, ent.err
 	}
-	return ent.mean.Clone(), ent.n, nil
+	return ent.pt.Clone(), ent.n, nil
 }
 
 // AverageGammaSets is AverageGamma over explicitly materialized candidate
@@ -617,6 +579,7 @@ func (e *Engine) AverageGammaSets(sets [][]tuple, f int, method safearea.Method)
 	points := make([]geometry.Vector, len(sets))
 	if workers <= 1 {
 		sc := e.scratch(maxK, d, f, method)
+		defer sc.flush()
 		for i, set := range sets {
 			pt, err := sc.pointOfSet(set)
 			if err != nil {
@@ -637,6 +600,7 @@ func (e *Engine) AverageGammaSets(sets [][]tuple, f int, method safearea.Method)
 		go func() {
 			defer wg.Done()
 			sc := e.scratch(maxK, d, f, method)
+			defer sc.flush()
 			for {
 				r := int(next.Add(1) - 1)
 				if r >= len(sets) || failed.Load() {
@@ -657,6 +621,7 @@ func (e *Engine) AverageGammaSets(sets [][]tuple, f int, method safearea.Method)
 		// failing set in index order. The computation is deterministic, so
 		// the serial pass must fail too; the final error is a backstop.
 		sc := e.scratch(maxK, d, f, method)
+		defer sc.flush()
 		for _, set := range sets {
 			if _, err := sc.pointOfSet(set); err != nil {
 				return nil, 0, fmt.Errorf("core: safe point of candidate set: %w", err)

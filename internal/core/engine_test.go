@@ -1,10 +1,13 @@
 package core
 
 import (
+	"encoding/binary"
 	"math/rand"
 	"runtime"
+	"sync/atomic"
 	"testing"
 
+	"repro/internal/combin"
 	"repro/internal/geometry"
 	"repro/internal/safearea"
 )
@@ -145,6 +148,119 @@ func TestEngineMatchesReferenceAverage(t *testing.T) {
 			t.Fatalf("workers=%d: AverageGammaSets diverged from reference", workers)
 		}
 	}
+}
+
+// TestEngineCountersExactAcrossWorkers: the Γ-reuse counters follow one
+// rule — a fresh computation is a solve, error or not; a recalled result is
+// a hit only when it carries no error — so on a fresh engine the same inputs
+// produce the same counter deltas at every worker count, however the
+// per-worker tallies interleave.
+func TestEngineCountersExactAcrossWorkers(t *testing.T) {
+	rng := rand.New(rand.NewSource(5))
+	workerSets := []int{1, 4, runtime.GOMAXPROCS(0)}
+	for _, c := range []struct{ d, f int }{{1, 2}, {2, 1}, {2, 2}, {3, 1}} {
+		n := MinProcesses(VariantRestrictedSync, c.d, c.f)
+		tuples := randomTuples(rng, n, c.d)
+		k := n - c.f
+		var sets [][]tuple
+		if err := combin.Combinations(n, k, func(idx []int) bool {
+			set := make([]tuple, k)
+			for i, j := range idx {
+				set[i] = tuples[j]
+			}
+			sets = append(sets, set)
+			return true
+		}); err != nil {
+			t.Fatal(err)
+		}
+		var want GammaCounters
+		for i, workers := range workerSets {
+			eng := NewEngine(workers, true)
+			before := CountersSnapshot()
+			for rep := 0; rep < 2; rep++ { // rep 1 is a round hit
+				if _, _, err := eng.AverageGamma(tuples, k, c.f, safearea.MethodAuto); err != nil {
+					t.Fatal(err)
+				}
+			}
+			if _, _, err := eng.AverageGammaSets(sets, c.f, safearea.MethodAuto); err != nil {
+				t.Fatal(err)
+			}
+			got := CountersSnapshot().Sub(before)
+			if i == 0 {
+				if got.Solves == 0 || got.RoundHits != 1 {
+					t.Fatalf("d=%d f=%d: counters %+v, want solves and one round hit", c.d, c.f, got)
+				}
+				want = got
+			} else if got != want {
+				t.Fatalf("d=%d f=%d workers=%d: counters %+v, workers=1 gave %+v", c.d, c.f, workers, got, want)
+			}
+		}
+	}
+
+	// A candidate set whose solve errors (one member, f = 1: no subset
+	// survives) counts one solve, then nothing on every recall.
+	bad := [][]tuple{randomTuples(rng, 1, 2)}
+	ms, err := geometry.MultisetOf(bad[0][0].value)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, workers := range workerSets {
+		// Two engines: SafePoint shares the set path's full-multiset key.
+		sets, single := NewEngine(workers, true), NewEngine(workers, true)
+		for rep, want := range []GammaCounters{{Solves: 1}, {}, {}} {
+			before := CountersSnapshot()
+			if _, _, err := sets.AverageGammaSets(bad, 1, safearea.MethodAuto); err == nil {
+				t.Fatal("one-member candidate set with f = 1 solved")
+			}
+			if got := CountersSnapshot().Sub(before); got != want {
+				t.Fatalf("workers=%d AverageGammaSets rep %d: counters %+v, want %+v", workers, rep, got, want)
+			}
+			before = CountersSnapshot()
+			if _, err := single.SafePoint(ms, 1, safearea.MethodAuto); err == nil {
+				t.Fatal("one-member multiset with f = 1 solved")
+			}
+			if got := CountersSnapshot().Sub(before); got != want {
+				t.Fatalf("workers=%d SafePoint rep %d: counters %+v, want %+v", workers, rep, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkEngineMemo measures one Γ-point memo lookup with a
+// candidate-set-sized key: hit-parallel recalls a warmed key set from every
+// P at once (the lock-free path), miss inserts a fresh key per iteration
+// (hash, lock, key copy and node allocation, amortized resizes and drops).
+func BenchmarkEngineMemo(b *testing.B) {
+	b.Run("hit-parallel", func(b *testing.B) {
+		eng := NewEngine(0, true)
+		keys := make([][]byte, 4096)
+		for i := range keys {
+			keys[i] = memoTestKey(nil, i)
+			eng.memo.get(keys[i])
+		}
+		var goroutine atomic.Int64
+		b.ReportAllocs()
+		b.ResetTimer()
+		b.RunParallel(func(pb *testing.PB) {
+			i := int(goroutine.Add(1)) * 997
+			for pb.Next() {
+				if eng.memo.get(keys[i%len(keys)]) == nil {
+					b.Error("nil entry")
+					return
+				}
+				i++
+			}
+		})
+	})
+	b.Run("miss", func(b *testing.B) {
+		eng := NewEngine(1, true)
+		key := memoTestKey(nil, 0)
+		b.ReportAllocs()
+		for i := 0; b.Loop(); i++ {
+			binary.BigEndian.PutUint64(key[len(key)-8:], uint64(i))
+			eng.memo.get(key)
+		}
+	})
 }
 
 // BenchmarkAverageGammaCachedVsUncached measures the value of the Γ-point
