@@ -1,33 +1,25 @@
 // Command benchdiff compares two bvcbench -json trajectory files and fails
 // when any shared benchmark regressed beyond the threshold — the CI gate
-// that keeps the BENCH_*.json performance trajectory monotone. Its merge
-// subcommand joins cmd/bvcsweep shard files into one gateable trajectory.
+// that keeps the BENCH_*.json performance trajectory monotone.
 //
 // Usage:
 //
 //	benchdiff -baseline BENCH_baseline.json -candidate BENCH_pr.json
 //	benchdiff ... -threshold 0.25       # fail on >25% ns/op regression
 //	benchdiff ... -calibration ""       # disable hardware normalization
-//	benchdiff merge -out merged.json sweepdir/shard-*.jsonl
+//	benchdiff reuse -require e10 BENCH_pr.json
 //
-// The files are JSON-lines records as emitted by `bvcbench -json` or by
-// cmd/bvcsweep workers; the record schema (including the calibration
-// semantics, hardware-normalization rules and the shard-merge fields) is
-// documented in docs/BENCH_FORMAT.md. Records named by -calibration
-// (default "calibrate") measure a fixed CPU workload; when both files
-// carry one, every per-benchmark ratio is divided by the calibration
-// ratio, so a baseline recorded on a fast laptop compares fairly against
-// a candidate recorded on a slow CI runner and vice versa.
-//
-// `benchdiff merge` reconciles the per-shard calibration records of a
-// sweep — every shard's ns/op is rescaled into the reference (first)
-// shard's hardware units, host and GOMAXPROCS metadata are preserved per
-// record — and emits a single trajectory that this command's compare mode
-// accepts against a committed baseline.
+// The files are JSON-lines records as emitted by `bvcbench -json`; the
+// record schema and the calibration semantics are documented in
+// docs/BENCH_FORMAT.md. Records named by -calibration (default
+// "calibrate") measure a fixed CPU workload; when both files carry one,
+// every per-benchmark ratio is divided by the calibration ratio, so a
+// baseline recorded on a fast laptop compares fairly against a candidate
+// recorded on a slow CI runner and vice versa.
 //
 // Exit status is non-zero when any benchmark regresses beyond the
-// threshold, a baseline benchmark is missing from the candidate, or a
-// candidate record reports pass=false.
+// threshold, a baseline benchmark is missing from the candidate or lost
+// its allocation count, or any candidate record reports pass=false.
 package main
 
 import (
@@ -45,8 +37,6 @@ func main() {
 	args := os.Args[1:]
 	var err error
 	switch {
-	case len(args) > 0 && args[0] == "merge":
-		err = runMerge(args[1:], os.Stdout, os.Stderr)
 	case len(args) > 0 && args[0] == "reuse":
 		err = runReuse(args[1:], os.Stdout)
 	default:
@@ -82,9 +72,9 @@ type record struct {
 func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("benchdiff", flag.ContinueOnError)
 	fs.Usage = func() {
-		fmt.Fprintln(fs.Output(), "usage: benchdiff [flags]                      compare a candidate trajectory against a baseline")
-		fmt.Fprintln(fs.Output(), "       benchdiff merge [flags] shard.jsonl…  join bvcsweep shard files into one trajectory")
-		fmt.Fprintln(fs.Output(), "record schema, calibration semantics and shard-merge rules: docs/BENCH_FORMAT.md")
+		fmt.Fprintln(fs.Output(), "usage: benchdiff [flags]                         compare a candidate trajectory against a baseline")
+		fmt.Fprintln(fs.Output(), "       benchdiff reuse [flags] trajectory.json  summarize and gate Γ reuse")
+		fmt.Fprintln(fs.Output(), "record schema and calibration semantics: docs/BENCH_FORMAT.md")
 		fs.PrintDefaults()
 	}
 	baselinePath := fs.String("baseline", "BENCH_baseline.json", "committed trajectory file")
@@ -93,6 +83,9 @@ func run(args []string, w io.Writer) error {
 	calibration := fs.String("calibration", "calibrate", "benchmark name used to normalize hardware speed (empty disables)")
 	if err := fs.Parse(args); err != nil {
 		return err
+	}
+	if fs.NArg() > 0 {
+		return fmt.Errorf("unknown subcommand or argument %q (compare mode takes flags only)", fs.Arg(0))
 	}
 	if *threshold <= 0 {
 		return fmt.Errorf("invalid threshold %g", *threshold)
@@ -162,14 +155,16 @@ func run(args []string, w io.Writer) error {
 			fmt.Fprintf(w, "%-24s %14d %14s %9s %11s\n", name, b.NsPerOp, "-", "MISSING", "-")
 			continue
 		}
-		if !c.Pass {
-			failures = append(failures, fmt.Sprintf("%s: candidate record reports pass=false", name))
-		}
-		// Allocation gate: same threshold, calibration-normalized. Records
-		// without allocation instrumentation on either side (single-run
-		// grid cells report 0) are not gated.
+		// Allocation gate: same threshold, calibration-normalized. A
+		// candidate that reports no count for a row the baseline counts has
+		// lost its instrumentation, and would otherwise pass unchecked.
 		allocVerdict := "-"
-		if b.AllocsPerOp > 0 && c.AllocsPerOp > 0 {
+		switch {
+		case b.AllocsPerOp <= 0:
+		case c.AllocsPerOp <= 0:
+			allocVerdict = "MISSING"
+			failures = append(failures, fmt.Sprintf("%s: candidate reports no allocs/op (baseline %d)", name, b.AllocsPerOp))
+		default:
 			allocDelta := float64(c.AllocsPerOp)/(float64(b.AllocsPerOp)*allocScale) - 1
 			allocVerdict = fmt.Sprintf("%+.1f%%", allocDelta*100)
 			if allocDelta > *threshold {
@@ -191,12 +186,18 @@ func run(args []string, w io.Writer) error {
 		}
 		fmt.Fprintf(w, "%-24s %14d %14d %9s %11s\n", name, b.NsPerOp, c.NsPerOp, verdict, allocVerdict)
 	}
+	candNames := make([]string, 0, len(cand))
 	for name := range cand {
-		if name == *calibration {
-			continue
+		candNames = append(candNames, name)
+	}
+	sort.Strings(candNames)
+	for _, name := range candNames {
+		c := cand[name]
+		if !c.Pass {
+			failures = append(failures, fmt.Sprintf("%s: candidate record reports pass=false", name))
 		}
-		if _, ok := base[name]; !ok {
-			fmt.Fprintf(w, "%-24s %14s %14d %9s %11s\n", name, "-", cand[name].NsPerOp, "NEW", "-")
+		if _, ok := base[name]; !ok && name != *calibration {
+			fmt.Fprintf(w, "%-24s %14s %14d %9s %11s\n", name, "-", c.NsPerOp, "NEW", "-")
 		}
 	}
 	if len(failures) > 0 {

@@ -103,6 +103,47 @@ func TestFailedRecordFails(t *testing.T) {
 	}
 }
 
+// TestNewFailedRecordFails: pass=false fails the gate on every candidate
+// record, including one the baseline has never seen.
+func TestNewFailedRecordFails(t *testing.T) {
+	dir := t.TempDir()
+	b := write(t, dir, "base.json", baseline)
+	c := write(t, dir, "cand.json", `{"benchmark":"calibrate","ns_per_op":1000,"pass":true}
+{"benchmark":"e1","ns_per_op":100000,"pass":true}
+{"benchmark":"e2","ns_per_op":200000,"pass":true}
+{"benchmark":"e11","ns_per_op":900000,"pass":false}
+`)
+	var sb strings.Builder
+	err := run([]string{"-baseline", b, "-candidate", c}, &sb)
+	if err == nil || !strings.Contains(err.Error(), "e11: candidate record reports pass=false") {
+		t.Fatalf("expected e11 pass=false failure, got %v\n%s", err, sb.String())
+	}
+}
+
+// TestMissingAllocCountFails: a baseline row with an allocation count
+// fails when the candidate reports none, instead of skipping the gate.
+func TestMissingAllocCountFails(t *testing.T) {
+	dir := t.TempDir()
+	b := write(t, dir, "base.json", `{"benchmark":"e1","ns_per_op":100000,"allocs_per_op":1000,"pass":true}`)
+	c := write(t, dir, "cand.json", `{"benchmark":"e1","ns_per_op":100000,"allocs_per_op":0,"pass":true}`)
+	var sb strings.Builder
+	err := run([]string{"-baseline", b, "-candidate", c, "-calibration", ""}, &sb)
+	if err == nil || !strings.Contains(err.Error(), "e1: candidate reports no allocs/op") {
+		t.Fatalf("expected missing allocs/op failure, got %v\n%s", err, sb.String())
+	}
+}
+
+// TestUnknownSubcommandRejected: compare mode takes no positional
+// arguments, so a mistyped or removed subcommand is an error rather than
+// a compare against the default file names.
+func TestUnknownSubcommandRejected(t *testing.T) {
+	var sb strings.Builder
+	err := run([]string{"merge", "-out", "x.json"}, &sb)
+	if err == nil || !strings.Contains(err.Error(), `"merge"`) {
+		t.Fatalf("expected unknown-subcommand error, got %v", err)
+	}
+}
+
 func TestNewBenchmarkInformational(t *testing.T) {
 	dir := t.TempDir()
 	b := write(t, dir, "base.json", baseline)

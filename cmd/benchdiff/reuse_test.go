@@ -50,13 +50,12 @@ func TestAllocGate(t *testing.T) {
 		t.Fatalf("tiny calibrate alloc jitter must not fail unchanged allocs: %v\n%s", err, sb.String())
 	}
 
-	// Records without allocation instrumentation (grid cells report 0)
-	// are not gated.
-	b3 := write(t, dir, "base3.json", `{"benchmark":"cell","ns_per_op":1000,"allocs_per_op":0,"pass":true}`)
-	c3 := write(t, dir, "cand3.json", `{"benchmark":"cell","ns_per_op":1000,"allocs_per_op":999999,"pass":true}`)
+	// A baseline row without an allocation count has no ratio to gate.
+	b3 := write(t, dir, "base3.json", `{"benchmark":"e1","ns_per_op":1000,"allocs_per_op":0,"pass":true}`)
+	c3 := write(t, dir, "cand3.json", `{"benchmark":"e1","ns_per_op":1000,"allocs_per_op":999999,"pass":true}`)
 	sb.Reset()
 	if err := run([]string{"-baseline", b3, "-candidate", c3, "-calibration", ""}, &sb); err != nil {
-		t.Fatalf("uninstrumented records must not gate allocs: %v\n%s", err, sb.String())
+		t.Fatalf("a baseline row without allocs/op must not gate allocs: %v\n%s", err, sb.String())
 	}
 }
 

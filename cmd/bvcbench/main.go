@@ -15,15 +15,17 @@
 //	                             # GOMAXPROCS; results are bit-identical,
 //	                             # only wall clock changes)
 //
-// BENCH workflow: `bvcbench -json > BENCH_baseline.json` is committed at
-// the repository root as the performance trajectory point for the current
-// code. CI regenerates the same records into a BENCH_pr.json artifact and
-// gates merges with cmd/benchdiff, which fails on >25% ns/op regression
-// after normalizing by the "calibrate" record (a fixed CPU workload that
-// absorbs hardware-speed differences between the baseline machine and the
-// CI runner). The e10 scale sweep is additionally measured with serial
-// node stepping ("e10/nodeworkers=1") so the trajectory records the
-// cross-node parallelism headroom.
+// BENCH workflow: BENCH_baseline.json at the repository root is the
+// committed performance trajectory point; it is re-recorded as the
+// per-record median of three `GOMAXPROCS=1 bvcbench -json` runs
+// (docs/BENCH_FORMAT.md). CI regenerates the same records into
+// a BENCH_pr.json artifact with one run and gates merges with
+// cmd/benchdiff, which fails on >25% ns/op or allocs/op regression after
+// normalizing by the "calibrate" record (a fixed CPU workload that absorbs
+// hardware-speed differences between the baseline machine and the CI
+// runner). The e10 scale sweep is additionally measured with serial node
+// stepping ("e10/nodeworkers=1") so the trajectory records the cross-node
+// parallelism headroom.
 package main
 
 import (
@@ -182,11 +184,10 @@ type benchTarget struct {
 	run  func() (*harness.Table, error)
 }
 
-// benchJSON measures each target with harness.MeasureTable — the shared
-// cold-cache benchmark protocol, also used by cmd/bvcsweep workers, which
-// is what keeps bvcbench- and bvcsweep-recorded ns/op comparable — and
-// writes one JSON record per line, so successive PRs can archive
-// comparable BENCH_*.json trajectory points.
+// benchJSON measures each target with harness.MeasureTable — the
+// cold-cache benchmark protocol — and writes one JSON record per line, so
+// successive commits can archive comparable BENCH_*.json trajectory
+// points.
 func benchJSON(w *os.File, targets []benchTarget) error {
 	enc := json.NewEncoder(w)
 	for _, target := range targets {

@@ -10,7 +10,6 @@
 //	bvcload -rate 500 -duration 5s   # heavier sustained load
 //	bvcload -policy shed             # shed (drop+count) slow peers
 //	bvcload -minrate 200             # fail unless ≥200 inst/s achieved
-//	bvcload -json                    # BENCH records instead of the summary
 //	bvcload -chaos scenario.json     # replay a fault timeline under load
 //	bvcload -churn 3                 # replace 3 random processes mid-load
 //
@@ -35,26 +34,16 @@
 // -churn N is the scenario-free soak form of the same thing: N seeded
 // replacements spread evenly across the run, each retiring a random
 // process and admitting its successor at epoch+1.
-//
-// With -json the output is a bvcbench-schema trajectory fragment: the
-// standard leading "calibrate" record followed by live/* records whose
-// ns_per_op carry per-instance wall time and latency percentiles, with the
-// service counters attached (docs/BENCH_FORMAT.md documents the extra
-// fields). The fragment merges into BENCH_*.json trajectories with
-// `benchdiff merge`, which rescales by the calibrate record exactly as it
-// does for bvcsweep shards.
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
 	"io"
 	"math/rand"
 	"os"
-	"runtime"
 	"sort"
 	"sync"
 	"time"
@@ -62,7 +51,6 @@ import (
 	"repro"
 	"repro/internal/chaos"
 	"repro/internal/geometry"
-	"repro/internal/harness"
 	"repro/internal/hull"
 )
 
@@ -88,7 +76,6 @@ type loadConfig struct {
 	minRate   float64
 	warmup    int
 	outbox    int
-	jsonOut   bool
 	chaosPath string
 	churn     int
 }
@@ -111,7 +98,6 @@ func run(args []string, w io.Writer) error {
 	fs.Float64Var(&cfg.minRate, "minrate", 0, "fail when achieved instances/sec is below this (0 = no gate)")
 	fs.IntVar(&cfg.warmup, "warmup", -1, "warmup instances excluded from measurement (-1 = max(10, 5% of count); cold-start tails otherwise dominate p99)")
 	fs.IntVar(&cfg.outbox, "outbox", 0, "per-peer outbox depth in frames (0 = service default); partitions queue traffic here, so size it as rate x frames-per-instance x longest partition")
-	fs.BoolVar(&cfg.jsonOut, "json", false, "emit bvcbench-schema JSON records instead of the summary")
 	fs.StringVar(&cfg.chaosPath, "chaos", "", "chaos scenario JSON (internal/chaos): replay its fault timeline under load")
 	fs.IntVar(&cfg.churn, "churn", 0, "membership churn: replace this many seeded-random processes mid-load, each at epoch+1")
 	if err := fs.Parse(args); err != nil {
@@ -121,13 +107,7 @@ func run(args []string, w io.Writer) error {
 	if err != nil {
 		return err
 	}
-	if cfg.jsonOut {
-		if err := emitJSON(w, cfg, res); err != nil {
-			return err
-		}
-	} else {
-		res.summarize(w, cfg)
-	}
+	res.summarize(w, cfg)
 	return res.gate(cfg)
 }
 
@@ -636,118 +616,4 @@ func (r *loadResult) summarize(w io.Writer, cfg loadConfig) {
 		fmt.Fprintf(w, "chaos      %d frames seen: %d delayed, %d dropped, %d dup, %d reordered, %d corrupted, %d blackholed; %d conns killed, %d dials refused\n",
 			c.Frames, c.Delayed, c.Dropped, c.Duplicated, c.Reordered, c.Corrupted, c.Blackholed, c.KilledConns, c.RefusedDials)
 	}
-}
-
-// loadRecord is one bvcload JSON record: the bvcbench benchRecord schema
-// plus live-load extension fields (ignored by benchdiff's comparator;
-// documented in docs/BENCH_FORMAT.md).
-type loadRecord struct {
-	Benchmark   string  `json:"benchmark"`
-	Iterations  int     `json:"iterations"`
-	NsPerOp     int64   `json:"ns_per_op"`
-	AllocsPerOp int64   `json:"allocs_per_op"`
-	BytesPerOp  int64   `json:"bytes_per_op"`
-	Pass        bool    `json:"pass"`
-	Seconds     float64 `json:"seconds"`
-	GoMaxProcs  int     `json:"gomaxprocs"`
-
-	Processes      int     `json:"processes,omitempty"`
-	Instances      int     `json:"instances,omitempty"`
-	TargetRate     float64 `json:"target_rate,omitempty"`
-	AchievedRate   float64 `json:"achieved_rate,omitempty"`
-	FramesIn       int64   `json:"frames_in,omitempty"`
-	FramesOut      int64   `json:"frames_out,omitempty"`
-	BytesIn        int64   `json:"bytes_in,omitempty"`
-	BytesOut       int64   `json:"bytes_out,omitempty"`
-	SlowPeerSheds  int64   `json:"slow_peer_sheds,omitempty"`
-	WriteDrops     int64   `json:"write_drops,omitempty"`
-	WriteRetries   int64   `json:"write_retries,omitempty"`
-	PendingDropped int64   `json:"pending_dropped,omitempty"`
-	Reconnects     int64   `json:"reconnects,omitempty"`
-	ReadErrors     int64   `json:"read_errors,omitempty"`
-
-	ChaosFrames    int64 `json:"chaos_frames,omitempty"`
-	ChaosDropped   int64 `json:"chaos_dropped,omitempty"`
-	ChaosCorrupted int64 `json:"chaos_corrupted,omitempty"`
-	CrashAborted   int64 `json:"crash_aborted,omitempty"`
-
-	Epoch             uint64 `json:"epoch,omitempty"`
-	Reconfigures      int64  `json:"reconfigures,omitempty"`
-	StaleEpochRejects int64  `json:"stale_epoch_rejects,omitempty"`
-	RetiredEpochs     int64  `json:"retired_epochs,omitempty"`
-}
-
-// emitJSON writes the trajectory fragment: calibrate first (the hardware
-// normalization record every BENCH file leads with), then the live/*
-// records.
-func emitJSON(w io.Writer, cfg loadConfig, res *loadResult) error {
-	enc := json.NewEncoder(w)
-	tbl, br, _, err := harness.MeasureTable(harness.Calibrate)
-	if err != nil {
-		return fmt.Errorf("calibrate: %w", err)
-	}
-	if err := enc.Encode(loadRecord{
-		Benchmark:   "calibrate",
-		Iterations:  br.N,
-		NsPerOp:     br.NsPerOp(),
-		AllocsPerOp: br.AllocsPerOp(),
-		BytesPerOp:  br.AllocedBytesPerOp(),
-		Pass:        tbl != nil && tbl.Pass,
-		Seconds:     br.T.Seconds(),
-		GoMaxProcs:  runtime.GOMAXPROCS(0),
-	}); err != nil {
-		return err
-	}
-	pass := res.gate(cfg) == nil
-	var st bvc.ServiceStats
-	for _, s := range res.stats {
-		st.FramesIn += s.FramesIn
-		st.FramesOut += s.FramesOut
-		st.BytesIn += s.BytesIn
-		st.BytesOut += s.BytesOut
-		st.SlowPeerSheds += s.SlowPeerSheds
-		st.WriteDrops += s.WriteDrops
-		st.WriteRetries += s.WriteRetries
-		st.PendingDropped += s.PendingDropped
-		st.Reconnects += s.Reconnects
-		st.ReadErrors += s.ReadErrors
-		st.Reconfigures += s.Reconfigures
-		st.StaleEpochRejects += s.StaleEpochRejects
-		st.RetiredEpochs += s.RetiredEpochs
-		if s.Epoch > st.Epoch {
-			st.Epoch = s.Epoch
-		}
-	}
-	perInstance := int64(0)
-	if res.instances > 0 {
-		perInstance = res.elapsed.Nanoseconds() / int64(res.instances)
-	}
-	records := []loadRecord{
-		{
-			Benchmark: "live/instance", Iterations: res.instances, NsPerOp: perInstance,
-			Processes: cfg.n, Instances: res.instances,
-			TargetRate: cfg.rate, AchievedRate: res.achievedRate(),
-			FramesIn: st.FramesIn, FramesOut: st.FramesOut,
-			BytesIn: st.BytesIn, BytesOut: st.BytesOut,
-			SlowPeerSheds: st.SlowPeerSheds, WriteDrops: st.WriteDrops,
-			WriteRetries:   st.WriteRetries,
-			PendingDropped: st.PendingDropped, Reconnects: st.Reconnects,
-			ReadErrors:  st.ReadErrors,
-			ChaosFrames: res.chaos.Frames, ChaosDropped: res.chaos.Dropped,
-			ChaosCorrupted: res.chaos.Corrupted, CrashAborted: int64(res.crashAborted),
-			Epoch: st.Epoch, Reconfigures: st.Reconfigures,
-			StaleEpochRejects: st.StaleEpochRejects, RetiredEpochs: st.RetiredEpochs,
-		},
-		{Benchmark: "live/latency_p50", Iterations: res.instances, NsPerOp: res.percentile(0.50).Nanoseconds()},
-		{Benchmark: "live/latency_p99", Iterations: res.instances, NsPerOp: res.percentile(0.99).Nanoseconds()},
-	}
-	for i := range records {
-		records[i].Pass = pass
-		records[i].Seconds = res.elapsed.Seconds()
-		records[i].GoMaxProcs = runtime.GOMAXPROCS(0)
-		if err := enc.Encode(records[i]); err != nil {
-			return err
-		}
-	}
-	return nil
 }

@@ -1,50 +1,11 @@
 package main
 
 import (
-	"bufio"
 	"bytes"
-	"encoding/json"
+	"fmt"
 	"strings"
 	"testing"
 )
-
-// TestLoadJSON runs a small live load and checks the emitted trajectory
-// fragment: leading calibrate record, live/* records, all passing, with
-// the service counters attached.
-func TestLoadJSON(t *testing.T) {
-	var out bytes.Buffer
-	err := run([]string{"-rate", "250", "-instances", "24", "-json", "-minrate", "1"}, &out)
-	if err != nil {
-		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
-	}
-	var names []string
-	sc := bufio.NewScanner(&out)
-	for sc.Scan() {
-		var rec loadRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			t.Fatalf("bad record %q: %v", sc.Text(), err)
-		}
-		if !rec.Pass {
-			t.Errorf("record %s has pass=false", rec.Benchmark)
-		}
-		if rec.NsPerOp <= 0 {
-			t.Errorf("record %s has ns_per_op=%d", rec.Benchmark, rec.NsPerOp)
-		}
-		if rec.Benchmark == "live/instance" {
-			if rec.Instances != 24 || rec.Processes != 5 {
-				t.Errorf("live/instance: instances=%d processes=%d", rec.Instances, rec.Processes)
-			}
-			if rec.FramesOut == 0 || rec.BytesOut == 0 {
-				t.Errorf("live/instance: empty transport counters: %+v", rec)
-			}
-		}
-		names = append(names, rec.Benchmark)
-	}
-	want := []string{"calibrate", "live/instance", "live/latency_p50", "live/latency_p99"}
-	if strings.Join(names, ",") != strings.Join(want, ",") {
-		t.Fatalf("records %v, want %v", names, want)
-	}
-}
 
 // TestLoadSummary checks the human-readable mode and the shed policy path.
 func TestLoadSummary(t *testing.T) {
@@ -64,33 +25,23 @@ func TestLoadSummary(t *testing.T) {
 // the validity gate still required to hold on every decision.
 func TestLoadChurn(t *testing.T) {
 	var out bytes.Buffer
-	err := run([]string{"-rate", "100", "-duration", "800ms", "-churn", "1", "-json"}, &out)
+	err := run([]string{"-rate", "100", "-duration", "800ms", "-churn", "1"}, &out)
 	if err != nil {
 		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
 	}
-	sc := bufio.NewScanner(&out)
-	var live *loadRecord
-	for sc.Scan() {
-		var rec loadRecord
-		if err := json.Unmarshal(sc.Bytes(), &rec); err != nil {
-			t.Fatalf("bad record %q: %v", sc.Text(), err)
-		}
-		if !rec.Pass {
-			t.Errorf("record %s has pass=false", rec.Benchmark)
-		}
-		if rec.Benchmark == "live/instance" {
-			r := rec
-			live = &r
+	var epoch, reconfigures int
+	for _, line := range strings.Split(out.String(), "\n") {
+		if strings.HasPrefix(line, "epochs") {
+			if _, err := fmt.Sscanf(line, "epochs at epoch %d, %d reconfigures", &epoch, &reconfigures); err != nil {
+				t.Fatalf("bad epochs line %q: %v", line, err)
+			}
 		}
 	}
-	if live == nil {
-		t.Fatal("no live/instance record")
+	if epoch < 1 {
+		t.Errorf("epoch = %d after one replacement, want ≥ 1\n%s", epoch, out.String())
 	}
-	if live.Epoch < 1 {
-		t.Errorf("epoch = %d after one replacement, want ≥ 1", live.Epoch)
-	}
-	if live.Reconfigures < 4 {
-		t.Errorf("reconfigures = %d, want ≥ 4 (every survivor adopts)", live.Reconfigures)
+	if reconfigures < 4 {
+		t.Errorf("reconfigures = %d, want ≥ 4 (every survivor adopts)\n%s", reconfigures, out.String())
 	}
 }
 

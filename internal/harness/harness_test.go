@@ -4,6 +4,8 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+
+	"repro"
 )
 
 func TestE1SyncNecessity(t *testing.T) {
@@ -240,5 +242,46 @@ func TestAll(t *testing.T) {
 		if !tbl.Pass {
 			t.Errorf("%s failed:\n%s", tbl.ID, tbl)
 		}
+	}
+}
+
+// TestAllIdenticalAcrossEngineOptions: the default engine, serial uncached
+// Γ solves and serial node stepping render the whole suite byte for byte
+// the same; the engine options only move work and memory around.
+func TestAllIdenticalAcrossEngineOptions(t *testing.T) {
+	if testing.Short() {
+		t.Skip("three full experiment sweeps in -short mode")
+	}
+	t.Cleanup(func() { SetEngineOptions(0, false, 0) })
+	render := func(workers int, disableCache bool, nodeWorkers int) string {
+		SetEngineOptions(workers, disableCache, nodeWorkers)
+		bvc.ResetEngineCaches()
+		tables, err := All(1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var b strings.Builder
+		for _, tbl := range tables {
+			b.WriteString(tbl.String())
+		}
+		return b.String()
+	}
+	want := render(0, false, 0)
+	for _, opt := range []struct {
+		workers      int
+		disableCache bool
+		nodeWorkers  int
+	}{{1, true, 0}, {0, false, 1}} {
+		got := render(opt.workers, opt.disableCache, opt.nodeWorkers)
+		if got == want {
+			continue
+		}
+		i := 0
+		for i < len(got) && i < len(want) && got[i] == want[i] {
+			i++
+		}
+		lo := max(0, i-80)
+		t.Errorf("%+v: output differs from the default engine's at byte %d:\n got …%s\nwant …%s",
+			opt, i, got[lo:min(len(got), i+80)], want[lo:min(len(want), i+80)])
 	}
 }

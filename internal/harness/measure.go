@@ -7,9 +7,8 @@ import (
 )
 
 // MeasureTable measures one experiment runner (or the calibration
-// kernel) with the standard benchmark machinery — the single measurement
-// protocol behind every BENCH record, shared by cmd/bvcbench and
-// cmd/bvcsweep so their ns/op stay comparable. The Γ-point caches are
+// kernel) with the standard benchmark machinery — the measurement protocol
+// behind every record cmd/bvcbench -json emits. The Γ-point caches are
 // reset before every iteration so each measures a cold-cache run
 // (within-run memoization still counts — that is product behavior);
 // without the reset, later iterations would replay the process-wide memo

@@ -2,9 +2,8 @@ package harness
 
 import "math"
 
-// ExperimentOrder fixes the canonical emission order of the experiment
-// suite — cmd/bvcbench's -json trajectory and cmd/bvcsweep's experiment
-// units both follow it, so records stay in a stable order across tools.
+// ExperimentOrder fixes the canonical order of the experiment suite: All
+// renders the tables in it and cmd/bvcbench -json emits its records in it.
 var ExperimentOrder = []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "e9", "e10", "f1", "f2"}
 
 // Runners returns the experiment registry: one runner per ExperimentOrder
@@ -40,10 +39,9 @@ var calibrateSink float64
 // walk over an L1/L2-sized buffer) approximates the suite's compute/memory
 // balance without sharing any of its code.
 //
-// Both cmd/bvcbench and cmd/bvcsweep workers lead their trajectories with
-// a benchmark of this kernel (the "calibrate" record); cmd/benchdiff uses
-// the ratio between two such records to normalize away hardware-speed
-// differences, including per-host differences between sweep shards (see
+// cmd/bvcbench -json leads every trajectory with a benchmark of this
+// kernel (the "calibrate" record); cmd/benchdiff uses the ratio between
+// two such records to normalize away hardware-speed differences (see
 // docs/BENCH_FORMAT.md).
 func Calibrate() (*Table, error) {
 	x, s := 1.1, 0.0

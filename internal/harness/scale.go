@@ -17,9 +17,9 @@ import (
 var E10RowCells = []SweepCell{
 	{Variant: "rsync", D: 3, F: 2, N: 15, Adversary: "mixed", Seed: 1},
 	{Variant: "approx", D: 4, F: 2, N: 15, Adversary: "lure", Delay: "exponential", Seed: 1},
-	// Formerly fragile cells (FragileGamma), unlocked by the revised
-	// simplex core: the restricted-sync Lemma-1 tight bound and a
-	// restricted-async f = 2 row. The rasync row runs the
+	// Formerly fragile cells (restricted f ≥ 2 at the Lemma-1 threshold),
+	// unlocked by the revised simplex core: the restricted-sync tight
+	// bound and a restricted-async f = 2 row. The rasync row runs the
 	// shifted-exponential delay model, so it also exercises nonzero
 	// lookahead under a heavy-tailed schedule.
 	{Variant: "rsync", D: 3, F: 2, N: 11, Adversary: "mixed", Seed: 1},
@@ -169,7 +169,8 @@ func E10ScaleSweep(seed int64) (*Table, error) {
 	// 3.2·10⁴), so the n = 15 rows run
 	// under the γ-aware budget (GammaBudget): a ⌈log₂(1/γ)⌉ horizon judged
 	// by range contraction plus validity — the per-round guarantees the
-	// termination proof iterates. cmd/bvcsweep grids use the same budget.
+	// termination proof iterates. TestGridCellsVerify's cells use the same
+	// budget.
 	for _, cell := range []SweepCell{
 		{Variant: "rsync", D: 3, F: 2, N: 15, Adversary: "mixed", Seed: seed},
 		{Variant: "approx", D: 4, F: 2, N: 15, Adversary: "lure", Delay: "exponential", Seed: seed},

@@ -8,9 +8,10 @@ import (
 	"repro"
 )
 
-// SweepCell is one grid point of a cmd/bvcsweep experiment sweep: a fully
-// specified simulated execution. The zero values of Epsilon (→ 0.05) and
-// N (→ the paper's tight bound) are resolved by Normalize.
+// SweepCell is one grid point of the paper's (variant, n, d, f, adversary,
+// delay, seed) parameter space: a fully specified simulated execution. The
+// zero values of Epsilon (→ 0.05) and N (→ the paper's tight bound) are
+// resolved by Normalize.
 type SweepCell struct {
 	// Variant is one of "exact", "approx", "rsync", "rasync".
 	Variant string
@@ -30,19 +31,16 @@ type SweepCell struct {
 	Epsilon float64
 }
 
-// SweepVariants lists the accepted SweepCell.Variant values.
-var SweepVariants = []string{"exact", "approx", "rsync", "rasync"}
+// sweepAdversaries lists the accepted SweepCell.Adversary values.
+var sweepAdversaries = []string{"none", "mixed", "silent", "equivocate", "lure", "random"}
 
-// SweepAdversaries lists the accepted SweepCell.Adversary values.
-var SweepAdversaries = []string{"none", "mixed", "silent", "equivocate", "lure", "random"}
-
-// SweepDelays lists the accepted SweepCell.Delay values for asynchronous
+// sweepDelays lists the accepted SweepCell.Delay values for asynchronous
 // variants; synchronous variants use "none". "shiftedexp" is the
 // shifted-exponential model (constant floor + exponential tail): the
 // heavy-tailed stress schedule with a nonzero Lookahead bound, so the
 // discrete-event engine batches whole delay windows instead of single
 // timestamps.
-var SweepDelays = []string{"none", "constant", "uniform", "exponential", "shiftedexp"}
+var sweepDelays = []string{"none", "constant", "uniform", "exponential", "shiftedexp"}
 
 func (c SweepCell) variant() (bvc.Variant, error) {
 	switch c.Variant {
@@ -67,8 +65,8 @@ func (c SweepCell) Synchronous() bool {
 
 // Normalize resolves defaults (tight-bound N, ε = 0.05, delay "none" for
 // synchronous variants) and validates the cell. The returned cell is
-// canonical: two specs expanding to the same execution produce identical
-// normalized cells, which is what sweep resume and shard assignment key on.
+// canonical: two descriptions of the same execution normalize to identical
+// cells, so their Names coincide.
 func (c SweepCell) Normalize() (SweepCell, error) {
 	v, err := c.variant()
 	if err != nil {
@@ -97,7 +95,7 @@ func (c SweepCell) Normalize() (SweepCell, error) {
 		c.Delay = "constant"
 	}
 	okDelay := false
-	for _, d := range SweepDelays {
+	for _, d := range sweepDelays {
 		if c.Delay == d {
 			okDelay = true
 		}
@@ -106,7 +104,7 @@ func (c SweepCell) Normalize() (SweepCell, error) {
 		return c, fmt.Errorf("harness: unknown sweep delay %q", c.Delay)
 	}
 	okAdv := false
-	for _, a := range SweepAdversaries {
+	for _, a := range sweepAdversaries {
 		if c.Adversary == a {
 			okAdv = true
 		}
@@ -117,35 +115,9 @@ func (c SweepCell) Normalize() (SweepCell, error) {
 	return c, nil
 }
 
-// FragileGamma reports whether the cell sits in the FORMERLY fragile Γ
-// regime: restricted-sync cells with f ≥ 2 whose candidate sets are
-// exactly at the Lemma-1 threshold (n − f = (d+1)f + 1 — tight-bound
-// cells, where Γ degenerates toward a single point), and every
-// restricted-async cell with f ≥ 2. The dense-tableau lex-min LP could
-// fail on these degenerate hull intersections, so cmd/bvcsweep used to
-// skip them by default; the revised LU-based simplex core retired that
-// failure mode (internal/lp, pinned by internal/safearea's
-// fragile-region regression corpus) and the cells now run by default.
-// The predicate remains for the spec-level `exclude_fragile` escape hatch
-// and for labeling the regime in reports.
-func (c SweepCell) FragileGamma() bool {
-	if c.F < 2 {
-		return false
-	}
-	switch c.Variant {
-	case "rasync":
-		return true
-	case "rsync":
-		return c.N-c.F == (c.D+1)*c.F+1
-	default:
-		return false
-	}
-}
-
-// Name returns the cell's stable record identifier, e.g.
-// "sweep/rasync/n15d3f2/mixed/exponential/s1". Resume and shard merging
-// key on it, so its format is part of the BENCH record contract
-// (docs/BENCH_FORMAT.md).
+// Name returns the cell's stable identifier, e.g.
+// "sweep/rasync/n15d3f2/mixed/exponential/s1"; error messages and the
+// grid test's subtests are named by it.
 func (c SweepCell) Name() string {
 	return fmt.Sprintf("sweep/%s/n%dd%df%d/%s/%s/s%d",
 		c.Variant, c.N, c.D, c.F, c.Adversary, c.Delay, c.Seed)

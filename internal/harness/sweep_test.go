@@ -74,29 +74,6 @@ func TestSweepCellNormalize(t *testing.T) {
 	}
 }
 
-func TestFragileGamma(t *testing.T) {
-	cases := []struct {
-		cell SweepCell
-		want bool
-	}{
-		// Restricted sync at the tight bound: candidate size n−f equals the
-		// Lemma-1 threshold (d+1)f+1 — fragile for f ≥ 2.
-		{SweepCell{Variant: "rsync", N: 11, D: 3, F: 2}, true},
-		{SweepCell{Variant: "rsync", N: 13, D: 3, F: 2}, false}, // above threshold
-		{SweepCell{Variant: "rsync", N: 5, D: 2, F: 1}, false},  // f = 1: Radon path
-		{SweepCell{Variant: "rasync", N: 13, D: 2, F: 2}, true}, // rasync f ≥ 2: always
-		{SweepCell{Variant: "rasync", N: 15, D: 2, F: 2}, true},
-		{SweepCell{Variant: "rasync", N: 9, D: 2, F: 1}, false},
-		{SweepCell{Variant: "exact", N: 9, D: 2, F: 2}, false},
-		{SweepCell{Variant: "approx", N: 9, D: 2, F: 2}, false},
-	}
-	for _, tc := range cases {
-		if got := tc.cell.FragileGamma(); got != tc.want {
-			t.Errorf("FragileGamma(%+v) = %v, want %v", tc.cell, got, tc.want)
-		}
-	}
-}
-
 // TestRunSweepCellFullBudget: an exact cell runs to termination and
 // verifies under the full regime.
 func TestRunSweepCellFullBudget(t *testing.T) {
@@ -134,7 +111,7 @@ func TestRunSweepCellHorizonBudget(t *testing.T) {
 }
 
 // TestRunSweepCellDeterministic: identical cells produce identical
-// measured outcomes (the property resume and shard merging rely on).
+// measured outcomes.
 func TestRunSweepCellDeterministic(t *testing.T) {
 	cell := SweepCell{Variant: "approx", D: 2, F: 1, Adversary: "mixed", Delay: "exponential", Seed: 11}
 	a, err := RunSweepCell(cell)
@@ -148,5 +125,82 @@ func TestRunSweepCellDeterministic(t *testing.T) {
 	if a.Messages != b.Messages || a.Rounds != b.Rounds ||
 		a.SpreadStart != b.SpreadStart || a.SpreadEnd != b.SpreadEnd || a.Verified != b.Verified {
 		t.Errorf("re-run diverged:\n%+v\n%+v", a, b)
+	}
+}
+
+// gridCells returns the cells TestGridCellsVerify runs: the paper's tight
+// bounds (n ≥ max(3f+1, (d+1)f+1) sync, n ≥ (d+2)f+1 async) at d ≤ 4,
+// f ≤ 3 and n ≤ 15, under no adversary and the full-strength mixed one.
+// Each grid keeps the n within slack of its cell's bound, and a cell two
+// grids share runs once, under the first grid that lists it. The first
+// grid is the formerly fragile region (restricted f ≥ 2 at and above the
+// Lemma-1 threshold); its n ≤ 13 cells are the -short subset.
+func gridCells() (cells []SweepCell, short map[string]bool) {
+	grids := []struct {
+		variants     []string
+		dims, faults []int
+		slack        int
+		delays       []string
+		short        bool
+	}{
+		{[]string{"rsync", "rasync"}, []int{2, 3, 4}, []int{2, 3}, 6, []string{"shiftedexp"}, true},
+		{[]string{"exact", "approx", "rsync"}, []int{2, 3, 4}, []int{1, 2, 3}, 2, []string{"exponential"}, false},
+		{[]string{"rasync"}, []int{2, 3, 4}, []int{1, 2}, 6, []string{"exponential", "shiftedexp"}, false},
+	}
+	short = make(map[string]bool)
+	seen := make(map[string]bool)
+	for _, g := range grids {
+		for _, variant := range g.variants {
+			for _, d := range g.dims {
+				for _, f := range g.faults {
+					for _, n := range []int{9, 11, 13, 15} {
+						for _, adv := range []string{"none", "mixed"} {
+							for _, delay := range g.delays {
+								c, err := SweepCell{Variant: variant, N: n, D: d, F: f, Adversary: adv, Delay: delay, Seed: 1}.Normalize()
+								if err != nil {
+									continue // n below the bound: no such cell
+								}
+								v, _ := c.variant()
+								if n-bvc.MinProcesses(v, d, f) > g.slack || seen[c.Name()] {
+									continue
+								}
+								seen[c.Name()] = true
+								cells = append(cells, c)
+								if g.short && n <= 13 {
+									short[c.Name()] = true
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	return cells, short
+}
+
+// TestGridCellsVerify runs every grid cell and requires each to verify
+// under its γ-aware budget: exact agreement and validity, ε-agreement and
+// validity, or contraction and validity over the horizon. -short runs only
+// the fragile region's n ≤ 13 cells.
+func TestGridCellsVerify(t *testing.T) {
+	cells, short := gridCells()
+	if len(cells) != 110 || len(short) != 16 {
+		t.Fatalf("grid has %d cells (%d short), want 110 (16)", len(cells), len(short))
+	}
+	for _, c := range cells {
+		if testing.Short() && !short[c.Name()] {
+			continue
+		}
+		t.Run(c.Name(), func(t *testing.T) {
+			t.Parallel()
+			out, err := RunSweepCell(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !out.Verified {
+				t.Errorf("not verified: %+v", out)
+			}
+		})
 	}
 }

@@ -5,8 +5,9 @@
 // cmd/bvcbench regenerates all of them; the test suite asserts their
 // pass/fail verdicts. The package also provides the shared experiment
 // registry (Runners, ExperimentOrder), the BENCH hardware-calibration
-// kernel (Calibrate), and the sweep-cell substrate cmd/bvcsweep executes
-// grids with (SweepCell, RunSweepCell, GammaBudget).
+// kernel (Calibrate), and the sweep-cell substrate the grid test and the
+// bench/ simulator workloads execute (SweepCell, RunSweepCell,
+// GammaBudget).
 package harness
 
 import (

@@ -16,9 +16,9 @@ import (
 //
 // Under the dense accumulated-tableau core these instances failed at a
 // ~25% rate ("hull: lexmin stage 1 infeasible after pinning", simplex
-// iteration cap); PR 3 mapped the region empirically and cmd/bvcsweep
-// skipped it by default (harness.SweepCell.FragileGamma). The revised
-// LU-based simplex core retires the failure mode; this corpus pins that.
+// iteration cap), so grid sweeps used to skip the region. The revised
+// LU-based simplex core retires the failure mode; this corpus pins that,
+// and internal/harness's TestGridCellsVerify runs the region end to end.
 var fragileCorpus = []struct {
 	d, f  int
 	seeds int

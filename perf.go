@@ -4,9 +4,9 @@ import "repro/internal/core"
 
 // GammaCounters is a snapshot of the Γ-point engine's process-wide reuse
 // counters, quantifying how much of the Γ workload the incremental layers
-// absorbed instead of solving from scratch. See the field docs; the
-// benchmark tooling (cmd/bvcbench -json, cmd/bvcsweep) records the
-// per-measurement deltas, and cmd/benchdiff's reuse report gates on them.
+// absorbed instead of solving from scratch. See the field docs;
+// cmd/bvcbench -json records the per-measurement deltas, and
+// cmd/benchdiff's reuse report gates on them.
 type GammaCounters struct {
 	// Solves counts Γ-points computed from scratch (memo misses, or the
 	// memoization disabled).
