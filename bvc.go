@@ -48,8 +48,7 @@
 //   - DisableGammaCache switches the memoization off (for measurement; the
 //     cache is exact, bounded, and dropped wholesale when full).
 //
-// The cmd/bvcbench -json mode records per-experiment ns/op and allocs/op so
-// perf trajectories can be tracked across changes.
+// EngineGammaCounters reports how much of the Γ workload the memo absorbed.
 package bvc
 
 import (

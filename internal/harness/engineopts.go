@@ -4,10 +4,9 @@ import "repro"
 
 // engineOptions is the harness-wide simulation-engine configuration folded
 // into every experiment's SimOptions. The zero value selects the library
-// defaults (GOMAXPROCS for both worker pools, memoization on);
-// cmd/bvcbench's -workers, -gammacache and -nodeworkers flags change it.
-// Every configuration produces bit-identical experiment tables — the engine
-// knobs only move work and memory around.
+// defaults (GOMAXPROCS for both worker pools, memoization on); tests change
+// it through SetEngineOptions. Every configuration produces bit-identical
+// experiment tables — the engine knobs only move work and memory around.
 var engineOptions struct {
 	workers      int
 	disableCache bool

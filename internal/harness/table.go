@@ -4,10 +4,9 @@
 // the measured result (the README's experiment table summarizes them).
 // cmd/bvcbench regenerates all of them; the test suite asserts their
 // pass/fail verdicts. The package also provides the shared experiment
-// registry (Runners, ExperimentOrder), the BENCH hardware-calibration
-// kernel (Calibrate), and the sweep-cell substrate the grid test and the
-// bench/ simulator workloads execute (SweepCell, RunSweepCell,
-// GammaBudget).
+// registry (Runners, ExperimentOrder) and the sweep-cell substrate the grid
+// test, the E10 row budget test and the bench/ simulator workloads execute
+// (SweepCell, RunSweepCell, GammaBudget).
 package harness
 
 import (

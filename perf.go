@@ -4,9 +4,8 @@ import "repro/internal/core"
 
 // GammaCounters is a snapshot of the Γ-point engine's process-wide reuse
 // counters, quantifying how much of the Γ workload the incremental layers
-// absorbed instead of solving from scratch. See the field docs;
-// cmd/bvcbench -json records the per-measurement deltas, and
-// cmd/benchdiff's reuse report gates on them.
+// absorbed instead of solving from scratch. See the field docs; snapshot
+// before and after a workload and Sub the two to measure it.
 type GammaCounters struct {
 	// Solves counts Γ-points computed from scratch (memo misses, or the
 	// memoization disabled).
@@ -41,11 +40,4 @@ func (c GammaCounters) Sub(earlier GammaCounters) GammaCounters {
 // accumulated across the default engine and every explicitly configured one.
 func EngineGammaCounters() GammaCounters {
 	return GammaCounters(core.CountersSnapshot())
-}
-
-// ResetEngineGammaCounters zeroes the process-wide Γ-reuse counters.
-// Measurement harnesses call it (or snapshot-and-subtract) around a
-// measured workload; production code never needs it.
-func ResetEngineGammaCounters() {
-	core.ResetCounters()
 }

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
-	"sync"
 	"time"
 
 	"repro/internal/adversary"
@@ -100,7 +99,8 @@ type SimOptions struct {
 	// engine's per-candidate-set fan-out: 0 selects GOMAXPROCS, 1 forces
 	// serial execution. Every setting produces bit-identical decisions —
 	// solves are independent and the reduction is rank-ordered — so this is
-	// purely a performance knob.
+	// purely a performance knob. A nonzero Workers (or DisableGammaCache)
+	// gives the run its own engine, whose memo lives for that run only.
 	Workers int
 	// NodeWorkers bounds how many simulated processes are stepped
 	// concurrently by the simulation engines: 0 selects GOMAXPROCS, 1
@@ -120,51 +120,23 @@ type SimOptions struct {
 	DisableGammaCache bool
 }
 
-// engines caches one Γ-point engine per explicit (Workers,
-// DisableGammaCache) configuration, so a configured engine — like the
-// default — lives (and memoizes) for the whole process rather than per
-// Simulate call. Without this, flipping the worker count would silently
-// also shrink the cache lifetime and conflate the two effects.
-var (
-	enginesMu sync.Mutex
-	engines   = map[engineKey]*core.Engine{}
-)
-
-type engineKey struct {
-	workers      int
-	disableCache bool
-}
-
 // engine resolves the Γ-point engine for this run: nil (the process-wide
 // shared default — parallel and memoized) unless an explicit configuration
-// was requested.
+// was requested, which gets a fresh engine whose memo lives for this run
+// only.
 func (o SimOptions) engine() *core.Engine {
 	if o.Workers == 0 && !o.DisableGammaCache {
 		return nil
 	}
-	key := engineKey{workers: o.Workers, disableCache: o.DisableGammaCache}
-	enginesMu.Lock()
-	defer enginesMu.Unlock()
-	e, ok := engines[key]
-	if !ok {
-		e = core.NewEngine(o.Workers, !o.DisableGammaCache)
-		engines[key] = e
-	}
-	return e
+	return core.NewEngine(o.Workers, !o.DisableGammaCache)
 }
 
-// ResetEngineCaches drops every memoized Γ-point from the engines
-// simulations use — the process-wide default and any engines created for
-// explicit SimOptions configurations. Benchmarks call it between iterations
-// to measure cold-cache runs; production code never needs it (the caches
-// are bounded and exact).
+// ResetEngineCaches drops every memoized Γ-point from the process-wide
+// default engine. Benchmarks call it between iterations to measure
+// cold-cache runs; production code never needs it (the caches are bounded
+// and exact).
 func ResetEngineCaches() {
 	core.DefaultEngine().Reset()
-	enginesMu.Lock()
-	defer enginesMu.Unlock()
-	for _, e := range engines {
-		e.Reset()
-	}
 }
 
 // Strategy names a Byzantine behaviour from the built-in library.
