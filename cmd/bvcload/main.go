@@ -585,6 +585,9 @@ func (r *loadResult) summarize(w io.Writer, cfg loadConfig) {
 		r.errCount, len(r.background), r.invalid)
 	var st bvc.ServiceStats
 	for _, s := range r.stats {
+		st.Decided += s.Decided
+		st.Quiesced += s.Quiesced
+		st.Lingering += s.Lingering
 		st.FramesIn += s.FramesIn
 		st.FramesOut += s.FramesOut
 		st.BytesOut += s.BytesOut
@@ -603,6 +606,8 @@ func (r *loadResult) summarize(w io.Writer, cfg loadConfig) {
 			st.Epoch = s.Epoch
 		}
 	}
+	fmt.Fprintf(w, "lifecycle  %d decided, %d tombstoned on quiescence, %d still lingering\n",
+		st.Decided, st.Quiesced, st.Lingering)
 	fmt.Fprintf(w, "transport  %d frames out, %d in, %d bytes out, %d sheds, %d write drops, %d write retries, %d pending drops, %d reconnects\n",
 		st.FramesOut, st.FramesIn, st.BytesOut, st.SlowPeerSheds, st.WriteDrops, st.WriteRetries, st.PendingDropped, st.Reconnects)
 	if st.Reconfigures > 0 {

@@ -89,6 +89,9 @@ type Coordinator struct {
 	horizon int // messages for a round outside [1, horizon] are dropped
 	dropped int
 	rounds  []*roundState // by round; nil until the round's first message
+	// lingering is set by Linger: the caller has finished its own rounds,
+	// rounds is dropped, and only the reliable broadcasts are still served.
+	lingering bool
 
 	out [2]Msg // one call emits at most an RBC message and a report
 	res [1]Result
@@ -155,6 +158,22 @@ func (c *Coordinator) SetHorizon(r int) {
 // Dropped counts the messages discarded for a round outside [1, horizon].
 func (c *Coordinator) Dropped() int { return c.dropped }
 
+// Linger tells the coordinator its caller will start and complete no more
+// rounds. It drops every round's witness tables and results; from then on
+// the reliable broadcasts are still served and a late delivery still emits
+// its report — lagging processes need both — but reports are ignored after
+// the range check, and StartRound fails.
+func (c *Coordinator) Linger() {
+	c.lingering = true
+	c.rounds = nil
+	c.res[0] = Result{}
+}
+
+// RetiredRounds counts the rounds whose reliable broadcasts have all
+// finished (broadcast.RBC.Retired): for them the coordinator can never
+// send anything again.
+func (c *Coordinator) RetiredRounds() int { return c.rbc.RetiredTags() }
+
 // inRange reports whether round t may have state, counting the drop if not.
 func (c *Coordinator) inRange(t int) bool {
 	if t < 1 || t > c.horizon {
@@ -171,6 +190,9 @@ func (c *Coordinator) inRange(t int) bool {
 func (c *Coordinator) StartRound(t int, value geometry.Vector) ([]Msg, error) {
 	if t < 1 || t > c.horizon {
 		return nil, fmt.Errorf("aad: round %d outside [1, %d]", t, c.horizon)
+	}
+	if c.lingering {
+		return nil, fmt.Errorf("aad: round %d started while lingering", t)
 	}
 	st := c.round(t)
 	if st.started {
@@ -206,14 +228,19 @@ func (c *Coordinator) Handle(from sim.ProcID, m Msg) ([]Msg, []Result) {
 			nout++
 		}
 		for _, d := range deliveries {
-			st := c.round(d.Tag)
-			if st.delivered[d.Origin] {
-				continue // RBC integrity makes this impossible; belt and braces
+			var st *roundState
+			if !c.lingering {
+				st = c.round(d.Tag)
+				if st.delivered[d.Origin] {
+					continue // RBC integrity makes this impossible; belt and braces
+				}
 			}
 			// Report the addition to everyone (FIFO links preserve order).
 			c.out[nout] = Msg{Kind: KindReport, Report: ReportMsg{Round: d.Tag, Origin: d.Origin}}
 			nout++
-			res = c.deliver(st, d)
+			if st != nil {
+				res = c.deliver(st, d)
+			}
 		}
 	case KindReport:
 		res = c.handleReport(from, m.Report)
@@ -251,7 +278,7 @@ func (c *Coordinator) handleReport(from sim.ProcID, rep ReportMsg) *Result {
 	if int(rep.Origin) < 0 || int(rep.Origin) >= c.n || int(from) < 0 || int(from) >= c.n {
 		return nil
 	}
-	if !c.inRange(rep.Round) {
+	if !c.inRange(rep.Round) || c.lingering {
 		return nil
 	}
 	st := c.round(rep.Round)

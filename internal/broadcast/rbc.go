@@ -74,6 +74,12 @@ const DefaultHorizon = 1 << 12
 // aliases it: callers may retain emitted values but never write to them,
 // and may reuse the vector they passed in once Broadcast or Handle returns.
 // The slices Handle returns are the RBC's scratch, valid until its next call.
+//
+// Retirement: an instance that has echoed, readied and delivered can never
+// send or deliver again. Once all n instances of a tag have, the tag
+// retires — its slab is released and its later messages are dropped after
+// the validity checks — so a process keeps state only for tags it could
+// still act on.
 type RBC struct {
 	n, f    int
 	self    sim.ProcID
@@ -81,10 +87,19 @@ type RBC struct {
 	horizon int // messages with a tag outside [0, horizon] are dropped
 	// tags holds one slab of all n origins' instances per tag, created on
 	// the tag's first message and indexed by tag.
-	tags [][]rbcInst
+	tags    []rbcTag
+	retired int // tags whose every instance finished
 
 	out [1]RBCMsg // Handle emits at most one message and one delivery
 	del [1]RBCDelivery
+}
+
+// rbcTag is one tag's slab and the count of its instances that finished:
+// echoed, readied and delivered, so that no message can make them send or
+// deliver again. Once all n have, the slab is released and the tag retired.
+type rbcTag struct {
+	insts    []rbcInst
+	finished int
 }
 
 type rbcInst struct {
@@ -139,12 +154,16 @@ func (r *RBC) SetHorizon(h int) { r.horizon = h }
 func (r *RBC) echoQuorum() int { return (r.n+r.f)/2 + 1 }
 
 // inst returns origin's instance for tag, creating the tag's slab on first
-// use. The caller has checked both ranges.
+// use, or nil once the tag is retired. The caller has checked both ranges.
 func (r *RBC) inst(origin sim.ProcID, tag int) *rbcInst {
 	for len(r.tags) <= tag {
-		r.tags = append(r.tags, nil)
+		r.tags = append(r.tags, rbcTag{})
 	}
-	if r.tags[tag] == nil {
+	t := &r.tags[tag]
+	if t.insts == nil {
+		if t.finished == r.n {
+			return nil
+		}
 		insts := make([]rbcInst, r.n)
 		from := make([]bool, 2*r.n*r.n)
 		vals := make([]rbcVal, r.n)
@@ -154,10 +173,33 @@ func (r *RBC) inst(origin sim.ProcID, tag int) *rbcInst {
 			insts[i].vals = vals[i : i : i+1]
 			insts[i].slot = vecs[r.dim*i : r.dim*i : r.dim*(i+1)]
 		}
-		r.tags[tag] = insts
+		t.insts = insts
 	}
-	return &r.tags[tag][origin]
+	return &t.insts[origin]
 }
+
+// finish counts one of tag's instances finished. It is called where an
+// instance's last flag flips, so each instance is counted once; the last of
+// the n releases the slab. Emitted values alias the slab's vectors, so
+// whatever still holds one keeps that storage, not the tallies, alive.
+func (r *RBC) finish(tag int) {
+	t := &r.tags[tag]
+	t.finished++
+	if t.finished == r.n {
+		t.insts = nil
+		r.retired++
+	}
+}
+
+// Retired reports whether every instance of tag has finished: the RBC
+// keeps no state for it and drops its messages, since none could make it
+// send or deliver anything again.
+func (r *RBC) Retired(tag int) bool {
+	return tag >= 0 && tag < len(r.tags) && r.tags[tag].finished == r.n
+}
+
+// RetiredTags counts the retired tags.
+func (r *RBC) RetiredTags() int { return r.retired }
 
 // tally returns the tally of value, registering it (with the instance's one
 // copy of the vector) on first sight. The pointer is valid until the next
@@ -189,15 +231,22 @@ func (r *RBC) Broadcast(tag int, value geometry.Vector) (RBCMsg, error) {
 		return RBCMsg{}, fmt.Errorf("broadcast: invalid RBC value (tag %d, horizon %d; dim %d, want %d)", tag, r.horizon, value.Dim(), r.dim)
 	}
 	// Registered with zero tallies, so the INIT, its loopback and the ECHO
-	// all alias the one copy.
-	v := r.inst(r.self, tag).tally(value)
+	// all alias the one copy. The own instance finishes only on the INIT's
+	// loopback, so its tag cannot have retired unless this is a second
+	// Broadcast.
+	inst := r.inst(r.self, tag)
+	if inst == nil {
+		return RBCMsg{}, fmt.Errorf("broadcast: tag %d already retired", tag)
+	}
+	v := inst.tally(value)
 	return RBCMsg{Phase: RBCInit, Origin: r.self, Tag: tag, Value: v.value}, nil
 }
 
 // Handle processes one message from the network. It returns protocol
 // messages to broadcast to all processes and any deliveries triggered; both
 // slices are valid until the next Handle call. Malformed, out-of-horizon or
-// equivocating messages are dropped or ignored per protocol.
+// equivocating messages, and messages for a retired tag, are dropped or
+// ignored per protocol.
 func (r *RBC) Handle(from sim.ProcID, msg RBCMsg) ([]RBCMsg, []RBCDelivery) {
 	if int(msg.Origin) < 0 || int(msg.Origin) >= r.n || int(from) < 0 || int(from) >= r.n {
 		return nil, nil
@@ -206,6 +255,9 @@ func (r *RBC) Handle(from sim.ProcID, msg RBCMsg) ([]RBCMsg, []RBCDelivery) {
 		return nil, nil
 	}
 	inst := r.inst(msg.Origin, msg.Tag)
+	if inst == nil {
+		return nil, nil
+	}
 	var ready, deliver *rbcVal
 
 	switch msg.Phase {
@@ -216,6 +268,9 @@ func (r *RBC) Handle(from sim.ProcID, msg RBCMsg) ([]RBCMsg, []RBCDelivery) {
 		}
 		inst.echoed = true
 		r.out[0] = RBCMsg{Phase: RBCEcho, Origin: msg.Origin, Tag: msg.Tag, Value: inst.tally(msg.Value).value}
+		if inst.readied && inst.delivered {
+			r.finish(msg.Tag)
+		}
 		return r.out[:], nil
 
 	case RBCEcho:
@@ -250,11 +305,17 @@ func (r *RBC) Handle(from sim.ProcID, msg RBCMsg) ([]RBCMsg, []RBCDelivery) {
 		inst.readied = true
 		r.out[0] = RBCMsg{Phase: RBCReady, Origin: msg.Origin, Tag: msg.Tag, Value: ready.value}
 		out = r.out[:]
+		if inst.echoed && inst.delivered {
+			r.finish(msg.Tag)
+		}
 	}
 	if deliver != nil {
 		inst.delivered = true
 		r.del[0] = RBCDelivery{Origin: msg.Origin, Tag: msg.Tag, Value: deliver.value}
 		deliveries = r.del[:]
+		if inst.echoed && inst.readied {
+			r.finish(msg.Tag)
+		}
 	}
 	return out, deliveries
 }

@@ -118,8 +118,8 @@ func (a *AsyncNode) Start() StepStatus {
 
 // Step processes one message of the exchange from process from. A decided
 // node keeps serving the exchange (echoes, readies, reports) so lagging
-// correct processes can finish; it only stops advancing its own rounds.
-// m is read, not retained.
+// correct processes can finish; it only stops advancing its own rounds,
+// and keeps no witness tables. m is read, not retained.
 func (a *AsyncNode) Step(from sim.ProcID, m *aad.Msg) StepStatus {
 	a.outbox = a.outbox[:0]
 	if a.err != nil {
@@ -268,10 +268,18 @@ func (a *AsyncNode) finishRound(res *aad.Result) (advanced bool) {
 
 	if a.round >= a.rounds {
 		a.decision = a.v.Clone()
+		a.linger()
 		return false
 	}
 	a.round++
 	return true
+}
+
+// linger drops what only advancing rounds needs: finishRound's scratch and,
+// through the coordinator, every round's witness tables.
+func (a *AsyncNode) linger() {
+	a.tuples, a.byOrigin, a.sets, a.members = nil, nil, nil, nil
+	a.coord.Linger()
 }
 
 func (a *AsyncNode) fail(err error) {
@@ -284,6 +292,13 @@ func (a *AsyncNode) fail(err error) {
 // serving the exchange afterwards; Decided is the cheap signal callers poll
 // to detect the transition.
 func (a *AsyncNode) Decided() bool { return a.decision != nil }
+
+// Quiescent reports whether the node has decided and every reliable
+// broadcast of its rounds 1..R has retired: no message can make it send
+// anything again, so it can be dropped without changing what it says.
+func (a *AsyncNode) Quiescent() bool {
+	return a.decision != nil && a.coord.RetiredRounds() == a.rounds
+}
 
 // Decision returns the decided vector once the node has terminated.
 func (a *AsyncNode) Decision() (geometry.Vector, error) {

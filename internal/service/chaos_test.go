@@ -269,6 +269,8 @@ func TestServiceSuspicionBackoffLadder(t *testing.T) {
 // TestServiceLingerExtension pins the partition-aware linger: decided
 // instances extend their linger window while fewer than n−f processes
 // are reachable, and still tombstone once the extension cap runs out.
+// Process 4 never proposes, so its broadcasts never finish and the
+// instance cannot quiesce: only the linger window can end it.
 func TestServiceLingerExtension(t *testing.T) {
 	const n = 5
 	svcs := startMesh(t, n, func(_ int, cfg *Config) {
@@ -277,7 +279,7 @@ func TestServiceLingerExtension(t *testing.T) {
 	})
 	rng := rand.New(rand.NewSource(51))
 	inputs := randomInputs(rng, n, 2)
-	for i, ch := range proposeAll(t, svcs, 1, inputs) {
+	for i, ch := range proposeAll(t, svcs[:n-1], 1, inputs) {
 		if res := collect(t, ch, 30*time.Second); res.Err != nil {
 			t.Fatalf("process %d: %v", i, res.Err)
 		}

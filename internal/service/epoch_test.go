@@ -179,7 +179,8 @@ func TestServiceStaleEpochHandshakeRejected(t *testing.T) {
 // survives exactly as long as an instance pinned to it — here a decided
 // instance lingering for lagging peers — and its unique links are stopped
 // only when that last pin tombstones. Links whose address did not change
-// are shared with the new mesh, not duplicated.
+// are shared with the new mesh, not duplicated. Process 4 never proposes,
+// so the instance cannot quiesce and lingers for its whole window.
 func TestServiceOldEpochRetiresAfterLastPin(t *testing.T) {
 	const n = 5
 	const linger = 300 * time.Millisecond
@@ -192,8 +193,8 @@ func TestServiceOldEpochRetiresAfterLastPin(t *testing.T) {
 		addrs[i] = s.Addr()
 	}
 
-	chans := proposeAll(t, svcs, 1, randomInputs(rng, n, 2))
-	for i := range svcs {
+	chans := proposeAll(t, svcs[:n-1], 1, randomInputs(rng, n, 2))
+	for i := range chans {
 		if r := collect(t, chans[i], 10*time.Second); r.Err != nil {
 			t.Fatalf("process %d: %v", i, r.Err)
 		}

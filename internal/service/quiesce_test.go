@@ -1,0 +1,153 @@
+package service
+
+import (
+	"math/rand"
+	"runtime"
+	"testing"
+	"time"
+
+	"repro/internal/core"
+	"repro/internal/raceflag"
+)
+
+// The decided → lingering → tombstoned transition: a decided instance
+// lingers only while it can still send something. On a healthy mesh every
+// reliable broadcast finishes everywhere and the instance tombstones within
+// moments of its decision, long before LingerTimeout; behind a crashed
+// origin one broadcast never finishes, and only LingerTimeout ends it.
+
+// TestQuiescentInstanceTombstones: on a healthy mesh with a one-minute
+// linger window, every decided instance leaves the linger state within 2 s
+// of the last decision, counted as quiesced.
+func TestQuiescentInstanceTombstones(t *testing.T) {
+	const n, instances = 5, 8
+	svcs := startMesh(t, n, func(_ int, cfg *Config) {
+		cfg.LingerTimeout = time.Minute
+	})
+	rng := rand.New(rand.NewSource(67))
+	var all [][]<-chan Result
+	for id := uint64(1); id <= instances; id++ {
+		all = append(all, proposeAll(t, svcs, id, randomInputs(rng, n, 2)))
+	}
+	for _, chans := range all {
+		for i, ch := range chans {
+			if res := collect(t, ch, 30*time.Second); res.Err != nil {
+				t.Fatalf("process %d: %v", i, res.Err)
+			}
+		}
+	}
+	for i, s := range svcs {
+		awaitStat(t, s, "every decided instance quiesced", 2*time.Second, func(st Stats) bool {
+			return st.Lingering == 0
+		})
+		if st := s.Stats(); st.Quiesced != instances || st.Decided != instances {
+			t.Errorf("service %d: %d quiesced of %d decided, want %d of %d", i, st.Quiesced, st.Decided, instances, instances)
+		}
+	}
+}
+
+// TestCrashedOriginInstanceLingers is the counterpart: one process is
+// closed before it proposes, so its broadcasts never start, no survivor's
+// instance can quiesce, and each lingers for its whole window and is then
+// tombstoned by expiry, not counted as quiesced.
+func TestCrashedOriginInstanceLingers(t *testing.T) {
+	const n = 5
+	const linger = time.Second
+	svcs := startMesh(t, n, func(_ int, cfg *Config) {
+		cfg.LingerTimeout = linger
+	})
+	_ = svcs[n-1].Close()
+	live := svcs[:n-1]
+	rng := rand.New(rand.NewSource(71))
+	for i, ch := range proposeAll(t, live, 1, randomInputs(rng, n, 2)) {
+		if res := collect(t, ch, 30*time.Second); res.Err != nil {
+			t.Fatalf("process %d: %v", i, res.Err)
+		}
+	}
+	decided := time.Now()
+	time.Sleep(linger / 4)
+	for i, s := range live {
+		if st := s.Stats(); st.Lingering != 1 || st.Quiesced != 0 {
+			t.Errorf("service %d a quarter into the window: lingering %d, quiesced %d; want 1, 0", i, st.Lingering, st.Quiesced)
+		}
+	}
+	for i, s := range live {
+		awaitStat(t, s, "lingering instance tombstoned at its window", 10*time.Second, func(st Stats) bool {
+			return st.Lingering == 0
+		})
+		if st := s.Stats(); st.Quiesced != 0 || st.LingerExtensions != 0 {
+			t.Errorf("service %d: quiesced %d, linger extensions %d; want 0, 0", i, st.Quiesced, st.LingerExtensions)
+		}
+	}
+	if held := time.Since(decided); held < linger {
+		t.Errorf("instances tombstoned %v after deciding, before the %v window closed", held, linger)
+	}
+}
+
+// decidedInstanceBudget is the committed ceiling on heap retained per
+// decided instance across the five processes of an in-process n = 5 mesh
+// with a one-minute linger window, 2 s after the last decision. An instance
+// that lingers holds its whole exchange: ≈ 48 KB here. One tombstoned on
+// quiescence leaves its tombstone (≈ 0.2 KB); the rest of the measured
+// 0.5–7.5 KB is the inbox and reader-chunk high-water marks a burst of 200
+// concurrent instances leaves behind. The mesh runs an unmemoized Γ engine,
+// whose memo would otherwise grow with every distinct input.
+const decidedInstanceBudget = 16 << 10
+
+// TestDecidedInstanceFootprint measures HeapAlloc after GC before and after
+// a batch of 200 concurrent instances on one mesh — two warm-up batches
+// first grow every map, ring and buffer — and pins the difference per
+// instance. -v logs the measured figure; re-pin from it after an
+// intentional change.
+func TestDecidedInstanceFootprint(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("heap figures are not meaningful under -race")
+	}
+	const n, instances = 5, 200
+	engine := core.NewEngine(1, false)
+	svcs := startMesh(t, n, func(_ int, cfg *Config) {
+		cfg.LingerTimeout = time.Minute
+		cfg.Node.Engine = engine
+	})
+	rng := rand.New(rand.NewSource(73))
+	batch := func(first uint64) {
+		var all [][]<-chan Result
+		for id := first; id < first+instances; id++ {
+			all = append(all, proposeAll(t, svcs, id, randomInputs(rng, n, 2)))
+		}
+		for _, chans := range all {
+			for i, ch := range chans {
+				if res := collect(t, ch, 30*time.Second); res.Err != nil {
+					t.Fatalf("process %d: %v", i, res.Err)
+				}
+			}
+		}
+		// Up to 2 s for the instances to leave the linger state; the heap,
+		// not this wait, is what the test judges.
+		lingering := func() (sum int64) {
+			for _, s := range svcs {
+				sum += s.Stats().Lingering
+			}
+			return sum
+		}
+		for deadline := time.Now().Add(2 * time.Second); lingering() > 0 && time.Now().Before(deadline); {
+			time.Sleep(10 * time.Millisecond)
+		}
+	}
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.GC() // the second empties the sync.Pools' victim caches
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	batch(1)
+	batch(1 + instances)
+	before := heap()
+	batch(1 + 2*instances)
+	per := (int64(heap()) - int64(before)) / instances
+	t.Logf("%d bytes retained per decided instance (budget %d)", per, decidedInstanceBudget)
+	if per > decidedInstanceBudget {
+		t.Errorf("%d bytes retained per decided instance, budget %d", per, decidedInstanceBudget)
+	}
+}

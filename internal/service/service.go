@@ -65,11 +65,12 @@ type Config struct {
 	// Node configures the consensus algorithm every instance runs; its N
 	// must equal len(Addrs). The service delivers the result the moment
 	// the instance decides and then keeps the instance lingering — still
-	// serving reliable-broadcast echoes, readies, and reports — for
-	// LingerTimeout. Lingering is what keeps lagging peers live when a
-	// process crashes mid-instance: Bracha's echo quorum is ⌊(n+f)/2⌋+1,
-	// which with one peer down needs every survivor, including the ones
-	// that already decided.
+	// serving reliable-broadcast echoes, readies, and reports — until it
+	// is quiescent (every broadcast of its rounds finished here, so it can
+	// never send again) or LingerTimeout passes. Lingering is what keeps
+	// lagging peers live when a process crashes mid-instance: Bracha's
+	// echo quorum is ⌊(n+f)/2⌋+1, which with one peer down needs every
+	// survivor, including the ones that already decided.
 	Node core.AsyncConfig
 	// ID is this process's id, indexing Addrs.
 	ID int
@@ -95,10 +96,10 @@ type Config struct {
 	// (default 30s); buffered pre-Propose frames expire on the same
 	// clock.
 	InstanceTimeout time.Duration
-	// LingerTimeout bounds how long a decided instance keeps serving the
-	// protocol for lagging peers before it is tombstoned (default:
-	// InstanceTimeout). Total instance lifetime is therefore at most
-	// InstanceTimeout + LingerTimeout.
+	// LingerTimeout bounds how long a decided instance that has not yet
+	// quiesced keeps serving the protocol for lagging peers before it is
+	// tombstoned (default: InstanceTimeout). Total instance lifetime is
+	// therefore at most InstanceTimeout + LingerTimeout.
 	LingerTimeout time.Duration
 	// EstablishTimeout bounds Establish and per-attempt redials
 	// (default 10s).
@@ -408,9 +409,13 @@ func (s *Service) Propose(id uint64, input geometry.Vector) (<-chan Result, erro
 		return nil, ErrServiceClosed
 	}
 	req := proposeReq{id: id, node: node, res: res, mesh: s.acquireCurrent()}
+	// Counted active from here, not from when the shard opens it, so a
+	// Drain called right after Propose returns waits for it.
+	s.ctr.active.Add(1)
 	select {
 	case s.shardFor(id).propose <- req:
 	case <-s.stop:
+		s.ctr.active.Add(-1)
 		s.releaseMesh(req.mesh)
 		return nil, ErrServiceClosed
 	}
@@ -473,6 +478,7 @@ func (s *Service) Close() error {
 				select {
 				case req := <-sh.propose:
 					req.res <- Result{Instance: req.id, Epoch: req.mesh.epoch, Err: ErrServiceClosed}
+					s.ctr.active.Add(-1)
 					s.releaseMesh(req.mesh)
 				default:
 					break drain
@@ -510,7 +516,8 @@ type localMsg struct {
 
 // instance is one open consensus instance owned by a shard. After done it
 // lingers: the result has been delivered, but the node keeps serving the
-// exchange for lagging peers until lingerUntil. mesh is the epoch pin:
+// exchange for lagging peers until it is quiescent or lingerUntil passes,
+// whichever is first. mesh is the epoch pin:
 // every send goes out on the birth epoch's link set, and the pin is
 // released (possibly retiring that epoch) when the instance tombstones.
 type instance struct {
@@ -670,9 +677,8 @@ func (sh *shard) deliver(m *inMsg) {
 	if _, dead := sh.tombs[m.instance]; dead {
 		return // finished here; peers catching up need nothing from us
 	}
-	if sh.svc.drainingNow() {
-		return // no local Propose can arrive anymore
-	}
+	// Buffered even while draining: a Propose accepted before the drain may
+	// still be queued for this shard.
 	box := sh.pending[m.instance]
 	if box == nil {
 		box = &pendingBox{since: time.Now()}
@@ -696,14 +702,12 @@ func (sh *shard) open(req proposeReq) {
 	// Instance ids are global across epochs: a live or tombstoned id is
 	// refused even when the new proposal would pin a different epoch —
 	// peers route frames by id alone, so reuse would conflate instances.
-	if _, live := sh.instances[req.id]; live {
+	_, live := sh.instances[req.id]
+	if _, dead := sh.tombs[req.id]; live || dead {
 		req.res <- Result{Instance: req.id, Epoch: req.mesh.epoch, Err: ErrDuplicateInstance}
+		sh.svc.ctr.active.Add(-1)
 		sh.svc.releaseMesh(req.mesh)
-		return
-	}
-	if _, dead := sh.tombs[req.id]; dead {
-		req.res <- Result{Instance: req.id, Epoch: req.mesh.epoch, Err: ErrDuplicateInstance}
-		sh.svc.releaseMesh(req.mesh)
+		sh.svc.checkDrained()
 		return
 	}
 	now := time.Now()
@@ -716,7 +720,6 @@ func (sh *shard) open(req proposeReq) {
 		deadline: now.Add(sh.svc.cfg.InstanceTimeout),
 	}
 	sh.instances[req.id] = inst
-	sh.svc.ctr.active.Add(1)
 	sh.svc.ctr.proposed.Add(1)
 
 	sh.afterStep(inst, inst.node.Start())
@@ -741,8 +744,9 @@ func (sh *shard) step(inst *instance, from int, m *aad.Msg) {
 // afterStep sends what the node's step left in its outbox and moves the
 // instance along its lifecycle: a failed node is retired with its error; a
 // node that just decided delivers its result and transitions to lingering —
-// it stays registered, serving the exchange for lagging peers, until expire
-// tombstones it.
+// it stays registered, serving the exchange for lagging peers, until it is
+// quiescent, when it is tombstoned at once, or until expire tombstones it.
+// A quiescent node answers nothing, so dropping it changes no message.
 func (sh *shard) afterStep(inst *instance, st core.StepStatus) {
 	out := inst.node.Outbox()
 	for i := range out {
@@ -770,6 +774,10 @@ func (sh *shard) afterStep(inst *instance, st core.StepStatus) {
 		}
 		sh.svc.ctr.active.Add(-1)
 		sh.svc.checkDrained()
+	}
+	if inst.done && inst.node.Quiescent() {
+		sh.svc.ctr.quiesced.Add(1)
+		sh.tombstone(inst, time.Now())
 	}
 }
 
@@ -806,13 +814,23 @@ func (sh *shard) retire(inst *instance, res Result) {
 	sh.svc.checkDrained()
 }
 
+// tombstone ends a lingering instance: its id is refused from now on, and
+// its epoch pin is released.
+func (sh *shard) tombstone(inst *instance, now time.Time) {
+	delete(sh.instances, inst.id)
+	sh.tombs[inst.id] = now
+	sh.svc.ctr.lingering.Add(-1)
+	sh.svc.releaseMesh(inst.mesh)
+}
+
 // maxLingerExtends caps the partition-aware linger extensions per
 // instance, bounding a decided instance's lifetime even through an
 // unhealed partition.
 const maxLingerExtends = 4
 
 // expire enforces instance deadlines, tombstones lingering instances whose
-// window closed, and garbage-collects pending boxes and tombstones.
+// window closed — those that never quiesced, e.g. behind a crashed origin —
+// and garbage-collects pending boxes and tombstones.
 // Decided instances whose linger window closes while the mesh is degraded
 // (fewer than n−f reachable processes) extend their linger instead of
 // tombstoning — lagging peers behind a partition still need this
@@ -829,10 +847,7 @@ func (sh *shard) expire(now time.Time) {
 					sh.svc.ctr.lingerExtensions.Add(1)
 					continue
 				}
-				delete(sh.instances, inst.id)
-				sh.tombs[inst.id] = now
-				sh.svc.ctr.lingering.Add(-1)
-				sh.svc.releaseMesh(inst.mesh)
+				sh.tombstone(inst, now)
 			}
 			continue
 		}

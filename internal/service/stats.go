@@ -11,6 +11,7 @@ import (
 type counters struct {
 	active    atomic.Int64
 	lingering atomic.Int64
+	quiesced  atomic.Int64
 	proposed  atomic.Int64
 	decided   atomic.Int64
 	timedOut  atomic.Int64
@@ -45,11 +46,16 @@ type counters struct {
 
 // Stats is a point-in-time snapshot of one service process's counters.
 type Stats struct {
-	// ActiveInstances is the number of currently open, undecided instances
-	// (gauge). Lingering counts decided instances still serving the
+	// ActiveInstances is the number of instances Propose accepted that have
+	// not yet decided, failed or timed out (gauge). Lingering counts decided instances still serving the
 	// exchange for lagging peers (gauge; see Config.LingerTimeout).
+	// Quiesced counts decided instances tombstoned the moment they became
+	// quiescent — every reliable broadcast of their rounds finished, so
+	// they could never send again — rather than at the end of their linger
+	// window.
 	ActiveInstances int64
 	Lingering       int64
+	Quiesced        int64
 	// Proposed/Decided/TimedOut/Failed count instance outcomes: proposals
 	// accepted, decisions delivered, per-instance timeouts, and protocol
 	// failures.
@@ -123,6 +129,7 @@ func (s *Service) Stats() Stats {
 	st := Stats{
 		ActiveInstances:  s.ctr.active.Load(),
 		Lingering:        s.ctr.lingering.Load(),
+		Quiesced:         s.ctr.quiesced.Load(),
 		Proposed:         s.ctr.proposed.Load(),
 		Decided:          s.ctr.decided.Load(),
 		TimedOut:         s.ctr.timedOut.Load(),

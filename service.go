@@ -96,7 +96,8 @@ type ServiceConfig struct {
 	SlowPeer SlowPeerPolicy
 	// InstanceTimeout fails undecided instances after this long (default
 	// 30s). LingerTimeout bounds how long a decided instance keeps
-	// serving the protocol for lagging peers (default: InstanceTimeout).
+	// serving the protocol for lagging peers (default: InstanceTimeout);
+	// one that can no longer send anything is dropped sooner.
 	InstanceTimeout time.Duration
 	LingerTimeout   time.Duration
 	// EstablishTimeout bounds mesh establishment and reconnect attempts
@@ -146,9 +147,12 @@ type ServiceResult struct {
 // counters; see the field docs on the internal/service Stats type for the
 // exact semantics of each counter.
 type ServiceStats struct {
-	// ActiveInstances counts open undecided instances; Lingering counts
+	// ActiveInstances counts accepted, undecided instances; Lingering counts
 	// decided instances still serving lagging peers (both gauges).
+	// Quiesced counts decided instances tombstoned as soon as they could
+	// never send again, before their linger window closed.
 	ActiveInstances, Lingering int64
+	Quiesced                   int64
 	// Proposed/Decided/TimedOut/Failed count instance outcomes.
 	Proposed, Decided, TimedOut, Failed int64
 	// FramesIn/FramesOut/BytesIn/BytesOut count wire traffic.
@@ -282,6 +286,7 @@ func (s *Service) Stats() ServiceStats {
 	return ServiceStats{
 		ActiveInstances:  st.ActiveInstances,
 		Lingering:        st.Lingering,
+		Quiesced:         st.Quiesced,
 		Proposed:         st.Proposed,
 		Decided:          st.Decided,
 		TimedOut:         st.TimedOut,
