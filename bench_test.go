@@ -28,7 +28,7 @@ func BenchmarkE1SyncNecessity(b *testing.B) {
 
 func BenchmarkE2ExactSufficiency(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tbl, err := harness.E2ExactSufficiency(int64(i))
+		tbl, err := harness.E2ExactSufficiency(int64(i), bvc.SimOptions{})
 		if err != nil || !tbl.Pass {
 			b.Fatalf("pass=%v err=%v", tbl != nil && tbl.Pass, err)
 		}
@@ -55,7 +55,7 @@ func BenchmarkE4AsyncNecessity(b *testing.B) {
 
 func BenchmarkE5AsyncConvergence(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tbl, err := harness.E5AsyncConvergence(int64(i))
+		tbl, err := harness.E5AsyncConvergence(int64(i), bvc.SimOptions{})
 		if err != nil || !tbl.Pass {
 			b.Fatalf("pass=%v err=%v", tbl != nil && tbl.Pass, err)
 		}
@@ -64,7 +64,7 @@ func BenchmarkE5AsyncConvergence(b *testing.B) {
 
 func BenchmarkE6RestrictedSync(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tbl, err := harness.E6RestrictedSync(int64(i))
+		tbl, err := harness.E6RestrictedSync(int64(i), bvc.SimOptions{})
 		if err != nil || !tbl.Pass {
 			b.Fatalf("pass=%v err=%v", tbl != nil && tbl.Pass, err)
 		}
@@ -73,7 +73,7 @@ func BenchmarkE6RestrictedSync(b *testing.B) {
 
 func BenchmarkE7RestrictedAsync(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tbl, err := harness.E7RestrictedAsync(int64(i))
+		tbl, err := harness.E7RestrictedAsync(int64(i), bvc.SimOptions{})
 		if err != nil || !tbl.Pass {
 			b.Fatalf("pass=%v err=%v", tbl != nil && tbl.Pass, err)
 		}
@@ -82,7 +82,7 @@ func BenchmarkE7RestrictedAsync(b *testing.B) {
 
 func BenchmarkE8CoordinateWise(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		tbl, err := harness.E8CoordinateWise(int64(i))
+		tbl, err := harness.E8CoordinateWise(int64(i), bvc.SimOptions{})
 		if err != nil || !tbl.Pass {
 			b.Fatalf("pass=%v err=%v", tbl != nil && tbl.Pass, err)
 		}

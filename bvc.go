@@ -39,16 +39,14 @@
 // set, so identical solves — across the n simulated processes, and across
 // rounds — collapse to one, keyed by the canonical bit-exact multiset key).
 //
-// Two SimOptions knobs control the engine; both are pure performance knobs,
-// guaranteed to leave results bit-identical:
-//
-//   - Workers bounds concurrent Γ-point solves (0 = GOMAXPROCS, 1 = serial).
-//     Parallel runs reduce results in subset-rank order, so output matches
-//     the serial computation exactly.
-//   - DisableGammaCache switches the memoization off (for measurement; the
-//     cache is exact, bounded, and dropped wholesale when full).
-//
-// EngineGammaCounters reports how much of the Γ workload the memo absorbed.
+// The engine is a value: SimOptions.Engine runs a simulation on a
+// GammaEngine built by NewGammaEngine (a worker bound — 0 = GOMAXPROCS,
+// 1 = serial — and a memoization switch), and nil selects the shared
+// default engine, parallel and memoized, which every live Service also
+// uses. Engine choice is a pure performance knob: parallel runs reduce
+// results in subset-rank order and the memo is exact, so every engine
+// leaves results bit-identical. Each engine counts its own work
+// (GammaEngine.Counters); EngineGammaCounters reads the default engine's.
 package bvc
 
 import (

@@ -18,6 +18,7 @@ import (
 	"os"
 	"strings"
 
+	"repro"
 	"repro/internal/harness"
 )
 
@@ -37,7 +38,7 @@ func run(args []string) error {
 		return err
 	}
 
-	runners := harness.Runners(*seed, *trials)
+	runners := harness.Runners(*seed, *trials, bvc.SimOptions{})
 
 	// ExperimentOrder and Runners must describe the same experiment set;
 	// catching a drift here beats silently dropping an experiment from the
@@ -53,7 +54,7 @@ func run(args []string) error {
 
 	name := strings.ToLower(*experiment)
 	if name == "all" {
-		tables, err := harness.All(*seed)
+		tables, err := harness.All(*seed, bvc.SimOptions{})
 		if err != nil {
 			return err
 		}

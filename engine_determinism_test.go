@@ -70,7 +70,8 @@ func requireSameFingerprint(t *testing.T, label string, want, got []float64) {
 // TestSimulateDeterministicAcrossEngineOptions: end-to-end property — the
 // decisions of every protocol variant are byte-identical for workers ∈
 // {1, 4, GOMAXPROCS} with the Γ-point cache on or off, across random
-// instances. The engine knobs in SimOptions are pure performance knobs.
+// instances. The GammaEngine a simulation runs on is a pure performance
+// knob.
 func TestSimulateDeterministicAcrossEngineOptions(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	workerSets := []int{1, 4, runtime.GOMAXPROCS(0)}
@@ -127,7 +128,7 @@ func TestSimulateDeterministicAcrossEngineOptions(t *testing.T) {
 			var want []float64
 			for _, workers := range workerSets {
 				for _, noCache := range []bool{false, true} {
-					res, err := run(bvc.SimOptions{Seed: 5, Workers: workers, DisableGammaCache: noCache})
+					res, err := run(bvc.SimOptions{Seed: 5, Engine: bvc.NewGammaEngine(workers, !noCache)})
 					if err != nil {
 						t.Fatalf("workers=%d noCache=%v: %v", workers, noCache, err)
 					}

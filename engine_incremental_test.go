@@ -132,7 +132,7 @@ func TestIncrementalGammaMatchesFromScratch(t *testing.T) {
 					fmt.Sprintf(" delay=uniform[1ms,7ms] adversary=%s workers=%v", adv.name, workerSets))
 				// From-scratch reference: cache off, serial.
 				ref, err := vc.run(cfg, inputs, byz, bvc.SimOptions{
-					Seed: 11, Delay: delay, Workers: 1, DisableGammaCache: true,
+					Seed: 11, Delay: delay, Engine: bvc.NewGammaEngine(1, false),
 				})
 				if err != nil {
 					t.Fatalf("from-scratch reference: %v", err)
@@ -141,15 +141,15 @@ func TestIncrementalGammaMatchesFromScratch(t *testing.T) {
 
 				reused := false
 				for _, workers := range workerSets {
-					before := bvc.EngineGammaCounters()
+					eng := bvc.NewGammaEngine(workers, true)
 					res, err := vc.run(cfg, inputs, byz, bvc.SimOptions{
-						Seed: 11, Delay: delay, Workers: workers,
+						Seed: 11, Delay: delay, Engine: eng,
 					})
 					if err != nil {
 						t.Fatalf("incremental workers=%d: %v", workers, err)
 					}
 					requireSameFingerprint(t, fmt.Sprintf("incremental workers=%d", workers), want, fingerprint(t, res))
-					delta := bvc.EngineGammaCounters().Sub(before)
+					delta := eng.Counters()
 					if delta.CacheHits+delta.PrefixHits+delta.RoundHits > 0 {
 						reused = true
 					}

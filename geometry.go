@@ -78,24 +78,13 @@ func SafeAreaEmpty(points []Vector, f int) (bool, error) {
 
 // SafeAreaContains reports whether z lies in Γ(Y) (within a small geometric
 // tolerance). The C(|Y|, f) hull-membership LPs run across GOMAXPROCS
-// workers; the verdict is identical to a serial evaluation. Use
-// SafeAreaContainsWorkers to bound (or serialize) the fan-out.
+// workers; the verdict is identical to a serial evaluation.
 func SafeAreaContains(points []Vector, f int, z Vector) (bool, error) {
-	return SafeAreaContainsWorkers(points, f, z, 0)
-}
-
-// SafeAreaContainsWorkers is SafeAreaContains with an explicit worker bound
-// for the per-subset hull-membership LPs: 0 selects GOMAXPROCS, 1 forces
-// serial evaluation. Every setting returns the identical verdict and error.
-func SafeAreaContainsWorkers(points []Vector, f int, z Vector, workers int) (bool, error) {
 	ms, err := validatePoints(points)
 	if err != nil {
 		return false, err
 	}
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	return safearea.ContainsParallel(ms, f, geometry.Vector(z), 0, workers)
+	return safearea.ContainsParallel(ms, f, geometry.Vector(z), 0, runtime.GOMAXPROCS(0))
 }
 
 // InConvexHull reports whether z lies in the convex hull of points (within

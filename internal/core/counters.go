@@ -2,10 +2,10 @@ package core
 
 import "sync/atomic"
 
-// GammaCounters is a snapshot of the Γ-point engine's reuse counters,
-// accumulated across every Engine in the process (the default engine and any
-// explicitly configured ones). They quantify how much of the Γ workload the
-// incremental layers absorbed:
+// GammaCounters is a snapshot of one Engine's Γ-point reuse counters,
+// accumulated over every computation that engine has served since it was
+// built. They quantify how much of the Γ workload the incremental layers
+// absorbed:
 //
 //   - Solves: Γ-points computed from scratch (memo misses, or cache off);
 //   - CacheHits: full-multiset memo hits (Observation 2 — identical
@@ -51,17 +51,20 @@ func (c GammaCounters) Sub(earlier GammaCounters) GammaCounters {
 	}
 }
 
-// gammaStats is the process-wide accumulator behind CountersSnapshot.
-var gammaStats struct {
+// engineCounters are an Engine's live Γ-reuse counters. A worker adds its
+// gammaTally once, when it finishes; round hits and Radon-family counts are
+// added where they occur. Counters snapshots them.
+type engineCounters struct {
 	solves, cacheHits, prefixHits, roundHits atomic.Uint64
 }
 
-// CountersSnapshot returns the current process-wide Γ-reuse counters.
-func CountersSnapshot() GammaCounters {
+// Counters returns a snapshot of the engine's Γ-reuse counters.
+func (e *Engine) Counters() GammaCounters {
+	c := &e.counters
 	return GammaCounters{
-		Solves:     gammaStats.solves.Load(),
-		CacheHits:  gammaStats.cacheHits.Load(),
-		PrefixHits: gammaStats.prefixHits.Load(),
-		RoundHits:  gammaStats.roundHits.Load(),
+		Solves:     c.solves.Load(),
+		CacheHits:  c.cacheHits.Load(),
+		PrefixHits: c.prefixHits.Load(),
+		RoundHits:  c.roundHits.Load(),
 	}
 }

@@ -54,6 +54,8 @@ type Engine struct {
 	fams   *memoTable[meanEntry]
 	famMu  sync.Mutex
 	famSub map[string]famRef
+
+	counters engineCounters // Γ-reuse counters, snapshot by Counters
 }
 
 // famRef locates a finished family that contains a given drop-one
@@ -151,7 +153,7 @@ func appendMeta(dst []byte, d, f int, method safearea.Method) []byte {
 // lex-min LP collapses to a single solve.
 func (e *Engine) SafePoint(y *geometry.Multiset, f int, method safearea.Method) (geometry.Vector, error) {
 	if !e.memoize {
-		gammaStats.solves.Add(1)
+		e.counters.solves.Add(1)
 		return safearea.PointWith(y, f, method)
 	}
 	key := make([]byte, 0, 9+8*y.Len()*y.Dim())
@@ -167,7 +169,7 @@ func (e *Engine) SafePoint(y *geometry.Multiset, f int, method safearea.Method) 
 	})
 	var t gammaTally
 	t.record(fresh, ent.err, &t.cacheHits)
-	t.flush()
+	t.flush(e)
 	if ent.err != nil {
 		return nil, ent.err
 	}
@@ -175,8 +177,8 @@ func (e *Engine) SafePoint(y *geometry.Multiset, f int, method safearea.Method) 
 }
 
 // gammaTally is one worker's share of the Γ-reuse counters, kept in plain
-// fields and added to the process-wide atomics once, by flush, when the
-// worker finishes.
+// fields and added to its engine's atomics once, by flush, when the worker
+// finishes.
 type gammaTally struct {
 	solves, cacheHits, prefixHits uint64
 }
@@ -193,10 +195,10 @@ func (t *gammaTally) record(fresh bool, err error, hits *uint64) {
 	}
 }
 
-func (t *gammaTally) flush() {
-	gammaStats.solves.Add(t.solves)
-	gammaStats.cacheHits.Add(t.cacheHits)
-	gammaStats.prefixHits.Add(t.prefixHits)
+func (t *gammaTally) flush(e *Engine) {
+	e.counters.solves.Add(t.solves)
+	e.counters.cacheHits.Add(t.cacheHits)
+	e.counters.prefixHits.Add(t.prefixHits)
 }
 
 // gammaScratch is one worker's reusable state for per-candidate-set
@@ -398,7 +400,7 @@ func (e *Engine) AverageGamma(tuples []tuple, k, f int, method safearea.Method) 
 		return nil, 0, ent.err
 	}
 	if !fresh {
-		gammaStats.roundHits.Add(1)
+		e.counters.roundHits.Add(1)
 	}
 	return ent.pt.Clone(), ent.n, nil
 }
@@ -443,7 +445,7 @@ func (e *Engine) averageGammaCompute(tuples []tuple, k, f int, method safearea.M
 		go func() {
 			defer wg.Done()
 			sc := e.scratch(k, d, f, method)
-			defer sc.flush()
+			defer sc.flush(e)
 			idx := make([]int, k)
 			for {
 				// Claim a run of ranks: one Unrank, then combin.Next.
@@ -481,7 +483,7 @@ func (e *Engine) averageGammaCompute(tuples []tuple, k, f int, method safearea.M
 func (e *Engine) averageGammaSerial(tuples []tuple, k, f int, method safearea.Method, total int64, d int) (geometry.Vector, int, error) {
 	points := make([]geometry.Vector, 0, total)
 	sc := e.scratch(k, d, f, method)
-	defer sc.flush()
+	defer sc.flush(e)
 	var gerr error
 	err := combin.Combinations(len(tuples), k, func(idx []int) bool {
 		pt, err := sc.point(tuples, idx)
@@ -562,8 +564,8 @@ func (e *Engine) radonFamilyMean(tuples []tuple, k, f int, method safearea.Metho
 		} else {
 			fam, solved, err = safearea.NewRadonFamily(vals, f, k, method)
 		}
-		gammaStats.solves.Add(uint64(solved))
-		gammaStats.prefixHits.Add(uint64(reused))
+		e.counters.solves.Add(uint64(solved))
+		e.counters.prefixHits.Add(uint64(reused))
 		if err != nil {
 			ent.err = err
 			return
@@ -613,7 +615,7 @@ func (e *Engine) AverageGammaSets(sets [][]tuple, f int, method safearea.Method)
 	points := make([]geometry.Vector, len(sets))
 	if workers <= 1 {
 		sc := e.scratch(maxK, d, f, method)
-		defer sc.flush()
+		defer sc.flush(e)
 		for i, set := range sets {
 			pt, err := sc.pointOfSet(set)
 			if err != nil {
@@ -634,7 +636,7 @@ func (e *Engine) AverageGammaSets(sets [][]tuple, f int, method safearea.Method)
 		go func() {
 			defer wg.Done()
 			sc := e.scratch(maxK, d, f, method)
-			defer sc.flush()
+			defer sc.flush(e)
 			for {
 				r := int(next.Add(1) - 1)
 				if r >= len(sets) || failed.Load() {
@@ -655,7 +657,7 @@ func (e *Engine) AverageGammaSets(sets [][]tuple, f int, method safearea.Method)
 		// failing set in index order. The computation is deterministic, so
 		// the serial pass must fail too; the final error is a backstop.
 		sc := e.scratch(maxK, d, f, method)
-		defer sc.flush()
+		defer sc.flush(e)
 		for _, set := range sets {
 			if _, err := sc.pointOfSet(set); err != nil {
 				return nil, 0, fmt.Errorf("core: safe point of candidate set: %w", err)

@@ -154,8 +154,10 @@ func TestEngineMatchesReferenceAverage(t *testing.T) {
 // rule — a fresh computation is a solve, error or not; a recalled result is
 // a hit only when it carries no error — so on a fresh engine the same inputs
 // produce the same counter deltas at every worker count, however the
-// per-worker tallies interleave.
+// per-worker tallies interleave. Every engine counts only its own work, so
+// the test runs beside any other.
 func TestEngineCountersExactAcrossWorkers(t *testing.T) {
+	t.Parallel()
 	rng := rand.New(rand.NewSource(5))
 	workerSets := []int{1, 4, runtime.GOMAXPROCS(0)}
 	for _, c := range []struct{ d, f int }{{1, 2}, {2, 1}, {2, 2}, {3, 1}} {
@@ -176,7 +178,6 @@ func TestEngineCountersExactAcrossWorkers(t *testing.T) {
 		var want GammaCounters
 		for i, workers := range workerSets {
 			eng := NewEngine(workers, true)
-			before := CountersSnapshot()
 			for rep := 0; rep < 2; rep++ { // rep 1 is a round hit
 				if _, _, err := eng.AverageGamma(tuples, k, c.f, safearea.MethodAuto); err != nil {
 					t.Fatal(err)
@@ -185,7 +186,7 @@ func TestEngineCountersExactAcrossWorkers(t *testing.T) {
 			if _, _, err := eng.AverageGammaSets(sets, c.f, safearea.MethodAuto); err != nil {
 				t.Fatal(err)
 			}
-			got := CountersSnapshot().Sub(before)
+			got := eng.Counters()
 			if i == 0 {
 				if got.Solves == 0 || got.RoundHits != 1 {
 					t.Fatalf("d=%d f=%d: counters %+v, want solves and one round hit", c.d, c.f, got)
@@ -208,18 +209,18 @@ func TestEngineCountersExactAcrossWorkers(t *testing.T) {
 		// Two engines: SafePoint shares the set path's full-multiset key.
 		sets, single := NewEngine(workers, true), NewEngine(workers, true)
 		for rep, want := range []GammaCounters{{Solves: 1}, {}, {}} {
-			before := CountersSnapshot()
+			before := sets.Counters()
 			if _, _, err := sets.AverageGammaSets(bad, 1, safearea.MethodAuto); err == nil {
 				t.Fatal("one-member candidate set with f = 1 solved")
 			}
-			if got := CountersSnapshot().Sub(before); got != want {
+			if got := sets.Counters().Sub(before); got != want {
 				t.Fatalf("workers=%d AverageGammaSets rep %d: counters %+v, want %+v", workers, rep, got, want)
 			}
-			before = CountersSnapshot()
+			before = single.Counters()
 			if _, err := single.SafePoint(ms, 1, safearea.MethodAuto); err == nil {
 				t.Fatal("one-member multiset with f = 1 solved")
 			}
-			if got := CountersSnapshot().Sub(before); got != want {
+			if got := single.Counters().Sub(before); got != want {
 				t.Fatalf("workers=%d SafePoint rep %d: counters %+v, want %+v", workers, rep, got, want)
 			}
 		}

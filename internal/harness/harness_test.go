@@ -22,7 +22,7 @@ func TestE1SyncNecessity(t *testing.T) {
 }
 
 func TestE2ExactSufficiency(t *testing.T) {
-	tbl, err := E2ExactSufficiency(2)
+	tbl, err := E2ExactSufficiency(2, bvc.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -58,7 +58,7 @@ func TestE4AsyncNecessity(t *testing.T) {
 }
 
 func TestE5AsyncConvergence(t *testing.T) {
-	tbl, err := E5AsyncConvergence(5)
+	tbl, err := E5AsyncConvergence(5, bvc.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -68,7 +68,7 @@ func TestE5AsyncConvergence(t *testing.T) {
 }
 
 func TestE6RestrictedSync(t *testing.T) {
-	tbl, err := E6RestrictedSync(6)
+	tbl, err := E6RestrictedSync(6, bvc.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -78,7 +78,7 @@ func TestE6RestrictedSync(t *testing.T) {
 }
 
 func TestE7RestrictedAsync(t *testing.T) {
-	tbl, err := E7RestrictedAsync(7)
+	tbl, err := E7RestrictedAsync(7, bvc.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -88,7 +88,7 @@ func TestE7RestrictedAsync(t *testing.T) {
 }
 
 func TestE8CoordinateWise(t *testing.T) {
-	tbl, err := E8CoordinateWise(8)
+	tbl, err := E8CoordinateWise(8, bvc.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,7 +114,7 @@ func TestE10ScaleSweep(t *testing.T) {
 	if testing.Short() {
 		t.Skip("n=13 scale sweep in -short mode")
 	}
-	tbl, err := E10ScaleSweep(10)
+	tbl, err := E10ScaleSweep(10, bvc.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -215,7 +215,7 @@ func TestSpreadInf(t *testing.T) {
 type Vector2 = []float64
 
 func TestF2ConvergenceSeries(t *testing.T) {
-	tbl, err := F2ConvergenceSeries(12)
+	tbl, err := F2ConvergenceSeries(12, bvc.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -231,7 +231,7 @@ func TestAll(t *testing.T) {
 	if testing.Short() {
 		t.Skip("full experiment sweep in -short mode")
 	}
-	tables, err := All(11)
+	tables, err := All(11, bvc.SimOptions{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -252,11 +252,9 @@ func TestAllIdenticalAcrossEngineOptions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three full experiment sweeps in -short mode")
 	}
-	t.Cleanup(func() { SetEngineOptions(0, false, 0) })
-	render := func(workers int, disableCache bool, nodeWorkers int) string {
-		SetEngineOptions(workers, disableCache, nodeWorkers)
+	render := func(opts bvc.SimOptions) string {
 		bvc.ResetEngineCaches()
-		tables, err := All(1)
+		tables, err := All(1, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -266,13 +264,15 @@ func TestAllIdenticalAcrossEngineOptions(t *testing.T) {
 		}
 		return b.String()
 	}
-	want := render(0, false, 0)
+	want := render(bvc.SimOptions{})
 	for _, opt := range []struct {
-		workers      int
-		disableCache bool
-		nodeWorkers  int
-	}{{1, true, 0}, {0, false, 1}} {
-		got := render(opt.workers, opt.disableCache, opt.nodeWorkers)
+		name string
+		opts bvc.SimOptions
+	}{
+		{"serial uncached Γ", bvc.SimOptions{Engine: bvc.NewGammaEngine(1, false)}},
+		{"serial nodes", bvc.SimOptions{NodeWorkers: 1}},
+	} {
+		got := render(opt.opts)
 		if got == want {
 			continue
 		}
@@ -281,7 +281,7 @@ func TestAllIdenticalAcrossEngineOptions(t *testing.T) {
 			i++
 		}
 		lo := max(0, i-80)
-		t.Errorf("%+v: output differs from the default engine's at byte %d:\n got …%s\nwant …%s",
-			opt, i, got[lo:min(len(got), i+80)], want[lo:min(len(want), i+80)])
+		t.Errorf("%s: output differs from the default engine's at byte %d:\n got …%s\nwant …%s",
+			opt.name, i, got[lo:min(len(got), i+80)], want[lo:min(len(want), i+80)])
 	}
 }

@@ -68,7 +68,7 @@ func E1SyncNecessity(seed int64) (*Table, error) {
 					if err != nil {
 						return nil, fmt.Errorf("E1 threshold d=%d f=%d: %w", d, f, err)
 					}
-					in, err := bvc.SafeAreaContainsWorkers(pts, f, pt, engineOptions.workers)
+					in, err := bvc.SafeAreaContains(pts, f, pt)
 					if err != nil {
 						return nil, err
 					}

@@ -16,7 +16,7 @@ import (
 // E2ExactSufficiency runs Exact BVC at the tight bound across a (d, f) grid
 // and the full adversary library, verifying Agreement, Validity and
 // Termination on every execution (Theorem 3).
-func E2ExactSufficiency(seed int64) (*Table, error) {
+func E2ExactSufficiency(seed int64, opts bvc.SimOptions) (*Table, error) {
 	t := &Table{
 		ID:    "E2",
 		Title: "Exact BVC sufficiency (synchronous) at n = max(3f+1, (d+1)f+1)",
@@ -70,7 +70,7 @@ func E2ExactSufficiency(seed int64) (*Table, error) {
 			for _, b := range byz {
 				inputs[b.ID] = nil
 			}
-			res, err := bvc.SimulateExact(cfg, inputs, byz, withEngine(bvc.SimOptions{Seed: seed}))
+			res, err := bvc.SimulateExact(cfg, inputs, byz, runOpts(opts, seed, bvc.DelaySpec{}))
 			if err != nil {
 				return nil, fmt.Errorf("E2 d=%d f=%d %s: %w", d, f, c.name, err)
 			}
@@ -90,7 +90,7 @@ func E2ExactSufficiency(seed int64) (*Table, error) {
 // full termination rule and verifies ε-agreement and validity (Theorem 5).
 // The per-round series is the repository's "figure" for the convergence
 // behaviour.
-func E5AsyncConvergence(seed int64) (*Table, error) {
+func E5AsyncConvergence(seed int64, opts bvc.SimOptions) (*Table, error) {
 	const (
 		n, f, d   = 5, 1, 2
 		eps       = 0.05
@@ -124,7 +124,7 @@ func E5AsyncConvergence(seed int64) (*Table, error) {
 		Kind: bvc.DelayExponential, Mean: 4 * time.Millisecond,
 		StarveSet: []int{0}, StarveExtra: 40 * time.Millisecond,
 	}
-	res, err := bvc.SimulateApproxAsync(cfg, inputs, byz, withEngine(bvc.SimOptions{Seed: seed, Delay: delay}))
+	res, err := bvc.SimulateApproxAsync(cfg, inputs, byz, runOpts(opts, seed, delay))
 	if err != nil {
 		return nil, err
 	}
@@ -145,7 +145,7 @@ func E5AsyncConvergence(seed int64) (*Table, error) {
 
 	// Full run with the analytic termination rule.
 	cfg.MaxRounds = 0
-	full, err := bvc.SimulateApproxAsync(cfg, inputs, byz, withEngine(bvc.SimOptions{Seed: seed + 1, Delay: delay}))
+	full, err := bvc.SimulateApproxAsync(cfg, inputs, byz, runOpts(opts, seed+1, delay))
 	if err != nil {
 		return nil, err
 	}
@@ -175,7 +175,7 @@ func E5AsyncConvergence(seed int64) (*Table, error) {
 // first-n−f−1-arrivals structure keeps the per-process views heterogeneous,
 // unlike the strongly synchronizing witness exchange of E5) against the
 // analytic (1−γ)^t envelope.
-func F2ConvergenceSeries(seed int64) (*Table, error) {
+func F2ConvergenceSeries(seed int64, opts bvc.SimOptions) (*Table, error) {
 	const (
 		n, f, d = 7, 1, 2
 		eps     = 0.05
@@ -196,10 +196,8 @@ func F2ConvergenceSeries(seed int64) (*Table, error) {
 	inputs[n-1] = nil
 	byz := []bvc.Byzantine{{ID: n - 1, Strategy: bvc.StrategyEquivocate,
 		Target: make(bvc.Vector, d), Target2: bvc.Vector{1, 1}}}
-	res, err := bvc.SimulateRestrictedAsync(cfg, inputs, byz, withEngine(bvc.SimOptions{
-		Seed:  seed,
-		Delay: bvc.DelaySpec{Kind: bvc.DelayExponential, Mean: 10 * time.Millisecond},
-	}))
+	res, err := bvc.SimulateRestrictedAsync(cfg, inputs, byz, runOpts(opts, seed,
+		bvc.DelaySpec{Kind: bvc.DelayExponential, Mean: 10 * time.Millisecond}))
 	if err != nil {
 		return nil, err
 	}
@@ -238,7 +236,7 @@ func F2ConvergenceSeries(seed int64) (*Table, error) {
 // n = (d+2)f+1 across adversaries, and demonstrates why (d+2)f does not
 // suffice: a candidate set of n−f = (d+1)f states can have an empty safe
 // area, leaving Step 2 with nothing to choose.
-func E6RestrictedSync(seed int64) (*Table, error) {
+func E6RestrictedSync(seed int64, opts bvc.SimOptions) (*Table, error) {
 	t := &Table{
 		ID:    "E6",
 		Title: "Restricted-round synchronous BVC at n = (d+2)f+1",
@@ -271,7 +269,7 @@ func E6RestrictedSync(seed int64) (*Table, error) {
 			for _, b := range byz {
 				inputs[b.ID] = nil
 			}
-			res, err := bvc.SimulateRestrictedSync(cfg, inputs, byz, withEngine(bvc.SimOptions{Seed: seed}))
+			res, err := bvc.SimulateRestrictedSync(cfg, inputs, byz, runOpts(opts, seed, bvc.DelaySpec{}))
 			if err != nil {
 				return nil, fmt.Errorf("E6 d=%d %s: %w", d, name, err)
 			}
@@ -310,7 +308,7 @@ func E6RestrictedSync(seed int64) (*Table, error) {
 
 // E7RestrictedAsync validates the §4 restricted asynchronous algorithm at
 // n = (d+4)f+1 under benign and adversarial schedules (Theorem 6).
-func E7RestrictedAsync(seed int64) (*Table, error) {
+func E7RestrictedAsync(seed int64, opts bvc.SimOptions) (*Table, error) {
 	t := &Table{
 		ID:    "E7",
 		Title: "Restricted-round asynchronous BVC at n = (d+4)f+1",
@@ -349,7 +347,7 @@ func E7RestrictedAsync(seed int64) (*Table, error) {
 			for _, b := range c.byz {
 				inputs[b.ID] = nil
 			}
-			res, err := bvc.SimulateRestrictedAsync(cfg, inputs, c.byz, withEngine(bvc.SimOptions{Seed: seed, Delay: c.delay}))
+			res, err := bvc.SimulateRestrictedAsync(cfg, inputs, c.byz, runOpts(opts, seed, c.delay))
 			if err != nil {
 				return nil, fmt.Errorf("E7 d=%d %s: %w", d, c.schedule, err)
 			}
@@ -377,7 +375,7 @@ func E7RestrictedAsync(seed int64) (*Table, error) {
 // scalar consensus satisfies per-dimension validity yet leaves the convex
 // hull of the correct inputs (it even leaves the probability simplex), while
 // Exact BVC on the same workload does not.
-func E8CoordinateWise(seed int64) (*Table, error) {
+func E8CoordinateWise(seed int64, opts bvc.SimOptions) (*Table, error) {
 	t := &Table{
 		ID:    "E8",
 		Title: "Coordinate-wise scalar consensus violates vector validity",
@@ -396,7 +394,7 @@ func E8CoordinateWise(seed int64) (*Table, error) {
 		nil,
 	}
 	byz := []bvc.Byzantine{{ID: 3, Strategy: bvc.StrategyLure, Target: bvc.Vector{0, 0, 0}}}
-	cw, err := bvc.SimulateCoordinateWise(bvc.Config{N: 4, F: 1, D: 3}, paperInputs, byz, withEngine(bvc.SimOptions{Seed: seed}))
+	cw, err := bvc.SimulateCoordinateWise(bvc.Config{N: 4, F: 1, D: 3}, paperInputs, byz, runOpts(opts, seed, bvc.DelaySpec{}))
 	if err != nil {
 		return nil, err
 	}
@@ -414,7 +412,7 @@ func E8CoordinateWise(seed int64) (*Table, error) {
 		nil,
 	}
 	byz5 := []bvc.Byzantine{{ID: 4, Strategy: bvc.StrategyLure, Target: bvc.Vector{0, 0, 0}}}
-	ex, err := bvc.SimulateExact(bvc.Config{N: 5, F: 1, D: 3}, bvcInputs, byz5, withEngine(bvc.SimOptions{Seed: seed}))
+	ex, err := bvc.SimulateExact(bvc.Config{N: 5, F: 1, D: 3}, bvcInputs, byz5, runOpts(opts, seed, bvc.DelaySpec{}))
 	if err != nil {
 		return nil, err
 	}
@@ -434,7 +432,7 @@ func E8CoordinateWise(seed int64) (*Table, error) {
 		inputs[3] = nil
 		res, err := bvc.SimulateCoordinateWise(bvc.Config{N: 4, F: 1, D: 3}, inputs,
 			[]bvc.Byzantine{{ID: 3, Strategy: bvc.StrategyLure, Target: bvc.Vector{0, 0, 0}}},
-			withEngine(bvc.SimOptions{Seed: int64(trial)}))
+			runOpts(opts, int64(trial), bvc.DelaySpec{}))
 		if err != nil {
 			return nil, err
 		}
@@ -582,9 +580,10 @@ func sum(v bvc.Vector) float64 {
 	return s
 }
 
-// All runs every experiment in ExperimentOrder and returns the tables.
-func All(seed int64) ([]*Table, error) {
-	runners := Runners(seed, 20)
+// All runs every experiment in ExperimentOrder on the engine choice of opts
+// (see Runners) and returns the tables.
+func All(seed int64, opts bvc.SimOptions) ([]*Table, error) {
+	runners := Runners(seed, 20, opts)
 	out := make([]*Table, 0, len(ExperimentOrder))
 	for _, name := range ExperimentOrder {
 		tbl, err := runners[name]()

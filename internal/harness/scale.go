@@ -33,7 +33,7 @@ var E10RowCells = []SweepCell{
 // processes at once, unlike E2's single-adversary rows); the asynchronous
 // algorithm runs at n = 13 on a fixed horizon and must contract its range
 // while staying valid. Every execution is verified.
-func E10ScaleSweep(seed int64) (*Table, error) {
+func E10ScaleSweep(seed int64, opts bvc.SimOptions) (*Table, error) {
 	t := &Table{
 		ID:    "E10",
 		Title: "Scale sweep: largest verified (n, d, f) grids",
@@ -81,7 +81,7 @@ func E10ScaleSweep(seed int64) (*Table, error) {
 			for _, b := range byz {
 				inputs[b.ID] = nil
 			}
-			res, err := bvc.SimulateExact(cfg, inputs, byz, withEngine(bvc.SimOptions{Seed: seed}))
+			res, err := bvc.SimulateExact(cfg, inputs, byz, runOpts(opts, seed, bvc.DelaySpec{}))
 			if err != nil {
 				return nil, fmt.Errorf("E10 exact d=%d f=%d %s: %w", d, f, adv, err)
 			}
@@ -121,10 +121,8 @@ func E10ScaleSweep(seed int64) (*Table, error) {
 		for _, b := range byz {
 			inputs[b.ID] = nil
 		}
-		res, err := bvc.SimulateApproxAsync(cfg, inputs, byz, withEngine(bvc.SimOptions{
-			Seed:  seed,
-			Delay: bvc.DelaySpec{Kind: bvc.DelayExponential, Mean: 3 * time.Millisecond},
-		}))
+		res, err := bvc.SimulateApproxAsync(cfg, inputs, byz, runOpts(opts, seed,
+			bvc.DelaySpec{Kind: bvc.DelayExponential, Mean: 3 * time.Millisecond}))
 		if err != nil {
 			return nil, fmt.Errorf("E10 async n=%d: %w", n, err)
 		}
@@ -152,7 +150,7 @@ func E10ScaleSweep(seed int64) (*Table, error) {
 	// budget.
 	for _, cell := range E10RowCells {
 		cell.Seed = seed
-		out, err := RunSweepCell(cell)
+		out, err := runSweepCell(cell, opts)
 		if err != nil {
 			return nil, fmt.Errorf("E10 γ-budget %s: %w", cell.Variant, err)
 		}

@@ -40,11 +40,12 @@ var steadyRasyncCell = SweepCell{Variant: "rasync", D: 2, F: 2, N: 13, Adversary
 // regression fails the build instead of waiting for a timing run: each row
 // must verify, solve at most 3 % more Γ-points than pinned, keep its reuse
 // rate within 0.02 of the pin, and allocate at most 25 % more than pinned.
-// Both worker pools are forced serial, so the counts do not depend on
-// GOMAXPROCS.
+// Each row runs on its own fresh serial engine with serial node stepping,
+// so the counts depend neither on GOMAXPROCS nor on what ran before, and
+// the Γ counts are that engine's alone. The subtests stay sequential: the
+// malloc pin reads the process-wide runtime.MemStats, which anything
+// running alongside would inflate.
 func TestE10RowBudgets(t *testing.T) {
-	SetEngineOptions(1, false, 1)
-	t.Cleanup(func() { SetEngineOptions(0, false, 0) })
 	type row struct {
 		key  string
 		cell SweepCell
@@ -65,13 +66,12 @@ func TestE10RowBudgets(t *testing.T) {
 			t.Fatalf("no pin for E10 row %s", key)
 		}
 		t.Run(c.Name(), func(t *testing.T) {
-			bvc.ResetEngineCaches()
+			eng := bvc.NewGammaEngine(1, true)
 			var m0, m1 runtime.MemStats
-			gamma0 := bvc.EngineGammaCounters()
 			runtime.ReadMemStats(&m0)
-			out, err := RunSweepCell(c)
+			out, err := runSweepCell(c, bvc.SimOptions{Engine: eng, NodeWorkers: 1})
 			runtime.ReadMemStats(&m1)
-			gamma := bvc.EngineGammaCounters().Sub(gamma0)
+			gamma := eng.Counters()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -112,3 +112,47 @@ func benchE10Row(b *testing.B, c SweepCell) {
 
 func BenchmarkE10RowRsync15(b *testing.B)  { benchE10Row(b, E10RowCells[0]) }
 func BenchmarkE10RowApprox15(b *testing.B) { benchE10Row(b, E10RowCells[1]) }
+
+// TestEngineCountersAreThePerEngineWork: an engine's counters record only
+// the work done on it. steadyRasyncCell runs concurrently on two serial
+// engines and then alone on a third; all three must count the same Γ work.
+func TestEngineCountersAreThePerEngineWork(t *testing.T) {
+	run := func(eng *bvc.GammaEngine) (bvc.GammaCounters, error) {
+		out, err := runSweepCell(steadyRasyncCell, bvc.SimOptions{Engine: eng, NodeWorkers: 1})
+		if err == nil && !out.Verified {
+			err = fmt.Errorf("not verified: %+v", out)
+		}
+		return eng.Counters(), err
+	}
+	type result struct {
+		counters bvc.GammaCounters
+		err      error
+	}
+	results := make(chan result, 2)
+	for range 2 {
+		go func() {
+			c, err := run(bvc.NewGammaEngine(1, true))
+			results <- result{c, err}
+		}()
+	}
+	var concurrent []bvc.GammaCounters
+	for range 2 {
+		r := <-results
+		if r.err != nil {
+			t.Fatal(r.err)
+		}
+		concurrent = append(concurrent, r.counters)
+	}
+	alone, err := run(bvc.NewGammaEngine(1, true))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if alone.Solves == 0 {
+		t.Fatalf("alone: counters %+v, want Γ solves", alone)
+	}
+	for i, got := range concurrent {
+		if got != alone {
+			t.Errorf("concurrent engine %d: counters %+v, alone %+v", i, got, alone)
+		}
+	}
+}

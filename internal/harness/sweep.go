@@ -213,8 +213,15 @@ func (c SweepCell) delaySpec() bvc.DelaySpec {
 // analytic termination bound has blown up with γ's combinatorial decay —
 // must contract the correct processes' range over the horizon while every
 // decision stays inside the correct inputs' hull (validity) — the
-// per-round guarantees the termination proof iterates.
+// per-round guarantees the termination proof iterates. The cell runs on the
+// shared default Γ engine.
 func RunSweepCell(c SweepCell) (*SweepOutcome, error) {
+	return runSweepCell(c, bvc.SimOptions{})
+}
+
+// runSweepCell is RunSweepCell on the engine choice of opts (Engine and
+// NodeWorkers); the cell supplies the seed and delay.
+func runSweepCell(c SweepCell, opts bvc.SimOptions) (*SweepOutcome, error) {
 	c, err := c.Normalize()
 	if err != nil {
 		return nil, err
@@ -243,7 +250,7 @@ func RunSweepCell(c SweepCell) (*SweepOutcome, error) {
 	for _, b := range byz {
 		inputs[b.ID] = nil
 	}
-	opts := withEngine(bvc.SimOptions{Seed: c.Seed, Delay: c.delaySpec()})
+	opts = runOpts(opts, c.Seed, c.delaySpec())
 
 	var res *bvc.Result
 	switch c.Variant {

@@ -70,8 +70,20 @@ func TestServiceWrapperEndToEnd(t *testing.T) {
 			t.Fatalf("process %d: no result", i)
 		}
 	}
-	if st := svcs[0].Stats(); st.Decided != 1 || st.FramesOut == 0 {
+	if st := svcs[0].Stats(); st.Decided != 1 {
 		t.Fatalf("stats: %+v", st)
+	}
+	// FramesOut counts a frame only once its write completes, and process 0
+	// can decide on the other processes' frames before its own writers have
+	// run; so wait, boundedly, for them to send.
+	for deadline := time.Now().Add(10 * time.Second); ; time.Sleep(time.Millisecond) {
+		st := svcs[0].Stats()
+		if st.FramesOut > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no frame written within 10s, QueueDepth %d: %+v", st.QueueDepth, st)
+		}
 	}
 
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)

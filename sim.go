@@ -95,13 +95,11 @@ type SimOptions struct {
 	Seed int64
 	// Delay is the network delay model (asynchronous variants only).
 	Delay DelaySpec
-	// Workers bounds the number of concurrent Γ-point solves in the
-	// engine's per-candidate-set fan-out: 0 selects GOMAXPROCS, 1 forces
-	// serial execution. Every setting produces bit-identical decisions —
-	// solves are independent and the reduction is rank-ordered — so this is
-	// purely a performance knob. A nonzero Workers (or DisableGammaCache)
-	// gives the run its own engine, whose memo lives for that run only.
-	Workers int
+	// Engine is the Γ-point engine the run computes on; nil selects the
+	// shared default engine (parallel across GOMAXPROCS and memoized). Every
+	// engine produces bit-identical decisions, so this chooses only where
+	// the work runs, which memo it shares and whose counters record it.
+	Engine *GammaEngine
 	// NodeWorkers bounds how many simulated processes are stepped
 	// concurrently by the simulation engines: 0 selects GOMAXPROCS, 1
 	// forces serial stepping. In the synchronous engine each round's
@@ -109,30 +107,14 @@ type SimOptions struct {
 	// engine deliveries sharing a virtual timestamp do. Executions are
 	// bit-identical for every setting (the engines merge emitted messages
 	// deterministically and every process owns an independent seeded PRNG
-	// stream), so this knob composes freely with Workers: NodeWorkers
-	// parallelizes across nodes, Workers within one node's Zi fan-out.
+	// stream), so this knob composes freely with the Γ engine's own worker
+	// bound: NodeWorkers parallelizes across nodes, the engine within one
+	// node's Zi fan-out.
 	NodeWorkers int
-	// DisableGammaCache turns off the Γ-point memoization that collapses
-	// identical candidate-set solves across the n simulated processes
-	// (exact by the paper's Observation 2: all correct processes compute
-	// the same zij). Disabling changes no results; it exists for
-	// measurement and memory-constrained runs.
-	DisableGammaCache bool
 }
 
-// engine resolves the Γ-point engine for this run: nil (the process-wide
-// shared default — parallel and memoized) unless an explicit configuration
-// was requested, which gets a fresh engine whose memo lives for this run
-// only.
-func (o SimOptions) engine() *core.Engine {
-	if o.Workers == 0 && !o.DisableGammaCache {
-		return nil
-	}
-	return core.NewEngine(o.Workers, !o.DisableGammaCache)
-}
-
-// ResetEngineCaches drops every memoized Γ-point from the process-wide
-// default engine. Benchmarks call it between iterations to measure
+// ResetEngineCaches drops every memoized Γ-point from the shared default
+// engine; its counters keep counting. Benchmarks call it between iterations to measure
 // cold-cache runs; production code never needs it (the caches are bounded
 // and exact).
 func ResetEngineCaches() {
@@ -189,7 +171,7 @@ func simulateSyncEIG(cfg Config, inputs []Vector, byz []Byzantine, opts SimOptio
 	if err != nil {
 		return nil, err
 	}
-	params.Engine = opts.engine()
+	params.Engine = opts.Engine.engine()
 	if len(inputs) != cfg.N {
 		return nil, fmt.Errorf("bvc: %d inputs for n=%d", len(inputs), cfg.N)
 	}
@@ -248,7 +230,7 @@ func SimulateRestrictedSync(cfg Config, inputs []Vector, byz []Byzantine, opts S
 	if err != nil {
 		return nil, err
 	}
-	params.Engine = opts.engine()
+	params.Engine = opts.Engine.engine()
 	if len(inputs) != cfg.N {
 		return nil, fmt.Errorf("bvc: %d inputs for n=%d", len(inputs), cfg.N)
 	}
@@ -314,7 +296,7 @@ func SimulateApproxAsync(cfg Config, inputs []Vector, byz []Byzantine, opts SimO
 	if err != nil {
 		return nil, err
 	}
-	acfg.Engine = opts.engine()
+	acfg.Engine = opts.Engine.engine()
 	if len(inputs) != cfg.N {
 		return nil, fmt.Errorf("bvc: %d inputs for n=%d", len(inputs), cfg.N)
 	}
@@ -371,7 +353,7 @@ func SimulateRestrictedAsync(cfg Config, inputs []Vector, byz []Byzantine, opts 
 	if err != nil {
 		return nil, err
 	}
-	params.Engine = opts.engine()
+	params.Engine = opts.Engine.engine()
 	if len(inputs) != cfg.N {
 		return nil, fmt.Errorf("bvc: %d inputs for n=%d", len(inputs), cfg.N)
 	}
