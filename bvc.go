@@ -33,11 +33,13 @@
 // set per round. That path runs on a dedicated Γ-point engine
 // (internal/core.Engine) which is allocation-free in steady state (the
 // simplex solver reuses flat tableau slabs through internal/lp.Workspace),
-// parallel (candidate-set solves are streamed by subset rank across a
-// bounded worker pool) and memoized (by the paper's Observation 2, every
-// correct process computes the identical point zij for the same candidate
-// set, so identical solves — across the n simulated processes, and across
-// rounds — collapse to one, keyed by the canonical bit-exact multiset key).
+// parallel (candidate-set solves are streamed by subset rank across up
+// to a bound of workers; the caller is one of them, and the others start
+// only at a walk's first memo miss) and memoized (by the paper's
+// Observation 2, every correct process computes the identical point zij
+// for the same candidate set, so identical solves — across the n
+// simulated processes, and across rounds — collapse to one, keyed by the
+// canonical bit-exact multiset key).
 //
 // The engine is a value: SimOptions.Engine runs a simulation on a
 // GammaEngine built by NewGammaEngine (a worker bound — 0 = GOMAXPROCS,

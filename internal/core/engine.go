@@ -5,24 +5,31 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/combin"
 	"repro/internal/geometry"
 	"repro/internal/safearea"
+	"repro/internal/sim"
 )
 
 // Engine is the Γ-point computation engine shared by every algorithm
-// variant: it owns the bounded worker pool that fans the per-candidate-set
-// safe-point solves out across CPUs, and the memoization table that collapses
-// identical solves to one. Both optimizations are exact — parallel and
-// serial, cached and uncached runs produce bit-identical results:
+// variant: it bounds how many workers fan the per-candidate-set safe-point
+// solves of one Zi walk out across CPUs, and owns the memoization table
+// that collapses identical solves to one. Both optimizations are exact —
+// parallel and serial, cached and uncached runs produce bit-identical
+// results:
 //
 //   - Parallelism: the C(|B|, k) candidate sets are streamed by
 //     lexicographic rank (workers claim short runs of ranks, unrank the
 //     first with combin.Unrank and step with combin.Next, so the subset
 //     list is never materialized), each Γ-point depends only on its own
-//     candidate set, and the Zi average is reduced in rank order.
+//     candidate set, and the Zi average is reduced in rank order. The
+//     walk's caller is worker 0 (sim.FanOut); the other workers−1 start
+//     only when the caller first meets a set that needs a solve (a memo
+//     miss, or any set with memoization off). A memo hit costs a few hash
+//     probes, less than starting and joining a goroutine: on the
+//     witness-optimised approx workload, where ~99 % of sets are hits,
+//     fanning out every walk ran slower than one worker.
 //   - Memoization: by Observation 2 of the paper, the deterministic point
 //     zij of a candidate set depends only on the canonical (origin-sorted)
 //     multiset of values, so any two processes — and any two rounds, and any
@@ -215,15 +222,34 @@ type gammaScratch struct {
 	vals   []geometry.Vector
 	view   geometry.Multiset
 	key    []byte
+	// fan is the walk's fan-out, for worker 0 to grow at its first solve;
+	// nil on helpers and once grown.
+	fan *sim.Fan
 	gammaTally
 }
 
-func (e *Engine) scratch(k, d, f int, method safearea.Method) gammaScratch {
-	return gammaScratch{
+// scratch builds worker w's scratch for a walk on fan.
+func (e *Engine) scratch(fan *sim.Fan, w, k, d, f int, method safearea.Method) gammaScratch {
+	sc := gammaScratch{
 		e: e, f: f, method: method, d: d,
 		sel:  make([]tuple, 0, k),
 		vals: make([]geometry.Vector, 0, k),
 		key:  make([]byte, 0, 9+8*k*d),
+	}
+	if w == 0 {
+		sc.fan = fan
+	}
+	return sc
+}
+
+// solving runs before every Γ-point solve. Worker 0's first one starts the
+// walk's helpers: a memo hit costs a few hash probes, less than starting
+// and joining a goroutine, so a walk whose every set is a hit never leaves
+// its caller's goroutine.
+func (sc *gammaScratch) solving() {
+	if sc.fan != nil {
+		sc.fan.Grow()
+		sc.fan = nil
 	}
 }
 
@@ -287,6 +313,7 @@ func (sc *gammaScratch) pointOfSel() (geometry.Vector, error) {
 		}
 	}
 	if !sc.e.memoize {
+		sc.solving()
 		sc.solves++
 		return sc.solve(sel)
 	}
@@ -306,6 +333,7 @@ func (sc *gammaScratch) pointOfSel() (geometry.Vector, error) {
 		fresh := false
 		ent.once.Do(func() {
 			fresh = true
+			sc.solving()
 			ms, err := sc.viewOf(sel[:m])
 			if err != nil {
 				ent.err = err
@@ -329,6 +357,7 @@ func (sc *gammaScratch) pointOfSel() (geometry.Vector, error) {
 	fresh := false
 	ent.once.Do(func() {
 		fresh = true
+		sc.solving()
 		ent.pt, ent.err = sc.solve(sel)
 	})
 	sc.record(fresh, ent.err, &sc.cacheHits)
@@ -340,9 +369,9 @@ const ziKeyTag = byte('Z')
 
 // AverageGamma computes Zi = {Γ-point of C : C ⊆ tuples, |C| = k} and
 // returns its average — eq. (9) of the paper — along with |Zi|. Subsets are
-// streamed (never materialized); with more than one worker the solves run
-// concurrently and are reduced in lexicographic rank order, so the result is
-// bit-identical to the serial computation.
+// streamed (never materialized); from the first solve on, the engine's
+// workers run concurrently and are reduced in lexicographic rank order, so
+// the result is bit-identical to the serial computation.
 //
 // With memoization on, the whole reduction is additionally keyed by the
 // ordered (origin, value) tuple sequence: in the synchronous state exchange
@@ -405,8 +434,8 @@ func (e *Engine) AverageGamma(tuples []tuple, k, f int, method safearea.Method) 
 	return ent.pt.Clone(), ent.n, nil
 }
 
-// walkRun is how many consecutive subset ranks a parallel AverageGamma
-// worker claims at once: it unranks the first and steps to the rest with
+// walkRun is how many consecutive subset ranks an AverageGamma worker
+// claims at once: it unranks the first and steps to the rest with
 // combin.Next, so Unrank's O(n) binomial walk is paid once per run instead
 // of once per subset, while runs stay short enough to balance a few
 // hundred subsets across workers.
@@ -425,80 +454,49 @@ func (e *Engine) averageGammaCompute(tuples []tuple, k, f int, method safearea.M
 		return e.radonFamilyMean(tuples, k, f, method, d)
 	}
 	n := len(tuples)
-	total := combin.Binomial(n, k)
-	workers := e.workers
-	if int64(workers) > total {
-		workers = int(total)
-	}
-	if workers <= 1 {
-		return e.averageGammaSerial(tuples, k, f, method, total, d)
-	}
-
-	points := make([]geometry.Vector, total)
-	var (
-		next   atomic.Int64
-		failed atomic.Bool
-		wg     sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := e.scratch(k, d, f, method)
-			defer sc.flush(e)
-			idx := make([]int, k)
-			for {
-				// Claim a run of ranks: one Unrank, then combin.Next.
-				r0 := next.Add(walkRun) - walkRun
-				if r0 >= total || failed.Load() {
-					return
-				}
-				idx, err := combin.Unrank(n, k, r0, idx)
-				if err != nil {
-					failed.Store(true)
-					return
-				}
-				for r := r0; r < min(r0+walkRun, total); r++ {
-					if r > r0 {
-						combin.Next(n, idx)
-					}
-					pt, err := sc.point(tuples, idx)
-					if err != nil {
-						failed.Store(true)
-						return
-					}
-					points[r] = pt
-				}
+	points := make([]geometry.Vector, combin.Binomial(n, k))
+	return e.walk(points, func(fan *sim.Fan, w int) {
+		sc := e.scratch(fan, w, k, d, f, method)
+		defer sc.flush(e)
+		idx := make([]int, k)
+		for {
+			// Claim a run of ranks: one Unrank, then combin.Next.
+			r0, r1, ok := fan.Claim(walkRun)
+			if !ok {
+				return
 			}
-		}()
-	}
-	wg.Wait()
-	if failed.Load() {
-		// Re-run serially for the deterministic first-failing-rank error.
-		return e.averageGammaSerial(tuples, k, f, method, total, d)
-	}
-	return meanOf(points)
+			idx, err := combin.Unrank(n, k, int64(r0), idx)
+			if err != nil {
+				fan.Stop(err)
+				return
+			}
+			for r := r0; r < r1; r++ {
+				if r > r0 {
+					combin.Next(n, idx)
+				}
+				pt, err := sc.point(tuples, idx)
+				if err != nil {
+					fan.Stop(fmt.Errorf("core: safe point of candidate set: %w", err))
+					return
+				}
+				points[r] = pt
+			}
+		}
+	})
 }
 
-func (e *Engine) averageGammaSerial(tuples []tuple, k, f int, method safearea.Method, total int64, d int) (geometry.Vector, int, error) {
-	points := make([]geometry.Vector, 0, total)
-	sc := e.scratch(k, d, f, method)
-	defer sc.flush(e)
-	var gerr error
-	err := combin.Combinations(len(tuples), k, func(idx []int) bool {
-		pt, err := sc.point(tuples, idx)
-		if err != nil {
-			gerr = err
-			return false
-		}
-		points = append(points, pt)
-		return true
-	})
+// walk fills points, one per candidate set in rank order, by running work
+// on a fan-out over the engine's workers, and averages them. The caller is
+// worker 0; its scratch starts the helpers at its first solve (see
+// gammaScratch.solving). A failure re-runs the walk on the caller alone,
+// so the error is the first failing rank's whatever the interleaving.
+func (e *Engine) walk(points []geometry.Vector, work func(fan *sim.Fan, w int)) (geometry.Vector, int, error) {
+	err := sim.FanOut(e.workers, len(points), work)
+	if err != nil && sim.ResolveWorkers(e.workers, len(points)) > 1 {
+		err = sim.FanOut(1, len(points), work)
+	}
 	if err != nil {
 		return nil, 0, err
-	}
-	if gerr != nil {
-		return nil, 0, fmt.Errorf("core: safe point of candidate set: %w", gerr)
 	}
 	return meanOf(points)
 }
@@ -607,65 +605,23 @@ func (e *Engine) AverageGammaSets(sets [][]tuple, f int, method safearea.Method)
 			maxK = len(set)
 		}
 	}
-	workers := e.workers
-	if workers > len(sets) {
-		workers = len(sets)
-	}
-
 	points := make([]geometry.Vector, len(sets))
-	if workers <= 1 {
-		sc := e.scratch(maxK, d, f, method)
+	return e.walk(points, func(fan *sim.Fan, w int) {
+		sc := e.scratch(fan, w, maxK, d, f, method)
 		defer sc.flush(e)
-		for i, set := range sets {
-			pt, err := sc.pointOfSet(set)
+		for {
+			r, _, ok := fan.Claim(1)
+			if !ok {
+				return
+			}
+			pt, err := sc.pointOfSet(sets[r])
 			if err != nil {
-				return nil, 0, fmt.Errorf("core: safe point of candidate set: %w", err)
+				fan.Stop(fmt.Errorf("core: safe point of candidate set: %w", err))
+				return
 			}
-			points[i] = pt
+			points[r] = pt
 		}
-		return meanOf(points)
-	}
-
-	var (
-		next   atomic.Int64
-		failed atomic.Bool
-		wg     sync.WaitGroup
-	)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			sc := e.scratch(maxK, d, f, method)
-			defer sc.flush(e)
-			for {
-				r := int(next.Add(1) - 1)
-				if r >= len(sets) || failed.Load() {
-					return
-				}
-				pt, err := sc.pointOfSet(sets[r])
-				if err != nil {
-					failed.Store(true)
-					return
-				}
-				points[r] = pt
-			}
-		}()
-	}
-	wg.Wait()
-	if failed.Load() {
-		// Deterministic error: recompute serially, reporting the first
-		// failing set in index order. The computation is deterministic, so
-		// the serial pass must fail too; the final error is a backstop.
-		sc := e.scratch(maxK, d, f, method)
-		defer sc.flush(e)
-		for _, set := range sets {
-			if _, err := sc.pointOfSet(set); err != nil {
-				return nil, 0, fmt.Errorf("core: safe point of candidate set: %w", err)
-			}
-		}
-		return nil, 0, fmt.Errorf("core: candidate-set solve failed in parallel but not serially")
-	}
-	return meanOf(points)
+	})
 }
 
 // meanOf averages the rank-ordered points through geometry.Mean — the one

@@ -2,8 +2,10 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync/atomic"
 	"testing"
 
@@ -265,9 +267,12 @@ func BenchmarkEngineMemo(b *testing.B) {
 }
 
 // BenchmarkAverageGammaCachedVsUncached measures the value of the Γ-point
-// memoization on the restricted-round hot path: one Zi construction for a
-// fixed B set (n=9, d=2, f=2 → C(9,7)=36 lex-min LP solves uncached, 36
-// table hits cached).
+// memoization on the restricted-round hot path, for a fixed B set (n=9,
+// d=2, f=2 → C(9,7)=36 candidate sets): uncached is one Zi construction,
+// 36 lex-min LP solves; cached walks the same 36 sets as AverageGammaSets
+// over a warm per-set memo, 36 table hits and no solve. Cached runs at one
+// worker and at GOMAXPROCS: an all-hit walk starts no helper, so the two
+// read alike, and a gap between them is the fan-out's fixed cost.
 func BenchmarkAverageGammaCachedVsUncached(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	n, d, f := 9, 2, 2 // (d+2)f+1: the restricted-sync bound
@@ -283,17 +288,169 @@ func BenchmarkAverageGammaCachedVsUncached(b *testing.B) {
 			}
 		}
 	})
-	b.Run("cached", func(b *testing.B) {
-		eng := NewEngine(1, true)
-		if _, _, err := eng.AverageGamma(tuples, k, f, safearea.MethodLexMinLP); err != nil {
-			b.Fatal(err) // warm the table outside the timed loop
+	sets := candidateSets(b, tuples, k)
+	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
+		b.Run(fmt.Sprintf("cached/workers=%d", workers), func(b *testing.B) {
+			eng := NewEngine(workers, true)
+			if _, _, err := eng.AverageGammaSets(sets, f, safearea.MethodLexMinLP); err != nil {
+				b.Fatal(err) // warm the table outside the timed loop
+			}
+			b.ReportAllocs()
+			for b.Loop() {
+				if _, _, err := eng.AverageGammaSets(sets, f, safearea.MethodLexMinLP); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
+// candidateSets materializes the k-subsets of tuples in rank order: the
+// candidate sets an AverageGamma walk visits, as AverageGammaSets takes
+// them.
+func candidateSets(tb testing.TB, tuples []tuple, k int) [][]tuple {
+	tb.Helper()
+	var sets [][]tuple
+	if err := combin.Combinations(len(tuples), k, func(idx []int) bool {
+		set := make([]tuple, k)
+		for i, j := range idx {
+			set[i] = tuples[j]
 		}
-		b.ResetTimer()
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			if _, _, err := eng.AverageGamma(tuples, k, f, safearea.MethodLexMinLP); err != nil {
-				b.Fatal(err)
+		sets = append(sets, set)
+		return true
+	}); err != nil {
+		tb.Fatal(err)
+	}
+	return sets
+}
+
+// TestAverageGammaHelpersStartMidWalk: a walk's caller is its worker 0 and
+// starts the helpers at the first candidate set that needs a solve, so with
+// the memo pre-warmed on the first j sets the helpers join mid-walk (or,
+// at j = total, never). Wherever they join, a 4-worker and a GOMAXPROCS
+// engine match a one-worker engine bit for bit — the point, |Zi| and the
+// counter delta — and a failing set after the first miss yields the
+// one-worker engine's first-failing-rank error. An all-hit walk allocates
+// what the one-worker engine's does: no helper scratch, no goroutine.
+func TestAverageGammaHelpersStartMidWalk(t *testing.T) {
+	rng := rand.New(rand.NewSource(17))
+	d, f := 1, 2
+	n := MinProcesses(VariantRestrictedSync, d, f)
+	k := n - f
+	tuples := randomTuples(rng, n, d)
+	sets := candidateSets(t, tuples, k)
+	total := len(sets)
+	workerSets := []int{1, 4, runtime.GOMAXPROCS(0)}
+	warm := func(eng *Engine, j int, method safearea.Method) {
+		t.Helper()
+		if j == 0 {
+			return
+		}
+		if _, _, err := eng.AverageGammaSets(sets[:j], f, method); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	type result struct {
+		key   string
+		size  int
+		delta GammaCounters
+	}
+	calls := map[string]func(*Engine, safearea.Method) (geometry.Vector, int, error){
+		"AverageGamma": func(eng *Engine, m safearea.Method) (geometry.Vector, int, error) {
+			return eng.AverageGamma(tuples, k, f, m)
+		},
+		"AverageGammaSets": func(eng *Engine, m safearea.Method) (geometry.Vector, int, error) {
+			return eng.AverageGammaSets(sets, f, m)
+		},
+	}
+	for _, method := range []safearea.Method{safearea.MethodLexMinLP, safearea.MethodAuto} {
+		for _, j := range []int{0, 1, total - 1, total} {
+			for name, call := range calls {
+				var want result
+				for i, workers := range workerSets {
+					eng := NewEngine(workers, true)
+					warm(eng, j, method)
+					before := eng.Counters()
+					pt, size, err := call(eng, method)
+					if err != nil {
+						t.Fatalf("%s method=%v j=%d workers=%d: %v", name, method, j, workers, err)
+					}
+					got := result{geometry.Key(pt), size, eng.Counters().Sub(before)}
+					if i == 0 {
+						want = got
+						if (j == total) != (got.delta.Solves == 0) {
+							t.Fatalf("%s method=%v j=%d: %d solves after warming %d of %d sets",
+								name, method, j, got.delta.Solves, j, total)
+						}
+					} else if got != want {
+						t.Fatalf("%s method=%v j=%d workers=%d: %+v, workers=1 gave %+v",
+							name, method, j, workers, got, want)
+					}
+				}
 			}
 		}
-	})
+	}
+
+	// Failures after the first miss. AverageGammaSets: a set of two
+	// members and then one of one member both leave no subset at f = 2,
+	// with errors that name their size; the two-member set must be
+	// reported. AverageGamma: the last two origins carry values of the
+	// wrong dimension, 2 and 3, so every rank but 0 fails, rank 1 (the
+	// first k−1 origins and origin n−2) first, and the errors name the
+	// offending dimension.
+	badSets := make([][]tuple, 0, total+2)
+	badSets = append(badSets, sets[:2]...)
+	badSets = append(badSets, sets[2][:2], sets[3][:1])
+	badSets = append(badSets, sets[4:]...)
+	badTuples := append([]tuple(nil), tuples...)
+	badTuples[n-2].value = geometry.NewVector(d + 1)
+	badTuples[n-1].value = geometry.NewVector(d + 2)
+	failing := map[string]struct {
+		call  func(*Engine) error
+		first string // in the first failing set's error only
+	}{
+		"AverageGammaSets": {func(eng *Engine) error {
+			_, _, err := eng.AverageGammaSets(badSets, f, safearea.MethodLexMinLP)
+			return err
+		}, "|Y| = 2"},
+		"AverageGamma": {func(eng *Engine) error {
+			_, _, err := eng.AverageGamma(badTuples, k, f, safearea.MethodLexMinLP)
+			return err
+		}, "point dimension 2"},
+	}
+	for name, c := range failing {
+		var want string
+		for i, workers := range workerSets {
+			eng := NewEngine(workers, true)
+			warm(eng, 1, safearea.MethodLexMinLP) // the first miss is set 1
+			err := c.call(eng)
+			if err == nil {
+				t.Fatalf("%s workers=%d: no error", name, workers)
+			}
+			if i == 0 {
+				want = err.Error()
+			} else if err.Error() != want {
+				t.Fatalf("%s workers=%d: %v, workers=1 gave %s", name, workers, err, want)
+			}
+		}
+		if !strings.Contains(want, c.first) {
+			t.Fatalf("%s: %s is not the first failing set's error", name, want)
+		}
+	}
+
+	// All hits: the walk never leaves its caller's goroutine.
+	allocs := make([]float64, len(workerSets))
+	for i, workers := range workerSets {
+		eng := NewEngine(workers, true)
+		warm(eng, total, safearea.MethodLexMinLP)
+		allocs[i] = testing.AllocsPerRun(50, func() {
+			if _, _, err := eng.AverageGammaSets(sets, f, safearea.MethodLexMinLP); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if allocs[i] != allocs[0] {
+			t.Fatalf("warm AverageGammaSets: %v allocs/op on %d workers, %v on one", allocs[i], workers, allocs[0])
+		}
+	}
 }
