@@ -152,14 +152,22 @@ func TestSimulateDeterministicAcrossEngineOptions(t *testing.T) {
 	}
 }
 
-// TestSimulateDeterministicAcrossNodeWorkers: the tentpole property of the
-// sharded simulator — every protocol variant, under every delay kind and
-// adversary strategy, produces a bit-identical execution (decisions,
-// per-round histories, round counts, message counts, virtual time) for
-// NodeWorkers ∈ {1, 4, GOMAXPROCS}. Cross-node parallelism is purely a
-// wall-clock knob.
+// TestSimulateDeterministicAcrossNodeWorkers: every protocol variant, under
+// every delay kind and adversary strategy, produces a bit-identical
+// execution (decisions, per-round histories, round counts, message counts,
+// virtual time) on a serial uncached Γ engine, a parallel memoized one and
+// the shared default engine. The simulators step nodes serially, so the Γ
+// engine is the only parallel layer under a run; the test keeps the name
+// it had when the grid also varied the simulators' own node workers.
 func TestSimulateDeterministicAcrossNodeWorkers(t *testing.T) {
-	nodeWorkerSets := []int{1, 4, runtime.GOMAXPROCS(0)}
+	engines := []struct {
+		name string
+		mk   func() *bvc.GammaEngine
+	}{
+		{"serial uncached", func() *bvc.GammaEngine { return bvc.NewGammaEngine(1, false) }},
+		{"parallel memoized", func() *bvc.GammaEngine { return bvc.NewGammaEngine(0, true) }},
+		{"default", func() *bvc.GammaEngine { return nil }},
+	}
 	delayKinds := []struct {
 		name string
 		spec bvc.DelaySpec
@@ -272,21 +280,21 @@ func TestSimulateDeterministicAcrossNodeWorkers(t *testing.T) {
 				inputs := mkInputs(n, vc.d, byz)
 				t.Run(fmt.Sprintf("%s/%s/%s", vc.name, dk.name, adv.name), func(t *testing.T) {
 					logReplayOnFailure(t, 41, 7, cfg,
-						fmt.Sprintf(" delay=%s adversary=%s workers=%v", dk.name, adv.name, nodeWorkerSets))
+						fmt.Sprintf(" delay=%s adversary=%s", dk.name, adv.name))
 					var want []float64
-					for _, nw := range nodeWorkerSets {
+					for _, eng := range engines {
 						res, err := vc.run(cfg, inputs, byz, bvc.SimOptions{
-							Seed: 7, Delay: dk.spec, NodeWorkers: nw,
+							Seed: 7, Delay: dk.spec, Engine: eng.mk(),
 						})
 						if err != nil {
-							t.Fatalf("nodeworkers=%d: %v", nw, err)
+							t.Fatalf("%s engine: %v", eng.name, err)
 						}
 						got := fingerprint(t, res)
 						if want == nil {
 							want = got
 							continue
 						}
-						requireSameFingerprint(t, fmt.Sprintf("nodeworkers=%d", nw), want, got)
+						requireSameFingerprint(t, eng.name+" engine", want, got)
 					}
 				})
 			}

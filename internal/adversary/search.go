@@ -155,9 +155,6 @@ func (s scheduleDelay) Delay(from, to sim.ProcID, _ time.Duration, _ *rand.Rand)
 	return s.base + time.Duration(s.extra[int(from)*s.n+int(to)])*s.unit
 }
 
-// MinDelay implements sim.Lookahead.
-func (s scheduleDelay) MinDelay() time.Duration { return s.base }
-
 // Evaluate runs one genome and scores the execution. Errors are
 // configuration-level only (bad spec); protocol-level trouble is part of
 // the Result.

@@ -245,9 +245,9 @@ func TestAll(t *testing.T) {
 	}
 }
 
-// TestAllIdenticalAcrossEngineOptions: the default engine, serial uncached
-// Γ solves and serial node stepping render the whole suite byte for byte
-// the same; the engine options only move work and memory around.
+// TestAllIdenticalAcrossEngineOptions: the default engine and serial
+// uncached Γ solves render the whole suite byte for byte the same; the
+// engine options only move work and memory around.
 func TestAllIdenticalAcrossEngineOptions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three full experiment sweeps in -short mode")
@@ -270,7 +270,6 @@ func TestAllIdenticalAcrossEngineOptions(t *testing.T) {
 		opts bvc.SimOptions
 	}{
 		{"serial uncached Γ", bvc.SimOptions{Engine: bvc.NewGammaEngine(1, false)}},
-		{"serial nodes", bvc.SimOptions{NodeWorkers: 1}},
 	} {
 		got := render(opt.opts)
 		if got == want {

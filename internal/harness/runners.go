@@ -8,9 +8,9 @@ var ExperimentOrder = []string{"e1", "e2", "e3", "e4", "e5", "e6", "e7", "e8", "
 
 // Runners returns the experiment registry: one runner per ExperimentOrder
 // entry, closed over the master seed, the trial count of the statistical
-// experiments (E3) and the simulation template opts, whose engine choice
-// (Engine, NodeWorkers) every experiment that runs bvc simulations copies
-// while setting its own Seed and Delay. E9 drives the core nodes directly
+// experiments (E3) and the simulation template opts, whose Engine every
+// experiment that runs bvc simulations copies while setting its own Seed
+// and Delay. E9 drives the core nodes directly
 // and stays on the default engine. Every engine choice renders identical
 // tables.
 func Runners(seed int64, trials int, opts bvc.SimOptions) map[string]func() (*Table, error) {

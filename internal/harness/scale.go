@@ -19,8 +19,7 @@ var E10RowCells = []SweepCell{
 	// Formerly fragile cells (restricted f ≥ 2 at the Lemma-1 threshold),
 	// unlocked by the revised simplex core: the restricted-sync tight
 	// bound and a restricted-async f = 2 row. The rasync row runs the
-	// shifted-exponential delay model, so it also exercises nonzero
-	// lookahead under a heavy-tailed schedule.
+	// shifted-exponential delay model.
 	{Variant: "rsync", D: 3, F: 2, N: 11, Adversary: "mixed", Seed: 1},
 	{Variant: "rasync", D: 2, F: 2, N: 13, Adversary: "mixed", Delay: "shiftedexp", Seed: 1},
 }
@@ -28,7 +27,7 @@ var E10RowCells = []SweepCell{
 // E10ScaleSweep pushes the verified grids to the largest (n, d, f)
 // configurations the engine stack makes practical — up to n = 13 processes
 // at d ≥ 3 with f > 1, the regime the lifted Tverberg Γ-point method and
-// cross-node parallel stepping (SimOptions.NodeWorkers) exist for. Exact
+// the Γ engine's parallel walks exist for. Exact
 // BVC runs at the tight bound under full-strength adversaries (f Byzantine
 // processes at once, unlike E2's single-adversary rows); the asynchronous
 // algorithm runs at n = 13 on a fixed horizon and must contract its range

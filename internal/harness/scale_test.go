@@ -40,8 +40,7 @@ var steadyRasyncCell = SweepCell{Variant: "rasync", D: 2, F: 2, N: 13, Adversary
 // regression fails the build instead of waiting for a timing run: each row
 // must verify, solve at most 3 % more Γ-points than pinned, keep its reuse
 // rate within 0.02 of the pin, and allocate at most 25 % more than pinned.
-// Each row runs on its own fresh serial engine with serial node stepping,
-// so the counts depend neither on GOMAXPROCS nor on what ran before, and
+// Each row runs on its own fresh serial engine, so the counts depend neither on GOMAXPROCS nor on what ran before, and
 // the Γ counts are that engine's alone. The subtests stay sequential: the
 // malloc pin reads the process-wide runtime.MemStats, which anything
 // running alongside would inflate.
@@ -69,7 +68,7 @@ func TestE10RowBudgets(t *testing.T) {
 			eng := bvc.NewGammaEngine(1, true)
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
-			out, err := runSweepCell(c, bvc.SimOptions{Engine: eng, NodeWorkers: 1})
+			out, err := runSweepCell(c, bvc.SimOptions{Engine: eng})
 			runtime.ReadMemStats(&m1)
 			gamma := eng.Counters()
 			if err != nil {
@@ -118,7 +117,7 @@ func BenchmarkE10RowApprox15(b *testing.B) { benchE10Row(b, E10RowCells[1]) }
 // engines and then alone on a third; all three must count the same Γ work.
 func TestEngineCountersAreThePerEngineWork(t *testing.T) {
 	run := func(eng *bvc.GammaEngine) (bvc.GammaCounters, error) {
-		out, err := runSweepCell(steadyRasyncCell, bvc.SimOptions{Engine: eng, NodeWorkers: 1})
+		out, err := runSweepCell(steadyRasyncCell, bvc.SimOptions{Engine: eng})
 		if err == nil && !out.Verified {
 			err = fmt.Errorf("not verified: %+v", out)
 		}

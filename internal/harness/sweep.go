@@ -37,9 +37,7 @@ var sweepAdversaries = []string{"none", "mixed", "silent", "equivocate", "lure",
 // sweepDelays lists the accepted SweepCell.Delay values for asynchronous
 // variants; synchronous variants use "none". "shiftedexp" is the
 // shifted-exponential model (constant floor + exponential tail): the
-// heavy-tailed stress schedule with a nonzero Lookahead bound, so the
-// discrete-event engine batches whole delay windows instead of single
-// timestamps.
+// heavy-tailed stress schedule on links with a fixed minimum latency.
 var sweepDelays = []string{"none", "constant", "uniform", "exponential", "shiftedexp"}
 
 func (c SweepCell) variant() (bvc.Variant, error) {
@@ -219,8 +217,8 @@ func RunSweepCell(c SweepCell) (*SweepOutcome, error) {
 	return runSweepCell(c, bvc.SimOptions{})
 }
 
-// runSweepCell is RunSweepCell on the engine choice of opts (Engine and
-// NodeWorkers); the cell supplies the seed and delay.
+// runSweepCell is RunSweepCell on the Γ engine of opts; the cell supplies
+// the seed and delay.
 func runSweepCell(c SweepCell, opts bvc.SimOptions) (*SweepOutcome, error) {
 	c, err := c.Normalize()
 	if err != nil {

@@ -39,10 +39,8 @@ func BenchmarkEventQueue(b *testing.B) {
 }
 
 // BenchmarkEngineDelivery times whole runs of a 15-node volley and reports
-// the cost per delivery, on the serial loop and on the batch loop with two
-// workers. The exponential model has no lookahead, so its batches are
-// almost all single events; the shifted exponential's floor widens them to
-// many destinations, which is where the batch loop pays for its goroutines.
+// the cost per delivery, under a heavy-tailed delay with and without a
+// floor.
 func BenchmarkEngineDelivery(b *testing.B) {
 	delays := []struct {
 		name  string
@@ -51,24 +49,18 @@ func BenchmarkEngineDelivery(b *testing.B) {
 		{"exponential", ExponentialDelay{Mean: 5 * time.Millisecond}},
 		{"shiftedexp", ShiftedExponentialDelay{Floor: 2 * time.Millisecond, TailMean: 3 * time.Millisecond}},
 	}
-	loops := []struct {
-		name        string
-		nodeWorkers int
-	}{{"serial", 1}, {"workers=2", 2}}
-	for _, loop := range loops {
-		for _, delay := range delays {
-			b.Run(loop.name+"/"+delay.name, func(b *testing.B) {
-				var delivered int64
-				var mallocs uint64
-				b.ReportAllocs()
-				for i := 0; i < b.N; i++ {
-					stats, m := runVolley(b, 15, 2000, loop.nodeWorkers, delay.model)
-					delivered += stats.Delivered
-					mallocs += m
-				}
-				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(delivered), "ns/delivery")
-				b.ReportMetric(float64(mallocs)/float64(delivered), "allocs/delivery")
-			})
-		}
+	for _, delay := range delays {
+		b.Run(delay.name, func(b *testing.B) {
+			var delivered int64
+			var mallocs uint64
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				stats, m := runVolley(b, 15, 2000, delay.model)
+				delivered += stats.Delivered
+				mallocs += m
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(delivered), "ns/delivery")
+			b.ReportMetric(float64(mallocs)/float64(delivered), "allocs/delivery")
+		})
 	}
 }

@@ -8,29 +8,12 @@ import (
 // DelayModel decides the network delay of each message. Implementations
 // must be deterministic functions of their arguments and the provided PRNG
 // (which the engine seeds deterministically), so executions replay exactly.
-// Delay is only ever invoked from the engine goroutine — even when node
-// callbacks run on a worker pool, their emitted sends are enqueued (and
-// delays drawn) in a deterministic serial merge — so implementations need
-// not be safe for concurrent use.
+// The engine is serial, so implementations need not be safe for concurrent
+// use.
 type DelayModel interface {
 	// Delay returns the link latency for a message from → to sent at the
 	// given virtual time.
 	Delay(from, to ProcID, at time.Duration, rng *rand.Rand) time.Duration
-}
-
-// Lookahead is optionally implemented by delay models that can promise a
-// lower bound on every latency they will ever return. The discrete-event
-// engine uses the bound as its conservative lookahead horizon: all events
-// within one MinDelay window of the earliest pending event are causally
-// independent (any message generated inside the window arrives at or beyond
-// its end), so the parallel executor may batch them together instead of
-// batching a single timestamp. The bound must hold for every (from, to, at)
-// and every PRNG draw — a model that can undercut its own MinDelay would
-// silently break the engine's bit-identical determinism contract.
-type Lookahead interface {
-	// MinDelay returns the lower bound (≤ every Delay return; 0 disables
-	// lookahead batching).
-	MinDelay() time.Duration
 }
 
 // ConstantDelay delivers every message after a fixed latency. With a
@@ -45,14 +28,6 @@ func (c ConstantDelay) Delay(_, _ ProcID, _ time.Duration, _ *rand.Rand) time.Du
 	return c.D
 }
 
-// MinDelay implements Lookahead: every delay is exactly D.
-func (c ConstantDelay) MinDelay() time.Duration {
-	if c.D < 0 {
-		return 0
-	}
-	return c.D
-}
-
 // UniformDelay draws latencies uniformly from [Min, Max].
 type UniformDelay struct {
 	Min, Max time.Duration
@@ -64,14 +39,6 @@ func (u UniformDelay) Delay(_, _ ProcID, _ time.Duration, rng *rand.Rand) time.D
 		return u.Min
 	}
 	return u.Min + time.Duration(rng.Int63n(int64(u.Max-u.Min)+1))
-}
-
-// MinDelay implements Lookahead: no draw undercuts Min.
-func (u UniformDelay) MinDelay() time.Duration {
-	if u.Min < 0 {
-		return 0
-	}
-	return u.Min
 }
 
 // ExponentialDelay draws latencies from an exponential distribution with
@@ -97,11 +64,9 @@ func (e ExponentialDelay) Delay(_, _ ProcID, _ time.Duration, rng *rand.Rand) ti
 
 // ShiftedExponentialDelay draws latencies as Floor plus an exponential
 // tail with the given mean, capped at Cap (0 means Floor + 10× tail mean).
-// It keeps the heavy-tailed stress schedule of ExponentialDelay while
-// promising a positive minimum latency: a plain exponential has infimum 0,
-// which forces the discrete-event engine's conservative lookahead to 0 and
-// collapses its batches to single timestamps — the shifted model restores
-// wide [t, t+Floor] windows (see Lookahead).
+// It keeps the heavy-tailed stress schedule of ExponentialDelay while no
+// message arrives sooner than Floor, as on a network with a fixed
+// propagation delay.
 type ShiftedExponentialDelay struct {
 	Floor    time.Duration
 	TailMean time.Duration
@@ -124,14 +89,6 @@ func (s ShiftedExponentialDelay) Delay(_, _ ProcID, _ time.Duration, rng *rand.R
 	return d
 }
 
-// MinDelay implements Lookahead: no draw undercuts the constant floor.
-func (s ShiftedExponentialDelay) MinDelay() time.Duration {
-	if s.Floor < 0 {
-		return 0
-	}
-	return s.Floor
-}
-
 // StarveSenders wraps an inner model and adds Extra latency to every message
 // *sent by* the processes in Slow. This is the adversarial schedule used by
 // the asynchronous lower-bound and restricted-round experiments: the
@@ -152,15 +109,6 @@ func (s StarveSenders) Delay(from, to ProcID, at time.Duration, rng *rand.Rand) 
 	return d
 }
 
-// MinDelay implements Lookahead: starving only adds latency, so the inner
-// model's bound carries over.
-func (s StarveSenders) MinDelay() time.Duration {
-	if la, ok := s.Inner.(Lookahead); ok {
-		return la.MinDelay()
-	}
-	return 0
-}
-
 // StarveLinks adds Extra latency on the specific directed links in Slow,
 // keyed "from→to". It lets tests craft fully asymmetric schedules.
 type StarveLinks struct {
@@ -176,12 +124,4 @@ func (s StarveLinks) Delay(from, to ProcID, at time.Duration, rng *rand.Rand) ti
 		d += s.Extra
 	}
 	return d
-}
-
-// MinDelay implements Lookahead: link starving only adds latency.
-func (s StarveLinks) MinDelay() time.Duration {
-	if la, ok := s.Inner.(Lookahead); ok {
-		return la.MinDelay()
-	}
-	return 0
 }

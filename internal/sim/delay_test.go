@@ -124,3 +124,15 @@ func TestStarveLinksInEngine(t *testing.T) {
 		t.Errorf("first delivery %d should come from the unstarved link", recv.got[0])
 	}
 }
+
+// TestShiftedExponentialFloorHolds: no draw undercuts Floor, even with a
+// Cap below it.
+func TestShiftedExponentialFloorHolds(t *testing.T) {
+	d := ShiftedExponentialDelay{Floor: 2 * time.Millisecond, TailMean: 5 * time.Millisecond, Cap: time.Millisecond}
+	rng := rand.New(rand.NewSource(99))
+	for i := 0; i < 10000; i++ {
+		if got := d.Delay(0, 1, 0, rng); got < d.Floor {
+			t.Fatalf("draw %d: delay %v under floor %v", i, got, d.Floor)
+		}
+	}
+}

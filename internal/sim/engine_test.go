@@ -135,6 +135,10 @@ func TestEngineFIFOUnderRandomDelays(t *testing.T) {
 	}
 }
 
+// TestEngineDeterminism: one seed replays one execution. The burst case
+// interleaves two senders into one receiver; each delay row runs a gossip
+// mesh twice and compares the delivery trace (time, sender, receiver,
+// sequence number, payload) and statistics.
 func TestEngineDeterminism(t *testing.T) {
 	run := func() []int {
 		recv := &orderNode{}
@@ -163,6 +167,52 @@ func TestEngineDeterminism(t *testing.T) {
 		if a[i] != b[i] {
 			t.Fatalf("divergence at %d: %d vs %d", i, a[i], b[i])
 		}
+	}
+
+	delays := map[string]DelayModel{
+		"constant":    ConstantDelay{D: time.Millisecond},
+		"uniform":     UniformDelay{Min: time.Millisecond, Max: 5 * time.Millisecond},
+		"exponential": ExponentialDelay{Mean: 2 * time.Millisecond},
+		// A cap at the mean puts e⁻¹ of all draws on one value: equal
+		// timestamps across links, which only sequence numbers order, and
+		// nodes that halt while messages to them are still queued.
+		"exponential-capped": ExponentialDelay{Mean: 2 * time.Millisecond, Cap: 2 * time.Millisecond},
+		"starve": StarveSenders{
+			Inner: ConstantDelay{D: time.Millisecond},
+			Slow:  map[ProcID]bool{0: true},
+			Extra: 40 * time.Millisecond,
+		},
+	}
+	for name, delay := range delays {
+		t.Run(name, func(t *testing.T) {
+			wantTrace, wantStats := traceOf(t, 6, delay)
+			if len(wantTrace) == 0 {
+				t.Fatal("empty reference trace")
+			}
+			if name == "exponential-capped" {
+				shared := 0
+				for i := 1; i < len(wantTrace); i++ {
+					if wantTrace[i].At == wantTrace[i-1].At && wantTrace[i].To != wantTrace[i-1].To {
+						shared++
+					}
+				}
+				if shared == 0 || wantStats.Suppressed == 0 {
+					t.Fatalf("%d multi-destination timestamps, %d suppressed deliveries: case lost its point", shared, wantStats.Suppressed)
+				}
+			}
+			trace, stats := traceOf(t, 6, delay)
+			if stats != wantStats {
+				t.Fatalf("stats %+v, want %+v", stats, wantStats)
+			}
+			if len(trace) != len(wantTrace) {
+				t.Fatalf("%d deliveries, want %d", len(trace), len(wantTrace))
+			}
+			for i := range trace {
+				if trace[i] != wantTrace[i] {
+					t.Fatalf("delivery %d = %+v, want %+v", i, trace[i], wantTrace[i])
+				}
+			}
+		})
 	}
 }
 
@@ -303,6 +353,35 @@ func (chatterNode) OnMessage(api API, from ProcID, _ Message) {
 	api.Send(from, "x")
 }
 
+// cutoffDelays are the extra rows of the cut-off tests. Every gossip node
+// broadcasts all its rounds at Init, so each link's lane holds a run of
+// events one FIFO nudge apart and both cut-offs land inside a lane; the
+// capped exponential adds equal timestamps across lanes.
+var cutoffDelays = map[string]DelayModel{
+	"constant":           ConstantDelay{D: time.Millisecond},
+	"uniform":            UniformDelay{Min: time.Millisecond, Max: 2 * time.Millisecond},
+	"exponential-capped": ExponentialDelay{Mean: 2 * time.Millisecond, Cap: 2 * time.Millisecond},
+}
+
+// runGossipCutoff runs four never-halting gossip nodes under cfg and
+// returns the statistics, the last delivery's time and Run's error.
+func runGossipCutoff(t *testing.T, cfg Config, rounds int) (Stats, time.Duration, error) {
+	t.Helper()
+	nodes := make([]Node, 4)
+	for i := range nodes {
+		nodes[i] = &gossipNode{rounds: rounds, haltAfter: 1 << 30}
+	}
+	var last time.Duration
+	cfg.N = len(nodes)
+	cfg.Observer = func(ev Delivery) { last = ev.At }
+	eng, err := NewEngine(cfg, nodes)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stats, err := eng.Run()
+	return stats, last, err
+}
+
 func TestEngineMaxEvents(t *testing.T) {
 	eng, err := NewEngine(Config{N: 2, Seed: 1, MaxEvents: 100}, []Node{chatterNode{}, chatterNode{}})
 	if err != nil {
@@ -312,12 +391,29 @@ func TestEngineMaxEvents(t *testing.T) {
 	if !errors.Is(err, ErrMaxEvents) {
 		t.Errorf("err = %v, want ErrMaxEvents", err)
 	}
+	for name, delay := range cutoffDelays {
+		t.Run(name, func(t *testing.T) {
+			stats, _, err := runGossipCutoff(t, Config{Seed: 3, MaxEvents: 100, Delay: delay}, 50)
+			if !errors.Is(err, ErrMaxEvents) {
+				t.Fatalf("err = %v, want ErrMaxEvents", err)
+			}
+			if got := stats.Delivered + stats.Suppressed; got != 100 {
+				t.Fatalf("%d events handled, want exactly MaxEvents = 100", got)
+			}
+		})
+	}
 }
 
+// TestEngineMaxTime: a capped run delivers nothing after MaxTime, and its
+// FinalTime is the last delivery's time, not the time of the first event
+// it refused.
 func TestEngineMaxTime(t *testing.T) {
+	const maxTime = 10 * time.Millisecond
+	var last time.Duration
 	eng, err := NewEngine(Config{
-		N: 2, Seed: 1, MaxTime: 10 * time.Millisecond,
-		Delay: ConstantDelay{D: time.Millisecond},
+		N: 2, Seed: 1, MaxTime: maxTime,
+		Delay:    ConstantDelay{D: time.Millisecond},
+		Observer: func(ev Delivery) { last = ev.At },
 	}, []Node{chatterNode{}, chatterNode{}})
 	if err != nil {
 		t.Fatal(err)
@@ -326,8 +422,23 @@ func TestEngineMaxTime(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if stats.FinalTime > 12*time.Millisecond {
-		t.Errorf("final time %v exceeds cap", stats.FinalTime)
+	if stats.FinalTime > maxTime || stats.FinalTime != last {
+		t.Errorf("final time %v, want the last delivery's %v, at most %v", stats.FinalTime, last, maxTime)
+	}
+	for name, delay := range cutoffDelays {
+		t.Run(name, func(t *testing.T) {
+			const limit = 1500 * time.Microsecond
+			stats, last, err := runGossipCutoff(t, Config{Seed: 5, MaxTime: limit, Delay: delay}, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Delivered == 0 || stats.Delivered == stats.Sent {
+				t.Fatalf("cut-off missed the execution: %+v", stats)
+			}
+			if last > limit || stats.FinalTime != last {
+				t.Fatalf("last delivery at %v, final time %v, cap %v", last, stats.FinalTime, limit)
+			}
+		})
 	}
 }
 
@@ -436,8 +547,9 @@ func (f nodeFunc) OnMessage(API, ProcID, Message) {}
 
 // gossipNode exercises every determinism-sensitive engine facility at once:
 // it broadcasts rng-perturbed payloads, replies to a subset of senders, and
-// halts after a fixed number of deliveries — so executions cover same-time
-// batches, mid-batch halts, and per-process PRNG streams.
+// halts after a fixed number of deliveries — so executions cover equal
+// timestamps, halts with messages still queued, and per-process PRNG
+// streams.
 type gossipNode struct {
 	rounds    int
 	delivered int
@@ -463,7 +575,7 @@ func (g *gossipNode) OnMessage(api API, from ProcID, msg Message) {
 
 // traceOf runs a gossip execution and returns the full delivery trace plus
 // statistics.
-func traceOf(t *testing.T, n, nodeWorkers int, delay DelayModel) ([]Delivery, Stats) {
+func traceOf(t *testing.T, n int, delay DelayModel) ([]Delivery, Stats) {
 	t.Helper()
 	nodes := make([]Node, n)
 	for i := range nodes {
@@ -471,7 +583,7 @@ func traceOf(t *testing.T, n, nodeWorkers int, delay DelayModel) ([]Delivery, St
 	}
 	var trace []Delivery
 	eng, err := NewEngine(Config{
-		N: n, Seed: 99, Delay: delay, NodeWorkers: nodeWorkers,
+		N: n, Seed: 99, Delay: delay,
 		Observer: func(ev Delivery) { trace = append(trace, ev) },
 	}, nodes)
 	if err != nil {
@@ -482,137 +594,4 @@ func traceOf(t *testing.T, n, nodeWorkers int, delay DelayModel) ([]Delivery, St
 		t.Fatal(err)
 	}
 	return trace, stats
-}
-
-// TestEngineNodeWorkersDeterministic: the delivery trace (time, sender,
-// receiver, sequence number, payload) and statistics of an execution must
-// be identical for every NodeWorkers setting, under constant delays (large
-// same-time batches), randomized delays (mostly singleton batches), and an
-// adversarial starvation schedule.
-func TestEngineNodeWorkersDeterministic(t *testing.T) {
-	delays := map[string]DelayModel{
-		"constant":    ConstantDelay{D: time.Millisecond},
-		"uniform":     UniformDelay{Min: time.Millisecond, Max: 5 * time.Millisecond},
-		"exponential": ExponentialDelay{Mean: 2 * time.Millisecond},
-		// A cap at the mean puts e⁻¹ of all draws on one value: equal
-		// timestamps across links, so no-lookahead batches that span
-		// several destinations and see nodes halt part-way through.
-		"exponential-capped": ExponentialDelay{Mean: 2 * time.Millisecond, Cap: 2 * time.Millisecond},
-		"starve": StarveSenders{
-			Inner: ConstantDelay{D: time.Millisecond},
-			Slow:  map[ProcID]bool{0: true},
-			Extra: 40 * time.Millisecond,
-		},
-	}
-	for name, delay := range delays {
-		t.Run(name, func(t *testing.T) {
-			wantTrace, wantStats := traceOf(t, 6, 1, delay)
-			if len(wantTrace) == 0 {
-				t.Fatal("empty reference trace")
-			}
-			if name == "exponential-capped" {
-				// The case exists for batches the plain exponential never
-				// forms: one timestamp, several destinations.
-				shared := 0
-				for i := 1; i < len(wantTrace); i++ {
-					if wantTrace[i].At == wantTrace[i-1].At && wantTrace[i].To != wantTrace[i-1].To {
-						shared++
-					}
-				}
-				if shared == 0 || wantStats.Suppressed == 0 {
-					t.Fatalf("%d multi-destination timestamps, %d suppressed deliveries: case lost its point", shared, wantStats.Suppressed)
-				}
-			}
-			for _, nw := range []int{0, 2, 4, 16} {
-				trace, stats := traceOf(t, 6, nw, delay)
-				if stats != wantStats {
-					t.Fatalf("nodeworkers=%d: stats %+v, want %+v", nw, stats, wantStats)
-				}
-				if len(trace) != len(wantTrace) {
-					t.Fatalf("nodeworkers=%d: %d deliveries, want %d", nw, len(trace), len(wantTrace))
-				}
-				for i := range trace {
-					if trace[i] != wantTrace[i] {
-						t.Fatalf("nodeworkers=%d: delivery %d = %+v, want %+v", nw, i, trace[i], wantTrace[i])
-					}
-				}
-			}
-		})
-	}
-}
-
-// cutoffDelays are the models the cut-off tests run under. Every gossip node
-// broadcasts all its rounds at Init, so each link's lane holds a run of
-// events one FIFO nudge apart and both cut-offs land inside a lane; the
-// capped exponential adds equal timestamps across lanes.
-var cutoffDelays = map[string]DelayModel{
-	"constant":           ConstantDelay{D: time.Millisecond},
-	"uniform":            UniformDelay{Min: time.Millisecond, Max: 2 * time.Millisecond},
-	"exponential-capped": ExponentialDelay{Mean: 2 * time.Millisecond, Cap: 2 * time.Millisecond},
-}
-
-// TestEngineNodeWorkersMaxEvents: the MaxEvents cap must trip at exactly
-// the same delivery count — with the same error — regardless of batching.
-func TestEngineNodeWorkersMaxEvents(t *testing.T) {
-	for name, delay := range cutoffDelays {
-		run := func(nodeWorkers int) (Stats, error) {
-			nodes := make([]Node, 4)
-			for i := range nodes {
-				nodes[i] = &gossipNode{rounds: 50, haltAfter: 1 << 30}
-			}
-			eng, err := NewEngine(Config{
-				N: 4, Seed: 3, MaxEvents: 100, NodeWorkers: nodeWorkers, Delay: delay,
-			}, nodes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			return eng.Run()
-		}
-		wantStats, wantErr := run(1)
-		if !errors.Is(wantErr, ErrMaxEvents) {
-			t.Fatalf("%s: serial run: expected ErrMaxEvents, got %v", name, wantErr)
-		}
-		for _, nw := range []int{0, 3} {
-			stats, err := run(nw)
-			if !errors.Is(err, ErrMaxEvents) {
-				t.Fatalf("%s nodeworkers=%d: expected ErrMaxEvents, got %v", name, nw, err)
-			}
-			if stats != wantStats {
-				t.Fatalf("%s nodeworkers=%d: stats %+v, want %+v", name, nw, stats, wantStats)
-			}
-		}
-	}
-}
-
-// TestEngineNodeWorkersMaxTime: the MaxTime cutoff must stop parallel and
-// serial executions at the identical virtual instant and statistics.
-func TestEngineNodeWorkersMaxTime(t *testing.T) {
-	for name, delay := range cutoffDelays {
-		run := func(nodeWorkers int) Stats {
-			nodes := make([]Node, 4)
-			for i := range nodes {
-				nodes[i] = &gossipNode{rounds: 10, haltAfter: 1 << 30}
-			}
-			eng, err := NewEngine(Config{
-				N: 4, Seed: 5, MaxTime: 1500 * time.Microsecond, NodeWorkers: nodeWorkers, Delay: delay,
-			}, nodes)
-			if err != nil {
-				t.Fatal(err)
-			}
-			stats, err := eng.Run()
-			if err != nil {
-				t.Fatal(err)
-			}
-			return stats
-		}
-		want := run(1)
-		if want.Delivered == 0 || want.Delivered == want.Sent {
-			t.Fatalf("%s: cut-off missed the execution: %+v", name, want)
-		}
-		for _, nw := range []int{0, 2} {
-			if got := run(nw); got != want {
-				t.Fatalf("%s nodeworkers=%d: stats %+v, want %+v", name, nw, got, want)
-			}
-		}
-	}
 }

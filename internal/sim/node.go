@@ -52,13 +52,11 @@ type API interface {
 
 // Node is an asynchronous, event-driven process.
 //
-// Concurrency contract: the engine may run callbacks of *distinct* nodes
-// concurrently (deliveries that share a virtual timestamp are fanned across
-// a worker pool), but a single node's callbacks are never concurrent with
-// each other and always observe its own prior effects. A Node must
-// therefore not share unsynchronized mutable state with other nodes; state
-// behind it (the Γ-point engine's memo table, for instance) must be
-// thread-safe and produce schedule-independent results.
+// Concurrency contract: the engine calls one node at a time, and a node's
+// callbacks always observe its own prior effects. State a node shares
+// beyond the engine (the Γ-point engine's memo table, for instance) is
+// reached concurrently by other runs and by live service shards, so it
+// must be thread-safe and produce schedule-independent results.
 type Node interface {
 	// Init runs once before any delivery; protocols typically send their
 	// first messages here. Init calls are serial, in process-id order.
@@ -70,11 +68,9 @@ type Node interface {
 // SyncNode is a lock-step synchronous process: in every round it first
 // produces an outbox, then receives the round's inbox.
 //
-// Concurrency contract: within each phase of a round the engine may call
-// distinct nodes' methods concurrently (see SyncOptions.Workers); one
-// node's methods are never concurrent with each other, and Deliver always
-// happens after every node's Outbox for that round. Nodes must not share
-// unsynchronized mutable state.
+// Concurrency contract: the engine calls one node at a time, and Deliver
+// always happens after every node's Outbox for that round. As for Node,
+// state shared beyond the engine must be thread-safe.
 type SyncNode interface {
 	// Outbox returns the messages this node sends in round r (1-based),
 	// keyed by recipient. A nil map sends nothing. Byzantine nodes may

@@ -118,13 +118,13 @@ func (v *volleyNode) OnMessage(api API, from ProcID, msg Message) {
 
 // runVolley runs an n-node volley to quiescence and returns the statistics
 // and the number of heap allocations Run performed.
-func runVolley(tb testing.TB, n, limit, nodeWorkers int, delay DelayModel) (Stats, uint64) {
+func runVolley(tb testing.TB, n, limit int, delay DelayModel) (Stats, uint64) {
 	tb.Helper()
 	nodes := make([]Node, n)
 	for i := range nodes {
 		nodes[i] = &volleyNode{limit: limit}
 	}
-	eng, err := NewEngine(Config{N: n, Seed: 7, Delay: delay, NodeWorkers: nodeWorkers}, nodes)
+	eng, err := NewEngine(Config{N: n, Seed: 7, Delay: delay}, nodes)
 	if err != nil {
 		tb.Fatal(err)
 	}
@@ -138,14 +138,10 @@ func runVolley(tb testing.TB, n, limit, nodeWorkers int, delay DelayModel) (Stat
 	return stats, after.Mallocs - before.Mallocs
 }
 
-// TestRunParallelAllocsPerDelivery: the batch loop allocates nothing per
-// delivery. Under a delay model with no lookahead nearly every batch is one
-// event, so anything the loop builds per batch — it used to build the
-// worker closure — shows up as ≥ 1 allocation per delivery; what remains
-// is buffer growth and the rare multi-destination batch's goroutines.
-// NodeWorkers is explicit: at GOMAXPROCS=1 the default is the serial loop.
-func TestRunParallelAllocsPerDelivery(t *testing.T) {
-	stats, mallocs := runVolley(t, 15, 2000, 2, ExponentialDelay{Mean: 5 * time.Millisecond})
+// TestRunAllocsPerDelivery: the event loop allocates nothing per delivery;
+// what remains is the lane buffers' growth.
+func TestRunAllocsPerDelivery(t *testing.T) {
+	stats, mallocs := runVolley(t, 15, 2000, ExponentialDelay{Mean: 5 * time.Millisecond})
 	if stats.Delivered < 30000 {
 		t.Fatalf("only %d deliveries", stats.Delivered)
 	}

@@ -15,52 +15,26 @@ type SyncStats struct {
 	AllDone bool
 }
 
-// SyncOptions parameterizes RunSyncWith.
-type SyncOptions struct {
-	// MaxRounds caps the execution; running past it returns ErrRoundCap.
-	MaxRounds int
-	// Workers bounds how many nodes are stepped concurrently within each
-	// round phase: 0 selects GOMAXPROCS, 1 forces serial stepping. Every
-	// setting produces a bit-identical execution — a node's Outbox and
-	// Deliver touch only that node's state, and the emitted outboxes are
-	// merged into inboxes in sender-id order regardless of which worker
-	// finished first.
-	Workers int
-}
-
 // ErrRoundCap is returned when a synchronous run hits its round cap with
 // undone nodes — a liveness failure of the protocol under test.
 var ErrRoundCap = errors.New("sim: synchronous round cap exceeded")
 
-// RunSync drives the nodes in lock-step rounds with the default worker pool
-// (GOMAXPROCS); see RunSyncWith.
-func RunSync(nodes []SyncNode, maxRounds int) (SyncStats, error) {
-	return RunSyncWith(nodes, SyncOptions{MaxRounds: maxRounds})
-}
-
-// RunSyncWith drives the nodes in lock-step rounds: in round r every node
+// RunSync drives the nodes in lock-step rounds: in round r every node
 // emits its outbox, then every node receives its inbox. This is the
 // classical synchronous model the paper's Exact BVC and restricted
 // synchronous algorithms assume. It stops when all nodes report Done or
-// after opts.MaxRounds.
-//
-// Within a round the two phases are each fanned across a bounded worker
-// pool (opts.Workers): per-round node work is independent in the paper's
-// model, so nodes step concurrently, and the merge between the phases is
-// deterministic — outboxes are collected per sender and folded into inboxes
-// in sender-id order, never in completion order.
-func RunSyncWith(nodes []SyncNode, opts SyncOptions) (SyncStats, error) {
+// after maxRounds.
+func RunSync(nodes []SyncNode, maxRounds int) (SyncStats, error) {
 	if len(nodes) == 0 {
 		return SyncStats{}, errors.New("sim: no nodes")
 	}
-	if opts.MaxRounds <= 0 {
-		return SyncStats{}, fmt.Errorf("sim: invalid round cap %d", opts.MaxRounds)
+	if maxRounds <= 0 {
+		return SyncStats{}, fmt.Errorf("sim: invalid round cap %d", maxRounds)
 	}
-	workers := ResolveWorkers(opts.Workers, len(nodes))
 	var stats SyncStats
 	outs := make([]map[ProcID]Message, len(nodes))
 	inboxes := make([]map[ProcID]Message, len(nodes))
-	for r := 1; r <= opts.MaxRounds; r++ {
+	for r := 1; r <= maxRounds; r++ {
 		if allDone(nodes) {
 			stats.AllDone = true
 			return stats, nil
@@ -69,16 +43,14 @@ func RunSyncWith(nodes []SyncNode, opts SyncOptions) (SyncStats, error) {
 
 		// Phase 1: collect all outboxes (a node must not observe same-round
 		// messages while building its own — that would break synchrony).
-		// Each worker writes only outs[i] for its own i.
-		parallelFor(workers, len(nodes), func(i int) {
+		for i, nd := range nodes {
 			outs[i] = nil
-			if !nodes[i].Done() {
-				outs[i] = nodes[i].Outbox(r)
+			if !nd.Done() {
+				outs[i] = nd.Outbox(r)
 			}
-		})
+		}
 
-		// Deterministic merge, iterating senders in id order. The inbox maps
-		// are keyed by sender, so insertion order never leaks into results.
+		// Fold the outboxes into inboxes, iterating senders in id order.
 		for i := range inboxes {
 			inboxes[i] = make(map[ProcID]Message)
 		}
@@ -94,18 +66,18 @@ func RunSyncWith(nodes []SyncNode, opts SyncOptions) (SyncStats, error) {
 
 		// Phase 2: deliver every inbox. Done is re-checked per node — an
 		// Outbox call may have crashed the node (e.g. a mid-broadcast
-		// crash adversary), exactly as in the serial schedule.
-		parallelFor(workers, len(nodes), func(i int) {
-			if !nodes[i].Done() {
-				nodes[i].Deliver(r, inboxes[i])
+		// crash adversary).
+		for i, nd := range nodes {
+			if !nd.Done() {
+				nd.Deliver(r, inboxes[i])
 			}
-		})
+		}
 	}
 	if allDone(nodes) {
 		stats.AllDone = true
 		return stats, nil
 	}
-	return stats, fmt.Errorf("%w (%d rounds)", ErrRoundCap, opts.MaxRounds)
+	return stats, fmt.Errorf("%w (%d rounds)", ErrRoundCap, maxRounds)
 }
 
 func allDone(nodes []SyncNode) bool {

@@ -189,75 +189,3 @@ func (b *badDestSync) Outbox(int) map[ProcID]Message {
 }
 func (b *badDestSync) Deliver(int, map[ProcID]Message) { b.done = true }
 func (b *badDestSync) Done() bool                      { return b.done }
-
-// crashAtOutboxSync crashes mid-broadcast in a configured round: it sends
-// only to the first half and reports Done from then on — the adversary
-// shape that makes the engine re-check Done between the Outbox and Deliver
-// phases.
-type crashAtOutboxSync struct {
-	n, crashRound int
-	crashed       bool
-	round         int
-}
-
-func (c *crashAtOutboxSync) Outbox(r int) map[ProcID]Message {
-	if c.crashed {
-		return nil
-	}
-	out := make(map[ProcID]Message, c.n)
-	limit := c.n
-	if r == c.crashRound {
-		c.crashed = true
-		limit = c.n / 2
-	}
-	for i := 0; i < limit; i++ {
-		out[ProcID(i)] = "v"
-	}
-	return out
-}
-
-func (c *crashAtOutboxSync) Deliver(r int, _ map[ProcID]Message) { c.round = r }
-
-func (c *crashAtOutboxSync) Done() bool { return c.crashed || c.round >= 5 }
-
-// TestRunSyncWorkersDeterministic: an execution's statistics and every
-// node's final state must be identical for any SyncOptions.Workers setting,
-// including with a mid-broadcast crasher in the mix.
-func TestRunSyncWorkersDeterministic(t *testing.T) {
-	const n, rounds = 6, 4
-	run := func(workers int) ([]map[ProcID]int, SyncStats) {
-		nodes := make([]SyncNode, n)
-		counters := make([]*countingSync, n-1)
-		for i := 0; i < n-1; i++ {
-			counters[i] = newCountingSync(i, n, rounds)
-			nodes[i] = counters[i]
-		}
-		nodes[n-1] = &crashAtOutboxSync{n: n, crashRound: 2}
-		stats, err := RunSyncWith(nodes, SyncOptions{MaxRounds: rounds + 1, Workers: workers})
-		if err != nil {
-			t.Fatalf("workers=%d: %v", workers, err)
-		}
-		heard := make([]map[ProcID]int, len(counters))
-		for i, c := range counters {
-			heard[i] = c.heard
-		}
-		return heard, stats
-	}
-	wantHeard, wantStats := run(1)
-	for _, workers := range []int{0, 2, 4, 32} {
-		heard, stats := run(workers)
-		if stats != wantStats {
-			t.Fatalf("workers=%d: stats %+v, want %+v", workers, stats, wantStats)
-		}
-		for i := range heard {
-			if len(heard[i]) != len(wantHeard[i]) {
-				t.Fatalf("workers=%d: node %d heard %d senders, want %d", workers, i, len(heard[i]), len(wantHeard[i]))
-			}
-			for from, count := range wantHeard[i] {
-				if heard[i][from] != count {
-					t.Fatalf("workers=%d: node %d heard %d from %d, want %d", workers, i, heard[i][from], from, count)
-				}
-			}
-		}
-	}
-}

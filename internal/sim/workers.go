@@ -82,24 +82,3 @@ func (f *Fan) Stop(err error) {
 		f.err = err
 	}
 }
-
-// parallelFor runs fn(i) for every i in [0, jobs) on the calling goroutine
-// and at most workers−1 helpers, all started at once, and returns when all
-// invocations have completed. Invocations for distinct i may run
-// concurrently and in any order, so fn must only touch state owned by its
-// own index.
-func parallelFor(workers, jobs int, fn func(i int)) {
-	// Nothing stops this fan, so FanOut returns nil.
-	_ = FanOut(workers, jobs, func(f *Fan, w int) {
-		if w == 0 {
-			f.Grow()
-		}
-		for {
-			i, _, ok := f.Claim(1)
-			if !ok {
-				return
-			}
-			fn(i)
-		}
-	})
-}

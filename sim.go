@@ -24,11 +24,8 @@ const (
 	// DelayExponential draws delays exponentially with the given Mean.
 	DelayExponential
 	// DelayShiftedExp draws delays as Min (a constant floor) plus an
-	// exponential tail with mean Mean. It keeps the heavy-tailed stress
-	// schedule while promising a positive minimum latency, so the
-	// discrete-event engine's conservative lookahead can batch whole
-	// [t, t+Min] windows — a plain exponential has infimum 0 and disables
-	// lookahead entirely.
+	// exponential tail with mean Mean: the heavy-tailed stress schedule
+	// on links with a fixed minimum latency.
 	DelayShiftedExp
 )
 
@@ -99,23 +96,9 @@ type SimOptions struct {
 	// shared default engine (parallel across GOMAXPROCS and memoized). Every
 	// engine produces bit-identical decisions, so this chooses only where
 	// the work runs, which memo it shares and whose counters record it.
+	// The simulated processes step one at a time; the engine is the only
+	// part of a run that fans out across cores.
 	Engine *GammaEngine
-	// NodeWorkers bounds how many simulated processes are stepped
-	// concurrently by the simulation engines: 0 selects GOMAXPROCS, 1
-	// forces serial stepping. In the synchronous engine each round's
-	// Outbox and Deliver phases fan across the pool; in the discrete-event
-	// engine deliveries sharing a virtual timestamp do. Executions are
-	// bit-identical for every setting (the engines merge emitted messages
-	// deterministically and every process owns an independent seeded PRNG
-	// stream). NodeWorkers parallelizes across nodes, the engine within
-	// one node's Zi walk; both fan out on the same primitive, whose caller
-	// is worker 0. The node helpers start at once, the engine's only at a
-	// walk's first memo miss. Results never depend on how the two nest,
-	// but cost does: on two CPUs, serial stepping ran the
-	// witness-optimised approx benchmark workload (nearly all memo hits)
-	// ~9 % faster than the default, and the restricted-async one (nearly
-	// every walk solves) ~6 % slower.
-	NodeWorkers int
 }
 
 // ResetEngineCaches drops every memoized Γ-point from the shared default
@@ -221,7 +204,7 @@ func simulateSyncEIG(cfg Config, inputs []Vector, byz []Byzantine, opts SimOptio
 		decide[i] = dec
 	}
 
-	stats, err := sim.RunSyncWith(nodes, sim.SyncOptions{MaxRounds: rounds + 1, Workers: opts.NodeWorkers})
+	stats, err := sim.RunSync(nodes, rounds+1)
 	if err != nil && !errors.Is(err, sim.ErrRoundCap) {
 		return nil, err
 	}
@@ -269,7 +252,7 @@ func SimulateRestrictedSync(cfg Config, inputs []Vector, byz []Byzantine, opts S
 			nodes[i] = nd
 		}
 	}
-	stats, err := sim.RunSyncWith(nodes, sim.SyncOptions{MaxRounds: rounds + 1, Workers: opts.NodeWorkers})
+	stats, err := sim.RunSync(nodes, rounds+1)
 	if err != nil && !errors.Is(err, sim.ErrRoundCap) {
 		return nil, err
 	}
@@ -410,10 +393,9 @@ func SimulateRestrictedAsync(cfg Config, inputs []Vector, byz []Byzantine, opts 
 
 func runAsyncEngine(cfg Config, opts SimOptions, nodes []sim.Node) (sim.Stats, error) {
 	eng, err := sim.NewEngine(sim.Config{
-		N:           cfg.N,
-		Seed:        opts.Seed,
-		Delay:       opts.Delay.model(),
-		NodeWorkers: opts.NodeWorkers,
+		N:     cfg.N,
+		Seed:  opts.Seed,
+		Delay: opts.Delay.model(),
 	}, nodes)
 	if err != nil {
 		return sim.Stats{}, err
@@ -690,9 +672,8 @@ func orZero(v Vector, d int) Vector {
 
 // seededRand derives an independent PRNG stream for adversary id from the
 // run's master seed. Every simulated process and adversary owns its own
-// stream — no *rand.Rand is ever reachable from two nodes, which is what
-// lets NodeWorkers step them concurrently — and distinct master seeds yield
-// distinct adversary behaviour (the stream mixes both inputs).
+// stream, so one node's draws never shift another's, and distinct master
+// seeds yield distinct adversary behaviour (the stream mixes both inputs).
 func seededRand(seed int64, id int) *rand.Rand {
 	return rand.New(rand.NewSource((seed+1)*0x9e3779b9 ^ int64(id+1)*7919))
 }
