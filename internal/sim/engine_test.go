@@ -135,10 +135,8 @@ func TestEngineFIFOUnderRandomDelays(t *testing.T) {
 	}
 }
 
-// TestEngineDeterminism: one seed replays one execution. The burst case
-// interleaves two senders into one receiver; each delay row runs a gossip
-// mesh twice and compares the delivery trace (time, sender, receiver,
-// sequence number, payload) and statistics.
+// TestEngineDeterminism: one seed replays one execution of two senders
+// interleaving bursts into one receiver.
 func TestEngineDeterminism(t *testing.T) {
 	run := func() []int {
 		recv := &orderNode{}
@@ -169,51 +167,6 @@ func TestEngineDeterminism(t *testing.T) {
 		}
 	}
 
-	delays := map[string]DelayModel{
-		"constant":    ConstantDelay{D: time.Millisecond},
-		"uniform":     UniformDelay{Min: time.Millisecond, Max: 5 * time.Millisecond},
-		"exponential": ExponentialDelay{Mean: 2 * time.Millisecond},
-		// A cap at the mean puts e⁻¹ of all draws on one value: equal
-		// timestamps across links, which only sequence numbers order, and
-		// nodes that halt while messages to them are still queued.
-		"exponential-capped": ExponentialDelay{Mean: 2 * time.Millisecond, Cap: 2 * time.Millisecond},
-		"starve": StarveSenders{
-			Inner: ConstantDelay{D: time.Millisecond},
-			Slow:  map[ProcID]bool{0: true},
-			Extra: 40 * time.Millisecond,
-		},
-	}
-	for name, delay := range delays {
-		t.Run(name, func(t *testing.T) {
-			wantTrace, wantStats := traceOf(t, 6, delay)
-			if len(wantTrace) == 0 {
-				t.Fatal("empty reference trace")
-			}
-			if name == "exponential-capped" {
-				shared := 0
-				for i := 1; i < len(wantTrace); i++ {
-					if wantTrace[i].At == wantTrace[i-1].At && wantTrace[i].To != wantTrace[i-1].To {
-						shared++
-					}
-				}
-				if shared == 0 || wantStats.Suppressed == 0 {
-					t.Fatalf("%d multi-destination timestamps, %d suppressed deliveries: case lost its point", shared, wantStats.Suppressed)
-				}
-			}
-			trace, stats := traceOf(t, 6, delay)
-			if stats != wantStats {
-				t.Fatalf("stats %+v, want %+v", stats, wantStats)
-			}
-			if len(trace) != len(wantTrace) {
-				t.Fatalf("%d deliveries, want %d", len(trace), len(wantTrace))
-			}
-			for i := range trace {
-				if trace[i] != wantTrace[i] {
-					t.Fatalf("delivery %d = %+v, want %+v", i, trace[i], wantTrace[i])
-				}
-			}
-		})
-	}
 }
 
 type burst2 struct{}
@@ -353,7 +306,7 @@ func (chatterNode) OnMessage(api API, from ProcID, _ Message) {
 	api.Send(from, "x")
 }
 
-// cutoffDelays are the extra rows of the cut-off tests. Every gossip node
+// cutoffDelays are the models the NodeWorkers cut-off tests run under. Every gossip node
 // broadcasts all its rounds at Init, so each link's lane holds a run of
 // events one FIFO nudge apart and both cut-offs land inside a lane; the
 // capped exponential adds equal timestamps across lanes.
@@ -391,17 +344,6 @@ func TestEngineMaxEvents(t *testing.T) {
 	if !errors.Is(err, ErrMaxEvents) {
 		t.Errorf("err = %v, want ErrMaxEvents", err)
 	}
-	for name, delay := range cutoffDelays {
-		t.Run(name, func(t *testing.T) {
-			stats, _, err := runGossipCutoff(t, Config{Seed: 3, MaxEvents: 100, Delay: delay}, 50)
-			if !errors.Is(err, ErrMaxEvents) {
-				t.Fatalf("err = %v, want ErrMaxEvents", err)
-			}
-			if got := stats.Delivered + stats.Suppressed; got != 100 {
-				t.Fatalf("%d events handled, want exactly MaxEvents = 100", got)
-			}
-		})
-	}
 }
 
 // TestEngineMaxTime: a capped run delivers nothing after MaxTime, and its
@@ -424,21 +366,6 @@ func TestEngineMaxTime(t *testing.T) {
 	}
 	if stats.FinalTime > maxTime || stats.FinalTime != last {
 		t.Errorf("final time %v, want the last delivery's %v, at most %v", stats.FinalTime, last, maxTime)
-	}
-	for name, delay := range cutoffDelays {
-		t.Run(name, func(t *testing.T) {
-			const limit = 1500 * time.Microsecond
-			stats, last, err := runGossipCutoff(t, Config{Seed: 5, MaxTime: limit, Delay: delay}, 10)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if stats.Delivered == 0 || stats.Delivered == stats.Sent {
-				t.Fatalf("cut-off missed the execution: %+v", stats)
-			}
-			if last > limit || stats.FinalTime != last {
-				t.Fatalf("last delivery at %v, final time %v, cap %v", last, stats.FinalTime, limit)
-			}
-		})
 	}
 }
 
@@ -575,7 +502,7 @@ func (g *gossipNode) OnMessage(api API, from ProcID, msg Message) {
 
 // traceOf runs a gossip execution and returns the full delivery trace plus
 // statistics.
-func traceOf(t *testing.T, n int, delay DelayModel) ([]Delivery, Stats) {
+func traceOf(t *testing.T, n, nodeWorkers int, delay DelayModel) ([]Delivery, Stats) {
 	t.Helper()
 	nodes := make([]Node, n)
 	for i := range nodes {
@@ -583,7 +510,7 @@ func traceOf(t *testing.T, n int, delay DelayModel) ([]Delivery, Stats) {
 	}
 	var trace []Delivery
 	eng, err := NewEngine(Config{
-		N: n, Seed: 99, Delay: delay,
+		N: n, Seed: 99, Delay: delay, NodeWorkers: nodeWorkers,
 		Observer: func(ev Delivery) { trace = append(trace, ev) },
 	}, nodes)
 	if err != nil {
@@ -594,4 +521,109 @@ func traceOf(t *testing.T, n int, delay DelayModel) ([]Delivery, Stats) {
 		t.Fatal(err)
 	}
 	return trace, stats
+}
+
+// TestEngineNodeWorkersDeterministic: the deprecated NodeWorkers field is
+// ignored, so the delivery trace (time, sender, receiver, sequence number,
+// payload) and statistics of an execution are identical for every setting,
+// and a second run with the same seed replays the first. The delays cover
+// constant, randomized and adversarial (starvation) schedules.
+func TestEngineNodeWorkersDeterministic(t *testing.T) {
+	delays := map[string]DelayModel{
+		"constant":    ConstantDelay{D: time.Millisecond},
+		"uniform":     UniformDelay{Min: time.Millisecond, Max: 5 * time.Millisecond},
+		"exponential": ExponentialDelay{Mean: 2 * time.Millisecond},
+		// A cap at the mean puts e⁻¹ of all draws on one value: equal
+		// timestamps across links, which only sequence numbers order, and
+		// nodes that halt while messages to them are still queued.
+		"exponential-capped": ExponentialDelay{Mean: 2 * time.Millisecond, Cap: 2 * time.Millisecond},
+		"starve": StarveSenders{
+			Inner: ConstantDelay{D: time.Millisecond},
+			Slow:  map[ProcID]bool{0: true},
+			Extra: 40 * time.Millisecond,
+		},
+	}
+	for name, delay := range delays {
+		t.Run(name, func(t *testing.T) {
+			wantTrace, wantStats := traceOf(t, 6, 1, delay)
+			if len(wantTrace) == 0 {
+				t.Fatal("empty reference trace")
+			}
+			if name == "exponential-capped" {
+				shared := 0
+				for i := 1; i < len(wantTrace); i++ {
+					if wantTrace[i].At == wantTrace[i-1].At && wantTrace[i].To != wantTrace[i-1].To {
+						shared++
+					}
+				}
+				if shared == 0 || wantStats.Suppressed == 0 {
+					t.Fatalf("%d multi-destination timestamps, %d suppressed deliveries: case lost its point", shared, wantStats.Suppressed)
+				}
+			}
+			for _, nw := range []int{1, 0, 2, 4, 16} {
+				trace, stats := traceOf(t, 6, nw, delay)
+				if stats != wantStats {
+					t.Fatalf("nodeworkers=%d: stats %+v, want %+v", nw, stats, wantStats)
+				}
+				if len(trace) != len(wantTrace) {
+					t.Fatalf("nodeworkers=%d: %d deliveries, want %d", nw, len(trace), len(wantTrace))
+				}
+				for i := range trace {
+					if trace[i] != wantTrace[i] {
+						t.Fatalf("nodeworkers=%d: delivery %d = %+v, want %+v", nw, i, trace[i], wantTrace[i])
+					}
+				}
+			}
+		})
+	}
+}
+
+// TestEngineNodeWorkersMaxEvents: the MaxEvents cap trips after exactly
+// MaxEvents handled events, with the same error and statistics for every
+// NodeWorkers setting.
+func TestEngineNodeWorkersMaxEvents(t *testing.T) {
+	for name, delay := range cutoffDelays {
+		var want Stats
+		for i, nw := range []int{1, 0, 3} {
+			stats, _, err := runGossipCutoff(t, Config{Seed: 3, MaxEvents: 100, NodeWorkers: nw, Delay: delay}, 50)
+			if !errors.Is(err, ErrMaxEvents) {
+				t.Fatalf("%s nodeworkers=%d: err = %v, want ErrMaxEvents", name, nw, err)
+			}
+			if got := stats.Delivered + stats.Suppressed; got != 100 {
+				t.Fatalf("%s nodeworkers=%d: %d events handled, want exactly MaxEvents = 100", name, nw, got)
+			}
+			if i == 0 {
+				want = stats
+			} else if stats != want {
+				t.Fatalf("%s nodeworkers=%d: stats %+v, want %+v", name, nw, stats, want)
+			}
+		}
+	}
+}
+
+// TestEngineNodeWorkersMaxTime: the MaxTime cut-off delivers nothing after
+// the cap, reports the last delivery's time as FinalTime, and stops at the
+// same statistics for every NodeWorkers setting.
+func TestEngineNodeWorkersMaxTime(t *testing.T) {
+	const limit = 1500 * time.Microsecond
+	for name, delay := range cutoffDelays {
+		var want Stats
+		for i, nw := range []int{1, 0, 2} {
+			stats, last, err := runGossipCutoff(t, Config{Seed: 5, MaxTime: limit, NodeWorkers: nw, Delay: delay}, 10)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if stats.Delivered == 0 || stats.Delivered == stats.Sent {
+				t.Fatalf("%s: cut-off missed the execution: %+v", name, stats)
+			}
+			if last > limit || stats.FinalTime != last {
+				t.Fatalf("%s nodeworkers=%d: last delivery at %v, final time %v, cap %v", name, nw, last, stats.FinalTime, limit)
+			}
+			if i == 0 {
+				want = stats
+			} else if stats != want {
+				t.Fatalf("%s nodeworkers=%d: stats %+v, want %+v", name, nw, stats, want)
+			}
+		}
+	}
 }
