@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"repro/internal/combin"
 	"repro/internal/geometry"
@@ -35,7 +36,13 @@ import (
 //     multiset of values, so any two processes — and any two rounds, and any
 //     two of the n simulated nodes of one execution — holding the same set
 //     compute the same point. The cache key is exactly that canonical
-//     multiset (bit-exact geometry.Key encoding) plus (d, f, method).
+//     multiset plus (d, f, method), with each value named by its interned
+//     id (valueIDs): within one memo generation ids are a bijection on the
+//     values' bit-exact geometry.Key bytes, so equal keys mean equal
+//     multisets, and every key carries its generation, so ids reissued
+//     after a drop never hit an earlier generation's entries. A walk
+//     interns each distinct value once. The round-level (zi) and
+//     Radon-family (fams) tables still key on the values' bytes.
 //
 // The memo tables (memoTable) are hash tables whose hits take no lock:
 // a lookup probes the current slot array through atomic loads, and only a
@@ -52,6 +59,13 @@ type Engine struct {
 
 	memo *memoTable[gammaEntry] // per-candidate-set and prefix Γ-points
 	zi   *memoTable[meanEntry]  // whole AverageGamma reductions
+
+	// values is the current memo generation's interner; gens counts the
+	// generations started (guarded by memo's lock, see nextGen), and
+	// maxValues bounds an interner.
+	values    atomic.Pointer[valueIDs]
+	gens      uint64
+	maxValues int
 
 	// Radon-family cache (restricted-async f = 1 regime): per-B-set subset
 	// walks keyed by the canonical member-value sequence, with a drop-one
@@ -107,12 +121,19 @@ type meanEntry struct {
 // NewEngine returns an engine with the given worker bound (≤ 0 means
 // GOMAXPROCS) and memoization switch.
 func NewEngine(workers int, memoize bool) *Engine {
+	return newEngine(workers, memoize, maxMemoEntries, maxInternValues)
+}
+
+// newEngine is NewEngine with the Γ-point table's and the interner's
+// bounds supplied (tests shrink them to force drops mid-walk).
+func newEngine(workers int, memoize bool, maxMemo, maxValues int) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	e := &Engine{workers: workers, memoize: memoize}
+	e := &Engine{workers: workers, memoize: memoize, maxValues: maxValues}
 	if memoize {
-		e.memo = newMemoTable[gammaEntry](maxMemoEntries, nil)
+		e.memo = newMemoTable[gammaEntry](maxMemo, e.nextGen)
+		e.nextGen()
 		e.zi = newMemoTable[meanEntry](maxZiEntries, nil)
 		e.famSub = make(map[string]famRef)
 		e.fams = newMemoTable[meanEntry](maxFamEntries, func() {
@@ -155,18 +176,21 @@ func appendMeta(dst []byte, d, f int, method safearea.Method) []byte {
 }
 
 // SafePoint returns the deterministic Γ-point of (y, f) under method,
-// memoized on the canonical multiset key. In Exact BVC all n processes hold
-// the identical agreed multiset S, so the n-fold recomputation of the same
-// lex-min LP collapses to a single solve.
+// memoized on the canonical multiset key — the key space of the walks'
+// full candidate sets. In Exact BVC all n processes hold the identical
+// agreed multiset S, so the n-fold recomputation of the same lex-min LP
+// collapses to a single solve.
 func (e *Engine) SafePoint(y *geometry.Multiset, f int, method safearea.Method) (geometry.Vector, error) {
 	if !e.memoize {
 		e.counters.solves.Add(1)
 		return safearea.PointWith(y, f, method)
 	}
-	key := make([]byte, 0, 9+8*y.Len()*y.Dim())
-	key = appendMeta(key, y.Dim(), f, method)
+	values := e.values.Load()
+	key := appendKeyHead(make([]byte, 0, 20+3*y.Len()), y.Dim(), f, method, setKeyTag, values.gen)
+	vkey := make([]byte, 0, 8*y.Dim())
 	for i := 0; i < y.Len(); i++ {
-		key = geometry.AppendKey(key, y.At(i))
+		vkey = geometry.AppendKey(vkey[:0], y.At(i))
+		key = binary.AppendUvarint(key, values.id(vkey))
 	}
 	ent := e.memo.get(key)
 	fresh := false
@@ -211,30 +235,44 @@ func (t *gammaTally) flush(e *Engine) {
 // gammaScratch is one worker's reusable state for per-candidate-set
 // Γ-points: the gathered and origin-sorted tuple selection, the value view
 // handed to the safe-area ladder (a Multiset re-pointed per solve, not
-// allocated), the memo key buffer, and the worker's counter tally (flushed
-// when the worker finishes).
+// allocated), the memo key buffer, the generation its keys are built in
+// with the values the walk has interned there, and the worker's counter
+// tally (flushed when the worker finishes).
 type gammaScratch struct {
-	e      *Engine
-	f      int
-	method safearea.Method
-	d      int
-	sel    []tuple
-	vals   []geometry.Vector
-	view   geometry.Multiset
-	key    []byte
+	e       *Engine
+	f       int
+	method  safearea.Method
+	d       int
+	sel     []tuple
+	vals    []geometry.Vector
+	view    geometry.Multiset
+	key     []byte
+	values  *valueIDs
+	seen    []seenValue
+	vkey    []byte
+	members []memberID
 	// fan is the walk's fan-out, for worker 0 to grow at its first solve;
 	// nil on helpers and once grown.
 	fan *sim.Fan
 	gammaTally
 }
 
-// scratch builds worker w's scratch for a walk on fan.
-func (e *Engine) scratch(fan *sim.Fan, w, k, d, f int, method safearea.Method) gammaScratch {
+// scratch builds worker w's scratch for a walk on fan over candidate sets
+// of at most k members whose origins are below origins.
+func (e *Engine) scratch(fan *sim.Fan, w, k, origins, d, f int, method safearea.Method) gammaScratch {
 	sc := gammaScratch{
 		e: e, f: f, method: method, d: d,
 		sel:  make([]tuple, 0, k),
 		vals: make([]geometry.Vector, 0, k),
-		key:  make([]byte, 0, 9+8*k*d),
+	}
+	if e.memoize {
+		// One buffer for the key and the value bytes being interned; the
+		// key's capacity is capped, so growing it never overwrites them.
+		buf := make([]byte, 20+3*k+8*d)
+		sc.key, sc.vkey = buf[:0:20+3*k], buf[20+3*k:20+3*k]
+		sc.values = e.values.Load()
+		sc.seen = make([]seenValue, min(max(origins, 0), maxSeenOrigins))
+		sc.members = make([]memberID, 0, k)
 	}
 	if w == 0 {
 		sc.fan = fan
@@ -257,19 +295,48 @@ func (sc *gammaScratch) solving() {
 // tuples by idx. The returned vector is shared with the memo table and must
 // not be mutated.
 func (sc *gammaScratch) point(tuples []tuple, idx []int) (geometry.Vector, error) {
-	sel := sc.sel[:0]
-	for _, j := range idx {
-		sel = append(sel, tuples[j])
+	if !sc.e.memoize {
+		sel := sc.sel[:0]
+		for _, j := range idx {
+			sel = append(sel, tuples[j])
+		}
+		sc.sel = sel
+		return sc.pointUncached()
 	}
-	sc.sel = sel
-	return sc.pointOfSel()
+	sc.startSet()
+	for _, j := range idx {
+		sc.addMember(tuples, j)
+	}
+	return sc.pointOfMembers(tuples)
 }
 
 // pointOfSet is point for an explicitly materialized candidate set (the
 // witness-optimization path).
 func (sc *gammaScratch) pointOfSet(set []tuple) (geometry.Vector, error) {
-	sc.sel = append(sc.sel[:0], set...)
-	return sc.pointOfSel()
+	if !sc.e.memoize {
+		sc.sel = append(sc.sel[:0], set...)
+		return sc.pointUncached()
+	}
+	sc.startSet()
+	for i := range set {
+		sc.addMember(set, i)
+	}
+	return sc.pointOfMembers(set)
+}
+
+// pointUncached solves the selection with memoization off.
+func (sc *gammaScratch) pointUncached() (geometry.Vector, error) {
+	sel := sc.sel
+	// Canonicalize by origin id (Observation 2); insertion sort — the
+	// selections are small and usually already sorted.
+	for i := 1; i < len(sel); i++ {
+		for j := i; j > 0 && sel[j].origin < sel[j-1].origin; j-- {
+			sel[j], sel[j-1] = sel[j-1], sel[j]
+		}
+	}
+	sc.solving()
+	sc.solves++
+	return sc.solve(sel)
 }
 
 // solve is the cache-miss compute path: the ladder on the origin-sorted
@@ -299,42 +366,35 @@ func (sc *gammaScratch) viewOf(sel []tuple) (*geometry.Multiset, error) {
 	return &sc.view, nil
 }
 
-// prefixKeyTag separates sub-family (prefix) memo keys from full-multiset
-// keys of the same byte length.
-const prefixKeyTag = byte('P')
-
-func (sc *gammaScratch) pointOfSel() (geometry.Vector, error) {
-	sel := sc.sel
+// pointOfMembers computes (or recalls) the Γ-point of the candidate set
+// whose members startSet and addMember collected from src.
+func (sc *gammaScratch) pointOfMembers(src []tuple) (geometry.Vector, error) {
 	// Canonicalize by origin id (Observation 2); insertion sort — the
-	// selections are small and usually already sorted.
-	for i := 1; i < len(sel); i++ {
-		for j := i; j > 0 && sel[j].origin < sel[j-1].origin; j-- {
-			sel[j], sel[j-1] = sel[j-1], sel[j]
+	// sets are small and usually already sorted, and it is stable, so the
+	// members land where sorting the tuples themselves would put them.
+	ms := sc.members
+	for i := 1; i < len(ms); i++ {
+		for j := i; j > 0 && ms[j].origin < ms[j-1].origin; j-- {
+			ms[j], ms[j-1] = ms[j-1], ms[j]
 		}
-	}
-	if !sc.e.memoize {
-		sc.solving()
-		sc.solves++
-		return sc.solve(sel)
 	}
 	// Sub-family (delta-key) lookup first: under the resolved method the
 	// Γ-point depends only on the first m canonical members, so any two
 	// candidate sets sharing that prefix — consecutive subsets of one walk,
 	// sets of sibling processes, sets across rounds whose moved point sits
-	// beyond the prefix — share one certified solve.
-	if m := safearea.PrefixLen(len(sel), sc.d, sc.f, sc.method); m < len(sel) {
-		key := appendMeta(sc.key[:0], sc.d, sc.f, sc.method)
-		key = append(key, prefixKeyTag)
-		for _, tp := range sel[:m] {
-			key = geometry.AppendKey(key, tp.value)
-		}
-		sc.key = key
-		ent := sc.e.memo.get(key)
+	// beyond the prefix — share one certified solve. The prefix key is the
+	// full key cut after m members and retagged (get copies what it keeps).
+	m := safearea.PrefixLen(len(ms), sc.d, sc.f, sc.method)
+	key, prefixEnd := sc.setKey(m)
+	if m < len(ms) {
+		key[keyTagAt] = prefixKeyTag
+		ent := sc.e.memo.get(key[:prefixEnd])
+		key[keyTagAt] = setKeyTag
 		fresh := false
 		ent.once.Do(func() {
 			fresh = true
 			sc.solving()
-			ms, err := sc.viewOf(sel[:m])
+			ms, err := sc.viewOf(sc.gather(src)[:m])
 			if err != nil {
 				ent.err = err
 				return
@@ -348,20 +408,26 @@ func (sc *gammaScratch) pointOfSel() (geometry.Vector, error) {
 		// Uncertified prefix: the superset's own ladder (including its
 		// fallbacks) decides, keyed by the full multiset below.
 	}
-	key := appendMeta(sc.key[:0], sc.d, sc.f, sc.method)
-	for _, tp := range sel {
-		key = geometry.AppendKey(key, tp.value)
-	}
-	sc.key = key
 	ent := sc.e.memo.get(key)
 	fresh := false
 	ent.once.Do(func() {
 		fresh = true
 		sc.solving()
-		ent.pt, ent.err = sc.solve(sel)
+		ent.pt, ent.err = sc.solve(sc.gather(src))
 	})
 	sc.record(fresh, ent.err, &sc.cacheHits)
 	return ent.pt, ent.err
+}
+
+// gather returns the set's tuples in canonical order, for a solve. A memo
+// hit never gathers: it needs only the members' ids.
+func (sc *gammaScratch) gather(src []tuple) []tuple {
+	sel := sc.sel[:0]
+	for _, mb := range sc.members {
+		sel = append(sel, src[mb.at])
+	}
+	sc.sel = sel
+	return sel
 }
 
 // ziKeyTag separates round-level AverageGamma memo keys from per-set keys.
@@ -456,7 +522,7 @@ func (e *Engine) averageGammaCompute(tuples []tuple, k, f int, method safearea.M
 	n := len(tuples)
 	points := make([]geometry.Vector, combin.Binomial(n, k))
 	return e.walk(points, func(fan *sim.Fan, w int) {
-		sc := e.scratch(fan, w, k, d, f, method)
+		sc := e.scratch(fan, w, k, tuples[n-1].origin+1, d, f, method)
 		defer sc.flush(e)
 		idx := make([]int, k)
 		for {
@@ -599,15 +665,16 @@ func (e *Engine) AverageGammaSets(sets [][]tuple, f int, method safearea.Method)
 		return nil, 0, fmt.Errorf("core: empty candidate set")
 	}
 	d := sets[0][0].value.Dim()
-	maxK := 0
+	maxK, origins := 0, 0
 	for _, set := range sets {
-		if len(set) > maxK {
-			maxK = len(set)
+		maxK = max(maxK, len(set))
+		for _, tp := range set {
+			origins = max(origins, tp.origin+1)
 		}
 	}
 	points := make([]geometry.Vector, len(sets))
 	return e.walk(points, func(fan *sim.Fan, w int) {
-		sc := e.scratch(fan, w, maxK, d, f, method)
+		sc := e.scratch(fan, w, maxK, origins, d, f, method)
 		defer sc.flush(e)
 		for {
 			r, _, ok := fan.Claim(1)

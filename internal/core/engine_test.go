@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"fmt"
 	"math/rand"
 	"runtime"
@@ -229,40 +228,76 @@ func TestEngineCountersExactAcrossWorkers(t *testing.T) {
 	}
 }
 
-// BenchmarkEngineMemo measures one Γ-point memo lookup with a
-// candidate-set-sized key: hit-parallel recalls a warmed key set from every
-// P at once (the lock-free path), miss inserts a fresh key per iteration
-// (hash, lock, key copy and node allocation, amortized resizes and drops).
+// BenchmarkEngineMemo measures one Γ-point memo lookup of a
+// sim-rasync-f2-shaped candidate set (seven members, d = 2, f = 2, drawn
+// from a pool of 64 values): building its key — the walk's interning
+// included — and probing the table. hit-parallel recalls a warmed set of
+// keys from every P at once (the lock-free path), miss inserts a fresh set
+// per iteration (lock, key copy and node carving, amortized resizes and
+// drops). Both report B/entry, the key bytes the table stores per entry.
 func BenchmarkEngineMemo(b *testing.B) {
+	const poolSize, k, d, f = 64, 7, 2, 2
+	pool := randomTuples(rand.New(rand.NewSource(1)), poolSize, d)
+	set := func(sel []tuple, idx []int) []tuple {
+		sel = sel[:0]
+		for _, j := range idx {
+			sel = append(sel, pool[j])
+		}
+		return sel
+	}
+	lookup := func(sc *gammaScratch, set []tuple) *gammaEntry {
+		sc.startSet()
+		for i := range set {
+			sc.addMember(set, i)
+		}
+		key, _ := sc.setKey(len(set))
+		return sc.e.memo.get(key)
+	}
+	keyBytes := func(b *testing.B, eng *Engine) {
+		n, bytes := eng.memo.memoKeyBytes()
+		b.ReportMetric(float64(bytes)/float64(n), "B/entry")
+	}
 	b.Run("hit-parallel", func(b *testing.B) {
 		eng := NewEngine(0, true)
-		keys := make([][]byte, 4096)
-		for i := range keys {
-			keys[i] = memoTestKey(nil, i)
-			eng.memo.get(keys[i])
+		sets := make([][]tuple, 4096)
+		sc := eng.scratch(nil, 1, k, poolSize, d, f, safearea.MethodAuto)
+		for i := range sets {
+			idx, err := combin.Unrank(poolSize, k, int64(i)*7919, nil)
+			if err != nil {
+				b.Fatal(err)
+			}
+			sets[i] = set(nil, idx)
+			lookup(&sc, sets[i])
 		}
 		var goroutine atomic.Int64
 		b.ReportAllocs()
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
+			sc := eng.scratch(nil, 1, k, poolSize, d, f, safearea.MethodAuto)
 			i := int(goroutine.Add(1)) * 997
 			for pb.Next() {
-				if eng.memo.get(keys[i%len(keys)]) == nil {
+				if lookup(&sc, sets[i%len(sets)]) == nil {
 					b.Error("nil entry")
 					return
 				}
 				i++
 			}
 		})
+		b.StopTimer()
+		keyBytes(b, eng)
 	})
 	b.Run("miss", func(b *testing.B) {
 		eng := NewEngine(1, true)
-		key := memoTestKey(nil, 0)
+		sc := eng.scratch(nil, 1, k, poolSize, d, f, safearea.MethodAuto)
+		idx := []int{0, 1, 2, 3, 4, 5, 6}
+		var sel []tuple
 		b.ReportAllocs()
-		for i := 0; b.Loop(); i++ {
-			binary.BigEndian.PutUint64(key[len(key)-8:], uint64(i))
-			eng.memo.get(key)
+		for b.Loop() {
+			combin.Next(poolSize, idx)
+			sel = set(sel, idx)
+			lookup(&sc, sel)
 		}
+		keyBytes(b, eng)
 	})
 }
 

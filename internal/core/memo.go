@@ -37,11 +37,22 @@ const memoMinSlots = 32
 // swapping in a fresh minimal array and releasing the chunks (entries are
 // pure functions of their key, so a drop only costs recomputation), and
 // onDrop, when set, runs under the table lock at that moment and at reset.
+// onInsert, when set, runs under the table lock on every new entry before
+// it is published, so lock-free readers see what it wrote.
+//
+// The table never looks inside its keys; the Engine chooses them. Γ-point
+// keys name each member by its interned id (valueIDs), which is exact
+// because within one memo generation ids are a bijection on the values'
+// geometry.AppendKey bytes; every Γ-point key carries its generation, so
+// ids reissued after a drop cannot hit an older generation's entries. The
+// round (zi) and Radon-family (fams) tables key on the values' bytes.
+// Interners are memoTables too, with onInsert assigning ids.
 type memoTable[V any] struct {
-	seed   maphash.Seed
-	max    int
-	onDrop func()
-	slots  atomic.Pointer[[]memoSlot[V]]
+	seed     maphash.Seed
+	max      int
+	onDrop   func()
+	onInsert func(*V)
+	slots    atomic.Pointer[[]memoSlot[V]]
 
 	mu    sync.Mutex
 	n     int           // entries in the current array; guarded by mu
@@ -123,6 +134,9 @@ func (t *memoTable[V]) getHashed(key []byte, h uint64) *V {
 		i, _ = find(s, key, h)
 	}
 	nd = t.carve(key)
+	if t.onInsert != nil {
+		t.onInsert(&nd.val)
+	}
 	s[i].hash = h
 	s[i].node.Store(nd)
 	t.n++

@@ -2,6 +2,7 @@ package core
 
 import (
 	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -13,10 +14,10 @@ import (
 	"repro/internal/safearea"
 )
 
-// memoTestKey is a candidate-set-sized key (9 bytes of metadata plus seven
-// 2-d values, like sim-rasync-f2's full-multiset keys) that differs from
-// its siblings only in its last 8 bytes, so every hit compares the whole
-// key.
+// memoTestKey is a 121-byte key (9 bytes of metadata plus seven 2-d
+// values: a candidate-set key spelling out its members' bytes) that
+// differs from its siblings only in its last 8 bytes, so every hit
+// compares the whole key.
 func memoTestKey(dst []byte, i int) []byte {
 	dst = append(dst[:0], make([]byte, 113)...)
 	return binary.BigEndian.AppendUint64(dst, uint64(i))
@@ -233,9 +234,9 @@ func TestMemoTableChunksFollowContent(t *testing.T) {
 }
 
 // TestEngineMemoSizedToContent: after Reset, a few solves leave every slot
-// array at its small starting size — a table sized for its bound instead of
-// its content would keep that memory reachable from the default engine
-// between operations.
+// array, the value interner's included, at its small starting size — a
+// table sized for its bound instead of its content would keep that memory
+// reachable from the default engine between operations.
 func TestEngineMemoSizedToContent(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	d, f := 2, 1
@@ -265,5 +266,129 @@ func TestEngineMemoSizedToContent(t *testing.T) {
 	_, fams := eng.fams.memoEntries()
 	if memo > 64 || zi > 64 || fams > 64 {
 		t.Fatalf("slots after Reset plus 10 solves: memo %d, zi %d, fams %d; want ≤ 64", memo, zi, fams)
+	}
+	// The interner holds the 10 multisets' values: at most ½ load after a
+	// doubling, so at most four slots per value.
+	if values, slots := eng.values.Load().ids.memoEntries(); values != 10*n || slots > 4*values {
+		t.Fatalf("interner after Reset plus 10 solves: %d values in %d slots; want %d values, ≤ 4 slots each", values, slots, 10*n)
+	}
+}
+
+// TestMemoIDKeysSurviveDrops: with a Γ-point table and an interner bounded
+// to a handful of entries, drops — and with them the end of a generation
+// and the reissue of ids from 0 — land in the middle of walks running
+// concurrently on one 4-worker engine. Every AverageGamma, AverageGammaSets
+// and SafePoint result over overlapping value pools must still equal an
+// uncached serial engine's bit for bit: a key built from ids of an ended
+// generation may only miss or insert a dead entry, never hit an entry of
+// another generation.
+func TestMemoIDKeysSurviveDrops(t *testing.T) {
+	type input struct {
+		tuples []tuple
+		sets   [][]tuple
+		ms     *geometry.Multiset
+		k, f   int
+	}
+	type result struct{ avg, sets, safe string }
+	rng := rand.New(rand.NewSource(23))
+	var inputs []input
+	for _, c := range []struct{ d, f, n, k int }{
+		{2, 1, 7, 6}, // Radon: prefix keys of 4 members, full keys of 6
+		{2, 2, 9, 8}, // Tverberg lift: prefix keys of 7 members
+		{1, 2, 6, 4}, // d = 1 closed form: full keys only
+	} {
+		pool := randomTuples(rng, c.n+3, c.d) // a small pool: inputs overlap
+		for range 8 {
+			tuples := make([]tuple, c.n)
+			for i, j := range rng.Perm(len(pool))[:c.n] {
+				tuples[i] = tuple{origin: i, value: pool[j].value}
+			}
+			ms := geometry.NewMultiset(c.d)
+			for _, tp := range tuples {
+				if err := ms.Add(tp.value); err != nil {
+					t.Fatal(err)
+				}
+			}
+			inputs = append(inputs, input{tuples, candidateSets(t, tuples, c.k), ms, c.k, c.f})
+		}
+	}
+	run := func(eng *Engine, in input) result {
+		key := func(pt geometry.Vector, err error) string {
+			if err != nil {
+				return "error: " + err.Error()
+			}
+			return fmt.Sprintf("%x", geometry.Key(pt))
+		}
+		var r result
+		pt, _, err := eng.AverageGamma(in.tuples, in.k, in.f, safearea.MethodAuto)
+		r.avg = key(pt, err)
+		pt, _, err = eng.AverageGammaSets(in.sets, in.f, safearea.MethodAuto)
+		r.sets = key(pt, err)
+		r.safe = key(eng.SafePoint(in.ms, in.f, safearea.MethodAuto))
+		return r
+	}
+	ref := NewEngine(1, false)
+	want := make([]result, len(inputs))
+	for i, in := range inputs {
+		want[i] = run(ref, in)
+	}
+
+	for _, bounds := range []struct{ memo, values int }{{5, maxInternValues}, {8, maxInternValues}, {64, 9}} {
+		eng := newEngine(4, true, bounds.memo, bounds.values)
+		const goroutines, passes = 4, 2
+		var wg sync.WaitGroup
+		for g := range goroutines {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for p := range passes * len(inputs) {
+					i := (p*(2*g+1) + g) % len(inputs)
+					if got := run(eng, inputs[i]); got != want[i] {
+						t.Errorf("bounds %+v, input %d: %+v, uncached serial engine gave %+v", bounds, i, got, want[i])
+						return
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if gens := eng.values.Load().gen; gens < 10 {
+			t.Errorf("bounds %+v: %d generations, want the bounds to force many drops", bounds, gens)
+		}
+	}
+}
+
+// memoKeyBytes returns the table's entry count and the bytes of the keys
+// it stores.
+func (t *memoTable[V]) memoKeyBytes() (n, bytes int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s := *t.slots.Load()
+	for i := range s {
+		if nd := s[i].node.Load(); nd != nil {
+			n++
+			bytes += len(nd.key)
+		}
+	}
+	return n, bytes
+}
+
+// TestEngineMemoKeyBytes pins the Γ-point keys' footprint on a
+// sim-rasync-f2-shaped walk (11 tuples, k = 7, d = 2, f = 2): keys naming
+// each member by its interned id store at most 42 bytes per entry, where
+// keys holding the members' bytes stored 9 + 7·16 = 121.
+func TestEngineMemoKeyBytes(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
+	eng := NewEngine(1, true)
+	if _, _, err := eng.AverageGamma(randomTuples(rng, 11, 2), 7, 2, safearea.MethodAuto); err != nil {
+		t.Fatal(err)
+	}
+	n, bytes := eng.memo.memoKeyBytes()
+	if n != 330 {
+		t.Fatalf("%d entries, want one per candidate set, C(11, 7) = 330", n)
+	}
+	if per := float64(bytes) / float64(n); per > 42 {
+		t.Fatalf("%.1f key bytes per entry, want ≤ 42", per)
+	} else {
+		t.Logf("%.1f key bytes per entry", per)
 	}
 }
