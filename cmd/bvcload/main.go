@@ -181,6 +181,18 @@ func (r *loadResult) gate(cfg loadConfig) error {
 	return nil
 }
 
+// establishTimeout bounds each process's wait for its mesh: Establish
+// waits as long as its ctx allows, and a scenario that leaves a link dark
+// must fail the run rather than hang it.
+const establishTimeout = 10 * time.Second
+
+// establish connects s to the mesh at addrs within establishTimeout.
+func establish(s *bvc.Service, addrs []string) error {
+	ctx, cancel := context.WithTimeout(context.Background(), establishTimeout)
+	defer cancel()
+	return s.Establish(ctx, addrs)
+}
+
 // drive runs the load: build the mesh, pace proposals open-loop, collect
 // and validate every result, then drain and close the mesh.
 func drive(cfg loadConfig) (*loadResult, error) {
@@ -280,7 +292,7 @@ func drive(cfg loadConfig) (*loadResult, error) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			estErrs[i] = s.Establish(context.Background(), addrs)
+			estErrs[i] = establish(s, addrs)
 		}()
 	}
 	wg.Wait()
@@ -358,7 +370,7 @@ func drive(cfg loadConfig) (*loadResult, error) {
 					svcs[ev.Proc] = s
 					crashed[ev.Proc] = false
 					crashMu.Unlock()
-					if err := s.Establish(context.Background(), addrs); err != nil {
+					if err := establish(s, addrs); err != nil {
 						eventsErr = fmt.Errorf("re-establish process %d: %w", ev.Proc, err)
 						return
 					}
@@ -420,7 +432,7 @@ func drive(cfg loadConfig) (*loadResult, error) {
 					svcs[ev.Proc] = repl
 					crashed[ev.Proc] = false
 					crashMu.Unlock()
-					if err := repl.Establish(context.Background(), next.Addrs); err != nil {
+					if err := establish(repl, next.Addrs); err != nil {
 						eventsErr = fmt.Errorf("establish replacement %d at epoch %d: %w", ev.Proc, epoch, err)
 						return
 					}

@@ -3,7 +3,6 @@ package bvc
 import (
 	"errors"
 	"fmt"
-	"runtime"
 
 	"repro/internal/geometry"
 	"repro/internal/hull"
@@ -77,14 +76,14 @@ func SafeAreaEmpty(points []Vector, f int) (bool, error) {
 }
 
 // SafeAreaContains reports whether z lies in Γ(Y) (within a small geometric
-// tolerance). The C(|Y|, f) hull-membership LPs run across GOMAXPROCS
-// workers; the verdict is identical to a serial evaluation.
+// tolerance). It runs the C(|Y|, f) hull-membership LPs serially, in a
+// revolving-door order where each warm-starts from the last.
 func SafeAreaContains(points []Vector, f int, z Vector) (bool, error) {
 	ms, err := validatePoints(points)
 	if err != nil {
 		return false, err
 	}
-	return safearea.ContainsParallel(ms, f, geometry.Vector(z), 0, runtime.GOMAXPROCS(0))
+	return safearea.Contains(ms, f, geometry.Vector(z), 0)
 }
 
 // InConvexHull reports whether z lies in the convex hull of points (within

@@ -135,7 +135,7 @@ type Incremental struct {
 	keep int
 
 	// groups[g] lists the member slots of group g (ascending); the order is
-	// the lexicographic subset order, matching groups()/ContainsParallel.
+	// the lexicographic subset order, matching groups().
 	groups [][]int
 	pts    [][]geometry.Vector // materialized group point sets (shared vectors)
 	basis  []hullBasis         // per-group warm membership state
@@ -258,7 +258,7 @@ func (inc *Incremental) Remove(i int) error {
 
 // Contains reports whether z ∈ Γ(Y) within tol, walking the family with
 // per-group warm-started membership solves. The verdict is identical to
-// Contains/ContainsParallel on the working multiset.
+// Contains on the working multiset.
 func (inc *Incremental) Contains(z geometry.Vector, tol float64) (bool, error) {
 	if z.Dim() != inc.y.Dim() {
 		return false, fmt.Errorf("safearea: point dimension %d, multiset dimension %d", z.Dim(), inc.y.Dim())

@@ -34,10 +34,7 @@ package safearea
 import (
 	"errors"
 	"fmt"
-	"runtime"
 	"sort"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/combin"
 	"repro/internal/geometry"
@@ -170,19 +167,15 @@ func IsEmpty(y *geometry.Multiset, f int) (bool, error) {
 
 // Contains reports whether z ∈ Γ(Y) within tolerance tol (hull.DefaultTol
 // if tol ≤ 0): z must lie in the hull of every (|Y|−f)-subset.
+//
+// The C(|Y|, f) subsets are walked in revolving-door (Gray) order:
+// consecutive subsets differ by one swap, so the warm-started membership
+// tester reuses its previous simplex basis instead of re-running Phase 1.
+// The verdict is basis- and order-independent (feasibility of each
+// subset's LP). On an LP error the lexicographic walk re-runs wholesale
+// and its outcome — stop at the lowest-rank event, failure or error — is
+// returned verbatim.
 func Contains(y *geometry.Multiset, f int, z geometry.Vector, tol float64) (bool, error) {
-	return ContainsParallel(y, f, z, tol, 1)
-}
-
-// ContainsParallel is Contains with the C(|Y|, f) independent hull-membership
-// LPs fanned across a bounded worker pool (workers ≤ 1 or a single subset
-// runs serially). Subsets are streamed by lexicographic rank — workers pull
-// ranks from a shared counter and reconstruct their subset with
-// combin.Unrank, so nothing is materialized — and the reduction is
-// deterministic: the verdict is the conjunction over all subsets, and when
-// several subsets fail (or error) the one with the lowest rank decides the
-// reported error, exactly as in serial order.
-func ContainsParallel(y *geometry.Multiset, f int, z geometry.Vector, tol float64, workers int) (bool, error) {
 	keep, err := validate(y, f)
 	if err != nil {
 		return false, err
@@ -190,106 +183,39 @@ func ContainsParallel(y *geometry.Multiset, f int, z geometry.Vector, tol float6
 	if z.Dim() != y.Dim() {
 		return false, fmt.Errorf("safearea: point dimension %d, multiset dimension %d", z.Dim(), y.Dim())
 	}
-	total := combin.Binomial(y.Len(), keep)
-	if workers > runtime.GOMAXPROCS(0) {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if int64(workers) > total {
-		workers = int(total)
-	}
-
-	if workers <= 1 {
-		// Serial walk in revolving-door (Gray) order: consecutive subsets
-		// differ by one swap, so the warm-started membership tester reuses
-		// its previous simplex basis instead of re-running Phase 1. The
-		// verdict is basis- and order-independent (feasibility of each
-		// subset's LP). On an LP error the classic lexicographic walk
-		// re-runs wholesale and its outcome — stop at the lowest-rank
-		// event, failure or error — is returned verbatim, so error-path
-		// results match the parallel reduction (and the pre-Gray serial
-		// semantics) exactly.
-		inside := true
-		var cerr error
-		pts := make([]geometry.Vector, keep)
-		mt := hull.NewMembershipTester()
-		err = combin.GrayCombinations(y.Len(), keep, func(idx []int, _, _ int) bool {
-			for i, j := range idx {
-				pts[i] = y.At(j)
-			}
-			ok, err := mt.Test(pts, z, tol)
-			if err != nil {
-				cerr = err
-				return false
-			}
-			if !ok {
-				inside = false
-				return false
-			}
-			return true
-		})
+	inside := true
+	var cerr error
+	pts := make([]geometry.Vector, keep)
+	mt := hull.NewMembershipTester()
+	err = combin.GrayCombinations(y.Len(), keep, func(idx []int, _, _ int) bool {
+		for i, j := range idx {
+			pts[i] = y.At(j)
+		}
+		ok, err := mt.Test(pts, z, tol)
 		if err != nil {
-			return false, err
+			cerr = err
+			return false
 		}
-		if cerr != nil {
-			return containsLex(y, keep, z, tol)
+		if !ok {
+			inside = false
+			return false
 		}
-		return inside, nil
+		return true
+	})
+	if err != nil {
+		return false, err
 	}
-
-	var (
-		next      atomic.Int64
-		eventRank atomic.Int64 // lowest rank that failed or errored
-		mu        sync.Mutex
-		eventErr  error
-		wg        sync.WaitGroup
-	)
-	eventRank.Store(total)
-	for w := 0; w < workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			idx := make([]int, keep)
-			pts := make([]geometry.Vector, keep)
-			// One warm tester per worker: consecutive pulled ranks share
-			// most of their subset, and the verdict is basis-independent.
-			mt := hull.NewMembershipTester()
-			for {
-				r := next.Add(1) - 1
-				if r >= total || r >= eventRank.Load() {
-					return // ranks past the decisive event cannot change the result
-				}
-				idx, err := combin.Unrank(y.Len(), keep, r, idx)
-				if err != nil {
-					recordEvent(&eventRank, &mu, &eventErr, r, err)
-					return
-				}
-				for i, j := range idx {
-					pts[i] = y.At(j)
-				}
-				ok, err := mt.Test(pts, z, tol)
-				if err != nil || !ok {
-					recordEvent(&eventRank, &mu, &eventErr, r, err)
-				}
-			}
-		}()
+	if cerr != nil {
+		return containsLex(y, keep, z, tol)
 	}
-	wg.Wait()
-	if eventRank.Load() < total {
-		mu.Lock()
-		defer mu.Unlock()
-		if eventErr != nil {
-			return false, eventErr
-		}
-		return false, nil
-	}
-	return true, nil
+	return inside, nil
 }
 
 // containsLex is the classic serial membership walk: subsets in
 // lexicographic order, stopping at the first event — a non-containing
 // subset or an LP error, whichever has the lower rank. It is the canonical
-// semantics the parallel reduction reproduces; the Gray-order fast path
-// delegates to it whenever an error surfaces.
+// semantics; the Gray-order walk of Contains delegates to it whenever an
+// error surfaces.
 func containsLex(y *geometry.Multiset, keep int, z geometry.Vector, tol float64) (bool, error) {
 	inside := true
 	var cerr error
@@ -316,17 +242,6 @@ func containsLex(y *geometry.Multiset, keep int, z geometry.Vector, tol float64)
 		return false, cerr
 	}
 	return inside, nil
-}
-
-// recordEvent folds a failed/errored subset rank into the running minimum,
-// keeping the error of the lowest rank (serial semantics).
-func recordEvent(eventRank *atomic.Int64, mu *sync.Mutex, eventErr *error, r int64, err error) {
-	mu.Lock()
-	defer mu.Unlock()
-	if r < eventRank.Load() {
-		eventRank.Store(r)
-		*eventErr = err
-	}
 }
 
 // Point returns a deterministic point of Γ(Y) using MethodAuto.

@@ -2,6 +2,7 @@ package safearea
 
 import (
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -324,7 +325,10 @@ func TestProbabilitySimplexStaysInside(t *testing.T) {
 	}
 }
 
-func TestContainsParallelMatchesSerial(t *testing.T) {
+// TestContainsMatchesLex holds the Gray-order walk of Contains to the
+// lexicographic walk it falls back to: the same verdict on every probe,
+// and on an LP error the error of the lowest-rank event.
+func TestContainsMatchesLex(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 12; trial++ {
 		d := 1 + rng.Intn(3)
@@ -341,7 +345,7 @@ func TestContainsParallelMatchesSerial(t *testing.T) {
 			}
 		}
 		// Probe points: one likely inside (a Γ point when it exists), one
-		// certainly outside the input box.
+		// certainly outside the input box, and one no LP can place.
 		var probes []geometry.Vector
 		if pt, err := Point(ms, f); err == nil {
 			probes = append(probes, pt)
@@ -350,17 +354,20 @@ func TestContainsParallelMatchesSerial(t *testing.T) {
 		for l := range out {
 			out[l] = 5 + rng.Float64()
 		}
-		probes = append(probes, out)
+		nan := geometry.NewVector(d)
+		nan[0] = math.NaN()
+		probes = append(probes, out, nan)
 		for _, z := range probes {
-			want, werr := Contains(ms, f, z, 0)
-			for _, workers := range []int{2, 4} {
-				got, gerr := ContainsParallel(ms, f, z, 0, workers)
-				if (werr == nil) != (gerr == nil) {
-					t.Fatalf("trial %d workers %d: serial err=%v parallel err=%v", trial, workers, werr, gerr)
-				}
-				if got != want {
-					t.Fatalf("trial %d workers %d: serial=%v parallel=%v for z=%v", trial, workers, want, got, z)
-				}
+			want, werr := containsLex(ms, n-f, z, 0)
+			got, gerr := Contains(ms, f, z, 0)
+			if fmt.Sprint(werr) != fmt.Sprint(gerr) {
+				t.Fatalf("trial %d z=%v: lex err=%v gray err=%v", trial, z, werr, gerr)
+			}
+			if got != want {
+				t.Fatalf("trial %d: lex=%v gray=%v for z=%v", trial, want, got, z)
+			}
+			if math.IsNaN(z[0]) && gerr == nil {
+				t.Fatalf("trial %d: NaN probe reported no error", trial)
 			}
 		}
 	}

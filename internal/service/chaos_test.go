@@ -365,6 +365,9 @@ func TestServiceAuthRejections(t *testing.T) {
 		svcs[i] = build(i, k)
 		addrs[i] = svcs[i].Addr()
 	}
+	// Establish is bounded by its ctx alone: give the mesh 700ms.
+	ctx, cancel := context.WithTimeout(context.Background(), 700*time.Millisecond)
+	defer cancel()
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	for i, s := range svcs {
@@ -372,7 +375,7 @@ func TestServiceAuthRejections(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = s.Establish(context.Background(), addrs)
+			errs[i] = s.Establish(ctx, addrs)
 		}()
 	}
 	wg.Wait()

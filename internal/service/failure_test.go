@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -86,6 +87,9 @@ func TestServiceReconnect(t *testing.T) {
 			t.Fatalf("post-reconnect instance, process %d: %v", i, res.Err)
 		}
 	}
+	if got := svcs[1].Stats().Reconnects; got != 1 {
+		t.Errorf("one killed connection counted %d reconnects, want 1", got)
+	}
 	for i, s := range svcs {
 		if err := s.Err(); err != nil {
 			t.Errorf("service %d background error: %v", i, err)
@@ -98,54 +102,14 @@ func TestServiceReconnect(t *testing.T) {
 // until its listener finally appears, then Establish completes everywhere.
 func TestServiceDialRetryLateListener(t *testing.T) {
 	const n = 5
-	// Reserve an address for process 0 without keeping the listener open.
-	rsv, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("reserve: %v", err)
-	}
-	addr0 := rsv.Addr().String()
-	_ = rsv.Close()
+	svcs := lateListenerMesh(t, n, 150*time.Millisecond, 0)
 
-	svcs := make([]*Service, n)
+	// A link's first connection is not a reconnect, however many dials
+	// it took.
 	for i := 1; i < n; i++ {
-		cfg := Config{Node: testNodeConfig(n), ID: i, Addrs: loopbackTemplate(n), Seed: int64(i + 1)}
-		s, err := New(cfg)
-		if err != nil {
-			t.Fatalf("New(%d): %v", i, err)
-		}
-		t.Cleanup(func() { _ = s.Close() })
-		svcs[i] = s
-	}
-	final := make([]string, n)
-	final[0] = addr0
-	for i := 1; i < n; i++ {
-		final[i] = svcs[i].Addr()
-	}
-
-	var wg sync.WaitGroup
-	errs := make([]error, n)
-	for i := 1; i < n; i++ {
-		i := i
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			errs[i] = svcs[i].Establish(context.Background(), final)
-		}()
-	}
-	time.Sleep(150 * time.Millisecond) // let the dials fail and back off
-
-	cfg := Config{Node: testNodeConfig(n), ID: 0, Addrs: append([]string(nil), final...), Seed: 1}
-	s0, err := New(cfg)
-	if err != nil {
-		t.Fatalf("New(0): %v", err)
-	}
-	t.Cleanup(func() { _ = s0.Close() })
-	svcs[0] = s0
-	errs[0] = s0.Establish(context.Background(), final)
-	wg.Wait()
-	for i, err := range errs {
-		if err != nil {
-			t.Fatalf("Establish(%d): %v", i, err)
+		st := svcs[i].Stats()
+		if st.Reconnects != 0 || st.DialFailures == 0 {
+			t.Errorf("process %d: %d reconnects, %d dial failures; want 0 and > 0", i, st.Reconnects, st.DialFailures)
 		}
 	}
 
@@ -154,6 +118,108 @@ func TestServiceDialRetryLateListener(t *testing.T) {
 		if res := collect(t, ch, 30*time.Second); res.Err != nil {
 			t.Fatalf("process %d: %v", i, res.Err)
 		}
+	}
+}
+
+// TestServiceEstablishOutlastsDialTimeout: Establish is bounded by its ctx
+// alone, so a process started several dial timeouts after its peers still
+// completes the mesh.
+func TestServiceEstablishOutlastsDialTimeout(t *testing.T) {
+	lateListenerMesh(t, 5, 300*time.Millisecond, 100*time.Millisecond)
+}
+
+// lateListenerMesh establishes an n-process mesh whose lowest-id process
+// starts late: processes 1..n−1 establish first, dialing an address
+// nobody listens on yet, and process 0 starts after the given delay.
+// dialTimeout, when set, is every process's EstablishTimeout.
+func lateListenerMesh(t *testing.T, n int, late, dialTimeout time.Duration) []*Service {
+	t.Helper()
+	// Reserve an address for process 0 without keeping the listener open.
+	rsv, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatalf("reserve: %v", err)
+	}
+	final := make([]string, n)
+	final[0] = rsv.Addr().String()
+	_ = rsv.Close()
+
+	svcs := make([]*Service, n)
+	start := func(i int, addrs []string) {
+		s, err := New(Config{Node: testNodeConfig(n), ID: i, Addrs: addrs, Seed: int64(i + 1), EstablishTimeout: dialTimeout})
+		if err != nil {
+			t.Fatalf("New(%d): %v", i, err)
+		}
+		t.Cleanup(func() { _ = s.Close() })
+		svcs[i] = s
+	}
+	for i := 1; i < n; i++ {
+		start(i, loopbackTemplate(n))
+		final[i] = svcs[i].Addr()
+	}
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	var wg sync.WaitGroup
+	errs := make([]error, n)
+	for i := 1; i < n; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = svcs[i].Establish(ctx, final)
+		}()
+	}
+	time.Sleep(late) // let the dials fail and back off
+
+	start(0, append([]string(nil), final...))
+	errs[0] = svcs[0].Establish(ctx, final)
+	wg.Wait()
+	for i, err := range errs {
+		if err != nil {
+			t.Fatalf("Establish(%d): %v", i, err)
+		}
+	}
+	return svcs
+}
+
+// hangingDials is a Transport whose dials, once hang is set, report on
+// hung and block until their ctx ends.
+type hangingDials struct {
+	netTransport
+	hang *atomic.Bool
+	hung chan struct{}
+}
+
+func (h hangingDials) Dial(ctx context.Context, peer int, addr string) (net.Conn, error) {
+	if h.hang.Load() {
+		select {
+		case h.hung <- struct{}{}:
+		default:
+		}
+		<-ctx.Done()
+		return nil, ctx.Err()
+	}
+	return h.netTransport.Dial(ctx, peer, addr)
+}
+
+// TestServiceCloseCutsHungDial: every dial attempt runs under the
+// service's lifetime, so Close returns promptly even while a redial hangs
+// in Dial.
+func TestServiceCloseCutsHungDial(t *testing.T) {
+	const n = 5
+	var hang atomic.Bool
+	hung := make(chan struct{}, 1)
+	svcs := startMesh(t, n, func(_ int, cfg *Config) {
+		cfg.Transport = hangingDials{hang: &hang, hung: hung}
+	})
+	hang.Store(true)
+	svcs[n-1].KillConn(0)
+	<-hung // the redial to process 0 is blocked in Dial
+	start := time.Now()
+	if err := svcs[n-1].Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("Close took %v with a hung dial, want under 1s", took)
 	}
 }
 

@@ -151,7 +151,7 @@ func TestShardKeepsNothingOfABurst(t *testing.T) {
 	if clean.Err != nil || scribbled.Err != nil {
 		t.Fatalf("errors: clean %v, scribbled %v", clean.Err, scribbled.Err)
 	}
-	if !clean.Decision.Equal(scribbled.Decision) {
+	if !geometry.Vector(clean.Decision).Equal(scribbled.Decision) {
 		t.Fatalf("overwriting drained bursts changed the decision: %v vs %v", scribbled.Decision, clean.Decision)
 	}
 	if !geometry.UniformBox(2, 0, 1).Contains(clean.Decision, 1e-9) {

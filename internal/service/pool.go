@@ -16,6 +16,11 @@ import (
 	"repro/internal/wire"
 )
 
+// suspectAfter is the consecutive-dial-failure count past which a
+// disconnected peer is suspected. Suspicion feeds Stats.SuspectedPeers and
+// the partition-aware linger extension; it clears on reconnect.
+const suspectAfter = 3
+
 // pressureSuspectAfter is the consecutive-outbox-stall count past which a
 // connected peer is suspected: the link is up but the peer is not keeping
 // pace, so quorum math should stop counting on it.
@@ -104,12 +109,13 @@ func (s *Service) startLink(p *peerLink) {
 	}()
 }
 
-// startRedial kicks off the dial loop toward a peer this process is the
-// dialing side for (used by adoptEpoch for freshly created links; link
-// failures reuse the same loop via failed).
+// startRedial starts the dial loop toward a peer this process is the
+// dialing side for, unless one is running or the link needs none: at
+// Establish, for the links a reconfiguration creates, and after a link
+// fails.
 func (s *Service) startRedial(p *peerLink) {
 	p.mu.Lock()
-	if p.redialing || p.stopped || p.conn != nil {
+	if p.redialing || p.stopped || p.goodbye || p.conn != nil {
 		p.mu.Unlock()
 		return
 	}
@@ -136,11 +142,11 @@ func (p *peerLink) suspectedNow(now time.Time) bool {
 	if p.conn != nil {
 		return false
 	}
-	if p.dialFails >= p.svc.cfg.SuspectAfter {
+	if p.dialFails >= suspectAfter {
 		return true
 	}
 	return !p.downSince.IsZero() &&
-		now.Sub(p.downSince) >= time.Duration(p.svc.cfg.SuspectAfter)*2*p.svc.cfg.MaxDialBackoff
+		now.Sub(p.downSince) >= suspectAfter*2*p.svc.cfg.MaxDialBackoff
 }
 
 // noteDialFail records one failed dial/handshake attempt and returns the
@@ -175,9 +181,11 @@ func (p *peerLink) clearPressure() {
 	p.mu.Unlock()
 }
 
-// install replaces the link's connection and starts its reader loop.
+// install replaces the link's connection and starts its reader loop. It
+// ends the link's dial loop, the only installer on the dialing side.
 func (p *peerLink) install(conn net.Conn) {
 	p.mu.Lock()
+	p.redialing = false
 	if p.stopped {
 		p.mu.Unlock()
 		_ = conn.Close()
@@ -214,18 +222,10 @@ func (p *peerLink) failed(gen int) {
 	_ = p.conn.Close()
 	p.conn = nil
 	p.downSince = time.Now()
-	redial := p.svc.cfg.ID > p.id && !p.goodbye && !p.redialing
-	if redial {
-		p.redialing = true
-	}
 	p.mu.Unlock()
 	p.out.kick() // senders blocked on a full outbox stop waiting on a down peer
-	if redial {
-		p.svc.wg.Add(1)
-		go func() {
-			defer p.svc.wg.Done()
-			p.redial()
-		}()
+	if p.svc.cfg.ID > p.id {
+		p.svc.startRedial(p)
 	}
 }
 
@@ -504,34 +504,43 @@ func frameBuffered(br *bufio.Reader) bool {
 	return br.Buffered()-4 >= int(binary.BigEndian.Uint32(hdr))
 }
 
-// redial re-establishes a failed connection with jittered capped
-// exponential backoff: attempt k sleeps uniform in [b/2, b] where
-// b = min(DialBackoff·2^k, MaxDialBackoff), and every failed attempt
-// (dial or handshake) climbs the suspicion ladder. It gives up when the
-// service stops or the peer said goodbye.
+// redial is the link's one dial loop, for its first connection and every
+// replacement: it dials with jittered capped exponential backoff — attempt
+// k sleeps uniform in [b/2, b] where b = min(DialBackoff·2^k,
+// MaxDialBackoff), so peers may come up in any order — and every failed
+// attempt (dial or handshake) climbs the suspicion ladder. Only a
+// connection that replaces an earlier one counts in Stats.Reconnects. It
+// gives up when the service stops or the peer said goodbye.
+//
+// The loop clears redialing in the same critical section that ends it —
+// install's, on success — so a failure of the new connection always finds
+// the flag down and starts the next loop.
 func (p *peerLink) redial() {
-	defer func() {
-		p.mu.Lock()
-		p.redialing = false
-		p.mu.Unlock()
-	}()
 	backoff := p.svc.cfg.DialBackoff
 	for {
 		p.mu.Lock()
-		done := p.stopped || p.goodbye || p.conn != nil
-		addr := p.addr
-		p.mu.Unlock()
-		if done {
+		if p.stopped || p.goodbye || p.conn != nil {
+			p.redialing = false
+			p.mu.Unlock()
 			return
 		}
+		addr := p.addr
+		p.mu.Unlock()
 		if conn, err := p.svc.dialPeer(p.id, addr, p.curEpoch()); err == nil {
-			p.svc.ctr.reconnects.Add(1)
+			select {
+			case <-p.ready:
+				p.svc.ctr.reconnects.Add(1)
+			default: // the link's first connection
+			}
 			p.install(conn)
 			return
 		}
 		sleep := p.noteDialFail(backoff)
 		select {
 		case <-p.svc.stop:
+			p.mu.Lock()
+			p.redialing = false
+			p.mu.Unlock()
 			return
 		case <-time.After(sleep):
 		}
@@ -543,9 +552,10 @@ func (p *peerLink) redial() {
 
 // dialPeer runs one complete outbound connection attempt: transport dial
 // plus the client half of the handshake under the given membership
-// epoch. The returned conn is installed by the caller.
+// epoch, bounded by EstablishTimeout and cut short by Close. The returned
+// conn is installed by the caller.
 func (s *Service) dialPeer(peer int, addr string, epoch uint64) (net.Conn, error) {
-	ctx, cancel := context.WithTimeout(context.Background(), s.cfg.EstablishTimeout)
+	ctx, cancel := context.WithTimeout(s.dials, s.cfg.EstablishTimeout)
 	defer cancel()
 	conn, err := s.tr.Dial(ctx, peer, addr)
 	if err != nil {
@@ -561,10 +571,10 @@ func (s *Service) dialPeer(peer int, addr string, epoch uint64) (net.Conn, error
 }
 
 // handshakeDeadline bounds one handshake exchange. It is deliberately far
-// shorter than EstablishTimeout: a handshake frame lost in transit (a
-// lossy link swallowing a Hello) must recycle the connection quickly so
-// the dialer's redial ladder retries, instead of pinning both endpoints
-// for the whole establish window.
+// shorter than a dial attempt's EstablishTimeout: a handshake frame lost
+// in transit (a lossy link swallowing a Hello) must recycle the
+// connection quickly so the dialer's redial ladder retries, instead of
+// pinning both endpoints for a whole attempt.
 func (s *Service) handshakeDeadline() time.Time {
 	d := 2 * time.Second
 	if s.cfg.EstablishTimeout < d {
@@ -642,11 +652,13 @@ func (s *Service) handshake(conn net.Conn) {
 	m.peers[peer].install(s.tr.Accepted(peer, conn))
 }
 
-// Establish builds the full mesh: dial every lower-id peer (retrying
-// until its listener is up), accept from every higher-id peer, and return
-// once every link is connected or ctx/EstablishTimeout expires. A non-nil
-// addrs overrides the construction-time address list — the port-0 flow:
-// every process listens on an ephemeral port, the bound addresses are
+// Establish builds the full mesh: start the dial loop toward every
+// lower-id peer (retrying until its listener is up), accept from every
+// higher-id peer, and return once every link is connected, ctx ends or
+// the service closes. Only ctx bounds the wait; the dial loops keep
+// running past an early return, like any redial. A non-nil addrs
+// overrides the construction-time address list — the port-0 flow: every
+// process listens on an ephemeral port, the bound addresses are
 // exchanged out of band, and Establish gets the final list.
 func (s *Service) Establish(ctx context.Context, addrs []string) error {
 	m := s.currentMesh()
@@ -665,22 +677,8 @@ func (s *Service) Establish(ctx context.Context, addrs []string) error {
 			}
 		}
 	}
-	ctx, cancel := context.WithTimeout(ctx, s.cfg.EstablishTimeout)
-	defer cancel()
-	for id := 0; id < s.cfg.ID; id++ {
-		p := m.peers[id]
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			p.mu.Lock()
-			addr := p.addr
-			p.mu.Unlock()
-			conn, err := p.dialRetry(ctx, addr)
-			if err != nil {
-				return // Establish's ready-wait reports the timeout
-			}
-			p.install(conn)
-		}()
+	for _, p := range m.peers[:s.cfg.ID] {
+		s.startRedial(p)
 	}
 	for id, p := range m.peers {
 		if p == nil {
@@ -695,32 +693,4 @@ func (s *Service) Establish(ctx context.Context, addrs []string) error {
 		}
 	}
 	return nil
-}
-
-// dialRetry dials the peer until a connection establishes (transport
-// dial plus client handshake) or ctx expires, with jittered capped
-// exponential backoff between attempts — peers come up in any order.
-func (p *peerLink) dialRetry(ctx context.Context, addr string) (net.Conn, error) {
-	s := p.svc
-	backoff := s.cfg.DialBackoff
-	for {
-		conn, err := s.tr.Dial(ctx, p.id, addr)
-		if err == nil {
-			_ = conn.SetDeadline(s.handshakeDeadline())
-			if err = s.clientHandshake(conn, p.id, p.curEpoch()); err == nil {
-				_ = conn.SetDeadline(time.Time{})
-				return conn, nil
-			}
-			_ = conn.Close()
-		}
-		sleep := p.noteDialFail(backoff)
-		select {
-		case <-ctx.Done():
-			return nil, ctx.Err()
-		case <-time.After(sleep):
-		}
-		if backoff *= 2; backoff > s.cfg.MaxDialBackoff {
-			backoff = s.cfg.MaxDialBackoff
-		}
-	}
 }

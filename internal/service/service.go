@@ -84,7 +84,9 @@ type Config struct {
 	OutboxDepth int
 	// QueueDepth bounds each shard's inbound queue in frames (default
 	// 4096). A full queue blocks connection readers — backpressure that
-	// propagates to remote senders through TCP.
+	// propagates to remote senders through TCP. Like PendingLimit,
+	// EstablishTimeout and the dial backoffs below, it is not on
+	// bvc.ServiceConfig: only tests and internal harnesses set it.
 	QueueDepth int
 	// PendingLimit bounds the frames buffered per instance that remote
 	// peers started before the local Propose arrived (default 4096);
@@ -101,8 +103,8 @@ type Config struct {
 	// tombstoned (default: InstanceTimeout). Total instance lifetime is
 	// therefore at most InstanceTimeout + LingerTimeout.
 	LingerTimeout time.Duration
-	// EstablishTimeout bounds Establish and per-attempt redials
-	// (default 10s).
+	// EstablishTimeout bounds one dial attempt (default 10s); Establish
+	// itself is bounded by its ctx alone.
 	EstablishTimeout time.Duration
 	// DialBackoff/MaxDialBackoff shape dial retry (defaults 25ms/500ms).
 	// Sleeps are jittered uniform in [b/2, b] so redials desynchronize.
@@ -124,11 +126,6 @@ type Config struct {
 	// started with the new epoch and its address list; see Reconfigure
 	// and the Membership type in epoch.go.
 	Epoch uint64
-	// SuspectAfter is the consecutive-dial-failure count past which a
-	// disconnected peer is suspected (default 3). Suspicion feeds
-	// Stats.SuspectedPeers and the partition-aware linger extension; it
-	// clears on reconnect.
-	SuspectAfter int
 }
 
 func (c Config) withDefaults() Config {
@@ -162,9 +159,6 @@ func (c Config) withDefaults() Config {
 	if c.MaxDialBackoff <= 0 {
 		c.MaxDialBackoff = 500 * time.Millisecond
 	}
-	if c.SuspectAfter <= 0 {
-		c.SuspectAfter = 3
-	}
 	if c.Transport == nil {
 		c.Transport = netTransport{}
 	}
@@ -179,7 +173,7 @@ type Result struct {
 	// Propose time; it decided (or failed) on that epoch's link set.
 	Epoch uint64
 	// Decision is the decided vector (nil when Err is set).
-	Decision geometry.Vector
+	Decision []float64
 	// Rounds is the instance's termination round count.
 	Rounds int
 	// Elapsed is the local propose-to-decision latency.
@@ -219,6 +213,10 @@ type Service struct {
 	// shard channel by the time Close drains them.
 	proposeMu sync.RWMutex
 	stop      chan struct{}
+	// dials ends with stop: every dial attempt runs under it, so Close
+	// never waits out a hung dial.
+	dials     context.Context
+	endDials  context.CancelFunc
 	closeOnce sync.Once
 	closeErr  error
 	wg        sync.WaitGroup
@@ -258,6 +256,7 @@ func New(cfg Config) (*Service, error) {
 		drained: make(chan struct{}),
 		stop:    make(chan struct{}),
 	}
+	s.dials, s.endDials = context.WithCancel(context.Background())
 	s.ctr.epoch.Store(cfg.Epoch)
 	birth := &mesh{
 		epoch: cfg.Epoch,
@@ -390,8 +389,8 @@ func (s *Service) drainingNow() bool {
 // it runs to decision on that epoch's link set even if the mesh is
 // reconfigured while it is in flight. A Propose racing a Reconfigure
 // therefore lands on exactly one epoch — whichever the membership clock
-// showed when the pin was taken.
-func (s *Service) Propose(id uint64, input geometry.Vector) (<-chan Result, error) {
+// showed when the pin was taken. The input is copied.
+func (s *Service) Propose(id uint64, input []float64) (<-chan Result, error) {
 	if stopping(s) {
 		return nil, ErrServiceClosed
 	}
@@ -461,6 +460,7 @@ func (s *Service) checkDrained() {
 func (s *Service) Close() error {
 	s.closeOnce.Do(func() {
 		close(s.stop)
+		s.endDials()
 		s.proposeMu.Lock() // barrier: no Propose is mid-enqueue past here
 		s.proposeMu.Unlock()
 		err := s.ln.Close()

@@ -54,6 +54,8 @@ func startMesh(t *testing.T, n int, mut func(id int, cfg *Config)) []*Service {
 		svcs[i] = s
 		addrs[i] = s.Addr()
 	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
 	var wg sync.WaitGroup
 	errs := make([]error, n)
 	for i, s := range svcs {
@@ -61,7 +63,7 @@ func startMesh(t *testing.T, n int, mut func(id int, cfg *Config)) []*Service {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = s.Establish(context.Background(), addrs)
+			errs[i] = s.Establish(ctx, addrs)
 		}()
 	}
 	wg.Wait()

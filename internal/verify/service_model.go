@@ -215,7 +215,7 @@ func (s *ServiceSystem) Reset(seed int64) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			errs[i] = svc.Establish(context.Background(), s.addrs)
+			errs[i] = establish(svc, s.addrs)
 		}()
 	}
 	wg.Wait()
@@ -422,7 +422,7 @@ func (s *ServiceSystem) reconfigure(c SvcReconfigure) error {
 			}
 		}
 		s.svcs[c.P] = repl
-		if err := repl.Establish(context.Background(), next.Addrs); err != nil {
+		if err := establish(repl, next.Addrs); err != nil {
 			return fmt.Errorf("%s: replacement %d did not establish at epoch %d: %w", c, c.P, s.epoch, err)
 		}
 	} else {
@@ -487,4 +487,16 @@ func (s *ServiceSystem) ServiceGenerator() Generator {
 			return SvcHeal{}
 		}
 	}
+}
+
+// establishTimeout bounds each process's wait for its mesh: Establish
+// waits as long as its ctx allows, and a link the model left dark must
+// surface as an error rather than hang the check.
+const establishTimeout = 10 * time.Second
+
+// establish connects svc to the mesh at addrs within establishTimeout.
+func establish(svc *service.Service, addrs []string) error {
+	ctx, cancel := context.WithTimeout(context.Background(), establishTimeout)
+	defer cancel()
+	return svc.Establish(ctx, addrs)
 }
