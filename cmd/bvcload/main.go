@@ -603,6 +603,8 @@ func (r *loadResult) summarize(w io.Writer, cfg loadConfig) {
 		st.FramesIn += s.FramesIn
 		st.FramesOut += s.FramesOut
 		st.BytesOut += s.BytesOut
+		st.Writes += s.Writes
+		st.Reads += s.Reads
 		st.SlowPeerSheds += s.SlowPeerSheds
 		st.WriteDrops += s.WriteDrops
 		st.WriteRetries += s.WriteRetries
@@ -622,6 +624,12 @@ func (r *loadResult) summarize(w io.Writer, cfg loadConfig) {
 		st.Decided, st.Quiesced, st.Lingering)
 	fmt.Fprintf(w, "transport  %d frames out, %d in, %d bytes out, %d sheds, %d write drops, %d write retries, %d pending drops, %d reconnects\n",
 		st.FramesOut, st.FramesIn, st.BytesOut, st.SlowPeerSheds, st.WriteDrops, st.WriteRetries, st.PendingDropped, st.Reconnects)
+	if st.Decided > 0 {
+		// Mesh-wide syscalls over the instances each process decided.
+		per := float64(len(r.stats)) / float64(st.Decided)
+		fmt.Fprintf(w, "syscalls   %.1f writes, %.1f reads per decided instance\n",
+			float64(st.Writes)*per, float64(st.Reads)*per)
+	}
 	if st.Reconfigures > 0 {
 		fmt.Fprintf(w, "epochs     at epoch %d, %d reconfigures, %d stale-epoch rejects, %d retired link sets\n",
 			st.Epoch, st.Reconfigures, st.StaleEpochRejects, st.RetiredEpochs)

@@ -10,6 +10,7 @@ import (
 	"math/rand"
 	"net"
 	"sync"
+	"sync/atomic"
 	"syscall"
 	"time"
 
@@ -338,6 +339,7 @@ func (p *peerLink) writeLoop() {
 		var frames int
 		batch, frames = p.out.take(batch)
 		for frames > 0 {
+			p.svc.ctr.writes.Add(1)
 			if _, err := conn.Write(batch); err == nil {
 				p.clearPressure()
 				p.svc.ctr.framesOut.Add(int64(frames))
@@ -397,7 +399,7 @@ func (c *vecChunk) decode(dec *wire.ConsensusMsg, body []byte, dim int) error {
 // for a clean resync, but do not poison Err(): that channel is reserved
 // for local/structural failures (see Service.Err).
 func (p *peerLink) readLoop(conn net.Conn, gen int) {
-	br := bufio.NewReaderSize(conn, 64<<10)
+	br := bufio.NewReaderSize(countingReader{conn, &p.svc.ctr.reads}, 64<<10)
 	var buf, ack []byte
 	var dec wire.ConsensusMsg
 	var chunk vecChunk
@@ -492,6 +494,18 @@ read:
 	}
 	deliver()
 	p.failed(gen)
+}
+
+// countingReader counts the Reads a link reader's bufio.Reader issues on
+// its conn: the read syscalls behind Stats.Reads.
+type countingReader struct {
+	conn  net.Conn
+	reads *atomic.Int64
+}
+
+func (c countingReader) Read(b []byte) (int, error) {
+	c.reads.Add(1)
+	return c.conn.Read(b)
 }
 
 // frameBuffered reports whether br already holds a complete frame, so

@@ -174,6 +174,41 @@ func TestServiceManyInstances(t *testing.T) {
 	}
 }
 
+// TestServiceSyscallCounters: on a 5-process mesh every link writer
+// batches at least one frame per Write and every reader gets at least one
+// frame per Read, so once the mesh is closed 0 < Writes ≤ FramesOut and
+// 0 < Reads ≤ FramesIn on every process.
+func TestServiceSyscallCounters(t *testing.T) {
+	const n, instances = 5, 16
+	svcs := startMesh(t, n, nil)
+	rng := rand.New(rand.NewSource(29))
+	var all [][]<-chan Result
+	for id := uint64(1); id <= instances; id++ {
+		all = append(all, proposeAll(t, svcs, id, randomInputs(rng, n, 2)))
+	}
+	for _, chans := range all {
+		for i, ch := range chans {
+			if res := collect(t, ch, 30*time.Second); res.Err != nil {
+				t.Fatalf("process %d: %v", i, res.Err)
+			}
+		}
+	}
+	// Closed, so no reader holds bytes it has read but not yet counted as
+	// frames.
+	for _, s := range svcs {
+		_ = s.Close()
+	}
+	for i, s := range svcs {
+		st := s.Stats()
+		if st.Writes <= 0 || st.Writes > st.FramesOut {
+			t.Errorf("service %d: %d writes for %d frames out, want 0 < writes ≤ frames", i, st.Writes, st.FramesOut)
+		}
+		if st.Reads <= 0 || st.Reads > st.FramesIn {
+			t.Errorf("service %d: %d reads for %d frames in, want 0 < reads ≤ frames", i, st.Reads, st.FramesIn)
+		}
+	}
+}
+
 // TestServiceLatePropose delays one process's proposal: the early
 // processes' round-1 traffic must be buffered and replayed so everyone
 // still decides.

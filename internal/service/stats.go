@@ -21,6 +21,8 @@ type counters struct {
 	framesOut atomic.Int64
 	bytesIn   atomic.Int64
 	bytesOut  atomic.Int64
+	writes    atomic.Int64
+	reads     atomic.Int64
 
 	sheds          atomic.Int64
 	writeDrops     atomic.Int64
@@ -64,6 +66,11 @@ type Stats struct {
 	// bytes crossing this process's pooled connections (self-sends are
 	// delivered in memory and not counted).
 	FramesIn, FramesOut, BytesIn, BytesOut int64
+	// Writes counts the conn.Write calls link writers issue, one per
+	// outbox swap, so FramesOut/Writes is the mean write batch; Reads
+	// counts the Read calls link readers issue on their conns, so
+	// BytesIn/Reads is the mean read. Handshake traffic is not counted.
+	Writes, Reads int64
 	// SlowPeerSheds counts frames dropped by the shed policy on a full
 	// peer outbox; WriteDrops counts frames lost because the outbox
 	// overflowed while the peer was disconnected (blocking on a down
@@ -138,6 +145,8 @@ func (s *Service) Stats() Stats {
 		FramesOut:        s.ctr.framesOut.Load(),
 		BytesIn:          s.ctr.bytesIn.Load(),
 		BytesOut:         s.ctr.bytesOut.Load(),
+		Writes:           s.ctr.writes.Load(),
+		Reads:            s.ctr.reads.Load(),
 		SlowPeerSheds:    s.ctr.sheds.Load(),
 		WriteDrops:       s.ctr.writeDrops.Load(),
 		WriteRetries:     s.ctr.writeRetries.Load(),
