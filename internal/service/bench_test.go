@@ -76,7 +76,7 @@ func BenchmarkShardDispatch(b *testing.B) {
 					msg.msg = aad.Msg{Kind: aad.KindRBC, RBC: broadcast.RBCMsg{
 						Phase: broadcast.RBCEcho, Origin: 2, Tag: 1, Value: geometry.Vector{0.25, 0.75}}}
 				} else {
-					sh.tombs[9] = time.Now()
+					sh.tombs.add(9)
 				}
 				done := make(chan struct{})
 				go func() { sh.run(); close(done) }()

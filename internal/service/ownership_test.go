@@ -185,7 +185,7 @@ func TestDrainedShardPinsNoChunk(t *testing.T) {
 					RBC: broadcast.RBCMsg{Phase: broadcast.RBCReady, Origin: 2, Tag: 77, Value: v}}},
 			)
 		}
-		sh.tombs[9] = time.Now()
+		sh.tombs.add(9)
 		burst = append(burst, inMsg{instance: 9, from: 2, msg: burst[0].msg})
 		if !sh.receive(burst) {
 			t.Fatal("shard stopped")

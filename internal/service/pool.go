@@ -389,9 +389,12 @@ func (c *vecChunk) decode(dec *wire.ConsensusMsg, body []byte, dim int) error {
 // messages to their instance's shard. It works in bursts: after the read
 // that blocks, every complete frame already in the bufio.Reader is decoded
 // too — vectors into the reader's chunk — and the burst reaches each
-// shard's inbox as one append and at most one wake-up. Clean peer shutdowns (EOF, reset, local close) end the loop
-// quietly; anything else counts as a read error. Either way the link is
-// marked failed so the dialing side reconnects.
+// shard's inbox as one append and at most one wake-up. The bufio.Reader
+// has the stdlib's 4 KB default buffer, one per link, which holds most
+// reads whole (the mean read is well under 1 KB); a frame that does not
+// fit is read straight into buf. Clean peer shutdowns (EOF, reset, local
+// close) end the loop quietly; anything else counts as a read error.
+// Either way the link is marked failed so the dialing side reconnects.
 //
 // Malformed or undecodable frames are peer-attributable faults — line
 // corruption or a hostile sender, both of which the protocols tolerate
@@ -399,7 +402,7 @@ func (c *vecChunk) decode(dec *wire.ConsensusMsg, body []byte, dim int) error {
 // for a clean resync, but do not poison Err(): that channel is reserved
 // for local/structural failures (see Service.Err).
 func (p *peerLink) readLoop(conn net.Conn, gen int) {
-	br := bufio.NewReaderSize(countingReader{conn, &p.svc.ctr.reads}, 64<<10)
+	br := bufio.NewReader(countingReader{conn, &p.svc.ctr.reads})
 	var buf, ack []byte
 	var dec wire.ConsensusMsg
 	var chunk vecChunk

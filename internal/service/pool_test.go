@@ -21,6 +21,7 @@ import (
 // instances queue stays in the outboxes for the test to inspect.
 func detachedShard(id, n int, cfg Config) (*shard, *mesh) {
 	cfg.ID = id
+	cfg.Shards = 1
 	if cfg.OutboxDepth == 0 {
 		cfg.OutboxDepth = 64
 	}

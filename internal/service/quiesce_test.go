@@ -88,11 +88,12 @@ func TestCrashedOriginInstanceLingers(t *testing.T) {
 // decided instance across the five processes of an in-process n = 5 mesh
 // with a one-minute linger window, 2 s after the last decision. An instance
 // that lingers holds its whole exchange: ≈ 48 KB here. One tombstoned on
-// quiescence leaves its tombstone (≈ 0.2 KB); the rest of the measured
-// 0.5–7.5 KB is the inbox and reader-chunk high-water marks a burst of 200
-// concurrent instances leaves behind. The mesh runs an unmemoized Γ engine,
-// whose memo would otherwise grow with every distinct input.
-const decidedInstanceBudget = 16 << 10
+// quiescence leaves next to nothing of its own: the batch's sequential ids
+// merge into one tombstone range per shard. The measured 0.04–5.4 KB is the
+// inbox and reader-chunk high-water marks a burst of 200 concurrent
+// instances leaves behind. The mesh runs an unmemoized Γ engine, whose memo
+// would otherwise grow with every distinct input.
+const decidedInstanceBudget = 8 << 10
 
 // TestDecidedInstanceFootprint measures HeapAlloc after GC before and after
 // a batch of 200 concurrent instances on one mesh — two warm-up batches

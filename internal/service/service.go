@@ -555,7 +555,7 @@ type shard struct {
 	local     []localMsg
 	instances map[uint64]*instance
 	pending   map[uint64]*pendingBox
-	tombs     map[uint64]time.Time
+	tombs     tombSet
 
 	// Sender side. A frame is encoded once into frame and copied into the
 	// outbox of each peer it goes to; rung collects the links whose writer
@@ -573,7 +573,7 @@ func newShard(s *Service, idx int) *shard {
 		in:        newMailbox[inMsg](s.cfg.QueueDepth),
 		instances: make(map[uint64]*instance),
 		pending:   make(map[uint64]*pendingBox),
-		tombs:     make(map[uint64]time.Time),
+		tombs:     newTombSet(uint64(s.cfg.Shards), 2*s.cfg.InstanceTimeout, time.Now()),
 	}
 }
 
@@ -674,7 +674,7 @@ func (sh *shard) deliver(m *inMsg) {
 		sh.step(inst, m.from, &m.msg)
 		return
 	}
-	if _, dead := sh.tombs[m.instance]; dead {
+	if sh.tombs.has(m.instance) {
 		return // finished here; peers catching up need nothing from us
 	}
 	// Buffered even while draining: a Propose accepted before the drain may
@@ -702,8 +702,7 @@ func (sh *shard) open(req proposeReq) {
 	// Instance ids are global across epochs: a live or tombstoned id is
 	// refused even when the new proposal would pin a different epoch —
 	// peers route frames by id alone, so reuse would conflate instances.
-	_, live := sh.instances[req.id]
-	if _, dead := sh.tombs[req.id]; live || dead {
+	if _, live := sh.instances[req.id]; live || sh.tombs.has(req.id) {
 		req.res <- Result{Instance: req.id, Epoch: req.mesh.epoch, Err: ErrDuplicateInstance}
 		sh.svc.ctr.active.Add(-1)
 		sh.svc.releaseMesh(req.mesh)
@@ -777,7 +776,7 @@ func (sh *shard) afterStep(inst *instance, st core.StepStatus) {
 	}
 	if inst.done && inst.node.Quiescent() {
 		sh.svc.ctr.quiesced.Add(1)
-		sh.tombstone(inst, time.Now())
+		sh.tombstone(inst)
 	}
 }
 
@@ -807,7 +806,7 @@ func (sh *shard) broadcast(inst *instance, m *aad.Msg) {
 // pin, and updates gauges.
 func (sh *shard) retire(inst *instance, res Result) {
 	delete(sh.instances, inst.id)
-	sh.tombs[inst.id] = time.Now()
+	sh.tombs.add(inst.id)
 	inst.res <- res
 	sh.svc.ctr.active.Add(-1)
 	sh.svc.releaseMesh(inst.mesh)
@@ -816,9 +815,9 @@ func (sh *shard) retire(inst *instance, res Result) {
 
 // tombstone ends a lingering instance: its id is refused from now on, and
 // its epoch pin is released.
-func (sh *shard) tombstone(inst *instance, now time.Time) {
+func (sh *shard) tombstone(inst *instance) {
 	delete(sh.instances, inst.id)
-	sh.tombs[inst.id] = now
+	sh.tombs.add(inst.id)
 	sh.svc.ctr.lingering.Add(-1)
 	sh.svc.releaseMesh(inst.mesh)
 }
@@ -830,7 +829,7 @@ const maxLingerExtends = 4
 
 // expire enforces instance deadlines, tombstones lingering instances whose
 // window closed — those that never quiesced, e.g. behind a crashed origin —
-// and garbage-collects pending boxes and tombstones.
+// and garbage-collects pending boxes and tombstone generations.
 // Decided instances whose linger window closes while the mesh is degraded
 // (fewer than n−f reachable processes) extend their linger instead of
 // tombstoning — lagging peers behind a partition still need this
@@ -847,7 +846,7 @@ func (sh *shard) expire(now time.Time) {
 					sh.svc.ctr.lingerExtensions.Add(1)
 					continue
 				}
-				sh.tombstone(inst, now)
+				sh.tombstone(inst)
 			}
 			continue
 		}
@@ -864,10 +863,5 @@ func (sh *shard) expire(now time.Time) {
 			delete(sh.pending, id)
 		}
 	}
-	tombTTL := 2 * sh.svc.cfg.InstanceTimeout
-	for id, at := range sh.tombs {
-		if now.Sub(at) > tombTTL {
-			delete(sh.tombs, id)
-		}
-	}
+	sh.tombs.expire(now)
 }

@@ -67,9 +67,10 @@ type Stats struct {
 	// delivered in memory and not counted).
 	FramesIn, FramesOut, BytesIn, BytesOut int64
 	// Writes counts the conn.Write calls link writers issue, one per
-	// outbox swap, so FramesOut/Writes is the mean write batch; Reads
-	// counts the Read calls link readers issue on their conns, so
-	// BytesIn/Reads is the mean read. Handshake traffic is not counted.
+	// outbox swap and one per retry, so FramesOut/Writes is about the
+	// mean write batch; Reads counts the Read calls link readers issue on
+	// their conns, so BytesIn/Reads is the mean read. Handshake traffic is
+	// not counted.
 	Writes, Reads int64
 	// SlowPeerSheds counts frames dropped by the shed policy on a full
 	// peer outbox; WriteDrops counts frames lost because the outbox
