@@ -20,16 +20,17 @@
 //
 // -chaos loads an internal/chaos scenario and replays its deterministic
 // fault timeline (latency, loss, corruption, partitions, crash/restart,
-// membership replacement) against the mesh while the load runs: the gate
-// then proves the service decides every surviving instance with zero
-// validity violations under that fault schedule. Crashed processes sit
-// instances out (the survivors stay ≥ n−f for ≤ f concurrent crashes)
-// and results lost to a scheduled crash are counted separately, not as
-// errors. A "replace" event retires a process permanently and admits a
-// successor under the next membership epoch: the survivors are
-// Reconfigured, the successor dials in under the new epoch, and load
-// keeps flowing across the flip. cmd/bvcload/testdata/ holds the
-// committed scenarios CI replays.
+// membership replacement) against the mesh while the load runs, for
+// -duration or the scenario's horizon (its duration or last event),
+// whichever is longer. The gate then proves the service decides every
+// surviving instance with zero validity violations under that fault
+// schedule. Crashed processes sit instances out (the survivors stay
+// ≥ n−f for ≤ f concurrent crashes) and results lost to a scheduled
+// crash are counted separately, not as errors. A "replace" event
+// retires a process permanently and admits a successor under the next
+// membership epoch: the survivors are Reconfigured, the successor dials
+// in under the new epoch, and load keeps flowing across the flip.
+// cmd/bvcload/testdata/ holds the committed scenarios CI replays.
 //
 // -churn N is the scenario-free soak form of the same thing: N seeded
 // replacements spread evenly across the run, each retiring a random
@@ -89,7 +90,7 @@ func run(args []string, w io.Writer) error {
 	fs.Float64Var(&cfg.epsilon, "epsilon", 0.05, "ε of ε-agreement")
 	fs.IntVar(&cfg.rounds, "rounds", 4, "fixed round horizon per instance (0 = analytic bound; hull validity holds from round 1)")
 	fs.Float64Var(&cfg.rate, "rate", 250, "target sustained instances per second (open loop)")
-	fs.DurationVar(&cfg.duration, "duration", 2*time.Second, "load duration (with -rate fixes the instance count)")
+	fs.DurationVar(&cfg.duration, "duration", 2*time.Second, "load duration (with -rate fixes the instance count); -chaos runs at least its scenario's horizon")
 	fs.IntVar(&cfg.instances, "instances", 0, "exact instance count (overrides rate×duration when > 0)")
 	fs.StringVar(&cfg.policy, "policy", "block", "slow-peer policy: block or shed")
 	fs.IntVar(&cfg.shards, "shards", 0, "instance shards per process (0 = service default)")
@@ -193,16 +194,18 @@ func establish(s *bvc.Service, addrs []string) error {
 	return s.Establish(ctx, addrs)
 }
 
+// loadDuration is how long the load runs: -duration, stretched to a chaos
+// scenario's own horizon so that every scheduled event fires under load.
+func loadDuration(d time.Duration, scn *chaos.Scenario) time.Duration {
+	if scn != nil && scn.Horizon() > d {
+		return scn.Horizon()
+	}
+	return d
+}
+
 // drive runs the load: build the mesh, pace proposals open-loop, collect
 // and validate every result, then drain and close the mesh.
 func drive(cfg loadConfig) (*loadResult, error) {
-	total := cfg.instances
-	if total <= 0 {
-		total = int(cfg.rate * cfg.duration.Seconds())
-		if total < 1 {
-			total = 1
-		}
-	}
 	policy := bvc.BlockSlowPeer
 	switch cfg.policy {
 	case "block":
@@ -234,6 +237,14 @@ func drive(cfg loadConfig) (*loadResult, error) {
 				inj.Stop()
 			}
 		}()
+	}
+	cfg.duration = loadDuration(cfg.duration, scn)
+	total := cfg.instances
+	if total <= 0 {
+		total = int(cfg.rate * cfg.duration.Seconds())
+		if total < 1 {
+			total = 1
+		}
 	}
 
 	ccfg := bvc.Config{

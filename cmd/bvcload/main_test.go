@@ -5,6 +5,9 @@ import (
 	"fmt"
 	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/chaos"
 )
 
 // TestLoadSummary checks the human-readable mode and the shed policy path.
@@ -61,6 +64,25 @@ func TestLoadChurnScenario(t *testing.T) {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("summary missing %q:\n%s", want, out.String())
 		}
+	}
+}
+
+// TestLoadDurationCoversScenario: -chaos runs at least the scenario's own
+// horizon, so crash-restart's last restart (3.1 s) fires under load even
+// at the 2 s -duration default.
+func TestLoadDurationCoversScenario(t *testing.T) {
+	scn, err := chaos.Load("testdata/crash-restart.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := loadDuration(2*time.Second, scn); got != 3200*time.Millisecond {
+		t.Errorf("crash-restart at -duration 2s runs %v, want 3.2s", got)
+	}
+	if got := loadDuration(5*time.Second, scn); got != 5*time.Second {
+		t.Errorf("crash-restart at -duration 5s runs %v, want 5s", got)
+	}
+	if got := loadDuration(2*time.Second, nil); got != 2*time.Second {
+		t.Errorf("no scenario at -duration 2s runs %v, want 2s", got)
 	}
 }
 

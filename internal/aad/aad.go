@@ -23,7 +23,6 @@
 package aad
 
 import (
-	"errors"
 	"fmt"
 
 	"repro/internal/broadcast"
@@ -170,7 +169,7 @@ func (c *Coordinator) Linger() {
 }
 
 // RetiredRounds counts the rounds whose reliable broadcasts have all
-// finished (broadcast.RBC.Retired): for them the coordinator can never
+// finished (broadcast.RBC.RetiredTags): for them the coordinator can never
 // send anything again.
 func (c *Coordinator) RetiredRounds() int { return c.rbc.RetiredTags() }
 
@@ -356,17 +355,4 @@ func (c *Coordinator) round(t int) *roundState {
 		c.rounds[t] = st
 	}
 	return st
-}
-
-// ErrNotCompleted is returned when a result is requested for an unfinished
-// round.
-var ErrNotCompleted = errors.New("aad: round exchange not completed")
-
-// Result returns the frozen result of round t.
-func (c *Coordinator) Result(t int) (*Result, error) {
-	res, ok := c.Completed(t)
-	if !ok {
-		return nil, ErrNotCompleted
-	}
-	return res, nil
 }

@@ -354,16 +354,6 @@ func TestStartRoundTwiceFails(t *testing.T) {
 	}
 }
 
-func TestResultErrNotCompleted(t *testing.T) {
-	c, err := NewCoordinator(4, 1, 0, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Result(1); err == nil {
-		t.Error("expected ErrNotCompleted")
-	}
-}
-
 func TestHandleUnknownKind(t *testing.T) {
 	c, err := NewCoordinator(4, 1, 0, 1)
 	if err != nil {

@@ -18,7 +18,6 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
-	"strings"
 
 	"repro/internal/geometry"
 	"repro/internal/sim"
@@ -56,7 +55,8 @@ type EIG struct {
 	dim    int
 	input  geometry.Vector // set iff self == sender
 
-	// vals[k] stores level-(k+1) tree nodes: pathKey(σ) → node, |σ| = k+1.
+	// vals[k] stores level-(k+1) tree nodes: key(σ) → node, |σ| = k+1,
+	// where key(σ) is σ's ids in decimal, comma-separated (appendKeyID).
 	// The node keeps the decoded path so the relay step never re-parses
 	// keys, and the stored values are treated as immutable (they are cloned
 	// nowhere on the hot path — see Receive).
@@ -108,9 +108,6 @@ func NewEIG(n, f int, self, sender sim.ProcID, input, def geometry.Vector) (*EIG
 	}
 	return e, nil
 }
-
-// Rounds returns the number of synchronous rounds, f+1.
-func (e *EIG) Rounds() int { return e.f + 1 }
 
 // Outgoing returns the relays this (honest) process sends in round r; the
 // same relays go to every recipient. Round 1 carries only the sender's
@@ -246,40 +243,13 @@ func (e *EIG) resolve(path []sim.ProcID, scratch []geometry.Vector) geometry.Vec
 	return e.def
 }
 
-// appendKeyID appends one process id to a path key under construction,
-// producing the same representation as pathKey without allocating.
+// appendKeyID appends one process id to a path key under construction:
+// the ids in decimal, comma-separated.
 func appendKeyID(dst []byte, id sim.ProcID) []byte {
 	if len(dst) > 0 {
 		dst = append(dst, ',')
 	}
 	return strconv.AppendInt(dst, int64(id), 10)
-}
-
-// pathKey encodes a path deterministically for map storage.
-func pathKey(path []sim.ProcID) string {
-	var b []byte
-	for _, id := range path {
-		b = appendKeyID(b, id)
-	}
-	return string(b)
-}
-
-// decodePath is the inverse of pathKey (inputs are internally produced,
-// so malformed keys cannot occur).
-func decodePath(key string) []sim.ProcID {
-	if key == "" {
-		return nil
-	}
-	parts := strings.Split(key, ",")
-	out := make([]sim.ProcID, len(parts))
-	for i, p := range parts {
-		v, err := strconv.Atoi(p)
-		if err != nil {
-			panic("broadcast: corrupt internal path key: " + key)
-		}
-		out[i] = sim.ProcID(v)
-	}
-	return out
 }
 
 // validPath reports whether ids are in range and pairwise distinct (paths
@@ -356,9 +326,6 @@ func NewMultiEIG(n, f int, self sim.ProcID, input, def geometry.Vector) (*MultiE
 	}
 	return m, nil
 }
-
-// Rounds returns f+1.
-func (m *MultiEIG) Rounds() int { return m.f + 1 }
 
 // Outbox implements sim.SyncNode: the honest combined message of round r,
 // identical for every recipient.

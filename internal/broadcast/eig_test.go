@@ -346,19 +346,3 @@ func TestMultiEIGDecisionsNilBeforeDone(t *testing.T) {
 		t.Error("Decisions should be nil before completion")
 	}
 }
-
-func TestPathKeyRoundTrip(t *testing.T) {
-	paths := [][]sim.ProcID{nil, {0}, {3, 1, 4}, {10, 2}}
-	for _, p := range paths {
-		got := decodePath(pathKey(p))
-		if len(got) != len(p) {
-			t.Errorf("round trip %v → %v", p, got)
-			continue
-		}
-		for i := range p {
-			if got[i] != p[i] {
-				t.Errorf("round trip %v → %v", p, got)
-			}
-		}
-	}
-}

@@ -156,3 +156,10 @@ func FuzzRBCRetire(f *testing.F) {
 		}
 	})
 }
+
+// Retired reports whether every instance of tag has finished: the RBC
+// keeps no state for it and drops its messages, since none could make it
+// send or deliver anything again.
+func (r *RBC) Retired(tag int) bool {
+	return tag >= 0 && tag < len(r.tags) && r.tags[tag].finished == r.n
+}

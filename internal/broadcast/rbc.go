@@ -191,13 +191,6 @@ func (r *RBC) finish(tag int) {
 	}
 }
 
-// Retired reports whether every instance of tag has finished: the RBC
-// keeps no state for it and drops its messages, since none could make it
-// send or deliver anything again.
-func (r *RBC) Retired(tag int) bool {
-	return tag >= 0 && tag < len(r.tags) && r.tags[tag].finished == r.n
-}
-
 // RetiredTags counts the retired tags.
 func (r *RBC) RetiredTags() int { return r.retired }
 

@@ -12,8 +12,8 @@
 // a link is owned by its writer's endpoint — so loss, skew, and bursts
 // on A→B leave B→A untouched.
 //
-// Faults are driven by a JSON Scenario, replayable the way
-// adversary.Instance replays a schedule search: the same scenario and
+// Faults are driven by a JSON Scenario, replayable the way a
+// schedule-search Instance (internal/verify) is: the same scenario and
 // seed produce the same fault timeline and — for a given frame sequence
 // on a link — the same per-frame fault decisions and counters. Process
 // crash/restart events are part of the scenario vocabulary but are

@@ -119,45 +119,6 @@ func Unrank(n, k int, r int64, buf []int) ([]int, error) {
 	return buf, nil
 }
 
-// AllCombinations materializes every k-subset of {0,…,n−1} in lexicographic
-// order. Intended for small n; callers enumerating large spaces should use
-// Combinations directly.
-func AllCombinations(n, k int) ([][]int, error) {
-	count := Binomial(n, k)
-	if count > 1<<22 {
-		return nil, fmt.Errorf("combin: refusing to materialize %d combinations", count)
-	}
-	out := make([][]int, 0, count)
-	err := Combinations(n, k, func(idx []int) bool {
-		c := make([]int, len(idx))
-		copy(c, idx)
-		out = append(out, c)
-		return true
-	})
-	if err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// Complement returns the elements of {0,…,n−1} not present in the sorted
-// index slice sub. sub must be strictly increasing and within range.
-func Complement(n int, sub []int) ([]int, error) {
-	out := make([]int, 0, n-len(sub))
-	j := 0
-	for i := 0; i < n; i++ {
-		if j < len(sub) && sub[j] == i {
-			j++
-			continue
-		}
-		out = append(out, i)
-	}
-	if j != len(sub) {
-		return nil, fmt.Errorf("combin: subset %v is not a sorted subset of 0..%d", sub, n-1)
-	}
-	return out, nil
-}
-
 // Partitions calls fn with each partition of {0,…,n−1} into exactly b
 // non-empty blocks. Blocks are presented in a canonical order (each block
 // holds ascending indices; blocks are ordered by their smallest member).

@@ -106,73 +106,6 @@ func TestCombinationsZeroK(t *testing.T) {
 	}
 }
 
-func TestAllCombinations(t *testing.T) {
-	got, err := AllCombinations(5, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 10 {
-		t.Errorf("len = %d, want 10", len(got))
-	}
-	// Each must be strictly increasing and independent storage.
-	for _, c := range got {
-		for i := 1; i < len(c); i++ {
-			if c[i] <= c[i-1] {
-				t.Errorf("combination %v not increasing", c)
-			}
-		}
-	}
-	got[0][0] = 99
-	if got[1][0] == 99 {
-		t.Error("combinations share storage")
-	}
-}
-
-func TestAllCombinationsRefusesHuge(t *testing.T) {
-	if _, err := AllCombinations(60, 30); err == nil {
-		t.Error("expected refusal for huge enumeration")
-	}
-}
-
-func TestComplement(t *testing.T) {
-	got, err := Complement(5, []int{1, 3})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, []int{0, 2, 4}) {
-		t.Errorf("Complement = %v", got)
-	}
-}
-
-func TestComplementFull(t *testing.T) {
-	got, err := Complement(3, []int{0, 1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 0 {
-		t.Errorf("Complement = %v, want empty", got)
-	}
-}
-
-func TestComplementEmptySubset(t *testing.T) {
-	got, err := Complement(3, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(got, []int{0, 1, 2}) {
-		t.Errorf("Complement = %v", got)
-	}
-}
-
-func TestComplementInvalid(t *testing.T) {
-	if _, err := Complement(3, []int{5}); err == nil {
-		t.Error("out of range: expected error")
-	}
-	if _, err := Complement(3, []int{1, 1}); err == nil {
-		t.Error("duplicate: expected error")
-	}
-}
-
 // stirling computes S(n,b) by recurrence for cross-checking Partitions.
 func stirling(n, b int) int {
 	if n == 0 && b == 0 {

@@ -288,11 +288,6 @@ func (a *AsyncNode) fail(err error) {
 	}
 }
 
-// Decided reports whether the node has reached its decision. The node keeps
-// serving the exchange afterwards; Decided is the cheap signal callers poll
-// to detect the transition.
-func (a *AsyncNode) Decided() bool { return a.decision != nil }
-
 // Quiescent reports whether the node has decided and every reliable
 // broadcast of its rounds 1..R has retired: no message can make it send
 // anything again, so it can be dropped without changing what it says.

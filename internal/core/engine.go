@@ -153,9 +153,6 @@ var defaultEngine = NewEngine(0, true)
 // DefaultEngine returns the process-wide shared engine.
 func DefaultEngine() *Engine { return defaultEngine }
 
-// Workers returns the resolved worker bound.
-func (e *Engine) Workers() int { return e.workers }
-
 // Reset drops every memoized Γ-point and round reduction.
 func (e *Engine) Reset() {
 	if !e.memoize {

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
+	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -489,3 +490,64 @@ func TestAverageGammaHelpersStartMidWalk(t *testing.T) {
 		}
 	}
 }
+
+// gammaPointOfSet computes the deterministic safe point of one candidate
+// set C: the tuples are canonicalized by origin id (so any two correct
+// processes holding the same set compute the identical multiset and hence
+// the identical point — the zij of Observation 2), then Γ(Φ(C))'s
+// deterministic point is returned.
+func gammaPointOfSet(set []tuple, f int, method safearea.Method) (geometry.Vector, error) {
+	if len(set) == 0 {
+		return nil, fmt.Errorf("core: empty candidate set")
+	}
+	sorted := make([]tuple, len(set))
+	copy(sorted, set)
+	sort.Slice(sorted, func(i, j int) bool { return sorted[i].origin < sorted[j].origin })
+	vals := make([]geometry.Vector, len(sorted))
+	for i, tp := range sorted {
+		vals[i] = tp.value
+	}
+	ms, err := geometry.ViewOf(vals)
+	if err != nil {
+		return nil, err
+	}
+	return safearea.PointWith(ms, f, method)
+}
+
+// averageGammaPoints computes Zi = {one safe point per candidate set} and
+// returns its average — eq. (9) of the paper — along with |Zi|. It is the
+// serial reference implementation; production paths go through
+// Engine.AverageGamma / Engine.AverageGammaSets, which stream the subset
+// enumeration, parallelize the solves and memoize identical sets while
+// producing bit-identical results.
+func averageGammaPoints(sets [][]tuple, f int, method safearea.Method) (geometry.Vector, int, error) {
+	if len(sets) == 0 {
+		return nil, 0, fmt.Errorf("core: no candidate sets")
+	}
+	points := make([]geometry.Vector, 0, len(sets))
+	for _, set := range sets {
+		pt, err := gammaPointOfSet(set, f, method)
+		if err != nil {
+			return nil, 0, fmt.Errorf("core: safe point of candidate set: %w", err)
+		}
+		points = append(points, pt)
+	}
+	avg, err := geometry.Mean(points)
+	if err != nil {
+		return nil, 0, err
+	}
+	return avg, len(points), nil
+}
+
+// AgreedMultiset returns the multiset S of broadcast-agreed inputs (the
+// Step 1 postcondition exact_bvc_test.go checks); nil before termination.
+func (e *ExactNode) AgreedMultiset() *geometry.Multiset {
+	if e.s == nil {
+		return nil
+	}
+	return e.s.Clone()
+}
+
+// Decided reports whether the node has reached its decision (step_test.go
+// polls it); the node keeps serving the exchange afterwards.
+func (a *AsyncNode) Decided() bool { return a.decision != nil }

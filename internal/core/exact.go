@@ -50,9 +50,6 @@ func NewExactNode(params Params, self sim.ProcID, input geometry.Vector) (*Exact
 	return &ExactNode{params: params, self: self, multi: multi}, nil
 }
 
-// Rounds returns the number of synchronous rounds the algorithm runs (f+1).
-func (e *ExactNode) Rounds() int { return e.multi.Rounds() }
-
 // Outbox implements sim.SyncNode.
 func (e *ExactNode) Outbox(r int) map[sim.ProcID]sim.Message { return e.multi.Outbox(r) }
 
@@ -97,15 +94,6 @@ func (e *ExactNode) Decision() (geometry.Vector, error) {
 		return nil, fmt.Errorf("core: exact BVC not terminated")
 	}
 	return e.decision.Clone(), nil
-}
-
-// AgreedMultiset returns the multiset S of broadcast-agreed inputs (useful
-// to verify Step 1 postconditions in tests); nil before termination.
-func (e *ExactNode) AgreedMultiset() *geometry.Multiset {
-	if e.s == nil {
-		return nil
-	}
-	return e.s.Clone()
 }
 
 // CoordWiseNode is the baseline the paper's introduction warns about: it

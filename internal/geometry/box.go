@@ -55,20 +55,6 @@ func (b Box) Contains(p Vector, tol float64) bool {
 	return true
 }
 
-// Clamp returns a copy of p with every coordinate clamped into the box.
-func (b Box) Clamp(p Vector) Vector {
-	out := p.Clone()
-	for i := range out {
-		if out[i] < b.Lo[i] {
-			out[i] = b.Lo[i]
-		}
-		if out[i] > b.Hi[i] {
-			out[i] = b.Hi[i]
-		}
-	}
-	return out
-}
-
 // MaxRange returns the largest per-coordinate extent Hi_l − Lo_l, the (U − ν)
 // quantity in the paper's round-count bound.
 func (b Box) MaxRange() float64 {
@@ -79,13 +65,4 @@ func (b Box) MaxRange() float64 {
 		}
 	}
 	return m
-}
-
-// Center returns the midpoint of the box.
-func (b Box) Center() Vector {
-	out := NewVector(b.Dim())
-	for i := range out {
-		out[i] = (b.Lo[i] + b.Hi[i]) / 2
-	}
-	return out
 }

@@ -16,9 +16,6 @@ func TestUniformBox(t *testing.T) {
 	if b.MaxRange() != 3 {
 		t.Errorf("MaxRange = %g, want 3", b.MaxRange())
 	}
-	if !b.Center().ApproxEqual(Vector{0.5, 0.5, 0.5}, 1e-12) {
-		t.Errorf("Center = %v", b.Center())
-	}
 }
 
 func TestBoxValidate(t *testing.T) {
@@ -73,26 +70,5 @@ func TestBoxContainsTolerance(t *testing.T) {
 	}
 	if b.Contains(Vector{1.1}, 1e-6) {
 		t.Error("point outside tolerance should not be contained")
-	}
-}
-
-func TestBoxClamp(t *testing.T) {
-	b := UniformBox(2, 0, 1)
-	got := b.Clamp(Vector{-5, 0.5})
-	if !got.Equal(Vector{0, 0.5}) {
-		t.Errorf("Clamp = %v", got)
-	}
-	got = b.Clamp(Vector{2, 3})
-	if !got.Equal(Vector{1, 1}) {
-		t.Errorf("Clamp = %v", got)
-	}
-}
-
-func TestBoxClampDoesNotMutate(t *testing.T) {
-	b := UniformBox(1, 0, 1)
-	p := Vector{5}
-	_ = b.Clamp(p)
-	if p[0] != 5 {
-		t.Error("Clamp mutated its argument")
 	}
 }

@@ -2,7 +2,6 @@ package geometry
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 )
 
@@ -127,19 +126,6 @@ func (m *Multiset) Subset(indices []int) (*Multiset, error) {
 	return out, nil
 }
 
-// WithoutIndex returns the multiset of all members except the one at index i,
-// preserving order — the "inputs of the n−1 other processes" construction
-// used throughout the necessity proofs.
-func (m *Multiset) WithoutIndex(i int) (*Multiset, error) {
-	if i < 0 || i >= len(m.points) {
-		return nil, fmt.Errorf("geometry: index %d out of range [0,%d)", i, len(m.points))
-	}
-	out := &Multiset{dim: m.dim, points: make([]Vector, 0, len(m.points)-1)}
-	out.points = append(out.points, m.points[:i]...)
-	out.points = append(out.points, m.points[i+1:]...)
-	return out, nil
-}
-
 // Equal reports whether two multisets have identical members in identical
 // order.
 func (m *Multiset) Equal(o *Multiset) bool {
@@ -148,24 +134,6 @@ func (m *Multiset) Equal(o *Multiset) bool {
 	}
 	for i := range m.points {
 		if !m.points[i].Equal(o.points[i]) {
-			return false
-		}
-	}
-	return true
-}
-
-// EqualUnordered reports whether two multisets have the same members with the
-// same multiplicities, irrespective of order.
-func (m *Multiset) EqualUnordered(o *Multiset) bool {
-	if m.dim != o.dim || len(m.points) != len(o.points) {
-		return false
-	}
-	a := m.Points()
-	b := o.Points()
-	sortVectors(a)
-	sortVectors(b)
-	for i := range a {
-		if !a[i].Equal(b[i]) {
 			return false
 		}
 	}
@@ -223,9 +191,4 @@ func (m *Multiset) String() string {
 	}
 	b.WriteByte('}')
 	return b.String()
-}
-
-// sortVectors sorts a slice of vectors lexicographically in place.
-func sortVectors(vs []Vector) {
-	sort.Slice(vs, func(i, j int) bool { return vs[i].Compare(vs[j]) < 0 })
 }

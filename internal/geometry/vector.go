@@ -41,27 +41,6 @@ func (v Vector) Clone() Vector {
 	return out
 }
 
-// Add returns v + w. It panics if dimensions differ; callers validate
-// dimensions at system boundaries.
-func (v Vector) Add(w Vector) Vector {
-	mustSameDim(v, w)
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = v[i] + w[i]
-	}
-	return out
-}
-
-// Sub returns v − w.
-func (v Vector) Sub(w Vector) Vector {
-	mustSameDim(v, w)
-	out := make(Vector, len(v))
-	for i := range v {
-		out[i] = v[i] - w[i]
-	}
-	return out
-}
-
 // Scale returns c·v.
 func (v Vector) Scale(c float64) Vector {
 	out := make(Vector, len(v))
@@ -69,21 +48,6 @@ func (v Vector) Scale(c float64) Vector {
 		out[i] = c * v[i]
 	}
 	return out
-}
-
-// Dot returns the inner product v·w.
-func (v Vector) Dot(w Vector) float64 {
-	mustSameDim(v, w)
-	var s float64
-	for i := range v {
-		s += v[i] * w[i]
-	}
-	return s
-}
-
-// Norm returns the Euclidean norm of v.
-func (v Vector) Norm() float64 {
-	return math.Sqrt(v.Dot(v))
 }
 
 // DistInf returns the L∞ distance between v and w. The paper's ε-agreement
@@ -97,11 +61,6 @@ func (v Vector) DistInf(w Vector) float64 {
 		}
 	}
 	return m
-}
-
-// Dist returns the Euclidean distance between v and w.
-func (v Vector) Dist(w Vector) float64 {
-	return v.Sub(w).Norm()
 }
 
 // Equal reports whether v and w are identical (exact float equality,
@@ -196,29 +155,6 @@ func Mean(points []Vector) (Vector, error) {
 		sum[i] *= inv
 	}
 	return sum, nil
-}
-
-// Convex returns the convex combination Σ wᵢ·pᵢ. Weights need not sum to 1;
-// callers wanting a true convex combination pass normalized weights. It
-// returns an error on length mismatch or empty input.
-func Convex(points []Vector, weights []float64) (Vector, error) {
-	if len(points) == 0 {
-		return nil, errors.New("geometry: convex combination of empty point set")
-	}
-	if len(points) != len(weights) {
-		return nil, fmt.Errorf("geometry: %d points but %d weights", len(points), len(weights))
-	}
-	d := points[0].Dim()
-	out := NewVector(d)
-	for k, p := range points {
-		if p.Dim() != d {
-			return nil, fmt.Errorf("geometry: mixed dimensions %d and %d", d, p.Dim())
-		}
-		for i := range out {
-			out[i] += weights[k] * p[i]
-		}
-	}
-	return out, nil
 }
 
 // mustSameDim panics on dimension mismatch. Dimension agreement is an

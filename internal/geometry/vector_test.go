@@ -54,19 +54,6 @@ func TestVectorCloneNil(t *testing.T) {
 	}
 }
 
-func TestVectorAddSub(t *testing.T) {
-	v := Vector{1, 2, 3}
-	w := Vector{4, -1, 0.5}
-	sum := v.Add(w)
-	if !sum.Equal(Vector{5, 1, 3.5}) {
-		t.Errorf("Add = %v", sum)
-	}
-	diff := sum.Sub(w)
-	if !diff.ApproxEqual(v, 1e-12) {
-		t.Errorf("Add then Sub = %v, want %v", diff, v)
-	}
-}
-
 func TestVectorScale(t *testing.T) {
 	v := Vector{1, -2, 0}
 	if got := v.Scale(-2); !got.Equal(Vector{-2, 4, 0}) {
@@ -74,35 +61,6 @@ func TestVectorScale(t *testing.T) {
 	}
 	if got := v.Scale(0); !got.Equal(Vector{0, 0, 0}) {
 		t.Errorf("Scale(0) = %v", got)
-	}
-}
-
-func TestVectorDot(t *testing.T) {
-	tests := []struct {
-		name string
-		v, w Vector
-		want float64
-	}{
-		{name: "orthogonal", v: Vector{1, 0}, w: Vector{0, 1}, want: 0},
-		{name: "parallel", v: Vector{2, 3}, w: Vector{2, 3}, want: 13},
-		{name: "negative", v: Vector{1, 1}, w: Vector{-1, -1}, want: -2},
-		{name: "empty", v: Vector{}, w: Vector{}, want: 0},
-	}
-	for _, tt := range tests {
-		t.Run(tt.name, func(t *testing.T) {
-			if got := tt.v.Dot(tt.w); got != tt.want {
-				t.Errorf("Dot = %g, want %g", got, tt.want)
-			}
-		})
-	}
-}
-
-func TestVectorNorm(t *testing.T) {
-	if got := (Vector{3, 4}).Norm(); math.Abs(got-5) > 1e-12 {
-		t.Errorf("Norm(3,4) = %g, want 5", got)
-	}
-	if got := (Vector{}).Norm(); got != 0 {
-		t.Errorf("Norm(empty) = %g, want 0", got)
 	}
 }
 
@@ -123,7 +81,7 @@ func TestVectorDimMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic on dimension mismatch")
 		}
 	}()
-	_ = Vector{1}.Add(Vector{1, 2})
+	_ = Vector{1}.DistInf(Vector{1, 2})
 }
 
 func TestVectorEqual(t *testing.T) {
@@ -232,44 +190,6 @@ func TestMeanErrors(t *testing.T) {
 	}
 }
 
-func TestConvex(t *testing.T) {
-	pts := []Vector{{0, 0}, {1, 0}, {0, 1}}
-	got, err := Convex(pts, []float64{0.5, 0.25, 0.25})
-	if err != nil {
-		t.Fatalf("Convex: %v", err)
-	}
-	if !got.ApproxEqual(Vector{0.25, 0.25}, 1e-12) {
-		t.Errorf("Convex = %v, want (0.25, 0.25)", got)
-	}
-}
-
-func TestConvexErrors(t *testing.T) {
-	if _, err := Convex(nil, nil); err == nil {
-		t.Error("empty: expected error")
-	}
-	if _, err := Convex([]Vector{{1}}, []float64{1, 2}); err == nil {
-		t.Error("length mismatch: expected error")
-	}
-	if _, err := Convex([]Vector{{1}, {1, 2}}, []float64{0.5, 0.5}); err == nil {
-		t.Error("mixed dims: expected error")
-	}
-}
-
-// Property: Add is commutative and Sub(Add) is identity (up to fp error).
-func TestVectorAddCommutativeProperty(t *testing.T) {
-	f := func(a, b [4]float64) bool {
-		v := Vector(a[:])
-		w := Vector(b[:])
-		if !v.IsFinite() || !w.IsFinite() {
-			return true
-		}
-		return v.Add(w).Equal(w.Add(v))
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
-	}
-}
-
 // Property: DistInf satisfies the triangle inequality. Magnitudes near
 // ±1e308 are excluded: there subtraction loses more than any additive
 // tolerance, and consensus inputs live in known boxes anyway.
@@ -293,47 +213,6 @@ func TestDistInfTriangleProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Error(err)
-	}
-}
-
-// Property: a convex combination with valid weights stays inside the
-// coordinate-wise bounds of the points.
-func TestConvexStaysInBoundsProperty(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	for trial := 0; trial < 200; trial++ {
-		k := 2 + rng.Intn(5)
-		d := 1 + rng.Intn(4)
-		pts := make([]Vector, k)
-		for i := range pts {
-			p := NewVector(d)
-			for j := range p {
-				p[j] = rng.Float64()*20 - 10
-			}
-			pts[i] = p
-		}
-		w := make([]float64, k)
-		var sum float64
-		for i := range w {
-			w[i] = rng.Float64()
-			sum += w[i]
-		}
-		for i := range w {
-			w[i] /= sum
-		}
-		got, err := Convex(pts, w)
-		if err != nil {
-			t.Fatalf("Convex: %v", err)
-		}
-		ms := MustMultisetOf(pts...)
-		lo, hi, err := ms.Bounds()
-		if err != nil {
-			t.Fatalf("Bounds: %v", err)
-		}
-		for j := 0; j < d; j++ {
-			if got[j] < lo[j]-1e-9 || got[j] > hi[j]+1e-9 {
-				t.Fatalf("convex combination %v escapes bounds [%v, %v]", got, lo, hi)
-			}
-		}
 	}
 }
 

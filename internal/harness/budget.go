@@ -35,14 +35,6 @@ type RoundBudget struct {
 	Gamma float64
 }
 
-// Mode names the verification regime of the budget for records and tables.
-func (b RoundBudget) Mode() string {
-	if b.Full {
-		return "full"
-	}
-	return "horizon"
-}
-
 // GammaBudget computes the γ-aware round budget for an approximate variant
 // at (n, f) with input range rng and agreement parameter eps. The analytic
 // bound 1+⌈log_{1/(1−γ)}(rng/ε)⌉ grows like (1/γ)·ln(rng/ε), and for the

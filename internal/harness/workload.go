@@ -40,65 +40,6 @@ func SimplexInputs(rng *rand.Rand, n, d int) []bvc.Vector {
 	return out
 }
 
-// ClusteredInputs draws n points near a common center with the given
-// spread, clamped into [lo, hi]^d — the mobile-robot rendezvous workload
-// (robots near each other in a bounded arena).
-func ClusteredInputs(rng *rand.Rand, n, d int, lo, hi, spread float64) []bvc.Vector {
-	center := make(bvc.Vector, d)
-	for j := range center {
-		center[j] = lo + (0.25+0.5*rng.Float64())*(hi-lo)
-	}
-	out := make([]bvc.Vector, n)
-	for i := range out {
-		v := make(bvc.Vector, d)
-		for j := range v {
-			x := center[j] + (rng.Float64()*2-1)*spread
-			if x < lo {
-				x = lo
-			}
-			if x > hi {
-				x = hi
-			}
-			v[j] = x
-		}
-		out[i] = v
-	}
-	return out
-}
-
-// GradientInputs draws n gradient-like vectors: a shared direction plus
-// per-process noise, clamped into [-bound, bound]^d — the Byzantine-ML
-// aggregation workload.
-func GradientInputs(rng *rand.Rand, n, d int, bound float64) []bvc.Vector {
-	direction := make(bvc.Vector, d)
-	for j := range direction {
-		direction[j] = (rng.Float64()*2 - 1) * bound / 2
-	}
-	out := make([]bvc.Vector, n)
-	for i := range out {
-		v := make(bvc.Vector, d)
-		for j := range v {
-			x := direction[j] + gaussian(rng)*bound/8
-			if x < -bound {
-				x = -bound
-			}
-			if x > bound {
-				x = bound
-			}
-			v[j] = x
-		}
-		out[i] = v
-	}
-	return out
-}
-
-// gaussian draws a standard normal variate (Box–Muller; rng-pure).
-func gaussian(rng *rand.Rand) float64 {
-	u1 := 1 - rng.Float64()
-	u2 := rng.Float64()
-	return math.Sqrt(-2*math.Log(u1)) * math.Cos(2*math.Pi*u2)
-}
-
 // spreadInf returns the largest per-coordinate range over the vectors at
 // one history index.
 func spreadInf(vectors []bvc.Vector) float64 {

@@ -141,9 +141,6 @@ func (p *Problem) AddVar(name string, lo, hi float64) (VarID, error) {
 	return VarID(len(p.varLo) - 1), nil
 }
 
-// NumVars returns the number of variables added so far.
-func (p *Problem) NumVars() int { return len(p.varLo) }
-
 // NumRows returns the number of constraints added so far.
 func (p *Problem) NumRows() int { return len(p.rows) }
 

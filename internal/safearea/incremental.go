@@ -1,13 +1,11 @@
 // Incremental Γ(Y) support: the prefix-dependence contract of the method
-// ladder (the delta keys of core.Engine's sub-family memoization) and an
-// incremental hull-family representation for single-point deltas
-// Γ(Y ∪ {y}) / Γ(Y \ {x}) / swaps.
+// ladder (the delta keys of core.Engine's sub-family memoization) and a
+// working multiset under member swaps.
 package safearea
 
 import (
 	"fmt"
 
-	"repro/internal/combin"
 	"repro/internal/geometry"
 	"repro/internal/hull"
 	"repro/internal/tverberg"
@@ -118,97 +116,26 @@ func PointOnPrefix(prefix *geometry.Multiset, f int, method Method) (geometry.Ve
 	}
 }
 
-// Incremental maintains Γ(Y) for a working multiset under single-point
-// deltas. It materializes the hull family {H(T) : T ⊆ Y, |T| = |Y|−f} once
-// and, on Add/Remove/Swap, rebuilds only the groups whose index set contains
-// a changed slot — the C(|Y|−1, f)-sized sub-family avoiding the slot is
-// shared untouched. Membership queries keep one warm simplex basis per group
-// (verdicts are basis-independent), so re-testing after a delta re-solves
-// only the affected groups from cold.
-//
-// Point queries route through the identical method ladder as PointWith and
-// return bit-identical results — Incremental is a representation, not an
-// approximation. It is not safe for concurrent use.
+// Incremental holds a working multiset for Γ(Y) under member swaps. Point
+// routes through the identical method ladder as PointWith and returns
+// bit-identical results. It is not safe for concurrent use.
 type Incremental struct {
-	f    int
-	y    *geometry.Multiset
-	keep int
-
-	// groups[g] lists the member slots of group g (ascending); the order is
-	// the lexicographic subset order, matching groups().
-	groups [][]int
-	pts    [][]geometry.Vector // materialized group point sets (shared vectors)
-	basis  []hullBasis         // per-group warm membership state
+	f int
+	y *geometry.Multiset
 }
 
-// hullBasis pairs a per-group membership tester so each group's warm basis
-// survives deltas to other groups.
-type hullBasis struct {
-	mt *hull.MembershipTester
-}
-
-// NewIncremental builds the incremental representation of Γ(Y).
+// NewIncremental copies y into a new working multiset.
 func NewIncremental(y *geometry.Multiset, f int) (*Incremental, error) {
-	keep, err := validate(y, f)
-	if err != nil {
+	if _, err := validate(y, f); err != nil {
 		return nil, err
 	}
-	inc := &Incremental{f: f, y: y.Clone(), keep: keep}
-	if err := inc.rebuild(); err != nil {
-		return nil, err
-	}
-	return inc, nil
-}
-
-// rebuild materializes the group index sets and point views from scratch.
-func (inc *Incremental) rebuild() error {
-	n := inc.y.Len()
-	count := combin.Binomial(n, inc.keep)
-	if count <= 0 {
-		return fmt.Errorf("safearea: no size-%d subsets of |Y| = %d", inc.keep, n)
-	}
-	inc.groups = inc.groups[:0]
-	inc.pts = inc.pts[:0]
-	err := combin.Combinations(n, inc.keep, func(idx []int) bool {
-		g := make([]int, len(idx))
-		copy(g, idx)
-		pts := make([]geometry.Vector, len(idx))
-		for i, j := range idx {
-			pts[i] = inc.y.At(j)
-		}
-		inc.groups = append(inc.groups, g)
-		inc.pts = append(inc.pts, pts)
-		return true
-	})
-	if err != nil {
-		return err
-	}
-	inc.basis = make([]hullBasis, len(inc.groups))
-	return nil
+	return &Incremental{f: f, y: y.Clone()}, nil
 }
 
 // Len returns |Y|.
 func (inc *Incremental) Len() int { return inc.y.Len() }
 
-// Multiset returns a copy of the working multiset.
-func (inc *Incremental) Multiset() *geometry.Multiset { return inc.y.Clone() }
-
-// Groups returns the number of hulls in the family: C(|Y|, f).
-func (inc *Incremental) Groups() int { return len(inc.groups) }
-
-// Key appends the canonical multiset key of the working Y to dst — the
-// identity under which Γ(Y) results may be shared (geometry.AppendKey per
-// member, in order).
-func (inc *Incremental) Key(dst []byte) []byte {
-	for i := 0; i < inc.y.Len(); i++ {
-		dst = geometry.AppendKey(dst, inc.y.At(i))
-	}
-	return dst
-}
-
-// Swap replaces member i with v: Γ(Y \ {yᵢ} ∪ {v}). Only the C(|Y|−1, f−1)…
-// groups containing slot i are re-materialized (their warm bases drop); the
-// rest of the family — C(|Y|−1, f) groups — is untouched.
+// Swap replaces member i with v: Y \ {yᵢ} ∪ {v}.
 func (inc *Incremental) Swap(i int, v geometry.Vector) error {
 	if i < 0 || i >= inc.y.Len() {
 		return fmt.Errorf("safearea: swap index %d out of range [0,%d)", i, inc.y.Len())
@@ -216,81 +143,8 @@ func (inc *Incremental) Swap(i int, v geometry.Vector) error {
 	if v.Dim() != inc.y.Dim() {
 		return fmt.Errorf("safearea: swap dimension %d, multiset dimension %d", v.Dim(), inc.y.Dim())
 	}
-	old := inc.y.At(i)
-	copy(old, v) // members are owned clones; update in place so views stay live
-	for g, slots := range inc.groups {
-		for _, s := range slots {
-			if s == i {
-				if inc.basis[g].mt != nil {
-					inc.basis[g].mt = nil // invalidate the warm basis
-				}
-				break
-			}
-		}
-	}
+	copy(inc.y.At(i), v) // members are owned clones
 	return nil
-}
-
-// Add appends member v: Γ(Y ∪ {v}). The family is re-enumerated (group
-// count changes), but group point views over unchanged slots are rebuilt
-// from shared vectors, not re-cloned.
-func (inc *Incremental) Add(v geometry.Vector) error {
-	if err := inc.y.Add(v); err != nil {
-		return err
-	}
-	inc.keep = inc.y.Len() - inc.f
-	return inc.rebuild()
-}
-
-// Remove deletes member i: Γ(Y \ {yᵢ}).
-func (inc *Incremental) Remove(i int) error {
-	y, err := inc.y.WithoutIndex(i)
-	if err != nil {
-		return err
-	}
-	if _, err := validate(y, inc.f); err != nil {
-		return err
-	}
-	inc.y = y.Clone() // own the member vectors (WithoutIndex shares them)
-	inc.keep = inc.y.Len() - inc.f
-	return inc.rebuild()
-}
-
-// Contains reports whether z ∈ Γ(Y) within tol, walking the family with
-// per-group warm-started membership solves. The verdict is identical to
-// Contains on the working multiset.
-func (inc *Incremental) Contains(z geometry.Vector, tol float64) (bool, error) {
-	if z.Dim() != inc.y.Dim() {
-		return false, fmt.Errorf("safearea: point dimension %d, multiset dimension %d", z.Dim(), inc.y.Dim())
-	}
-	for g := range inc.groups {
-		if inc.basis[g].mt == nil {
-			inc.basis[g].mt = hull.NewMembershipTester()
-		}
-		ok, err := inc.basis[g].mt.Test(inc.pts[g], z, tol)
-		if err != nil {
-			return false, err
-		}
-		if !ok {
-			return false, nil
-		}
-	}
-	return true, nil
-}
-
-// IsEmpty reports whether Γ(Y) is empty for the working multiset.
-func (inc *Incremental) IsEmpty() (bool, error) {
-	if inc.f == 0 {
-		return false, nil
-	}
-	if inc.y.Dim() == 1 {
-		lo, hi, err := interval(inc.y, inc.f)
-		if err != nil {
-			return false, err
-		}
-		return lo > hi, nil
-	}
-	return hull.IntersectionEmpty(inc.pts)
 }
 
 // Point returns the deterministic Γ-point of the working multiset under

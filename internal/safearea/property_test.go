@@ -19,7 +19,7 @@ func TestPointAlwaysInEverySubsetHull(t *testing.T) {
 		f := 1 + rng.Intn(2)
 		size := (d+1)*f + 1 + rng.Intn(2)
 		ms := randomMultiset(rng, size, d)
-		pt, err := Point(ms, f)
+		pt, err := PointWith(ms, f, MethodAuto)
 		if err != nil {
 			t.Fatalf("trial %d (d=%d f=%d |Y|=%d): %v", trial, d, f, size, err)
 		}
@@ -41,11 +41,11 @@ func TestPointStableUnderClone(t *testing.T) {
 		d := 1 + rng.Intn(3)
 		f := 1
 		ms := randomMultiset(rng, d+2+rng.Intn(3), d)
-		a, err := Point(ms, f)
+		a, err := PointWith(ms, f, MethodAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := Point(ms.Clone(), f)
+		b, err := PointWith(ms.Clone(), f, MethodAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -63,7 +63,7 @@ func TestGammaMonotoneInF(t *testing.T) {
 		d := 1 + rng.Intn(2)
 		size := 3*(d+1) + 1 // enough for f = 2 and beyond
 		ms := randomMultiset(rng, size, d)
-		ptHiF, err := Point(ms, 2)
+		ptHiF, err := PointWith(ms, 2, MethodAuto)
 		if err != nil {
 			t.Fatalf("trial %d: %v", trial, err)
 		}
@@ -99,11 +99,11 @@ func TestGammaScaleAndTranslateEquivariance(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		base, err := Point(ms, 1)
+		base, err := PointWith(ms, 1, MethodAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err := Point(moved, 1)
+		got, err := PointWith(moved, 1, MethodAuto)
 		if err != nil {
 			t.Fatal(err)
 		}

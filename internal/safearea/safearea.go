@@ -96,12 +96,6 @@ var ErrEmpty = errors.New("safearea: Γ(Y) is empty")
 // tverberg.CertTol, half of this — misses.
 const liftVerifyTol = 1e-6
 
-// SubsetCount returns the number of hulls intersected in Γ(Y):
-// C(|Y|, |Y|−f) = C(|Y|, f).
-func SubsetCount(size, f int) int64 {
-	return combin.Binomial(size, f)
-}
-
 // validate checks the (Y, f) pair and returns |Y| − f.
 func validate(y *geometry.Multiset, f int) (int, error) {
 	if y == nil || y.Len() == 0 {
@@ -242,13 +236,6 @@ func containsLex(y *geometry.Multiset, keep int, z geometry.Vector, tol float64)
 		return false, cerr
 	}
 	return inside, nil
-}
-
-// Point returns a deterministic point of Γ(Y) using MethodAuto.
-// All correct processes calling Point on identical (Y, f) obtain the
-// identical point — the property Exact BVC step 2 requires.
-func Point(y *geometry.Multiset, f int) (geometry.Vector, error) {
-	return PointWith(y, f, MethodAuto)
 }
 
 // PointWith returns a deterministic point of Γ(Y) computed with the given

@@ -27,15 +27,6 @@ func randomMultiset(rng *rand.Rand, n, d int) *geometry.Multiset {
 	return ms
 }
 
-func TestSubsetCount(t *testing.T) {
-	if got := SubsetCount(7, 2); got != 21 {
-		t.Errorf("SubsetCount(7,2) = %d, want 21", got)
-	}
-	if got := SubsetCount(4, 1); got != 4 {
-		t.Errorf("SubsetCount(4,1) = %d, want 4", got)
-	}
-}
-
 func TestInterval1D(t *testing.T) {
 	// Sorted members: 1 2 3 4 5; f=1 → Γ = [2, 4].
 	ms := geometry.MustMultisetOf(vec(3), vec(1), vec(5), vec(2), vec(4))
@@ -84,13 +75,13 @@ func TestIntervalRequires1D(t *testing.T) {
 
 func TestValidateErrors(t *testing.T) {
 	ms := geometry.MustMultisetOf(vec(0), vec(1))
-	if _, err := Point(nil, 0); err == nil {
+	if _, err := PointWith(nil, 0, MethodAuto); err == nil {
 		t.Error("nil multiset: expected error")
 	}
-	if _, err := Point(ms, -1); err == nil {
+	if _, err := PointWith(ms, -1, MethodAuto); err == nil {
 		t.Error("negative f: expected error")
 	}
-	if _, err := Point(ms, 2); err == nil {
+	if _, err := PointWith(ms, 2, MethodAuto); err == nil {
 		t.Error("f = |Y|: expected error")
 	}
 }
@@ -148,7 +139,7 @@ func TestGammaF0IsHull(t *testing.T) {
 	if err != nil || empty {
 		t.Fatalf("f=0 Γ=H(Y) must be non-empty: empty=%v err=%v", empty, err)
 	}
-	pt, err := Point(ms, 0)
+	pt, err := PointWith(ms, 0, MethodAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -232,11 +223,11 @@ func TestPointUnknownMethod(t *testing.T) {
 func TestPointDeterminism(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	ms := randomMultiset(rng, 7, 2)
-	a, err := Point(ms, 2)
+	a, err := PointWith(ms, 2, MethodAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := Point(ms.Clone(), 2)
+	b, err := PointWith(ms.Clone(), 2, MethodAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -247,7 +238,7 @@ func TestPointDeterminism(t *testing.T) {
 
 func TestPoint1DClosedForm(t *testing.T) {
 	ms := geometry.MustMultisetOf(vec(5), vec(1), vec(3), vec(2), vec(9))
-	pt, err := Point(ms, 1)
+	pt, err := PointWith(ms, 1, MethodAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -261,7 +252,7 @@ func TestPoint1DClosedForm(t *testing.T) {
 func TestGammaPointInsideEveryHullExplicit(t *testing.T) {
 	// 5 points in R², f = 1: point must be inside all five 4-point hulls.
 	ms := geometry.MustMultisetOf(vec(0, 0), vec(4, 0), vec(0, 4), vec(4, 4), vec(2, 2))
-	pt, err := Point(ms, 1)
+	pt, err := PointWith(ms, 1, MethodAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -309,7 +300,7 @@ func TestProbabilitySimplexStaysInside(t *testing.T) {
 		vec(0.5, 0.25, 0.25),
 		vec(0.25, 0.5, 0.25),
 	)
-	pt, err := Point(ms, 1)
+	pt, err := PointWith(ms, 1, MethodAuto)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,7 +338,7 @@ func TestContainsMatchesLex(t *testing.T) {
 		// Probe points: one likely inside (a Γ point when it exists), one
 		// certainly outside the input box, and one no LP can place.
 		var probes []geometry.Vector
-		if pt, err := Point(ms, f); err == nil {
+		if pt, err := PointWith(ms, f, MethodAuto); err == nil {
 			probes = append(probes, pt)
 		}
 		out := geometry.NewVector(d)

@@ -314,7 +314,7 @@ func TestServiceAuthKeyedMesh(t *testing.T) {
 		}
 	}
 	// A killed conn re-establishes through the keyed handshake.
-	svcs[1].KillConn(0)
+	svcs[1].killConn(0)
 	awaitStat(t, svcs[1], "keyed reconnect", 20*time.Second, func(st Stats) bool {
 		return st.Reconnects >= 1
 	})
@@ -393,16 +393,16 @@ func TestServiceAuthRejections(t *testing.T) {
 	}
 }
 
-// TestServiceKillConnRecovers pins the KillConn fault hook used by
-// verify.ServiceSystem: the link re-forms and instances keep deciding.
+// TestServiceKillConnRecovers kills one link's connection from both
+// ends: the link re-forms and instances keep deciding.
 func TestServiceKillConnRecovers(t *testing.T) {
 	const n = 5
 	svcs := startMesh(t, n, func(_ int, cfg *Config) {
 		cfg.MaxDialBackoff = 100 * time.Millisecond
 	})
 	rng := rand.New(rand.NewSource(71))
-	svcs[4].KillConn(2)
-	svcs[2].KillConn(4) // idempotent from either side
+	svcs[4].killConn(2)
+	svcs[2].killConn(4) // idempotent from either side
 	inputs := randomInputs(rng, n, 2)
 	for i, ch := range proposeAll(t, svcs, 1, inputs) {
 		res := collect(t, ch, 30*time.Second)

@@ -154,10 +154,6 @@ func (s *Service) allLinks() []*peerLink {
 // Epoch returns the current membership epoch.
 func (s *Service) Epoch() uint64 { return s.ctr.epoch.Load() }
 
-// peerAt returns the current mesh's link to peer id (tests and
-// internal probes; operator code goes through KillConn/Stats).
-func (s *Service) peerAt(id int) *peerLink { return s.currentMesh().peers[id] }
-
 // Reconfigure moves the service to membership m without stopping it:
 // the epoch must be strictly greater than the current one and the
 // address list the same size as the mesh (replace or re-address

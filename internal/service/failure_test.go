@@ -212,7 +212,7 @@ func TestServiceCloseCutsHungDial(t *testing.T) {
 		cfg.Transport = hangingDials{hang: &hang, hung: hung}
 	})
 	hang.Store(true)
-	svcs[n-1].KillConn(0)
+	svcs[n-1].killConn(0)
 	<-hung // the redial to process 0 is blocked in Dial
 	start := time.Now()
 	if err := svcs[n-1].Close(); err != nil {

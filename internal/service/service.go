@@ -311,24 +311,6 @@ func probeInput(cfg core.AsyncConfig) geometry.Vector {
 // Addr returns the bound listen address (useful with port 0).
 func (s *Service) Addr() string { return s.ln.Addr().String() }
 
-// KillConn force-closes the current connection to peer; a no-op when
-// none is installed. It is a fault-injection hook for chaos tests and
-// verify.ServiceSystem: the link reacts exactly as if the connection had
-// failed — the dialing side redials with backoff, climbing the suspicion
-// ladder while the peer stays unreachable.
-func (s *Service) KillConn(peer int) {
-	if peer < 0 || peer >= s.n || peer == s.cfg.ID {
-		return
-	}
-	p := s.currentMesh().peers[peer]
-	p.mu.Lock()
-	conn := p.conn
-	p.mu.Unlock()
-	if conn != nil {
-		_ = conn.Close()
-	}
-}
-
 // reachable counts the processes of mesh m this one can currently count
 // on for quorum: itself plus every peer with an installed, unsuspected
 // connection on that epoch's link set.

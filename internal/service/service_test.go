@@ -75,6 +75,21 @@ func startMesh(t *testing.T, n int, mut func(id int, cfg *Config)) []*Service {
 	return svcs
 }
 
+// peerAt returns the current mesh's link to peer id.
+func (s *Service) peerAt(id int) *peerLink { return s.currentMesh().peers[id] }
+
+// killConn force-closes the current connection to peer, if one is
+// installed: the link reacts exactly as if the connection had failed.
+func (s *Service) killConn(peer int) {
+	p := s.peerAt(peer)
+	p.mu.Lock()
+	conn := p.conn
+	p.mu.Unlock()
+	if conn != nil {
+		_ = conn.Close()
+	}
+}
+
 func loopbackTemplate(n int) []string {
 	addrs := make([]string, n)
 	for i := range addrs {

@@ -108,20 +108,3 @@ func (s StarveSenders) Delay(from, to ProcID, at time.Duration, rng *rand.Rand) 
 	}
 	return d
 }
-
-// StarveLinks adds Extra latency on the specific directed links in Slow,
-// keyed "from→to". It lets tests craft fully asymmetric schedules.
-type StarveLinks struct {
-	Inner DelayModel
-	Slow  map[[2]ProcID]bool
-	Extra time.Duration
-}
-
-// Delay implements DelayModel.
-func (s StarveLinks) Delay(from, to ProcID, at time.Duration, rng *rand.Rand) time.Duration {
-	d := s.Inner.Delay(from, to, at, rng)
-	if s.Slow[[2]ProcID{from, to}] {
-		d += s.Extra
-	}
-	return d
-}

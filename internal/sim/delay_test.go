@@ -80,51 +80,6 @@ func TestStarveSendersOnlyAffectsSet(t *testing.T) {
 	}
 }
 
-func TestStarveLinksDirectional(t *testing.T) {
-	d := StarveLinks{
-		Inner: ConstantDelay{D: time.Millisecond},
-		Slow:  map[[2]ProcID]bool{{0, 1}: true},
-		Extra: time.Second,
-	}
-	rng := rand.New(rand.NewSource(6))
-	if got := d.Delay(0, 1, 0, rng); got != time.Second+time.Millisecond {
-		t.Errorf("starved link delay = %v", got)
-	}
-	if got := d.Delay(1, 0, 0, rng); got != time.Millisecond {
-		t.Errorf("reverse link must be unaffected: %v", got)
-	}
-	if got := d.Delay(0, 2, 0, rng); got != time.Millisecond {
-		t.Errorf("other links must be unaffected: %v", got)
-	}
-}
-
-func TestStarveLinksInEngine(t *testing.T) {
-	// Messages 0→1 starve while 2→1 flow: node 1 receives 2's burst first
-	// even though 0 sent earlier.
-	recv := &orderNode{}
-	eng, err := NewEngine(Config{
-		N:    3,
-		Seed: 7,
-		Delay: StarveLinks{
-			Inner: ConstantDelay{D: time.Millisecond},
-			Slow:  map[[2]ProcID]bool{{0, 1}: true},
-			Extra: time.Second,
-		},
-	}, []Node{&burstNode{k: 3}, recv, &burst2{}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := eng.Run(); err != nil {
-		t.Fatal(err)
-	}
-	if len(recv.got) != 53 {
-		t.Fatalf("received %d", len(recv.got))
-	}
-	if recv.got[0] < 1000 {
-		t.Errorf("first delivery %d should come from the unstarved link", recv.got[0])
-	}
-}
-
 // TestShiftedExponentialFloorHolds: no draw undercuts Floor, even with a
 // Cap below it.
 func TestShiftedExponentialFloorHolds(t *testing.T) {

@@ -42,9 +42,6 @@ type Partition struct {
 	Residual float64
 }
 
-// NumBlocks returns the number of parts.
-func (p *Partition) NumBlocks() int { return len(p.Blocks) }
-
 // maxSearchSize caps the exhaustive partition search; Stirling numbers grow
 // too fast beyond this.
 const maxSearchSize = 14

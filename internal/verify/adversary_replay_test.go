@@ -7,8 +7,6 @@ import (
 	"path/filepath"
 	"testing"
 	"time"
-
-	"repro/internal/adversary"
 )
 
 // TestAdversaryRegression replays every committed schedule-search instance
@@ -33,7 +31,7 @@ func TestAdversaryRegression(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			var inst adversary.Instance
+			var inst Instance
 			if err := json.Unmarshal(blob, &inst); err != nil {
 				t.Fatal(err)
 			}
@@ -42,7 +40,7 @@ func TestAdversaryRegression(t *testing.T) {
 					crashWindows++
 				}
 			}
-			res, err := adversary.ReplayInstance(inst)
+			res, err := ReplayInstance(inst)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,21 +80,21 @@ func TestRegenAdversaryCorpus(t *testing.T) {
 	}
 	configs := []struct {
 		name string
-		spec adversary.SearchSpec
+		spec SearchSpec
 	}{
-		{"n7f1_seed11", adversary.SearchSpec{
+		{"n7f1_seed11", SearchSpec{
 			N: 7, F: 1, D: 2, Epsilon: 0.05, MaxRounds: 4, Seed: 11,
 			Iterations: 250, Restarts: 2, BaseDelay: time.Millisecond, MaxExtra: 12,
 		}},
-		{"n8f1_seed29", adversary.SearchSpec{
+		{"n8f1_seed29", SearchSpec{
 			N: 8, F: 1, D: 2, Epsilon: 0.05, MaxRounds: 4, Seed: 29,
 			Iterations: 250, Restarts: 2, BaseDelay: time.Millisecond, MaxExtra: 12,
 		}},
-		{"n9f1_d3_seed41", adversary.SearchSpec{
+		{"n9f1_d3_seed41", SearchSpec{
 			N: 9, F: 1, D: 3, Epsilon: 0.05, MaxRounds: 3, Seed: 41,
 			Iterations: 150, Restarts: 1, BaseDelay: time.Millisecond, MaxExtra: 12,
 		}},
-		{"n7f1_crash_seed53", adversary.SearchSpec{
+		{"n7f1_crash_seed53", SearchSpec{
 			N: 7, F: 1, D: 2, Epsilon: 0.05, MaxRounds: 4, Seed: 53,
 			Iterations: 300, Restarts: 3, BaseDelay: time.Millisecond, MaxExtra: 12,
 		}},
@@ -106,11 +104,11 @@ func TestRegenAdversaryCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, cfg := range configs {
-		found, err := adversary.Search(cfg.spec)
+		found, err := Search(cfg.spec)
 		if err != nil {
 			t.Fatal(err)
 		}
-		minimized, err := adversary.Minimize(found, 0.02)
+		minimized, err := Minimize(found, 0.02)
 		if err != nil {
 			t.Fatal(err)
 		}

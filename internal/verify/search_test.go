@@ -1,11 +1,14 @@
-package adversary
+package verify
 
 import (
+	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
+	"testing"
 	"time"
 
+	"repro/internal/adversary"
 	"repro/internal/core"
 	"repro/internal/geometry"
 	"repro/internal/hull"
@@ -26,8 +29,8 @@ import (
 // bound. Greedy hill-climbing with annealed acceptance over seeded
 // randomness keeps the whole search replayable bit-for-bit; Minimize
 // strips a found genome to the components that matter; Instance /
-// ReplayInstance serialize survivors into the regression corpus replayed
-// by internal/verify.
+// ReplayInstance serialize survivors into the regression corpus that
+// TestAdversaryRegression replays.
 
 // SearchSpec configures the schedule/value search. All randomness — the
 // correct processes' inputs, the initial genome, mutation and acceptance —
@@ -200,7 +203,7 @@ func Evaluate(spec SearchSpec, g Genome) (*Result, error) {
 	inRng := rand.New(rand.NewSource(spec.Seed))
 	inputs := make([]geometry.Vector, spec.N)
 	for i := range inputs {
-		inputs[i] = RandomVector(inRng, params.Bounds)
+		inputs[i] = adversary.RandomVector(inRng, params.Bounds)
 	}
 
 	nodes := make([]sim.Node, spec.N)
@@ -280,7 +283,7 @@ func Evaluate(spec SearchSpec, g Genome) (*Result, error) {
 func byzScheduleNode(spec SearchSpec, g Genome, slot int) sim.Node {
 	ta := geometry.Vector(g.Targets[2*slot]).Clone()
 	tb := geometry.Vector(g.Targets[2*slot+1]).Clone()
-	return &FuncAsync{
+	return &adversary.FuncAsync{
 		OnInit: func(api sim.API) {
 			for r := 1; r <= spec.MaxRounds; r++ {
 				for to := 0; to < spec.N; to++ {
@@ -678,4 +681,197 @@ func sortInts(a []int) {
 			a[j], a[j-1] = a[j-1], a[j]
 		}
 	}
+}
+
+func testSpec(seed int64) SearchSpec {
+	return SearchSpec{
+		N: 7, F: 1, D: 2,
+		Epsilon:    0.05,
+		MaxRounds:  3,
+		Seed:       seed,
+		Iterations: 12,
+		Restarts:   1,
+		BaseDelay:  time.Millisecond,
+		MaxExtra:   8,
+	}
+}
+
+// TestEvaluateBaseline: the unperturbed schedule (zero genome) satisfies
+// the theorem — every correct process decides inside the correct-input
+// hull with positive margin and every round contracts.
+func TestEvaluateBaseline(t *testing.T) {
+	spec := testSpec(3).WithDefaults()
+	g := Genome{
+		LinkExtra: make([]int, spec.N*spec.N),
+		ByzIDs:    []int{spec.N - 1},
+		Targets:   [][]float64{{0.5, 0.5}, {0.5, 0.5}},
+	}
+	res, err := Evaluate(spec, g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Violation || res.Stalled {
+		t.Fatalf("baseline schedule broke the protocol: %+v", res)
+	}
+	if !(res.Slack > 0) || math.IsInf(res.MinMargin, 0) {
+		t.Fatalf("degenerate baseline scores: %+v", res)
+	}
+}
+
+// TestEvaluateCrashWindow: a crash-and-recover window on one correct
+// process is schedule noise the theorem must absorb — no violation, no
+// stall even when the process stays dark for the whole run — while still
+// genuinely changing the execution; and the fault budget is enforced (a
+// second correct window with f=1 is an adversary stronger than the model).
+func TestEvaluateCrashWindow(t *testing.T) {
+	spec := testSpec(3).WithDefaults()
+	base := Genome{
+		LinkExtra: make([]int, spec.N*spec.N),
+		ByzIDs:    []int{spec.N - 1},
+		Targets:   [][]float64{{0.5, 0.5}, {0.5, 0.5}},
+	}
+	resBase, err := Evaluate(spec, base)
+	if err != nil {
+		t.Fatal(err)
+	}
+	crashed := base.clone()
+	crashed.CrashRounds = make([]int, 2*spec.N)
+	crashed.CrashRounds[0], crashed.CrashRounds[1] = 1, spec.MaxRounds+1
+	resCrash, err := Evaluate(spec, crashed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resCrash.Violation || resCrash.Stalled {
+		t.Fatalf("crash window broke the protocol at the resilience bound: %+v", resCrash)
+	}
+	if resCrash.Score == resBase.Score && resCrash.MinMargin == resBase.MinMargin {
+		t.Fatal("whole-run crash window left the execution bit-identical — window not wired in")
+	}
+	again, err := Evaluate(spec, crashed)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again.Score != resCrash.Score || again.MinMargin != resCrash.MinMargin {
+		t.Fatalf("crashed evaluation not deterministic: %+v vs %+v", again, resCrash)
+	}
+
+	over := crashed.clone()
+	over.CrashRounds[2], over.CrashRounds[3] = 2, 3
+	if _, err := Evaluate(spec, over); err == nil {
+		t.Fatal("two correct crash windows accepted beyond the f=1 budget")
+	}
+	empty := crashed.clone()
+	empty.CrashRounds[0], empty.CrashRounds[1] = 2, 2
+	if _, err := Evaluate(spec, empty); err == nil {
+		t.Fatal("empty crash window [2, 2) accepted")
+	}
+	late := crashed.clone()
+	late.CrashRounds[0], late.CrashRounds[1] = 1, spec.MaxRounds+2
+	if _, err := Evaluate(spec, late); err == nil {
+		t.Fatal("restart past MaxRounds+1 accepted")
+	}
+}
+
+// TestSearchDeterministic: the whole annealed search is a pure function
+// of the spec — bit-identical scores and genomes across runs.
+func TestSearchDeterministic(t *testing.T) {
+	a, err := Search(testSpec(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	b, err := Search(testSpec(5))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a.Score != b.Score || a.MinMargin != b.MinMargin || a.Slack != b.Slack {
+		t.Fatalf("search not deterministic: %+v vs %+v", a, b)
+	}
+	ja, _ := json.Marshal(a.Genome)
+	jb, _ := json.Marshal(b.Genome)
+	if string(ja) != string(jb) {
+		t.Fatalf("genomes diverged:\n%s\n%s", ja, jb)
+	}
+}
+
+// TestSearchFindsAdversarialSchedule: the searcher must do at least as
+// well as the unperturbed schedule, and across a few seeds it must
+// strictly improve on it — otherwise it is not searching.
+func TestSearchFindsAdversarialSchedule(t *testing.T) {
+	improved := false
+	for seed := int64(1); seed <= 3; seed++ {
+		spec := testSpec(seed).WithDefaults()
+		base, err := Evaluate(spec, Genome{
+			LinkExtra: make([]int, spec.N*spec.N),
+			ByzIDs:    []int{spec.N - 1},
+			Targets:   [][]float64{{0.5, 0.5}, {0.5, 0.5}},
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		found, err := Search(spec)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if found.Score > base.Score+1e-12 {
+			t.Fatalf("seed %d: search (%.4f) worse than baseline (%.4f)", seed, found.Score, base.Score)
+		}
+		if found.Score < base.Score-1e-9 {
+			improved = true
+		}
+		// Whatever the search found, the theorem must hold at the
+		// resilience bound: no validity violation, no stall.
+		if found.Violation || found.Stalled {
+			t.Fatalf("seed %d: search broke the protocol at the resilience bound: %+v", seed, found)
+		}
+	}
+	if !improved {
+		t.Fatal("search never improved on the baseline schedule across 3 seeds")
+	}
+}
+
+// TestMinimizeAndReplay: minimization preserves the outcome while
+// shrinking the genome, and the serialized instance replays bit-for-bit.
+func TestMinimizeAndReplay(t *testing.T) {
+	found, err := Search(testSpec(7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	minimized, err := Minimize(found, 0.02)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if minimized.Violation != found.Violation || minimized.Stalled != found.Stalled {
+		t.Fatalf("minimization changed the outcome: %+v vs %+v", minimized, found)
+	}
+	if nz(minimized.Genome.LinkExtra) > nz(found.Genome.LinkExtra) {
+		t.Fatalf("minimization grew the schedule: %d → %d boosts",
+			nz(found.Genome.LinkExtra), nz(minimized.Genome.LinkExtra))
+	}
+	inst := minimized.Instance("unit test")
+	blob, err := json.Marshal(inst)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var back Instance
+	if err := json.Unmarshal(blob, &back); err != nil {
+		t.Fatal(err)
+	}
+	replayed, err := ReplayInstance(back)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if replayed.Score != minimized.Score || replayed.Violation != minimized.Violation ||
+		replayed.Stalled != minimized.Stalled {
+		t.Fatalf("replay diverged: %+v vs %+v", replayed, minimized)
+	}
+}
+
+func nz(a []int) int {
+	c := 0
+	for _, v := range a {
+		if v != 0 {
+			c++
+		}
+	}
+	return c
 }

@@ -126,16 +126,6 @@ func backfillLen(dst []byte, at int) []byte {
 	return dst
 }
 
-// AppendFrame appends one complete frame — length prefix, header, body —
-// to dst and returns the extended slice. Callers reuse dst across frames;
-// appending to a buffer leased from a pool is the zero-steady-state-
-// allocation path the service writers use.
-func AppendFrame(dst []byte, kind FrameKind, instance uint64, body []byte) []byte {
-	dst, at := appendFramePrefix(dst, kind, instance)
-	dst = append(dst, body...)
-	return backfillLen(dst, at)
-}
-
 // AppendHello appends a keyless FrameHello announcing process id peer
 // under membership epoch epoch.
 func AppendHello(dst []byte, peer uint32, epoch uint64) []byte {

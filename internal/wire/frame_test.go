@@ -255,7 +255,8 @@ func TestFrameErrors(t *testing.T) {
 		t.Error("bad version: no error")
 	}
 	// Unknown frame kinds must parse (forward compatibility).
-	fut := AppendFrame(nil, FrameKind(200), 7, []byte{1, 2, 3})
+	fut, at := appendFramePrefix(nil, FrameKind(200), 7)
+	fut = backfillLen(append(fut, 1, 2, 3), at)
 	h, body, err := ParseFrame(fut[4:])
 	if err != nil || h.Kind != FrameKind(200) || h.Instance != 7 || len(body) != 3 {
 		t.Errorf("future kind: h=%+v body=%d err=%v", h, len(body), err)
