@@ -57,8 +57,8 @@ type Engine struct {
 	workers int
 	memoize bool
 
-	memo *memoTable[gammaEntry] // per-candidate-set and prefix Γ-points
-	zi   *memoTable[meanEntry]  // whole AverageGamma reductions
+	memo *memoTable[memoResult] // per-candidate-set and prefix Γ-points
+	zi   *memoTable[memoResult] // whole AverageGamma reductions
 
 	// values is the current memo generation's interner; gens counts the
 	// generations started (guarded by memo's lock, see nextGen), and
@@ -72,12 +72,16 @@ type Engine struct {
 	// sub-key index so a new B set can be built as a single-member delta of
 	// a sibling's family (safearea.RadonFamily), reusing the untouched
 	// subsets' points outright. famSub is cleared whenever fams drops.
-	fams   *memoTable[meanEntry]
+	fams   *memoTable[memoResult]
 	famMu  sync.Mutex
 	famSub map[string]famRef
 
+	keyBufs  sync.Pool      // SafePoint's *keyBuf scratch
 	counters engineCounters // Γ-reuse counters, snapshot by Counters
 }
+
+// keyBuf is SafePoint's reusable memo key and value-key buffers.
+type keyBuf struct{ key, vkey []byte }
 
 // famRef locates a finished family that contains a given drop-one
 // sub-pool: the family plus the dropped slot.
@@ -96,28 +100,6 @@ const (
 	maxFamEntries  = 1 << 8
 )
 
-type gammaEntry struct {
-	once sync.Once
-	pt   geometry.Vector // read-only after once
-	err  error
-	// ok is meaningful for sub-family (prefix) entries only: whether the
-	// prefix computation certified its point for every superset sharing the
-	// prefix. An uncertified entry forces callers onto the full-multiset
-	// path, exactly as the from-scratch ladder would fall back.
-	ok bool
-}
-
-// meanEntry memoizes a whole Zi reduction: the mean and size of one
-// ordered (origin, value) tuple sequence (AverageGamma — in the synchronous
-// exchange all correct processes hold identical inboxes, so n−f reductions
-// per round collapse to one), or of one finished Radon family.
-type meanEntry struct {
-	once sync.Once
-	pt   geometry.Vector // read-only after once
-	n    int
-	err  error
-}
-
 // NewEngine returns an engine with the given worker bound (≤ 0 means
 // GOMAXPROCS) and memoization switch.
 func NewEngine(workers int, memoize bool) *Engine {
@@ -131,12 +113,13 @@ func newEngine(workers int, memoize bool, maxMemo, maxValues int) *Engine {
 		workers = runtime.GOMAXPROCS(0)
 	}
 	e := &Engine{workers: workers, memoize: memoize, maxValues: maxValues}
+	e.keyBufs.New = func() any { return new(keyBuf) }
 	if memoize {
-		e.memo = newMemoTable[gammaEntry](maxMemo, e.nextGen)
+		e.memo = newMemoTable[memoResult](maxMemo, e.nextGen)
 		e.nextGen()
-		e.zi = newMemoTable[meanEntry](maxZiEntries, nil)
+		e.zi = newMemoTable[memoResult](maxZiEntries, nil)
 		e.famSub = make(map[string]famRef)
-		e.fams = newMemoTable[meanEntry](maxFamEntries, func() {
+		e.fams = newMemoTable[memoResult](maxFamEntries, func() {
 			e.famMu.Lock()
 			e.famSub = make(map[string]famRef)
 			e.famMu.Unlock()
@@ -176,32 +159,32 @@ func appendMeta(dst []byte, d, f int, method safearea.Method) []byte {
 // memoized on the canonical multiset key — the key space of the walks'
 // full candidate sets. In Exact BVC all n processes hold the identical
 // agreed multiset S, so the n-fold recomputation of the same lex-min LP
-// collapses to a single solve.
+// collapses to a single solve. The key is built in pooled buffers, so a
+// hit allocates only the returned copy.
 func (e *Engine) SafePoint(y *geometry.Multiset, f int, method safearea.Method) (geometry.Vector, error) {
 	if !e.memoize {
 		e.counters.solves.Add(1)
 		return safearea.PointWith(y, f, method)
 	}
+	buf := e.keyBufs.Get().(*keyBuf)
 	values := e.values.Load()
-	key := appendKeyHead(make([]byte, 0, 20+3*y.Len()), y.Dim(), f, method, setKeyTag, values.gen)
-	vkey := make([]byte, 0, 8*y.Dim())
+	buf.key = appendKeyHead(buf.key[:0], y.Dim(), f, method, setKeyTag, values.gen)
 	for i := 0; i < y.Len(); i++ {
-		vkey = geometry.AppendKey(vkey[:0], y.At(i))
-		key = binary.AppendUvarint(key, values.id(vkey))
+		buf.vkey = geometry.AppendKey(buf.vkey[:0], y.At(i))
+		buf.key = binary.AppendUvarint(buf.key, values.id(buf.vkey))
 	}
-	ent := e.memo.get(key)
-	fresh := false
-	ent.once.Do(func() {
-		fresh = true
-		ent.pt, ent.err = safearea.PointWith(y, f, method)
+	pt, _, fresh, err := solveOnce(e.memo, buf.key, func() (geometry.Vector, uint32, error) {
+		pt, err := safearea.PointWith(y, f, method)
+		return pt, 0, err
 	})
+	e.keyBufs.Put(buf)
 	var t gammaTally
-	t.record(fresh, ent.err, &t.cacheHits)
+	t.record(fresh, err, &t.cacheHits)
 	t.flush(e)
-	if ent.err != nil {
-		return nil, ent.err
+	if err != nil {
+		return nil, err
 	}
-	return ent.pt.Clone(), nil
+	return pt.Clone(), nil
 }
 
 // gammaTally is one worker's share of the Γ-reuse counters, kept in plain
@@ -380,40 +363,41 @@ func (sc *gammaScratch) pointOfMembers(src []tuple) (geometry.Vector, error) {
 	// candidate sets sharing that prefix — consecutive subsets of one walk,
 	// sets of sibling processes, sets across rounds whose moved point sits
 	// beyond the prefix — share one certified solve. The prefix key is the
-	// full key cut after m members and retagged (get copies what it keeps).
+	// full key cut after m members and retagged (the table copies what it
+	// keeps). A prefix entry's count is 1 when the prefix computation
+	// certified its point for every superset sharing the prefix.
 	m := safearea.PrefixLen(len(ms), sc.d, sc.f, sc.method)
 	key, prefixEnd := sc.setKey(m)
 	if m < len(ms) {
 		key[keyTagAt] = prefixKeyTag
-		ent := sc.e.memo.get(key[:prefixEnd])
-		key[keyTagAt] = setKeyTag
-		fresh := false
-		ent.once.Do(func() {
-			fresh = true
+		pt, ok, fresh, err := solveOnce(sc.e.memo, key[:prefixEnd], func() (geometry.Vector, uint32, error) {
 			sc.solving()
 			ms, err := sc.viewOf(sc.gather(src)[:m])
 			if err != nil {
-				ent.err = err
-				return
+				return nil, 0, err
 			}
-			ent.pt, ent.ok, ent.err = safearea.PointOnPrefix(ms, sc.f, sc.method)
+			pt, ok, err := safearea.PointOnPrefix(ms, sc.f, sc.method)
+			if !ok {
+				return nil, 0, err
+			}
+			return pt, 1, err
 		})
-		if ent.ok || ent.err != nil {
-			sc.record(fresh, ent.err, &sc.prefixHits)
-			return ent.pt, ent.err
+		key[keyTagAt] = setKeyTag
+		if ok == 1 || err != nil {
+			sc.record(fresh, err, &sc.prefixHits)
+			return pt, err
 		}
 		// Uncertified prefix: the superset's own ladder (including its
-		// fallbacks) decides, keyed by the full multiset below.
+		// fallbacks) decides, keyed by the full multiset below, exactly as
+		// the from-scratch ladder would fall back.
 	}
-	ent := sc.e.memo.get(key)
-	fresh := false
-	ent.once.Do(func() {
-		fresh = true
+	pt, _, fresh, err := solveOnce(sc.e.memo, key, func() (geometry.Vector, uint32, error) {
 		sc.solving()
-		ent.pt, ent.err = sc.solve(sc.gather(src))
+		pt, err := sc.solve(sc.gather(src))
+		return pt, 0, err
 	})
-	sc.record(fresh, ent.err, &sc.cacheHits)
-	return ent.pt, ent.err
+	sc.record(fresh, err, &sc.cacheHits)
+	return pt, err
 }
 
 // gather returns the set's tuples in canonical order, for a solve. A memo
@@ -482,19 +466,17 @@ func (e *Engine) AverageGamma(tuples []tuple, k, f int, method safearea.Method) 
 		key = binary.BigEndian.AppendUint32(key, uint32(tp.origin))
 		key = geometry.AppendKey(key, tp.value)
 	}
-	ent := e.zi.get(key)
-	fresh := false
-	ent.once.Do(func() {
-		fresh = true
-		ent.pt, ent.n, ent.err = e.averageGammaCompute(tuples, k, f, method, d)
+	pt, size, fresh, err := solveOnce(e.zi, key, func() (geometry.Vector, uint32, error) {
+		pt, size, err := e.averageGammaCompute(tuples, k, f, method, d)
+		return pt, uint32(size), err
 	})
-	if ent.err != nil {
-		return nil, 0, ent.err
+	if err != nil {
+		return nil, 0, err
 	}
 	if !fresh {
 		e.counters.roundHits.Add(1)
 	}
-	return ent.pt.Clone(), ent.n, nil
+	return pt.Clone(), int(size), nil
 }
 
 // walkRun is how many consecutive subset ranks an AverageGamma worker
@@ -590,8 +572,7 @@ func famKey(dst []byte, tuples []tuple, d, f int, method safearea.Method, skip i
 // subset walk — the family stores the identical points in the identical
 // order.
 func (e *Engine) radonFamilyMean(tuples []tuple, k, f int, method safearea.Method, d int) (geometry.Vector, int, error) {
-	ent := e.fams.get(famKey(make([]byte, 0, 10+8*len(tuples)*d), tuples, d, f, method, -1))
-	ent.once.Do(func() {
+	pt, size, _, err := solveOnce(e.fams, famKey(make([]byte, 0, 10+8*len(tuples)*d), tuples, d, f, method, -1), func() (geometry.Vector, uint32, error) {
 		vals := make([]geometry.Vector, len(tuples))
 		for i, tp := range tuples {
 			vals[i] = tp.value
@@ -628,12 +609,11 @@ func (e *Engine) radonFamilyMean(tuples []tuple, k, f int, method safearea.Metho
 		e.counters.solves.Add(uint64(solved))
 		e.counters.prefixHits.Add(uint64(reused))
 		if err != nil {
-			ent.err = err
-			return
+			return nil, 0, err
 		}
-		ent.pt, ent.n, ent.err = fam.MeanPoint()
-		if ent.err != nil {
-			return
+		pt, size, err := fam.MeanPoint()
+		if err != nil {
+			return nil, 0, err
 		}
 		// Register the drop-one sub-keys of the finished family. Last
 		// registration wins; any finished family with the same sub-pool
@@ -644,11 +624,12 @@ func (e *Engine) radonFamilyMean(tuples []tuple, k, f int, method safearea.Metho
 			e.famSub[string(sub)] = famRef{fam: fam, slot: i}
 		}
 		e.famMu.Unlock()
+		return pt, uint32(size), nil
 	})
-	if ent.err != nil {
-		return nil, 0, ent.err
+	if err != nil {
+		return nil, 0, err
 	}
-	return ent.pt.Clone(), ent.n, nil
+	return pt.Clone(), int(size), nil
 }
 
 // AverageGammaSets is AverageGamma over explicitly materialized candidate

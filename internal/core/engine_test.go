@@ -11,6 +11,7 @@ import (
 
 	"repro/internal/combin"
 	"repro/internal/geometry"
+	"repro/internal/raceflag"
 	"repro/internal/safearea"
 )
 
@@ -96,6 +97,39 @@ func TestEngineSafePointMatchesSafearea(t *testing.T) {
 				t.Fatalf("d=%d f=%d rep=%d: engine %v != safearea %v", c.d, c.f, rep, got, want)
 			}
 		}
+	}
+}
+
+// TestEngineSafePointHitAllocs: Exact BVC's n processes all ask SafePoint
+// for the same multiset, so after the first solve each call is a hit, and
+// a hit allocates only the copy it returns — the memo key is built in
+// pooled scratch.
+func TestEngineSafePointHitAllocs(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("allocation counts are not meaningful under -race")
+	}
+	d, f := 2, 1
+	ms := geometry.NewMultiset(d)
+	for _, tp := range randomTuples(rand.New(rand.NewSource(5)), MinProcesses(VariantExactSync, d, f), d) {
+		if err := ms.Add(tp.value); err != nil {
+			t.Fatal(err)
+		}
+	}
+	eng := NewEngine(1, true)
+	if _, err := eng.SafePoint(ms, f, safearea.MethodAuto); err != nil {
+		t.Fatal(err)
+	}
+	before := eng.Counters()
+	allocs := testing.AllocsPerRun(100, func() {
+		if _, err := eng.SafePoint(ms, f, safearea.MethodAuto); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if allocs != 1 {
+		t.Errorf("SafePoint hit: %v allocs, want 1 (the returned Clone)", allocs)
+	}
+	if c := eng.Counters().Sub(before); c.Solves != 0 || c.CacheHits != 101 {
+		t.Errorf("counters over the hits: %+v, want 101 cache hits and no solve", c)
 	}
 }
 
@@ -234,8 +268,10 @@ func TestEngineCountersExactAcrossWorkers(t *testing.T) {
 // from a pool of 64 values): building its key — the walk's interning
 // included — and probing the table. hit-parallel recalls a warmed set of
 // keys from every P at once (the lock-free path), miss inserts a fresh set
-// per iteration (lock, key copy and node carving, amortized resizes and
-// drops). Both report B/entry, the key bytes the table stores per entry.
+// per iteration (lock, record carving, amortized resizes and drops; no
+// point is computed). Both report B/entry, the key bytes the table stores
+// per entry, and retained-B/entry, the bytes its store holds per entry:
+// slots, records with their inline keys, key and float chunks.
 func BenchmarkEngineMemo(b *testing.B) {
 	const poolSize, k, d, f = 64, 7, 2, 2
 	pool := randomTuples(rand.New(rand.NewSource(1)), poolSize, d)
@@ -246,29 +282,32 @@ func BenchmarkEngineMemo(b *testing.B) {
 		}
 		return sel
 	}
-	lookup := func(sc *gammaScratch, set []tuple) *gammaEntry {
+	keyOf := func(sc *gammaScratch, set []tuple) []byte {
 		sc.startSet()
 		for i := range set {
 			sc.addMember(set, i)
 		}
 		key, _ := sc.setKey(len(set))
-		return sc.e.memo.get(key)
+		return key
 	}
-	keyBytes := func(b *testing.B, eng *Engine) {
-		n, bytes := eng.memo.memoKeyBytes()
-		b.ReportMetric(float64(bytes)/float64(n), "B/entry")
+	report := func(b *testing.B, eng *Engine) {
+		n, keyBytes := eng.memo.memoKeyBytes()
+		_, held := eng.memo.memoRetained()
+		b.ReportMetric(float64(keyBytes)/float64(n), "B/entry")
+		b.ReportMetric(float64(held)/float64(n), "retained-B/entry")
 	}
 	b.Run("hit-parallel", func(b *testing.B) {
 		eng := NewEngine(0, true)
 		sets := make([][]tuple, 4096)
 		sc := eng.scratch(nil, 1, k, poolSize, d, f, safearea.MethodAuto)
+		solved := func() (geometry.Vector, uint32, error) { return geometry.Vector{1, 2}, 0, nil }
 		for i := range sets {
 			idx, err := combin.Unrank(poolSize, k, int64(i)*7919, nil)
 			if err != nil {
 				b.Fatal(err)
 			}
 			sets[i] = set(nil, idx)
-			lookup(&sc, sets[i])
+			solveOnce(eng.memo, keyOf(&sc, sets[i]), solved)
 		}
 		var goroutine atomic.Int64
 		b.ReportAllocs()
@@ -277,15 +316,15 @@ func BenchmarkEngineMemo(b *testing.B) {
 			sc := eng.scratch(nil, 1, k, poolSize, d, f, safearea.MethodAuto)
 			i := int(goroutine.Add(1)) * 997
 			for pb.Next() {
-				if lookup(&sc, sets[i%len(sets)]) == nil {
-					b.Error("nil entry")
+				if _, id, _, inserted := eng.memo.get(keyOf(&sc, sets[i%len(sets)])); inserted || id >= uint32(len(sets)) {
+					b.Error("warmed set missed")
 					return
 				}
 				i++
 			}
 		})
 		b.StopTimer()
-		keyBytes(b, eng)
+		report(b, eng)
 	})
 	b.Run("miss", func(b *testing.B) {
 		eng := NewEngine(1, true)
@@ -296,9 +335,9 @@ func BenchmarkEngineMemo(b *testing.B) {
 		for b.Loop() {
 			combin.Next(poolSize, idx)
 			sel = set(sel, idx)
-			lookup(&sc, sel)
+			eng.memo.get(keyOf(&sc, sel))
 		}
-		keyBytes(b, eng)
+		report(b, eng)
 	})
 }
 

@@ -27,14 +27,22 @@ import (
 // earlier generation: a walk still holding an old interner builds keys
 // that only old-generation inserts match, at worst a dead entry.
 type valueIDs struct {
-	gen  uint64
-	ids  *memoTable[uint64] // AppendKey bytes → id, set by onInsert
-	next uint64             // next id; guarded by ids.mu
+	gen uint64
+	ids *memoTable[struct{}] // AppendKey bytes → a record whose index is the id
+	e   *Engine
 }
 
 // id returns the id of the value whose AppendKey bytes are key. A hit takes
-// no lock.
-func (v *valueIDs) id(key []byte) uint64 { return *v.ids.get(key) }
+// no lock. The insert that assigns the engine's last id ends the
+// generation: it drops the Γ-point table, whose onDrop installs the next
+// interner.
+func (v *valueIDs) id(key []byte) uint64 {
+	_, i, _, inserted := v.ids.get(key)
+	if inserted && int(i) == v.e.maxValues-1 {
+		v.e.memo.reset()
+	}
+	return uint64(i)
+}
 
 // maxInternValues bounds a generation's interner: the insert that assigns
 // the last id ends the generation. Ids below it take at most two uvarint
@@ -43,20 +51,11 @@ const maxInternValues = 1 << 14
 
 // nextGen installs a fresh interner under the next generation number. It is
 // the Γ-point table's onDrop, so it runs under that table's lock, or at
-// construction before the engine is shared.
+// construction before the engine is shared. An interner never drops: walks
+// still holding it after its generation ended add at most a few values.
 func (e *Engine) nextGen() {
 	e.gens++
-	v := &valueIDs{gen: e.gens, ids: newMemoTable[uint64](math.MaxInt, nil)}
-	v.ids.onInsert = func(id *uint64) {
-		*id = v.next
-		v.next++
-		if v.next == uint64(e.maxValues) {
-			// Lock order: an interner's lock, then the Γ-point
-			// table's; nextGen takes no interner lock.
-			e.memo.reset()
-		}
-	}
-	e.values.Store(v)
+	e.values.Store(&valueIDs{gen: e.gens, ids: newMemoTable[struct{}](math.MaxInt32, nil), e: e})
 }
 
 // Γ-point memo key tags: full candidate sets (and SafePoint's multisets)

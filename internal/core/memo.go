@@ -1,44 +1,53 @@
 package core
 
 import (
+	"encoding/binary"
 	"hash/maphash"
-	"slices"
-	"strings"
+	"math/bits"
 	"sync"
 	"sync/atomic"
+
+	"repro/internal/geometry"
 )
 
 // memoMinSlots is the slot count a table starts from after construction,
 // Reset or a drop at its bound; the array then grows only with content.
 const memoMinSlots = 32
 
-// memoTable is the Engine's get-or-create map from byte keys to entries of
-// type V: an open-addressed hash table whose hits take no lock.
+// memoInlineKey is the longest key a record holds inline. A Γ-point key of
+// up to eight members fits even with two-byte ids and generation
+// (9 + 1 + 2 + 8·2 bytes); longer keys live in the store's key arena.
+const memoInlineKey = 28
+
+// memoTable is the Engine's get-or-create map from byte keys to records
+// holding a V: an open-addressed hash table whose hits take no lock.
 //
-// A lookup hashes the key with maphash, loads the current slot array and
-// probes it linearly, comparing the slot's hash and then the full stored key
-// (so a 64-bit hash collision costs one extra compare, never a wrong entry).
-// A miss takes the table mutex, re-probes the current array — an entry
-// another goroutine inserted, or moved by a resize, since the lock-free probe
-// is found there — and inserts, doubling the array whenever the load would
-// pass ½. Arrays are never written after being replaced, so a reader still
-// probing a replaced array sees a consistent, ½-loaded table and at worst
-// misses into the locked path.
+// A slot is one atomic word: the low 32 bits of its key's hash beside its
+// record's index plus one (0: empty). The probe position comes from the
+// same bits, so a resize re-places slots without reading records. Records
+// live in a store (memoStore) of append-only arenas; a record holds its key
+// inline when it has at most memoInlineKey bytes, else the key's index in
+// the key arena, and a computed entry's point (solveOnce) lives in the
+// float arena. Records are numbered densely from 0 in insertion order: the
+// interner's ids.
 //
-// An insert carves its node and a copy of its key from the table's current
-// chunks instead of allocating them. A fresh chunk serves an eighth as many
-// entries as the table already holds, at least one and at most
-// memoMaxChunk, and is used to the end of its allocation size class: chunks
-// start at single entries, grow with content, and leave at most about an
-// eighth of it unused. Carved memory is never written again, so readers
-// need no lock to read a node or its key.
+// A lookup hashes the key with maphash, loads the current slots and probes
+// linearly, comparing the slot's hash bits and then the record's key (a
+// collision costs one extra compare, never a wrong entry). A miss takes
+// the table mutex, re-probes the current array — an entry another
+// goroutine inserted, or moved by a resize, since the lock-free probe is
+// found there — and inserts, doubling the array whenever the load would
+// pass ¾ (eight slots share a cache line). Arrays are never written after
+// being replaced, so a reader still probing one sees a consistent table
+// and at worst misses into the locked path. Arena memory is written before
+// the slot or state store that publishes it and is never moved or written
+// again, so readers need no lock.
 //
-// The table is bounded: an insert at max entries first drops every entry by
-// swapping in a fresh minimal array and releasing the chunks (entries are
-// pure functions of their key, so a drop only costs recomputation), and
-// onDrop, when set, runs under the table lock at that moment and at reset.
-// onInsert, when set, runs under the table lock on every new entry before
-// it is published, so lock-free readers see what it wrote.
+// The table is bounded: an insert at max entries (max < 2³²) first drops
+// every entry by swapping in a fresh store (entries are pure functions of
+// their key, so a drop only costs recomputation), and onDrop, when set,
+// runs under the table lock at that moment and at reset. A lookup reads
+// everything from the store it found the record in.
 //
 // The table never looks inside its keys; the Engine chooses them. Γ-point
 // keys name each member by its interned id (valueIDs), which is exact
@@ -46,154 +55,234 @@ const memoMinSlots = 32
 // geometry.AppendKey bytes; every Γ-point key carries its generation, so
 // ids reissued after a drop cannot hit an older generation's entries. The
 // round (zi) and Radon-family (fams) tables key on the values' bytes.
-// Interners are memoTables too, with onInsert assigning ids.
 type memoTable[V any] struct {
-	seed     maphash.Seed
-	max      int
-	onDrop   func()
-	onInsert func(*V)
-	slots    atomic.Pointer[[]memoSlot[V]]
+	seed   maphash.Seed
+	max    int
+	onDrop func()
+	slots  atomic.Pointer[memoSlots[V]]
 
-	mu    sync.Mutex
-	n     int           // entries in the current array; guarded by mu
-	nodes []memoNode[V] // uncarved rest of the node chunk; guarded by mu
-	// keys is the key chunk. A strings.Builder only ever appends, so each
-	// key is a substring of its String() that later writes cannot touch.
-	keys strings.Builder // guarded by mu
+	mu   sync.Mutex
+	done sync.Cond // broadcast when a pending record leaves pending; L is &mu
 }
 
-// memoSlot is one slot of an array. A slot is written once: hash, then the
-// node pointer that publishes it, so a reader that loads a non-nil node
-// also sees its hash. Keeping the hash beside the pointer lets a probe skip
-// a non-matching slot without touching its node.
-type memoSlot[V any] struct {
-	hash uint64
-	node atomic.Pointer[memoNode[V]]
+// memoSlots is a slot array and the store its records live in, published
+// together so that a lookup loads one pointer.
+type memoSlots[V any] struct {
+	words []atomic.Uint64
+	st    *memoStore[V]
 }
 
-// memoNode is one table entry: the key it was created for (a substring of a
-// key chunk) and the value handed out for it.
-type memoNode[V any] struct {
-	key string
-	val V
+// memoStore is a table's arenas between drops.
+type memoStore[V any] struct {
+	recs   memoArena[memoRecord[V]]
+	keys   memoArena[byte]    // keys longer than memoInlineKey
+	floats memoArena[float64] // points of computed entries
+	errs   map[uint32]error   // errors of failed records; guarded by the table's mu
 }
 
-// memoMaxChunk bounds how many entries one chunk serves.
-const memoMaxChunk = 128
+// memoRecord is one entry. meta holds the key's length above a
+// memoStateBits-bit state: a record starts pending, and solveOnce moves it
+// to done or failed once, after writing val.
+type memoRecord[V any] struct {
+	val  V
+	meta atomic.Uint32
+	key  [memoInlineKey]byte // the key, or its key-arena index
+}
+
+const (
+	memoPending = iota
+	memoDone
+	memoFailed
+
+	memoStateBits = 2
+	memoStateMask = 1<<memoStateBits - 1
+)
+
+// memoChunkBits bounds a record chunk to 2^memoChunkBits records.
+const memoChunkBits = 7
 
 func newMemoTable[V any](max int, onDrop func()) *memoTable[V] {
-	t := &memoTable[V]{seed: maphash.MakeSeed(), max: max, onDrop: onDrop}
-	t.slots.Store(minMemoSlots[V]())
+	t := &memoTable[V]{seed: maphash.MakeSeed(), max: max}
+	t.done.L = &t.mu
+	t.dropLocked()
+	t.onDrop = onDrop
 	return t
 }
 
-// minMemoSlots returns a fresh array of memoMinSlots empty slots.
-func minMemoSlots[V any]() *[]memoSlot[V] {
-	s := make([]memoSlot[V], memoMinSlots)
-	return &s
+// memoArena is an append-only run of T addressed by dense uint32 indices.
+// Chunk c holds indices [2^c − 1, 2^(c+1) − 1) until chunks reach 2^bits
+// elements, and 2^bits each from then on, so chunks grow with content and
+// leave at most one chunk's worth unused. A carve that does not fit the
+// rest of its chunk starts the next one; a carve longer than that chunk
+// gets it sized to fit.
+type memoArena[T any] struct {
+	chunks atomic.Pointer[[][]T]
+	next   uint32 // first uncarved index; guarded by the table's mu
+	bits   uint8
 }
 
-// find returns the node stored under (h, key), or nil with the index of the
-// empty slot that ends key's probe sequence. len(s) is a power of two.
-func find[V any](s []memoSlot[V], key []byte, h uint64) (uint64, *memoNode[V]) {
-	mask := uint64(len(s) - 1)
-	for i := h & mask; ; i = (i + 1) & mask {
-		nd := s[i].node.Load()
-		if nd == nil || s[i].hash == h && nd.key == string(key) {
-			return i, nd
+// memoChunkOf returns the chunk of an arena with chunks of at most 2^b
+// elements that holds index i, i's offset in it, and the chunk's nominal
+// size.
+func memoChunkOf(i uint32, b uint8) (c, off, size uint32) {
+	ramp := uint32(1)<<b - 1 // indices in the growing chunks
+	if i < ramp {
+		c = uint32(bits.Len32(i+1)) - 1
+		return c, i + 1 - 1<<c, 1 << c
+	}
+	i -= ramp
+	return uint32(b) + i>>b, i & ramp, ramp + 1
+}
+
+// carve returns the index of n fresh contiguous elements, and the
+// elements. Caller holds the table's mu.
+func (a *memoArena[T]) carve(n int) (uint32, []T) {
+	if n == 0 {
+		return 0, nil
+	}
+	i := a.next
+	c, off, size := memoChunkOf(i, a.bits)
+	if off > 0 && int(size-off) < n {
+		i += size - off
+		c, off, size = memoChunkOf(i, a.bits)
+	}
+	var dir [][]T
+	if p := a.chunks.Load(); p != nil {
+		dir = *p
+	}
+	if off == 0 {
+		if int(c) >= len(dir) {
+			grown := make([][]T, max(2*len(dir), int(c)+1, 8))
+			copy(grown, dir)
+			a.chunks.Store(&grown)
+			dir = grown
+		}
+		dir[c] = make([]T, max(int(size), n))
+	}
+	a.next = i + min(uint32(n), size)
+	return i, dir[c][off : int(off)+n : int(off)+n]
+}
+
+// at returns the n elements carved at i, capped so that appending to them
+// cannot reach a neighbour.
+func (a *memoArena[T]) at(i uint32, n int) []T {
+	if n == 0 {
+		return nil
+	}
+	c, off, _ := memoChunkOf(i, a.bits)
+	return (*a.chunks.Load())[c][off : int(off)+n : int(off)+n]
+}
+
+// key returns r's key.
+func (st *memoStore[V]) key(r *memoRecord[V]) []byte {
+	n := int(r.meta.Load() >> memoStateBits)
+	if n <= memoInlineKey {
+		return r.key[:n]
+	}
+	return st.keys.at(binary.LittleEndian.Uint32(r.key[:]), n)
+}
+
+// find returns key's record and its index, or a nil record and the slot
+// that ends key's probe sequence. len(s.words) is a power of two.
+func (s *memoSlots[V]) find(key []byte, h uint64) (slot int, i uint32, r *memoRecord[V]) {
+	mask := len(s.words) - 1
+	for slot = int(h) & mask; ; slot = (slot + 1) & mask {
+		w := s.words[slot].Load()
+		if w == 0 {
+			return slot, 0, nil
+		}
+		if uint32(w>>32) != uint32(h) {
+			continue
+		}
+		i = uint32(w) - 1
+		c, off, _ := memoChunkOf(i, memoChunkBits)
+		r = &(*s.st.recs.chunks.Load())[c][off]
+		if string(s.st.key(r)) == string(key) {
+			return slot, i, r
 		}
 	}
 }
 
-// get returns the entry for key, creating a zero one if needed. Equal keys
-// get the same pointer until the table is dropped.
-func (t *memoTable[V]) get(key []byte) *V {
+// get returns key's record, its index and the store it lives in, inserting
+// a pending record if key is absent; inserted reports that. Equal keys get
+// the same record until the table is dropped.
+func (t *memoTable[V]) get(key []byte) (st *memoStore[V], i uint32, r *memoRecord[V], inserted bool) {
 	return t.getHashed(key, maphash.Bytes(t.seed, key))
 }
 
 // getHashed is get with the key's hash supplied (tests force collisions
 // through it).
-func (t *memoTable[V]) getHashed(key []byte, h uint64) *V {
-	if _, nd := find(*t.slots.Load(), key, h); nd != nil {
-		return &nd.val
+func (t *memoTable[V]) getHashed(key []byte, h uint64) (*memoStore[V], uint32, *memoRecord[V], bool) {
+	s := t.slots.Load()
+	if _, i, r := s.find(key, h); r != nil {
+		return s.st, i, r, false
 	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	s := *t.slots.Load()
-	i, nd := find(s, key, h)
-	if nd != nil {
-		return &nd.val
-	}
-	switch {
-	case t.n >= t.max:
-		t.dropLocked()
-		s = *t.slots.Load()
-		i, _ = find(s, key, h)
-	case 2*(t.n+1) > len(s):
-		s = t.grow(s)
-		i, _ = find(s, key, h)
-	}
-	nd = t.carve(key)
-	if t.onInsert != nil {
-		t.onInsert(&nd.val)
-	}
-	s[i].hash = h
-	s[i].node.Store(nd)
-	t.n++
-	return &nd.val
+	return t.insert(key, h)
 }
 
-// carve takes a zero node and a copy of key from the current chunks,
-// starting new ones sized to the table's content when they run out.
-// Caller holds mu.
-func (t *memoTable[V]) carve(key []byte) *memoNode[V] {
-	chunk := min(max(t.n/8, 1), memoMaxChunk)
-	if len(t.nodes) == 0 {
-		t.nodes = slices.Grow([]memoNode[V](nil), chunk) // capacity to the size class
-		t.nodes = t.nodes[:cap(t.nodes)]
+// insert is get's locked path.
+func (t *memoTable[V]) insert(key []byte, h uint64) (*memoStore[V], uint32, *memoRecord[V], bool) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s := t.slots.Load()
+	slot, i, r := s.find(key, h)
+	if r != nil {
+		return s.st, i, r, false
 	}
-	nd := &t.nodes[0]
-	t.nodes = t.nodes[1:]
-	if t.keys.Cap()-t.keys.Len() < len(key) {
-		t.keys = strings.Builder{}
-		t.keys.Grow(chunk * len(key))
+	switch n := int(s.st.recs.next); {
+	case n >= t.max:
+		s = t.dropLocked()
+		slot, _, _ = s.find(key, h)
+	case 4*(n+1) > 3*len(s.words):
+		s = t.grow(s)
+		slot, _, _ = s.find(key, h)
 	}
-	start := t.keys.Len()
-	t.keys.Write(key)
-	nd.key = t.keys.String()[start:]
-	return nd
+	st := s.st
+	i, recs := st.recs.carve(1)
+	r = &recs[0]
+	if len(key) <= memoInlineKey {
+		copy(r.key[:], key)
+	} else {
+		at, long := st.keys.carve(len(key))
+		copy(long, key)
+		binary.LittleEndian.PutUint32(r.key[:], at)
+	}
+	r.meta.Store(uint32(len(key)) << memoStateBits)
+	s.words[slot].Store(h<<32 | uint64(i+1))
+	return st, i, r, true
 }
 
 // grow publishes a doubled copy of s and returns it. Caller holds mu.
-func (t *memoTable[V]) grow(s []memoSlot[V]) []memoSlot[V] {
-	ns := make([]memoSlot[V], 2*len(s))
-	mask := uint64(len(ns) - 1)
-	for i := range s {
-		nd := s[i].node.Load()
-		if nd == nil {
+func (t *memoTable[V]) grow(s *memoSlots[V]) *memoSlots[V] {
+	ns := &memoSlots[V]{words: make([]atomic.Uint64, 2*len(s.words)), st: s.st}
+	mask := len(ns.words) - 1
+	for i := range s.words {
+		w := s.words[i].Load()
+		if w == 0 {
 			continue
 		}
-		// Keys are distinct, so the node goes to the first empty slot.
-		j := s[i].hash & mask
-		for ns[j].node.Load() != nil {
+		// Keys are distinct, so the word goes to the first empty slot.
+		j := int(w>>32) & mask
+		for ns.words[j].Load() != 0 {
 			j = (j + 1) & mask
 		}
-		ns[j].hash = s[i].hash
-		ns[j].node.Store(nd)
+		ns.words[j].Store(w)
 	}
-	t.slots.Store(&ns)
+	t.slots.Store(ns)
 	return ns
 }
 
-// dropLocked swaps in a fresh minimal array and releases the chunks.
-// Caller holds mu.
-func (t *memoTable[V]) dropLocked() {
-	t.slots.Store(minMemoSlots[V]())
-	t.n = 0
-	t.nodes, t.keys = nil, strings.Builder{}
+// dropLocked publishes memoMinSlots empty slots over a fresh store, whose
+// float and key chunks top out at 4 KiB, and returns them. Caller holds mu.
+func (t *memoTable[V]) dropLocked() *memoSlots[V] {
+	st := &memoStore[V]{}
+	st.recs.bits, st.keys.bits, st.floats.bits = memoChunkBits, 12, 9
+	s := &memoSlots[V]{words: make([]atomic.Uint64, memoMinSlots), st: st}
+	t.slots.Store(s)
 	if t.onDrop != nil {
 		t.onDrop()
 	}
+	return s
 }
 
 // reset drops every entry.
@@ -201,4 +290,53 @@ func (t *memoTable[V]) reset() {
 	t.mu.Lock()
 	t.dropLocked()
 	t.mu.Unlock()
+}
+
+// memoResult is a computed record's value: where its point lies in the
+// store's float arena, and one count (a prefix entry's certification, a
+// reduction's size). The padding makes a record 48 bytes, so a chunk of
+// 2^memoChunkBits fills its 6 KiB size class and fewer records straddle a
+// cache line.
+type memoResult struct {
+	pt, dim, n uint32
+	_          uint32
+}
+
+// solveOnce returns key's point and count, computing them with fill when
+// key is new. Exactly one caller computes; a caller that meets the record
+// while it is pending waits on the table, and every caller gets the same
+// point — carved into the store's float arena, shared, never to be
+// mutated — or the same error. fresh reports whether this call computed.
+func solveOnce(t *memoTable[memoResult], key []byte, fill func() (geometry.Vector, uint32, error)) (pt geometry.Vector, n uint32, fresh bool, err error) {
+	st, i, r, fresh := t.get(key)
+	if fresh {
+		p, cnt, ferr := fill()
+		t.mu.Lock()
+		state := uint32(memoDone)
+		if ferr != nil {
+			if st.errs == nil {
+				st.errs = make(map[uint32]error)
+			}
+			st.errs[i], state = ferr, memoFailed
+		} else {
+			at, fl := st.floats.carve(len(p))
+			copy(fl, p)
+			r.val = memoResult{pt: at, dim: uint32(len(p)), n: cnt}
+		}
+		r.meta.Add(state)
+		t.done.Broadcast()
+		t.mu.Unlock()
+	}
+	if r.meta.Load()&memoStateMask != memoDone {
+		t.mu.Lock()
+		for r.meta.Load()&memoStateMask == memoPending {
+			t.done.Wait()
+		}
+		err = st.errs[i]
+		t.mu.Unlock()
+		if err != nil {
+			return nil, 0, fresh, err
+		}
+	}
+	return st.floats.at(r.val.pt, int(r.val.dim)), r.val.n, fresh, nil
 }

@@ -2,12 +2,15 @@ package core
 
 import (
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"math/rand"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"unsafe"
 
 	"repro/internal/geometry"
 	"repro/internal/raceflag"
@@ -15,37 +18,82 @@ import (
 )
 
 // memoTestKey is a 121-byte key (9 bytes of metadata plus seven 2-d
-// values: a candidate-set key spelling out its members' bytes) that
-// differs from its siblings only in its last 8 bytes, so every hit
-// compares the whole key.
+// values: a candidate-set key spelling out its members' bytes, as the
+// round and Radon-family keys still do) that differs from its siblings only
+// in its last 8 bytes, so every hit compares the whole key. It is longer
+// than memoInlineKey, so its bytes live in the key arena.
 func memoTestKey(dst []byte, i int) []byte {
 	dst = append(dst[:0], make([]byte, 113)...)
 	return binary.BigEndian.AppendUint64(dst, uint64(i))
 }
 
+// memoShortKey is an 18-byte key, the length of a sim-rasync-f2 Γ-point
+// key, held inline in its record; it too differs only in its last 8 bytes.
+func memoShortKey(dst []byte, i int) []byte {
+	dst = append(dst[:0], make([]byte, 10)...)
+	return binary.BigEndian.AppendUint64(dst, uint64(i))
+}
+
+// memoKeyShapes are the two places a record's key can live.
+var memoKeyShapes = []struct {
+	name string
+	key  func(dst []byte, i int) []byte
+}{{"inline", memoShortKey}, {"arena", memoTestKey}}
+
 // memoEntries returns the table's entry count and slot-array length.
 func (t *memoTable[V]) memoEntries() (n, slots int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	return t.n, len(*t.slots.Load())
+	s := t.slots.Load()
+	return int(s.st.recs.next), len(s.words)
+}
+
+// chunkLens returns the lengths of the arena's allocated chunks, in order.
+func (a *memoArena[T]) chunkLens() []int {
+	var lens []int
+	if p := a.chunks.Load(); p != nil {
+		for _, c := range *p {
+			if c != nil {
+				lens = append(lens, len(c))
+			}
+		}
+	}
+	return lens
+}
+
+// memoRetained returns the table's entry count and the bytes its store
+// holds: the slot array, and the record (keys inline), key and float
+// chunks.
+func (t *memoTable[V]) memoRetained() (n, bytes int) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	s := t.slots.Load()
+	st := s.st
+	bytes = 8*len(s.words) + st.recs.heldBytes() + st.keys.heldBytes() + st.floats.heldBytes()
+	return int(st.recs.next), bytes
+}
+
+// heldBytes returns the bytes of the arena's chunks.
+func (a *memoArena[T]) heldBytes() (bytes int) {
+	var zero T
+	for _, n := range a.chunkLens() {
+		bytes += n * int(unsafe.Sizeof(zero))
+	}
+	return bytes
 }
 
 // TestMemoTableConcurrentGetOrCreate: goroutines racing over overlapping
 // keys — through the lock-free hit path, the locked insert path and every
 // resize — get exactly one entry per key, computed exactly once, and the
-// same pointer for equal keys.
+// same point for equal keys.
 func TestMemoTableConcurrentGetOrCreate(t *testing.T) {
-	type counted struct {
-		once sync.Once
-		id   int
-	}
 	const goroutines, lookups, keys = 8, 10_000, 2_000
-	tab := newMemoTable[counted](1<<12, nil)
+	tab := newMemoTable[memoResult](1<<12, nil)
 	var computed [keys]atomic.Int32
-	seen := make([][]*counted, goroutines)
+	seen := make([][]*float64, goroutines)
 	var wg sync.WaitGroup
 	for g := 0; g < goroutines; g++ {
-		seen[g] = make([]*counted, keys)
+		seen[g] = make([]*float64, keys)
 		wg.Add(1)
 		go func(g int) {
 			defer wg.Done()
@@ -53,20 +101,19 @@ func TestMemoTableConcurrentGetOrCreate(t *testing.T) {
 			for l := 0; l < lookups; l++ {
 				k := (l*7 + g*251) % keys // every goroutine visits every key
 				key = memoTestKey(key, k)
-				ent := tab.get(key)
-				ent.once.Do(func() {
+				pt, _, _, err := solveOnce(tab, key, func() (geometry.Vector, uint32, error) {
 					computed[k].Add(1)
-					ent.id = k
+					return geometry.Vector{float64(k)}, 0, nil
 				})
-				if ent.id != k {
-					t.Errorf("key %d: entry computed for key %d", k, ent.id)
+				if err != nil || len(pt) != 1 || pt[0] != float64(k) {
+					t.Errorf("key %d: point %v, error %v", k, pt, err)
 					return
 				}
-				if prev := seen[g][k]; prev != nil && prev != ent {
-					t.Errorf("key %d: two entries seen by one goroutine", k)
+				if prev := seen[g][k]; prev != nil && prev != &pt[0] {
+					t.Errorf("key %d: two points seen by one goroutine", k)
 					return
 				}
-				seen[g][k] = ent
+				seen[g][k] = &pt[0]
 			}
 		}(g)
 	}
@@ -80,7 +127,7 @@ func TestMemoTableConcurrentGetOrCreate(t *testing.T) {
 		}
 		for g := 1; g < goroutines; g++ {
 			if seen[g][k] != seen[0][k] {
-				t.Fatalf("key %d: goroutines %d and 0 got different entries", k, g)
+				t.Fatalf("key %d: goroutines %d and 0 got different points", k, g)
 			}
 		}
 	}
@@ -89,27 +136,106 @@ func TestMemoTableConcurrentGetOrCreate(t *testing.T) {
 	}
 }
 
+// waitersIn returns how many goroutines are blocked in solveOnce's wait
+// for a pending record, reading their stacks into buf.
+func waitersIn(buf []byte) int {
+	n := 0
+	for _, g := range strings.Split(string(buf[:runtime.Stack(buf, true)]), "\n\n") {
+		if strings.Contains(g, "sync.(*Cond).Wait") && strings.Contains(g, "core.solveOnce") {
+			n++
+		}
+	}
+	return n
+}
+
+// TestMemoTableConcurrentMiss: eight goroutines miss one key together.
+// Exactly one computes while the other seven wait on the table, and every
+// caller gets the same point; an erroring compute is seen by every waiter
+// and by every later caller, and none of them counts as a hit.
+func TestMemoTableConcurrentMiss(t *testing.T) {
+	const goroutines = 8
+	for _, fail := range []error{nil, errors.New("no safe point")} {
+		tab := newMemoTable[memoResult](1<<10, nil)
+		key := memoShortKey(nil, 1)
+		var computes, returned atomic.Int32
+		pts := make([]geometry.Vector, goroutines)
+		errs := make([]error, goroutines)
+		tallies := make([]gammaTally, goroutines)
+		var wg sync.WaitGroup
+		for g := range goroutines {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				pt, _, fresh, err := solveOnce(tab, key, func() (geometry.Vector, uint32, error) {
+					computes.Add(1)
+					// Wait until the others wait; a caller that returns
+					// without waiting ends the loop too, and fails below.
+					buf := make([]byte, 1<<20)
+					for waitersIn(buf)+int(returned.Load()) < goroutines-1 {
+						runtime.Gosched()
+					}
+					return geometry.Vector{1.5, -2}, 0, fail
+				})
+				returned.Add(1)
+				pts[g], errs[g] = pt, err
+				tallies[g].record(fresh, err, &tallies[g].cacheHits)
+			}()
+		}
+		wg.Wait()
+		if c := computes.Load(); c != 1 {
+			t.Fatalf("error %v: %d computes, want 1", fail, c)
+		}
+		var total gammaTally
+		for g := range goroutines {
+			total.solves += tallies[g].solves
+			total.cacheHits += tallies[g].cacheHits
+			if errs[g] != fail {
+				t.Errorf("error %v: caller %d got error %v", fail, g, errs[g])
+			}
+			if fail == nil && (len(pts[g]) != 2 || &pts[g][0] != &pts[0][0] || pts[g][0] != 1.5) {
+				t.Errorf("caller %d got point %v, caller 0 %v", g, pts[g], pts[0])
+			}
+		}
+		wantHits := uint64(goroutines - 1)
+		if fail != nil {
+			wantHits = 0
+			if _, _, fresh, err := solveOnce(tab, key, nil); fresh || err != fail {
+				t.Errorf("recall of a failed entry: fresh %v, error %v", fresh, err)
+			}
+		}
+		if total.solves != 1 || total.cacheHits != wantHits {
+			t.Errorf("error %v: %d solves and %d hits, want 1 and %d", fail, total.solves, total.cacheHits, wantHits)
+		}
+	}
+}
+
 // TestMemoTableHashCollision: distinct keys under one forced hash get
 // distinct entries — across the resizes their shared probe chain forces —
 // and each lookup finds its own.
 func TestMemoTableHashCollision(t *testing.T) {
-	const keys, h = 40, 7
-	tab := newMemoTable[int](1<<10, nil)
-	ents := make([]*int, keys)
-	var key []byte
-	for i := range ents {
-		key = memoTestKey(key, i)
-		ents[i] = tab.getHashed(key, h)
-		*ents[i] = i
-	}
-	for i := range ents {
-		key = memoTestKey(key, i)
-		if got := tab.getHashed(key, h); got != ents[i] || *got != i {
-			t.Fatalf("key %d: found entry of key %d", i, *got)
+	for _, shape := range memoKeyShapes {
+		const keys, h = 40, 7
+		tab := newMemoTable[int](1<<10, nil)
+		ids := make([]uint32, keys)
+		var key []byte
+		for i := range ids {
+			key = shape.key(key, i)
+			_, id, r, inserted := tab.getHashed(key, h)
+			if !inserted {
+				t.Fatalf("%s key %d: found before insertion", shape.name, i)
+			}
+			r.val = i
+			ids[i] = id
 		}
-	}
-	if n, slots := tab.memoEntries(); n != keys || slots <= memoMinSlots {
-		t.Fatalf("%d entries in %d slots, want %d entries after growth", n, slots, keys)
+		for i := range ids {
+			key = shape.key(key, i)
+			if _, id, r, _ := tab.getHashed(key, h); id != ids[i] || r.val != i {
+				t.Fatalf("%s key %d: found entry of key %d", shape.name, i, r.val)
+			}
+		}
+		if n, slots := tab.memoEntries(); n != keys || slots <= memoMinSlots {
+			t.Fatalf("%s: %d entries in %d slots, want %d entries after growth", shape.name, n, slots, keys)
+		}
 	}
 }
 
@@ -121,7 +247,7 @@ func TestMemoTableBoundDrops(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	d, f := 2, 1
 	n := MinProcesses(VariantExactSync, d, f)
-	tab := newMemoTable[gammaEntry](bound, nil)
+	tab := newMemoTable[memoResult](bound, nil)
 	keys := make([][]byte, sets)
 	pts := make([]*geometry.Multiset, sets)
 	for i := range pts {
@@ -136,18 +262,20 @@ func TestMemoTableBoundDrops(t *testing.T) {
 	}
 	solves := 0
 	point := func(i int) string {
-		ent := tab.get(keys[i])
-		ent.once.Do(func() {
-			solves++
-			ent.pt, ent.err = safearea.PointWith(pts[i], f, safearea.MethodAuto)
+		pt, _, fresh, err := solveOnce(tab, keys[i], func() (geometry.Vector, uint32, error) {
+			pt, err := safearea.PointWith(pts[i], f, safearea.MethodAuto)
+			return pt, 0, err
 		})
-		if ent.err != nil {
-			t.Fatal(ent.err)
+		if fresh {
+			solves++
+		}
+		if err != nil {
+			t.Fatal(err)
 		}
 		if got, _ := tab.memoEntries(); got > bound {
 			t.Fatalf("table holds %d entries, bound %d", got, bound)
 		}
-		return geometry.Key(ent.pt)
+		return geometry.Key(pt)
 	}
 	want := make([]string, sets)
 	for i := range want {
@@ -164,72 +292,80 @@ func TestMemoTableBoundDrops(t *testing.T) {
 }
 
 // TestMemoTableAllocBudget: a hit allocates nothing, and a miss carves its
-// node and key from chunks — well under one allocation per miss once the
-// table holds a few hundred entries.
+// record, and a long key's bytes, from chunks — well under one allocation
+// per miss once the table holds a few hundred entries.
 func TestMemoTableAllocBudget(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
-	tab := newMemoTable[gammaEntry](maxMemoEntries, nil)
-	keys := make([][]byte, 600)
-	for i := range keys {
-		keys[i] = memoTestKey(nil, i)
-	}
-	for _, key := range keys[:300] {
-		tab.get(key) // grow to 1024 slots: the misses below cause no resize
-	}
-	if allocs := testing.AllocsPerRun(100, func() { tab.get(keys[0]) }); allocs != 0 {
-		t.Errorf("hit: %v allocs, want 0", allocs)
-	}
-	next := 300
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	for ; next < 500; next++ {
-		tab.get(keys[next])
-	}
-	runtime.ReadMemStats(&m1)
-	// At 300–500 entries a chunk serves 37–62 of them: about four node and
-	// four key chunks for these 200 misses.
-	if allocs := m1.Mallocs - m0.Mallocs; allocs > 12 {
-		t.Errorf("200 misses: %d allocs, want ≤ 12", allocs)
+	for _, shape := range memoKeyShapes {
+		tab := newMemoTable[memoResult](maxMemoEntries, nil)
+		keys := make([][]byte, 600)
+		for i := range keys {
+			keys[i] = shape.key(nil, i)
+		}
+		for _, key := range keys[:300] {
+			tab.get(key)
+		}
+		if allocs := testing.AllocsPerRun(100, func() { tab.get(keys[0]) }); allocs != 0 {
+			t.Errorf("%s hit: %v allocs, want 0", shape.name, allocs)
+		}
+		solved := func() (geometry.Vector, uint32, error) { return geometry.Vector{1, 2}, 0, nil }
+		solveOnce(tab, keys[599], solved)
+		if allocs := testing.AllocsPerRun(100, func() { solveOnce(tab, keys[599], solved) }); allocs != 0 {
+			t.Errorf("%s hit through solveOnce: %v allocs, want 0", shape.name, allocs)
+		}
+		var m0, m1 runtime.MemStats
+		runtime.ReadMemStats(&m0)
+		for _, key := range keys[300:500] {
+			tab.get(key)
+		}
+		runtime.ReadMemStats(&m1)
+		// 200 misses from 300 entries: one record chunk of 128 records, one
+		// slot-array doubling at ¾ load, and for long keys about six 4 KiB
+		// key chunks.
+		if allocs := m1.Mallocs - m0.Mallocs; allocs > 12 {
+			t.Errorf("%s, 200 misses: %d allocs, want ≤ 12", shape.name, allocs)
+		} else {
+			t.Logf("%s, 200 misses: %d allocs", shape.name, allocs)
+		}
 	}
 }
 
-// TestMemoTableChunksFollowContent: a table's chunks start at single
-// entries, grow with its content up to memoMaxChunk, and a drop releases
+// TestMemoTableChunksFollowContent: a table's record chunks start at single
+// entries, grow with its content up to 2^memoChunkBits, and a drop releases
 // them; every key survives being carved next to others.
 func TestMemoTableChunksFollowContent(t *testing.T) {
-	tab := newMemoTable[int](1<<14, nil)
-	var sizes []int // node count of each chunk, in order
-	var key []byte
-	for i := 0; i < 4000; i++ {
-		fresh := len(tab.nodes) == 0
-		key = memoTestKey(key, i)
-		*tab.get(key) = i
-		if fresh {
-			sizes = append(sizes, len(tab.nodes)+1)
+	for _, shape := range memoKeyShapes {
+		tab := newMemoTable[int](1<<14, nil)
+		var key []byte
+		for i := 0; i < 4000; i++ {
+			key = shape.key(key, i)
+			_, _, r, _ := tab.get(key)
+			r.val = i
 		}
-	}
-	if sizes[0] > 4 {
-		t.Errorf("first chunk holds %d nodes, want a handful", sizes[0])
-	}
-	for i := 1; i < len(sizes); i++ {
-		if sizes[i] < sizes[i-1] {
-			t.Fatalf("chunk %d holds %d nodes, fewer than chunk %d's %d", i, sizes[i], i-1, sizes[i-1])
+		sizes := tab.slots.Load().st.recs.chunkLens() // record count of each chunk, in order
+		if sizes[0] > 4 {
+			t.Errorf("%s: first chunk holds %d records, want a handful", shape.name, sizes[0])
 		}
-	}
-	if last := sizes[len(sizes)-1]; last < memoMaxChunk || last > 2*memoMaxChunk {
-		t.Errorf("last chunk holds %d nodes, want about memoMaxChunk = %d", last, memoMaxChunk)
-	}
-	for i := 0; i < 4000; i++ {
-		key = memoTestKey(key, i)
-		if got := *tab.get(key); got != i {
-			t.Fatalf("key %d found entry %d", i, got)
+		for i := 1; i < len(sizes); i++ {
+			if sizes[i] < sizes[i-1] {
+				t.Fatalf("%s: chunk %d holds %d records, fewer than chunk %d's %d", shape.name, i, sizes[i], i-1, sizes[i-1])
+			}
 		}
-	}
-	tab.reset()
-	if tab.nodes != nil || tab.keys.Cap() != 0 {
-		t.Fatalf("reset kept chunks: %d nodes, %d key bytes", len(tab.nodes), tab.keys.Cap())
+		if last, max := sizes[len(sizes)-1], 1<<memoChunkBits; last < max || last > 2*max {
+			t.Errorf("%s: last chunk holds %d records, want about 2^memoChunkBits = %d", shape.name, last, max)
+		}
+		for i := 0; i < 4000; i++ {
+			key = shape.key(key, i)
+			if _, _, r, _ := tab.get(key); r.val != i {
+				t.Fatalf("%s: key %d found entry %d", shape.name, i, r.val)
+			}
+		}
+		tab.reset()
+		if st := tab.slots.Load().st; st.recs.chunks.Load() != nil || st.keys.chunks.Load() != nil {
+			t.Fatalf("%s: reset kept chunks: %v records, %v key bytes", shape.name, st.recs.chunkLens(), st.keys.chunkLens())
+		}
 	}
 }
 
@@ -362,14 +498,12 @@ func TestMemoIDKeysSurviveDrops(t *testing.T) {
 func (t *memoTable[V]) memoKeyBytes() (n, bytes int) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	s := *t.slots.Load()
-	for i := range s {
-		if nd := s[i].node.Load(); nd != nil {
-			n++
-			bytes += len(nd.key)
-		}
+	st := t.slots.Load().st
+	for i := range st.recs.next {
+		c, off, _ := memoChunkOf(i, memoChunkBits)
+		bytes += len(st.key(&(*st.recs.chunks.Load())[c][off]))
 	}
-	return n, bytes
+	return int(st.recs.next), bytes
 }
 
 // TestEngineMemoKeyBytes pins the Γ-point keys' footprint on a
@@ -391,4 +525,82 @@ func TestEngineMemoKeyBytes(t *testing.T) {
 	} else {
 		t.Logf("%.1f key bytes per entry", per)
 	}
+}
+
+// heapAfterGC returns the live heap after a full collection.
+func heapAfterGC() uint64 {
+	var m runtime.MemStats
+	runtime.GC()
+	runtime.GC()
+	runtime.ReadMemStats(&m)
+	return m.HeapAlloc
+}
+
+// TestEngineMemoBytesPerEntry pins the heap the Γ-point memo keeps per
+// entry on a sim-rasync-f2-shaped run: one serial engine walks 40 B sets of
+// 11 tuples (k = 7, d = 2, f = 2), 40 × C(11, 7) = 13 200 entries. Retained
+// heap after GC, divided by the entries, covers the slots, the record with
+// its inline key, the point, and the walks' interned values and round
+// entries: at most 96 bytes (163.5 with 16-byte slots and per-entry nodes).
+func TestEngineMemoBytesPerEntry(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("heap sizes are not meaningful under -race")
+	}
+	const walks = 40
+	rng := rand.New(rand.NewSource(17))
+	bsets := make([][]tuple, walks)
+	for i := range bsets {
+		bsets[i] = randomTuples(rng, 11, 2)
+	}
+	eng := NewEngine(1, true)
+	before := heapAfterGC()
+	for _, tuples := range bsets {
+		if _, _, err := eng.AverageGamma(tuples, 7, 2, safearea.MethodAuto); err != nil {
+			t.Fatal(err)
+		}
+	}
+	after := heapAfterGC()
+	n, _ := eng.memo.memoEntries()
+	if n != walks*330 {
+		t.Fatalf("%d entries, want %d", n, walks*330)
+	}
+	per := float64(int64(after)-int64(before)) / float64(n)
+	_, held := eng.memo.memoRetained()
+	t.Logf("%.1f bytes retained per entry (the table's store alone: %.1f)", per, float64(held)/float64(n))
+	if per > 96 {
+		t.Fatalf("%.1f bytes retained per Γ entry, want ≤ 96", per)
+	}
+	runtime.KeepAlive(bsets)
+}
+
+// TestEngineMemoBytesPerInternedValue pins the heap the value interner
+// keeps per value: 10 000 distinct d = 2 values, each stored once as a
+// record with its 16 key bytes inline, at most 48 bytes each with the
+// slots (92.8 with a node and a key string per value).
+func TestEngineMemoBytesPerInternedValue(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("heap sizes are not meaningful under -race")
+	}
+	const values = 10_000
+	rng := rand.New(rand.NewSource(19))
+	keys := make([]byte, 0, 16*values)
+	for range values {
+		keys = geometry.AppendKey(keys, geometry.Vector{rng.Float64(), rng.Float64()})
+	}
+	eng := NewEngine(1, true)
+	v := eng.values.Load()
+	before := heapAfterGC()
+	for i := range values {
+		if id := v.id(keys[16*i : 16*i+16]); id != uint64(i) {
+			t.Fatalf("value %d got id %d", i, id)
+		}
+	}
+	after := heapAfterGC()
+	per := float64(int64(after)-int64(before)) / values
+	t.Logf("%.1f bytes retained per interned value", per)
+	if per > 48 {
+		t.Fatalf("%.1f bytes retained per interned value, want ≤ 48", per)
+	}
+	runtime.KeepAlive(keys)
+	runtime.KeepAlive(eng)
 }
