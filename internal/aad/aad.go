@@ -77,11 +77,12 @@ type Result struct {
 // Coordinator runs the witness exchange for every asynchronous round of one
 // process. It is a pure state machine: Start/Handle return the messages to
 // broadcast; the caller transmits them (simulator engine or live runtime).
-// The returned slices are the coordinator's scratch, valid until its next
-// StartRound or Handle call; the values inside them follow the
-// broadcast.RBC ownership rule (retain, never write).
+// The returned message slices are the coordinator's scratch, valid until
+// its next StartRound or Handle call; a returned result is its round's
+// frozen state. The values inside both follow the broadcast.RBC ownership
+// rule (retain, never write).
 type Coordinator struct {
-	n, f    int
+	n       int
 	quorum  int // n − f
 	self    sim.ProcID
 	rbc     *broadcast.RBC
@@ -93,7 +94,6 @@ type Coordinator struct {
 	lingering bool
 
 	out [2]Msg // one call emits at most an RBC message and a report
-	res [1]Result
 }
 
 // roundState tracks one round's exchange with flat, origin-indexed state and
@@ -116,7 +116,7 @@ type roundState struct {
 	missing   []int
 	witnesses int
 
-	result Result // frozen at completion
+	result [1]Result // frozen at completion; Handle returns it as is
 }
 
 // isWitness reports the (non-monotone) witness predicate for reporter r.
@@ -137,7 +137,7 @@ func NewCoordinator(n, f int, self sim.ProcID, dim int) (*Coordinator, error) {
 		return nil, err
 	}
 	return &Coordinator{
-		n: n, f: f, quorum: n - f,
+		n: n, quorum: n - f,
 		self:    self,
 		rbc:     rbc,
 		horizon: broadcast.DefaultHorizon,
@@ -165,13 +165,15 @@ func (c *Coordinator) Dropped() int { return c.dropped }
 func (c *Coordinator) Linger() {
 	c.lingering = true
 	c.rounds = nil
-	c.res[0] = Result{}
 }
 
-// RetiredRounds counts the rounds whose reliable broadcasts have all
-// finished (broadcast.RBC.RetiredTags): for them the coordinator can never
-// send anything again.
-func (c *Coordinator) RetiredRounds() int { return c.rbc.RetiredTags() }
+// Quiescent reports whether the coordinator is lingering and every round
+// up to its horizon has retired — all its reliable broadcasts finished
+// (broadcast.RBC.RetiredTags): no message can make it send anything again,
+// so it can be dropped without changing what it says.
+func (c *Coordinator) Quiescent() bool {
+	return c.lingering && c.rbc.RetiredTags() == c.horizon
+}
 
 // inRange reports whether round t may have state, counting the drop if not.
 func (c *Coordinator) inRange(t int) bool {
@@ -214,7 +216,7 @@ func (c *Coordinator) StartRound(t int, value geometry.Vector) ([]Msg, error) {
 // processes even after this process moved on (totality), and early
 // round-(t+1) traffic from fast processes must not be lost.
 func (c *Coordinator) Handle(from sim.ProcID, m Msg) ([]Msg, []Result) {
-	var res *Result
+	var res []Result
 	nout := 0
 	switch m.Kind {
 	case KindRBC:
@@ -250,12 +252,11 @@ func (c *Coordinator) Handle(from sim.ProcID, m Msg) ([]Msg, []Result) {
 		}
 		return c.out[:nout], nil
 	}
-	c.res[0] = *res
-	return c.out[:nout], c.res[:]
+	return c.out[:nout], res
 }
 
 // deliver adds a reliably broadcast tuple to its round's B set.
-func (c *Coordinator) deliver(st *roundState, d broadcast.RBCDelivery) *Result {
+func (c *Coordinator) deliver(st *roundState, d broadcast.RBCDelivery) []Result {
 	st.delivered[d.Origin] = true
 	st.tuples = append(st.tuples, Tuple{Origin: d.Origin, Value: d.Value})
 	// The delivery may clear the last missing origin of any reporter that
@@ -273,7 +274,7 @@ func (c *Coordinator) deliver(st *roundState, d broadcast.RBCDelivery) *Result {
 	return c.checkCompletion(st, d.Tag)
 }
 
-func (c *Coordinator) handleReport(from sim.ProcID, rep ReportMsg) *Result {
+func (c *Coordinator) handleReport(from sim.ProcID, rep ReportMsg) []Result {
 	if int(rep.Origin) < 0 || int(rep.Origin) >= c.n || int(from) < 0 || int(from) >= c.n {
 		return nil
 	}
@@ -308,7 +309,7 @@ func (c *Coordinator) handleReport(from sim.ProcID, rep ReportMsg) *Result {
 // reaching n−f witnesses it freezes the round result. The witness prefixes,
 // in reporter-id order, and the tuples are views of the round's tables:
 // both are append-only, so what the views cover is never rewritten.
-func (c *Coordinator) checkCompletion(st *roundState, round int) *Result {
+func (c *Coordinator) checkCompletion(st *roundState, round int) []Result {
 	if st.completed || !st.started || st.witnesses < c.quorum {
 		return nil
 	}
@@ -320,8 +321,8 @@ func (c *Coordinator) checkCompletion(st *roundState, round int) *Result {
 	}
 	st.completed = true
 	k := len(st.tuples)
-	st.result = Result{Round: round, Tuples: st.tuples[:k:k], WitnessPrefixes: prefixes}
-	return &st.result
+	st.result[0] = Result{Round: round, Tuples: st.tuples[:k:k], WitnessPrefixes: prefixes}
+	return st.result[:]
 }
 
 // Completed reports whether round t's exchange has finished, and its result.
@@ -329,7 +330,7 @@ func (c *Coordinator) Completed(t int) (*Result, bool) {
 	if t < 0 || t >= len(c.rounds) || c.rounds[t] == nil || !c.rounds[t].completed {
 		return nil, false
 	}
-	return &c.rounds[t].result, true
+	return &c.rounds[t].result[0], true
 }
 
 // round returns round t's state, creating it on first use. The caller has

@@ -19,12 +19,14 @@ import (
 // byte below 32 repeats one already delivered. Once the bytes run out the
 // rest is delivered in order.
 //
-// Retirement must be sound and final. When Retired(tag) first holds, the
-// RBC has emitted an ECHO, a READY and a delivery for every origin of the
-// tag, and has released the tag's slab; replaying every message of the tag
-// delivered so far, in a schedule-derived order, then emits nothing and
-// delivers nothing, and so does every later message of the tag. With the
-// whole schedule delivered, tag 2 has retired.
+// Retirement must be sound and final. After every step, a tag with at
+// least n−f touched instances — those of the origins some delivered message
+// named, and the RBC's own — that have all emitted an ECHO, a READY and a
+// delivery holds no slab. When Retired(tag) first holds, the RBC has emitted all three for
+// every origin of the tag; replaying every message of the tag delivered so
+// far, in a schedule-derived order, then emits nothing and delivers
+// nothing, and so does every later message of the tag. With the whole
+// schedule delivered, tag 2 has retired.
 func FuzzRBCRetire(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{0, 1, 2, 3, 255, 254, 31, 17})
@@ -80,10 +82,16 @@ func FuzzRBCRetire(f *testing.F) {
 		for tag := range seen {
 			seen[tag] = make([]emitted, n)
 		}
+		touched := make([][]bool, tags+1)
+		for tag := range touched {
+			touched[tag] = make([]bool, n)
+			touched[tag][0] = tag > 0 // the RBC's own Broadcast
+		}
 		retired := make([]bool, tags+1)
 		handle := func(it busItem) {
 			tag := it.msg.Tag
 			was := r.Retired(tag)
+			touched[tag][it.msg.Origin] = true // every INIT comes from its origin
 			out, dels := r.Handle(it.from, it.msg)
 			if was && (len(out) != 0 || len(dels) != 0) {
 				t.Fatalf("retired tag %d: %v from %d produced %v and %v", tag, it.msg.Phase, it.from, out, dels)
@@ -101,6 +109,16 @@ func FuzzRBCRetire(f *testing.F) {
 				seen[tag][d.Origin].delivery = true
 			}
 			history = append(history, it)
+			settled, count := true, 0
+			for o, e := range seen[tag] {
+				if touched[tag][o] {
+					count++
+					settled = settled && e.echo && e.ready && e.delivery
+				}
+			}
+			if settled && count >= n-fault && r.slabHeld(tag) {
+				t.Fatalf("tag %d: every touched instance finished, but its slab is still held: %+v", tag, seen[tag])
+			}
 			if was || !r.Retired(tag) {
 				return
 			}
@@ -111,7 +129,7 @@ func FuzzRBCRetire(f *testing.F) {
 				}
 			}
 			if r.tags[tag].insts != nil {
-				t.Fatalf("tag %d retired, but its slab is still held", tag)
+				t.Fatalf("tag %d retired, but it still holds instances", tag)
 			}
 			var replay []busItem
 			for _, old := range history {
@@ -161,5 +179,16 @@ func FuzzRBCRetire(f *testing.F) {
 // keeps no state for it and drops its messages, since none could make it
 // send or deliver anything again.
 func (r *RBC) Retired(tag int) bool {
-	return tag >= 0 && tag < len(r.tags) && r.tags[tag].finished == r.n
+	return tag >= 0 && tag < len(r.tags) && int(r.tags[tag].finished) == r.n
+}
+
+// finished reports whether origin's instance of tag has finished.
+func (r *RBC) finished(tag int, origin sim.ProcID) bool {
+	w, bit := r.doneBit(tag, origin)
+	return *w&bit != 0
+}
+
+// slabHeld reports whether tag holds a slab.
+func (r *RBC) slabHeld(tag int) bool {
+	return tag >= 0 && tag < len(r.tags) && r.tags[tag].insts != nil
 }

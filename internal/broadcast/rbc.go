@@ -75,31 +75,47 @@ const DefaultHorizon = 1 << 12
 // and may reuse the vector they passed in once Broadcast or Handle returns.
 // The slices Handle returns are the RBC's scratch, valid until its next call.
 //
-// Retirement: an instance that has echoed, readied and delivered can never
-// send or deliver again. Once all n instances of a tag have, the tag
-// retires — its slab is released and its later messages are dropped after
-// the validity checks — so a process keeps state only for tags it could
-// still act on.
+// Retirement: an instance that has echoed, readied and delivered has
+// finished — it can never send or deliver again — and its later messages
+// are dropped after the validity checks. An instance is touched once it has
+// tallied a value; one that is untouched holds nothing but zeros. A tag's
+// slab holds all n instances from the tag's first touch until at least n−f
+// instances are touched and every touched one has finished; then it is
+// released, and the tag keeps one bit per origin saying which finished. A
+// later message for an origin that was untouched at the release finds a
+// fresh slab, made as the first one was: its instance starts from the zeros
+// it had. So a tag behind a silent origin holds bits, not a slab. The n−f
+// floor is what a round needs anywhere it completes — n−f delivered
+// broadcasts, all touched here — so every tag of a decided process reaches
+// it; below it more origins are surely yet to start, and releasing the
+// slab early would only make them a second one. Once all n instances of a
+// tag have finished the tag is retired (RetiredTags).
 type RBC struct {
 	n, f    int
 	self    sim.ProcID
 	dim     int
 	horizon int // messages with a tag outside [0, horizon] are dropped
-	// tags holds one slab of all n origins' instances per tag, created on
-	// the tag's first message and indexed by tag.
+	// tags holds each named tag's state, indexed by tag; done holds the
+	// tags' finished-origin bits, words uint64s per tag, in the same order.
 	tags    []rbcTag
+	done    []uint64
+	words   int
 	retired int // tags whose every instance finished
 
 	out [1]RBCMsg // Handle emits at most one message and one delivery
 	del [1]RBCDelivery
 }
 
-// rbcTag is one tag's slab and the count of its instances that finished:
-// echoed, readied and delivered, so that no message can make them send or
-// deliver again. Once all n have, the slab is released and the tag retired.
+// rbcTag is one tag's slab of all n origins' instances, indexed by origin
+// — nil until a touch needs it and once released — and the counts that
+// decide when it goes: touched counts the instances that have tallied a
+// value, finished those that have echoed, readied and delivered. The finish
+// that makes finished reach touched, once touched is at least n−f,
+// releases the slab.
 type rbcTag struct {
 	insts    []rbcInst
-	finished int
+	touched  int32
+	finished int32
 }
 
 type rbcInst struct {
@@ -141,7 +157,7 @@ func NewRBC(n, f int, self sim.ProcID, dim int) (*RBC, error) {
 	if dim < 1 {
 		return nil, fmt.Errorf("broadcast: invalid value dimension %d", dim)
 	}
-	return &RBC{n: n, f: f, self: self, dim: dim, horizon: DefaultHorizon}, nil
+	return &RBC{n: n, f: f, self: self, dim: dim, horizon: DefaultHorizon, words: (n + 63) / 64}, nil
 }
 
 // SetHorizon makes h the largest tag the RBC keeps state for: state is
@@ -153,17 +169,19 @@ func (r *RBC) SetHorizon(h int) { r.horizon = h }
 // intersect in a correct process, which echoes only once.
 func (r *RBC) echoQuorum() int { return (r.n+r.f)/2 + 1 }
 
-// inst returns origin's instance for tag, creating the tag's slab on first
-// use, or nil once the tag is retired. The caller has checked both ranges.
-func (r *RBC) inst(origin sim.ProcID, tag int) *rbcInst {
-	for len(r.tags) <= tag {
-		r.tags = append(r.tags, rbcTag{})
+// inst returns origin's instance for tag, or nil once it has finished. The
+// caller has checked both ranges, and its message touches the instance: a
+// touch when the tag holds no slab — its first, or one after the release —
+// makes one.
+func (r *RBC) inst(origin sim.ProcID, tag int) (*rbcTag, *rbcInst) {
+	if tag >= len(r.tags) {
+		r.grow(tag)
+	}
+	if w, bit := r.doneBit(tag, origin); *w&bit != 0 {
+		return nil, nil
 	}
 	t := &r.tags[tag]
 	if t.insts == nil {
-		if t.finished == r.n {
-			return nil
-		}
 		insts := make([]rbcInst, r.n)
 		from := make([]bool, 2*r.n*r.n)
 		vals := make([]rbcVal, r.n)
@@ -175,29 +193,61 @@ func (r *RBC) inst(origin sim.ProcID, tag int) *rbcInst {
 		}
 		t.insts = insts
 	}
-	return &t.insts[origin]
+	return t, &t.insts[origin]
 }
 
-// finish counts one of tag's instances finished. It is called where an
-// instance's last flag flips, so each instance is counted once; the last of
-// the n releases the slab. Emitted values alias the slab's vectors, so
-// whatever still holds one keeps that storage, not the tallies, alive.
-func (r *RBC) finish(tag int) {
-	t := &r.tags[tag]
+// doneBit locates the bit of done that says origin's instance of tag
+// finished.
+func (r *RBC) doneBit(tag int, origin sim.ProcID) (*uint64, uint64) {
+	return &r.done[tag*r.words+int(origin)>>6], 1 << (uint(origin) & 63)
+}
+
+// eagerTags is the largest horizon for which the tag table is sized once,
+// at horizon+1 tags, on the first tag named: a protocol node's horizon is
+// its termination round count and it names every round up to it. Past it
+// the table grows with the tags named, so a caller on DefaultHorizon that
+// names a few tags does not pay for 4 097.
+const eagerTags = 256
+
+// grow extends the tag table and its done bits to cover tag: at once to
+// horizon+1 tags when the horizon is at most eagerTags, else to tag+1.
+func (r *RBC) grow(tag int) {
+	size := tag + 1
+	if len(r.tags) == 0 && r.horizon <= eagerTags {
+		size = r.horizon + 1
+	}
+	r.tags = append(r.tags, make([]rbcTag, size-len(r.tags))...)
+	r.done = append(r.done, make([]uint64, size*r.words-len(r.done))...)
+}
+
+// finish records that origin's instance of tag finished. It is called
+// where an instance's last flag flips, after the instance's last use, so
+// each instance is counted once. The finish that leaves no touched
+// instance unfinished, with at least n−f touched, releases the slab; a
+// tag's touched count only reaches n−f by a touch, which adds an unfinished
+// instance, so no release is missed. Emitted values alias the slab's
+// vectors, so whatever still holds one keeps that storage, not the
+// tallies, alive.
+func (r *RBC) finish(t *rbcTag, tag int, origin sim.ProcID) {
+	w, bit := r.doneBit(tag, origin)
+	*w |= bit
 	t.finished++
-	if t.finished == r.n {
-		t.insts = nil
+	if int(t.finished) == r.n {
 		r.retired++
+	}
+	if t.finished == t.touched && int(t.touched) >= r.n-r.f {
+		t.insts = nil
 	}
 }
 
 // RetiredTags counts the retired tags.
 func (r *RBC) RetiredTags() int { return r.retired }
 
-// tally returns the tally of value, registering it (with the instance's one
-// copy of the vector) on first sight. The pointer is valid until the next
-// tally call on this instance.
-func (i *rbcInst) tally(value geometry.Vector) *rbcVal {
+// tally returns instance i's tally of value, registering it (with the
+// instance's one copy of the vector) on first sight; the first registers
+// the instance as touched. The pointer is valid until the next tally call
+// on the instance.
+func (t *rbcTag) tally(i *rbcInst, value geometry.Vector) *rbcVal {
 	for idx := range i.vals {
 		if i.vals[idx].value.Equal(value) {
 			return &i.vals[idx]
@@ -206,6 +256,7 @@ func (i *rbcInst) tally(value geometry.Vector) *rbcVal {
 	own := i.slot
 	if len(i.vals) == 0 {
 		own = append(own, value...) // the slab slot: no allocation
+		t.touched++
 	} else {
 		own = value.Clone()
 	}
@@ -225,21 +276,21 @@ func (r *RBC) Broadcast(tag int, value geometry.Vector) (RBCMsg, error) {
 	}
 	// Registered with zero tallies, so the INIT, its loopback and the ECHO
 	// all alias the one copy. The own instance finishes only on the INIT's
-	// loopback, so its tag cannot have retired unless this is a second
+	// loopback, so it cannot have finished unless this is a second
 	// Broadcast.
-	inst := r.inst(r.self, tag)
+	t, inst := r.inst(r.self, tag)
 	if inst == nil {
-		return RBCMsg{}, fmt.Errorf("broadcast: tag %d already retired", tag)
+		return RBCMsg{}, fmt.Errorf("broadcast: tag %d: own broadcast already finished", tag)
 	}
-	v := inst.tally(value)
+	v := t.tally(inst, value)
 	return RBCMsg{Phase: RBCInit, Origin: r.self, Tag: tag, Value: v.value}, nil
 }
 
 // Handle processes one message from the network. It returns protocol
 // messages to broadcast to all processes and any deliveries triggered; both
 // slices are valid until the next Handle call. Malformed, out-of-horizon or
-// equivocating messages, and messages for a retired tag, are dropped or
-// ignored per protocol.
+// equivocating messages, and messages for a finished instance, are dropped
+// or ignored per protocol.
 func (r *RBC) Handle(from sim.ProcID, msg RBCMsg) ([]RBCMsg, []RBCDelivery) {
 	if int(msg.Origin) < 0 || int(msg.Origin) >= r.n || int(from) < 0 || int(from) >= r.n {
 		return nil, nil
@@ -247,7 +298,12 @@ func (r *RBC) Handle(from sim.ProcID, msg RBCMsg) ([]RBCMsg, []RBCDelivery) {
 	if !r.valid(msg.Tag, msg.Value) || msg.Phase < RBCInit || msg.Phase > RBCReady {
 		return nil, nil
 	}
-	inst := r.inst(msg.Origin, msg.Tag)
+	// Only the origin itself may INIT its instance. Checked before the
+	// lookup, so every message that reaches an instance touches it.
+	if msg.Phase == RBCInit && from != msg.Origin {
+		return nil, nil
+	}
+	t, inst := r.inst(msg.Origin, msg.Tag)
 	if inst == nil {
 		return nil, nil
 	}
@@ -255,14 +311,13 @@ func (r *RBC) Handle(from sim.ProcID, msg RBCMsg) ([]RBCMsg, []RBCDelivery) {
 
 	switch msg.Phase {
 	case RBCInit:
-		// Only the origin itself may INIT its instance; first INIT wins.
-		if from != msg.Origin || inst.echoed {
-			return nil, nil
+		if inst.echoed {
+			return nil, nil // first INIT wins
 		}
 		inst.echoed = true
-		r.out[0] = RBCMsg{Phase: RBCEcho, Origin: msg.Origin, Tag: msg.Tag, Value: inst.tally(msg.Value).value}
+		r.out[0] = RBCMsg{Phase: RBCEcho, Origin: msg.Origin, Tag: msg.Tag, Value: t.tally(inst, msg.Value).value}
 		if inst.readied && inst.delivered {
-			r.finish(msg.Tag)
+			r.finish(t, msg.Tag, msg.Origin)
 		}
 		return r.out[:], nil
 
@@ -271,7 +326,7 @@ func (r *RBC) Handle(from sim.ProcID, msg RBCMsg) ([]RBCMsg, []RBCDelivery) {
 			return nil, nil
 		}
 		inst.from[from] = true
-		c := inst.tally(msg.Value)
+		c := t.tally(inst, msg.Value)
 		c.echoes++
 		if c.echoes >= r.echoQuorum() && !inst.readied {
 			ready = c
@@ -282,7 +337,7 @@ func (r *RBC) Handle(from sim.ProcID, msg RBCMsg) ([]RBCMsg, []RBCDelivery) {
 			return nil, nil
 		}
 		inst.from[r.n+int(from)] = true
-		c := inst.tally(msg.Value)
+		c := t.tally(inst, msg.Value)
 		c.readies++
 		if c.readies >= r.f+1 && !inst.readied {
 			ready = c
@@ -298,17 +353,14 @@ func (r *RBC) Handle(from sim.ProcID, msg RBCMsg) ([]RBCMsg, []RBCDelivery) {
 		inst.readied = true
 		r.out[0] = RBCMsg{Phase: RBCReady, Origin: msg.Origin, Tag: msg.Tag, Value: ready.value}
 		out = r.out[:]
-		if inst.echoed && inst.delivered {
-			r.finish(msg.Tag)
-		}
 	}
 	if deliver != nil {
 		inst.delivered = true
 		r.del[0] = RBCDelivery{Origin: msg.Origin, Tag: msg.Tag, Value: deliver.value}
 		deliveries = r.del[:]
-		if inst.echoed && inst.readied {
-			r.finish(msg.Tag)
-		}
+	}
+	if (ready != nil || deliver != nil) && inst.echoed && inst.readied && inst.delivered {
+		r.finish(t, msg.Tag, msg.Origin)
 	}
 	return out, deliveries
 }

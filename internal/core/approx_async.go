@@ -268,31 +268,38 @@ func (a *AsyncNode) finishRound(res *aad.Result) (advanced bool) {
 
 	if a.round >= a.rounds {
 		a.decision = a.v.Clone()
-		a.linger()
+		a.shed()
 		return false
 	}
 	a.round++
 	return true
 }
 
-// linger drops what only advancing rounds needs: finishRound's scratch and,
+// shed drops what only advancing rounds needs: finishRound's scratch and,
 // through the coordinator, every round's witness tables.
-func (a *AsyncNode) linger() {
+func (a *AsyncNode) shed() {
 	a.tuples, a.byOrigin, a.sets, a.members = nil, nil, nil, nil
 	a.coord.Linger()
+}
+
+// Linger hands back the exchange coordinator of a decided node, or nil
+// before the decision. From its decision on, a node's Step only steps the
+// coordinator: the messages Handle returns are its outbox, a message the
+// coordinator counts in Dropped is StepOutOfRange, and the node is
+// Quiescent exactly when the coordinator is. So a caller that keeps only
+// what can still send may keep the coordinator and drop the node — its
+// history, outbox and round state. The simulators keep stepping the node.
+func (a *AsyncNode) Linger() *aad.Coordinator {
+	if a.decision == nil {
+		return nil
+	}
+	return a.coord
 }
 
 func (a *AsyncNode) fail(err error) {
 	if a.err == nil {
 		a.err = err
 	}
-}
-
-// Quiescent reports whether the node has decided and every reliable
-// broadcast of its rounds 1..R has retired: no message can make it send
-// anything again, so it can be dropped without changing what it says.
-func (a *AsyncNode) Quiescent() bool {
-	return a.decision != nil && a.coord.RetiredRounds() == a.rounds
 }
 
 // Decision returns the decided vector once the node has terminated.

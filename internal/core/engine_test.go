@@ -590,3 +590,9 @@ func (e *ExactNode) AgreedMultiset() *geometry.Multiset {
 // Decided reports whether the node has reached its decision (step_test.go
 // polls it); the node keeps serving the exchange afterwards.
 func (a *AsyncNode) Decided() bool { return a.decision != nil }
+
+// Quiescent reports whether the node has decided and every reliable
+// broadcast of its rounds 1..R has retired (node_transcript_test.go replays
+// into quiescent nodes): no message can make it send anything again. The
+// service asks the coordinator AsyncNode.Linger hands back.
+func (a *AsyncNode) Quiescent() bool { return a.coord.Quiescent() }

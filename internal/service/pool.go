@@ -7,7 +7,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"math/rand"
+	"math/rand/v2"
 	"net"
 	"sync"
 	"sync/atomic"
@@ -77,7 +77,7 @@ func newPeerLink(svc *Service, id int, addr string) *peerLink {
 		epoch: svc.cfg.Epoch,
 		out:   newMailbox[byte](svc.cfg.OutboxDepth),
 		ready: make(chan struct{}),
-		rng:   rand.New(rand.NewSource(svc.cfg.Seed ^ int64(uint64(id+1)*0x9e3779b97f4a7c15))),
+		rng:   rand.New(rand.NewPCG(uint64(svc.cfg.Seed)^uint64(id+1)*0x9e3779b97f4a7c15, 0)),
 	}
 	p.cond = sync.NewCond(&p.mu)
 	return p
@@ -163,7 +163,7 @@ func (p *peerLink) noteDialFail(backoff time.Duration) time.Duration {
 	if half <= 0 {
 		return backoff
 	}
-	return time.Duration(half + p.rng.Int63n(half+1))
+	return time.Duration(half + p.rng.Int64N(half+1))
 }
 
 // noteStall records one full-outbox stall on a connected link.

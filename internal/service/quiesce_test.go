@@ -86,14 +86,55 @@ func TestCrashedOriginInstanceLingers(t *testing.T) {
 
 // decidedInstanceBudget is the committed ceiling on heap retained per
 // decided instance across the five processes of an in-process n = 5 mesh
-// with a one-minute linger window, 2 s after the last decision. An instance
-// that lingers holds its whole exchange: ≈ 48 KB here. One tombstoned on
-// quiescence leaves next to nothing of its own: the batch's sequential ids
-// merge into one tombstone range per shard. The measured 0.04–5.4 KB is the
-// inbox and reader-chunk high-water marks a burst of 200 concurrent
-// instances leaves behind. The mesh runs an unmemoized Γ engine, whose memo
-// would otherwise grow with every distinct input.
+// with a one-minute linger window, 2 s after the last decision. One
+// tombstoned on quiescence leaves next to nothing of its own: the batch's
+// sequential ids merge into one tombstone range per shard. The measured
+// 0.04–5.4 KB is the inbox and reader-chunk high-water marks a burst of 200
+// concurrent instances leaves behind. (An instance that lingers is pinned
+// by lingeringInstanceBudget.) The mesh runs an unmemoized Γ engine, whose
+// memo would otherwise grow with every distinct input.
 const decidedInstanceBudget = 8 << 10
+
+// lingeringInstanceBudget is the committed ceiling on heap retained per
+// decided instance that still lingers, across the four survivors of an
+// n = 5 mesh whose fifth process closed before proposing. Such an instance
+// keeps only what it can still send with: its record, its exchange
+// coordinator and RBC, and per round one bit per origin saying which
+// broadcasts finished — every round's slab went when its four touched
+// broadcasts finished, and the node (history, outbox, round state) and the
+// result channel went at the decision. The measured 3.4–4.5 KB is about
+// 0.9 KB per survivor; while every round kept its whole RBC slab and the
+// service kept the decided node, each instance held 20.5 KB here.
+const lingeringInstanceBudget = 6 << 10
+
+// footprintBatch proposes instances [first, first+footprintInstances) on
+// every service and waits for every result.
+func footprintBatch(t *testing.T, svcs []*Service, rng *rand.Rand, first uint64) {
+	t.Helper()
+	var all [][]<-chan Result
+	for id := first; id < first+footprintInstances; id++ {
+		all = append(all, proposeAll(t, svcs, id, randomInputs(rng, svcs[0].n, 2)))
+	}
+	for _, chans := range all {
+		for i, ch := range chans {
+			if res := collect(t, ch, 30*time.Second); res.Err != nil {
+				t.Fatalf("process %d: %v", i, res.Err)
+			}
+		}
+	}
+}
+
+// footprintInstances is the batch size of the footprint tests.
+const footprintInstances = 200
+
+// heapAfterGC is HeapAlloc after a full collection.
+func heapAfterGC() uint64 {
+	var ms runtime.MemStats
+	runtime.GC()
+	runtime.GC() // the second empties the sync.Pools' victim caches
+	runtime.ReadMemStats(&ms)
+	return ms.HeapAlloc
+}
 
 // TestDecidedInstanceFootprint measures HeapAlloc after GC before and after
 // a batch of 200 concurrent instances on one mesh — two warm-up batches
@@ -104,7 +145,7 @@ func TestDecidedInstanceFootprint(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("heap figures are not meaningful under -race")
 	}
-	const n, instances = 5, 200
+	const n, instances = 5, footprintInstances
 	engine := core.NewEngine(1, false)
 	svcs := startMesh(t, n, func(_ int, cfg *Config) {
 		cfg.LingerTimeout = time.Minute
@@ -112,17 +153,7 @@ func TestDecidedInstanceFootprint(t *testing.T) {
 	})
 	rng := rand.New(rand.NewSource(73))
 	batch := func(first uint64) {
-		var all [][]<-chan Result
-		for id := first; id < first+instances; id++ {
-			all = append(all, proposeAll(t, svcs, id, randomInputs(rng, n, 2)))
-		}
-		for _, chans := range all {
-			for i, ch := range chans {
-				if res := collect(t, ch, 30*time.Second); res.Err != nil {
-					t.Fatalf("process %d: %v", i, res.Err)
-				}
-			}
-		}
+		footprintBatch(t, svcs, rng, first)
 		// Up to 2 s for the instances to leave the linger state; the heap,
 		// not this wait, is what the test judges.
 		lingering := func() (sum int64) {
@@ -135,20 +166,52 @@ func TestDecidedInstanceFootprint(t *testing.T) {
 			time.Sleep(10 * time.Millisecond)
 		}
 	}
-	heap := func() uint64 {
-		var ms runtime.MemStats
-		runtime.GC()
-		runtime.GC() // the second empties the sync.Pools' victim caches
-		runtime.ReadMemStats(&ms)
-		return ms.HeapAlloc
-	}
 	batch(1)
 	batch(1 + instances)
-	before := heap()
+	before := heapAfterGC()
 	batch(1 + 2*instances)
-	per := (int64(heap()) - int64(before)) / instances
+	per := (int64(heapAfterGC()) - int64(before)) / instances
 	t.Logf("%d bytes retained per decided instance (budget %d)", per, decidedInstanceBudget)
 	if per > decidedInstanceBudget {
 		t.Errorf("%d bytes retained per decided instance, budget %d", per, decidedInstanceBudget)
+	}
+}
+
+// TestLingeringInstanceFootprint is the same measurement behind a crashed
+// origin: process 4 is closed before anything is proposed, so no survivor's
+// instance can quiesce, and every instance of the three batches must still
+// be lingering when the heap is read. It pins what one lingering instance
+// holds per lingeringInstanceBudget. The shard inboxes are bounded at 512
+// frames, so the warm-up batches take their swap buffers to the bound: at
+// the default 4 096 a buffer that first reaches a new high-water mark in
+// the measured batch keeps it, which added 0–2.4 KB per instance, run to
+// run, to the ~3.5 KB the instances themselves hold.
+func TestLingeringInstanceFootprint(t *testing.T) {
+	if raceflag.Enabled {
+		t.Skip("heap figures are not meaningful under -race")
+	}
+	const n, instances = 5, footprintInstances
+	engine := core.NewEngine(1, false)
+	svcs := startMesh(t, n, func(_ int, cfg *Config) {
+		cfg.LingerTimeout = time.Minute
+		cfg.Node.Engine = engine
+		cfg.QueueDepth = 512 // see above
+	})
+	_ = svcs[n-1].Close()
+	live := svcs[:n-1]
+	rng := rand.New(rand.NewSource(79))
+	footprintBatch(t, live, rng, 1)
+	footprintBatch(t, live, rng, 1+instances)
+	before := heapAfterGC()
+	footprintBatch(t, live, rng, 1+2*instances)
+	per := (int64(heapAfterGC()) - int64(before)) / instances
+	for i, s := range live {
+		if st := s.Stats(); st.Lingering != 3*instances || st.Quiesced != 0 {
+			t.Errorf("service %d: lingering %d, quiesced %d; want %d, 0", i, st.Lingering, st.Quiesced, 3*instances)
+		}
+	}
+	t.Logf("%d bytes retained per lingering instance (budget %d)", per, lingeringInstanceBudget)
+	if per > lingeringInstanceBudget {
+		t.Errorf("%d bytes retained per lingering instance, budget %d", per, lingeringInstanceBudget)
 	}
 }

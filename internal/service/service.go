@@ -496,23 +496,29 @@ type localMsg struct {
 	msg  aad.Msg
 }
 
-// instance is one open consensus instance owned by a shard. After done it
-// lingers: the result has been delivered, but the node keeps serving the
-// exchange for lagging peers until it is quiescent or lingerUntil passes,
-// whichever is first. mesh is the epoch pin:
-// every send goes out on the birth epoch's link set, and the pin is
-// released (possibly retiring that epoch) when the instance tombstones.
+// instance is one open consensus instance owned by a shard. Once decided
+// (done) it lingers: the result has been delivered, and the instance keeps
+// serving the exchange for lagging peers until it is quiescent or its
+// deadline, reset to the linger window at the decision, passes, whichever
+// is first. A lingering instance keeps only what it can still send with:
+// node and res are dropped at the decision, and coord — the node's
+// exchange coordinator, handed back by AsyncNode.Linger — is stepped
+// directly. mesh is the epoch pin: every send goes out on the birth
+// epoch's link set, and the pin is released (possibly retiring that epoch)
+// when the instance tombstones.
 type instance struct {
 	id            uint64
-	node          *core.AsyncNode
-	res           chan Result
+	node          *core.AsyncNode  // nil once done
+	coord         *aad.Coordinator // set once done
+	res           chan Result      // nil once done
 	mesh          *mesh
 	started       time.Time
-	deadline      time.Time
-	done          bool
-	lingerUntil   time.Time
-	lingerExtends int // partition-aware extensions granted so far
+	deadline      time.Time // to decide by; once done, to linger until
+	lingerExtends int       // partition-aware extensions granted so far
 }
+
+// done reports whether the instance has decided and is lingering.
+func (inst *instance) done() bool { return inst.coord != nil }
 
 // pendingBox buffers frames for an instance peers started before the
 // local Propose arrived.
@@ -603,7 +609,7 @@ func (sh *shard) run() {
 			sh.expire(time.Now())
 		case <-sh.svc.stop:
 			for _, inst := range sh.instances {
-				if inst.done {
+				if inst.done() {
 					continue // result already delivered; it was only lingering
 				}
 				inst.res <- Result{Instance: inst.id, Epoch: inst.mesh.epoch, Err: ErrServiceClosed}
@@ -717,17 +723,36 @@ func (sh *shard) open(req proposeReq) {
 }
 
 // step feeds one message to the instance's state machine and acts on what
-// it reports.
+// it reports. A lingering instance's coordinator is stepped as its node's
+// Step would: what it emits goes out, a dropped round counts as out of
+// range, and the step that makes it quiescent tombstones it.
 func (sh *shard) step(inst *instance, from int, m *aad.Msg) {
-	sh.afterStep(inst, inst.node.Step(sim.ProcID(from), m))
+	if !inst.done() {
+		sh.afterStep(inst, inst.node.Step(sim.ProcID(from), m))
+		return
+	}
+	dropped := inst.coord.Dropped()
+	out, _ := inst.coord.Handle(sim.ProcID(from), *m)
+	if inst.coord.Dropped() != dropped {
+		sh.svc.ctr.outOfRange.Add(1)
+		return
+	}
+	for i := range out {
+		sh.broadcast(inst, &out[i])
+	}
+	if inst.coord.Quiescent() {
+		sh.svc.ctr.quiesced.Add(1)
+		sh.tombstone(inst)
+	}
 }
 
 // afterStep sends what the node's step left in its outbox and moves the
 // instance along its lifecycle: a failed node is retired with its error; a
 // node that just decided delivers its result and transitions to lingering —
-// it stays registered, serving the exchange for lagging peers, until it is
-// quiescent, when it is tombstoned at once, or until expire tombstones it.
-// A quiescent node answers nothing, so dropping it changes no message.
+// it stays registered, serving the exchange for lagging peers through its
+// coordinator alone, until it is quiescent, when it is tombstoned at once,
+// or until expire tombstones it. A quiescent node answers nothing, so
+// dropping it changes no message.
 func (sh *shard) afterStep(inst *instance, st core.StepStatus) {
 	out := inst.node.Outbox()
 	for i := range out {
@@ -742,8 +767,7 @@ func (sh *shard) afterStep(inst *instance, st core.StepStatus) {
 		sh.retire(inst, Result{Instance: inst.id, Epoch: inst.mesh.epoch, Rounds: inst.node.Rounds(), Elapsed: time.Since(inst.started), Err: err})
 	case core.StepDecided:
 		dec, _ := inst.node.Decision() // a decided node has no error
-		inst.done = true
-		inst.lingerUntil = time.Now().Add(sh.svc.cfg.LingerTimeout)
+		inst.deadline = time.Now().Add(sh.svc.cfg.LingerTimeout)
 		sh.svc.ctr.decided.Add(1)
 		sh.svc.ctr.lingering.Add(1)
 		inst.res <- Result{
@@ -755,10 +779,12 @@ func (sh *shard) afterStep(inst *instance, st core.StepStatus) {
 		}
 		sh.svc.ctr.active.Add(-1)
 		sh.svc.checkDrained()
-	}
-	if inst.done && inst.node.Quiescent() {
-		sh.svc.ctr.quiesced.Add(1)
-		sh.tombstone(inst)
+		inst.coord = inst.node.Linger()
+		inst.node, inst.res = nil, nil
+		if inst.coord.Quiescent() {
+			sh.svc.ctr.quiesced.Add(1)
+			sh.tombstone(inst)
+		}
 	}
 }
 
@@ -819,12 +845,12 @@ const maxLingerExtends = 4
 // windows.
 func (sh *shard) expire(now time.Time) {
 	for _, inst := range sh.instances {
-		if inst.done {
-			if now.After(inst.lingerUntil) {
+		if inst.done() {
+			if now.After(inst.deadline) {
 				if inst.lingerExtends < maxLingerExtends &&
 					sh.svc.reachable(inst.mesh) < sh.svc.n-sh.svc.cfg.Node.F {
 					inst.lingerExtends++
-					inst.lingerUntil = now.Add(sh.svc.cfg.LingerTimeout)
+					inst.deadline = now.Add(sh.svc.cfg.LingerTimeout)
 					sh.svc.ctr.lingerExtensions.Add(1)
 					continue
 				}
