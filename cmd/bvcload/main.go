@@ -71,7 +71,6 @@ type loadConfig struct {
 	duration  time.Duration
 	instances int
 	policy    string
-	shards    int
 	seed      int64
 	timeout   time.Duration
 	minRate   float64
@@ -93,7 +92,6 @@ func run(args []string, w io.Writer) error {
 	fs.DurationVar(&cfg.duration, "duration", 2*time.Second, "load duration (with -rate fixes the instance count); -chaos runs at least its scenario's horizon")
 	fs.IntVar(&cfg.instances, "instances", 0, "exact instance count (overrides rate×duration when > 0)")
 	fs.StringVar(&cfg.policy, "policy", "block", "slow-peer policy: block or shed")
-	fs.IntVar(&cfg.shards, "shards", 0, "instance shards per process (0 = service default)")
 	fs.Int64Var(&cfg.seed, "seed", 1, "master random seed for inputs")
 	fs.DurationVar(&cfg.timeout, "timeout", 30*time.Second, "per-instance timeout")
 	fs.Float64Var(&cfg.minRate, "minrate", 0, "fail when achieved instances/sec is below this (0 = no gate)")
@@ -264,7 +262,6 @@ func drive(cfg loadConfig) (*loadResult, error) {
 			ID:              i,
 			Epoch:           epoch,
 			Addrs:           tmpl,
-			Shards:          cfg.shards,
 			SlowPeer:        policy,
 			OutboxDepth:     cfg.outbox,
 			InstanceTimeout: cfg.timeout,

@@ -78,8 +78,10 @@ type Result struct {
 // process. It is a pure state machine: Start/Handle return the messages to
 // broadcast; the caller transmits them (simulator engine or live runtime).
 // The returned message slices are the coordinator's scratch, valid until
-// its next StartRound or Handle call; a returned result is its round's
-// frozen state. The values inside both follow the broadcast.RBC ownership
+// its next StartRound or Handle call; a caller done with one clears it, so
+// the last emission does not keep the broadcast slab its values alias
+// alive past the slab's release. A returned result is its round's frozen
+// state. The values inside both follow the broadcast.RBC ownership
 // rule (retain, never write).
 type Coordinator struct {
 	n       int
@@ -243,6 +245,8 @@ func (c *Coordinator) Handle(from sim.ProcID, m Msg) ([]Msg, []Result) {
 				res = c.deliver(st, d)
 			}
 		}
+		clear(outRBC) // copied into out; see the RBC ownership rule
+		clear(deliveries)
 	case KindReport:
 		res = c.handleReport(from, m.Report)
 	}

@@ -73,7 +73,9 @@ const DefaultHorizon = 1 << 12
 // tallies it, and that copy is never rewritten. Everything the RBC emits
 // aliases it: callers may retain emitted values but never write to them,
 // and may reuse the vector they passed in once Broadcast or Handle returns.
-// The slices Handle returns are the RBC's scratch, valid until its next call.
+// The slices Handle returns are the RBC's scratch, valid until its next
+// call; a caller done with them clears them, or the last emission keeps
+// alive the slab its value aliases after the release below.
 //
 // Retirement: an instance that has echoed, readied and delivered has
 // finished — it can never send or deliver again — and its later messages

@@ -130,8 +130,10 @@ func (a *AsyncNode) Step(from sim.ProcID, m *aad.Msg) StepStatus {
 	if a.coord.Dropped() != dropped {
 		return StepOutOfRange
 	}
-	// out is the coordinator's scratch; the next round's start reuses it.
+	// out is the coordinator's scratch; the next round's start reuses it,
+	// and cleared it pins no broadcast slab once the node lingers.
 	a.outbox = append(a.outbox, out...)
+	clear(out)
 	if a.decision != nil {
 		return StepContinue // linger: serve the protocol, but no further rounds
 	}

@@ -53,14 +53,14 @@ func BenchmarkLinkWriteBatch(b *testing.B) {
 	}
 }
 
-// BenchmarkShardDispatch is the shard/dispatch layer record: a reader-side
-// burst of k decoded frames appended to the shard's inbox, swapped out by
-// the running shard and routed by instance id. The tombstone variant routes
+// BenchmarkShardDispatch is the dispatch layer record: a reader-side burst
+// of k decoded frames appended to the instance loop's inbox, swapped out by
+// the running loop and routed by instance id. The tombstone variant routes
 // to a finished instance, so the protocol's own cost stays out; the live
 // variant routes to an open instance, so every frame is one protocol step
 // (an ECHO the instance has counted — the commonest step of a real run)
 // and allocs/op is the step's. No sockets; the producer runs ahead until
-// QueueDepth pushes back, so the time per frame is the shard's.
+// QueueDepth pushes back, so the time per frame is the loop's.
 func BenchmarkShardDispatch(b *testing.B) {
 	for _, live := range []bool{false, true} {
 		for _, k := range []int{1, 16, 256} {

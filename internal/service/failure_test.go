@@ -262,7 +262,7 @@ func TestSlowPeerShedPolicy(t *testing.T) {
 // sender while the peer is connected (backpressure) after giving it the
 // chance to ring what it deferred, resumes when the writer swaps the
 // outbox out, and sheds (as WriteDrops) once the peer is disconnected —
-// blocking on a crashed peer would stall the shard forever. A sender
+// blocking on a crashed peer would stall the instance loop forever. A sender
 // already blocked when the link fails is released the same way.
 func TestSlowPeerBlockPolicy(t *testing.T) {
 	svc, p := newBenchLink(BlockSlowPeer, 4)

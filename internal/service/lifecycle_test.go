@@ -63,7 +63,7 @@ func TestServiceProposeWhileDrainWaits(t *testing.T) {
 }
 
 // TestServiceDuplicateIDAcrossReconnect: the duplicate-instance guard is
-// shard state, not connection state — an id that finished before a
+// instance-loop state, not connection state — an id that finished before a
 // connection failure is still refused after the link re-establishes, and
 // fresh ids still work.
 func TestServiceDuplicateIDAcrossReconnect(t *testing.T) {
@@ -140,7 +140,7 @@ func TestServiceLateReportAfterLingerExpiry(t *testing.T) {
 
 	// Inject the late report: a peer that (from process 0's view) is still
 	// catching up on instance 3. The frame takes the real pooled-connection
-	// path into process 0's shard, where the tombstone must drop it.
+	// path into process 0's instance loop, where the tombstone must drop it.
 	svcs[1].peerAt(0).send(wire.AppendConsensus(nil, 3, &wire.ConsensusMsg{
 		Kind: wire.ConsensusReport, Origin: 1, Round: 2,
 	}))

@@ -2,9 +2,9 @@ package service
 
 import "sync"
 
-// mailbox is the append-and-swap queue on both sides of a shard: a peer's
-// outbox is a mailbox[byte] of encoded frames laid end to end, a shard's
-// inbox a mailbox[inMsg]. Producers append under the mutex; the single
+// mailbox is the append-and-swap queue on both sides of the instance loop:
+// a peer's outbox is a mailbox[byte] of encoded frames laid end to end, the
+// loop's inbox a mailbox[inMsg]. Producers append under the mutex; the single
 // consumer swaps the filled buffer for the one it has finished with, so a
 // batch of any size changes hands for one lock round-trip and no copy, and
 // in the steady state neither side allocates. The bound is in frames.

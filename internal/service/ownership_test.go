@@ -5,6 +5,8 @@ import (
 	"encoding/binary"
 	"math/rand"
 	"runtime"
+	"slices"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -38,8 +40,9 @@ func openDetached(t testing.TB, sh *shard, m *mesh, self int, id uint64, input g
 
 // peerTraffic runs one whole instance on an in-memory mesh of Steps and
 // returns, in delivery order, every message the other processes sent to
-// process 0.
-func peerTraffic(t *testing.T, cfg core.AsyncConfig, inputs []geometry.Vector) []inMsg {
+// process 0. The silent processes never start: they send nothing, and what
+// is sent to them is lost.
+func peerTraffic(t *testing.T, cfg core.AsyncConfig, inputs []geometry.Vector, silent ...int) []inMsg {
 	t.Helper()
 	type item struct {
 		from, to int
@@ -55,6 +58,9 @@ func peerTraffic(t *testing.T, cfg core.AsyncConfig, inputs []geometry.Vector) [
 		}
 	}
 	for p := range nodes {
+		if slices.Contains(silent, p) {
+			continue
+		}
 		nd, err := core.NewAsyncNode(cfg, sim.ProcID(p), inputs[p])
 		if err != nil {
 			t.Fatal(err)
@@ -68,6 +74,9 @@ func peerTraffic(t *testing.T, cfg core.AsyncConfig, inputs []geometry.Vector) [
 		it := queue[i]
 		if it.to == 0 && it.from != 0 {
 			to0 = append(to0, inMsg{instance: 1, from: it.from, msg: it.msg})
+		}
+		if nodes[it.to] == nil {
+			continue
 		}
 		nodes[it.to].Step(sim.ProcID(it.from), &it.msg)
 		post(it.to)
@@ -207,6 +216,106 @@ func TestDrainedShardPinsNoChunk(t *testing.T) {
 			t.Fatal("the drained burst's chunk is still reachable from the shard")
 		case <-time.After(10 * time.Millisecond):
 		}
+	}
+}
+
+// TestLingeringInstancePinsNoSlab: an instance lingering behind a silent
+// origin keeps its coordinator, and nothing the loop holds reaches a vector
+// block of a broadcast slab the coordinator's RBC has released — not even
+// through the coordinator's last emission, whose values alias that block.
+// Each round's block is watched from the INIT this process broadcast into
+// it: process 0's own value is the first slot of the block. Every schedule
+// keeps link order and holds one peer's link back until the others are
+// delivered; at f = 2 the held peer is not needed for the decision, so its
+// INITs reach a lingering instance and the ECHO that finishes a slab is
+// the last thing it emits.
+func TestLingeringInstancePinsNoSlab(t *testing.T) {
+	const id, schedules = 1, 8
+	for _, f := range []int{1, 2} {
+		cfg := testNodeConfig(4*f + 1) // the bound n = (d+2)f+1 at d = 2
+		cfg.F = f
+		n := cfg.N
+		silent := n - 1
+		rng := rand.New(rand.NewSource(43))
+		inputs := make([]geometry.Vector, n)
+		for i := range inputs {
+			inputs[i] = geometry.Vector{rng.Float64(), rng.Float64()}
+		}
+		byLink := make([][]inMsg, n)
+		for _, m := range peerTraffic(t, cfg, inputs, silent) {
+			byLink[m.from] = append(byLink[m.from], m)
+		}
+
+		var freed atomic.Int32
+		watched := 0
+		loops := make([]*shard, schedules)
+		for k := range loops {
+			sh, m := detachedShard(0, n, Config{OutboxDepth: 1 << 14})
+			loops[k] = sh
+			// watch puts a finalizer on the block of every INIT of
+			// process 0 waiting on the local FIFO, then delivers the FIFO.
+			watch := func() {
+				for i := range sh.local {
+					if rm := &sh.local[i].msg.RBC; sh.local[i].msg.Kind == aad.KindRBC && rm.Phase == broadcast.RBCInit && rm.Origin == 0 {
+						runtime.SetFinalizer(&rm.Value[0], func(*float64) { freed.Add(1) })
+						watched++
+					}
+				}
+				sh.drainLocal()
+			}
+			sh.svc.cfg.Node = cfg
+			sh.svc.cfg.InstanceTimeout = time.Hour
+			sh.svc.cfg.LingerTimeout = time.Hour
+			sh.svc.cur = m
+			node, err := core.NewAsyncNode(cfg, 0, inputs[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			res := make(chan Result, 1)
+			m.refs++
+			sh.open(proposeReq{id: id, node: node, res: res, mesh: m})
+			watch()
+			held := 1 + k%(n-2)
+			next, left := make([]int, n), 0
+			for from, msgs := range byLink {
+				if from != held {
+					left += len(msgs)
+				}
+			}
+			for ; left > 0; left-- {
+				from := rng.Intn(n)
+				for from == held || next[from] == len(byLink[from]) {
+					from = (from + 1) % n
+				}
+				sh.deliver(&byLink[from][next[from]])
+				next[from]++
+				watch()
+			}
+			for i := range byLink[held] {
+				sh.deliver(&byLink[held][i])
+				watch()
+			}
+			sh.flush()
+			if r := <-res; r.Err != nil {
+				t.Fatal(r.Err)
+			}
+			if inst := sh.instances[id]; inst == nil || !inst.done() {
+				t.Fatalf("f=%d schedule %d: instance %d is not lingering", f, k, id)
+			}
+		}
+		if want := schedules * cfg.MaxRounds; watched != want {
+			t.Fatalf("f=%d: watched %d slab blocks, want one per round and schedule (%d)", f, watched, want)
+		}
+		deadline := time.After(2 * time.Second)
+		for freed.Load() < int32(watched) {
+			runtime.GC()
+			select {
+			case <-deadline:
+				t.Fatalf("f=%d: %d of %d released slab blocks are still reachable from the lingering instances", f, int32(watched)-freed.Load(), watched)
+			case <-time.After(10 * time.Millisecond):
+			}
+		}
+		runtime.KeepAlive(loops) // the loops outlive the blocks
 	}
 }
 

@@ -271,17 +271,18 @@ func (p *peerLink) connected() bool {
 // enqueue appends one encoded frame to the outbox (the bytes are copied;
 // the caller keeps its buffer) and reports whether the writer needs
 // ringing: the outbox was empty, so no earlier sender's ring covers this
-// frame. Senders inside a shard wake-up collect those links and ring them
-// once when the wake-up ends (shard.flush); everyone else uses send.
+// frame. Senders inside an instance-loop wake-up collect those links and
+// ring them once when the wake-up ends (shard.flush); everyone else uses
+// send.
 //
 // At OutboxDepth frames the slow-peer policy applies: shed drops the frame
 // (counted), block waits for the writer's next swap — backpressure that
-// propagates to the proposing shard — after calling stalled, the caller's
+// propagates to the instance loop — after calling stalled, the caller's
 // chance to ring what it has deferred before it sleeps. Block only blocks
 // while the peer is connected: a full outbox on a disconnected link sheds
 // instead (counted as WriteDrops), because blocking on a crashed peer
-// would stall the whole shard — the protocols tolerate the loss exactly as
-// they tolerate the crash itself.
+// would stall the instance loop — the protocols tolerate the loss exactly
+// as they tolerate the crash itself.
 func (p *peerLink) enqueue(frame []byte, stalled func()) (ring bool) {
 	n, ring := p.out.put(frame, 1, nil)
 	if n == 1 {
@@ -304,7 +305,7 @@ func (p *peerLink) enqueue(frame []byte, stalled func()) (ring bool) {
 	return ring
 }
 
-// send queues one frame from outside a shard wake-up — Drain's goodbye,
+// send queues one frame from outside a loop wake-up — Drain's goodbye,
 // epoch gossip, the reader's acks — and rings the writer at once.
 func (p *peerLink) send(frame []byte) {
 	if p.enqueue(frame, nil) {
@@ -361,7 +362,7 @@ const chunkFloats = 512
 
 // vecChunk is a reader's bump allocator for decoded vectors. Storage is
 // handed out once and never reused: a burst's messages reference it across
-// the reader→shard hand-off, and the collector frees a chunk when the last
+// the reader→loop hand-off, and the collector frees a chunk when the last
 // of them is gone.
 type vecChunk struct{ buf []float64 }
 
@@ -385,11 +386,11 @@ func (c *vecChunk) decode(dec *wire.ConsensusMsg, body []byte, dim int) error {
 	return nil
 }
 
-// readLoop decodes frames off one connection and routes consensus
-// messages to their instance's shard. It works in bursts: after the read
-// that blocks, every complete frame already in the bufio.Reader is decoded
-// too — vectors into the reader's chunk — and the burst reaches each
-// shard's inbox as one append and at most one wake-up. The bufio.Reader
+// readLoop decodes frames off one connection and hands consensus messages
+// to the instance loop. It works in bursts: after the read that blocks,
+// every complete frame already in the bufio.Reader is decoded too —
+// vectors into the reader's chunk — and the burst reaches the loop's inbox
+// as one append and at most one wake-up. The bufio.Reader
 // has the stdlib's 4 KB default buffer, one per link, which holds most
 // reads whole (the mean read is well under 1 KB); a frame that does not
 // fit is read straight into buf. Clean peer shutdowns (EOF, reset, local
@@ -407,27 +408,22 @@ func (p *peerLink) readLoop(conn net.Conn, gen int) {
 	var dec wire.ConsensusMsg
 	var chunk vecChunk
 	dim := p.svc.cfg.Node.D
-	burst := make([][]inMsg, len(p.svc.shards)) // by shard, this burst's deliveries
+	var burst []inMsg // this burst's deliveries
 	var frames, bytes int64
-	// deliver hands the burst to the shards; false means the service
-	// stopped. The frames were consumed off the conn — the sender will not
-	// resend them — so every exit path delivers before it returns.
+	// deliver hands the burst to the loop; false means the service stopped.
+	// The frames were consumed off the conn — the sender will not resend
+	// them — so every exit path delivers before it returns.
 	deliver := func() bool {
 		p.svc.ctr.framesIn.Add(frames)
 		p.svc.ctr.bytesIn.Add(bytes)
 		frames, bytes = 0, 0
-		for i, msgs := range burst {
-			if len(msgs) == 0 {
-				continue
-			}
-			burst[i] = msgs[:0]
-			ok := p.svc.shards[i].receive(msgs)
-			clear(msgs) // the inbox has them; don't pin their chunks here
-			if !ok {
-				return false
-			}
+		if len(burst) == 0 {
+			return true
 		}
-		return true
+		ok := p.svc.loop.receive(burst)
+		clear(burst) // the inbox has them; don't pin their chunks here
+		burst = burst[:0]
+		return ok
 	}
 read:
 	for {
@@ -463,8 +459,7 @@ read:
 				p.svc.ctr.readErrors.Add(1)
 				continue
 			}
-			i := p.svc.shardFor(h.Instance).idx
-			burst[i] = append(burst[i], inMsg{instance: h.Instance, from: p.id, msg: m})
+			burst = append(burst, inMsg{instance: h.Instance, from: p.id, msg: m})
 		case wire.FrameGoodbye:
 			p.sawGoodbye()
 		case wire.FrameEpochAnnounce:

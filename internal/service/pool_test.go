@@ -16,12 +16,11 @@ import (
 	"repro/internal/wire"
 )
 
-// detachedShard builds process id's shard 0 of an n-process mesh whose
-// links are all detached (no conns, no goroutines): what the shard and its
-// instances queue stays in the outboxes for the test to inspect.
+// detachedShard builds process id's instance loop of an n-process mesh
+// whose links are all detached (no conns, no goroutines): what the loop and
+// its instances queue stays in the outboxes for the test to inspect.
 func detachedShard(id, n int, cfg Config) (*shard, *mesh) {
 	cfg.ID = id
-	cfg.Shards = 1
 	if cfg.OutboxDepth == 0 {
 		cfg.OutboxDepth = 64
 	}
@@ -35,9 +34,8 @@ func detachedShard(id, n int, cfg Config) (*shard, *mesh) {
 			m.peers[peer] = newPeerLink(svc, peer, "detached")
 		}
 	}
-	sh := newShard(svc, 0)
-	svc.shards = []*shard{sh}
-	return sh, m
+	svc.loop = newShard(svc)
+	return svc.loop, m
 }
 
 // connect installs conn on a detached link without starting a reader.
@@ -229,14 +227,15 @@ func TestBroadcastEncodesOnce(t *testing.T) {
 	}
 }
 
-// TestInboxBoundBlocksReader: with its shard stalled, a reader parks at
-// QueueDepth frames — the rest of its burst stays with it, and through TCP
-// with the sender — and Close releases both the reader and the shard.
+// TestInboxBoundBlocksReader: with the instance loop stalled, a reader
+// parks at QueueDepth frames — the rest of its burst stays with it, and
+// through TCP with the sender — and Close releases both the reader and the
+// loop.
 func TestInboxBoundBlocksReader(t *testing.T) {
 	const depth = 4
 	svc, err := New(Config{
 		Node: testNodeConfig(5), Addrs: loopbackTemplate(5), ID: 0,
-		Shards: 1, QueueDepth: depth, OutboxDepth: 1,
+		QueueDepth: depth, OutboxDepth: 1,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -250,7 +249,7 @@ func TestInboxBoundBlocksReader(t *testing.T) {
 
 	// Peer 1 is connected but never reads: its writer parks in Write with
 	// the first frame, the second fills the one-frame outbox, and the block
-	// policy stalls the shard for good on the third (the second stall — the
+	// policy stalls the loop for good on the third (the second stall — the
 	// first ends when the writer swaps the first frame out).
 	local, remote := net.Pipe()
 	defer func() { _ = remote.Close() }()
@@ -260,12 +259,12 @@ func TestInboxBoundBlocksReader(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	waitUntil(t, 5*time.Second, func() bool { return svc.Stats().OutboxStalls >= 2 }, "shard stalls on the unread link")
+	waitUntil(t, 5*time.Second, func() bool { return svc.Stats().OutboxStalls >= 2 }, "the loop stalls on the unread link")
 
 	// Peer 1's writer is parked in Write on the synchronous pipe, so the
 	// reverse direction is free: one burst well past the bound.
 	go func() { _, _ = remote.Write(reports(1, 3*depth)) }()
-	sh := svc.shards[0]
+	sh := svc.loop
 	waitUntil(t, 5*time.Second, func() bool { return sh.in.depth() == depth }, "inbox fills to QueueDepth")
 	time.Sleep(50 * time.Millisecond)
 	if got := sh.in.depth(); got != depth {
@@ -284,11 +283,11 @@ func TestInboxBoundBlocksReader(t *testing.T) {
 			t.Fatalf("Close: %v", err)
 		}
 	case <-time.After(10 * time.Second):
-		t.Fatal("Close did not release the parked reader and the stalled shard")
+		t.Fatal("Close did not release the parked reader and the stalled loop")
 	}
 }
 
-// TestNonShardSendersRingWriter: on an idle mesh — no instance, so no shard
+// TestNonShardSendersRingWriter: on an idle mesh — no instance, so no loop
 // wake-up ever flushes anything — the EpochAnnounce a Reconfigure queues,
 // the EpochAcks the peers' readers answer with, and the Goodbye Drain
 // queues all still reach the other side.

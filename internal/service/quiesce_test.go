@@ -88,7 +88,7 @@ func TestCrashedOriginInstanceLingers(t *testing.T) {
 // decided instance across the five processes of an in-process n = 5 mesh
 // with a one-minute linger window, 2 s after the last decision. One
 // tombstoned on quiescence leaves next to nothing of its own: the batch's
-// sequential ids merge into one tombstone range per shard. The measured
+// sequential ids merge into one tombstone range. The measured
 // 0.04–5.4 KB is the inbox and reader-chunk high-water marks a burst of 200
 // concurrent instances leaves behind. (An instance that lingers is pinned
 // by lingeringInstanceBudget.) The mesh runs an unmemoized Γ engine, whose
@@ -181,8 +181,8 @@ func TestDecidedInstanceFootprint(t *testing.T) {
 // origin: process 4 is closed before anything is proposed, so no survivor's
 // instance can quiesce, and every instance of the three batches must still
 // be lingering when the heap is read. It pins what one lingering instance
-// holds per lingeringInstanceBudget. The shard inboxes are bounded at 512
-// frames, so the warm-up batches take their swap buffers to the bound: at
+// holds per lingeringInstanceBudget. The loop's inbox is bounded at 512
+// frames, so the warm-up batches take its swap buffers to the bound: at
 // the default 4 096 a buffer that first reaches a new high-water mark in
 // the measured batch keeps it, which added 0–2.4 KB per instance, run to
 // run, to the ~3.5 KB the instances themselves hold.

@@ -3,8 +3,8 @@
 // algorithm multiplexed over one pooled full mesh of persistent TCP
 // connections. One Service is one process of the mesh; Propose opens an
 // instance locally, frames carry the instance id so every process's
-// traffic for all instances shares the same n−1 connections, and
-// instances are sharded across a goroutine pool by instance id.
+// traffic for all instances shares the same n−1 connections, and one
+// instance loop owns every instance.
 //
 // The architecture — instance lifecycle, connection pool, framing,
 // backpressure and slow-peer policy, drain/reconfiguration semantics, and
@@ -19,7 +19,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"runtime"
 	"sync"
 	"time"
 
@@ -50,8 +49,8 @@ type Policy int
 // Slow-peer policies.
 const (
 	// BlockSlowPeer blocks the sender until the outbox drains:
-	// backpressure propagates to the shard and ultimately to Propose.
-	// This preserves the paper's reliable-channel model.
+	// backpressure propagates to the instance loop and ultimately to
+	// Propose. This preserves the paper's reliable-channel model.
 	BlockSlowPeer Policy = iota
 	// ShedSlowPeer drops the frame and counts it (Stats.SlowPeerSheds).
 	// To the protocols the slow peer then looks (partially) crashed,
@@ -77,16 +76,13 @@ type Config struct {
 	// Addrs lists every process's listen address. Addrs[ID] may use port
 	// 0; Addr reports the bound address.
 	Addrs []string
-	// Shards is the instance-shard goroutine count (default
-	// min(GOMAXPROCS, 4)); instance id modulo Shards picks the shard.
-	Shards int
 	// OutboxDepth bounds each peer's outbox in frames (default 1024).
 	OutboxDepth int
-	// QueueDepth bounds each shard's inbound queue in frames (default
-	// 4096). A full queue blocks connection readers — backpressure that
-	// propagates to remote senders through TCP. Like PendingLimit,
-	// EstablishTimeout and the dial backoffs below, it is not on
-	// bvc.ServiceConfig: only tests and internal harnesses set it.
+	// QueueDepth bounds the instance loop's inbound queue in frames
+	// (default 4096). A full queue blocks connection readers —
+	// backpressure that propagates to remote senders through TCP. Like
+	// PendingLimit, EstablishTimeout and the dial backoffs below, it is
+	// not on bvc.ServiceConfig: only tests and internal harnesses set it.
 	QueueDepth int
 	// PendingLimit bounds the frames buffered per instance that remote
 	// peers started before the local Propose arrived (default 4096);
@@ -129,12 +125,6 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.Shards <= 0 {
-		c.Shards = runtime.GOMAXPROCS(0)
-		if c.Shards > 4 {
-			c.Shards = 4
-		}
-	}
 	if c.OutboxDepth <= 0 {
 		c.OutboxDepth = 1024
 	}
@@ -187,12 +177,12 @@ type Result struct {
 // New on every process, exchange listen addresses out of band, Establish
 // the mesh, then Propose instances concurrently from any goroutine.
 type Service struct {
-	cfg    Config
-	n      int
-	tr     Transport
-	ln     net.Listener
-	shards []*shard
-	start  time.Time
+	cfg   Config
+	n     int
+	tr    Transport
+	ln    net.Listener
+	loop  *shard
+	start time.Time
 
 	// meshMu guards the membership clock: cur is the mesh new proposals
 	// pin, meshes holds every epoch still referenced by a pinned
@@ -209,8 +199,8 @@ type Service struct {
 
 	// proposeMu fences Propose against Close: Propose holds it shared
 	// while checking stop and enqueueing; Close acquires it exclusively
-	// after closing stop, so every request that passed the check is in a
-	// shard channel by the time Close drains them.
+	// after closing stop, so every request that passed the check is in the
+	// loop's channel by the time Close drains them.
 	proposeMu sync.RWMutex
 	stop      chan struct{}
 	// dials ends with stop: every dial attempt runs under it, so Close
@@ -226,7 +216,7 @@ type Service struct {
 }
 
 // New validates the configuration, opens the listener, and starts the
-// shard pool and per-peer writers. The mesh is built by Establish.
+// instance loop and per-peer writers. The mesh is built by Establish.
 func New(cfg Config) (*Service, error) {
 	cfg = cfg.withDefaults()
 	n := len(cfg.Addrs)
@@ -250,7 +240,6 @@ func New(cfg Config) (*Service, error) {
 		n:       n,
 		tr:      cfg.Transport,
 		ln:      ln,
-		shards:  make([]*shard, cfg.Shards),
 		start:   time.Now(),
 		isDrain: make(chan struct{}),
 		drained: make(chan struct{}),
@@ -271,9 +260,7 @@ func New(cfg Config) (*Service, error) {
 	}
 	s.cur = birth
 	s.meshes = map[uint64]*mesh{cfg.Epoch: birth}
-	for i := range s.shards {
-		s.shards[i] = newShard(s, i)
-	}
+	s.loop = newShard(s)
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
@@ -284,14 +271,11 @@ func New(cfg Config) (*Service, error) {
 			s.startLink(p)
 		}
 	}
-	for _, sh := range s.shards {
-		sh := sh
-		s.wg.Add(1)
-		go func() {
-			defer s.wg.Done()
-			sh.run()
-		}()
-	}
+	s.wg.Add(1)
+	go func() {
+		defer s.wg.Done()
+		s.loop.run()
+	}()
 	return s, nil
 }
 
@@ -349,10 +333,6 @@ func (s *Service) noteErr(err error) {
 	s.errMu.Unlock()
 }
 
-func (s *Service) shardFor(instance uint64) *shard {
-	return s.shards[instance%uint64(len(s.shards))]
-}
-
 func (s *Service) drainingNow() bool {
 	select {
 	case <-s.isDrain:
@@ -390,11 +370,11 @@ func (s *Service) Propose(id uint64, input []float64) (<-chan Result, error) {
 		return nil, ErrServiceClosed
 	}
 	req := proposeReq{id: id, node: node, res: res, mesh: s.acquireCurrent()}
-	// Counted active from here, not from when the shard opens it, so a
+	// Counted active from here, not from when the loop opens it, so a
 	// Drain called right after Propose returns waits for it.
 	s.ctr.active.Add(1)
 	select {
-	case s.shardFor(id).propose <- req:
+	case s.loop.propose <- req:
 	case <-s.stop:
 		s.ctr.active.Add(-1)
 		s.releaseMesh(req.mesh)
@@ -449,22 +429,18 @@ func (s *Service) Close() error {
 		for _, p := range s.allLinks() {
 			p.stop()
 		}
-		for _, sh := range s.shards {
-			sh.in.kick() // readers blocked on a full inbox see stop
-		}
+		s.loop.in.kick() // readers blocked on a full inbox see stop
 		s.wg.Wait()
-		// The shards are gone; answer any requests still in their inboxes.
-		for _, sh := range s.shards {
-		drain:
-			for {
-				select {
-				case req := <-sh.propose:
-					req.res <- Result{Instance: req.id, Epoch: req.mesh.epoch, Err: ErrServiceClosed}
-					s.ctr.active.Add(-1)
-					s.releaseMesh(req.mesh)
-				default:
-					break drain
-				}
+		// The loop is gone; answer any requests still in its channel.
+	drain:
+		for {
+			select {
+			case req := <-s.loop.propose:
+				req.res <- Result{Instance: req.id, Epoch: req.mesh.epoch, Err: ErrServiceClosed}
+				s.ctr.active.Add(-1)
+				s.releaseMesh(req.mesh)
+			default:
+				break drain
 			}
 		}
 		if err != nil && !errors.Is(err, net.ErrClosed) {
@@ -481,7 +457,7 @@ type inMsg struct {
 	msg      aad.Msg
 }
 
-// proposeReq opens an instance on its shard, carrying the mesh pin
+// proposeReq opens an instance on the instance loop, carrying the mesh pin
 // taken at Propose time.
 type proposeReq struct {
 	id   uint64
@@ -490,13 +466,13 @@ type proposeReq struct {
 	mesh *mesh
 }
 
-// localMsg is a self-send awaiting delivery on the shard's local FIFO.
+// localMsg is a self-send awaiting delivery on the loop's local FIFO.
 type localMsg struct {
 	inst *instance
 	msg  aad.Msg
 }
 
-// instance is one open consensus instance owned by a shard. Once decided
+// instance is one open consensus instance owned by the loop. Once decided
 // (done) it lingers: the result has been delivered, and the instance keeps
 // serving the exchange for lagging peers until it is quiescent or its
 // deadline, reset to the linger window at the decision, passes, whichever
@@ -527,12 +503,13 @@ type pendingBox struct {
 	msgs  []inMsg
 }
 
-// shard owns a partition of the instance space: its goroutine is the only
-// one that touches its instances, so node callbacks are serial per
-// instance by construction.
+// shard is the service's instance loop, one per process, and owns every
+// instance: its goroutine is the only one that touches them, so node
+// callbacks are serial per instance by construction. Being the one
+// producer of consensus frames, it leaves each link's frames of a wake-up
+// to one ring of the link's writer.
 type shard struct {
 	svc     *Service
-	idx     int
 	propose chan proposeReq
 
 	// in is the inbound queue, bounded at QueueDepth frames: connection
@@ -553,19 +530,18 @@ type shard struct {
 	rung  []*peerLink
 }
 
-func newShard(s *Service, idx int) *shard {
+func newShard(s *Service) *shard {
 	return &shard{
 		svc:       s,
-		idx:       idx,
 		propose:   make(chan proposeReq, 16),
 		in:        newMailbox[inMsg](s.cfg.QueueDepth),
 		instances: make(map[uint64]*instance),
 		pending:   make(map[uint64]*pendingBox),
-		tombs:     newTombSet(uint64(s.cfg.Shards), 2*s.cfg.InstanceTimeout, time.Now()),
+		tombs:     newTombSet(2*s.cfg.InstanceTimeout, time.Now()),
 	}
 }
 
-// receive queues a reader's burst for the shard, blocking while the inbox
+// receive queues a reader's burst for the loop, blocking while the inbox
 // is at QueueDepth — backpressure that reaches the remote sender through
 // TCP. It reports false when the service stopped first.
 func (sh *shard) receive(msgs []inMsg) bool {
@@ -583,7 +559,7 @@ func (sh *shard) running() bool { return !stopping(sh.svc) }
 // flush rings the writer of every link this wake-up queued the first
 // frame on. It runs when the wake-up ends, so each writer finds everything
 // the wake-up produced for its peer and sends it with one Write, and no
-// frame waits on anything but the shard step that emitted it.
+// frame waits on anything but the step that emitted it.
 func (sh *shard) flush() {
 	for i, p := range sh.rung {
 		p.out.ring()
@@ -592,7 +568,7 @@ func (sh *shard) flush() {
 	sh.rung = sh.rung[:0]
 }
 
-// tick is the shard housekeeping cadence: instance expiry, pending and
+// tick is the loop's housekeeping cadence: instance expiry, pending and
 // tombstone GC.
 const tick = 20 * time.Millisecond
 
@@ -666,7 +642,7 @@ func (sh *shard) deliver(m *inMsg) {
 		return // finished here; peers catching up need nothing from us
 	}
 	// Buffered even while draining: a Propose accepted before the drain may
-	// still be queued for this shard.
+	// still be queued for the loop.
 	box := sh.pending[m.instance]
 	if box == nil {
 		box = &pendingBox{since: time.Now()}
@@ -740,6 +716,10 @@ func (sh *shard) step(inst *instance, from int, m *aad.Msg) {
 	for i := range out {
 		sh.broadcast(inst, &out[i])
 	}
+	// out is the coordinator's scratch, kept until its next Handle: cleared,
+	// the last emission stops pinning the slab its values alias, which the
+	// broadcast may release meanwhile.
+	clear(out)
 	if inst.coord.Quiescent() {
 		sh.svc.ctr.quiesced.Add(1)
 		sh.tombstone(inst)
@@ -789,16 +769,17 @@ func (sh *shard) afterStep(inst *instance, st core.StepStatus) {
 }
 
 // broadcast is one message of inst to the complete graph: encoded once into
-// the shard's frame scratch, the same bytes copied into every peer's
+// the loop's frame scratch, the same bytes copied into every peer's
 // outbox, and looped back to this process through the local FIFO (pushing
-// to our own bounded inbox from the shard goroutine could deadlock). A
-// writer's ring is deferred to the end of the shard's wake-up.
+// to our own bounded inbox from the loop goroutine could deadlock). A
+// writer's ring is deferred to the end of the loop's wake-up.
 func (sh *shard) broadcast(inst *instance, m *aad.Msg) {
 	if err := toWire(m, &sh.enc); err != nil {
 		sh.svc.noteErr(err)
 		return
 	}
 	sh.frame = wire.AppendConsensus(sh.frame[:0], inst.id, &sh.enc)
+	sh.enc.Value = nil // it aliases the broadcast's slab, which may go
 	for _, p := range inst.mesh.peers {
 		if p == nil { // our own slot
 			sh.local = append(sh.local, localMsg{inst: inst, msg: *m})

@@ -75,8 +75,8 @@ type Stats struct {
 	// SlowPeerSheds counts frames dropped by the shed policy on a full
 	// peer outbox; WriteDrops counts frames lost because the outbox
 	// overflowed while the peer was disconnected (blocking on a down
-	// peer would stall the shard, so the overflow sheds — the protocols
-	// tolerate it as a crashed peer would be tolerated). WriteRetries
+	// peer would stall the instance loop, so the overflow sheds — the
+	// protocols tolerate it as a crashed peer would be tolerated). WriteRetries
 	// counts frames retained after a failed write and resent on the next
 	// connection generation: delivery on a live link is at-least-once,
 	// and the retried frames the peer already consumed are deduped like

@@ -5,30 +5,28 @@ import (
 	"time"
 )
 
-// tombSet is a shard's memory of finished instance ids: a late frame for
-// one is dropped and a Propose reusing one is refused. A shard owns the ids
-// ≡ idx mod stride, so ids issued in sequence reach it stride apart: the
-// set keeps them as sorted, disjoint [lo, hi] ranges of owned ids, merging
-// ids stride apart into one range, and its memory grows with the gaps
-// between finished ids, not with their count. Ids the shard does not own
-// never reach it, so a range need not exclude them.
+// tombSet is the instance loop's memory of finished instance ids: a late
+// frame for one is dropped and a Propose reusing one is refused. Ids issued
+// in sequence finish close together, so the set keeps them as sorted,
+// disjoint [lo, hi] ranges of contiguous ids, merging ids one apart into one
+// range, and its memory grows with the gaps between finished ids, not with
+// their count.
 //
 // Ids are forgotten a generation at a time. add writes to cur; expire
 // moves cur to old, dropping the previous old, once cur is ttl old. An id
 // is therefore remembered for at least ttl after add and, with expire
 // called every tick, at most 2·ttl plus two ticks.
 type tombSet struct {
-	stride   uint64
 	ttl      time.Duration
 	since    time.Time // when cur began
 	cur, old []tombRange
 }
 
-// tombRange is an inclusive range of ids, stride apart.
+// tombRange is an inclusive range of contiguous ids.
 type tombRange struct{ lo, hi uint64 }
 
-func newTombSet(stride uint64, ttl time.Duration, now time.Time) tombSet {
-	return tombSet{stride: stride, ttl: ttl, since: now}
+func newTombSet(ttl time.Duration, now time.Time) tombSet {
+	return tombSet{ttl: ttl, since: now}
 }
 
 // has reports whether id finished within the remembered window. A late
@@ -45,18 +43,18 @@ func (t *tombSet) has(id uint64) bool {
 func (t *tombSet) add(id uint64) {
 	rs := t.cur
 	i := 0
-	if id >= t.stride {
-		i = search(rs, id-t.stride) // the first range that contains or touches id
+	if id > 0 {
+		i = search(rs, id-1) // the first range that contains or touches id
 	}
-	// Differences, not id+stride, so the top ids cannot wrap.
+	// Differences, not id+1, so the top id cannot wrap.
 	switch {
-	case i == len(rs) || id < rs[i].lo && rs[i].lo-id > t.stride:
+	case i == len(rs) || id < rs[i].lo && rs[i].lo-id > 1:
 		rs = slices.Insert(rs, i, tombRange{id, id})
-	case id < rs[i].lo: // id == lo-stride
+	case id < rs[i].lo: // id == lo-1
 		rs[i].lo = id
-	case id > rs[i].hi: // id == hi+stride
+	case id > rs[i].hi: // id == hi+1
 		rs[i].hi = id
-		if i+1 < len(rs) && rs[i+1].lo-id == t.stride {
+		if i+1 < len(rs) && rs[i+1].lo-id == 1 {
 			rs[i].hi = rs[i+1].hi
 			rs = slices.Delete(rs, i+1, i+2)
 		}

@@ -55,7 +55,7 @@ type API interface {
 // Concurrency contract: the engine calls one node at a time, and a node's
 // callbacks always observe its own prior effects. State a node shares
 // beyond the engine (the Γ-point engine's memo table, for instance) is
-// reached concurrently by other runs and by live service shards, so it
+// reached concurrently by other runs and by live services, so it
 // must be thread-safe and produce schedule-independent results.
 type Node interface {
 	// Init runs once before any delivery; protocols typically send their

@@ -101,7 +101,6 @@ func NewTCPProcess(cfg Config, id int, addrs []string, input Vector) (*TCPProces
 		Config:          cfg,
 		ID:              id,
 		Addrs:           addrs,
-		Shards:          1,
 		InstanceTimeout: oneShotTimeout,
 	})
 	if err != nil {

@@ -88,9 +88,6 @@ type ServiceConfig struct {
 	// Addrs lists every process's listen address; Addrs[ID] may use port 0
 	// (Addr reports the bound address, Establish takes the final list).
 	Addrs []string
-	// Shards is the instance-shard goroutine count; 0 means
-	// min(GOMAXPROCS, 4). Instance id modulo Shards picks the shard.
-	Shards int
 	// OutboxDepth bounds each peer's outbound frame queue (default 1024).
 	OutboxDepth int
 	// SlowPeer selects the full-outbox policy (default BlockSlowPeer).
@@ -118,7 +115,7 @@ type ServiceConfig struct {
 }
 
 // NewService validates the configuration, binds the listener, and starts
-// the service's shard pool and connection writers; Establish builds the
+// the service's instance loop and connection writers; Establish builds the
 // mesh.
 func NewService(cfg ServiceConfig) (*Service, error) {
 	acfg, err := cfg.Config.asyncConfig()
@@ -129,7 +126,6 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		Node:            acfg,
 		ID:              cfg.ID,
 		Addrs:           cfg.Addrs,
-		Shards:          cfg.Shards,
 		OutboxDepth:     cfg.OutboxDepth,
 		SlowPeer:        cfg.SlowPeer,
 		InstanceTimeout: cfg.InstanceTimeout,
