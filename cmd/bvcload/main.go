@@ -8,7 +8,6 @@
 //
 //	bvcload                          # 5-process mesh, 250 inst/s for 2s
 //	bvcload -rate 500 -duration 5s   # heavier sustained load
-//	bvcload -policy shed             # shed (drop+count) slow peers
 //	bvcload -minrate 200             # fail unless ≥200 inst/s achieved
 //	bvcload -chaos scenario.json     # replay a fault timeline under load
 //	bvcload -churn 3                 # replace 3 random processes mid-load
@@ -70,7 +69,6 @@ type loadConfig struct {
 	rate      float64
 	duration  time.Duration
 	instances int
-	policy    string
 	seed      int64
 	timeout   time.Duration
 	minRate   float64
@@ -91,7 +89,6 @@ func run(args []string, w io.Writer) error {
 	fs.Float64Var(&cfg.rate, "rate", 250, "target sustained instances per second (open loop)")
 	fs.DurationVar(&cfg.duration, "duration", 2*time.Second, "load duration (with -rate fixes the instance count); -chaos runs at least its scenario's horizon")
 	fs.IntVar(&cfg.instances, "instances", 0, "exact instance count (overrides rate×duration when > 0)")
-	fs.StringVar(&cfg.policy, "policy", "block", "slow-peer policy: block or shed")
 	fs.Int64Var(&cfg.seed, "seed", 1, "master random seed for inputs")
 	fs.DurationVar(&cfg.timeout, "timeout", 30*time.Second, "per-instance timeout")
 	fs.Float64Var(&cfg.minRate, "minrate", 0, "fail when achieved instances/sec is below this (0 = no gate)")
@@ -204,15 +201,6 @@ func loadDuration(d time.Duration, scn *chaos.Scenario) time.Duration {
 // drive runs the load: build the mesh, pace proposals open-loop, collect
 // and validate every result, then drain and close the mesh.
 func drive(cfg loadConfig) (*loadResult, error) {
-	policy := bvc.BlockSlowPeer
-	switch cfg.policy {
-	case "block":
-	case "shed":
-		policy = bvc.ShedSlowPeer
-	default:
-		return nil, fmt.Errorf("unknown -policy %q (want block or shed)", cfg.policy)
-	}
-
 	var scn *chaos.Scenario
 	var injs []*chaos.Injector
 	if cfg.chaosPath != "" {
@@ -262,7 +250,6 @@ func drive(cfg loadConfig) (*loadResult, error) {
 			ID:              i,
 			Epoch:           epoch,
 			Addrs:           tmpl,
-			SlowPeer:        policy,
 			OutboxDepth:     cfg.outbox,
 			InstanceTimeout: cfg.timeout,
 			Seed:            cfg.seed + int64(i),
@@ -596,7 +583,7 @@ func drive(cfg loadConfig) (*loadResult, error) {
 
 // summarize renders the human-readable report.
 func (r *loadResult) summarize(w io.Writer, cfg loadConfig) {
-	fmt.Fprintf(w, "bvcload: n=%d f=%d d=%d rounds=%d policy=%s\n", cfg.n, cfg.f, cfg.d, cfg.rounds, cfg.policy)
+	fmt.Fprintf(w, "bvcload: n=%d f=%d d=%d rounds=%d\n", cfg.n, cfg.f, cfg.d, cfg.rounds)
 	fmt.Fprintf(w, "instances  %d (+%d warmup) in %v (target %.0f/s, achieved %.1f/s)\n",
 		r.instances, r.warmup, r.elapsed.Round(time.Millisecond), cfg.rate, r.achievedRate())
 	fmt.Fprintf(w, "latency    p50 %v  p99 %v  max %v\n",
@@ -613,7 +600,6 @@ func (r *loadResult) summarize(w io.Writer, cfg loadConfig) {
 		st.BytesOut += s.BytesOut
 		st.Writes += s.Writes
 		st.Reads += s.Reads
-		st.SlowPeerSheds += s.SlowPeerSheds
 		st.WriteDrops += s.WriteDrops
 		st.WriteRetries += s.WriteRetries
 		st.PendingDropped += s.PendingDropped
@@ -630,8 +616,8 @@ func (r *loadResult) summarize(w io.Writer, cfg loadConfig) {
 	}
 	fmt.Fprintf(w, "lifecycle  %d decided, %d tombstoned on quiescence, %d still lingering\n",
 		st.Decided, st.Quiesced, st.Lingering)
-	fmt.Fprintf(w, "transport  %d frames out, %d in, %d bytes out, %d sheds, %d write drops, %d write retries, %d pending drops, %d reconnects\n",
-		st.FramesOut, st.FramesIn, st.BytesOut, st.SlowPeerSheds, st.WriteDrops, st.WriteRetries, st.PendingDropped, st.Reconnects)
+	fmt.Fprintf(w, "transport  %d frames out, %d in, %d bytes out, %d write drops, %d write retries, %d pending drops, %d reconnects\n",
+		st.FramesOut, st.FramesIn, st.BytesOut, st.WriteDrops, st.WriteRetries, st.PendingDropped, st.Reconnects)
 	if st.Decided > 0 {
 		// Mesh-wide syscalls over the instances each process decided.
 		per := float64(len(r.stats)) / float64(st.Decided)

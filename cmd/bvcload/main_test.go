@@ -10,10 +10,10 @@ import (
 	"repro/internal/chaos"
 )
 
-// TestLoadSummary checks the human-readable mode and the shed policy path.
+// TestLoadSummary checks the human-readable mode.
 func TestLoadSummary(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-rate", "250", "-instances", "12", "-policy", "shed"}, &out); err != nil {
+	if err := run([]string{"-rate", "250", "-instances", "12"}, &out); err != nil {
 		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
 	}
 	for _, want := range []string{"instances  12", "latency", "errors     0 instance"} {
@@ -89,8 +89,8 @@ func TestLoadDurationCoversScenario(t *testing.T) {
 // TestLoadBadFlags covers flag validation.
 func TestLoadBadFlags(t *testing.T) {
 	var out bytes.Buffer
-	if err := run([]string{"-policy", "bogus", "-instances", "1"}, &out); err == nil {
-		t.Error("bogus policy accepted")
+	if err := run([]string{"-policy", "block", "-instances", "1"}, &out); err == nil {
+		t.Error("-policy accepted: a full outbox has one rule, there is no policy to pick")
 	}
 	if err := run([]string{"-n", "4", "-instances", "1"}, &out); err == nil {
 		t.Error("n=4 < (d+2)f+1=5 accepted")

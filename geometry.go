@@ -76,8 +76,8 @@ func SafeAreaEmpty(points []Vector, f int) (bool, error) {
 }
 
 // SafeAreaContains reports whether z lies in Γ(Y) (within a small geometric
-// tolerance). It runs the C(|Y|, f) hull-membership LPs serially, in a
-// revolving-door order where each warm-starts from the last.
+// tolerance). It runs the C(|Y|, f) hull-membership LPs serially, in
+// lexicographic order, and stops at the first subset hull without z.
 func SafeAreaContains(points []Vector, f int, z Vector) (bool, error) {
 	ms, err := validatePoints(points)
 	if err != nil {

@@ -119,6 +119,32 @@ func Unrank(n, k int, r int64, buf []int) ([]int, error) {
 	return buf, nil
 }
 
+// Rank returns the position of the ascending index set idx in the
+// lexicographic enumeration of k-subsets of {0, …, n−1} — the inverse of
+// Unrank. Consumers that compute subsets in a non-lexicographic order use
+// it to place results in the rank-ordered layout the deterministic
+// reductions require.
+func Rank(n int, idx []int) (int64, error) {
+	k := len(idx)
+	if k > n {
+		return 0, fmt.Errorf("combin: rank of %d-subset of %d elements", k, n)
+	}
+	var r int64
+	prev := -1
+	for i, v := range idx {
+		if v <= prev || v >= n {
+			return 0, fmt.Errorf("combin: rank needs an ascending index set in [0,%d), got %v", n, idx)
+		}
+		// Count the subsets that agree on idx[:i] but pick a smaller element
+		// at position i.
+		for c := prev + 1; c < v; c++ {
+			r += Binomial(n-c-1, k-i-1)
+		}
+		prev = v
+	}
+	return r, nil
+}
+
 // Partitions calls fn with each partition of {0,…,n−1} into exactly b
 // non-empty blocks. Blocks are presented in a canonical order (each block
 // holds ascending indices; blocks are ordered by their smallest member).

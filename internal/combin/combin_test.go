@@ -285,3 +285,42 @@ func TestBinomialSmallNPathMatchesBig(t *testing.T) {
 		}
 	}
 }
+
+// TestRankRoundTrip checks Rank is the inverse of Unrank and agrees with the
+// lexicographic enumeration order.
+func TestRankRoundTrip(t *testing.T) {
+	for n := 1; n <= 9; n++ {
+		for k := 0; k <= n; k++ {
+			want := int64(0)
+			err := Combinations(n, k, func(idx []int) bool {
+				r, err := Rank(n, idx)
+				if err != nil {
+					t.Fatalf("rank(%v): %v", idx, err)
+				}
+				if r != want {
+					t.Fatalf("n=%d k=%d: rank(%v)=%d, want %d", n, k, idx, r, want)
+				}
+				back, err := Unrank(n, k, r, nil)
+				if err != nil {
+					t.Fatalf("unrank(%d): %v", r, err)
+				}
+				for i := range idx {
+					if back[i] != idx[i] {
+						t.Fatalf("unrank(rank(%v)) = %v", idx, back)
+					}
+				}
+				want++
+				return true
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if _, err := Rank(4, []int{2, 1}); err == nil {
+		t.Fatal("want error for non-ascending index set")
+	}
+	if _, err := Rank(4, []int{1, 4}); err == nil {
+		t.Fatal("want error for out-of-range index")
+	}
+}

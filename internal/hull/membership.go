@@ -13,9 +13,9 @@ import (
 // MembershipTester answers hull-membership queries through one reusable
 // modeling problem, one solver workspace and one carried simplex basis:
 // repeated queries are allocation-free in steady state, and consecutive
-// queries over similar point sets (the sibling candidate subsets the Γ-point
-// pipeline walks in Gray-code order) warm-start from the previous optimal
-// basis instead of re-running Phase 1.
+// queries over similar point sets (the sibling candidate subsets of one
+// Γ-membership walk) warm-start from the previous optimal basis instead of
+// re-running Phase 1.
 //
 // The carried basis only ever influences which pivots the solver takes —
 // the feasibility verdict is basis-independent — so a tester may be reused

@@ -311,9 +311,9 @@ func TestCoresAgreeOnUnbounded(t *testing.T) {
 	}
 }
 
-// TestCoresAgreeOnWarmChains drives the Gray-walk shape (sibling programs
-// through one carried Basis per kernel): every warm verdict must equal the
-// other kernel's warm verdict and an independent cold solve. Re-solving a
+// TestCoresAgreeOnWarmChains drives sibling programs through one carried
+// Basis per kernel: every warm verdict must equal the other kernel's warm
+// verdict and an independent cold solve. Re-solving a
 // feasible program from its own optimal basis must take the warm path on
 // both kernels.
 func TestCoresAgreeOnWarmChains(t *testing.T) {

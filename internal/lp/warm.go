@@ -14,7 +14,7 @@ import (
 //
 //   - Basis + SolveWithBasis: restart a *sibling* program (same shape,
 //     slightly different coefficients — e.g. the hull-membership LPs of
-//     consecutive candidate subsets walked in Gray-code order) from the
+//     consecutive candidate subsets of one Γ-membership walk) from the
 //     previous program's optimal basis. The basis is pivoted into the fresh
 //     tableau; if it is primal feasible there, Phase 1 is skipped entirely
 //     and Phase 2 runs from a near-optimal vertex.

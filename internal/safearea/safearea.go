@@ -162,13 +162,10 @@ func IsEmpty(y *geometry.Multiset, f int) (bool, error) {
 // Contains reports whether z ∈ Γ(Y) within tolerance tol (hull.DefaultTol
 // if tol ≤ 0): z must lie in the hull of every (|Y|−f)-subset.
 //
-// The C(|Y|, f) subsets are walked in revolving-door (Gray) order:
-// consecutive subsets differ by one swap, so the warm-started membership
-// tester reuses its previous simplex basis instead of re-running Phase 1.
-// The verdict is basis- and order-independent (feasibility of each
-// subset's LP). On an LP error the lexicographic walk re-runs wholesale
-// and its outcome — stop at the lowest-rank event, failure or error — is
-// returned verbatim.
+// The C(|Y|, f) subsets are walked in lexicographic order, stopping at the
+// first event — a non-containing subset or an LP error, whichever has the
+// lower rank. The verdict is order-independent (feasibility of each
+// subset's LP); the error, if any, is the lowest-rank subset's.
 func Contains(y *geometry.Multiset, f int, z geometry.Vector, tol float64) (bool, error) {
 	keep, err := validate(y, f)
 	if err != nil {
@@ -180,41 +177,7 @@ func Contains(y *geometry.Multiset, f int, z geometry.Vector, tol float64) (bool
 	inside := true
 	var cerr error
 	pts := make([]geometry.Vector, keep)
-	mt := hull.NewMembershipTester()
-	err = combin.GrayCombinations(y.Len(), keep, func(idx []int, _, _ int) bool {
-		for i, j := range idx {
-			pts[i] = y.At(j)
-		}
-		ok, err := mt.Test(pts, z, tol)
-		if err != nil {
-			cerr = err
-			return false
-		}
-		if !ok {
-			inside = false
-			return false
-		}
-		return true
-	})
-	if err != nil {
-		return false, err
-	}
-	if cerr != nil {
-		return containsLex(y, keep, z, tol)
-	}
-	return inside, nil
-}
-
-// containsLex is the classic serial membership walk: subsets in
-// lexicographic order, stopping at the first event — a non-containing
-// subset or an LP error, whichever has the lower rank. It is the canonical
-// semantics; the Gray-order walk of Contains delegates to it whenever an
-// error surfaces.
-func containsLex(y *geometry.Multiset, keep int, z geometry.Vector, tol float64) (bool, error) {
-	inside := true
-	var cerr error
-	pts := make([]geometry.Vector, keep)
-	err := combin.Combinations(y.Len(), keep, func(idx []int) bool {
+	err = combin.Combinations(y.Len(), keep, func(idx []int) bool {
 		for i, j := range idx {
 			pts[i] = y.At(j)
 		}

@@ -7,7 +7,9 @@ import (
 	"math/rand"
 	"testing"
 
+	"repro/internal/combin"
 	"repro/internal/geometry"
+	"repro/internal/hull"
 )
 
 func vec(xs ...float64) geometry.Vector { return geometry.Vector(xs) }
@@ -316,9 +318,11 @@ func TestProbabilitySimplexStaysInside(t *testing.T) {
 	}
 }
 
-// TestContainsMatchesLex holds the Gray-order walk of Contains to the
-// lexicographic walk it falls back to: the same verdict on every probe,
-// and on an LP error the error of the lowest-rank event.
+// TestContainsMatchesLex holds Contains to its definition, walked
+// exhaustively in lexicographic order: z is inside iff every
+// (|Y|−f)-subset hull contains it, and on an LP error Contains returns the
+// error of the lowest-rank subset — for a NaN probe, which no LP can
+// place, the first subset's.
 func TestContainsMatchesLex(t *testing.T) {
 	rng := rand.New(rand.NewSource(17))
 	for trial := 0; trial < 12; trial++ {
@@ -349,16 +353,34 @@ func TestContainsMatchesLex(t *testing.T) {
 		nan[0] = math.NaN()
 		probes = append(probes, out, nan)
 		for _, z := range probes {
-			want, werr := containsLex(ms, n-f, z, 0)
+			want, first := true, true
+			var werr error
+			pts := make([]geometry.Vector, n-f)
+			if err := combin.Combinations(n, n-f, func(idx []int) bool {
+				for i, j := range idx {
+					pts[i] = ms.At(j)
+				}
+				in, err := hull.Contains(pts, z, 0)
+				if first {
+					werr, first = err, false
+				}
+				want = want && in && err == nil
+				return true
+			}); err != nil {
+				t.Fatal(err)
+			}
 			got, gerr := Contains(ms, f, z, 0)
-			if fmt.Sprint(werr) != fmt.Sprint(gerr) {
-				t.Fatalf("trial %d z=%v: lex err=%v gray err=%v", trial, z, werr, gerr)
+			if math.IsNaN(z[0]) {
+				if gerr == nil || fmt.Sprint(gerr) != fmt.Sprint(werr) {
+					t.Fatalf("trial %d: NaN probe err=%v, want the first subset's %v", trial, gerr, werr)
+				}
+				continue
+			}
+			if gerr != nil {
+				t.Fatalf("trial %d z=%v: %v", trial, z, gerr)
 			}
 			if got != want {
-				t.Fatalf("trial %d: lex=%v gray=%v for z=%v", trial, want, got, z)
-			}
-			if math.IsNaN(z[0]) && gerr == nil {
-				t.Fatalf("trial %d: NaN probe reported no error", trial)
+				t.Fatalf("trial %d: Contains=%v, every subset hull=%v for z=%v", trial, got, want, z)
 			}
 		}
 	}

@@ -29,7 +29,7 @@ func BenchmarkLinkWriteBatch(b *testing.B) {
 	frame := report(1)
 	for _, k := range []int{1, 16, 256} {
 		b.Run(fmt.Sprintf("k=%d", k), func(b *testing.B) {
-			svc, p := newBenchLink(BlockSlowPeer, 1024)
+			svc, p := newBenchLink(1024)
 			conn := discardConn{wrote: make(chan int)}
 			connect(p, conn)
 			done := make(chan struct{})

@@ -1,7 +1,6 @@
 package service
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 
@@ -35,16 +34,12 @@ type Membership struct {
 	// Reconfigure must carry an epoch strictly greater than the
 	// service's current one.
 	Epoch uint64
-	// N is the membership size; 0 means len(Addrs). It must equal the
-	// service's n — memberships replace members, they do not resize.
-	N int
 	// Addrs lists every process's listen address at this epoch, indexed
-	// by process id. Process ids are stable across epochs.
+	// by process id. Process ids are stable across epochs, and there must
+	// be exactly the service's n of them: memberships replace members,
+	// they do not resize. The handshake key is the service's
+	// Config.AuthKey; key rotation is not part of a membership change.
 	Addrs []string
-	// AuthKey is the mesh's shared handshake key. It must match the
-	// service's key (nil means "keep the current key"): key rotation is
-	// not part of a membership change.
-	AuthKey []byte
 }
 
 // Membership/epoch errors.
@@ -168,14 +163,8 @@ func (s *Service) Reconfigure(m Membership) error {
 	if stopping(s) {
 		return ErrServiceClosed
 	}
-	if m.N != 0 && m.N != len(m.Addrs) {
-		return fmt.Errorf("service: reconfigure: N=%d but %d addresses", m.N, len(m.Addrs))
-	}
 	if len(m.Addrs) != s.n {
 		return fmt.Errorf("service: reconfigure: %d addresses, want %d (membership cannot resize the mesh)", len(m.Addrs), s.n)
-	}
-	if m.AuthKey != nil && !bytes.Equal(m.AuthKey, s.cfg.AuthKey) {
-		return fmt.Errorf("service: reconfigure: auth key mismatch (key rotation is not a membership change)")
 	}
 	if m.Epoch <= s.Epoch() {
 		return fmt.Errorf("%w: reconfigure to epoch %d at epoch %d", ErrStaleEpoch, m.Epoch, s.Epoch())

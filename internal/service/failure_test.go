@@ -9,12 +9,16 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/geometry"
+	"repro/internal/hull"
 )
 
 // Failure-mode coverage for the pooled transport: peer disconnect
 // mid-instance, reconnect after a connection failure, dial retry against a
-// late listener, the slow-peer shed/block policies, and graceful drain
-// with in-flight instances. All of these run under -race in CI.
+// late listener, full outboxes on connected and disconnected links, and
+// graceful drain with in-flight instances. All of these run under -race
+// in CI.
 
 // TestServicePeerDisconnectMidInstance kills one process while a batch of
 // instances is in flight. The survivors are n−f = 4 of 5, which is
@@ -223,11 +227,11 @@ func TestServiceCloseCutsHungDial(t *testing.T) {
 	}
 }
 
-// newBenchLink builds a detached peer link for white-box policy tests: no
+// newBenchLink builds a detached peer link for white-box outbox tests: no
 // writer goroutine runs, so the outbox never drains.
-func newBenchLink(policy Policy, depth int) (*Service, *peerLink) {
+func newBenchLink(depth int) (*Service, *peerLink) {
 	svc := &Service{
-		cfg:  Config{SlowPeer: policy, OutboxDepth: depth},
+		cfg:  Config{OutboxDepth: depth},
 		stop: make(chan struct{}),
 	}
 	return svc, newPeerLink(svc, 1, "detached")
@@ -244,28 +248,14 @@ func fill(t *testing.T, p *peerLink) {
 	}
 }
 
-// TestSlowPeerShedPolicy: a full outbox under ShedSlowPeer drops the frame
-// immediately and counts it.
-func TestSlowPeerShedPolicy(t *testing.T) {
-	svc, p := newBenchLink(ShedSlowPeer, 4)
-	fill(t, p)
-	p.enqueue([]byte{0xff}, nil)
-	if got := svc.ctr.sheds.Load(); got != 1 {
-		t.Fatalf("sheds = %d, want 1", got)
-	}
-	if got := p.out.depth(); got != 4 {
-		t.Fatalf("outbox depth = %d, want 4", got)
-	}
-}
-
-// TestSlowPeerBlockPolicy: a full outbox under BlockSlowPeer blocks the
-// sender while the peer is connected (backpressure) after giving it the
-// chance to ring what it deferred, resumes when the writer swaps the
-// outbox out, and sheds (as WriteDrops) once the peer is disconnected —
-// blocking on a crashed peer would stall the instance loop forever. A sender
-// already blocked when the link fails is released the same way.
+// TestSlowPeerBlockPolicy: a full outbox blocks the sender while the peer
+// is connected (backpressure) after giving it the chance to ring what it
+// deferred, resumes when the writer swaps the outbox out, and drops (as
+// WriteDrops) once the peer is disconnected — blocking on a crashed peer
+// would stall the instance loop forever. A sender already blocked when the
+// link fails is released the same way.
 func TestSlowPeerBlockPolicy(t *testing.T) {
-	svc, p := newBenchLink(BlockSlowPeer, 4)
+	svc, p := newBenchLink(4)
 	c1, c2 := net.Pipe()
 	defer func() { _ = c1.Close(); _ = c2.Close() }()
 	p.mu.Lock()
@@ -311,7 +301,7 @@ func TestSlowPeerBlockPolicy(t *testing.T) {
 		t.Fatalf("outbox depth = %d after the blocked frame landed, want 1", got)
 	}
 
-	// The link fails under a blocked sender: it must stop waiting and shed.
+	// The link fails under a blocked sender: it must stop waiting and drop.
 	for p.out.depth() < 4 {
 		p.enqueue([]byte{0}, nil)
 	}
@@ -326,33 +316,54 @@ func TestSlowPeerBlockPolicy(t *testing.T) {
 		t.Fatalf("writeDrops = %d after the link failed, want 1", got)
 	}
 
-	// Disconnected: further sends on a full outbox shed without waiting.
+	// Disconnected: further sends on a full outbox drop without waiting.
 	p.enqueue([]byte{0xff}, nil)
 	if got := svc.ctr.writeDrops.Load(); got != 2 {
 		t.Fatalf("writeDrops = %d, want 2", got)
-	}
-	if got := svc.ctr.sheds.Load(); got != 0 {
-		t.Fatalf("sheds = %d, want 0 under block policy", got)
 	}
 	if got := svc.ctr.outboxStalls.Load(); got != 3 {
 		t.Fatalf("outboxStalls = %d, want 3", got)
 	}
 }
 
-// TestServiceShedPolicyEndToEnd runs a mesh configured with ShedSlowPeer
-// under light load: nothing should actually shed, and every instance
-// still decides — the policy changes overload behavior, not the happy
-// path.
-func TestServiceShedPolicyEndToEnd(t *testing.T) {
-	const n, instances = 5, 6
-	svcs := startMesh(t, n, func(_ int, cfg *Config) { cfg.SlowPeer = ShedSlowPeer })
+// TestServiceFullOutboxEndToEnd runs a connected mesh to decisions
+// through full outboxes: with OutboxDepth 4 and 60 instances proposed at
+// once, senders hit the bound and block until their writers drain. Every
+// instance must still decide inside its inputs' hull, some process must
+// record a stall, and no frame may be dropped — a connected peer's full
+// outbox blocks, it never loses a frame.
+func TestServiceFullOutboxEndToEnd(t *testing.T) {
+	const n, instances = 5, 60
+	svcs := startMesh(t, n, func(_ int, cfg *Config) { cfg.OutboxDepth = 4 })
 	rng := rand.New(rand.NewSource(31))
-	for id := uint64(1); id <= instances; id++ {
-		for i, ch := range proposeAll(t, svcs, id, randomInputs(rng, n, 2)) {
-			if res := collect(t, ch, 30*time.Second); res.Err != nil {
-				t.Fatalf("instance %d process %d: %v", id, i, res.Err)
+	inputs := make([][]geometry.Vector, instances)
+	chans := make([][]<-chan Result, instances)
+	for k := range chans {
+		inputs[k] = randomInputs(rng, n, 2)
+		chans[k] = proposeAll(t, svcs, uint64(k+1), inputs[k])
+	}
+	for k, chs := range chans {
+		for i, ch := range chs {
+			res := collect(t, ch, 30*time.Second)
+			if res.Err != nil {
+				t.Fatalf("instance %d process %d: %v", k+1, i, res.Err)
+			}
+			if in, err := hull.Contains(inputs[k], res.Decision, 1e-9); err != nil || !in {
+				t.Errorf("instance %d process %d: decision %v outside input hull (err %v)", k+1, i, res.Decision, err)
 			}
 		}
+	}
+	var stalls int64
+	for i, s := range svcs {
+		st := s.Stats()
+		stalls += st.OutboxStalls
+		if st.WriteDrops != 0 {
+			t.Errorf("process %d: %d write drops on a connected mesh", i, st.WriteDrops)
+		}
+	}
+	t.Logf("%d outbox stalls across the mesh", stalls)
+	if stalls == 0 {
+		t.Error("no process stalled on a full outbox: the test never reached the bound")
 	}
 }
 

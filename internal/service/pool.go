@@ -166,7 +166,7 @@ func (p *peerLink) noteDialFail(backoff time.Duration) time.Duration {
 	return time.Duration(half + p.rng.Int64N(half+1))
 }
 
-// noteStall records one full-outbox stall on a connected link.
+// noteStall records one send that found the outbox full.
 func (p *peerLink) noteStall() {
 	p.svc.ctr.outboxStalls.Add(1)
 	p.mu.Lock()
@@ -275,22 +275,17 @@ func (p *peerLink) connected() bool {
 // ring them once when the wake-up ends (shard.flush); everyone else uses
 // send.
 //
-// At OutboxDepth frames the slow-peer policy applies: shed drops the frame
-// (counted), block waits for the writer's next swap — backpressure that
-// propagates to the instance loop — after calling stalled, the caller's
-// chance to ring what it has deferred before it sleeps. Block only blocks
-// while the peer is connected: a full outbox on a disconnected link sheds
-// instead (counted as WriteDrops), because blocking on a crashed peer
-// would stall the instance loop — the protocols tolerate the loss exactly
-// as they tolerate the crash itself.
+// At OutboxDepth frames the sender waits for the writer's next swap —
+// backpressure that propagates to the instance loop — after calling
+// stalled, the caller's chance to ring what it has deferred before it
+// sleeps. It only waits while the peer is connected: a full outbox on a
+// disconnected link drops the frame instead (counted as WriteDrops),
+// because blocking on a crashed peer would stall the instance loop — the
+// protocols tolerate the loss exactly as they tolerate the crash itself.
 func (p *peerLink) enqueue(frame []byte, stalled func()) (ring bool) {
 	n, ring := p.out.put(frame, 1, nil)
 	if n == 1 {
 		return ring
-	}
-	if p.svc.cfg.SlowPeer == ShedSlowPeer {
-		p.svc.ctr.sheds.Add(1)
-		return false
 	}
 	p.noteStall()
 	if p.connected() {

@@ -107,7 +107,7 @@ func reports(from, to int) []byte {
 // and resent first on the next connection, the frames queued since follow
 // it, and nothing is reordered or lost while the link is reconnected.
 func TestLinkFIFOAcrossSwapsAndFailedWrite(t *testing.T) {
-	svc, p := newBenchLink(BlockSlowPeer, 64)
+	svc, p := newBenchLink(64)
 	done := make(chan struct{})
 	go func() { p.writeLoop(); close(done) }()
 	defer func() {
@@ -248,8 +248,8 @@ func TestInboxBoundBlocksReader(t *testing.T) {
 	}()
 
 	// Peer 1 is connected but never reads: its writer parks in Write with
-	// the first frame, the second fills the one-frame outbox, and the block
-	// policy stalls the loop for good on the third (the second stall — the
+	// the first frame, the second fills the one-frame outbox, and the full
+	// outbox stalls the loop for good on the third (the second stall — the
 	// first ends when the writer swaps the first frame out).
 	local, remote := net.Pipe()
 	defer func() { _ = remote.Close() }()

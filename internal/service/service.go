@@ -7,9 +7,8 @@
 // instance loop owns every instance.
 //
 // The architecture — instance lifecycle, connection pool, framing,
-// backpressure and slow-peer policy, drain/reconfiguration semantics, and
-// the load-test workflow with cmd/bvcload — is documented in
-// docs/SERVICE.md; the frame layout is docs/WIRE_FORMAT.md. The public
+// backpressure, drain/reconfiguration semantics, and the load-test
+// workflow with cmd/bvcload — is documented in docs/SERVICE.md; the frame layout is docs/WIRE_FORMAT.md. The public
 // one-shot entry points (bvc.TCPProcess, bvc.RunAsyncCluster) are
 // single-instance services.
 package service
@@ -43,22 +42,6 @@ var (
 	ErrInstanceTimeout = errors.New("service: instance timed out")
 )
 
-// Policy selects the slow-peer behavior when a peer's outbox is full.
-type Policy int
-
-// Slow-peer policies.
-const (
-	// BlockSlowPeer blocks the sender until the outbox drains:
-	// backpressure propagates to the instance loop and ultimately to
-	// Propose. This preserves the paper's reliable-channel model.
-	BlockSlowPeer Policy = iota
-	// ShedSlowPeer drops the frame and counts it (Stats.SlowPeerSheds).
-	// To the protocols the slow peer then looks (partially) crashed,
-	// which they tolerate for up to f peers; sheds beyond that can stall
-	// instances until their timeout.
-	ShedSlowPeer
-)
-
 // Config configures one service process.
 type Config struct {
 	// Node configures the consensus algorithm every instance runs; its N
@@ -76,7 +59,9 @@ type Config struct {
 	// Addrs lists every process's listen address. Addrs[ID] may use port
 	// 0; Addr reports the bound address.
 	Addrs []string
-	// OutboxDepth bounds each peer's outbox in frames (default 1024).
+	// OutboxDepth bounds each peer's outbox in frames (default 1024). A
+	// sender finding it full blocks while the peer is connected and drops
+	// the frame (Stats.WriteDrops) while it is not; see peerLink.enqueue.
 	OutboxDepth int
 	// QueueDepth bounds the instance loop's inbound queue in frames
 	// (default 4096). A full queue blocks connection readers —
@@ -88,8 +73,6 @@ type Config struct {
 	// peers started before the local Propose arrived (default 4096);
 	// overflow is dropped and counted.
 	PendingLimit int
-	// SlowPeer selects the full-outbox policy (default BlockSlowPeer).
-	SlowPeer Policy
 	// InstanceTimeout fails instances that have not decided in time
 	// (default 30s); buffered pre-Propose frames expire on the same
 	// clock.

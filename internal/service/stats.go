@@ -24,7 +24,6 @@ type counters struct {
 	writes    atomic.Int64
 	reads     atomic.Int64
 
-	sheds          atomic.Int64
 	writeDrops     atomic.Int64
 	writeRetries   atomic.Int64
 	pendingFrames  atomic.Int64
@@ -72,16 +71,15 @@ type Stats struct {
 	// their conns, so BytesIn/Reads is the mean read. Handshake traffic is
 	// not counted.
 	Writes, Reads int64
-	// SlowPeerSheds counts frames dropped by the shed policy on a full
-	// peer outbox; WriteDrops counts frames lost because the outbox
-	// overflowed while the peer was disconnected (blocking on a down
-	// peer would stall the instance loop, so the overflow sheds — the
-	// protocols tolerate it as a crashed peer would be tolerated). WriteRetries
-	// counts frames retained after a failed write and resent on the next
-	// connection generation: delivery on a live link is at-least-once,
-	// and the retried frames the peer already consumed are deduped like
-	// any duplicate.
-	SlowPeerSheds, WriteDrops, WriteRetries int64
+	// WriteDrops counts frames lost because the outbox overflowed while
+	// the peer was disconnected (blocking on a down peer would stall the
+	// instance loop, so the overflow drops — the protocols tolerate it as
+	// a crashed peer would be tolerated). WriteRetries counts frames
+	// retained after a failed write and resent on the next connection
+	// generation: delivery on a live link is at-least-once, and the
+	// retried frames the peer already consumed are deduped like any
+	// duplicate.
+	WriteDrops, WriteRetries int64
 	// PendingFrames is the current number of frames buffered for
 	// instances not yet proposed locally (gauge); PendingDropped counts
 	// frames discarded because a pending buffer overflowed or expired.
@@ -98,8 +96,8 @@ type Stats struct {
 	// ReadErrors, but the connection stays up.
 	OutOfRangeRounds int64
 	// DialFailures counts failed outbound connection attempts (dial or
-	// handshake); OutboxStalls counts full-outbox stalls under the block
-	// policy. Both feed the per-peer suspicion ladder.
+	// handshake); OutboxStalls counts sends that found a peer's outbox
+	// full. Both feed the per-peer suspicion ladder.
 	DialFailures, OutboxStalls int64
 	// LingerExtensions counts decided instances whose linger window was
 	// extended because fewer than n−f processes were reachable — the
@@ -148,7 +146,6 @@ func (s *Service) Stats() Stats {
 		BytesOut:         s.ctr.bytesOut.Load(),
 		Writes:           s.ctr.writes.Load(),
 		Reads:            s.ctr.reads.Load(),
-		SlowPeerSheds:    s.ctr.sheds.Load(),
 		WriteDrops:       s.ctr.writeDrops.Load(),
 		WriteRetries:     s.ctr.writeRetries.Load(),
 		PendingFrames:    s.ctr.pendingFrames.Load(),

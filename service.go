@@ -11,7 +11,7 @@ import (
 // approximate algorithm multiplexed over one pooled full mesh of
 // persistent TCP connections. The types are the service's own, re-exported;
 // only the configuration is translated. Operator documentation —
-// lifecycle, wire protocol, backpressure policy, load testing — lives in
+// lifecycle, wire protocol, backpressure, load testing — lives in
 // docs/SERVICE.md and docs/WIRE_FORMAT.md.
 
 // Service errors, re-exported for errors.Is against ServiceResult.Err.
@@ -49,28 +49,11 @@ type ServiceStats = service.Stats
 
 // Membership names one epoch of a service mesh's configuration: a
 // monotonically numbered address list (process ids are stable; the size
-// never changes) plus the shared handshake key. Pass it to Reconfigure
-// on a running survivor to replace or re-address members, and to
-// NewService (via ServiceConfig.Epoch and Addrs) to start a replacement
-// process under the new epoch. See docs/SERVICE.md, "Membership and
+// never changes). Pass it to Reconfigure on a running survivor to replace
+// or re-address members, and to NewService (via ServiceConfig.Epoch and
+// Addrs) to start a replacement process under the new epoch. See docs/SERVICE.md, "Membership and
 // epochs".
 type Membership = service.Membership
-
-// SlowPeerPolicy selects the service's behavior when a peer cannot keep up
-// with its outbound frame queue.
-type SlowPeerPolicy = service.Policy
-
-// Slow-peer policies.
-const (
-	// BlockSlowPeer (the default) blocks the sender until the peer's
-	// queue drains: backpressure propagates to Propose and the reliable-
-	// channel model of the paper is preserved while the peer is up.
-	BlockSlowPeer = service.BlockSlowPeer
-	// ShedSlowPeer drops frames to the slow peer and counts them
-	// (ServiceStats.SlowPeerSheds). The slow peer then looks partially
-	// crashed, which the algorithm tolerates for up to f peers.
-	ShedSlowPeer = service.ShedSlowPeer
-)
 
 // ServiceTransport abstracts the service's network surface — listener
 // creation, outbound dials, and inbound connection adoption — so tests
@@ -89,9 +72,11 @@ type ServiceConfig struct {
 	// (Addr reports the bound address, Establish takes the final list).
 	Addrs []string
 	// OutboxDepth bounds each peer's outbound frame queue (default 1024).
+	// A full queue blocks the sender while the peer is connected —
+	// backpressure that reaches Propose, keeping the paper's reliable
+	// channels — and drops frames (ServiceStats.WriteDrops) while it is
+	// down, as the algorithm tolerates a crashed peer.
 	OutboxDepth int
-	// SlowPeer selects the full-outbox policy (default BlockSlowPeer).
-	SlowPeer SlowPeerPolicy
 	// InstanceTimeout fails undecided instances after this long (default
 	// 30s). LingerTimeout bounds how long a decided instance keeps
 	// serving the protocol for lagging peers (default: InstanceTimeout);
@@ -127,7 +112,6 @@ func NewService(cfg ServiceConfig) (*Service, error) {
 		ID:              cfg.ID,
 		Addrs:           cfg.Addrs,
 		OutboxDepth:     cfg.OutboxDepth,
-		SlowPeer:        cfg.SlowPeer,
 		InstanceTimeout: cfg.InstanceTimeout,
 		LingerTimeout:   cfg.LingerTimeout,
 		Seed:            cfg.Seed,
