@@ -328,14 +328,64 @@ func drive(cfg loadConfig) (*loadResult, error) {
 			inj.Start(t0)
 		}
 	}
+	// liveEpoch is the highest epoch among the running processes other
+	// than p: the membership a restart of p rejoins and a replace of p
+	// advances. Only the events goroutine below changes membership, so
+	// the value holds until it acts on it.
+	liveEpoch := func(p int) uint64 {
+		crashMu.Lock()
+		defer crashMu.Unlock()
+		var epoch uint64
+		for i, s := range svcs {
+			if i != p && !crashed[i] && s.Epoch() > epoch {
+				epoch = s.Epoch()
+			}
+		}
+		return epoch
+	}
+	// admit starts process p at membership (epoch, tmpl), retrying while
+	// a fixed address lingers, records its address, runs join (when set)
+	// before p counts as alive, and establishes p against the mesh.
+	admit := func(p int, epoch uint64, tmpl []string, join func() error) error {
+		var s *bvc.Service
+		var err error
+		for attempt := 0; attempt < 40; attempt++ {
+			if s, err = newProc(p, epoch, tmpl); err == nil {
+				break
+			}
+			time.Sleep(50 * time.Millisecond) // address may linger briefly
+		}
+		if err != nil {
+			return fmt.Errorf("start at epoch %d: %w", epoch, err)
+		}
+		addrs[p] = s.Addr()
+		if join != nil {
+			if err := join(); err != nil {
+				_ = s.Close()
+				return err
+			}
+		}
+		// Alive from here: proposals may include the process while
+		// Establish completes — its frames queue in the outboxes and
+		// flush as each link comes up.
+		crashMu.Lock()
+		svcs[p] = s
+		crashed[p] = false
+		crashMu.Unlock()
+		if err := establish(s, addrs); err != nil {
+			return fmt.Errorf("establish at epoch %d: %w", epoch, err)
+		}
+		return nil
+	}
 	if len(procEvents) > 0 {
 		go func() {
 			defer close(eventsDone)
 			// Crash/restart/replace events are the driver's half of the
 			// scenario: a crash closes the process abruptly, a restart
-			// rebuilds it on the same address and re-establishes against
-			// the live mesh, and a replace retires it for good and admits
-			// a successor at the next epoch.
+			// rebuilds it on the same address at the survivors' epoch
+			// and re-establishes against the live mesh, and a replace
+			// retires it for good and admits a successor at the next
+			// epoch.
 			for _, ev := range procEvents {
 				time.Sleep(time.Until(t0.Add(ev.At.D())))
 				switch ev.Action {
@@ -346,37 +396,17 @@ func drive(cfg loadConfig) (*loadResult, error) {
 					crashMu.Unlock()
 					_ = s.Close()
 				case chaos.ActionRestart:
-					var s *bvc.Service
-					var err error
-					for attempt := 0; attempt < 40; attempt++ {
-						if s, err = newProc(ev.Proc, 0, addrs); err == nil {
-							break
-						}
-						time.Sleep(50 * time.Millisecond) // address may linger briefly
-					}
-					if err != nil {
+					if err := admit(ev.Proc, liveEpoch(ev.Proc), addrs, nil); err != nil {
 						eventsErr = fmt.Errorf("restart process %d: %w", ev.Proc, err)
-						return
-					}
-					// Alive again from here: proposals may include the
-					// process while Establish completes — its frames queue
-					// in the outboxes and flush as each link comes up.
-					crashMu.Lock()
-					svcs[ev.Proc] = s
-					crashed[ev.Proc] = false
-					crashMu.Unlock()
-					if err := establish(s, addrs); err != nil {
-						eventsErr = fmt.Errorf("re-establish process %d: %w", ev.Proc, err)
 						return
 					}
 				case chaos.ActionReplace:
 					// Retire the process permanently, then admit the
 					// successor: it listens first (so survivors can dial
-					// it), every survivor is Reconfigured to epoch+1 — one
-					// call would do, the EpochAnnounce gossip floods the
-					// rest, but direct calls make the replay deterministic
-					// — and the successor establishes against the new
-					// membership.
+					// it), every running survivor is Reconfigured to
+					// epoch+1 — membership moves only by the operator's
+					// call, never by a peer's word — and the successor
+					// establishes against the new membership.
 					crashMu.Lock()
 					old := svcs[ev.Proc]
 					wasUp := !crashed[ev.Proc]
@@ -385,50 +415,27 @@ func drive(cfg loadConfig) (*loadResult, error) {
 					if wasUp {
 						_ = old.Close()
 					}
-					var epoch uint64
-					crashMu.Lock()
-					for i, s := range svcs {
-						if i != ev.Proc && !crashed[i] && s.Epoch() > epoch {
-							epoch = s.Epoch()
-						}
-					}
-					crashMu.Unlock()
-					epoch++
+					epoch := liveEpoch(ev.Proc) + 1
 					tmpl := append([]string(nil), addrs...)
 					tmpl[ev.Proc] = ev.Addr
-					var repl *bvc.Service
-					var err error
-					for attempt := 0; attempt < 40; attempt++ {
-						if repl, err = newProc(ev.Proc, epoch, tmpl); err == nil {
-							break
+					err := admit(ev.Proc, epoch, tmpl, func() error {
+						next := bvc.Membership{Epoch: epoch, Addrs: addrs}
+						crashMu.Lock()
+						live := append([]*bvc.Service(nil), svcs...)
+						dead := append([]bool(nil), crashed...)
+						crashMu.Unlock()
+						for i, s := range live {
+							if i == ev.Proc || dead[i] {
+								continue
+							}
+							if err := s.Reconfigure(next); err != nil {
+								return fmt.Errorf("reconfigure process %d to epoch %d: %w", i, epoch, err)
+							}
 						}
-						time.Sleep(50 * time.Millisecond) // fixed addr may linger briefly
-					}
+						return nil
+					})
 					if err != nil {
 						eventsErr = fmt.Errorf("replace process %d: %w", ev.Proc, err)
-						return
-					}
-					addrs[ev.Proc] = repl.Addr()
-					next := bvc.Membership{Epoch: epoch, Addrs: append([]string(nil), addrs...)}
-					crashMu.Lock()
-					live := append([]*bvc.Service(nil), svcs...)
-					dead := append([]bool(nil), crashed...)
-					crashMu.Unlock()
-					for i, s := range live {
-						if i == ev.Proc || dead[i] {
-							continue
-						}
-						if err := s.Reconfigure(next); err != nil && !errors.Is(err, bvc.ErrStaleEpoch) {
-							eventsErr = fmt.Errorf("reconfigure process %d to epoch %d: %w", i, epoch, err)
-							return
-						}
-					}
-					crashMu.Lock()
-					svcs[ev.Proc] = repl
-					crashed[ev.Proc] = false
-					crashMu.Unlock()
-					if err := establish(repl, next.Addrs); err != nil {
-						eventsErr = fmt.Errorf("establish replacement %d at epoch %d: %w", ev.Proc, epoch, err)
 						return
 					}
 				}

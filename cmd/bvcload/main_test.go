@@ -44,7 +44,7 @@ func TestLoadChurn(t *testing.T) {
 		t.Errorf("epoch = %d after one replacement, want ≥ 1\n%s", epoch, out.String())
 	}
 	if reconfigures < 4 {
-		t.Errorf("reconfigures = %d, want ≥ 4 (every survivor adopts)\n%s", reconfigures, out.String())
+		t.Errorf("reconfigures = %d, want ≥ 4 (every survivor is reconfigured)\n%s", reconfigures, out.String())
 	}
 }
 
@@ -61,6 +61,26 @@ func TestLoadChurnScenario(t *testing.T) {
 		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
 	}
 	for _, want := range []string{"errors     0 instance", "at epoch 1"} {
+		if !strings.Contains(out.String(), want) {
+			t.Errorf("summary missing %q:\n%s", want, out.String())
+		}
+	}
+}
+
+// TestLoadRestartAfterReplace replays crash-restart with one churn
+// replacement mid-run: a process crashed before the replace misses the
+// epoch flip, so its restart must rejoin at the survivors' epoch — under
+// the epoch it was born at, every survivor would refuse its handshakes.
+func TestLoadRestartAfterReplace(t *testing.T) {
+	if testing.Short() {
+		t.Skip("replays a 3.2s fault timeline")
+	}
+	var out bytes.Buffer
+	err := run([]string{"-chaos", "testdata/crash-restart.json", "-rate", "40", "-churn", "1"}, &out)
+	if err != nil {
+		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
+	}
+	for _, want := range []string{"errors     0 instance, 0 background, 0 validity violations", "at epoch 1"} {
 		if !strings.Contains(out.String(), want) {
 			t.Errorf("summary missing %q:\n%s", want, out.String())
 		}

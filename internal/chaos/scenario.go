@@ -127,14 +127,16 @@ const (
 	ActionHealAll = "heal-all"
 	// ActionCrash closes process Proc; executed by the driver.
 	ActionCrash = "crash"
-	// ActionRestart rebuilds process Proc on its old address and
-	// re-establishes its links; executed by the driver.
+	// ActionRestart rebuilds process Proc on its old address at the
+	// survivors' current membership epoch and re-establishes its links;
+	// executed by the program replaying the scenario (bvcload).
 	ActionRestart = "restart"
 	// ActionReplace retires process Proc permanently and admits a
-	// replacement at address Addr under the next membership epoch:
-	// the driver Reconfigures the survivors to epoch+1 with Proc's
-	// slot re-addressed and starts a fresh process there. Executed by
-	// the driver (membership is a Service lifecycle operation).
+	// replacement at address Addr under the next membership epoch: the
+	// program replaying the scenario starts a fresh process there and
+	// Reconfigures every running survivor to epoch+1 with Proc's slot
+	// re-addressed — no process learns a membership from its peers
+	// (membership is a Service lifecycle operation).
 	ActionReplace = "replace"
 	// ActionLose sets the one-directional loss rate of From→To to Rate
 	// from At on, overriding the static profile's Drop. Rate 0 restores

@@ -3,8 +3,6 @@ package service
 import (
 	"errors"
 	"fmt"
-
-	"repro/internal/wire"
 )
 
 // Epoch-numbered dynamic membership. A service is born at Config.Epoch
@@ -21,12 +19,15 @@ import (
 // Membership size is fixed: a reconfiguration replaces or re-addresses
 // members (the dead-process recovery path), it does not grow or shrink
 // n, because every instance's consensus configuration is built for the
-// service's n. The operator surface is Reconfigure on any survivor; the
-// config then propagates through the mesh via EpochAnnounce/EpochAck
-// gossip, and a replacement process started with the new Membership
-// dials in, authenticates under the new epoch (the handshake MAC binds
-// the epoch number), and participates in every instance opened at its
-// birth epoch or later.
+// service's n. Reconfigure is the only way a process changes its
+// membership, and the operator calls it on every survivor: no frame from
+// a peer moves the clock, so a faulty member cannot re-address the
+// correct ones. A survivor the operator left out stays on its epoch, and
+// members that retired that epoch refuse its handshakes
+// (Stats.StaleEpochRejects). A replacement process started with the new
+// Membership dials in, authenticates under the new epoch (the handshake
+// MAC binds the epoch number), and participates in every instance opened
+// at its birth epoch or later.
 
 // Membership names one epoch of the mesh configuration.
 type Membership struct {
@@ -155,10 +156,12 @@ func (s *Service) Epoch() uint64 { return s.ctr.epoch.Load() }
 // members; n is fixed). New proposals open on the new epoch
 // immediately; instances born earlier keep deciding on their birth
 // epoch's links, and the superseded link set is retired once its last
-// pinned instance tombstones. The new config is announced to every
-// peer of the new mesh (EpochAnnounce), so reconfiguring one survivor
-// propagates to all; a replacement process is started separately with
-// the new Membership as its Config and dials in under the new epoch.
+// pinned instance tombstones. Unchanged addresses share the previous
+// epoch's link; changed slots get a fresh link, dialed at once when this
+// process is the dialing side. Nothing is sent to the peers: the
+// operator reconfigures every survivor, and a replacement process is
+// started separately with the new Membership as its Config and dials in
+// under the new epoch.
 func (s *Service) Reconfigure(m Membership) error {
 	if stopping(s) {
 		return ErrServiceClosed
@@ -166,54 +169,31 @@ func (s *Service) Reconfigure(m Membership) error {
 	if len(m.Addrs) != s.n {
 		return fmt.Errorf("service: reconfigure: %d addresses, want %d (membership cannot resize the mesh)", len(m.Addrs), s.n)
 	}
-	if m.Epoch <= s.Epoch() {
-		return fmt.Errorf("%w: reconfigure to epoch %d at epoch %d", ErrStaleEpoch, m.Epoch, s.Epoch())
-	}
-	adopted, err := s.adoptEpoch(m.Epoch, m.Addrs)
-	if err != nil {
-		return err
-	}
-	if adopted {
-		s.announceEpoch(m.Epoch, m.Addrs)
-	}
-	return nil
-}
-
-// adoptEpoch installs epoch as the current membership if it advances
-// the clock, building the new link set: unchanged addresses share the
-// previous epoch's link, changed slots get a fresh link (dialed
-// immediately when this process is the dialing side). Idempotent for
-// already-seen epochs. Returns whether the epoch was newly adopted.
-func (s *Service) adoptEpoch(epoch uint64, addrs []string) (bool, error) {
 	s.meshMu.Lock()
 	cur := s.cur
-	if epoch <= cur.epoch {
+	if m.Epoch <= cur.epoch {
 		s.meshMu.Unlock()
-		return false, nil
+		return fmt.Errorf("%w: reconfigure to epoch %d at epoch %d", ErrStaleEpoch, m.Epoch, cur.epoch)
 	}
-	if len(addrs) != s.n {
-		s.meshMu.Unlock()
-		return false, fmt.Errorf("service: epoch %d announce has %d addresses, want %d", epoch, len(addrs), s.n)
-	}
-	nm := &mesh{epoch: epoch, addrs: append([]string(nil), addrs...), peers: make([]*peerLink, s.n)}
+	nm := &mesh{epoch: m.Epoch, addrs: append([]string(nil), m.Addrs...), peers: make([]*peerLink, s.n)}
 	var fresh []*peerLink
 	for id := 0; id < s.n; id++ {
 		if id == s.cfg.ID {
 			continue
 		}
-		if p := cur.peers[id]; p != nil && cur.addrs[id] == addrs[id] {
-			p.setEpoch(epoch)
+		if p := cur.peers[id]; p != nil && cur.addrs[id] == m.Addrs[id] {
+			p.setEpoch(m.Epoch)
 			nm.peers[id] = p
 			continue
 		}
-		p := newPeerLink(s, id, addrs[id])
-		p.setEpoch(epoch)
+		p := newPeerLink(s, id, m.Addrs[id])
+		p.setEpoch(m.Epoch)
 		nm.peers[id] = p
 		fresh = append(fresh, p)
 	}
-	s.meshes[epoch] = nm
+	s.meshes[m.Epoch] = nm
 	s.cur = nm
-	s.ctr.epoch.Store(epoch)
+	s.ctr.epoch.Store(m.Epoch)
 	s.ctr.reconfigures.Add(1)
 	s.maybeRetireLocked(cur)
 	s.meshMu.Unlock()
@@ -226,23 +206,5 @@ func (s *Service) adoptEpoch(epoch uint64, addrs []string) (bool, error) {
 			s.startRedial(p)
 		}
 	}
-	return true, nil
-}
-
-// announceEpoch pushes the new membership to every peer of its mesh.
-// Receivers adopt it (idempotently), re-announce to their own links —
-// one Reconfigure floods the whole mesh — and answer with EpochAck.
-func (s *Service) announceEpoch(epoch uint64, addrs []string) {
-	m := s.meshForEpoch(epoch)
-	if m == nil {
-		return
-	}
-	frame := wire.AppendEpochAnnounce(nil, epoch, addrs)
-	for _, p := range m.peers {
-		if p == nil {
-			continue
-		}
-		p.send(frame)
-		s.ctr.epochAnnounces.Add(1)
-	}
+	return nil
 }

@@ -300,8 +300,8 @@ func (p *peerLink) enqueue(frame []byte, stalled func()) (ring bool) {
 	return ring
 }
 
-// send queues one frame from outside a loop wake-up — Drain's goodbye,
-// epoch gossip, the reader's acks — and rings the writer at once.
+// send queues one frame from outside a loop wake-up — Drain's goodbye —
+// and rings the writer at once.
 func (p *peerLink) send(frame []byte) {
 	if p.enqueue(frame, nil) {
 		p.out.ring()
@@ -399,7 +399,7 @@ func (c *vecChunk) decode(dec *wire.ConsensusMsg, body []byte, dim int) error {
 // for local/structural failures (see Service.Err).
 func (p *peerLink) readLoop(conn net.Conn, gen int) {
 	br := bufio.NewReader(countingReader{conn, &p.svc.ctr.reads})
-	var buf, ack []byte
+	var buf []byte
 	var dec wire.ConsensusMsg
 	var chunk vecChunk
 	dim := p.svc.cfg.Node.D
@@ -457,32 +457,11 @@ read:
 			burst = append(burst, inMsg{instance: h.Instance, from: p.id, msg: m})
 		case wire.FrameGoodbye:
 			p.sawGoodbye()
-		case wire.FrameEpochAnnounce:
-			epoch, addrs, err := wire.ParseEpochAnnounce(body)
-			if err != nil {
-				p.svc.ctr.readErrors.Add(1)
-				continue
-			}
-			adopted, err := p.svc.adoptEpoch(epoch, addrs)
-			if err != nil {
-				p.svc.ctr.readErrors.Add(1)
-				continue
-			}
-			if adopted {
-				// Gossip onward so one operator Reconfigure floods the
-				// mesh even when some links are down.
-				p.svc.announceEpoch(epoch, addrs)
-			}
-			ack = wire.AppendEpochAck(ack[:0], epoch)
-			p.send(ack)
-		case wire.FrameEpochAck:
-			if _, err := wire.ParseEpochAck(body); err == nil {
-				p.svc.ctr.epochAcks.Add(1)
-			}
 		case wire.FrameHello:
 			// Redundant hello after handshake; ignore.
 		default:
-			// Unknown frame kind: skip (forward compatibility).
+			// Unknown or retired frame kind (6 and 7 once carried
+			// membership gossip): skip (forward compatibility).
 		}
 	}
 	deliver()

@@ -39,8 +39,6 @@ type counters struct {
 
 	epoch             atomic.Uint64
 	reconfigures      atomic.Int64
-	epochAnnounces    atomic.Int64
-	epochAcks         atomic.Int64
 	staleEpochRejects atomic.Int64
 	retiredEpochs     atomic.Int64
 }
@@ -115,12 +113,9 @@ type Stats struct {
 	// every held epoch's links.
 	QueueDepth int
 	// Epoch is the current membership epoch (gauge); Reconfigures counts
-	// adopted membership changes (operator Reconfigure or a received
-	// EpochAnnounce that advanced the clock). EpochAnnounces counts
-	// announce frames sent, EpochAcks acknowledgements received.
-	Epoch                     uint64
-	Reconfigures              int64
-	EpochAnnounces, EpochAcks int64
+	// the Reconfigure calls that advanced it.
+	Epoch        uint64
+	Reconfigures int64
 	// StaleEpochRejects counts inbound handshakes refused because they
 	// claimed an epoch this process does not hold — the guard that keeps
 	// a replacement started with an out-of-date membership off the mesh.
@@ -160,8 +155,6 @@ func (s *Service) Stats() Stats {
 
 		Epoch:             s.ctr.epoch.Load(),
 		Reconfigures:      s.ctr.reconfigures.Load(),
-		EpochAnnounces:    s.ctr.epochAnnounces.Load(),
-		EpochAcks:         s.ctr.epochAcks.Load(),
 		StaleEpochRejects: s.ctr.staleEpochRejects.Load(),
 		RetiredEpochs:     s.ctr.retiredEpochs.Load(),
 	}

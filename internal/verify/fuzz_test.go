@@ -379,14 +379,24 @@ func errRow(i int, at float64, rel lp.Rel, rhs float64) error {
 	return fmt.Errorf("row %d: %g violates %v %g", i, at, rel, rhs)
 }
 
+// The retired kinds 6 and 7 (membership gossip) as v2 once encoded them:
+// an announce of epoch 3 over two addresses and its ack. They stay in the
+// fuzz seeds and corpus because receivers must keep skipping them.
+var (
+	retiredAnnounce = []byte("\x00\x00\x004\x02\x06\x00\x00\x00\x00\x00\x00\x00\x00" +
+		"\x00\x00\x00\x00\x00\x00\x00\x03\x00\x02\x00\x0e127.0.0.1:9001\x00\x0e127.0.0.1:9002")
+	retiredAck = []byte("\x00\x00\x00\x12\x02\x07\x00\x00\x00\x00\x00\x00\x00\x00" +
+		"\x00\x00\x00\x00\x00\x00\x00\x03")
+)
+
 // FuzzWireFrame asserts the frame layer never panics on hostile bytes and
 // that every successfully decoded consensus body survives a re-encode /
 // re-decode round trip bit-identically.
 func FuzzWireFrame(f *testing.F) {
 	f.Add(wire.AppendHello(nil, 3, 1))
 	f.Add(wire.AppendGoodbye(nil))
-	f.Add(wire.AppendEpochAnnounce(nil, 2, []string{"a:1", "b:2"}))
-	f.Add(wire.AppendEpochAck(nil, 2))
+	f.Add(retiredAnnounce)
+	f.Add(retiredAck)
 	f.Add(wire.AppendConsensus(nil, 7, &wire.ConsensusMsg{
 		Kind: wire.ConsensusRBC, Phase: 1, Origin: 2, Round: 4, Value: []float64{0.5, 0.25},
 	}))
@@ -420,20 +430,6 @@ func checkFrame(t *testing.T, frame []byte) {
 			enc := wire.AppendHello(nil, peer, epoch)
 			if _, ebody, eerr := wire.ParseFrame(enc[4:]); eerr != nil || !bytes.Equal(ebody, body) {
 				t.Fatalf("hello round trip diverged: %v vs %v (%v)", ebody, body, eerr)
-			}
-		}
-	case wire.FrameEpochAnnounce:
-		if epoch, addrs, err := wire.ParseEpochAnnounce(body); err == nil {
-			enc := wire.AppendEpochAnnounce(nil, epoch, addrs)
-			if _, ebody, eerr := wire.ParseFrame(enc[4:]); eerr != nil || !bytes.Equal(ebody, body) {
-				t.Fatalf("epoch announce round trip diverged: %v vs %v (%v)", ebody, body, eerr)
-			}
-		}
-	case wire.FrameEpochAck:
-		if epoch, err := wire.ParseEpochAck(body); err == nil {
-			enc := wire.AppendEpochAck(nil, epoch)
-			if _, ebody, eerr := wire.ParseFrame(enc[4:]); eerr != nil || !bytes.Equal(ebody, body) {
-				t.Fatalf("epoch ack round trip diverged: %v vs %v (%v)", ebody, body, eerr)
 			}
 		}
 	case wire.FrameConsensus:

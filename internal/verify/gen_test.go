@@ -565,14 +565,14 @@ func TestRegenSeedCorpus(t *testing.T) {
 		data[0] = 1
 		writeEntry("FuzzLPDifferential", "twin_"+strconv.Itoa(i), data)
 	}
-	// Wire frames: valid frames of each kind plus truncations.
+	// Wire frames: valid frames of each kind, the retired kinds, and
+	// truncations.
 	hello := wire.AppendHello(nil, 5, 1)
 	writeEntry("FuzzWireFrame", "hello", hello)
 	writeEntry("FuzzWireFrame", "hello_truncated", hello[:len(hello)-2])
-	announce := wire.AppendEpochAnnounce(nil, 3, []string{"127.0.0.1:9001", "127.0.0.1:9002"})
-	writeEntry("FuzzWireFrame", "epoch_announce", announce)
-	writeEntry("FuzzWireFrame", "epoch_announce_truncated", announce[:len(announce)-3])
-	writeEntry("FuzzWireFrame", "epoch_ack", wire.AppendEpochAck(nil, 3))
+	writeEntry("FuzzWireFrame", "epoch_announce", retiredAnnounce)
+	writeEntry("FuzzWireFrame", "epoch_announce_truncated", retiredAnnounce[:len(retiredAnnounce)-3])
+	writeEntry("FuzzWireFrame", "epoch_ack", retiredAck)
 	rbc := wire.AppendConsensus(nil, 42, &wire.ConsensusMsg{
 		Kind: wire.ConsensusRBC, Phase: 2, Origin: 1, Round: 3, Value: []float64{0.125, -0.5, 1e-9},
 	})

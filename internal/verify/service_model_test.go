@@ -2,7 +2,6 @@ package verify
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"strings"
@@ -139,7 +138,7 @@ type SvcHeal struct{}
 func (SvcHeal) String() string { return "Heal()" }
 
 // SvcReconfigure retires process P and admits a replacement under the
-// next membership epoch: the survivors are Reconfigured, the successor
+// next membership epoch: every survivor is Reconfigured, the successor
 // dials in at a fresh address, and the whole mesh must settle on exactly
 // the model's epoch.
 type SvcReconfigure struct{ P int }
@@ -419,7 +418,7 @@ func (s *ServiceSystem) reconfigure(c SvcReconfigure) error {
 			if i == c.P {
 				continue
 			}
-			if err := svc.Reconfigure(next); err != nil && !errors.Is(err, service.ErrStaleEpoch) {
+			if err := svc.Reconfigure(next); err != nil {
 				_ = repl.Close()
 				return fmt.Errorf("%s: survivor %d refused epoch %d: %w", c, i, s.epoch, err)
 			}

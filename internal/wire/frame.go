@@ -60,15 +60,9 @@ const (
 	// FrameAuth is the dialer's proof closing the keyed handshake (body:
 	// MACSize HMAC over the server nonce). Instance id is 0.
 	FrameAuth FrameKind = 5
-	// FrameEpochAnnounce propagates the next membership config through
-	// the mesh (body: epoch u64, n u16, n × (len u16 + addr bytes)). The
-	// shared auth key is never carried on the wire — key distribution is
-	// the operator's job; the announce only names the epoch and its
-	// address list. Instance id is 0.
-	FrameEpochAnnounce FrameKind = 6
-	// FrameEpochAck acknowledges an announced epoch (body: epoch u64).
-	// Instance id is 0.
-	FrameEpochAck FrameKind = 7
+	// Kinds 6 and 7 are retired: they carried membership gossip, which
+	// let one peer move every receiver to a new membership. They stay
+	// reserved, and a receiver skips them like any unknown kind.
 )
 
 // MACSize is the byte length of the handshake HMAC (HMAC-SHA256).
@@ -163,62 +157,6 @@ func AppendAuth(dst []byte, mac []byte) []byte {
 	dst, at := appendFramePrefix(dst, FrameAuth, 0)
 	dst = append(dst, mac...)
 	return backfillLen(dst, at)
-}
-
-// AppendEpochAnnounce appends a FrameEpochAnnounce carrying the epoch
-// number and the full address list of the announced membership.
-func AppendEpochAnnounce(dst []byte, epoch uint64, addrs []string) []byte {
-	dst, at := appendFramePrefix(dst, FrameEpochAnnounce, 0)
-	dst = binary.BigEndian.AppendUint64(dst, epoch)
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(addrs)))
-	for _, a := range addrs {
-		dst = binary.BigEndian.AppendUint16(dst, uint16(len(a)))
-		dst = append(dst, a...)
-	}
-	return backfillLen(dst, at)
-}
-
-// AppendEpochAck appends a FrameEpochAck for the given epoch.
-func AppendEpochAck(dst []byte, epoch uint64) []byte {
-	dst, at := appendFramePrefix(dst, FrameEpochAck, 0)
-	dst = binary.BigEndian.AppendUint64(dst, epoch)
-	return backfillLen(dst, at)
-}
-
-// ParseEpochAnnounce decodes a FrameEpochAnnounce body. The returned
-// address strings are copies; they do not alias body.
-func ParseEpochAnnounce(body []byte) (epoch uint64, addrs []string, err error) {
-	if len(body) < 10 {
-		return 0, nil, fmt.Errorf("wire: epoch announce body %d bytes, want >= 10", len(body))
-	}
-	epoch = binary.BigEndian.Uint64(body[0:8])
-	n := int(binary.BigEndian.Uint16(body[8:10]))
-	body = body[10:]
-	addrs = make([]string, 0, n)
-	for i := 0; i < n; i++ {
-		if len(body) < 2 {
-			return 0, nil, fmt.Errorf("wire: epoch announce truncated at addr %d", i)
-		}
-		l := int(binary.BigEndian.Uint16(body[0:2]))
-		body = body[2:]
-		if len(body) < l {
-			return 0, nil, fmt.Errorf("wire: epoch announce addr %d: %d bytes, want %d", i, len(body), l)
-		}
-		addrs = append(addrs, string(body[:l]))
-		body = body[l:]
-	}
-	if len(body) != 0 {
-		return 0, nil, fmt.Errorf("wire: epoch announce %d trailing bytes", len(body))
-	}
-	return epoch, addrs, nil
-}
-
-// ParseEpochAck decodes a FrameEpochAck body.
-func ParseEpochAck(body []byte) (epoch uint64, err error) {
-	if len(body) != 8 {
-		return 0, fmt.Errorf("wire: epoch ack body %d bytes, want 8", len(body))
-	}
-	return binary.BigEndian.Uint64(body), nil
 }
 
 // AppendGoodbye appends a FrameGoodbye.

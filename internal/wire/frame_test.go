@@ -39,21 +39,6 @@ func TestFrameGoldenBytes(t *testing.T) {
 			want: "0000001e" + "0201" + "0000000000000000" + "00000003" + "0000000000000009" + "1122334455667788",
 		},
 		{
-			name: "epoch-announce",
-			got:  AppendEpochAnnounce(nil, 2, []string{"a:1", "b:22"}),
-			// len=31 | v2 kind=6 instance=0 | epoch=2 n=2 |
-			// len=3 "a:1" | len=4 "b:22"
-			want: "0000001f" + "0206" + "0000000000000000" +
-				"0000000000000002" + "0002" +
-				"0003" + "613a31" + "0004" + "623a3232",
-		},
-		{
-			name: "epoch-ack",
-			got:  AppendEpochAck(nil, 2),
-			// len=18 | v2 kind=7 instance=0 | epoch=2
-			want: "00000012" + "0207" + "0000000000000000" + "0000000000000002",
-		},
-		{
 			name: "challenge",
 			got:  AppendChallenge(nil, 0x0102030405060708, mustHex("a1a2a3a4a5a6a7a8b1b2b3b4b5b6b7b8c1c2c3c4c5c6c7c8d1d2d3d4d5d6d7d8")),
 			// len=50 | v2 kind=4 instance=0 | nonce | 32-byte mac
@@ -149,43 +134,34 @@ func TestHandshakeFrameRoundTrip(t *testing.T) {
 	}
 }
 
-// TestEpochFrameRoundTrip covers the membership-epoch frame bodies.
-func TestEpochFrameRoundTrip(t *testing.T) {
-	addrs := []string{"127.0.0.1:9001", "127.0.0.1:9002", "", "host:80"}
-	enc := AppendEpochAnnounce(nil, 7, addrs)
-	h, body, err := ParseFrame(enc[4:])
-	if err != nil || h.Kind != FrameEpochAnnounce {
-		t.Fatalf("announce: header %+v err %v", h, err)
-	}
-	epoch, got, err := ParseEpochAnnounce(body)
-	if err != nil || epoch != 7 || len(got) != len(addrs) {
-		t.Fatalf("announce: epoch=%d addrs=%v err=%v", epoch, got, err)
-	}
-	for i := range addrs {
-		if got[i] != addrs[i] {
-			t.Fatalf("announce: addr %d = %q, want %q", i, got[i], addrs[i])
-		}
-	}
-	if _, _, err := ParseEpochAnnounce(body[:len(body)-1]); err == nil {
-		t.Error("truncated announce: no error")
-	}
-	if _, _, err := ParseEpochAnnounce(body[:9]); err == nil {
-		t.Error("short announce: no error")
-	}
-	if _, _, err := ParseEpochAnnounce(append(append([]byte(nil), body...), 0)); err == nil {
-		t.Error("trailing bytes: no error")
-	}
+// Retired frames, as v2 encoded them while it still carried membership
+// gossip: kind 6 announcing epoch 2 over the addresses "a:1" and "b:22",
+// and kind 7 acknowledging epoch 2.
+const (
+	retiredAnnounceHex = "0000001f" + "0206" + "0000000000000000" +
+		"0000000000000002" + "0002" + "0003" + "613a31" + "0004" + "623a3232"
+	retiredAckHex = "00000012" + "0207" + "0000000000000000" + "0000000000000002"
+)
 
-	enc = AppendEpochAck(nil, 7)
-	h, body, err = ParseFrame(enc[4:])
-	if err != nil || h.Kind != FrameEpochAck {
-		t.Fatalf("ack: header %+v err %v", h, err)
-	}
-	if epoch, err := ParseEpochAck(body); err != nil || epoch != 7 {
-		t.Fatalf("ack: epoch=%d err=%v", epoch, err)
-	}
-	if _, err := ParseEpochAck(body[:7]); err == nil {
-		t.Error("short ack: no error")
+// TestRetiredKindsParseAsUnknown: the retired kinds 6 and 7 still parse
+// as a header plus an opaque body, so a receiver skips them under the
+// unknown-kind rule instead of failing the connection.
+func TestRetiredKindsParseAsUnknown(t *testing.T) {
+	for _, tc := range []struct {
+		hex  string
+		kind FrameKind
+	}{{retiredAnnounceHex, 6}, {retiredAckHex, 7}} {
+		enc := mustHex(tc.hex)
+		h, body, err := ParseFrame(enc[4:])
+		if err != nil {
+			t.Fatalf("kind %d: %v", tc.kind, err)
+		}
+		if h.Version != FrameVersion || h.Kind != tc.kind || h.Instance != 0 {
+			t.Fatalf("kind %d: header %+v", tc.kind, h)
+		}
+		if !bytes.Equal(body, enc[4+FrameHeaderLen:]) {
+			t.Fatalf("kind %d: body %x, want the frame's last %d bytes", tc.kind, body, len(enc)-4-FrameHeaderLen)
+		}
 	}
 }
 

@@ -28,7 +28,8 @@ var (
 	// ServiceConfig.InstanceTimeout before deciding.
 	ErrInstanceTimeout = service.ErrInstanceTimeout
 	// ErrStaleEpoch rejects a Reconfigure whose epoch does not advance
-	// the membership clock.
+	// the membership clock, and inbound handshakes under an epoch the
+	// process does not hold.
 	ErrStaleEpoch = service.ErrStaleEpoch
 )
 
@@ -49,10 +50,12 @@ type ServiceStats = service.Stats
 
 // Membership names one epoch of a service mesh's configuration: a
 // monotonically numbered address list (process ids are stable; the size
-// never changes). Pass it to Reconfigure on a running survivor to replace
-// or re-address members, and to NewService (via ServiceConfig.Epoch and
-// Addrs) to start a replacement process under the new epoch. See docs/SERVICE.md, "Membership and
-// epochs".
+// never changes). Pass it to Reconfigure on every running survivor to
+// replace or re-address members — a process changes membership only by
+// that call, never on a peer's word — and to NewService (via
+// ServiceConfig.Epoch and Addrs) to start a replacement process under the
+// new epoch. See docs/SERVICE.md, "Drain, membership epochs, and live
+// replacement".
 type Membership = service.Membership
 
 // ServiceTransport abstracts the service's network surface — listener
