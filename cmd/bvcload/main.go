@@ -616,7 +616,6 @@ func (r *loadResult) summarize(w io.Writer, cfg loadConfig) {
 		st.LingerExtensions += s.LingerExtensions
 		st.Reconfigures += s.Reconfigures
 		st.StaleEpochRejects += s.StaleEpochRejects
-		st.RetiredEpochs += s.RetiredEpochs
 		if s.Epoch > st.Epoch {
 			st.Epoch = s.Epoch
 		}
@@ -632,8 +631,8 @@ func (r *loadResult) summarize(w io.Writer, cfg loadConfig) {
 			float64(st.Writes)*per, float64(st.Reads)*per)
 	}
 	if st.Reconfigures > 0 {
-		fmt.Fprintf(w, "epochs     at epoch %d, %d reconfigures, %d stale-epoch rejects, %d retired link sets\n",
-			st.Epoch, st.Reconfigures, st.StaleEpochRejects, st.RetiredEpochs)
+		fmt.Fprintf(w, "epochs     at epoch %d, %d reconfigures, %d stale-epoch rejects\n",
+			st.Epoch, st.Reconfigures, st.StaleEpochRejects)
 	}
 	if r.chaosMode {
 		fmt.Fprintf(w, "degraded   %d read errors, %d dial failures, %d linger extensions, %d crash-aborted results\n",

@@ -119,52 +119,52 @@ func (s *Service) clientHandshake(conn net.Conn, peer int, epoch uint64) error {
 	})
 }
 
-// serverHandshake runs the acceptor's half on a fresh inbound conn: read
-// the Hello, refuse epochs this process does not hold (ErrStaleEpoch),
-// authenticate when keyed, and return the identified peer id and the
-// epoch the connection serves. The caller has set the read deadline.
-func (s *Service) serverHandshake(conn net.Conn) (int, uint64, error) {
+// serverHandshake runs the acceptor's half on a fresh inbound conn under
+// the current membership epoch: read the Hello, refuse any other epoch
+// (ErrStaleEpoch), authenticate when keyed, and return the identified
+// peer id. The caller has set the read deadline.
+func (s *Service) serverHandshake(conn net.Conn, current uint64) (int, error) {
 	body, err := readHandshakeFrame(conn, wire.FrameHello)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	key := s.cfg.AuthKey
 	if len(key) == 0 {
 		peer, epoch, err := wire.ParseHello(body)
 		if err != nil {
-			return 0, 0, err // a keyed hello against a keyless mesh lands here
+			return 0, err // a keyed hello against a keyless mesh lands here
 		}
-		if s.meshForEpoch(epoch) == nil {
-			return 0, 0, fmt.Errorf("%w: hello epoch %d (current %d)", ErrStaleEpoch, epoch, s.Epoch())
+		if epoch != current {
+			return 0, fmt.Errorf("%w: hello epoch %d (current %d)", ErrStaleEpoch, epoch, current)
 		}
-		return int(peer), epoch, nil
+		return int(peer), nil
 	}
 	peer, epoch, cn, err := wire.ParseHelloNonce(body)
 	if err != nil {
-		return 0, 0, fmt.Errorf("%w: %v", ErrAuthFailed, err)
+		return 0, fmt.Errorf("%w: %v", ErrAuthFailed, err)
 	}
-	if s.meshForEpoch(epoch) == nil {
-		return 0, 0, fmt.Errorf("%w: hello epoch %d (current %d)", ErrStaleEpoch, epoch, s.Epoch())
+	if epoch != current {
+		return 0, fmt.Errorf("%w: hello epoch %d (current %d)", ErrStaleEpoch, epoch, current)
 	}
 	sn, err := newNonce()
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	if err := writeFrameBuf(conn, func(dst []byte) []byte {
 		return wire.AppendChallenge(dst, sn, authMAC(key, "bvc2-srv", cn, sn, uint32(s.cfg.ID), epoch))
 	}); err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	body, err = readHandshakeFrame(conn, wire.FrameAuth)
 	if err != nil {
-		return 0, 0, err
+		return 0, err
 	}
 	mac, err := wire.ParseAuth(body)
 	if err != nil {
-		return 0, 0, fmt.Errorf("%w: %v", ErrAuthFailed, err)
+		return 0, fmt.Errorf("%w: %v", ErrAuthFailed, err)
 	}
 	if !hmac.Equal(mac, authMAC(key, "bvc2-cli", sn, 0, uint32(peer), epoch)) {
-		return 0, 0, ErrAuthFailed
+		return 0, ErrAuthFailed
 	}
-	return int(peer), epoch, nil
+	return int(peer), nil
 }

@@ -69,10 +69,10 @@ func BenchmarkShardDispatch(b *testing.B) {
 				name = "live/" + name
 			}
 			b.Run(name, func(b *testing.B) {
-				sh, m := detachedShard(0, 5, Config{QueueDepth: 4096, InstanceTimeout: time.Hour})
+				sh := detachedShard(0, 5, Config{QueueDepth: 4096, InstanceTimeout: time.Hour})
 				msg := inMsg{instance: 9, from: 1}
 				if live {
-					openDetached(b, sh, m, 0, 9, geometry.Vector{0.5, 0.5})
+					openDetached(b, sh, 0, 9, geometry.Vector{0.5, 0.5})
 					msg.msg = aad.Msg{Kind: aad.KindRBC, RBC: broadcast.RBCMsg{
 						Phase: broadcast.RBCEcho, Origin: 2, Tag: 1, Value: geometry.Vector{0.25, 0.75}}}
 				} else {

@@ -7,6 +7,7 @@ import (
 	"errors"
 	"math/rand"
 	"net"
+	"runtime"
 	"testing"
 	"time"
 
@@ -37,11 +38,9 @@ func reconfigureAll(t *testing.T, svcs []*Service, m Membership) {
 	}
 }
 
-// TestServiceProposeRacesReconfigure pins the epoch-pinning contract under
-// a live flip: proposals issued concurrently with the Reconfigure of every
-// process land on exactly one epoch — whichever the membership clock
-// showed when the pin was taken — and decide there; afterwards fresh
-// proposals all pin the new epoch.
+// TestServiceProposeRacesReconfigure: proposals issued concurrently with
+// the Reconfigure of every process decide across the flip; afterwards
+// every process reports the new epoch and fresh proposals decide.
 func TestServiceProposeRacesReconfigure(t *testing.T) {
 	const n = 5
 	svcs := startMesh(t, n, nil)
@@ -66,7 +65,7 @@ func TestServiceProposeRacesReconfigure(t *testing.T) {
 	}
 	close(start)
 	// Flip the membership mid-race. Addresses are unchanged — every link
-	// is shared between the two meshes — so this is a pure epoch bump.
+	// keeps its connection — so this is a pure epoch bump.
 	reconfigureAll(t, svcs, Membership{Epoch: 1, Addrs: addrs})
 	for i := 0; i < n; i++ {
 		if err := <-errs; err != nil {
@@ -77,9 +76,6 @@ func TestServiceProposeRacesReconfigure(t *testing.T) {
 		r := collect(t, chans[i], 10*time.Second)
 		if r.Err != nil {
 			t.Fatalf("process %d: instance failed across the flip: %v", i, r.Err)
-		}
-		if r.Epoch != 0 && r.Epoch != 1 {
-			t.Fatalf("process %d: result pinned epoch %d, want 0 or 1", i, r.Epoch)
 		}
 	}
 
@@ -94,16 +90,12 @@ func TestServiceProposeRacesReconfigure(t *testing.T) {
 		if r.Err != nil {
 			t.Fatalf("process %d: post-flip instance failed: %v", i, r.Err)
 		}
-		if r.Epoch != 1 {
-			t.Fatalf("process %d: post-flip instance pinned epoch %d, want 1", i, r.Epoch)
-		}
 	}
 }
 
 // TestServiceDuplicateInstanceAcrossEpochs: instance ids are global across
-// the membership clock — reusing a live id after a Reconfigure is refused
-// even though the new proposal would pin a different epoch, because peers
-// route frames by id alone.
+// the membership clock — reusing an id after a Reconfigure is refused,
+// because peers route frames by id alone.
 func TestServiceDuplicateInstanceAcrossEpochs(t *testing.T) {
 	const n = 5
 	svcs := startMesh(t, n, nil)
@@ -128,14 +120,14 @@ func TestServiceDuplicateInstanceAcrossEpochs(t *testing.T) {
 	if !errors.Is(r.Err, ErrDuplicateInstance) {
 		t.Fatalf("reused id across epochs: err = %v, want ErrDuplicateInstance", r.Err)
 	}
-	if r.Epoch != 1 {
-		t.Fatalf("refused proposal reports epoch %d, want the new pin 1", r.Epoch)
+	if got := svcs[0].Epoch(); got != 1 {
+		t.Fatalf("epoch %d after Reconfigure, want 1", got)
 	}
 }
 
-// TestServiceStaleEpochHandshakeRejected: inbound handshakes claiming an
-// epoch this process does not hold are refused and counted — both a
-// never-seen future epoch and the retired pre-reconfigure epoch.
+// TestServiceStaleEpochHandshakeRejected: an inbound handshake must name
+// the acceptor's current epoch; any other is refused and counted — both a
+// never-seen future epoch and the pre-reconfigure epoch.
 func TestServiceStaleEpochHandshakeRejected(t *testing.T) {
 	const n = 5
 	svcs := startMesh(t, n, nil)
@@ -167,75 +159,207 @@ func TestServiceStaleEpochHandshakeRejected(t *testing.T) {
 		return svcs[0].Stats().StaleEpochRejects >= 1
 	}, "future-epoch hello counted")
 
-	// Retire epoch 0 (no pinned instances, unchanged addresses): a peer
-	// still handshaking under it is now stale.
+	// Move to epoch 1 (unchanged addresses): a peer still handshaking
+	// under epoch 0 is now stale.
 	reconfigureAll(t, svcs, Membership{Epoch: 1, Addrs: addrs})
-	if m := svcs[0].meshForEpoch(0); m != nil {
-		t.Fatal("epoch 0 still held after an unpinned reconfigure")
+	if got := svcs[0].Epoch(); got != 1 {
+		t.Fatalf("epoch %d after Reconfigure, want 1", got)
 	}
 	dialHello(0)
 	waitUntil(t, 5*time.Second, func() bool {
 		return svcs[0].Stats().StaleEpochRejects >= 2
-	}, "retired-epoch hello counted")
+	}, "superseded-epoch hello counted")
 }
 
-// TestServiceOldEpochRetiresAfterLastPin: a superseded epoch's link set
-// survives exactly as long as an instance pinned to it — here a decided
-// instance lingering for lagging peers — and its unique links are stopped
-// only when that last pin tombstones. Links whose address did not change
-// are shared with the new mesh, not duplicated. Process 4 never proposes,
-// so the instance cannot quiesce and lingers for its whole window.
-func TestServiceOldEpochRetiresAfterLastPin(t *testing.T) {
-	const n = 5
-	const linger = 300 * time.Millisecond
+// closedPort returns a loopback address nothing listens on.
+func closedPort(t *testing.T) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := ln.Addr().String()
+	_ = ln.Close()
+	return addr
+}
+
+// TestReconfigureKeepsOneLinkPerPeer: a Reconfigure re-addresses each
+// peer's one link in place, so moving a slot again and again starts no
+// goroutine, however many decided instances linger across the moves.
+// Process 4 is closed and never proposes, so every instance decided among
+// 0–3 lingers for the whole one-minute window. Five moves each send slot 4
+// to a fresh closed port, and the survivors decide a new instance after
+// every move.
+func TestReconfigureKeepsOneLinkPerPeer(t *testing.T) {
+	const n, moves = 5, 5
 	svcs := startMesh(t, n, func(_ int, cfg *Config) {
-		cfg.LingerTimeout = linger
+		cfg.LingerTimeout = time.Minute
 	})
-	rng := rand.New(rand.NewSource(29))
+	rng := rand.New(rand.NewSource(41))
 	addrs := make([]string, n)
 	for i, s := range svcs {
 		addrs[i] = s.Addr()
 	}
-
-	chans := proposeAll(t, svcs[:n-1], 1, randomInputs(rng, n, 2))
-	for i := range chans {
-		if r := collect(t, chans[i], 10*time.Second); r.Err != nil {
-			t.Fatalf("process %d: %v", i, r.Err)
+	survivors := svcs[:n-1]
+	_ = svcs[n-1].Close()
+	waitUntil(t, 5*time.Second, func() bool {
+		for _, s := range survivors {
+			if s.peerAt(n - 1).connected() {
+				return false
+			}
+		}
+		return true
+	}, "survivors notice the closed process")
+	decide := func(id uint64) {
+		t.Helper()
+		for i, ch := range proposeAll(t, survivors, id, randomInputs(rng, n, 2)) {
+			if r := collect(t, ch, 10*time.Second); r.Err != nil {
+				t.Fatalf("process %d: instance %d: %v", i, id, r.Err)
+			}
 		}
 	}
+	decide(1)
 
-	oldShared := svcs[0].peerAt(1)
-	oldUnique := svcs[0].peerAt(4)
-	// Replace member 4's address on every survivor: its slot gets a fresh
-	// link at epoch 1, making the epoch-0 link to 4 unique to the retiring
-	// mesh. Port 1 is never listening — the replacement process "has not
-	// started yet".
+	base := runtime.NumGoroutine()
+	for k := 1; k <= moves; k++ {
+		addrs[n-1] = closedPort(t)
+		reconfigureAll(t, survivors, Membership{Epoch: uint64(k), Addrs: addrs})
+		decide(uint64(k + 1))
+	}
+	for i, s := range survivors {
+		if st := s.Stats(); st.Lingering != moves+1 || st.Epoch != moves {
+			t.Fatalf("process %d: %d lingering at epoch %d, want %d at %d", i, st.Lingering, st.Epoch, moves+1, moves)
+		}
+	}
+	grown := runtime.NumGoroutine() - base
+	for deadline := time.Now().Add(2 * time.Second); grown >= 8 && time.Now().Before(deadline); {
+		time.Sleep(10 * time.Millisecond)
+		grown = runtime.NumGoroutine() - base
+	}
+	if grown >= 8 {
+		t.Fatalf("goroutines grew by %d across %d moves of one slot, want fewer than 8", grown, moves)
+	}
+}
+
+// TestReplaceAfterGoodbyeRedials: a goodbye stops redials only to the
+// process that said it. Process 1 drains, so every peer sees its goodbye,
+// and closes; the operator replaces slot 1 at a new address, and survivors
+// 2–4, the dialing side, connect to the replacement. That first connection
+// counts in their Reconnects, as a restart's would. A 5-process instance
+// then decides.
+func TestReplaceAfterGoodbyeRedials(t *testing.T) {
+	const n = 5
+	svcs := startMesh(t, n, nil)
+	addrs := make([]string, n)
+	for i, s := range svcs {
+		addrs[i] = s.Addr()
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := svcs[1].Drain(ctx); err != nil {
+		t.Fatalf("Drain: %v", err)
+	}
+	waitUntil(t, 5*time.Second, func() bool {
+		for _, s := range svcs[2:] {
+			p := s.peerAt(1)
+			p.mu.Lock()
+			bye := p.goodbye
+			p.mu.Unlock()
+			if !bye {
+				return false
+			}
+		}
+		return true
+	}, "processes 2–4 see process 1's goodbye")
+	_ = svcs[1].Close()
+
 	next := append([]string(nil), addrs...)
-	next[4] = "127.0.0.1:1"
-	reconfigureAll(t, svcs[:n-1], Membership{Epoch: 1, Addrs: next})
-	if got := svcs[0].Epoch(); got != 1 {
-		t.Fatalf("epoch %d after Reconfigure, want 1", got)
+	next[1] = "127.0.0.1:0"
+	repl, err := New(Config{Node: testNodeConfig(n), ID: 1, Epoch: 1, Addrs: next, Seed: 7})
+	if err != nil {
+		t.Fatalf("replacement: %v", err)
 	}
-	// The decided instance is still lingering, pinning epoch 0: the old
-	// mesh must be held and nothing retired yet.
-	if svcs[0].meshForEpoch(0) == nil {
-		t.Fatal("epoch 0 dropped while a lingering instance still pins it")
+	t.Cleanup(func() { _ = repl.Close() })
+	next[1] = repl.Addr()
+	mesh := []*Service{svcs[0], repl, svcs[2], svcs[3], svcs[4]}
+	reconfigureAll(t, []*Service{svcs[0], svcs[2], svcs[3], svcs[4]}, Membership{Epoch: 1, Addrs: next})
+	if err := repl.Establish(ctx, next); err != nil {
+		t.Fatalf("replacement Establish: %v", err)
 	}
-	if got := svcs[0].Stats().RetiredEpochs; got != 0 {
-		t.Fatalf("RetiredEpochs = %d with a live pin, want 0", got)
+	waitUntil(t, 5*time.Second, func() bool {
+		for _, s := range svcs[2:] {
+			if !s.peerAt(1).connected() || s.Stats().Reconnects != 1 {
+				return false
+			}
+		}
+		return true
+	}, "processes 2–4 connect to the replacement, one reconnect each")
+	for i, ch := range proposeAll(t, mesh, 1, randomInputs(rand.New(rand.NewSource(43)), n, 2)) {
+		if r := collect(t, ch, 10*time.Second); r.Err != nil {
+			t.Fatalf("process %d: instance 1: %v", i, r.Err)
+		}
 	}
-	if svcs[0].peerAt(1) != oldShared {
-		t.Fatal("unchanged-address link was not shared between epochs")
-	}
-	if svcs[0].peerAt(4) == oldUnique {
-		t.Fatal("re-addressed slot kept the old link instead of a fresh one")
-	}
+}
 
-	// Once the linger window closes the instance tombstones, the pin is
-	// released, and the old epoch retires (stopping its unique links).
-	waitUntil(t, 10*linger+2*time.Second, func() bool {
-		return svcs[0].meshForEpoch(0) == nil && svcs[0].Stats().RetiredEpochs == 1
-	}, "epoch 0 retires after the last pinned instance tombstones")
+// TestReplacedLiveMemberCutOff: replacing slot 4 while the old process 4
+// still runs cuts it off. Each survivor's connection to it closes at the
+// survivor's Reconfigure, the old process's redials under epoch 0 are
+// refused (StaleEpochRejects), it reads no frame after the cut, and the
+// replacement joins and decides.
+func TestReplacedLiveMemberCutOff(t *testing.T) {
+	const n = 5
+	svcs := startMesh(t, n, nil)
+	addrs := make([]string, n)
+	for i, s := range svcs {
+		addrs[i] = s.Addr()
+	}
+	old, survivors := svcs[n-1], svcs[:n-1]
+
+	next := append([]string(nil), addrs...)
+	next[n-1] = "127.0.0.1:0"
+	repl, err := New(Config{Node: testNodeConfig(n), ID: n - 1, Epoch: 1, Addrs: next, Seed: 9})
+	if err != nil {
+		t.Fatalf("replacement: %v", err)
+	}
+	t.Cleanup(func() { _ = repl.Close() })
+	next[n-1] = repl.Addr()
+	for i, s := range survivors {
+		if err := s.Reconfigure(Membership{Epoch: 1, Addrs: next}); err != nil {
+			t.Fatalf("Reconfigure(%d): %v", i, err)
+		}
+		// The replacement has not dialed yet, and the old process's
+		// epoch-0 hello is refused: the link stays down.
+		if s.peerAt(n - 1).connected() {
+			t.Fatalf("process %d still connected to slot %d after Reconfigure", i, n-1)
+		}
+	}
+	waitUntil(t, 5*time.Second, func() bool {
+		for _, s := range survivors {
+			if s.Stats().StaleEpochRejects == 0 {
+				return false
+			}
+		}
+		return true
+	}, "every survivor refuses the old process's epoch-0 redials")
+	heard := old.Stats().FramesIn
+
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	if err := repl.Establish(ctx, next); err != nil {
+		t.Fatalf("replacement Establish: %v", err)
+	}
+	mesh := append(append([]*Service(nil), survivors...), repl)
+	for i, ch := range proposeAll(t, mesh, 1, randomInputs(rand.New(rand.NewSource(47)), n, 2)) {
+		if r := collect(t, ch, 10*time.Second); r.Err != nil {
+			t.Fatalf("process %d: instance 1: %v", i, r.Err)
+		}
+	}
+	if got := old.Stats().FramesIn; got != heard {
+		t.Errorf("the replaced process read %d frames after the cut", got-heard)
+	}
+	if got := old.Epoch(); got != 0 {
+		t.Errorf("the replaced process moved to epoch %d", got)
+	}
 }
 
 // TestFaultyMemberCannotReconfigureOthers: membership moves only by the
@@ -268,8 +392,8 @@ func TestFaultyMemberCannotReconfigureOthers(t *testing.T) {
 		}
 	}
 	for i, ch := range proposeAll(t, correct, 9, randomInputs(rng, n, 2)) {
-		if r := collect(t, ch, 10*time.Second); r.Err != nil || r.Epoch != 0 {
-			t.Fatalf("process %d: instance 9 at epoch %d: %v", i, r.Epoch, r.Err)
+		if r := collect(t, ch, 10*time.Second); r.Err != nil {
+			t.Fatalf("process %d: instance 9: %v", i, r.Err)
 		}
 	}
 
@@ -292,8 +416,11 @@ func TestFaultyMemberCannotReconfigureOthers(t *testing.T) {
 	}
 	mesh := append(append([]*Service(nil), correct...), repl)
 	for i, ch := range proposeAll(t, mesh, 10, randomInputs(rng, n, 2)) {
-		if r := collect(t, ch, 10*time.Second); r.Err != nil || r.Epoch != 1 {
-			t.Fatalf("process %d: instance 10 at epoch %d: %v", i, r.Epoch, r.Err)
+		if r := collect(t, ch, 10*time.Second); r.Err != nil {
+			t.Fatalf("process %d: instance 10: %v", i, r.Err)
+		}
+		if got := mesh[i].Epoch(); got != 1 {
+			t.Fatalf("process %d at epoch %d after the repair, want 1", i, got)
 		}
 	}
 }
@@ -347,8 +474,8 @@ func TestRetiredEpochFramesSkipped(t *testing.T) {
 	}, "process 0 reads the retired frames")
 
 	for i, ch := range proposeAll(t, svcs, 1, randomInputs(rand.New(rand.NewSource(37)), n, 2)) {
-		if r := collect(t, ch, 10*time.Second); r.Err != nil || r.Epoch != 0 {
-			t.Fatalf("process %d: instance 1 at epoch %d: %v", i, r.Epoch, r.Err)
+		if r := collect(t, ch, 10*time.Second); r.Err != nil {
+			t.Fatalf("process %d: instance 1: %v", i, r.Err)
 		}
 	}
 	st := svcs[0].Stats()

@@ -21,19 +21,17 @@ import (
 
 // openDetached opens instance id for process self on a detached shard and
 // returns the channel its result arrives on.
-func openDetached(t testing.TB, sh *shard, m *mesh, self int, id uint64, input geometry.Vector) chan Result {
+func openDetached(t testing.TB, sh *shard, self int, id uint64, input geometry.Vector) chan Result {
 	t.Helper()
-	sh.svc.cfg.Node = testNodeConfig(len(m.peers))
+	sh.svc.cfg.Node = testNodeConfig(len(sh.svc.peers))
 	sh.svc.cfg.InstanceTimeout = time.Hour
 	sh.svc.cfg.LingerTimeout = time.Hour
-	sh.svc.cur = m // the pinned mesh is the current one: releases never retire it
 	node, err := core.NewAsyncNode(sh.svc.cfg.Node, sim.ProcID(self), input)
 	if err != nil {
 		t.Fatal(err)
 	}
 	res := make(chan Result, 1)
-	m.refs++
-	sh.open(proposeReq{id: id, node: node, res: res, mesh: m})
+	sh.open(proposeReq{id: id, node: node, res: res})
 	sh.drainLocal()
 	return res
 }
@@ -102,8 +100,8 @@ func TestShardKeepsNothingOfABurst(t *testing.T) {
 	traffic := peerTraffic(t, cfg, inputs)
 
 	run := func(scribble bool) Result {
-		sh, m := detachedShard(0, n, Config{OutboxDepth: 1 << 14, QueueDepth: 64})
-		res := openDetached(t, sh, m, 0, id, inputs[0])
+		sh := detachedShard(0, n, Config{OutboxDepth: 1 << 14, QueueDepth: 64})
+		res := openDetached(t, sh, 0, id, inputs[0])
 		var frame []byte
 		var dec wire.ConsensusMsg
 		for at := 0; at < len(traffic); at += burstLen {
@@ -174,8 +172,8 @@ func TestShardKeepsNothingOfABurst(t *testing.T) {
 // clear(sh.batch) is for.
 func TestDrainedShardPinsNoChunk(t *testing.T) {
 	const n, id = 5, 1
-	sh, m := detachedShard(0, n, Config{OutboxDepth: 1 << 12, QueueDepth: 256})
-	openDetached(t, sh, m, 0, id, geometry.Vector{0.5, 0.5})
+	sh := detachedShard(0, n, Config{OutboxDepth: 1 << 12, QueueDepth: 256})
+	openDetached(t, sh, 0, id, geometry.Vector{0.5, 0.5})
 
 	freed := make(chan struct{})
 	func() {
@@ -250,7 +248,7 @@ func TestLingeringInstancePinsNoSlab(t *testing.T) {
 		watched := 0
 		loops := make([]*shard, schedules)
 		for k := range loops {
-			sh, m := detachedShard(0, n, Config{OutboxDepth: 1 << 14})
+			sh := detachedShard(0, n, Config{OutboxDepth: 1 << 14})
 			loops[k] = sh
 			// watch puts a finalizer on the block of every INIT of
 			// process 0 waiting on the local FIFO, then delivers the FIFO.
@@ -266,14 +264,12 @@ func TestLingeringInstancePinsNoSlab(t *testing.T) {
 			sh.svc.cfg.Node = cfg
 			sh.svc.cfg.InstanceTimeout = time.Hour
 			sh.svc.cfg.LingerTimeout = time.Hour
-			sh.svc.cur = m
 			node, err := core.NewAsyncNode(cfg, 0, inputs[0])
 			if err != nil {
 				t.Fatal(err)
 			}
 			res := make(chan Result, 1)
-			m.refs++
-			sh.open(proposeReq{id: id, node: node, res: res, mesh: m})
+			sh.open(proposeReq{id: id, node: node, res: res})
 			watch()
 			held := 1 + k%(n-2)
 			next, left := make([]int, n), 0
@@ -325,7 +321,7 @@ func TestLingeringInstancePinsNoSlab(t *testing.T) {
 // arrived in — and the copy is what the instance replays once proposed.
 func TestPendingBoxCopiesValues(t *testing.T) {
 	const n, id = 5, 4
-	sh, m := detachedShard(0, n, Config{PendingLimit: 8})
+	sh := detachedShard(0, n, Config{PendingLimit: 8})
 	chunk := []float64{0.25, 0.75}
 	early := inMsg{instance: id, from: 1, msg: aad.Msg{Kind: aad.KindRBC,
 		RBC: broadcast.RBCMsg{Phase: broadcast.RBCInit, Origin: 1, Tag: 1, Value: chunk}}}
@@ -339,10 +335,10 @@ func TestPendingBoxCopiesValues(t *testing.T) {
 	if got := box.msgs[0].msg.RBC.Value; !got.Equal(geometry.Vector{0.25, 0.75}) {
 		t.Fatalf("buffered value %v follows the chunk; want a copy", got)
 	}
-	openDetached(t, sh, m, 0, id, geometry.Vector{0.5, 0.5})
+	openDetached(t, sh, 0, id, geometry.Vector{0.5, 0.5})
 	// The replayed INIT is echoed with the buffered value.
 	want := wire.AppendConsensus(nil, id, &wire.ConsensusMsg{Kind: wire.ConsensusRBC, Phase: uint8(broadcast.RBCEcho), Origin: 1, Round: 1, Value: []float64{0.25, 0.75}})
-	got, _ := m.peers[2].out.take(nil)
+	got, _ := sh.svc.peers[2].out.take(nil)
 	if !containsFrame(got, want) {
 		t.Errorf("peer 2's outbox holds no ECHO of the buffered value")
 	}

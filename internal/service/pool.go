@@ -27,12 +27,14 @@ const suspectAfter = 3
 // pace, so quorum math should stop counting on it.
 const pressureSuspectAfter = 64
 
-// peerLink is one peer's slot in the connection pool: the persistent
-// connection (replaced transparently on failure), the bounded outbox its
-// writer goroutine swaps out and writes, the reconnect state, and the
+// peerLink is one peer's slot in the connection pool, one per peer id for
+// the service's whole life: the persistent connection (replaced
+// transparently on failure), the bounded outbox its writer goroutine swaps
+// out and writes, the peer's current address and reconnect state, and the
 // health ladder (consecutive dial failures and outbox pressure feeding
-// suspicion). The mesh convention is the transport package's: the higher
-// id dials the lower, so exactly one side owns redialing after a failure.
+// suspicion). The higher id dials the lower, so exactly one side owns
+// redialing after a failure. A membership change re-addresses the link in
+// place (readdress); only Close ends it.
 type peerLink struct {
 	svc  *Service
 	id   int
@@ -54,11 +56,6 @@ type peerLink struct {
 	goodbye   bool // peer announced drain; no redial
 	redialing bool
 
-	// epoch is the newest membership epoch this link belongs to; dials
-	// announce it in the Hello and the keyed handshake MAC binds it. A
-	// link shared across epochs (address unchanged) carries the newest.
-	epoch uint64
-
 	// Health ladder (guarded by mu). dialFails counts consecutive failed
 	// dial/handshake attempts; pressure counts consecutive full-outbox
 	// stalls; downSince timestamps the last disconnect; rng jitters the
@@ -74,7 +71,6 @@ func newPeerLink(svc *Service, id int, addr string) *peerLink {
 		svc:   svc,
 		id:    id,
 		addr:  addr,
-		epoch: svc.cfg.Epoch,
 		out:   newMailbox[byte](svc.cfg.OutboxDepth),
 		ready: make(chan struct{}),
 		rng:   rand.New(rand.NewPCG(uint64(svc.cfg.Seed)^uint64(id+1)*0x9e3779b97f4a7c15, 0)),
@@ -83,37 +79,33 @@ func newPeerLink(svc *Service, id int, addr string) *peerLink {
 	return p
 }
 
-// setEpoch raises the link's epoch tag (it never goes backwards: a link
-// shared across epochs handshakes under the newest one it serves).
-func (p *peerLink) setEpoch(e uint64) {
+// readdress points the link at addr, the peer's address in a new
+// membership. An unchanged address changes nothing. A changed one is a
+// new process in the slot: the old one's goodbye and health no longer
+// apply, its connection generation fails, and the dialing side dials the
+// new address — at once, or after the current backoff sleep when a dial
+// loop is already running. Frames still in the outbox go to the new
+// process.
+func (p *peerLink) readdress(addr string) {
 	p.mu.Lock()
-	if e > p.epoch {
-		p.epoch = e
+	if addr == p.addr {
+		p.mu.Unlock()
+		return
 	}
+	p.addr = addr
+	p.goodbye = false
+	p.dialFails, p.pressure = 0, 0
+	gen := p.gen
 	p.mu.Unlock()
-}
-
-// curEpoch reads the epoch the link's dials announce.
-func (p *peerLink) curEpoch() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.epoch
-}
-
-// startLink starts the link's writer goroutine; called once per link,
-// at service construction or when a reconfiguration creates the link.
-func (s *Service) startLink(p *peerLink) {
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		p.writeLoop()
-	}()
+	p.failed(gen)
+	if p.svc.cfg.ID > p.id {
+		p.svc.startRedial(p)
+	}
 }
 
 // startRedial starts the dial loop toward a peer this process is the
 // dialing side for, unless one is running or the link needs none: at
-// Establish, for the links a reconfiguration creates, and after a link
-// fails.
+// Establish, after a re-address, and after a link fails.
 func (s *Service) startRedial(p *peerLink) {
 	p.mu.Lock()
 	if p.redialing || p.stopped || p.goodbye || p.conn != nil {
@@ -182,16 +174,19 @@ func (p *peerLink) clearPressure() {
 	p.mu.Unlock()
 }
 
-// install replaces the link's connection and starts its reader loop. It
-// ends the link's dial loop, the only installer on the dialing side.
-func (p *peerLink) install(conn net.Conn) {
+// install replaces the link's connection and starts its reader loop.
+// epoch is the membership epoch conn's handshake named: once the service
+// has moved past it the conn is refused (closed, false), since the slot
+// may have been re-addressed meanwhile. Installing ends the link's dial
+// loop, the only installer on the dialing side.
+func (p *peerLink) install(conn net.Conn, epoch uint64) bool {
 	p.mu.Lock()
-	p.redialing = false
-	if p.stopped {
+	if p.stopped || epoch != p.svc.Epoch() {
 		p.mu.Unlock()
 		_ = conn.Close()
-		return
+		return false
 	}
+	p.redialing = false
 	if p.conn != nil {
 		_ = p.conn.Close()
 	}
@@ -210,6 +205,7 @@ func (p *peerLink) install(conn net.Conn) {
 		defer p.svc.wg.Done()
 		p.readLoop(conn, gen)
 	}()
+	return true
 }
 
 // failed tears down generation gen's connection (no-op when a newer one
@@ -230,7 +226,8 @@ func (p *peerLink) failed(gen int) {
 	}
 }
 
-// stop makes the link inert: waiting writers wake, the connection closes.
+// stop makes the link inert at Close: waiting writers wake, the
+// connection closes.
 func (p *peerLink) stop() {
 	p.mu.Lock()
 	p.stopped = true
@@ -494,9 +491,11 @@ func frameBuffered(br *bufio.Reader) bool {
 // replacement: it dials with jittered capped exponential backoff — attempt
 // k sleeps uniform in [b/2, b] where b = min(DialBackoff·2^k,
 // MaxDialBackoff), so peers may come up in any order — and every failed
-// attempt (dial or handshake) climbs the suspicion ladder. Only a
-// connection that replaces an earlier one counts in Stats.Reconnects. It
-// gives up when the service stops or the peer said goodbye.
+// attempt (dial or handshake) climbs the suspicion ladder. Every
+// connection after the link's first counts in Stats.Reconnects, the first
+// one to a replacement process included: a replace takes the same path as
+// a restart. It gives up when the service stops or the peer said goodbye,
+// and dials again at once when a Reconfigure lands mid-dial.
 //
 // The loop clears redialing in the same critical section that ends it —
 // install's, on success — so a failure of the new connection always finds
@@ -504,6 +503,9 @@ func frameBuffered(br *bufio.Reader) bool {
 func (p *peerLink) redial() {
 	backoff := p.svc.cfg.DialBackoff
 	for {
+		// The epoch is read before the address, so a re-address between
+		// the two reads fails the install's epoch check.
+		epoch := p.svc.Epoch()
 		p.mu.Lock()
 		if p.stopped || p.goodbye || p.conn != nil {
 			p.redialing = false
@@ -512,13 +514,19 @@ func (p *peerLink) redial() {
 		}
 		addr := p.addr
 		p.mu.Unlock()
-		if conn, err := p.svc.dialPeer(p.id, addr, p.curEpoch()); err == nil {
+		if conn, err := p.svc.dialPeer(p.id, addr, epoch); err == nil {
+			again := false
 			select {
 			case <-p.ready:
-				p.svc.ctr.reconnects.Add(1)
+				again = true
 			default: // the link's first connection
 			}
-			p.install(conn)
+			if !p.install(conn, epoch) {
+				continue // a Reconfigure landed mid-dial
+			}
+			if again {
+				p.svc.ctr.reconnects.Add(1)
+			}
 			return
 		}
 		sleep := p.noteDialFail(backoff)
@@ -609,14 +617,14 @@ func (s *Service) acceptLoop() {
 
 // handshake validates an inbound connection's Hello — running the keyed
 // challenge/response when Config.AuthKey is set — wraps the conn through
-// the transport, and installs it on the link of the mesh named by the
-// dialer's epoch. A Hello claiming an epoch this process does not hold
-// (never adopted, or already retired) is rejected and counted — the
-// stale-config guard that keeps an out-of-date replacement process off
-// the mesh until it is restarted with the current membership.
+// the transport, and installs it on the dialer's link. A Hello naming any
+// epoch but the current one is rejected and counted — the stale-config
+// guard that keeps a replaced process, or a survivor the operator has not
+// reconfigured yet, off the mesh until it runs the current membership.
 func (s *Service) handshake(conn net.Conn) {
 	_ = conn.SetDeadline(s.handshakeDeadline())
-	peer, epoch, err := s.serverHandshake(conn)
+	epoch := s.Epoch()
+	peer, err := s.serverHandshake(conn, epoch)
 	if err != nil || peer <= s.cfg.ID || peer >= s.n {
 		if errors.Is(err, ErrAuthFailed) {
 			s.ctr.authFailures.Add(1)
@@ -627,15 +635,10 @@ func (s *Service) handshake(conn net.Conn) {
 		_ = conn.Close()
 		return
 	}
-	m := s.meshForEpoch(epoch)
-	if m == nil {
-		// Retired between the handshake check and here.
-		s.ctr.staleEpochRejects.Add(1)
-		_ = conn.Close()
-		return
-	}
 	_ = conn.SetDeadline(time.Time{})
-	m.peers[peer].install(s.tr.Accepted(peer, conn))
+	if !s.peers[peer].install(s.tr.Accepted(peer, conn), epoch) {
+		s.ctr.staleEpochRejects.Add(1) // reconfigured during the handshake
+	}
 }
 
 // Establish builds the full mesh: start the dial loop toward every
@@ -647,15 +650,11 @@ func (s *Service) handshake(conn net.Conn) {
 // process listens on an ephemeral port, the bound addresses are
 // exchanged out of band, and Establish gets the final list.
 func (s *Service) Establish(ctx context.Context, addrs []string) error {
-	m := s.currentMesh()
 	if addrs != nil {
 		if len(addrs) != s.n {
 			return fmt.Errorf("service: establish: %d addresses for n=%d", len(addrs), s.n)
 		}
-		s.meshMu.Lock()
-		m.addrs = append([]string(nil), addrs...)
-		s.meshMu.Unlock()
-		for id, p := range m.peers {
+		for id, p := range s.peers {
 			if p != nil {
 				p.mu.Lock()
 				p.addr = addrs[id]
@@ -663,10 +662,10 @@ func (s *Service) Establish(ctx context.Context, addrs []string) error {
 			}
 		}
 	}
-	for _, p := range m.peers[:s.cfg.ID] {
+	for _, p := range s.peers[:s.cfg.ID] {
 		s.startRedial(p)
 	}
-	for id, p := range m.peers {
+	for id, p := range s.peers {
 		if p == nil {
 			continue
 		}

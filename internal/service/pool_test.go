@@ -17,9 +17,10 @@ import (
 )
 
 // detachedShard builds process id's instance loop of an n-process mesh
-// whose links are all detached (no conns, no goroutines): what the loop and
-// its instances queue stays in the outboxes for the test to inspect.
-func detachedShard(id, n int, cfg Config) (*shard, *mesh) {
+// whose links (the service's peers) are all detached (no conns, no
+// goroutines): what the loop and its instances queue stays in the outboxes
+// for the test to inspect.
+func detachedShard(id, n int, cfg Config) *shard {
 	cfg.ID = id
 	if cfg.OutboxDepth == 0 {
 		cfg.OutboxDepth = 64
@@ -27,15 +28,14 @@ func detachedShard(id, n int, cfg Config) (*shard, *mesh) {
 	if cfg.QueueDepth == 0 {
 		cfg.QueueDepth = 64
 	}
-	svc := &Service{cfg: cfg, n: n, stop: make(chan struct{})}
-	m := &mesh{peers: make([]*peerLink, n)}
-	for peer := range m.peers {
+	svc := &Service{cfg: cfg, n: n, stop: make(chan struct{}), peers: make([]*peerLink, n)}
+	for peer := range svc.peers {
 		if peer != id {
-			m.peers[peer] = newPeerLink(svc, peer, "detached")
+			svc.peers[peer] = newPeerLink(svc, peer, "detached")
 		}
 	}
 	svc.loop = newShard(svc)
-	return svc.loop, m
+	return svc.loop
 }
 
 // connect installs conn on a detached link without starting a reader.
@@ -186,13 +186,13 @@ func TestBroadcastEncodesOnce(t *testing.T) {
 			wire.ConsensusMsg{Kind: wire.ConsensusReport, Origin: 1, Round: 6}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			sh, m := detachedShard(self, n, Config{})
-			inst := &instance{id: id, mesh: m}
+			sh := detachedShard(self, n, Config{})
+			inst := &instance{id: id}
 			want := wire.AppendConsensus(nil, id, &tc.want)
 
 			sh.broadcast(inst, &tc.msg)
 			sh.broadcast(inst, &tc.msg)
-			for peer, p := range m.peers {
+			for peer, p := range sh.svc.peers {
 				if p == nil {
 					continue
 				}
@@ -213,7 +213,7 @@ func TestBroadcastEncodesOnce(t *testing.T) {
 				t.Fatalf("links owed a ring: %d, want %d (one per peer, not per frame)", len(sh.rung), n-1)
 			}
 			sh.flush()
-			for peer, p := range m.peers {
+			for peer, p := range sh.svc.peers {
 				if p == nil {
 					continue
 				}
@@ -253,7 +253,7 @@ func TestInboxBoundBlocksReader(t *testing.T) {
 	// first ends when the writer swaps the first frame out).
 	local, remote := net.Pipe()
 	defer func() { _ = remote.Close() }()
-	svc.peerAt(1).install(local)
+	svc.peerAt(1).install(local, svc.Epoch())
 	for id := uint64(1); id <= 4; id++ {
 		if _, err := svc.Propose(id, geometry.Vector{0.5, 0.5}); err != nil {
 			t.Fatal(err)

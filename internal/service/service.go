@@ -142,9 +142,6 @@ func (c Config) withDefaults() Config {
 type Result struct {
 	// Instance is the instance id.
 	Instance uint64
-	// Epoch is the membership epoch the instance was pinned to at
-	// Propose time; it decided (or failed) on that epoch's link set.
-	Epoch uint64
 	// Decision is the decided vector (nil when Err is set).
 	Decision []float64
 	// Rounds is the instance's termination round count.
@@ -167,12 +164,11 @@ type Service struct {
 	loop  *shard
 	start time.Time
 
-	// meshMu guards the membership clock: cur is the mesh new proposals
-	// pin, meshes holds every epoch still referenced by a pinned
-	// instance (plus the current one). See epoch.go.
-	meshMu sync.Mutex
-	cur    *mesh
-	meshes map[uint64]*mesh
+	// peers holds the one link per peer id (nil at this process's own
+	// slot), built in New and never replaced: Reconfigure re-addresses
+	// links in place. reconfigMu serializes Reconfigure. See epoch.go.
+	peers      []*peerLink
+	reconfigMu sync.Mutex
 
 	ctr      counters
 	draining sync.Once
@@ -230,28 +226,25 @@ func New(cfg Config) (*Service, error) {
 	}
 	s.dials, s.endDials = context.WithCancel(context.Background())
 	s.ctr.epoch.Store(cfg.Epoch)
-	birth := &mesh{
-		epoch: cfg.Epoch,
-		addrs: append([]string(nil), cfg.Addrs...),
-		peers: make([]*peerLink, n),
-	}
+	s.peers = make([]*peerLink, n)
 	for id, addr := range cfg.Addrs {
-		if id == cfg.ID {
-			continue
+		if id != cfg.ID {
+			s.peers[id] = newPeerLink(s, id, addr)
 		}
-		birth.peers[id] = newPeerLink(s, id, addr)
 	}
-	s.cur = birth
-	s.meshes = map[uint64]*mesh{cfg.Epoch: birth}
 	s.loop = newShard(s)
 	s.wg.Add(1)
 	go func() {
 		defer s.wg.Done()
 		s.acceptLoop()
 	}()
-	for _, p := range birth.peers {
+	for _, p := range s.peers {
 		if p != nil {
-			s.startLink(p)
+			s.wg.Add(1)
+			go func() {
+				defer s.wg.Done()
+				p.writeLoop()
+			}()
 		}
 	}
 	s.wg.Add(1)
@@ -278,12 +271,12 @@ func probeInput(cfg core.AsyncConfig) geometry.Vector {
 // Addr returns the bound listen address (useful with port 0).
 func (s *Service) Addr() string { return s.ln.Addr().String() }
 
-// reachable counts the processes of mesh m this one can currently count
-// on for quorum: itself plus every peer with an installed, unsuspected
-// connection on that epoch's link set.
-func (s *Service) reachable(m *mesh) int {
+// reachable counts the processes this one can currently count on for
+// quorum: itself plus every peer with an installed, unsuspected
+// connection.
+func (s *Service) reachable() int {
 	count := 1
-	for _, p := range m.peers {
+	for _, p := range s.peers {
 		if p == nil {
 			continue
 		}
@@ -328,13 +321,10 @@ func (s *Service) drainingNow() bool {
 // Propose opens consensus instance id with this process's input. Every
 // process of the mesh must eventually propose the same instance id (their
 // traffic is buffered briefly otherwise). The result — decision or error
-// — is delivered exactly once on the returned channel.
-//
-// The instance is pinned to the membership epoch current at this call:
-// it runs to decision on that epoch's link set even if the mesh is
-// reconfigured while it is in flight. A Propose racing a Reconfigure
-// therefore lands on exactly one epoch — whichever the membership clock
-// showed when the pin was taken. The input is copied.
+// — is delivered exactly once on the returned channel. An instance in
+// flight across a Reconfigure keeps deciding: its frames go to whichever
+// address each peer's link holds when they are written. The input is
+// copied.
 func (s *Service) Propose(id uint64, input []float64) (<-chan Result, error) {
 	if stopping(s) {
 		return nil, ErrServiceClosed
@@ -352,7 +342,7 @@ func (s *Service) Propose(id uint64, input []float64) (<-chan Result, error) {
 	if stopping(s) {
 		return nil, ErrServiceClosed
 	}
-	req := proposeReq{id: id, node: node, res: res, mesh: s.acquireCurrent()}
+	req := proposeReq{id: id, node: node, res: res}
 	// Counted active from here, not from when the loop opens it, so a
 	// Drain called right after Propose returns waits for it.
 	s.ctr.active.Add(1)
@@ -360,15 +350,13 @@ func (s *Service) Propose(id uint64, input []float64) (<-chan Result, error) {
 	case s.loop.propose <- req:
 	case <-s.stop:
 		s.ctr.active.Add(-1)
-		s.releaseMesh(req.mesh)
 		return nil, ErrServiceClosed
 	}
 	return res, nil
 }
 
 // Drain gracefully winds the service down: new proposals are refused, a
-// goodbye frame tells every peer (on every held epoch's links) to stop
-// redialing this process, and Drain returns once every in-flight
+// goodbye frame tells every peer to stop redialing this process, and Drain returns once every in-flight
 // instance has finished (decided, failed, or timed out) or ctx expires.
 // For replacing or re-addressing members without stopping the service,
 // use Reconfigure instead (see docs/SERVICE.md).
@@ -376,8 +364,10 @@ func (s *Service) Drain(ctx context.Context) error {
 	s.draining.Do(func() {
 		close(s.isDrain)
 		goodbye := wire.AppendGoodbye(nil)
-		for _, p := range s.allLinks() {
-			p.send(goodbye)
+		for _, p := range s.peers {
+			if p != nil {
+				p.send(goodbye)
+			}
 		}
 	})
 	s.checkDrained()
@@ -409,8 +399,10 @@ func (s *Service) Close() error {
 		s.proposeMu.Lock() // barrier: no Propose is mid-enqueue past here
 		s.proposeMu.Unlock()
 		err := s.ln.Close()
-		for _, p := range s.allLinks() {
-			p.stop()
+		for _, p := range s.peers {
+			if p != nil {
+				p.stop()
+			}
 		}
 		s.loop.in.kick() // readers blocked on a full inbox see stop
 		s.wg.Wait()
@@ -419,9 +411,8 @@ func (s *Service) Close() error {
 		for {
 			select {
 			case req := <-s.loop.propose:
-				req.res <- Result{Instance: req.id, Epoch: req.mesh.epoch, Err: ErrServiceClosed}
+				req.res <- Result{Instance: req.id, Err: ErrServiceClosed}
 				s.ctr.active.Add(-1)
-				s.releaseMesh(req.mesh)
 			default:
 				break drain
 			}
@@ -440,13 +431,11 @@ type inMsg struct {
 	msg      aad.Msg
 }
 
-// proposeReq opens an instance on the instance loop, carrying the mesh pin
-// taken at Propose time.
+// proposeReq opens an instance on the instance loop.
 type proposeReq struct {
 	id   uint64
 	node *core.AsyncNode
 	res  chan Result
-	mesh *mesh
 }
 
 // localMsg is a self-send awaiting delivery on the loop's local FIFO.
@@ -462,15 +451,12 @@ type localMsg struct {
 // is first. A lingering instance keeps only what it can still send with:
 // node and res are dropped at the decision, and coord — the node's
 // exchange coordinator, handed back by AsyncNode.Linger — is stepped
-// directly. mesh is the epoch pin: every send goes out on the birth
-// epoch's link set, and the pin is released (possibly retiring that epoch)
-// when the instance tombstones.
+// directly.
 type instance struct {
 	id            uint64
 	node          *core.AsyncNode  // nil once done
 	coord         *aad.Coordinator // set once done
 	res           chan Result      // nil once done
-	mesh          *mesh
 	started       time.Time
 	deadline      time.Time // to decide by; once done, to linger until
 	lingerExtends int       // partition-aware extensions granted so far
@@ -571,7 +557,7 @@ func (sh *shard) run() {
 				if inst.done() {
 					continue // result already delivered; it was only lingering
 				}
-				inst.res <- Result{Instance: inst.id, Epoch: inst.mesh.epoch, Err: ErrServiceClosed}
+				inst.res <- Result{Instance: inst.id, Err: ErrServiceClosed}
 				sh.svc.ctr.active.Add(-1)
 			}
 			return
@@ -647,12 +633,11 @@ func (sh *shard) deliver(m *inMsg) {
 // replay any frames that arrived ahead of the proposal.
 func (sh *shard) open(req proposeReq) {
 	// Instance ids are global across epochs: a live or tombstoned id is
-	// refused even when the new proposal would pin a different epoch —
-	// peers route frames by id alone, so reuse would conflate instances.
+	// refused even after a Reconfigure — peers route frames by id alone,
+	// so reuse would conflate instances.
 	if _, live := sh.instances[req.id]; live || sh.tombs.has(req.id) {
-		req.res <- Result{Instance: req.id, Epoch: req.mesh.epoch, Err: ErrDuplicateInstance}
+		req.res <- Result{Instance: req.id, Err: ErrDuplicateInstance}
 		sh.svc.ctr.active.Add(-1)
-		sh.svc.releaseMesh(req.mesh)
 		sh.svc.checkDrained()
 		return
 	}
@@ -661,7 +646,6 @@ func (sh *shard) open(req proposeReq) {
 		id:       req.id,
 		node:     req.node,
 		res:      req.res,
-		mesh:     req.mesh,
 		started:  now,
 		deadline: now.Add(sh.svc.cfg.InstanceTimeout),
 	}
@@ -727,7 +711,7 @@ func (sh *shard) afterStep(inst *instance, st core.StepStatus) {
 	case core.StepFailed:
 		_, err := inst.node.Decision()
 		sh.svc.ctr.failed.Add(1)
-		sh.retire(inst, Result{Instance: inst.id, Epoch: inst.mesh.epoch, Rounds: inst.node.Rounds(), Elapsed: time.Since(inst.started), Err: err})
+		sh.retire(inst, Result{Instance: inst.id, Rounds: inst.node.Rounds(), Elapsed: time.Since(inst.started), Err: err})
 	case core.StepDecided:
 		dec, _ := inst.node.Decision() // a decided node has no error
 		inst.deadline = time.Now().Add(sh.svc.cfg.LingerTimeout)
@@ -735,7 +719,6 @@ func (sh *shard) afterStep(inst *instance, st core.StepStatus) {
 		sh.svc.ctr.lingering.Add(1)
 		inst.res <- Result{
 			Instance: inst.id,
-			Epoch:    inst.mesh.epoch,
 			Decision: dec,
 			Rounds:   inst.node.Rounds(),
 			Elapsed:  time.Since(inst.started),
@@ -763,7 +746,7 @@ func (sh *shard) broadcast(inst *instance, m *aad.Msg) {
 	}
 	sh.frame = wire.AppendConsensus(sh.frame[:0], inst.id, &sh.enc)
 	sh.enc.Value = nil // it aliases the broadcast's slab, which may go
-	for _, p := range inst.mesh.peers {
+	for _, p := range sh.svc.peers {
 		if p == nil { // our own slot
 			sh.local = append(sh.local, localMsg{inst: inst, msg: *m})
 			continue
@@ -774,24 +757,20 @@ func (sh *shard) broadcast(inst *instance, m *aad.Msg) {
 	}
 }
 
-// retire delivers the result, tombstones the id, releases the epoch
-// pin, and updates gauges.
+// retire delivers the result, tombstones the id, and updates gauges.
 func (sh *shard) retire(inst *instance, res Result) {
 	delete(sh.instances, inst.id)
 	sh.tombs.add(inst.id)
 	inst.res <- res
 	sh.svc.ctr.active.Add(-1)
-	sh.svc.releaseMesh(inst.mesh)
 	sh.svc.checkDrained()
 }
 
-// tombstone ends a lingering instance: its id is refused from now on, and
-// its epoch pin is released.
+// tombstone ends a lingering instance: its id is refused from now on.
 func (sh *shard) tombstone(inst *instance) {
 	delete(sh.instances, inst.id)
 	sh.tombs.add(inst.id)
 	sh.svc.ctr.lingering.Add(-1)
-	sh.svc.releaseMesh(inst.mesh)
 }
 
 // maxLingerExtends caps the partition-aware linger extensions per
@@ -812,7 +791,7 @@ func (sh *shard) expire(now time.Time) {
 		if inst.done() {
 			if now.After(inst.deadline) {
 				if inst.lingerExtends < maxLingerExtends &&
-					sh.svc.reachable(inst.mesh) < sh.svc.n-sh.svc.cfg.Node.F {
+					sh.svc.reachable() < sh.svc.n-sh.svc.cfg.Node.F {
 					inst.lingerExtends++
 					inst.deadline = now.Add(sh.svc.cfg.LingerTimeout)
 					sh.svc.ctr.lingerExtensions.Add(1)
@@ -824,7 +803,7 @@ func (sh *shard) expire(now time.Time) {
 		}
 		if now.After(inst.deadline) {
 			sh.svc.ctr.timedOut.Add(1)
-			sh.retire(inst, Result{Instance: inst.id, Epoch: inst.mesh.epoch, Elapsed: now.Sub(inst.started), Err: ErrInstanceTimeout})
+			sh.retire(inst, Result{Instance: inst.id, Elapsed: now.Sub(inst.started), Err: ErrInstanceTimeout})
 		}
 	}
 	pendingTTL := sh.svc.cfg.InstanceTimeout

@@ -75,8 +75,8 @@ func startMesh(t *testing.T, n int, mut func(id int, cfg *Config)) []*Service {
 	return svcs
 }
 
-// peerAt returns the current mesh's link to peer id.
-func (s *Service) peerAt(id int) *peerLink { return s.currentMesh().peers[id] }
+// peerAt returns the link to peer id.
+func (s *Service) peerAt(id int) *peerLink { return s.peers[id] }
 
 // killConn force-closes the current connection to peer, if one is
 // installed: the link reacts exactly as if the connection had failed.

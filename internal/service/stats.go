@@ -40,7 +40,6 @@ type counters struct {
 	epoch             atomic.Uint64
 	reconfigures      atomic.Int64
 	staleEpochRejects atomic.Int64
-	retiredEpochs     atomic.Int64
 }
 
 // Stats is a point-in-time snapshot of one service process's counters.
@@ -109,20 +108,17 @@ type Stats struct {
 	// pressure. Suspicion clears the moment the condition does.
 	SuspectedPeers int
 	// QueueDepth is the current total number of frames sitting in peer
-	// outboxes (gauge) — the live measure of backpressure, summed over
-	// every held epoch's links.
+	// outboxes (gauge) — the live measure of backpressure.
 	QueueDepth int
 	// Epoch is the current membership epoch (gauge); Reconfigures counts
 	// the Reconfigure calls that advanced it.
 	Epoch        uint64
 	Reconfigures int64
 	// StaleEpochRejects counts inbound handshakes refused because they
-	// claimed an epoch this process does not hold — the guard that keeps
-	// a replacement started with an out-of-date membership off the mesh.
+	// named an epoch other than this process's current one — the guard
+	// that keeps a replaced process, or a replacement started with an
+	// out-of-date membership, off the mesh.
 	StaleEpochRejects int64
-	// RetiredEpochs counts superseded link sets torn down after their
-	// last pinned instance tombstoned.
-	RetiredEpochs int64
 }
 
 // Stats returns a snapshot of the service counters.
@@ -156,10 +152,12 @@ func (s *Service) Stats() Stats {
 		Epoch:             s.ctr.epoch.Load(),
 		Reconfigures:      s.ctr.reconfigures.Load(),
 		StaleEpochRejects: s.ctr.staleEpochRejects.Load(),
-		RetiredEpochs:     s.ctr.retiredEpochs.Load(),
 	}
 	now := time.Now()
-	for _, p := range s.allLinks() {
+	for _, p := range s.peers {
+		if p == nil {
+			continue
+		}
 		st.QueueDepth += p.out.depth()
 		if p.suspectedNow(now) {
 			st.SuspectedPeers++
