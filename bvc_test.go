@@ -186,6 +186,55 @@ func TestSimulateValidationErrors(t *testing.T) {
 	}
 }
 
+// TestSimulateRejectsBadSpecs holds every Simulate* entry point to the same
+// input and Byzantine-spec checks; none may build a run from a bad spec.
+func TestSimulateRejectsBadSpecs(t *testing.T) {
+	cfg := bvc.Config{N: 7, F: 1, D: 2, Epsilon: 0.25, Lo: []float64{0}, Hi: []float64{1}}
+	inputs := randInputs(rand.New(rand.NewSource(12)), cfg.N, cfg.D, 0, 1)
+	entries := []struct {
+		name string
+		sim  func(bvc.Config, []bvc.Vector, []bvc.Byzantine, bvc.SimOptions) (*bvc.Result, error)
+	}{
+		{"Exact", bvc.SimulateExact},
+		{"CoordinateWise", bvc.SimulateCoordinateWise},
+		{"RestrictedSync", bvc.SimulateRestrictedSync},
+		{"ApproxAsync", bvc.SimulateApproxAsync},
+		{"RestrictedAsync", bvc.SimulateRestrictedAsync},
+	}
+	silent := func(id int) bvc.Byzantine { return bvc.Byzantine{ID: id, Strategy: bvc.StrategySilent} }
+	cases := []struct {
+		name   string
+		inputs []bvc.Vector
+		byz    []bvc.Byzantine
+	}{
+		{"wrong input count", inputs[:6], nil},
+		{"out-of-range id", inputs, []bvc.Byzantine{silent(7)}},
+		{"negative id", inputs, []bvc.Byzantine{silent(-1)}},
+		{"duplicate id", inputs, []bvc.Byzantine{silent(6), silent(6)}},
+		{"more than f", inputs, []bvc.Byzantine{silent(5), silent(6)}},
+		{"lure target dimension", inputs, []bvc.Byzantine{
+			{ID: 6, Strategy: bvc.StrategyLure, Target: bvc.Vector{1}}}},
+		{"lure without target", inputs, []bvc.Byzantine{{ID: 6, Strategy: bvc.StrategyLure}}},
+		{"equivocation Target dimension", inputs, []bvc.Byzantine{
+			{ID: 6, Strategy: bvc.StrategyEquivocate, Target: bvc.Vector{0}, Target2: bvc.Vector{1, 1}}}},
+		{"equivocation Target2 dimension", inputs, []bvc.Byzantine{
+			{ID: 6, Strategy: bvc.StrategyEquivocate, Target: bvc.Vector{0, 0}, Target2: bvc.Vector{1, 1, 1}}}},
+	}
+	for _, e := range entries {
+		// The control run: the same configuration with good specs succeeds,
+		// so each rejection below is the spec's doing.
+		good := []bvc.Byzantine{{ID: 6, Strategy: bvc.StrategyEquivocate, Target: bvc.Vector{0, 0}, Target2: bvc.Vector{1, 1}}}
+		if _, err := e.sim(cfg, inputs, good, bvc.SimOptions{Seed: 1}); err != nil {
+			t.Fatalf("%s: good spec rejected: %v", e.name, err)
+		}
+		for _, c := range cases {
+			if _, err := e.sim(cfg, c.inputs, c.byz, bvc.SimOptions{Seed: 1}); err == nil {
+				t.Errorf("%s: %s accepted", e.name, c.name)
+			}
+		}
+	}
+}
+
 func TestSimulateDeterminism(t *testing.T) {
 	cfg := bvc.Config{N: 4, F: 1, D: 1, Epsilon: 0.2, Lo: []float64{0}, Hi: []float64{1}}
 	inputs := []bvc.Vector{{0}, {0.5}, {1}, {0.25}}

@@ -15,6 +15,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 
@@ -23,13 +24,13 @@ import (
 )
 
 func main() {
-	if err := run(os.Args[1:]); err != nil {
+	if err := run(os.Args[1:], os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "bvcbench:", err)
 		os.Exit(1)
 	}
 }
 
-func run(args []string) error {
+func run(args []string, w io.Writer) error {
 	fs := flag.NewFlagSet("bvcbench", flag.ContinueOnError)
 	experiment := fs.String("experiment", "all", "experiment to run: all, e1…e10, f1, f2")
 	seed := fs.Int64("seed", 1, "master random seed")
@@ -60,10 +61,10 @@ func run(args []string) error {
 		}
 		allPass := true
 		for _, tbl := range tables {
-			if err := tbl.Render(os.Stdout); err != nil {
+			if err := tbl.Render(w); err != nil {
 				return err
 			}
-			fmt.Println()
+			fmt.Fprintln(w)
 			if !tbl.Pass {
 				allPass = false
 			}
@@ -82,7 +83,7 @@ func run(args []string) error {
 	if err != nil {
 		return err
 	}
-	if err := tbl.Render(os.Stdout); err != nil {
+	if err := tbl.Render(w); err != nil {
 		return err
 	}
 	if !tbl.Pass {

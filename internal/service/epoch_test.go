@@ -487,3 +487,38 @@ func TestRetiredEpochFramesSkipped(t *testing.T) {
 			st.ReadErrors, st.Reconnects, svcs[1].Stats().Reconnects, svcs[0].peerAt(1).connected())
 	}
 }
+
+// TestRefusedKeylessRedialBacksOff: a keyless dialer learns that the
+// acceptor refused its handshake only when the installed conn ends, so a
+// conn that ends before it delivers a frame counts as a failed dial and
+// the next dial backs off. Processes 0–3 move slot 4 to a closed port at
+// epoch 1 while the old process 4 keeps running and redialing them at
+// epoch 0 for a second: with the backoff that is a few dozen refused
+// handshakes, without it thousands.
+func TestRefusedKeylessRedialBacksOff(t *testing.T) {
+	const n = 5
+	svcs := startMesh(t, n, nil)
+	addrs := make([]string, n)
+	for i, s := range svcs {
+		addrs[i] = s.Addr()
+	}
+	old, survivors := svcs[n-1], svcs[:n-1]
+	rejects := func() (sum int64) {
+		for _, s := range survivors {
+			sum += s.Stats().StaleEpochRejects
+		}
+		return sum
+	}
+	reconnects0, rejects0 := old.Stats().Reconnects, rejects()
+	addrs[n-1] = closedPort(t)
+	reconfigureAll(t, survivors, Membership{Epoch: 1, Addrs: addrs})
+	time.Sleep(time.Second)
+	reconnects, refused := old.Stats().Reconnects-reconnects0, rejects()-rejects0
+	t.Logf("in 1s: %d reconnects by the old process, %d stale-epoch rejects by the survivors", reconnects, refused)
+	if refused == 0 {
+		t.Fatal("the old process never redialed a survivor")
+	}
+	if reconnects > 100 || refused > 100 {
+		t.Errorf("%d reconnects and %d stale-epoch rejects in 1s, want each ≤ 100", reconnects, refused)
+	}
+}

@@ -57,10 +57,12 @@ type peerLink struct {
 	redialing bool
 
 	// Health ladder (guarded by mu). dialFails counts consecutive failed
-	// dial/handshake attempts; pressure counts consecutive full-outbox
+	// dial attempts, a conn that ended while still fresh (no frame read
+	// off it yet) included; pressure counts consecutive full-outbox
 	// stalls; downSince timestamps the last disconnect; rng jitters the
 	// redial backoff (seeded per link, so schedules are replayable).
 	dialFails int
+	fresh     bool
 	pressure  int
 	downSince time.Time
 	rng       *rand.Rand
@@ -94,7 +96,7 @@ func (p *peerLink) readdress(addr string) {
 	}
 	p.addr = addr
 	p.goodbye = false
-	p.dialFails, p.pressure = 0, 0
+	p.dialFails, p.pressure, p.fresh = 0, 0, false
 	gen := p.gen
 	p.mu.Unlock()
 	p.failed(gen)
@@ -143,18 +145,25 @@ func (p *peerLink) suspectedNow(now time.Time) bool {
 }
 
 // noteDialFail records one failed dial/handshake attempt and returns the
-// jittered backoff to sleep before the next one: uniform in
-// [backoff/2, backoff], so a healed partition is not hammered by
-// synchronized redials from every survivor.
-func (p *peerLink) noteDialFail(backoff time.Duration) time.Duration {
+// backoff to sleep before the next one.
+func (p *peerLink) noteDialFail() time.Duration {
 	p.svc.ctr.dialFailures.Add(1)
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	p.dialFails++
-	half := int64(backoff / 2)
-	if half <= 0 {
-		return backoff
+	return p.backoffLocked()
+}
+
+// backoffLocked returns the sleep before the next dial after dialFails
+// consecutive failed attempts: none after none, else uniform in [b/2, b]
+// where b = min(DialBackoff·2^(dialFails−1), MaxDialBackoff), so a healed
+// partition is not hammered by synchronized redials from every survivor.
+func (p *peerLink) backoffLocked() time.Duration {
+	if p.dialFails == 0 {
+		return 0
 	}
+	// The exponent is capped at 20 so the shift cannot overflow.
+	half := int64(min(p.svc.cfg.DialBackoff<<min(p.dialFails-1, 20), p.svc.cfg.MaxDialBackoff) / 2)
 	return time.Duration(half + p.rng.Int64N(half+1))
 }
 
@@ -193,7 +202,7 @@ func (p *peerLink) install(conn net.Conn, epoch uint64) bool {
 	p.conn = conn
 	p.gen++
 	gen := p.gen
-	p.dialFails = 0
+	p.fresh = true
 	p.pressure = 0
 	p.downSince = time.Time{}
 	p.cond.Broadcast()
@@ -209,7 +218,9 @@ func (p *peerLink) install(conn net.Conn, epoch uint64) bool {
 }
 
 // failed tears down generation gen's connection (no-op when a newer one
-// is already installed) and, on the dialing side, starts the redial loop.
+// is already installed) and, on the dialing side, starts the redial loop;
+// a fresh conn's end counts there as a failed dial, since a keyless dialer
+// learns that the acceptor refused its handshake only that way.
 func (p *peerLink) failed(gen int) {
 	p.mu.Lock()
 	if p.stopped || gen != p.gen || p.conn == nil {
@@ -219,9 +230,14 @@ func (p *peerLink) failed(gen int) {
 	_ = p.conn.Close()
 	p.conn = nil
 	p.downSince = time.Now()
+	dialer := p.svc.cfg.ID > p.id
+	if dialer && p.fresh {
+		p.dialFails++
+		p.svc.ctr.dialFailures.Add(1)
+	}
 	p.mu.Unlock()
 	p.out.kick() // senders blocked on a full outbox stop waiting on a down peer
-	if p.svc.cfg.ID > p.id {
+	if dialer {
 		p.svc.startRedial(p)
 	}
 }
@@ -402,6 +418,7 @@ func (p *peerLink) readLoop(conn net.Conn, gen int) {
 	dim := p.svc.cfg.Node.D
 	var burst []inMsg // this burst's deliveries
 	var frames, bytes int64
+	fresh := true // no frame parsed off this conn yet
 	// deliver hands the burst to the loop; false means the service stopped.
 	// The frames were consumed off the conn — the sender will not resend
 	// them — so every exit path delivers before it returns.
@@ -437,6 +454,12 @@ read:
 		if err != nil {
 			p.svc.ctr.readErrors.Add(1)
 			break read
+		}
+		if fresh { // the peer took the conn: the dial backoff starts over
+			fresh = false
+			p.mu.Lock()
+			p.fresh, p.dialFails = false, 0
+			p.mu.Unlock()
 		}
 		frames++
 		bytes += int64(len(frame) + 4)
@@ -488,10 +511,11 @@ func frameBuffered(br *bufio.Reader) bool {
 }
 
 // redial is the link's one dial loop, for its first connection and every
-// replacement: it dials with jittered capped exponential backoff — attempt
-// k sleeps uniform in [b/2, b] where b = min(DialBackoff·2^k,
-// MaxDialBackoff), so peers may come up in any order — and every failed
-// attempt (dial or handshake) climbs the suspicion ladder. Every
+// replacement: it dials with jittered capped exponential backoff
+// (backoffLocked), so peers may come up in any order, and every failed
+// attempt (dial or handshake, or a conn that ended before it delivered a
+// frame) climbs the backoff and the suspicion ladder. It sleeps before
+// its first dial when the last conn was such a failure. Every
 // connection after the link's first counts in Stats.Reconnects, the first
 // one to a replacement process included: a replace takes the same path as
 // a restart. It gives up when the service stops or the peer said goodbye,
@@ -501,8 +525,20 @@ func frameBuffered(br *bufio.Reader) bool {
 // install's, on success — so a failure of the new connection always finds
 // the flag down and starts the next loop.
 func (p *peerLink) redial() {
-	backoff := p.svc.cfg.DialBackoff
+	p.mu.Lock()
+	sleep := p.backoffLocked()
+	p.mu.Unlock()
 	for {
+		if sleep > 0 {
+			select {
+			case <-p.svc.stop:
+				p.mu.Lock()
+				p.redialing = false
+				p.mu.Unlock()
+				return
+			case <-time.After(sleep):
+			}
+		}
 		// The epoch is read before the address, so a re-address between
 		// the two reads fails the install's epoch check.
 		epoch := p.svc.Epoch()
@@ -522,6 +558,7 @@ func (p *peerLink) redial() {
 			default: // the link's first connection
 			}
 			if !p.install(conn, epoch) {
+				sleep = 0
 				continue // a Reconfigure landed mid-dial
 			}
 			if again {
@@ -529,18 +566,7 @@ func (p *peerLink) redial() {
 			}
 			return
 		}
-		sleep := p.noteDialFail(backoff)
-		select {
-		case <-p.svc.stop:
-			p.mu.Lock()
-			p.redialing = false
-			p.mu.Unlock()
-			return
-		case <-time.After(sleep):
-		}
-		if backoff *= 2; backoff > p.svc.cfg.MaxDialBackoff {
-			backoff = p.svc.cfg.MaxDialBackoff
-		}
+		sleep = p.noteDialFail()
 	}
 }
 

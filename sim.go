@@ -116,9 +116,19 @@ type Strategy int
 const (
 	// StrategySilent never sends a message.
 	StrategySilent Strategy = iota + 1
-	// StrategyCrash behaves correctly, then stops (synchronous: crashes
-	// in round CrashAfter, possibly mid-broadcast; asynchronous: stops
-	// after CrashAfter deliveries).
+	// StrategyCrash crashes the process; what it sends first depends on
+	// the variant:
+	//   - ExactSync (and the coordinate-wise baseline) runs a correct node
+	//     on Target (zero unless Target is d-dimensional) and crashes
+	//     mid-broadcast in round CrashAfter (default 1): that round
+	//     reaches only processes 0 … n/2−1, later rounds nobody;
+	//   - RestrictedSync announces Target (or zero) to everyone in every
+	//     round through CrashAfter, then goes silent (CrashAfter 0: silent
+	//     from the start);
+	//   - ApproxAsync runs a correct node on the process's own input
+	//     (Target, or zero, when that input is nil) and stops after
+	//     CrashAfter deliveries (default 10);
+	//   - RestrictedAsync is silent from the start.
 	StrategyCrash
 	// StrategyEquivocate tells different processes different values
 	// (Target to the first half, Target2 to the rest), every round.
@@ -134,7 +144,8 @@ const (
 type Byzantine struct {
 	ID       int
 	Strategy Strategy
-	// Target / Target2 parameterize equivocation and lure strategies.
+	// Target / Target2 parameterize equivocation and lure strategies: a
+	// lure needs a d-dimensional Target, an equivocation both.
 	Target  Vector
 	Target2 Vector
 	// CrashAfter parameterizes StrategyCrash (see Strategy docs).
@@ -144,71 +155,40 @@ type Byzantine struct {
 // SimulateExact runs Exact BVC (§2.2) in the lock-step synchronous
 // simulator. inputs[i] is ignored for Byzantine slots (pass nil).
 func SimulateExact(cfg Config, inputs []Vector, byz []Byzantine, opts SimOptions) (*Result, error) {
-	return simulateSyncEIG(cfg, inputs, byz, opts, false)
+	return simulateEIG(cfg, inputs, byz, opts, core.NewExactNode)
 }
 
 // SimulateCoordinateWise runs the scalar-consensus-per-dimension baseline;
 // it satisfies agreement and per-dimension scalar validity but can violate
 // vector validity (the paper's motivating counterexample; experiment E8).
 func SimulateCoordinateWise(cfg Config, inputs []Vector, byz []Byzantine, opts SimOptions) (*Result, error) {
-	return simulateSyncEIG(cfg, inputs, byz, opts, true)
+	return simulateEIG(cfg, inputs, byz, opts, core.NewCoordWiseNode)
 }
 
-func simulateSyncEIG(cfg Config, inputs []Vector, byz []Byzantine, opts SimOptions, coordWise bool) (*Result, error) {
+// simulateEIG runs an EIG-based synchronous protocol (Exact BVC or the
+// coordinate-wise baseline), whose nodes newNode builds.
+func simulateEIG[T interface {
+	sim.SyncNode
+	decider
+}](cfg Config, inputs []Vector, byz []Byzantine,
+	opts SimOptions, newNode func(core.Params, sim.ProcID, geometry.Vector) (T, error)) (*Result, error) {
 	params, err := cfg.params()
 	if err != nil {
 		return nil, err
 	}
 	params.Engine = opts.Engine.engine()
-	if len(inputs) != cfg.N {
-		return nil, fmt.Errorf("bvc: %d inputs for n=%d", len(inputs), cfg.N)
+	correct := func(i int, input geometry.Vector) (sim.SyncNode, process, error) {
+		nd, err := newNode(params, sim.ProcID(i), input)
+		return nd, eigProcess{nd, params.F + 1}, err
 	}
-	byzMap, err := byzIndex(cfg, byz)
-	if err != nil {
-		return nil, err
-	}
-
-	variant := ExactSync
-	nodes := make([]sim.SyncNode, cfg.N)
-	decide := make([]func() (geometry.Vector, error), cfg.N)
-	rounds := params.F + 1
-	mkCorrect := func(i int, input Vector) (sim.SyncNode, func() (geometry.Vector, error), error) {
-		if coordWise {
-			nd, err := core.NewCoordWiseNode(params, sim.ProcID(i), toGeometry(input))
-			if err != nil {
-				return nil, nil, err
-			}
-			return nd, nd.Decision, nil
-		}
-		nd, err := core.NewExactNode(params, sim.ProcID(i), toGeometry(input))
-		if err != nil {
-			return nil, nil, err
-		}
-		return nd, nd.Decision, nil
-	}
-
-	for i := 0; i < cfg.N; i++ {
-		if b, ok := byzMap[i]; ok {
-			nd, err := syncEIGAdversary(cfg, b, rounds, opts.Seed, mkCorrect)
-			if err != nil {
-				return nil, err
-			}
-			nodes[i] = nd
-			continue
-		}
-		nd, dec, err := mkCorrect(i, inputs[i])
-		if err != nil {
-			return nil, fmt.Errorf("bvc: process %d: %w", i, err)
-		}
-		nodes[i] = nd
-		decide[i] = dec
-	}
-
-	stats, err := sim.RunSync(nodes, rounds+1)
-	if err != nil && !errors.Is(err, sim.ErrRoundCap) {
-		return nil, err
-	}
-	return collectSync(variant, cfg, inputs, byzMap, decide, rounds, stats)
+	return simulate(cfg, inputs, byz, simulation[sim.SyncNode]{
+		variant: ExactSync,
+		correct: correct,
+		adversary: func(b Byzantine, horizon int) (sim.SyncNode, error) {
+			return syncEIGAdversary(cfg, params.Bounds, b, horizon, opts.Seed, correct)
+		},
+		run: runRounds,
+	})
 }
 
 // SimulateRestrictedSync runs the §4 restricted-round synchronous
@@ -219,62 +199,17 @@ func SimulateRestrictedSync(cfg Config, inputs []Vector, byz []Byzantine, opts S
 		return nil, err
 	}
 	params.Engine = opts.Engine.engine()
-	if len(inputs) != cfg.N {
-		return nil, fmt.Errorf("bvc: %d inputs for n=%d", len(inputs), cfg.N)
-	}
-	byzMap, err := byzIndex(cfg, byz)
-	if err != nil {
-		return nil, err
-	}
-	nodes := make([]sim.SyncNode, cfg.N)
-	impls := make([]*core.RestrictedSyncNode, cfg.N)
-	rounds := 0
-	for i := 0; i < cfg.N; i++ {
-		if _, ok := byzMap[i]; ok {
-			continue
-		}
-		nd, err := core.NewRestrictedSyncNode(params, sim.ProcID(i), toGeometry(inputs[i]))
-		if err != nil {
-			return nil, fmt.Errorf("bvc: process %d: %w", i, err)
-		}
-		impls[i] = nd
-		nodes[i] = nd
-		if nd.Rounds() > rounds {
-			rounds = nd.Rounds()
-		}
-	}
-	for i := 0; i < cfg.N; i++ {
-		if b, ok := byzMap[i]; ok {
-			nd, err := restrictedSyncAdversary(cfg, b, rounds, opts.Seed)
-			if err != nil {
-				return nil, err
-			}
-			nodes[i] = nd
-		}
-	}
-	stats, err := sim.RunSync(nodes, rounds+1)
-	if err != nil && !errors.Is(err, sim.ErrRoundCap) {
-		return nil, err
-	}
-	decide := make([]func() (geometry.Vector, error), cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		if impls[i] != nil {
-			decide[i] = impls[i].Decision
-		}
-	}
-	res, err := collectSync(RestrictedSync, cfg, inputs, byzMap, decide, rounds, stats)
-	if err != nil {
-		return nil, err
-	}
-	// Attach per-round histories.
-	for i := range res.Processes {
-		if impls[i] != nil {
-			for _, h := range impls[i].History() {
-				res.Processes[i].History = append(res.Processes[i].History, fromGeometry(h))
-			}
-		}
-	}
-	return res, nil
+	return simulate(cfg, inputs, byz, simulation[sim.SyncNode]{
+		variant: RestrictedSync,
+		correct: func(i int, input geometry.Vector) (sim.SyncNode, process, error) {
+			nd, err := core.NewRestrictedSyncNode(params, sim.ProcID(i), input)
+			return nd, nd, err
+		},
+		adversary: func(b Byzantine, horizon int) (sim.SyncNode, error) {
+			return restrictedSyncAdversary(cfg, params.Bounds, b, horizon, opts.Seed)
+		},
+		run: runRounds,
+	})
 }
 
 // SimulateApproxAsync runs the §3.2 asynchronous approximate algorithm on
@@ -285,52 +220,16 @@ func SimulateApproxAsync(cfg Config, inputs []Vector, byz []Byzantine, opts SimO
 		return nil, err
 	}
 	acfg.Engine = opts.Engine.engine()
-	if len(inputs) != cfg.N {
-		return nil, fmt.Errorf("bvc: %d inputs for n=%d", len(inputs), cfg.N)
-	}
-	byzMap, err := byzIndex(cfg, byz)
-	if err != nil {
-		return nil, err
-	}
-	nodes := make([]sim.Node, cfg.N)
-	impls := make([]*core.AsyncNode, cfg.N)
-	rounds := 0
-	for i := 0; i < cfg.N; i++ {
-		if _, ok := byzMap[i]; ok {
-			continue
-		}
-		nd, err := core.NewAsyncNode(acfg, sim.ProcID(i), toGeometry(inputs[i]))
-		if err != nil {
-			return nil, fmt.Errorf("bvc: process %d: %w", i, err)
-		}
-		impls[i] = nd
-		nodes[i] = nd
-		if nd.Rounds() > rounds {
-			rounds = nd.Rounds()
-		}
-	}
-	for i := 0; i < cfg.N; i++ {
-		if b, ok := byzMap[i]; ok {
-			nd, err := asyncAdversary(cfg, acfg, b, rounds, inputs, impls)
-			if err != nil {
-				return nil, err
-			}
-			nodes[i] = nd
-		}
-	}
-	stats, err := runAsyncEngine(cfg, opts, nodes)
-	if err != nil {
-		return nil, err
-	}
-	return collectAsync(ApproxAsync, cfg, inputs, byzMap, stats, func(i int) (geometry.Vector, []geometry.Vector, int, error) {
-		if impls[i] == nil {
-			return nil, nil, 0, nil
-		}
-		dec, err := impls[i].Decision()
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		return dec, impls[i].History(), impls[i].Rounds(), nil
+	return simulate(cfg, inputs, byz, simulation[sim.Node]{
+		variant: ApproxAsync,
+		correct: func(i int, input geometry.Vector) (sim.Node, process, error) {
+			nd, err := core.NewAsyncNode(acfg, sim.ProcID(i), input)
+			return nd, nd, err
+		},
+		adversary: func(b Byzantine, horizon int) (sim.Node, error) {
+			return asyncAdversary(cfg, acfg, b, horizon, inputs)
+		},
+		run: runEvents(cfg, opts),
 	})
 }
 
@@ -342,6 +241,66 @@ func SimulateRestrictedAsync(cfg Config, inputs []Vector, byz []Byzantine, opts 
 		return nil, err
 	}
 	params.Engine = opts.Engine.engine()
+	return simulate(cfg, inputs, byz, simulation[sim.Node]{
+		variant: RestrictedAsync,
+		correct: func(i int, input geometry.Vector) (sim.Node, process, error) {
+			nd, err := core.NewRestrictedAsyncNode(params, sim.ProcID(i), input)
+			return nd, nd, err
+		},
+		adversary: func(b Byzantine, horizon int) (sim.Node, error) {
+			return restrictedAsyncAdversary(cfg, params.Bounds, b, horizon)
+		},
+		run: runEvents(cfg, opts),
+	})
+}
+
+// simulation is what one simulated execution brings to simulate: how it
+// builds a correct process and an adversary, and how it runs the nodes. N
+// is the simulator's node interface, sim.SyncNode or sim.Node.
+type simulation[N any] struct {
+	variant Variant
+	// correct builds correct process i on its input.
+	correct func(i int, input geometry.Vector) (N, process, error)
+	// adversary builds b's node, attacking through round horizon.
+	adversary func(b Byzantine, horizon int) (N, error)
+	// run executes the nodes up to the correct processes' horizon.
+	run func(nodes []N, horizon int) (ran, error)
+}
+
+// process is a correct simulated process, read back once the run ends.
+type process interface {
+	Decision() (geometry.Vector, error)
+	Rounds() int
+	History() []geometry.Vector
+}
+
+// eigProcess reads back an EIG node, which runs f+1 rounds and keeps no
+// per-round history.
+type eigProcess struct {
+	decider
+	rounds int
+}
+
+type decider interface {
+	Decision() (geometry.Vector, error)
+}
+
+func (p eigProcess) Rounds() int                { return p.rounds }
+func (p eigProcess) History() []geometry.Vector { return nil }
+
+// ran is a runner's report. A Byzantine process is credited with
+// byzRounds: the horizon in lock step, 0 on the event engine.
+type ran struct {
+	messages  int64
+	virtual   time.Duration
+	byzRounds int
+}
+
+// simulate is the one place a simulated execution is wired: it checks the
+// inputs and the Byzantine specs, builds the correct nodes, builds the
+// adversaries at the correct nodes' round horizon, runs the nodes and
+// reads back every correct process's decision, round count and history.
+func simulate[N any](cfg Config, inputs []Vector, byz []Byzantine, s simulation[N]) (*Result, error) {
 	if len(inputs) != cfg.N {
 		return nil, fmt.Errorf("bvc: %d inputs for n=%d", len(inputs), cfg.N)
 	}
@@ -349,60 +308,75 @@ func SimulateRestrictedAsync(cfg Config, inputs []Vector, byz []Byzantine, opts 
 	if err != nil {
 		return nil, err
 	}
-	nodes := make([]sim.Node, cfg.N)
-	impls := make([]*core.RestrictedAsyncNode, cfg.N)
-	rounds := 0
-	for i := 0; i < cfg.N; i++ {
+	nodes := make([]N, cfg.N)
+	procs := make([]process, cfg.N)
+	horizon := 0
+	for i := range nodes {
 		if _, ok := byzMap[i]; ok {
 			continue
 		}
-		nd, err := core.NewRestrictedAsyncNode(params, sim.ProcID(i), toGeometry(inputs[i]))
+		nd, p, err := s.correct(i, toGeometry(inputs[i]))
 		if err != nil {
 			return nil, fmt.Errorf("bvc: process %d: %w", i, err)
 		}
-		impls[i] = nd
-		nodes[i] = nd
-		if nd.Rounds() > rounds {
-			rounds = nd.Rounds()
+		nodes[i], procs[i] = nd, p
+		horizon = max(horizon, p.Rounds())
+	}
+	for _, b := range byz {
+		if nodes[b.ID], err = s.adversary(b, horizon); err != nil {
+			return nil, err
 		}
 	}
-	for i := 0; i < cfg.N; i++ {
-		if b, ok := byzMap[i]; ok {
-			nd, err := restrictedAsyncAdversary(cfg, b, rounds)
-			if err != nil {
-				return nil, err
-			}
-			nodes[i] = nd
-		}
-	}
-	stats, err := runAsyncEngine(cfg, opts, nodes)
+	st, err := s.run(nodes, horizon)
 	if err != nil {
 		return nil, err
 	}
-	return collectAsync(RestrictedAsync, cfg, inputs, byzMap, stats, func(i int) (geometry.Vector, []geometry.Vector, int, error) {
-		if impls[i] == nil {
-			return nil, nil, 0, nil
+	res := &Result{Variant: s.variant, Config: cfg, Messages: st.messages, VirtualTime: st.virtual}
+	for i, p := range procs {
+		pr := ProcessResult{ID: i, Byzantine: p == nil, Rounds: st.byzRounds}
+		if p != nil {
+			pr.Input = append(Vector(nil), inputs[i]...)
+			dec, err := p.Decision()
+			if err != nil {
+				return nil, fmt.Errorf("bvc: process %d failed to decide: %w", i, err)
+			}
+			pr.Decision = fromGeometry(dec)
+			pr.Rounds = p.Rounds()
+			for _, h := range p.History() {
+				pr.History = append(pr.History, fromGeometry(h))
+			}
 		}
-		dec, err := impls[i].Decision()
-		if err != nil {
-			return nil, nil, 0, err
-		}
-		return dec, impls[i].History(), impls[i].Rounds(), nil
-	})
-}
-
-func runAsyncEngine(cfg Config, opts SimOptions, nodes []sim.Node) (sim.Stats, error) {
-	eng, err := sim.NewEngine(sim.Config{
-		N:     cfg.N,
-		Seed:  opts.Seed,
-		Delay: opts.Delay.model(),
-	}, nodes)
-	if err != nil {
-		return sim.Stats{}, err
+		res.Processes = append(res.Processes, pr)
 	}
-	return eng.Run()
+	return res, nil
 }
 
+// runRounds runs the lock-step round engine one round past the horizon. A
+// run that hits the cap still yields a result, for verification to judge.
+func runRounds(nodes []sim.SyncNode, horizon int) (ran, error) {
+	st, err := sim.RunSync(nodes, horizon+1)
+	if err != nil && !errors.Is(err, sim.ErrRoundCap) {
+		return ran{}, err
+	}
+	return ran{messages: st.Sent, byzRounds: horizon}, nil
+}
+
+// runEvents returns the runner for the discrete-event engine under opts'
+// seed and delay model; it runs until no event is left.
+func runEvents(cfg Config, opts SimOptions) func([]sim.Node, int) (ran, error) {
+	return func(nodes []sim.Node, _ int) (ran, error) {
+		eng, err := sim.NewEngine(sim.Config{N: cfg.N, Seed: opts.Seed, Delay: opts.Delay.model()}, nodes)
+		if err != nil {
+			return ran{}, err
+		}
+		st, err := eng.Run()
+		return ran{messages: st.Sent, virtual: st.FinalTime}, err
+	}
+}
+
+// byzIndex checks the Byzantine specs — ids in range and distinct, at most
+// f of them, and the targets a lure or an equivocation needs — and indexes
+// them by id.
 func byzIndex(cfg Config, byz []Byzantine) (map[int]Byzantine, error) {
 	out := make(map[int]Byzantine, len(byz))
 	for _, b := range byz {
@@ -412,6 +386,12 @@ func byzIndex(cfg Config, byz []Byzantine) (map[int]Byzantine, error) {
 		if _, dup := out[b.ID]; dup {
 			return nil, fmt.Errorf("bvc: duplicate byzantine id %d", b.ID)
 		}
+		switch {
+		case b.Strategy == StrategyLure && len(b.Target) != cfg.D:
+			return nil, fmt.Errorf("bvc: lure target dimension %d, want %d", len(b.Target), cfg.D)
+		case b.Strategy == StrategyEquivocate && (len(b.Target) != cfg.D || len(b.Target2) != cfg.D):
+			return nil, fmt.Errorf("bvc: equivocation targets must both have dimension %d", cfg.D)
+		}
 		out[b.ID] = b
 	}
 	if len(out) > cfg.F {
@@ -420,58 +400,15 @@ func byzIndex(cfg Config, byz []Byzantine) (map[int]Byzantine, error) {
 	return out, nil
 }
 
-func collectSync(variant Variant, cfg Config, inputs []Vector, byzMap map[int]Byzantine,
-	decide []func() (geometry.Vector, error), rounds int, stats sim.SyncStats) (*Result, error) {
-	res := &Result{Variant: variant, Config: cfg, Messages: stats.Sent}
-	for i := 0; i < cfg.N; i++ {
-		pr := ProcessResult{ID: i, Rounds: rounds}
-		if _, ok := byzMap[i]; ok {
-			pr.Byzantine = true
-		} else {
-			pr.Input = append(Vector(nil), inputs[i]...)
-			dec, err := decide[i]()
-			if err != nil {
-				return nil, fmt.Errorf("bvc: process %d failed to decide: %w", i, err)
-			}
-			pr.Decision = fromGeometry(dec)
-		}
-		res.Processes = append(res.Processes, pr)
-	}
-	return res, nil
-}
-
-func collectAsync(variant Variant, cfg Config, inputs []Vector, byzMap map[int]Byzantine,
-	stats sim.Stats, get func(i int) (geometry.Vector, []geometry.Vector, int, error)) (*Result, error) {
-	res := &Result{Variant: variant, Config: cfg, Messages: stats.Sent, VirtualTime: stats.FinalTime}
-	for i := 0; i < cfg.N; i++ {
-		pr := ProcessResult{ID: i}
-		if _, ok := byzMap[i]; ok {
-			pr.Byzantine = true
-		} else {
-			pr.Input = append(Vector(nil), inputs[i]...)
-			dec, history, rounds, err := get(i)
-			if err != nil {
-				return nil, fmt.Errorf("bvc: process %d failed to decide: %w", i, err)
-			}
-			pr.Decision = fromGeometry(dec)
-			pr.Rounds = rounds
-			for _, h := range history {
-				pr.History = append(pr.History, fromGeometry(h))
-			}
-		}
-		res.Processes = append(res.Processes, pr)
-	}
-	return res, nil
-}
-
-// syncEIGAdversary maps a Byzantine spec to an EIG-protocol adversary.
-func syncEIGAdversary(cfg Config, b Byzantine, rounds int, seed int64,
-	mkCorrect func(i int, input Vector) (sim.SyncNode, func() (geometry.Vector, error), error)) (sim.SyncNode, error) {
+// syncEIGAdversary maps a Byzantine spec to an EIG-protocol adversary;
+// correct builds the protocol's honest node.
+func syncEIGAdversary(cfg Config, bounds geometry.Box, b Byzantine, rounds int, seed int64,
+	correct func(int, geometry.Vector) (sim.SyncNode, process, error)) (sim.SyncNode, error) {
 	switch b.Strategy {
 	case StrategySilent:
 		return adversary.SilentSync{}, nil
 	case StrategyCrash:
-		wrapped, _, err := mkCorrect(b.ID, orZero(b.Target, cfg.D))
+		wrapped, _, err := correct(b.ID, toGeometry(orZero(b.Target, cfg.D)))
 		if err != nil {
 			return nil, err
 		}
@@ -481,10 +418,7 @@ func syncEIGAdversary(cfg Config, b Byzantine, rounds int, seed int64,
 		}
 		return &adversary.CrashSync{Wrapped: wrapped, CrashRound: crashRound, PartialTo: cfg.N / 2}, nil
 	case StrategyEquivocate:
-		ta, tb, err := equivTargets(cfg, b)
-		if err != nil {
-			return nil, err
-		}
+		ta, tb := toGeometry(b.Target), toGeometry(b.Target2)
 		return adversary.NewEIGEquivocator(cfg.N, rounds, sim.ProcID(b.ID), func(to sim.ProcID) geometry.Vector {
 			if int(to) < cfg.N/2 {
 				return ta.Clone()
@@ -492,28 +426,19 @@ func syncEIGAdversary(cfg Config, b Byzantine, rounds int, seed int64,
 			return tb.Clone()
 		}), nil
 	case StrategyRandom:
-		box, err := randomBox(cfg)
-		if err != nil {
-			return nil, err
-		}
+		box := randomBox(bounds, cfg.D)
 		return adversary.NewEIGRandom(cfg.N, cfg.D, rounds, box, seededRand(seed, b.ID)), nil
 	case StrategyLure:
-		if len(b.Target) != cfg.D {
-			return nil, fmt.Errorf("bvc: lure target dimension %d, want %d", len(b.Target), cfg.D)
-		}
 		// A lure in the exact protocol is an honest participant with an
 		// extreme input — the strongest protocol-compliant value attack.
-		nd, _, err := mkCorrect(b.ID, b.Target)
-		if err != nil {
-			return nil, err
-		}
-		return nd, nil
+		nd, _, err := correct(b.ID, toGeometry(b.Target))
+		return nd, err
 	default:
 		return nil, fmt.Errorf("bvc: unknown strategy %d", b.Strategy)
 	}
 }
 
-func restrictedSyncAdversary(cfg Config, b Byzantine, rounds int, seed int64) (sim.SyncNode, error) {
+func restrictedSyncAdversary(cfg Config, bounds geometry.Box, b Byzantine, rounds int, seed int64) (sim.SyncNode, error) {
 	switch b.Strategy {
 	case StrategySilent:
 		return adversary.SilentSync{}, nil
@@ -533,29 +458,18 @@ func restrictedSyncAdversary(cfg Config, b Byzantine, rounds int, seed int64) (s
 			return out
 		}}, nil
 	case StrategyEquivocate:
-		ta, tb, err := equivTargets(cfg, b)
-		if err != nil {
-			return nil, err
-		}
-		return adversary.NewStateEquivocator(cfg.N, rounds, cfg.N/2, ta, tb), nil
+		return adversary.NewStateEquivocator(cfg.N, rounds, cfg.N/2, toGeometry(b.Target), toGeometry(b.Target2)), nil
 	case StrategyRandom:
-		box, err := randomBox(cfg)
-		if err != nil {
-			return nil, err
-		}
+		box := randomBox(bounds, cfg.D)
 		return adversary.NewStateRandom(cfg.N, rounds, box, seededRand(seed, b.ID)), nil
 	case StrategyLure:
-		if len(b.Target) != cfg.D {
-			return nil, fmt.Errorf("bvc: lure target dimension %d, want %d", len(b.Target), cfg.D)
-		}
 		return adversary.NewStateLure(cfg.N, rounds, toGeometry(b.Target)), nil
 	default:
 		return nil, fmt.Errorf("bvc: unknown strategy %d", b.Strategy)
 	}
 }
 
-func asyncAdversary(cfg Config, acfg core.AsyncConfig, b Byzantine, rounds int,
-	inputs []Vector, _ []*core.AsyncNode) (sim.Node, error) {
+func asyncAdversary(cfg Config, acfg core.AsyncConfig, b Byzantine, rounds int, inputs []Vector) (sim.Node, error) {
 	switch b.Strategy {
 	case StrategySilent:
 		return adversary.SilentAsync{}, nil
@@ -574,43 +488,33 @@ func asyncAdversary(cfg Config, acfg core.AsyncConfig, b Byzantine, rounds int,
 		}
 		return &adversary.CrashAsync{Wrapped: wrapped, AfterDeliveries: after}, nil
 	case StrategyEquivocate:
-		ta, tb, err := equivTargets(cfg, b)
-		if err != nil {
-			return nil, err
-		}
-		return adversary.NewAsyncEquivocator(cfg.N, rounds, sim.ProcID(b.ID), cfg.N/2, ta, tb), nil
+		return adversary.NewAsyncEquivocator(cfg.N, rounds, sim.ProcID(b.ID), cfg.N/2, toGeometry(b.Target), toGeometry(b.Target2)), nil
 	case StrategyRandom:
-		box, err := randomBox(cfg)
-		if err != nil {
-			return nil, err
-		}
+		box := randomBox(acfg.Bounds, cfg.D)
 		return adversary.NewAsyncRandom(cfg.N, rounds, 4, box), nil
 	case StrategyLure:
-		if len(b.Target) != cfg.D {
-			return nil, fmt.Errorf("bvc: lure target dimension %d, want %d", len(b.Target), cfg.D)
-		}
 		return adversary.NewAsyncLure(cfg.N, cfg.F, cfg.D, rounds, sim.ProcID(b.ID), toGeometry(b.Target))
 	default:
 		return nil, fmt.Errorf("bvc: unknown strategy %d", b.Strategy)
 	}
 }
 
-func restrictedAsyncAdversary(cfg Config, b Byzantine, rounds int) (sim.Node, error) {
+func restrictedAsyncAdversary(cfg Config, bounds geometry.Box, b Byzantine, rounds int) (sim.Node, error) {
 	switch b.Strategy {
 	case StrategySilent, StrategyCrash:
 		return adversary.SilentAsync{}, nil
 	case StrategyEquivocate, StrategyLure:
-		ta := toGeometry(orZero(b.Target, cfg.D))
+		ta := toGeometry(b.Target)
 		tb := ta
 		if b.Strategy == StrategyEquivocate {
-			tb = toGeometry(orZero(b.Target2, cfg.D))
+			tb = toGeometry(b.Target2)
 		}
 		n := cfg.N
 		return &adversary.FuncAsync{OnInit: func(api sim.API) {
 			for t := 1; t <= rounds; t++ {
 				for to := 0; to < n; to++ {
 					v := ta
-					if b.Strategy == StrategyEquivocate && to >= n/2 {
+					if to >= n/2 {
 						v = tb
 					}
 					api.Send(sim.ProcID(to), core.StateMsg{Round: t, Value: v.Clone()})
@@ -618,10 +522,7 @@ func restrictedAsyncAdversary(cfg Config, b Byzantine, rounds int) (sim.Node, er
 			}
 		}}, nil
 	case StrategyRandom:
-		box, err := randomBox(cfg)
-		if err != nil {
-			return nil, err
-		}
+		box := randomBox(bounds, cfg.D)
 		n := cfg.N
 		return &adversary.FuncAsync{OnInit: func(api sim.API) {
 			rng := api.Rand()
@@ -636,31 +537,20 @@ func restrictedAsyncAdversary(cfg Config, b Byzantine, rounds int) (sim.Node, er
 	}
 }
 
-func equivTargets(cfg Config, b Byzantine) (geometry.Vector, geometry.Vector, error) {
-	if len(b.Target) != cfg.D || len(b.Target2) != cfg.D {
-		return nil, nil, fmt.Errorf("bvc: equivocation targets must both have dimension %d", cfg.D)
-	}
-	return toGeometry(b.Target), toGeometry(b.Target2), nil
-}
-
 // randomBox is the sample space for random adversaries: the configured
-// input box inflated 3×, or a default box when no bounds are set.
-func randomBox(cfg Config) (geometry.Box, error) {
-	box, err := cfg.box()
-	if err != nil {
-		return geometry.Box{}, err
+// input bounds inflated 3×, or a default box when no bounds are set.
+func randomBox(bounds geometry.Box, d int) geometry.Box {
+	if bounds.MaxRange() == 0 {
+		return geometry.UniformBox(d, -1, 1)
 	}
-	if box.MaxRange() == 0 {
-		return geometry.UniformBox(cfg.D, -1, 1), nil
-	}
-	lo := box.Lo.Clone()
-	hi := box.Hi.Clone()
+	lo := bounds.Lo.Clone()
+	hi := bounds.Hi.Clone()
 	for i := range lo {
 		r := hi[i] - lo[i]
 		lo[i] -= r
 		hi[i] += r
 	}
-	return geometry.Box{Lo: lo, Hi: hi}, nil
+	return geometry.Box{Lo: lo, Hi: hi}
 }
 
 func orZero(v Vector, d int) Vector {
