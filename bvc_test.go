@@ -219,6 +219,10 @@ func TestSimulateRejectsBadSpecs(t *testing.T) {
 			{ID: 6, Strategy: bvc.StrategyEquivocate, Target: bvc.Vector{0}, Target2: bvc.Vector{1, 1}}}},
 		{"equivocation Target2 dimension", inputs, []bvc.Byzantine{
 			{ID: 6, Strategy: bvc.StrategyEquivocate, Target: bvc.Vector{0, 0}, Target2: bvc.Vector{1, 1, 1}}}},
+		{"crash target dimension", inputs, []bvc.Byzantine{
+			{ID: 6, Strategy: bvc.StrategyCrash, Target: bvc.Vector{1}}}},
+		{"crash empty target", inputs, []bvc.Byzantine{
+			{ID: 6, Strategy: bvc.StrategyCrash, Target: bvc.Vector{}}}},
 	}
 	for _, e := range entries {
 		// The control run: the same configuration with good specs succeeds,

@@ -13,9 +13,12 @@
 //	bvcload -churn 3                 # replace 3 random processes mid-load
 //
 // Every instance's decision is checked for hull-containment validity (the
-// paper's validity condition) on every process; any error, validity
-// violation, or missed -minrate makes the exit status nonzero — the CI
-// live-smoke gate.
+// paper's validity condition) on every process, and at -rounds 0 (the
+// analytic horizon) every pair of an instance's decisions for ε-agreement;
+// the default -rounds 4 is a contraction demo that does not reach ε. After
+// the final drain every process must have Proposed = Decided + TimedOut +
+// Failed. Any error, violation, or missed -minrate makes the exit status
+// nonzero — the CI live-smoke gate.
 //
 // -chaos loads an internal/chaos scenario and replays its deterministic
 // fault timeline (latency, loss, corruption, partitions, crash/restart,
@@ -42,6 +45,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 	"sort"
@@ -85,7 +89,7 @@ func run(args []string, w io.Writer) error {
 	fs.IntVar(&cfg.f, "f", 1, "Byzantine tolerance parameter f")
 	fs.IntVar(&cfg.d, "d", 2, "vector dimension")
 	fs.Float64Var(&cfg.epsilon, "epsilon", 0.05, "ε of ε-agreement")
-	fs.IntVar(&cfg.rounds, "rounds", 4, "fixed round horizon per instance (0 = analytic bound; hull validity holds from round 1)")
+	fs.IntVar(&cfg.rounds, "rounds", 4, "round horizon per instance: 0 = the analytic bound, which reaches ε-agreement (checked); the default 4 is a contraction demo that does not reach ε (hull validity holds from round 1)")
 	fs.Float64Var(&cfg.rate, "rate", 250, "target sustained instances per second (open loop)")
 	fs.DurationVar(&cfg.duration, "duration", 2*time.Second, "load duration (with -rate fixes the instance count); -chaos runs at least its scenario's horizon")
 	fs.IntVar(&cfg.instances, "instances", 0, "exact instance count (overrides rate×duration when > 0)")
@@ -114,9 +118,11 @@ type loadResult struct {
 	elapsed   time.Duration // first measured propose to last result
 	latencies []time.Duration
 
-	errs     []error // capped sample of instance errors
-	errCount int
-	invalid  int // decisions outside their instance's input hull
+	errs       []error // capped sample of instance errors
+	errCount   int
+	invalid    int // decisions outside their instance's input hull
+	disagree   int // pairs of an instance's decisions more than ε apart (-rounds 0 only)
+	checkAgree bool
 
 	stats      []bvc.ServiceStats // per process, at quiesce
 	background []error            // non-nil Service.Err() values
@@ -161,6 +167,15 @@ func (r *loadResult) gate(cfg loadConfig) error {
 	}
 	if r.invalid > 0 {
 		return fmt.Errorf("%d decisions violated hull-containment validity", r.invalid)
+	}
+	if r.disagree > 0 {
+		return fmt.Errorf("%d decision pairs violated ε-agreement (ε = %g)", r.disagree, cfg.epsilon)
+	}
+	for i, s := range r.stats {
+		if s.Proposed != s.Decided+s.TimedOut+s.Failed {
+			return fmt.Errorf("process %d after drain: Proposed %d != Decided %d + TimedOut %d + Failed %d",
+				i, s.Proposed, s.Decided, s.TimedOut, s.Failed)
+		}
 	}
 	if !r.chaosMode {
 		var readErrs int64
@@ -452,7 +467,7 @@ func drive(cfg loadConfig) (*loadResult, error) {
 			warm = 10
 		}
 	}
-	res := &loadResult{instances: total, warmup: warm, chaosMode: chaosMode}
+	res := &loadResult{instances: total, warmup: warm, chaosMode: chaosMode, checkAgree: cfg.rounds == 0}
 	var (
 		mu        sync.Mutex
 		collected sync.WaitGroup
@@ -517,6 +532,7 @@ func drive(cfg loadConfig) (*loadResult, error) {
 			defer collected.Done()
 			var worst time.Duration
 			var failure error
+			var decisions [][]float64
 			bad := 0
 			for _, ch := range chans {
 				r := <-ch
@@ -534,6 +550,7 @@ func drive(cfg loadConfig) (*loadResult, error) {
 				if r.Elapsed > worst {
 					worst = r.Elapsed
 				}
+				decisions = append(decisions, r.Decision)
 				in, err := hull.Contains(inputs, geometry.Vector(r.Decision), 1e-9)
 				if err != nil {
 					failure = err
@@ -552,6 +569,9 @@ func drive(cfg loadConfig) (*loadResult, error) {
 				res.latencies = append(res.latencies, worst)
 			}
 			res.invalid += bad
+			if res.checkAgree {
+				res.disagree += agreementViolations(decisions, cfg.epsilon)
+			}
 		}(id, measured, inputs, chans)
 	}
 	collected.Wait()
@@ -588,6 +608,24 @@ func drive(cfg loadConfig) (*loadResult, error) {
 	return res, nil
 }
 
+// agreementViolations counts the pairs of decisions that differ by more
+// than eps in some coordinate: the paper's ε-agreement, which correct
+// processes reach at the analytic round horizon.
+func agreementViolations(decisions [][]float64, eps float64) int {
+	bad := 0
+	for i, a := range decisions {
+		for _, b := range decisions[i+1:] {
+			for k := range a {
+				if math.Abs(a[k]-b[k]) > eps {
+					bad++
+					break
+				}
+			}
+		}
+	}
+	return bad
+}
+
 // summarize renders the human-readable report.
 func (r *loadResult) summarize(w io.Writer, cfg loadConfig) {
 	fmt.Fprintf(w, "bvcload: n=%d f=%d d=%d rounds=%d\n", cfg.n, cfg.f, cfg.d, cfg.rounds)
@@ -595,8 +633,12 @@ func (r *loadResult) summarize(w io.Writer, cfg loadConfig) {
 		r.instances, r.warmup, r.elapsed.Round(time.Millisecond), cfg.rate, r.achievedRate())
 	fmt.Fprintf(w, "latency    p50 %v  p99 %v  max %v\n",
 		r.percentile(0.50).Round(time.Microsecond), r.percentile(0.99).Round(time.Microsecond), r.percentile(1.0).Round(time.Microsecond))
-	fmt.Fprintf(w, "errors     %d instance, %d background, %d validity violations\n",
+	fmt.Fprintf(w, "errors     %d instance, %d background, %d validity violations",
 		r.errCount, len(r.background), r.invalid)
+	if r.checkAgree {
+		fmt.Fprintf(w, ", %d ε-agreement violations", r.disagree)
+	}
+	fmt.Fprintln(w)
 	var st bvc.ServiceStats
 	for _, s := range r.stats {
 		st.Decided += s.Decided

@@ -116,3 +116,27 @@ func TestLoadBadFlags(t *testing.T) {
 		t.Error("n=4 < (d+2)f+1=5 accepted")
 	}
 }
+
+// TestAgreementViolations: two decisions 2ε apart in one coordinate are one
+// violating pair; decisions within ε of each other are none.
+func TestAgreementViolations(t *testing.T) {
+	const eps = 0.05
+	if got := agreementViolations([][]float64{{0.5, 0.5}, {0.5, 0.5 + 2*eps}}, eps); got != 1 {
+		t.Errorf("decisions 2ε apart: %d violations, want 1", got)
+	}
+	if got := agreementViolations([][]float64{{0.5, 0.5}, {0.5 + eps/2, 0.5}, {0.5, 0.5 - eps/2}}, eps); got != 0 {
+		t.Errorf("decisions within ε: %d violations, want 0", got)
+	}
+}
+
+// TestLoadEpsilonAgreement runs instances to the analytic horizon, where
+// every pair of an instance's decisions must be within ε.
+func TestLoadEpsilonAgreement(t *testing.T) {
+	var out bytes.Buffer
+	if err := run([]string{"-rounds", "0", "-rate", "20", "-instances", "20"}, &out); err != nil {
+		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
+	}
+	if want := "0 validity violations, 0 ε-agreement violations"; !strings.Contains(out.String(), want) {
+		t.Errorf("summary missing %q:\n%s", want, out.String())
+	}
+}

@@ -61,12 +61,6 @@ func newNonce() (uint64, error) {
 	return binary.BigEndian.Uint64(b[:]), nil
 }
 
-// writeFrameBuf sends one frame built by fn.
-func writeFrameBuf(conn net.Conn, fn func([]byte) []byte) error {
-	_, err := conn.Write(fn(nil))
-	return err
-}
-
 // readHandshakeFrame reads one frame of the expected kind during the
 // handshake (deadline already set by the caller).
 func readHandshakeFrame(conn net.Conn, kind wire.FrameKind) ([]byte, error) {
@@ -92,15 +86,14 @@ func readHandshakeFrame(conn net.Conn, kind wire.FrameKind) ([]byte, error) {
 func (s *Service) clientHandshake(conn net.Conn, peer int, epoch uint64) error {
 	key := s.cfg.AuthKey
 	if len(key) == 0 {
-		return writeHello(conn, uint32(s.cfg.ID), epoch)
+		_, err := conn.Write(wire.AppendHello(nil, uint32(s.cfg.ID), epoch))
+		return err
 	}
 	cn, err := newNonce()
 	if err != nil {
 		return err
 	}
-	if err := writeFrameBuf(conn, func(dst []byte) []byte {
-		return wire.AppendHelloNonce(dst, uint32(s.cfg.ID), epoch, cn)
-	}); err != nil {
+	if _, err := conn.Write(wire.AppendHelloNonce(nil, uint32(s.cfg.ID), epoch, cn)); err != nil {
 		return err
 	}
 	body, err := readHandshakeFrame(conn, wire.FrameChallenge)
@@ -114,9 +107,8 @@ func (s *Service) clientHandshake(conn net.Conn, peer int, epoch uint64) error {
 	if !hmac.Equal(mac, authMAC(key, "bvc2-srv", cn, sn, uint32(peer), epoch)) {
 		return ErrAuthFailed
 	}
-	return writeFrameBuf(conn, func(dst []byte) []byte {
-		return wire.AppendAuth(dst, authMAC(key, "bvc2-cli", sn, 0, uint32(s.cfg.ID), epoch))
-	})
+	_, err = conn.Write(wire.AppendAuth(nil, authMAC(key, "bvc2-cli", sn, 0, uint32(s.cfg.ID), epoch)))
+	return err
 }
 
 // serverHandshake runs the acceptor's half on a fresh inbound conn under
@@ -150,9 +142,7 @@ func (s *Service) serverHandshake(conn net.Conn, current uint64) (int, error) {
 	if err != nil {
 		return 0, err
 	}
-	if err := writeFrameBuf(conn, func(dst []byte) []byte {
-		return wire.AppendChallenge(dst, sn, authMAC(key, "bvc2-srv", cn, sn, uint32(s.cfg.ID), epoch))
-	}); err != nil {
+	if _, err := conn.Write(wire.AppendChallenge(nil, sn, authMAC(key, "bvc2-srv", cn, sn, uint32(s.cfg.ID), epoch))); err != nil {
 		return 0, err
 	}
 	body, err = readHandshakeFrame(conn, wire.FrameAuth)

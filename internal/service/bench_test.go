@@ -47,7 +47,7 @@ func BenchmarkLinkWriteBatch(b *testing.B) {
 			}
 			b.StopTimer()
 			close(svc.stop)
-			p.stop()
+			p.fire(linkClose)
 			<-done
 		})
 	}

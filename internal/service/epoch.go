@@ -83,7 +83,7 @@ func (s *Service) Reconfigure(m Membership) error {
 	s.ctr.reconfigures.Add(1)
 	for id, p := range s.peers {
 		if p != nil {
-			p.readdress(m.Addrs[id])
+			p.readdress(m.Addrs[id], true)
 		}
 	}
 	return nil

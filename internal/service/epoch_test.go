@@ -261,11 +261,7 @@ func TestReplaceAfterGoodbyeRedials(t *testing.T) {
 	}
 	waitUntil(t, 5*time.Second, func() bool {
 		for _, s := range svcs[2:] {
-			p := s.peerAt(1)
-			p.mu.Lock()
-			bye := p.goodbye
-			p.mu.Unlock()
-			if !bye {
+			if !s.peerAt(1).saidGoodbye() {
 				return false
 			}
 		}

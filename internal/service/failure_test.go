@@ -258,10 +258,7 @@ func TestSlowPeerBlockPolicy(t *testing.T) {
 	svc, p := newBenchLink(4)
 	c1, c2 := net.Pipe()
 	defer func() { _ = c1.Close(); _ = c2.Close() }()
-	p.mu.Lock()
-	p.conn = c1 // connected, but no read/write loops — pure policy test
-	p.gen = 1
-	p.mu.Unlock()
+	connect(p, c1) // connected, but no read/write loops — pure policy test
 
 	fill(t, p)
 	blocked := func() (done chan struct{}) {
@@ -306,7 +303,7 @@ func TestSlowPeerBlockPolicy(t *testing.T) {
 		p.enqueue([]byte{0}, nil)
 	}
 	done = blocked()
-	p.failed(1)
+	p.onConn(1, linkDrop)
 	select {
 	case <-done:
 	case <-time.After(5 * time.Second):
@@ -402,30 +399,15 @@ func TestServiceDrainInFlight(t *testing.T) {
 	}
 	// Goodbye reached the peers: the dialing sides mark the link and will
 	// not redial once the drained process goes away.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		p := svcs[1].peerAt(0)
-		p.mu.Lock()
-		bye := p.goodbye
-		p.mu.Unlock()
-		if bye {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("peer 1 never saw process 0's goodbye")
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
+	p := svcs[1].peerAt(0)
+	waitUntil(t, 10*time.Second, p.saidGoodbye, "peer 1 sees process 0's goodbye")
 	if err := svcs[0].Close(); err != nil {
 		t.Fatalf("Close after Drain: %v", err)
 	}
+	waitUntil(t, 10*time.Second, func() bool { return p.linkState() == linkGone }, "peer 1's link to the drained process ends")
 	time.Sleep(100 * time.Millisecond)
-	p := svcs[1].peerAt(0)
-	p.mu.Lock()
-	redialing := p.redialing
-	p.mu.Unlock()
-	if redialing {
-		t.Error("peer 1 is redialing a drained process")
+	if st := p.linkState(); st != linkGone {
+		t.Errorf("peer 1's link to a drained, closed process is %v, want gone (nothing redials it)", st)
 	}
 	if got := svcs[1].Stats().Reconnects; got != 0 {
 		t.Errorf("peer 1 reconnected %d times to a drained process", got)

@@ -41,7 +41,7 @@ func TestServiceProposeWhileDrainWaits(t *testing.T) {
 	go func() { drainErr <- svcs[0].Drain(ctx) }()
 
 	deadline := time.Now().Add(10 * time.Second)
-	for !svcs[0].drainingNow() {
+	for !closed(svcs[0].isDrain) {
 		if time.Now().After(deadline) {
 			t.Fatal("Drain never flipped the draining latch")
 		}

@@ -295,7 +295,7 @@ func TestLingeringInstancePinsNoSlab(t *testing.T) {
 			if r := <-res; r.Err != nil {
 				t.Fatal(r.Err)
 			}
-			if inst := sh.instances[id]; inst == nil || !inst.done() {
+			if inst := sh.instances[id]; inst == nil || inst.state != instLingering {
 				t.Fatalf("f=%d schedule %d: instance %d is not lingering", f, k, id)
 			}
 		}

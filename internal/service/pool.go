@@ -27,42 +27,85 @@ const suspectAfter = 3
 // pace, so quorum math should stop counting on it.
 const pressureSuspectAfter = 64
 
+// linkState is where a peer link is in its life (docs/SERVICE.md, "The
+// link state machine", draws linkEdges).
+type linkState uint32
+
+const (
+	linkIdle      linkState = iota // no conn, no dial loop: before Establish, or an accepting side awaiting its peer's dial
+	linkDialing                    // the dialing side's loop is running
+	linkJoined                     // a conn is installed but has delivered no frame yet
+	linkConnected                  // the installed conn has delivered a frame
+	linkLeaving                    // the peer said goodbye on the installed conn
+	linkGone                       // the conn of a peer that said goodbye ended; nothing redials it
+	linkClosed                     // the service closed; no edge leaves it
+)
+
+func (s linkState) String() string {
+	return [...]string{"idle", "dialing", "joined", "connected", "leaving", "gone", "closed"}[s]
+}
+
+// hasConn reports whether a link in state s holds an installed conn.
+func (s linkState) hasConn() bool { return s >= linkJoined && s <= linkLeaving }
+
+// linkEvent is what moves a link from one state to the next.
+type linkEvent uint8
+
+const (
+	linkDial      linkEvent = iota // the dialing side starts its dial loop
+	linkDialFail                   // one dial or handshake attempt failed
+	linkInstall                    // a handshaken conn is installed
+	linkFrame                      // the installed conn delivered its first frame
+	linkGoodbye                    // the peer announced its drain on the installed conn
+	linkDrop                       // the installed conn ended
+	linkReaddress                  // a Reconfigure put a new process in the slot
+	linkClose                      // the service closed
+)
+
+// linkEdges is the link's transition table, one row per state; an event
+// missing from a row is refused.
+var linkEdges = [...]map[linkEvent]linkState{
+	linkIdle:      {linkDial: linkDialing, linkInstall: linkJoined, linkReaddress: linkIdle, linkClose: linkClosed},
+	linkDialing:   {linkDialFail: linkDialing, linkInstall: linkJoined, linkReaddress: linkDialing, linkClose: linkClosed},
+	linkJoined:    {linkInstall: linkJoined, linkFrame: linkConnected, linkDrop: linkIdle, linkReaddress: linkIdle, linkClose: linkClosed},
+	linkConnected: {linkInstall: linkJoined, linkGoodbye: linkLeaving, linkDrop: linkIdle, linkReaddress: linkIdle, linkClose: linkClosed},
+	linkLeaving:   {linkInstall: linkJoined, linkDrop: linkGone, linkReaddress: linkIdle, linkClose: linkClosed},
+	linkGone:      {linkInstall: linkJoined, linkReaddress: linkIdle, linkClose: linkClosed},
+	linkClosed:    {},
+}
+
 // peerLink is one peer's slot in the connection pool, one per peer id for
 // the service's whole life: the persistent connection (replaced
 // transparently on failure), the bounded outbox its writer goroutine swaps
-// out and writes, the peer's current address and reconnect state, and the
-// health ladder (consecutive dial failures and outbox pressure feeding
+// out and writes, the peer's current address, its lifecycle state, and
+// the health ladder (consecutive dial failures and outbox pressure feeding
 // suspicion). The higher id dials the lower, so exactly one side owns
 // redialing after a failure. A membership change re-addresses the link in
 // place (readdress); only Close ends it.
 type peerLink struct {
-	svc  *Service
-	id   int
-	addr string
+	svc    *Service
+	id     int
+	dialer bool // this process dials the peer (it has the higher id)
 
 	// out holds encoded frames laid end to end, bounded at OutboxDepth
 	// frames; the writer swaps it for its own buffer and issues one Write.
 	out *mailbox[byte]
 
-	mu      sync.Mutex
-	cond    *sync.Cond
-	conn    net.Conn
-	gen     int // bumped per installed conn; stale failures are ignored
-	stopped bool
+	// The rest is guarded by mu. Only to writes state; connected also reads
+	// it atomically, under the outbox's lock. conn is set iff
+	// state.hasConn().
+	mu    sync.Mutex
+	cond  *sync.Cond // broadcast on every transition
+	state linkState
+	addr  string
+	conn  net.Conn
+	gen   int           // bumped per installed conn; events of older conns are ignored
+	ready chan struct{} // closed at the first install
 
-	ready     chan struct{} // closed on first successful connect
-	readyOnce sync.Once
-
-	goodbye   bool // peer announced drain; no redial
-	redialing bool
-
-	// Health ladder (guarded by mu). dialFails counts consecutive failed
-	// dial attempts, a conn that ended while still fresh (no frame read
-	// off it yet) included; pressure counts consecutive full-outbox
-	// stalls; downSince timestamps the last disconnect; rng jitters the
-	// redial backoff (seeded per link, so schedules are replayable).
+	// Health ladder: consecutive failed dials (a conn dropped while joined
+	// included), consecutive full-outbox stalls, the last drop's time, and
+	// the redial jitter (seeded per link, so schedules are replayable).
 	dialFails int
-	fresh     bool
 	pressure  int
 	downSince time.Time
 	rng       *rand.Rand
@@ -70,88 +113,126 @@ type peerLink struct {
 
 func newPeerLink(svc *Service, id int, addr string) *peerLink {
 	p := &peerLink{
-		svc:   svc,
-		id:    id,
-		addr:  addr,
-		out:   newMailbox[byte](svc.cfg.OutboxDepth),
-		ready: make(chan struct{}),
-		rng:   rand.New(rand.NewPCG(uint64(svc.cfg.Seed)^uint64(id+1)*0x9e3779b97f4a7c15, 0)),
+		svc:    svc,
+		id:     id,
+		dialer: svc.cfg.ID > id,
+		addr:   addr,
+		out:    newMailbox[byte](svc.cfg.OutboxDepth),
+		ready:  make(chan struct{}),
+		rng:    rand.New(rand.NewPCG(uint64(svc.cfg.Seed)^uint64(id+1)*0x9e3779b97f4a7c15, 0)),
 	}
 	p.cond = sync.NewCond(&p.mu)
 	return p
 }
 
-// readdress points the link at addr, the peer's address in a new
-// membership. An unchanged address changes nothing. A changed one is a
-// new process in the slot: the old one's goodbye and health no longer
-// apply, its connection generation fails, and the dialing side dials the
-// new address — at once, or after the current backoff sleep when a dial
-// loop is already running. Frames still in the outbox go to the new
-// process.
-func (p *peerLink) readdress(addr string) {
-	p.mu.Lock()
-	if addr == p.addr {
-		p.mu.Unlock()
-		return
+// to moves the link along edge ev of linkEdges, with mu held, and does the
+// edge's work (SERVICE.md lists it); it is the only writer of state, and
+// returns false, changing nothing, for an edge the table lacks. conn is
+// the conn to install. A drop while joined is a failed dial on the dialing
+// side: a keyless dialer learns of a refused handshake only that way.
+func (p *peerLink) to(ev linkEvent, conn net.Conn) bool {
+	from := p.state
+	next, ok := linkEdges[from][ev]
+	if !ok {
+		return false
 	}
-	p.addr = addr
-	p.goodbye = false
-	p.dialFails, p.pressure, p.fresh = 0, 0, false
-	gen := p.gen
+	atomic.StoreUint32((*uint32)(&p.state), uint32(next))
+	switch ev {
+	case linkDial:
+		p.svc.wg.Add(1)
+		go func() {
+			defer p.svc.wg.Done()
+			p.redial()
+		}()
+	case linkDialFail, linkDrop:
+		if ev == linkDialFail || from == linkJoined && p.dialer {
+			p.dialFails++
+			p.svc.ctr.dialFailures.Add(1)
+		}
+	case linkInstall:
+		if p.conn != nil {
+			_ = p.conn.Close()
+		}
+		p.conn = conn
+		p.gen++
+		p.pressure = 0
+		p.downSince = time.Time{}
+		select {
+		case <-p.ready:
+			if p.dialer {
+				p.svc.ctr.reconnects.Add(1)
+			}
+		default:
+			close(p.ready)
+		}
+	case linkFrame:
+		p.dialFails = 0
+	case linkReaddress:
+		p.dialFails, p.pressure = 0, 0
+	}
+	if p.conn != nil && !next.hasConn() {
+		_ = p.conn.Close()
+		p.conn = nil
+		p.downSince = time.Now()
+	}
+	p.cond.Broadcast()
+	if !next.hasConn() && from != next {
+		p.out.kick() // senders blocked on a full outbox stop waiting on a down peer
+	}
+	if next == linkIdle && p.dialer {
+		p.to(linkDial, nil)
+	}
+	return true
+}
+
+// fire applies ev to the link under its lock.
+func (p *peerLink) fire(ev linkEvent) bool {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.to(ev, nil)
+}
+
+// onConn applies ev (frame, goodbye or drop) if gen is still the installed
+// conn's generation: a replaced conn's reader or writer reports nothing.
+func (p *peerLink) onConn(gen int, ev linkEvent) {
+	p.mu.Lock()
+	if gen == p.gen {
+		p.to(ev, nil)
+	}
 	p.mu.Unlock()
-	p.failed(gen)
-	if p.svc.cfg.ID > p.id {
-		p.svc.startRedial(p)
+}
+
+// readdress points the link at addr. replaced says a Reconfigure put a
+// new process in the slot (the readdress edge); Establish's override only
+// names the same process's bound address. The outbox goes to whoever is
+// at addr.
+func (p *peerLink) readdress(addr string, replaced bool) {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	if addr != p.addr {
+		p.addr = addr
+		if replaced {
+			p.to(linkReaddress, nil)
+		}
 	}
 }
 
-// startRedial starts the dial loop toward a peer this process is the
-// dialing side for, unless one is running or the link needs none: at
-// Establish, after a re-address, and after a link fails.
-func (s *Service) startRedial(p *peerLink) {
-	p.mu.Lock()
-	if p.redialing || p.stopped || p.goodbye || p.conn != nil {
-		p.mu.Unlock()
-		return
-	}
-	p.redialing = true
-	p.mu.Unlock()
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		p.redial()
-	}()
-}
-
-// suspectedNow reports the link's current suspicion verdict: repeated
-// dial failures, a sustained disconnect (the accept side cannot dial, so
-// elapsed downtime stands in for failed attempts), or sustained outbox
-// pressure. Suspicion is recomputed on read — it clears the moment the
-// underlying condition does.
-func (p *peerLink) suspectedNow(now time.Time) bool {
+// health is the link's one verdict, read by reachable (up) and
+// Stats.SuspectedPeers (suspected): suspected on sustained outbox pressure,
+// repeated dial failures or a sustained disconnect (elapsed downtime
+// stands in for the failed dials an accepting side cannot make), else up
+// while a conn is installed.
+func (p *peerLink) health(now time.Time) (up, suspected bool) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.pressure >= pressureSuspectAfter {
-		return true
+		return false, true
 	}
-	if p.conn != nil {
-		return false
+	if p.state.hasConn() {
+		return true, false
 	}
-	if p.dialFails >= suspectAfter {
-		return true
-	}
-	return !p.downSince.IsZero() &&
-		now.Sub(p.downSince) >= suspectAfter*2*p.svc.cfg.MaxDialBackoff
-}
-
-// noteDialFail records one failed dial/handshake attempt and returns the
-// backoff to sleep before the next one.
-func (p *peerLink) noteDialFail() time.Duration {
-	p.svc.ctr.dialFailures.Add(1)
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.dialFails++
-	return p.backoffLocked()
+	return false, p.dialFails >= suspectAfter ||
+		!p.downSince.IsZero() && now.Sub(p.downSince) >= suspectAfter*2*p.svc.cfg.MaxDialBackoff
 }
 
 // backoffLocked returns the sleep before the next dial after dialFails
@@ -183,32 +264,19 @@ func (p *peerLink) clearPressure() {
 	p.mu.Unlock()
 }
 
-// install replaces the link's connection and starts its reader loop.
+// install makes conn the link's connection and starts its reader loop.
 // epoch is the membership epoch conn's handshake named: once the service
 // has moved past it the conn is refused (closed, false), since the slot
-// may have been re-addressed meanwhile. Installing ends the link's dial
-// loop, the only installer on the dialing side.
+// may have been re-addressed meanwhile.
 func (p *peerLink) install(conn net.Conn, epoch uint64) bool {
 	p.mu.Lock()
-	if p.stopped || epoch != p.svc.Epoch() {
-		p.mu.Unlock()
+	ok := epoch == p.svc.Epoch() && p.to(linkInstall, conn)
+	gen := p.gen
+	p.mu.Unlock()
+	if !ok {
 		_ = conn.Close()
 		return false
 	}
-	p.redialing = false
-	if p.conn != nil {
-		_ = p.conn.Close()
-	}
-	p.conn = conn
-	p.gen++
-	gen := p.gen
-	p.fresh = true
-	p.pressure = 0
-	p.downSince = time.Time{}
-	p.cond.Broadcast()
-	p.mu.Unlock()
-	p.readyOnce.Do(func() { close(p.ready) })
-
 	p.svc.wg.Add(1)
 	go func() {
 		defer p.svc.wg.Done()
@@ -217,76 +285,29 @@ func (p *peerLink) install(conn net.Conn, epoch uint64) bool {
 	return true
 }
 
-// failed tears down generation gen's connection (no-op when a newer one
-// is already installed) and, on the dialing side, starts the redial loop;
-// a fresh conn's end counts there as a failed dial, since a keyless dialer
-// learns that the acceptor refused its handshake only that way.
-func (p *peerLink) failed(gen int) {
-	p.mu.Lock()
-	if p.stopped || gen != p.gen || p.conn == nil {
-		p.mu.Unlock()
-		return
-	}
-	_ = p.conn.Close()
-	p.conn = nil
-	p.downSince = time.Now()
-	dialer := p.svc.cfg.ID > p.id
-	if dialer && p.fresh {
-		p.dialFails++
-		p.svc.ctr.dialFailures.Add(1)
-	}
-	p.mu.Unlock()
-	p.out.kick() // senders blocked on a full outbox stop waiting on a down peer
-	if dialer {
-		p.svc.startRedial(p)
-	}
-}
-
-// stop makes the link inert at Close: waiting writers wake, the
-// connection closes.
-func (p *peerLink) stop() {
-	p.mu.Lock()
-	p.stopped = true
-	if p.conn != nil {
-		_ = p.conn.Close()
-		p.conn = nil
-	}
-	p.cond.Broadcast()
-	p.mu.Unlock()
-	p.out.kick()
-}
-
-// sawGoodbye marks the peer as draining; the redial loop gives up on it.
-func (p *peerLink) sawGoodbye() {
-	p.mu.Lock()
-	p.goodbye = true
-	p.mu.Unlock()
-}
-
 // waitConn blocks until a connection is installed (returning it with its
-// generation) or the link stops (returning nil).
+// generation) or the link closes (returning nil).
 func (p *peerLink) waitConn() (net.Conn, int) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for p.conn == nil && !p.stopped {
+	for !p.state.hasConn() && p.state != linkClosed {
 		p.cond.Wait()
 	}
 	return p.conn, p.gen
 }
 
-// connected reports whether a connection is currently installed.
+// connected reports whether a connection is currently installed. It reads
+// the state without mu, so a sender may call it under the outbox's lock.
 func (p *peerLink) connected() bool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.conn != nil
+	return linkState(atomic.LoadUint32((*uint32)(&p.state))).hasConn()
 }
 
 // enqueue appends one encoded frame to the outbox (the bytes are copied;
 // the caller keeps its buffer) and reports whether the writer needs
 // ringing: the outbox was empty, so no earlier sender's ring covers this
 // frame. Senders inside an instance-loop wake-up collect those links and
-// ring them once when the wake-up ends (shard.flush); everyone else uses
-// send.
+// ring them once when the wake-up ends (shard.flush); Drain's goodbye
+// rings at once.
 //
 // At OutboxDepth frames the sender waits for the writer's next swap —
 // backpressure that propagates to the instance loop — after calling
@@ -311,14 +332,6 @@ func (p *peerLink) enqueue(frame []byte, stalled func()) (ring bool) {
 		p.svc.ctr.writeDrops.Add(1)
 	}
 	return ring
-}
-
-// send queues one frame from outside a loop wake-up — Drain's goodbye —
-// and rings the writer at once.
-func (p *peerLink) send(frame []byte) {
-	if p.enqueue(frame, nil) {
-		p.out.ring()
-	}
 }
 
 // writeLoop sends what the outbox holds each time it is rung: it swaps the
@@ -356,7 +369,7 @@ func (p *peerLink) writeLoop() {
 				break
 			}
 			p.svc.ctr.writeRetries.Add(int64(frames))
-			p.failed(gen)
+			p.onConn(gen, linkDrop)
 			if conn, gen = p.waitConn(); conn == nil {
 				return
 			}
@@ -418,7 +431,7 @@ func (p *peerLink) readLoop(conn net.Conn, gen int) {
 	dim := p.svc.cfg.Node.D
 	var burst []inMsg // this burst's deliveries
 	var frames, bytes int64
-	fresh := true // no frame parsed off this conn yet
+	first := true // no frame parsed off this conn yet
 	// deliver hands the burst to the loop; false means the service stopped.
 	// The frames were consumed off the conn — the sender will not resend
 	// them — so every exit path delivers before it returns.
@@ -455,11 +468,9 @@ read:
 			p.svc.ctr.readErrors.Add(1)
 			break read
 		}
-		if fresh { // the peer took the conn: the dial backoff starts over
-			fresh = false
-			p.mu.Lock()
-			p.fresh, p.dialFails = false, 0
-			p.mu.Unlock()
+		if first {
+			first = false
+			p.onConn(gen, linkFrame)
 		}
 		frames++
 		bytes += int64(len(frame) + 4)
@@ -476,7 +487,7 @@ read:
 			}
 			burst = append(burst, inMsg{instance: h.Instance, from: p.id, msg: m})
 		case wire.FrameGoodbye:
-			p.sawGoodbye()
+			p.onConn(gen, linkGoodbye)
 		case wire.FrameHello:
 			// Redundant hello after handshake; ignore.
 		default:
@@ -485,7 +496,7 @@ read:
 		}
 	}
 	deliver()
-	p.failed(gen)
+	p.onConn(gen, linkDrop)
 }
 
 // countingReader counts the Reads a link reader's bufio.Reader issues on
@@ -510,20 +521,12 @@ func frameBuffered(br *bufio.Reader) bool {
 	return br.Buffered()-4 >= int(binary.BigEndian.Uint32(hdr))
 }
 
-// redial is the link's one dial loop, for its first connection and every
-// replacement: it dials with jittered capped exponential backoff
-// (backoffLocked), so peers may come up in any order, and every failed
-// attempt (dial or handshake, or a conn that ended before it delivered a
-// frame) climbs the backoff and the suspicion ladder. It sleeps before
-// its first dial when the last conn was such a failure. Every
-// connection after the link's first counts in Stats.Reconnects, the first
-// one to a replacement process included: a replace takes the same path as
-// a restart. It gives up when the service stops or the peer said goodbye,
-// and dials again at once when a Reconfigure lands mid-dial.
-//
-// The loop clears redialing in the same critical section that ends it —
-// install's, on success — so a failure of the new connection always finds
-// the flag down and starts the next loop.
+// redial is the link's one dial loop, started by the dial edge and running
+// while the link is dialing. It dials with jittered capped exponential
+// backoff (backoffLocked), so peers may come up in any order; every failed
+// attempt (dial, handshake, or a conn dropped while joined) climbs the
+// backoff and the suspicion ladder, the last one before the loop started
+// included. It dials again at once when a Reconfigure lands mid-dial.
 func (p *peerLink) redial() {
 	p.mu.Lock()
 	sleep := p.backoffLocked()
@@ -532,9 +535,6 @@ func (p *peerLink) redial() {
 		if sleep > 0 {
 			select {
 			case <-p.svc.stop:
-				p.mu.Lock()
-				p.redialing = false
-				p.mu.Unlock()
 				return
 			case <-time.After(sleep):
 			}
@@ -543,30 +543,24 @@ func (p *peerLink) redial() {
 		// the two reads fails the install's epoch check.
 		epoch := p.svc.Epoch()
 		p.mu.Lock()
-		if p.stopped || p.goodbye || p.conn != nil {
-			p.redialing = false
+		if p.state != linkDialing {
 			p.mu.Unlock()
 			return
 		}
 		addr := p.addr
 		p.mu.Unlock()
-		if conn, err := p.svc.dialPeer(p.id, addr, epoch); err == nil {
-			again := false
-			select {
-			case <-p.ready:
-				again = true
-			default: // the link's first connection
+		conn, err := p.svc.dialPeer(p.id, addr, epoch)
+		if err == nil {
+			if p.install(conn, epoch) {
+				return
 			}
-			if !p.install(conn, epoch) {
-				sleep = 0
-				continue // a Reconfigure landed mid-dial
-			}
-			if again {
-				p.svc.ctr.reconnects.Add(1)
-			}
-			return
+			sleep = 0
+			continue // a Reconfigure landed mid-dial
 		}
-		sleep = p.noteDialFail()
+		p.mu.Lock()
+		p.to(linkDialFail, nil)
+		sleep = p.backoffLocked()
+		p.mu.Unlock()
 	}
 }
 
@@ -596,23 +590,15 @@ func (s *Service) dialPeer(peer int, addr string, epoch uint64) (net.Conn, error
 // connection quickly so the dialer's redial ladder retries, instead of
 // pinning both endpoints for a whole attempt.
 func (s *Service) handshakeDeadline() time.Time {
-	d := 2 * time.Second
-	if s.cfg.EstablishTimeout < d {
-		d = s.cfg.EstablishTimeout
-	}
-	return time.Now().Add(d)
+	return time.Now().Add(min(2*time.Second, s.cfg.EstablishTimeout))
 }
 
-// writeHello sends the handshake frame announcing our process id and
-// membership epoch.
-func writeHello(conn net.Conn, id uint32, epoch uint64) error {
-	_, err := conn.Write(wire.AppendHello(nil, id, epoch))
-	return err
-}
+func stopping(s *Service) bool { return closed(s.stop) }
 
-func stopping(s *Service) bool {
+// closed reports whether ch, a latch, has been closed.
+func closed(ch <-chan struct{}) bool {
 	select {
-	case <-s.stop:
+	case <-ch:
 		return true
 	default:
 		return false
@@ -676,20 +662,19 @@ func (s *Service) handshake(conn net.Conn) {
 // process listens on an ephemeral port, the bound addresses are
 // exchanged out of band, and Establish gets the final list.
 func (s *Service) Establish(ctx context.Context, addrs []string) error {
-	if addrs != nil {
-		if len(addrs) != s.n {
-			return fmt.Errorf("service: establish: %d addresses for n=%d", len(addrs), s.n)
-		}
-		for id, p := range s.peers {
-			if p != nil {
-				p.mu.Lock()
-				p.addr = addrs[id]
-				p.mu.Unlock()
-			}
-		}
+	if addrs != nil && len(addrs) != s.n {
+		return fmt.Errorf("service: establish: %d addresses for n=%d", len(addrs), s.n)
 	}
-	for _, p := range s.peers[:s.cfg.ID] {
-		s.startRedial(p)
+	for id, p := range s.peers {
+		if p == nil {
+			continue
+		}
+		if addrs != nil {
+			p.readdress(addrs[id], false)
+		}
+		if p.dialer {
+			p.fire(linkDial)
+		}
 	}
 	for id, p := range s.peers {
 		if p == nil {

@@ -41,9 +41,7 @@ func detachedShard(id, n int, cfg Config) *shard {
 // connect installs conn on a detached link without starting a reader.
 func connect(p *peerLink, conn net.Conn) {
 	p.mu.Lock()
-	p.conn = conn
-	p.gen++
-	p.cond.Broadcast()
+	p.to(linkInstall, conn)
 	p.mu.Unlock()
 }
 
@@ -112,7 +110,7 @@ func TestLinkFIFOAcrossSwapsAndFailedWrite(t *testing.T) {
 	go func() { p.writeLoop(); close(done) }()
 	defer func() {
 		close(svc.stop)
-		p.stop()
+		p.fire(linkClose)
 		<-done
 	}()
 
@@ -300,11 +298,7 @@ func TestNonShardSendersRingWriter(t *testing.T) {
 	}
 	waitUntil(t, 10*time.Second, func() bool {
 		for _, s := range svcs[1:] {
-			p := s.peerAt(0)
-			p.mu.Lock()
-			bye := p.goodbye
-			p.mu.Unlock()
-			if !bye {
+			if !s.peerAt(0).saidGoodbye() {
 				return false
 			}
 		}

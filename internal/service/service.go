@@ -108,34 +108,25 @@ type Config struct {
 }
 
 func (c Config) withDefaults() Config {
-	if c.OutboxDepth <= 0 {
-		c.OutboxDepth = 1024
-	}
-	if c.QueueDepth <= 0 {
-		c.QueueDepth = 4096
-	}
-	if c.PendingLimit <= 0 {
-		c.PendingLimit = 4096
-	}
-	if c.InstanceTimeout <= 0 {
-		c.InstanceTimeout = 30 * time.Second
-	}
-	if c.LingerTimeout <= 0 {
-		c.LingerTimeout = c.InstanceTimeout
-	}
-	if c.EstablishTimeout <= 0 {
-		c.EstablishTimeout = 10 * time.Second
-	}
-	if c.DialBackoff <= 0 {
-		c.DialBackoff = 25 * time.Millisecond
-	}
-	if c.MaxDialBackoff <= 0 {
-		c.MaxDialBackoff = 500 * time.Millisecond
-	}
+	orDefault(&c.OutboxDepth, 1024)
+	orDefault(&c.QueueDepth, 4096)
+	orDefault(&c.PendingLimit, 4096)
+	orDefault(&c.InstanceTimeout, 30*time.Second)
+	orDefault(&c.LingerTimeout, c.InstanceTimeout)
+	orDefault(&c.EstablishTimeout, 10*time.Second)
+	orDefault(&c.DialBackoff, 25*time.Millisecond)
+	orDefault(&c.MaxDialBackoff, 500*time.Millisecond)
 	if c.Transport == nil {
 		c.Transport = netTransport{}
 	}
 	return c
+}
+
+// orDefault sets a non-positive *v to def.
+func orDefault[T int | time.Duration](v *T, def T) {
+	if *v <= 0 {
+		*v = def
+	}
 }
 
 // Result is one finished instance as seen by this process.
@@ -272,18 +263,15 @@ func probeInput(cfg core.AsyncConfig) geometry.Vector {
 func (s *Service) Addr() string { return s.ln.Addr().String() }
 
 // reachable counts the processes this one can currently count on for
-// quorum: itself plus every peer with an installed, unsuspected
-// connection.
+// quorum: itself plus every peer whose link is up.
 func (s *Service) reachable() int {
 	count := 1
+	now := time.Now()
 	for _, p := range s.peers {
 		if p == nil {
 			continue
 		}
-		p.mu.Lock()
-		up := p.conn != nil && p.pressure < pressureSuspectAfter
-		p.mu.Unlock()
-		if up {
+		if up, _ := p.health(now); up {
 			count++
 		}
 	}
@@ -309,15 +297,6 @@ func (s *Service) noteErr(err error) {
 	s.errMu.Unlock()
 }
 
-func (s *Service) drainingNow() bool {
-	select {
-	case <-s.isDrain:
-		return true
-	default:
-		return false
-	}
-}
-
 // Propose opens consensus instance id with this process's input. Every
 // process of the mesh must eventually propose the same instance id (their
 // traffic is buffered briefly otherwise). The result — decision or error
@@ -329,7 +308,7 @@ func (s *Service) Propose(id uint64, input []float64) (<-chan Result, error) {
 	if stopping(s) {
 		return nil, ErrServiceClosed
 	}
-	if s.drainingNow() {
+	if closed(s.isDrain) {
 		return nil, ErrDraining
 	}
 	node, err := core.NewAsyncNode(s.cfg.Node, sim.ProcID(s.cfg.ID), input)
@@ -365,8 +344,8 @@ func (s *Service) Drain(ctx context.Context) error {
 		close(s.isDrain)
 		goodbye := wire.AppendGoodbye(nil)
 		for _, p := range s.peers {
-			if p != nil {
-				p.send(goodbye)
+			if p != nil && p.enqueue(goodbye, nil) {
+				p.out.ring()
 			}
 		}
 	})
@@ -384,7 +363,7 @@ func (s *Service) Drain(ctx context.Context) error {
 // checkDrained closes the drained latch once draining with no active
 // instances; called after every instance retirement and by Drain itself.
 func (s *Service) checkDrained() {
-	if s.drainingNow() && s.ctr.active.Load() == 0 {
+	if closed(s.isDrain) && s.ctr.active.Load() == 0 {
 		s.drainMu.Do(func() { close(s.drained) })
 	}
 }
@@ -401,21 +380,15 @@ func (s *Service) Close() error {
 		err := s.ln.Close()
 		for _, p := range s.peers {
 			if p != nil {
-				p.stop()
+				p.fire(linkClose)
 			}
 		}
 		s.loop.in.kick() // readers blocked on a full inbox see stop
 		s.wg.Wait()
-		// The loop is gone; answer any requests still in its channel.
-	drain:
-		for {
-			select {
-			case req := <-s.loop.propose:
-				req.res <- Result{Instance: req.id, Err: ErrServiceClosed}
-				s.ctr.active.Add(-1)
-			default:
-				break drain
-			}
+		// The loop is gone and no Propose can enqueue: answer what is left.
+		for len(s.loop.propose) > 0 {
+			req := <-s.loop.propose
+			s.loop.finish(&instance{id: req.id, res: req.res}, instClosed)
 		}
 		if err != nil && !errors.Is(err, net.ErrClosed) {
 			s.closeErr = err
@@ -445,7 +418,7 @@ type localMsg struct {
 }
 
 // instance is one open consensus instance owned by the loop. Once decided
-// (done) it lingers: the result has been delivered, and the instance keeps
+// it lingers: the result has been delivered, and the instance keeps
 // serving the exchange for lagging peers until it is quiescent or its
 // deadline, reset to the linger window at the decision, passes, whichever
 // is first. A lingering instance keeps only what it can still send with:
@@ -454,16 +427,55 @@ type localMsg struct {
 // directly.
 type instance struct {
 	id            uint64
-	node          *core.AsyncNode  // nil once done
-	coord         *aad.Coordinator // set once done
-	res           chan Result      // nil once done
+	state         instState
+	node          *core.AsyncNode  // nil once lingering
+	coord         *aad.Coordinator // set once lingering
+	res           chan Result      // nil once lingering
 	started       time.Time
-	deadline      time.Time // to decide by; once done, to linger until
+	deadline      time.Time // to decide by; once lingering, to linger until
 	lingerExtends int       // partition-aware extensions granted so far
 }
 
-// done reports whether the instance has decided and is lingering.
-func (inst *instance) done() bool { return inst.coord != nil }
+// instState is where an instance is in its life (docs/SERVICE.md,
+// "Instance lifecycle", draws instEdges).
+type instState uint8
+
+const (
+	instRunning   instState = iota // its node runs the protocol; no result yet
+	instLingering                  // decided and delivered; its coordinator serves lagging peers
+	instEnded                      // delivered and off the loop
+)
+
+// instEvent is one of finish's outcomes or tombstone's reasons.
+type instEvent uint8
+
+const (
+	instDecided  instEvent = iota // the node decided
+	instFailed                    // the node failed
+	instTimedOut                  // InstanceTimeout passed undecided
+	instClosed                    // the service closed first
+	instRefused                   // the id was live or tombstoned: a proposal answered without opening
+	instQuiesced                  // every broadcast of its rounds finished here
+	instExpired                   // the linger window closed
+)
+
+// instEdges is the instance transition table, one row per state; an event
+// missing from a row is refused.
+var instEdges = [...]map[instEvent]instState{
+	instRunning:   {instDecided: instLingering, instFailed: instEnded, instTimedOut: instEnded, instClosed: instEnded, instRefused: instEnded},
+	instLingering: {instQuiesced: instEnded, instExpired: instEnded},
+	instEnded:     {},
+}
+
+// move takes inst along edge ev of instEdges, the only writer of state; it
+// returns false, changing nothing, for an edge the table lacks.
+func (inst *instance) move(ev instEvent) bool {
+	next, ok := instEdges[inst.state][ev]
+	if ok {
+		inst.state = next
+	}
+	return ok
+}
 
 // pendingBox buffers frames for an instance peers started before the
 // local Propose arrived.
@@ -554,11 +566,7 @@ func (sh *shard) run() {
 			sh.expire(time.Now())
 		case <-sh.svc.stop:
 			for _, inst := range sh.instances {
-				if inst.done() {
-					continue // result already delivered; it was only lingering
-				}
-				inst.res <- Result{Instance: inst.id, Err: ErrServiceClosed}
-				sh.svc.ctr.active.Add(-1)
+				sh.finish(inst, instClosed) // refused for a lingering one: its result is out
 			}
 			return
 		}
@@ -585,11 +593,10 @@ func (sh *shard) drainLocal() {
 	for i := 0; i < len(sh.local); i++ {
 		l := sh.local[i]
 		sh.local[i] = localMsg{}
-		inst := l.inst
-		if _, open := sh.instances[inst.id]; !open {
-			continue // instance finished while the self-send waited
+		if l.inst.state == instEnded {
+			continue // instance ended while the self-send waited
 		}
-		sh.step(inst, sh.svc.cfg.ID, &l.msg)
+		sh.step(l.inst, sh.svc.cfg.ID, &l.msg)
 	}
 	if cap(sh.local) > 1024 {
 		sh.local = nil // don't let a burst pin a large backing array
@@ -636,9 +643,7 @@ func (sh *shard) open(req proposeReq) {
 	// refused even after a Reconfigure — peers route frames by id alone,
 	// so reuse would conflate instances.
 	if _, live := sh.instances[req.id]; live || sh.tombs.has(req.id) {
-		req.res <- Result{Instance: req.id, Err: ErrDuplicateInstance}
-		sh.svc.ctr.active.Add(-1)
-		sh.svc.checkDrained()
+		sh.finish(&instance{id: req.id, res: req.res}, instRefused)
 		return
 	}
 	now := time.Now()
@@ -657,7 +662,7 @@ func (sh *shard) open(req proposeReq) {
 		delete(sh.pending, req.id)
 		sh.svc.ctr.pendingFrames.Add(-int64(len(box.msgs)))
 		for i := range box.msgs {
-			if _, open := sh.instances[req.id]; !open {
+			if inst.state == instEnded {
 				break // failed mid-replay
 			}
 			sh.step(inst, box.msgs[i].from, &box.msgs[i].msg)
@@ -665,12 +670,12 @@ func (sh *shard) open(req proposeReq) {
 	}
 }
 
-// step feeds one message to the instance's state machine and acts on what
-// it reports. A lingering instance's coordinator is stepped as its node's
+// step feeds one message to the instance's protocol and acts on what it
+// reports. A lingering instance's coordinator is stepped as its node's
 // Step would: what it emits goes out, a dropped round counts as out of
 // range, and the step that makes it quiescent tombstones it.
 func (sh *shard) step(inst *instance, from int, m *aad.Msg) {
-	if !inst.done() {
+	if inst.state == instRunning {
 		sh.afterStep(inst, inst.node.Step(sim.ProcID(from), m))
 		return
 	}
@@ -688,18 +693,12 @@ func (sh *shard) step(inst *instance, from int, m *aad.Msg) {
 	// broadcast may release meanwhile.
 	clear(out)
 	if inst.coord.Quiescent() {
-		sh.svc.ctr.quiesced.Add(1)
-		sh.tombstone(inst)
+		sh.tombstone(inst, instQuiesced)
 	}
 }
 
-// afterStep sends what the node's step left in its outbox and moves the
-// instance along its lifecycle: a failed node is retired with its error; a
-// node that just decided delivers its result and transitions to lingering —
-// it stays registered, serving the exchange for lagging peers through its
-// coordinator alone, until it is quiescent, when it is tombstoned at once,
-// or until expire tombstones it. A quiescent node answers nothing, so
-// dropping it changes no message.
+// afterStep sends what the node's step left in its outbox and finishes
+// the instance when the node failed or decided.
 func (sh *shard) afterStep(inst *instance, st core.StepStatus) {
 	out := inst.node.Outbox()
 	for i := range out {
@@ -709,28 +708,9 @@ func (sh *shard) afterStep(inst *instance, st core.StepStatus) {
 	case core.StepOutOfRange:
 		sh.svc.ctr.outOfRange.Add(1)
 	case core.StepFailed:
-		_, err := inst.node.Decision()
-		sh.svc.ctr.failed.Add(1)
-		sh.retire(inst, Result{Instance: inst.id, Rounds: inst.node.Rounds(), Elapsed: time.Since(inst.started), Err: err})
+		sh.finish(inst, instFailed)
 	case core.StepDecided:
-		dec, _ := inst.node.Decision() // a decided node has no error
-		inst.deadline = time.Now().Add(sh.svc.cfg.LingerTimeout)
-		sh.svc.ctr.decided.Add(1)
-		sh.svc.ctr.lingering.Add(1)
-		inst.res <- Result{
-			Instance: inst.id,
-			Decision: dec,
-			Rounds:   inst.node.Rounds(),
-			Elapsed:  time.Since(inst.started),
-		}
-		sh.svc.ctr.active.Add(-1)
-		sh.svc.checkDrained()
-		inst.coord = inst.node.Linger()
-		inst.node, inst.res = nil, nil
-		if inst.coord.Quiescent() {
-			sh.svc.ctr.quiesced.Add(1)
-			sh.tombstone(inst)
-		}
+		sh.finish(inst, instDecided)
 	}
 }
 
@@ -757,20 +737,66 @@ func (sh *shard) broadcast(inst *instance, m *aad.Msg) {
 	}
 }
 
-// retire delivers the result, tombstones the id, and updates gauges.
-func (sh *shard) retire(inst *instance, res Result) {
-	delete(sh.instances, inst.id)
-	sh.tombs.add(inst.id)
+// finish ends a running instance with outcome ev (decided, failed, timed
+// out, closed, or refused: a duplicate id, never registered), delivers its
+// one result, counts the outcome and takes it off ActiveInstances. A
+// failed or timed-out instance is tombstoned; a decided one lingers,
+// serving lagging peers through its coordinator alone, until it is
+// quiescent (possibly at once: a quiescent node answers nothing, so
+// dropping it changes no message) or its linger window closes.
+func (sh *shard) finish(inst *instance, ev instEvent) {
+	if !inst.move(ev) {
+		return
+	}
+	ctr := &sh.svc.ctr
+	res := Result{Instance: inst.id, Err: ErrServiceClosed}
+	switch ev {
+	case instDecided, instFailed:
+		res.Decision, res.Err = inst.node.Decision()
+		res.Rounds, res.Elapsed = inst.node.Rounds(), time.Since(inst.started)
+		if ev == instFailed {
+			ctr.failed.Add(1)
+		} else {
+			ctr.decided.Add(1)
+			ctr.lingering.Add(1)
+		}
+	case instTimedOut:
+		res.Elapsed, res.Err = time.Since(inst.started), ErrInstanceTimeout
+		ctr.timedOut.Add(1)
+	case instRefused:
+		res.Err = ErrDuplicateInstance
+	}
+	if ev == instFailed || ev == instTimedOut {
+		delete(sh.instances, inst.id)
+		sh.tombs.add(inst.id)
+	}
 	inst.res <- res
-	sh.svc.ctr.active.Add(-1)
-	sh.svc.checkDrained()
+	ctr.active.Add(-1)
+	if ev != instClosed { // a closed service never counts as drained
+		sh.svc.checkDrained()
+	}
+	if ev == instDecided {
+		inst.deadline = time.Now().Add(sh.svc.cfg.LingerTimeout)
+		inst.coord = inst.node.Linger()
+		inst.node, inst.res = nil, nil
+		if inst.coord.Quiescent() {
+			sh.tombstone(inst, instQuiesced)
+		}
+	}
 }
 
-// tombstone ends a lingering instance: its id is refused from now on.
-func (sh *shard) tombstone(inst *instance) {
+// tombstone ends a lingering instance, quiesced or expired: it leaves the
+// loop and its id is refused from now on.
+func (sh *shard) tombstone(inst *instance, ev instEvent) {
+	if !inst.move(ev) {
+		return
+	}
 	delete(sh.instances, inst.id)
 	sh.tombs.add(inst.id)
 	sh.svc.ctr.lingering.Add(-1)
+	if ev == instQuiesced {
+		sh.svc.ctr.quiesced.Add(1)
+	}
 }
 
 // maxLingerExtends caps the partition-aware linger extensions per
@@ -788,22 +814,16 @@ const maxLingerExtends = 4
 // windows.
 func (sh *shard) expire(now time.Time) {
 	for _, inst := range sh.instances {
-		if inst.done() {
-			if now.After(inst.deadline) {
-				if inst.lingerExtends < maxLingerExtends &&
-					sh.svc.reachable() < sh.svc.n-sh.svc.cfg.Node.F {
-					inst.lingerExtends++
-					inst.deadline = now.Add(sh.svc.cfg.LingerTimeout)
-					sh.svc.ctr.lingerExtensions.Add(1)
-					continue
-				}
-				sh.tombstone(inst)
-			}
-			continue
-		}
-		if now.After(inst.deadline) {
-			sh.svc.ctr.timedOut.Add(1)
-			sh.retire(inst, Result{Instance: inst.id, Elapsed: now.Sub(inst.started), Err: ErrInstanceTimeout})
+		switch {
+		case !now.After(inst.deadline):
+		case inst.state == instRunning:
+			sh.finish(inst, instTimedOut)
+		case inst.lingerExtends < maxLingerExtends && sh.svc.reachable() < sh.svc.n-sh.svc.cfg.Node.F:
+			inst.lingerExtends++
+			inst.deadline = now.Add(sh.svc.cfg.LingerTimeout)
+			sh.svc.ctr.lingerExtensions.Add(1)
+		default:
+			sh.tombstone(inst, instExpired)
 		}
 	}
 	pendingTTL := sh.svc.cfg.InstanceTimeout

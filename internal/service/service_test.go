@@ -50,7 +50,10 @@ func startMesh(t *testing.T, n int, mut func(id int, cfg *Config)) []*Service {
 		if err != nil {
 			t.Fatalf("New(%d): %v", i, err)
 		}
-		t.Cleanup(func() { _ = s.Close() })
+		t.Cleanup(func() {
+			checkConservation(t, s)
+			_ = s.Close()
+		})
 		svcs[i] = s
 		addrs[i] = s.Addr()
 	}
@@ -75,8 +78,50 @@ func startMesh(t *testing.T, n int, mut func(id int, cfg *Config)) []*Service {
 	return svcs
 }
 
+// checkConservation drains s briefly and, when that succeeds, checks the
+// instance conservation law: every instance the loop opened ended in
+// exactly one counted outcome, Proposed = Decided + TimedOut + Failed. A
+// closed service, or one whose instances are still in flight, is skipped.
+func checkConservation(t *testing.T, s *Service) {
+	t.Helper()
+	if stopping(s) {
+		return
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 200*time.Millisecond)
+	defer cancel()
+	if s.Drain(ctx) != nil {
+		return
+	}
+	if st := s.Stats(); st.Proposed != st.Decided+st.TimedOut+st.Failed {
+		t.Errorf("process %d after Drain: Proposed %d != Decided %d + TimedOut %d + Failed %d",
+			s.cfg.ID, st.Proposed, st.Decided, st.TimedOut, st.Failed)
+	}
+}
+
 // peerAt returns the link to peer id.
 func (s *Service) peerAt(id int) *peerLink { return s.peers[id] }
+
+// send queues one frame on the link and rings its writer at once, as
+// Drain sends its goodbye.
+func (p *peerLink) send(frame []byte) {
+	if p.enqueue(frame, nil) {
+		p.out.ring()
+	}
+}
+
+// linkState reads the link's state.
+func (p *peerLink) linkState() linkState {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return p.state
+}
+
+// saidGoodbye reports whether the peer announced its drain on the link:
+// the link is leaving, or gone once that conn ended.
+func (p *peerLink) saidGoodbye() bool {
+	st := p.linkState()
+	return st == linkLeaving || st == linkGone
+}
 
 // killConn force-closes the current connection to peer, if one is
 // installed: the link reacts exactly as if the connection had failed.
@@ -363,4 +408,56 @@ func ExampleService() {
 	// is examples/tcpcluster.
 	fmt.Println("see examples/tcpcluster")
 	// Output: see examples/tcpcluster
+}
+
+// TestConservationAcrossOutcomes runs every outcome a live mesh produces —
+// decisions, a timeout (an instance only process 0 proposes) and a
+// refused duplicate — drains the mesh, and checks the conservation law on
+// every process with the counts each outcome should leave.
+func TestConservationAcrossOutcomes(t *testing.T) {
+	const n, decided = 5, 4
+	svcs := startMesh(t, n, func(_ int, cfg *Config) {
+		cfg.InstanceTimeout = 300 * time.Millisecond
+	})
+	rng := rand.New(rand.NewSource(17))
+	for id := uint64(1); id <= decided; id++ {
+		for i, ch := range proposeAll(t, svcs, id, randomInputs(rng, n, 2)) {
+			if res := collect(t, ch, 30*time.Second); res.Err != nil {
+				t.Fatalf("instance %d process %d: %v", id, i, res.Err)
+			}
+		}
+	}
+	lone, err := svcs[0].Propose(99, geometry.Vector{0.5, 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	dup, err := svcs[0].Propose(1, geometry.Vector{0.5, 0.5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res := collect(t, dup, 10*time.Second); !errors.Is(res.Err, ErrDuplicateInstance) {
+		t.Fatalf("duplicate: %v, want ErrDuplicateInstance", res.Err)
+	}
+	if res := collect(t, lone, 10*time.Second); !errors.Is(res.Err, ErrInstanceTimeout) {
+		t.Fatalf("lone instance: %v, want ErrInstanceTimeout", res.Err)
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+	defer cancel()
+	for i, s := range svcs {
+		if err := s.Drain(ctx); err != nil {
+			t.Fatalf("Drain(%d): %v", i, err)
+		}
+		st := s.Stats()
+		want := Stats{Proposed: decided, Decided: decided}
+		if i == 0 {
+			want.Proposed, want.TimedOut = decided+1, 1
+		}
+		if st.Proposed != want.Proposed || st.Decided != want.Decided || st.TimedOut != want.TimedOut || st.Failed != 0 || st.ActiveInstances != 0 {
+			t.Errorf("process %d: Proposed %d Decided %d TimedOut %d Failed %d Active %d, want %d %d %d 0 0",
+				i, st.Proposed, st.Decided, st.TimedOut, st.Failed, st.ActiveInstances, want.Proposed, want.Decided, want.TimedOut)
+		}
+		if st.Proposed != st.Decided+st.TimedOut+st.Failed {
+			t.Errorf("process %d breaks Proposed = Decided + TimedOut + Failed: %+v", i, st)
+		}
+	}
 }

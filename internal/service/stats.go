@@ -159,7 +159,7 @@ func (s *Service) Stats() Stats {
 			continue
 		}
 		st.QueueDepth += p.out.depth()
-		if p.suspectedNow(now) {
+		if _, suspected := p.health(now); suspected {
 			st.SuspectedPeers++
 		}
 	}

@@ -145,7 +145,8 @@ type Byzantine struct {
 	ID       int
 	Strategy Strategy
 	// Target / Target2 parameterize equivocation and lure strategies: a
-	// lure needs a d-dimensional Target, an equivocation both.
+	// lure needs a d-dimensional Target, an equivocation both. A crash
+	// takes an optional d-dimensional Target (nil: the zero vector).
 	Target  Vector
 	Target2 Vector
 	// CrashAfter parameterizes StrategyCrash (see Strategy docs).
@@ -391,6 +392,8 @@ func byzIndex(cfg Config, byz []Byzantine) (map[int]Byzantine, error) {
 			return nil, fmt.Errorf("bvc: lure target dimension %d, want %d", len(b.Target), cfg.D)
 		case b.Strategy == StrategyEquivocate && (len(b.Target) != cfg.D || len(b.Target2) != cfg.D):
 			return nil, fmt.Errorf("bvc: equivocation targets must both have dimension %d", cfg.D)
+		case b.Strategy == StrategyCrash && b.Target != nil && len(b.Target) != cfg.D:
+			return nil, fmt.Errorf("bvc: crash target dimension %d, want %d (or nil for the zero vector)", len(b.Target), cfg.D)
 		}
 		out[b.ID] = b
 	}
@@ -553,8 +556,10 @@ func randomBox(bounds geometry.Box, d int) geometry.Box {
 	return geometry.Box{Lo: lo, Hi: hi}
 }
 
+// orZero maps a nil crash target to the d-dimensional zero vector;
+// byzIndex has checked any other's dimension.
 func orZero(v Vector, d int) Vector {
-	if len(v) == d {
+	if v != nil {
 		return v
 	}
 	return make(Vector, d)
