@@ -655,7 +655,6 @@ func (r *loadResult) summarize(w io.Writer, cfg loadConfig) {
 		st.Reconnects += s.Reconnects
 		st.ReadErrors += s.ReadErrors
 		st.DialFailures += s.DialFailures
-		st.LingerExtensions += s.LingerExtensions
 		st.Reconfigures += s.Reconfigures
 		st.StaleEpochRejects += s.StaleEpochRejects
 		if s.Epoch > st.Epoch {
@@ -677,8 +676,8 @@ func (r *loadResult) summarize(w io.Writer, cfg loadConfig) {
 			st.Epoch, st.Reconfigures, st.StaleEpochRejects)
 	}
 	if r.chaosMode {
-		fmt.Fprintf(w, "degraded   %d read errors, %d dial failures, %d linger extensions, %d crash-aborted results\n",
-			st.ReadErrors, st.DialFailures, st.LingerExtensions, r.crashAborted)
+		fmt.Fprintf(w, "degraded   %d read errors, %d dial failures, %d crash-aborted results\n",
+			st.ReadErrors, st.DialFailures, r.crashAborted)
 		c := r.chaos
 		fmt.Fprintf(w, "chaos      %d frames seen: %d delayed, %d dropped, %d dup, %d reordered, %d corrupted, %d blackholed; %d conns killed, %d dials refused\n",
 			c.Frames, c.Delayed, c.Dropped, c.Duplicated, c.Reordered, c.Corrupted, c.Blackholed, c.KilledConns, c.RefusedDials)

@@ -118,7 +118,7 @@ const (
 	// ActionPartition severs the mesh into Groups: every link crossing a
 	// group boundary is isolated in both directions (writes refused with
 	// ErrLinkIsolated, dials refused) and its established conns are
-	// killed, so redial/backoff/suspicion run. Unlike a cut, isolation is
+	// killed, so redial and backoff run. Unlike a cut, isolation is
 	// lossless for a sender with retransmission: refused frames are
 	// retained and flow at the heal. Links within a group are healed.
 	// Processes not named in any group form one implicit remainder group.

@@ -7,6 +7,7 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"io"
 	"net"
 
 	"repro/internal/wire"
@@ -62,10 +63,19 @@ func newNonce() (uint64, error) {
 }
 
 // readHandshakeFrame reads one frame of the expected kind during the
-// handshake (deadline already set by the caller).
+// handshake (deadline already set by the caller). The peer has not
+// authenticated, so a prefix over wire.MaxHandshakeFrame is refused unread.
 func readHandshakeFrame(conn net.Conn, kind wire.FrameKind) ([]byte, error) {
-	frame, _, err := wire.ReadFrameInto(conn, nil)
-	if err != nil {
+	var prefix [4]byte
+	if _, err := io.ReadFull(conn, prefix[:]); err != nil {
+		return nil, err
+	}
+	size := binary.BigEndian.Uint32(prefix[:])
+	if size > wire.MaxHandshakeFrame {
+		return nil, fmt.Errorf("%w: handshake frame of %d bytes", wire.ErrFrameTooLarge, size)
+	}
+	frame := make([]byte, size)
+	if _, err := io.ReadFull(conn, frame); err != nil {
 		return nil, err
 	}
 	h, body, err := wire.ParseFrame(frame)

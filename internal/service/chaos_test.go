@@ -2,6 +2,7 @@ package service
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -50,12 +51,22 @@ func awaitStat(t *testing.T, s *Service, what string, within time.Duration, pred
 	}
 }
 
-// TestServicePartitionHeal is the partition-then-heal e2e: process 0 is
-// fully partitioned (conns severed, dials refused) before an instance is
-// proposed, the n−f survivors decide it anyway, and after the heal the
-// rejoining process catches up from the survivors' lingering instances
-// and decides the same valid way.
-func TestServicePartitionHeal(t *testing.T) {
+// awaitLink polls until s's link to peer is in state want and pred holds
+// on s's stats, or the deadline passes.
+func awaitLink(t *testing.T, s *Service, peer int, want linkState, within time.Duration, pred func(Stats) bool) {
+	t.Helper()
+	awaitStat(t, s, fmt.Sprintf("link to %d %v", peer, want), within, func(st Stats) bool {
+		return s.peerAt(peer).linkState() == want && pred(st)
+	})
+}
+
+// TestServicePartitionHealReconnect is the partition-then-heal e2e:
+// process 0 is fully partitioned (conns severed, dials refused) before an
+// instance is proposed, the n−f survivors decide it anyway, and after the
+// heal the rejoining process catches up from the survivors' lingering
+// instances and decides the same valid way. Every survivor's link to 0 is
+// dialing while the partition holds and connected after the heal.
+func TestServicePartitionHealReconnect(t *testing.T) {
 	const n = 5
 	svcs, injs := startChaosMesh(t, n, nil, func(_ int, cfg *Config) {
 		cfg.InstanceTimeout = 30 * time.Second
@@ -80,11 +91,12 @@ func TestServicePartitionHeal(t *testing.T) {
 			t.Fatalf("survivor %d: decision %v outside hull (err %v)", i, res.Decision, err)
 		}
 	}
-	// The severed links climb the health ladder: survivors' redials to 0
-	// are refused until they suspect it.
-	awaitStat(t, svcs[1], "suspicion of partitioned peer", 20*time.Second, func(st Stats) bool {
-		return st.DialFailures > 0 && st.SuspectedPeers > 0
-	})
+	// The severed links redial: survivors' dials to 0 are refused.
+	for i := 1; i < n; i++ {
+		awaitLink(t, svcs[i], 0, linkDialing, 20*time.Second, func(st Stats) bool {
+			return st.DialFailures > 0
+		})
+	}
 
 	for _, inj := range injs {
 		inj.HealAll()
@@ -97,9 +109,11 @@ func TestServicePartitionHeal(t *testing.T) {
 	if in, err := hull.Contains(inputs, res.Decision, 1e-9); err != nil || !in {
 		t.Fatalf("rejoiner: decision %v outside hull (err %v)", res.Decision, err)
 	}
-	awaitStat(t, svcs[1], "reconnect and suspicion clear", 20*time.Second, func(st Stats) bool {
-		return st.Reconnects > 0 && st.SuspectedPeers == 0
-	})
+	for i := 1; i < n; i++ {
+		awaitLink(t, svcs[i], 0, linkConnected, 20*time.Second, func(st Stats) bool {
+			return st.Reconnects > 0
+		})
+	}
 	for i, s := range svcs {
 		if err := s.Err(); err != nil {
 			t.Errorf("service %d structural error: %v", i, err)
@@ -222,10 +236,11 @@ func TestServiceCorruptionTolerated(t *testing.T) {
 	}
 }
 
-// TestServiceSuspicionBackoffLadder drives the health ladder directly: a
-// closed peer accumulates dial failures into suspicion, and a restart on
-// the same address clears it through a successful reconnect.
-func TestServiceSuspicionBackoffLadder(t *testing.T) {
+// TestServiceRedialBackoffLadder drives the redial loop directly: every
+// survivor's link to a closed peer stays dialing while its dials fail, and
+// a restart on the same address reconnects it; the link is connected once
+// the restarted process decides an instance with the survivors.
+func TestServiceRedialBackoffLadder(t *testing.T) {
 	const n = 5
 	svcs := startMesh(t, n, func(_ int, cfg *Config) {
 		cfg.DialBackoff = 10 * time.Millisecond
@@ -238,8 +253,8 @@ func TestServiceSuspicionBackoffLadder(t *testing.T) {
 	_ = svcs[0].Close() // lowest id: every survivor owns redialing to it
 
 	for i := 1; i < n; i++ {
-		awaitStat(t, svcs[i], "suspicion of crashed peer", 20*time.Second, func(st Stats) bool {
-			return st.SuspectedPeers >= 1 && st.DialFailures >= 3
+		awaitLink(t, svcs[i], 0, linkDialing, 20*time.Second, func(st Stats) bool {
+			return st.DialFailures >= 3
 		})
 	}
 
@@ -259,42 +274,18 @@ func TestServiceSuspicionBackoffLadder(t *testing.T) {
 	if err := reborn.Establish(context.Background(), addrs); err != nil {
 		t.Fatalf("restart Establish: %v", err)
 	}
-	for i := 1; i < n; i++ {
-		awaitStat(t, svcs[i], "suspicion cleared on reconnect", 20*time.Second, func(st Stats) bool {
-			return st.SuspectedPeers == 0 && st.Reconnects >= 1
-		})
-	}
-}
-
-// TestServiceLingerExtension pins the partition-aware linger: decided
-// instances extend their linger window while fewer than n−f processes
-// are reachable, and still tombstone once the extension cap runs out.
-// Process 4 never proposes, so its broadcasts never finish and the
-// instance cannot quiesce: only the linger window can end it.
-func TestServiceLingerExtension(t *testing.T) {
-	const n = 5
-	svcs := startMesh(t, n, func(_ int, cfg *Config) {
-		cfg.InstanceTimeout = 20 * time.Second
-		cfg.LingerTimeout = 120 * time.Millisecond
-	})
-	rng := rand.New(rand.NewSource(51))
-	inputs := randomInputs(rng, n, 2)
-	for i, ch := range proposeAll(t, svcs[:n-1], 1, inputs) {
+	svcs[0] = reborn
+	rng := rand.New(rand.NewSource(17))
+	for i, ch := range proposeAll(t, svcs, 1, randomInputs(rng, n, 2)) {
 		if res := collect(t, ch, 30*time.Second); res.Err != nil {
-			t.Fatalf("process %d: %v", i, res.Err)
+			t.Fatalf("after restart, process %d: %v", i, res.Err)
 		}
 	}
-	// Take two high-id peers down: reachable on the survivors drops to
-	// 3 < n−f = 4, so the lingering instance must extend.
-	_ = svcs[3].Close()
-	_ = svcs[4].Close()
-	awaitStat(t, svcs[0], "linger extension under degradation", 20*time.Second, func(st Stats) bool {
-		return st.LingerExtensions >= 1
-	})
-	// The cap bounds the extension: the instance tombstones eventually.
-	awaitStat(t, svcs[0], "lingering instance tombstoned at cap", 20*time.Second, func(st Stats) bool {
-		return st.Lingering == 0
-	})
+	for i := 1; i < n; i++ {
+		awaitLink(t, svcs[i], 0, linkConnected, 20*time.Second, func(st Stats) bool {
+			return st.Reconnects >= 1
+		})
+	}
 }
 
 // TestServiceAuthKeyedMesh: a mesh sharing a key establishes, decides,

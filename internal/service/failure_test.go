@@ -3,15 +3,19 @@ package service
 import (
 	"context"
 	"errors"
+	"io"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
+	"syscall"
 	"testing"
 	"time"
 
 	"repro/internal/geometry"
 	"repro/internal/hull"
+	"repro/internal/wire"
 )
 
 // Failure-mode coverage for the pooled transport: peer disconnect
@@ -411,5 +415,93 @@ func TestServiceDrainInFlight(t *testing.T) {
 	}
 	if got := svcs[1].Stats().Reconnects; got != 0 {
 		t.Errorf("peer 1 reconnected %d times to a drained process", got)
+	}
+}
+
+// failOnceListener is a TCP listener whose first Accept fails the way a
+// process out of file descriptors does.
+type failOnceListener struct {
+	net.Listener
+	failed atomic.Bool
+}
+
+func (l *failOnceListener) Accept() (net.Conn, error) {
+	if !l.failed.Swap(true) {
+		return nil, &net.OpError{Op: "accept", Net: "tcp", Err: syscall.EMFILE}
+	}
+	return l.Listener.Accept()
+}
+
+// failOnceTransport is the plain TCP transport over failOnceListeners.
+type failOnceTransport struct{ netTransport }
+
+func (failOnceTransport) Listen(addr string) (net.Listener, error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, err
+	}
+	return &failOnceListener{Listener: ln}, nil
+}
+
+// TestEstablishAfterAcceptError: every process's listener fails its first
+// Accept. The accept loop notes the error and keeps accepting, so the mesh
+// still establishes and decides.
+func TestEstablishAfterAcceptError(t *testing.T) {
+	const n = 5
+	svcs := startMesh(t, n, func(_ int, cfg *Config) {
+		cfg.Transport = failOnceTransport{}
+	})
+	rng := rand.New(rand.NewSource(83))
+	for i, ch := range proposeAll(t, svcs, 1, randomInputs(rng, n, 2)) {
+		if res := collect(t, ch, 30*time.Second); res.Err != nil {
+			t.Fatalf("process %d: %v", i, res.Err)
+		}
+	}
+	for i, s := range svcs {
+		if err := s.Err(); !errors.Is(err, syscall.EMFILE) {
+			t.Errorf("service %d: Err() = %v, want the failed Accept", i, err)
+		}
+	}
+}
+
+// TestHandshakeRefusesOversizedPrefix: a length prefix over
+// wire.MaxHandshakeFrame from a dialer that has not authenticated is
+// refused before its body is allocated, and the acceptor closes the conn
+// at once instead of holding it until the handshake deadline.
+func TestHandshakeRefusesOversizedPrefix(t *testing.T) {
+	prefix := []byte{1, 0, 0, 0} // 16 MiB, wire.MaxFrameSize
+	client, server := net.Pipe()
+	go func() {
+		_, _ = client.Write(prefix)
+		_ = client.Close()
+	}()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	_, err := readHandshakeFrame(server, wire.FrameHello)
+	runtime.ReadMemStats(&after)
+	if !errors.Is(err, wire.ErrFrameTooLarge) {
+		t.Errorf("readHandshakeFrame: %v, want %v", err, wire.ErrFrameTooLarge)
+	}
+	if grew := after.TotalAlloc - before.TotalAlloc; grew >= 1<<20 {
+		t.Errorf("refusing a 16 MiB prefix allocated %d bytes", grew)
+	}
+
+	const n = 5
+	s, err := New(Config{Node: testNodeConfig(n), ID: 0, Addrs: loopbackTemplate(n), Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { _ = s.Close() })
+	conn, err := net.Dial("tcp", s.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if _, err := conn.Write(prefix); err != nil {
+		t.Fatal(err)
+	}
+	_ = conn.SetReadDeadline(time.Now().Add(time.Second))
+	if _, err := conn.Read(make([]byte, 1)); err != io.EOF {
+		t.Errorf("acceptor kept the oversized handshake open: read %v, want EOF", err)
 	}
 }

@@ -17,16 +17,6 @@ import (
 	"repro/internal/wire"
 )
 
-// suspectAfter is the consecutive-dial-failure count past which a
-// disconnected peer is suspected. Suspicion feeds Stats.SuspectedPeers and
-// the partition-aware linger extension; it clears on reconnect.
-const suspectAfter = 3
-
-// pressureSuspectAfter is the consecutive-outbox-stall count past which a
-// connected peer is suspected: the link is up but the peer is not keeping
-// pace, so quorum math should stop counting on it.
-const pressureSuspectAfter = 64
-
 // linkState is where a peer link is in its life (docs/SERVICE.md, "The
 // link state machine", draws linkEdges).
 type linkState uint32
@@ -78,10 +68,9 @@ var linkEdges = [...]map[linkEvent]linkState{
 // the service's whole life: the persistent connection (replaced
 // transparently on failure), the bounded outbox its writer goroutine swaps
 // out and writes, the peer's current address, its lifecycle state, and
-// the health ladder (consecutive dial failures and outbox pressure feeding
-// suspicion). The higher id dials the lower, so exactly one side owns
-// redialing after a failure. A membership change re-addresses the link in
-// place (readdress); only Close ends it.
+// its redial backoff. The higher id dials the lower, so exactly one side
+// owns redialing after a failure. A membership change re-addresses the
+// link in place (readdress); only Close ends it.
 type peerLink struct {
 	svc    *Service
 	id     int
@@ -102,12 +91,10 @@ type peerLink struct {
 	gen   int           // bumped per installed conn; events of older conns are ignored
 	ready chan struct{} // closed at the first install
 
-	// Health ladder: consecutive failed dials (a conn dropped while joined
-	// included), consecutive full-outbox stalls, the last drop's time, and
-	// the redial jitter (seeded per link, so schedules are replayable).
+	// Redial backoff: consecutive failed dials (a conn dropped while
+	// joined included) and the jitter (seeded per link, so schedules are
+	// replayable).
 	dialFails int
-	pressure  int
-	downSince time.Time
 	rng       *rand.Rand
 }
 
@@ -155,8 +142,6 @@ func (p *peerLink) to(ev linkEvent, conn net.Conn) bool {
 		}
 		p.conn = conn
 		p.gen++
-		p.pressure = 0
-		p.downSince = time.Time{}
 		select {
 		case <-p.ready:
 			if p.dialer {
@@ -165,15 +150,12 @@ func (p *peerLink) to(ev linkEvent, conn net.Conn) bool {
 		default:
 			close(p.ready)
 		}
-	case linkFrame:
+	case linkFrame, linkReaddress:
 		p.dialFails = 0
-	case linkReaddress:
-		p.dialFails, p.pressure = 0, 0
 	}
 	if p.conn != nil && !next.hasConn() {
 		_ = p.conn.Close()
 		p.conn = nil
-		p.downSince = time.Now()
 	}
 	p.cond.Broadcast()
 	if !next.hasConn() && from != next {
@@ -217,24 +199,6 @@ func (p *peerLink) readdress(addr string, replaced bool) {
 	}
 }
 
-// health is the link's one verdict, read by reachable (up) and
-// Stats.SuspectedPeers (suspected): suspected on sustained outbox pressure,
-// repeated dial failures or a sustained disconnect (elapsed downtime
-// stands in for the failed dials an accepting side cannot make), else up
-// while a conn is installed.
-func (p *peerLink) health(now time.Time) (up, suspected bool) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if p.pressure >= pressureSuspectAfter {
-		return false, true
-	}
-	if p.state.hasConn() {
-		return true, false
-	}
-	return false, p.dialFails >= suspectAfter ||
-		!p.downSince.IsZero() && now.Sub(p.downSince) >= suspectAfter*2*p.svc.cfg.MaxDialBackoff
-}
-
 // backoffLocked returns the sleep before the next dial after dialFails
 // consecutive failed attempts: none after none, else uniform in [b/2, b]
 // where b = min(DialBackoff·2^(dialFails−1), MaxDialBackoff), so a healed
@@ -246,22 +210,6 @@ func (p *peerLink) backoffLocked() time.Duration {
 	// The exponent is capped at 20 so the shift cannot overflow.
 	half := int64(min(p.svc.cfg.DialBackoff<<min(p.dialFails-1, 20), p.svc.cfg.MaxDialBackoff) / 2)
 	return time.Duration(half + p.rng.Int64N(half+1))
-}
-
-// noteStall records one send that found the outbox full.
-func (p *peerLink) noteStall() {
-	p.svc.ctr.outboxStalls.Add(1)
-	p.mu.Lock()
-	p.pressure++
-	p.mu.Unlock()
-}
-
-// clearPressure resets the pressure ladder after the writer drained a
-// batch — the peer is keeping pace again.
-func (p *peerLink) clearPressure() {
-	p.mu.Lock()
-	p.pressure = 0
-	p.mu.Unlock()
 }
 
 // install makes conn the link's connection and starts its reader loop.
@@ -321,7 +269,7 @@ func (p *peerLink) enqueue(frame []byte, stalled func()) (ring bool) {
 	if n == 1 {
 		return ring
 	}
-	p.noteStall()
+	p.svc.ctr.outboxStalls.Add(1)
 	if p.connected() {
 		if stalled != nil {
 			stalled()
@@ -363,7 +311,6 @@ func (p *peerLink) writeLoop() {
 		for frames > 0 {
 			p.svc.ctr.writes.Add(1)
 			if _, err := conn.Write(batch); err == nil {
-				p.clearPressure()
 				p.svc.ctr.framesOut.Add(int64(frames))
 				p.svc.ctr.bytesOut.Add(int64(len(batch)))
 				break
@@ -525,8 +472,8 @@ func frameBuffered(br *bufio.Reader) bool {
 // while the link is dialing. It dials with jittered capped exponential
 // backoff (backoffLocked), so peers may come up in any order; every failed
 // attempt (dial, handshake, or a conn dropped while joined) climbs the
-// backoff and the suspicion ladder, the last one before the loop started
-// included. It dials again at once when a Reconfigure lands mid-dial.
+// backoff, the last one before the loop started included. It dials again
+// at once when a Reconfigure lands mid-dial.
 func (p *peerLink) redial() {
 	p.mu.Lock()
 	sleep := p.backoffLocked()
@@ -608,17 +555,25 @@ func closed(ch <-chan struct{}) bool {
 // acceptLoop accepts mesh connections for the service's lifetime: the
 // initial establishment from every higher-id peer, and replacement
 // connections after failures. The dialer identifies itself with a Hello
-// frame; anything else is rejected.
+// frame; anything else is rejected. A failed Accept goes to Err and is
+// retried after a backoff doubling from 5 ms to 1 s; only Close ends it.
 func (s *Service) acceptLoop() {
-	for {
+	for backoff := time.Duration(0); ; {
 		conn, err := s.ln.Accept()
 		if err != nil {
 			if stopping(s) || errors.Is(err, net.ErrClosed) {
 				return
 			}
 			s.noteErr(fmt.Errorf("service: accept: %w", err))
-			return
+			backoff = min(max(2*backoff, 5*time.Millisecond), time.Second)
+			select {
+			case <-s.stop:
+				return
+			case <-time.After(backoff):
+			}
+			continue
 		}
+		backoff = 0
 		s.wg.Add(1)
 		go func() {
 			defer s.wg.Done()

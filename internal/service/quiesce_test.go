@@ -75,8 +75,8 @@ func TestCrashedOriginInstanceLingers(t *testing.T) {
 		awaitStat(t, s, "lingering instance tombstoned at its window", 10*time.Second, func(st Stats) bool {
 			return st.Lingering == 0
 		})
-		if st := s.Stats(); st.Quiesced != 0 || st.LingerExtensions != 0 {
-			t.Errorf("service %d: quiesced %d, linger extensions %d; want 0, 0", i, st.Quiesced, st.LingerExtensions)
+		if st := s.Stats(); st.Quiesced != 0 {
+			t.Errorf("service %d: quiesced %d, want 0", i, st.Quiesced)
 		}
 	}
 	if held := time.Since(decided); held < linger {

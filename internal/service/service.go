@@ -19,6 +19,7 @@ import (
 	"fmt"
 	"net"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/aad"
@@ -180,9 +181,7 @@ type Service struct {
 	closeOnce sync.Once
 	closeErr  error
 	wg        sync.WaitGroup
-
-	errMu    sync.Mutex
-	firstErr error
+	firstErr  atomic.Pointer[error] // see Err
 }
 
 // New validates the configuration, opens the listener, and starts the
@@ -262,40 +261,20 @@ func probeInput(cfg core.AsyncConfig) geometry.Vector {
 // Addr returns the bound listen address (useful with port 0).
 func (s *Service) Addr() string { return s.ln.Addr().String() }
 
-// reachable counts the processes this one can currently count on for
-// quorum: itself plus every peer whose link is up.
-func (s *Service) reachable() int {
-	count := 1
-	now := time.Now()
-	for _, p := range s.peers {
-		if p == nil {
-			continue
-		}
-		if up, _ := p.health(now); up {
-			count++
-		}
-	}
-	return count
-}
-
 // Err returns the first structural error the service observed (accept
 // failures, protocol-type mismatches on the send path); nil while
 // healthy. Peer disconnects, reconnects, and malformed inbound frames
 // are not errors here — the latter are peer-attributable faults counted
 // in Stats.ReadErrors.
 func (s *Service) Err() error {
-	s.errMu.Lock()
-	defer s.errMu.Unlock()
-	return s.firstErr
+	if err := s.firstErr.Load(); err != nil {
+		return *err
+	}
+	return nil
 }
 
-func (s *Service) noteErr(err error) {
-	s.errMu.Lock()
-	if s.firstErr == nil {
-		s.firstErr = err
-	}
-	s.errMu.Unlock()
-}
+// noteErr records err unless an earlier error is recorded.
+func (s *Service) noteErr(err error) { s.firstErr.CompareAndSwap(nil, &err) }
 
 // Propose opens consensus instance id with this process's input. Every
 // process of the mesh must eventually propose the same instance id (their
@@ -426,14 +405,13 @@ type localMsg struct {
 // exchange coordinator, handed back by AsyncNode.Linger — is stepped
 // directly.
 type instance struct {
-	id            uint64
-	state         instState
-	node          *core.AsyncNode  // nil once lingering
-	coord         *aad.Coordinator // set once lingering
-	res           chan Result      // nil once lingering
-	started       time.Time
-	deadline      time.Time // to decide by; once lingering, to linger until
-	lingerExtends int       // partition-aware extensions granted so far
+	id       uint64
+	state    instState
+	node     *core.AsyncNode  // nil once lingering
+	coord    *aad.Coordinator // set once lingering
+	res      chan Result      // nil once lingering
+	started  time.Time
+	deadline time.Time // to decide by; once lingering, to linger until
 }
 
 // instState is where an instance is in its life (docs/SERVICE.md,
@@ -799,29 +777,15 @@ func (sh *shard) tombstone(inst *instance, ev instEvent) {
 	}
 }
 
-// maxLingerExtends caps the partition-aware linger extensions per
-// instance, bounding a decided instance's lifetime even through an
-// unhealed partition.
-const maxLingerExtends = 4
-
 // expire enforces instance deadlines, tombstones lingering instances whose
 // window closed — those that never quiesced, e.g. behind a crashed origin —
 // and garbage-collects pending boxes and tombstone generations.
-// Decided instances whose linger window closes while the mesh is degraded
-// (fewer than n−f reachable processes) extend their linger instead of
-// tombstoning — lagging peers behind a partition still need this
-// process's echoes once the partition heals — up to maxLingerExtends
-// windows.
 func (sh *shard) expire(now time.Time) {
 	for _, inst := range sh.instances {
 		switch {
 		case !now.After(inst.deadline):
 		case inst.state == instRunning:
 			sh.finish(inst, instTimedOut)
-		case inst.lingerExtends < maxLingerExtends && sh.svc.reachable() < sh.svc.n-sh.svc.cfg.Node.F:
-			inst.lingerExtends++
-			inst.deadline = now.Add(sh.svc.cfg.LingerTimeout)
-			sh.svc.ctr.lingerExtensions.Add(1)
 		default:
 			sh.tombstone(inst, instExpired)
 		}

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -109,11 +110,10 @@ func (p *peerLink) send(frame []byte) {
 	}
 }
 
-// linkState reads the link's state.
+// linkState reads the link's state atomically, as connected does, so a
+// test may poll it while the link's dial loop, reader and writer move it.
 func (p *peerLink) linkState() linkState {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.state
+	return linkState(atomic.LoadUint32((*uint32)(&p.state)))
 }
 
 // saidGoodbye reports whether the peer announced its drain on the link:

@@ -1,9 +1,6 @@
 package service
 
-import (
-	"sync/atomic"
-	"time"
-)
+import "sync/atomic"
 
 // counters is the service's internal atomic counter block. Everything is
 // monotone except active (a gauge); Stats snapshots it for callers and
@@ -32,10 +29,9 @@ type counters struct {
 	readErrors     atomic.Int64
 	outOfRange     atomic.Int64
 
-	dialFailures     atomic.Int64
-	outboxStalls     atomic.Int64
-	lingerExtensions atomic.Int64
-	authFailures     atomic.Int64
+	dialFailures atomic.Int64
+	outboxStalls atomic.Int64
+	authFailures atomic.Int64
 
 	epoch             atomic.Uint64
 	reconfigures      atomic.Int64
@@ -93,20 +89,12 @@ type Stats struct {
 	// ReadErrors, but the connection stays up.
 	OutOfRangeRounds int64
 	// DialFailures counts failed outbound connection attempts (dial or
-	// handshake); OutboxStalls counts sends that found a peer's outbox
-	// full. Both feed the per-peer suspicion ladder.
+	// handshake, or a conn that ended before it delivered a frame);
+	// OutboxStalls counts sends that found a peer's outbox full.
 	DialFailures, OutboxStalls int64
-	// LingerExtensions counts decided instances whose linger window was
-	// extended because fewer than n−f processes were reachable — the
-	// partition-aware degradation path.
-	LingerExtensions int64
 	// AuthFailures counts inbound connections rejected by the keyed
 	// handshake (wrong or missing key).
 	AuthFailures int64
-	// SuspectedPeers is the number of peers currently suspected (gauge):
-	// repeated dial failures, sustained disconnect, or sustained outbox
-	// pressure. Suspicion clears the moment the condition does.
-	SuspectedPeers int
 	// QueueDepth is the current total number of frames sitting in peer
 	// outboxes (gauge) — the live measure of backpressure.
 	QueueDepth int
@@ -146,21 +134,15 @@ func (s *Service) Stats() Stats {
 		OutOfRangeRounds: s.ctr.outOfRange.Load(),
 		DialFailures:     s.ctr.dialFailures.Load(),
 		OutboxStalls:     s.ctr.outboxStalls.Load(),
-		LingerExtensions: s.ctr.lingerExtensions.Load(),
 		AuthFailures:     s.ctr.authFailures.Load(),
 
 		Epoch:             s.ctr.epoch.Load(),
 		Reconfigures:      s.ctr.reconfigures.Load(),
 		StaleEpochRejects: s.ctr.staleEpochRejects.Load(),
 	}
-	now := time.Now()
 	for _, p := range s.peers {
-		if p == nil {
-			continue
-		}
-		st.QueueDepth += p.out.depth()
-		if _, suspected := p.health(now); suspected {
-			st.SuspectedPeers++
+		if p != nil {
+			st.QueueDepth += p.out.depth()
 		}
 	}
 	return st

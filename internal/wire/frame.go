@@ -68,6 +68,10 @@ const (
 // MACSize is the byte length of the handshake HMAC (HMAC-SHA256).
 const MACSize = 32
 
+// MaxHandshakeFrame bounds a handshake frame (prefix excluded): the header
+// plus the largest body of the keyed Hello, the Challenge and the Auth.
+const MaxHandshakeFrame = FrameHeaderLen + max(4+8+8, 8+MACSize, MACSize)
+
 // FrameHeaderLen is the fixed header length following the length prefix.
 const FrameHeaderLen = 10
 

@@ -286,7 +286,10 @@ type decider interface {
 	Decision() (geometry.Vector, error)
 }
 
-func (p eigProcess) Rounds() int                { return p.rounds }
+// Rounds is the f+1 rounds the EIG node ran.
+func (p eigProcess) Rounds() int { return p.rounds }
+
+// History is nil: an EIG node keeps no per-round history.
 func (p eigProcess) History() []geometry.Vector { return nil }
 
 // ran is a runner's report. A Byzantine process is credited with
