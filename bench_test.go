@@ -229,19 +229,6 @@ func BenchmarkSafePoint(b *testing.B) {
 	}
 }
 
-func BenchmarkRadonPartition(b *testing.B) {
-	for _, d := range []int{2, 4, 8, 16} {
-		points := benchInputs(d+2, d, int64(d))
-		b.Run(map[int]string{2: "d2", 4: "d4", 8: "d8", 16: "d16"}[d], func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				if _, _, err := bvc.RadonPartition(points); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 func BenchmarkHullMembership(b *testing.B) {
 	points := benchInputs(10, 3, 7)
 	z := bvc.Vector{0.5, 0.5, 0.5}

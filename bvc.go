@@ -18,7 +18,7 @@
 //   - live execution of the asynchronous algorithms over in-process
 //     goroutine meshes or TCP,
 //   - the underlying computational geometry: safe areas Γ(Y), convex-hull
-//     membership, Radon and Tverberg partitions.
+//     membership and Tverberg partitions.
 //
 // Quick start: see examples/quickstart, or:
 //
@@ -262,14 +262,6 @@ func fromGeometry(v geometry.Vector) Vector {
 	}
 	out := make(Vector, len(v))
 	copy(out, v)
-	return out
-}
-
-func toGeometrySlice(vs []Vector) []geometry.Vector {
-	out := make([]geometry.Vector, len(vs))
-	for i, v := range vs {
-		out[i] = toGeometry(v)
-	}
 	return out
 }
 

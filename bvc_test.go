@@ -367,22 +367,6 @@ func TestTverbergPartitionAPI(t *testing.T) {
 	}
 }
 
-func TestRadonPartitionAPI(t *testing.T) {
-	blocks, pt, err := bvc.RadonPartition([]bvc.Vector{{0, 0}, {1, 1}, {1, 0}, {0, 1}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(blocks) != 2 {
-		t.Errorf("blocks = %d", len(blocks))
-	}
-	if math.Abs(pt[0]-0.5) > 1e-9 || math.Abs(pt[1]-0.5) > 1e-9 {
-		t.Errorf("radon point = %v", pt)
-	}
-	if _, _, err := bvc.RadonPartition([]bvc.Vector{{0, 0}}); err == nil {
-		t.Error("wrong point count accepted")
-	}
-}
-
 func TestRunAsyncCluster(t *testing.T) {
 	cfg := bvc.Config{N: 4, F: 1, D: 1, Epsilon: 0.2, Lo: []float64{0}, Hi: []float64{1}}
 	inputs := []bvc.Vector{{0}, {1}, {0.5}, {0.25}}

@@ -17,7 +17,8 @@
 // analytic horizon) every pair of an instance's decisions for ε-agreement;
 // the default -rounds 4 is a contraction demo that does not reach ε. After
 // the final drain every process must have Proposed = Decided + TimedOut +
-// Failed. Any error, violation, or missed -minrate makes the exit status
+// Failed and, without -chaos or -churn, no read error and no parked frame
+// dropped or left over. Any error, violation, or missed -minrate makes the exit status
 // nonzero — the CI live-smoke gate.
 //
 // -chaos loads an internal/chaos scenario and replays its deterministic
@@ -139,25 +140,24 @@ func (r *loadResult) achievedRate() float64 {
 	return float64(r.instances) / r.elapsed.Seconds()
 }
 
+// percentile is the nearest-rank q-quantile of the sorted latencies: the
+// ⌈q·n⌉-th smallest. The tolerance keeps a q·n that is an integer, such as
+// 0.07·100, from rounding up a rank through its floating-point error.
 func (r *loadResult) percentile(q float64) time.Duration {
 	if len(r.latencies) == 0 {
 		return 0
 	}
-	idx := int(q*float64(len(r.latencies))+0.5) - 1
-	if idx < 0 {
-		idx = 0
-	}
-	if idx >= len(r.latencies) {
-		idx = len(r.latencies) - 1
-	}
-	return r.latencies[idx]
+	idx := int(math.Ceil(q*float64(len(r.latencies))-1e-9)) - 1
+	return r.latencies[min(max(idx, 0), len(r.latencies)-1)]
 }
 
 // gate returns the run's verdict: any instance error, background transport
 // error, validity violation, or missed rate target is a failure. Under
-// -chaos, results lost to a scheduled crash are expected and excluded, and
-// read errors are injected damage; on a clean network a read error means
-// the wire path itself is broken, so it fails the run.
+// -chaos or -churn, results lost to a scheduled crash are expected and
+// excluded, and read errors are injected damage; on a clean network a read
+// error means the wire path itself is broken, so it fails the run. So does
+// a parked frame dropped or left over there: every process proposes every
+// id, so a drop means a correct peer ran over its parking budget.
 func (r *loadResult) gate(cfg loadConfig) error {
 	if r.errCount > 0 {
 		return fmt.Errorf("%d instance errors (first: %v)", r.errCount, r.errs[0])
@@ -178,12 +178,13 @@ func (r *loadResult) gate(cfg loadConfig) error {
 		}
 	}
 	if !r.chaosMode {
-		var readErrs int64
-		for _, s := range r.stats {
-			readErrs += s.ReadErrors
-		}
-		if readErrs > 0 {
-			return fmt.Errorf("%d read errors on a fault-free network", readErrs)
+		for i, s := range r.stats {
+			if s.ReadErrors > 0 {
+				return fmt.Errorf("process %d: %d read errors on a fault-free network", i, s.ReadErrors)
+			}
+			if s.PendingDropped > 0 || s.PendingFrames > 0 {
+				return fmt.Errorf("process %d: %d parked frames dropped, %d left parked on a fault-free network", i, s.PendingDropped, s.PendingFrames)
+			}
 		}
 	}
 	if cfg.minRate > 0 && r.achievedRate() < cfg.minRate {

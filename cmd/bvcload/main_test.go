@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"repro"
 	"repro/internal/chaos"
 )
 
@@ -138,5 +139,60 @@ func TestLoadEpsilonAgreement(t *testing.T) {
 	}
 	if want := "0 validity violations, 0 ε-agreement violations"; !strings.Contains(out.String(), want) {
 		t.Errorf("summary missing %q:\n%s", want, out.String())
+	}
+}
+
+// TestGatePendingCounters: on a fault-free run every process proposes every
+// id, so a parked frame dropped or left over fails the gate; under -chaos
+// or -churn, where a crashed or replaced process leaves ids unproposed, it
+// does not.
+func TestGatePendingCounters(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		stats   bvc.ServiceStats
+		chaos   bool
+		wantErr bool
+	}{
+		{"clean", bvc.ServiceStats{}, false, false},
+		{"dropped", bvc.ServiceStats{PendingDropped: 1}, false, true},
+		{"left parked", bvc.ServiceStats{PendingFrames: 3}, false, true},
+		{"read error", bvc.ServiceStats{ReadErrors: 1}, false, true},
+		{"dropped under faults", bvc.ServiceStats{PendingDropped: 5, PendingFrames: 2}, true, false},
+	} {
+		r := &loadResult{chaosMode: tc.chaos, stats: []bvc.ServiceStats{{}, tc.stats}}
+		if err := r.gate(loadConfig{}); (err != nil) != tc.wantErr {
+			t.Errorf("%s: gate %v, want error %v", tc.name, err, tc.wantErr)
+		}
+	}
+}
+
+// TestPercentileNearestRank: the q-quantile of n sorted latencies is the
+// ⌈q·n⌉-th, whether q·n has a fraction below one half or is an integer.
+func TestPercentileNearestRank(t *testing.T) {
+	sorted := func(n int) *loadResult {
+		r := &loadResult{}
+		for i := 1; i <= n; i++ {
+			r.latencies = append(r.latencies, time.Duration(i))
+		}
+		return r
+	}
+	for _, tc := range []struct {
+		n    int
+		q    float64
+		want int // 1-based rank
+	}{
+		{10, 0.91, 10},
+		{1960, 0.99, 1941},
+		{10, 0.5, 5},
+		{100, 0.99, 99},
+		{100, 0.07, 7},
+		{20, 0.95, 19},
+		{10, 1.0, 10},
+		{10, 0.01, 1},
+		{1, 0.5, 1},
+	} {
+		if got := sorted(tc.n).percentile(tc.q); got != time.Duration(tc.want) {
+			t.Errorf("n=%d q=%v: rank %d, want %d", tc.n, tc.q, got, tc.want)
+		}
 	}
 }

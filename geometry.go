@@ -119,15 +119,3 @@ func TverbergPartition(points []Vector, parts int) (blocks [][]int, point Vector
 	}
 	return part.Blocks, fromGeometry(part.Point), true, nil
 }
-
-// RadonPartition partitions exactly d+2 points in R^d into two blocks with
-// intersecting convex hulls and returns a common (Radon) point — the f=1
-// fast path of the Tverberg machinery, computed in O(d³).
-func RadonPartition(points []Vector) (blocks [][]int, point Vector, err error) {
-	gs := toGeometrySlice(points)
-	part, err := tverberg.Radon(gs)
-	if err != nil {
-		return nil, nil, err
-	}
-	return part.Blocks, fromGeometry(part.Point), nil
-}

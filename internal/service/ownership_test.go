@@ -315,32 +315,36 @@ func TestLingeringInstancePinsNoSlab(t *testing.T) {
 	}
 }
 
-// TestPendingBoxCopiesValues: a frame buffered for an instance not proposed
-// yet is the one thing the shard keeps from a burst, so it takes a copy of
-// the vector — a stalled instance must not pin every chunk its frames
-// arrived in — and the copy is what the instance replays once proposed.
-func TestPendingBoxCopiesValues(t *testing.T) {
+// TestParkedFrameCopiesValues: a frame parked for an instance not proposed
+// yet is the one thing the shard keeps from a burst, so its waiting row
+// takes a copy of the vector — a stalled instance must not pin every chunk
+// its frames arrived in — and the copy is what the instance replays once
+// proposed.
+func TestParkedFrameCopiesValues(t *testing.T) {
 	const n, id = 5, 4
-	sh := detachedShard(0, n, Config{PendingLimit: 8})
+	sh := detachedShard(0, n, Config{})
 	chunk := []float64{0.25, 0.75}
 	early := inMsg{instance: id, from: 1, msg: aad.Msg{Kind: aad.KindRBC,
 		RBC: broadcast.RBCMsg{Phase: broadcast.RBCInit, Origin: 1, Tag: 1, Value: chunk}}}
 	sh.deliver(&early)
 	sh.deliver(&inMsg{instance: id, from: 1, msg: aad.Msg{Kind: aad.KindReport, Report: aad.ReportMsg{Round: 1, Origin: 1}}})
-	box := sh.pending[id]
-	if box == nil || len(box.msgs) != 2 {
-		t.Fatalf("pending box: %+v, want two buffered messages", box)
+	row := sh.instances[id]
+	if row == nil || row.state != instWaiting || len(row.parked) != 2 || sh.parked[1] != 2 {
+		t.Fatalf("waiting row: %+v, want two parked messages charged to peer 1", row)
 	}
 	chunk[0], chunk[1] = -1, -1
-	if got := box.msgs[0].msg.RBC.Value; !got.Equal(geometry.Vector{0.25, 0.75}) {
-		t.Fatalf("buffered value %v follows the chunk; want a copy", got)
+	if got := row.parked[0].msg.RBC.Value; !got.Equal(geometry.Vector{0.25, 0.75}) {
+		t.Fatalf("parked value %v follows the chunk; want a copy", got)
 	}
 	openDetached(t, sh, 0, id, geometry.Vector{0.5, 0.5})
-	// The replayed INIT is echoed with the buffered value.
+	if sh.instances[id] != row || row.state != instRunning || row.parked != nil || sh.parked[1] != 0 {
+		t.Fatalf("proposed row: state %v, %d parked, peer 1 charged %d; want the same row running, nothing parked", row.state, len(row.parked), sh.parked[1])
+	}
+	// The replayed INIT is echoed with the parked value.
 	want := wire.AppendConsensus(nil, id, &wire.ConsensusMsg{Kind: wire.ConsensusRBC, Phase: uint8(broadcast.RBCEcho), Origin: 1, Round: 1, Value: []float64{0.25, 0.75}})
 	got, _ := sh.svc.peers[2].out.take(nil)
 	if !containsFrame(got, want) {
-		t.Errorf("peer 2's outbox holds no ECHO of the buffered value")
+		t.Errorf("peer 2's outbox holds no ECHO of the parked value")
 	}
 }
 

@@ -66,17 +66,15 @@ type Config struct {
 	OutboxDepth int
 	// QueueDepth bounds the instance loop's inbound queue in frames
 	// (default 4096). A full queue blocks connection readers —
-	// backpressure that propagates to remote senders through TCP. Like
-	// PendingLimit, EstablishTimeout and the dial backoffs below, it is
-	// not on bvc.ServiceConfig: only tests and internal harnesses set it.
+	// backpressure that propagates to remote senders through TCP. It is
+	// also each peer's budget of parked frames: frames for instances not
+	// yet proposed here, held until the Propose arrives; a peer's frame
+	// over its budget is dropped and counted (Stats.PendingDropped). Like
+	// EstablishTimeout and the dial backoffs below, it is not on
+	// bvc.ServiceConfig: only tests and internal harnesses set it.
 	QueueDepth int
-	// PendingLimit bounds the frames buffered per instance that remote
-	// peers started before the local Propose arrived (default 4096);
-	// overflow is dropped and counted.
-	PendingLimit int
 	// InstanceTimeout fails instances that have not decided in time
-	// (default 30s); buffered pre-Propose frames expire on the same
-	// clock.
+	// (default 30s); parked pre-Propose frames expire on the same clock.
 	InstanceTimeout time.Duration
 	// LingerTimeout bounds how long a decided instance that has not yet
 	// quiesced keeps serving the protocol for lagging peers before it is
@@ -111,7 +109,6 @@ type Config struct {
 func (c Config) withDefaults() Config {
 	orDefault(&c.OutboxDepth, 1024)
 	orDefault(&c.QueueDepth, 4096)
-	orDefault(&c.PendingLimit, 4096)
 	orDefault(&c.InstanceTimeout, 30*time.Second)
 	orDefault(&c.LingerTimeout, c.InstanceTimeout)
 	orDefault(&c.EstablishTimeout, 10*time.Second)
@@ -278,7 +275,7 @@ func (s *Service) noteErr(err error) { s.firstErr.CompareAndSwap(nil, &err) }
 
 // Propose opens consensus instance id with this process's input. Every
 // process of the mesh must eventually propose the same instance id (their
-// traffic is buffered briefly otherwise). The result — decision or error
+// traffic is parked briefly otherwise). The result — decision or error
 // — is delivered exactly once on the returned channel. An instance in
 // flight across a Reconfigure keeps deciding: its frames go to whichever
 // address each peer's link holds when they are written. The input is
@@ -396,32 +393,35 @@ type localMsg struct {
 	msg  aad.Msg
 }
 
-// instance is one open consensus instance owned by the loop. Once decided
-// it lingers: the result has been delivered, and the instance keeps
-// serving the exchange for lagging peers until it is quiescent or its
-// deadline, reset to the linger window at the decision, passes, whichever
-// is first. A lingering instance keeps only what it can still send with:
-// node and res are dropped at the decision, and coord — the node's
-// exchange coordinator, handed back by AsyncNode.Linger — is stepped
-// directly.
+// instance is one consensus instance owned by the loop. Until proposed here
+// it waits, holding only the frames peers sent for it. Once decided it
+// lingers: the result has been delivered, and the instance keeps serving
+// the exchange for lagging peers until it is quiescent or its deadline,
+// reset to the linger window at the decision, passes, whichever is first.
+// A lingering instance keeps only what it can still send with: node and
+// res are dropped at the decision, and coord — the node's exchange
+// coordinator, handed back by AsyncNode.Linger — is stepped directly.
 type instance struct {
 	id       uint64
 	state    instState
-	node     *core.AsyncNode  // nil once lingering
+	node     *core.AsyncNode  // nil while waiting and once lingering
 	coord    *aad.Coordinator // set once lingering
-	res      chan Result      // nil once lingering
+	res      chan Result      // nil while waiting and once lingering
+	parked   []inMsg          // while waiting: peers' frames, in arrival order
 	started  time.Time
-	deadline time.Time // to decide by; once lingering, to linger until
+	deadline time.Time // to be proposed by; to decide by; once lingering, to linger until
 }
 
 // instState is where an instance is in its life (docs/SERVICE.md,
-// "Instance lifecycle", draws instEdges).
+// "Instance lifecycle", draws instEdges). Running is the zero state: the
+// never-opened instances finish answers (refused, left at Close) are bare.
 type instState uint8
 
 const (
 	instRunning   instState = iota // its node runs the protocol; no result yet
 	instLingering                  // decided and delivered; its coordinator serves lagging peers
 	instEnded                      // delivered and off the loop
+	instWaiting                    // peers' frames arrived before the local Propose; they are parked
 )
 
 // instEvent is one of finish's outcomes or tombstone's reasons.
@@ -434,7 +434,8 @@ const (
 	instClosed                    // the service closed first
 	instRefused                   // the id was live or tombstoned: a proposal answered without opening
 	instQuiesced                  // every broadcast of its rounds finished here
-	instExpired                   // the linger window closed
+	instExpired                   // the linger window closed, or a waiting row's deadline passed
+	instProposed                  // the local Propose arrived
 )
 
 // instEdges is the instance transition table, one row per state; an event
@@ -443,6 +444,7 @@ var instEdges = [...]map[instEvent]instState{
 	instRunning:   {instDecided: instLingering, instFailed: instEnded, instTimedOut: instEnded, instClosed: instEnded, instRefused: instEnded},
 	instLingering: {instQuiesced: instEnded, instExpired: instEnded},
 	instEnded:     {},
+	instWaiting:   {instProposed: instRunning, instExpired: instEnded},
 }
 
 // move takes inst along edge ev of instEdges, the only writer of state; it
@@ -453,13 +455,6 @@ func (inst *instance) move(ev instEvent) bool {
 		inst.state = next
 	}
 	return ok
-}
-
-// pendingBox buffers frames for an instance peers started before the
-// local Propose arrived.
-type pendingBox struct {
-	since time.Time
-	msgs  []inMsg
 }
 
 // shard is the service's instance loop, one per process, and owns every
@@ -478,8 +473,8 @@ type shard struct {
 
 	local     []localMsg
 	instances map[uint64]*instance
-	pending   map[uint64]*pendingBox
 	tombs     tombSet
+	parked    []int // per peer, the frames waiting rows hold; at QueueDepth it parks no more
 
 	// Sender side. A frame is encoded once into frame and copied into the
 	// outbox of each peer it goes to; rung collects the links whose writer
@@ -495,8 +490,8 @@ func newShard(s *Service) *shard {
 		propose:   make(chan proposeReq, 16),
 		in:        newMailbox[inMsg](s.cfg.QueueDepth),
 		instances: make(map[uint64]*instance),
-		pending:   make(map[uint64]*pendingBox),
 		tombs:     newTombSet(2*s.cfg.InstanceTimeout, time.Now()),
+		parked:    make([]int, len(s.peers)),
 	}
 }
 
@@ -527,8 +522,7 @@ func (sh *shard) flush() {
 	sh.rung = sh.rung[:0]
 }
 
-// tick is the loop's housekeeping cadence: instance expiry, pending and
-// tombstone GC.
+// tick is the loop's housekeeping cadence: instance expiry, tombstone GC.
 const tick = 20 * time.Millisecond
 
 func (sh *shard) run() {
@@ -544,7 +538,7 @@ func (sh *shard) run() {
 			sh.expire(time.Now())
 		case <-sh.svc.stop:
 			for _, inst := range sh.instances {
-				sh.finish(inst, instClosed) // refused for a lingering one: its result is out
+				sh.finish(inst, instClosed) // refused for a lingering or waiting one: no result is owed
 			}
 			return
 		}
@@ -583,68 +577,79 @@ func (sh *shard) drainLocal() {
 	}
 }
 
-// deliver routes one network delivery to its instance, or buffers it when
-// the local Propose has not arrived yet. m's vector lives in its reader's
-// burst chunk: a step reads it (the exchange copies a value it has not seen
-// into its own tables), and only the pending buffer keeps the message.
+// deliver routes one network delivery to its instance, or parks it in the
+// instance's waiting row when the local Propose has not arrived yet,
+// charged to its sender. m's vector lives in its reader's burst chunk: a
+// step reads it (the exchange copies a value it has not seen into its own
+// tables), and only a waiting row keeps the message.
 func (sh *shard) deliver(m *inMsg) {
-	if inst, ok := sh.instances[m.instance]; ok {
+	inst := sh.instances[m.instance]
+	if inst != nil && inst.state != instWaiting {
 		sh.step(inst, m.from, &m.msg)
 		return
 	}
-	if sh.tombs.has(m.instance) {
+	if inst == nil && sh.tombs.has(m.instance) {
 		return // finished here; peers catching up need nothing from us
 	}
-	// Buffered even while draining: a Propose accepted before the drain may
-	// still be queued for the loop.
-	box := sh.pending[m.instance]
-	if box == nil {
-		box = &pendingBox{since: time.Now()}
-		sh.pending[m.instance] = box
-	}
-	if len(box.msgs) >= sh.svc.cfg.PendingLimit {
+	// Parked even while draining: a Propose accepted before it may still be
+	// queued. Over budget the frame is dropped, not waited on: a held reader
+	// would also hold its sender's frames for instances open here.
+	if sh.parked[m.from] >= sh.svc.cfg.QueueDepth {
 		sh.svc.ctr.pendingDropped.Add(1)
 		return
 	}
-	// Copied, so an instance that is never proposed pins a few vectors for
-	// the pending TTL, not every chunk they arrived in.
+	if inst == nil {
+		inst = &instance{id: m.instance, state: instWaiting, deadline: time.Now().Add(sh.svc.cfg.InstanceTimeout)}
+		sh.instances[m.instance] = inst
+	}
+	// Copied, so an instance that is never proposed pins a few vectors
+	// until its deadline, not every chunk they arrived in.
 	kept := *m
 	kept.msg.RBC.Value = kept.msg.RBC.Value.Clone()
-	box.msgs = append(box.msgs, kept)
+	inst.parked = append(inst.parked, kept)
+	sh.parked[m.from]++
 	sh.svc.ctr.pendingFrames.Add(1)
 }
 
-// open starts an instance: register, init (round 1 broadcasts), then
-// replay any frames that arrived ahead of the proposal.
+// unpark takes a waiting row's frames off it and off their senders'
+// budgets, and returns them.
+func (sh *shard) unpark(inst *instance) []inMsg {
+	msgs := inst.parked
+	inst.parked = nil
+	for i := range msgs {
+		sh.parked[msgs[i].from]--
+	}
+	sh.svc.ctr.pendingFrames.Add(-int64(len(msgs)))
+	return msgs
+}
+
+// open starts an instance: its row moves to running, the node inits (round
+// 1 broadcasts), then the frames parked ahead of the proposal replay.
 func (sh *shard) open(req proposeReq) {
+	inst := sh.instances[req.id]
+	if inst == nil && !sh.tombs.has(req.id) {
+		inst = &instance{id: req.id, state: instWaiting}
+		sh.instances[req.id] = inst
+	}
 	// Instance ids are global across epochs: a live or tombstoned id is
 	// refused even after a Reconfigure — peers route frames by id alone,
 	// so reuse would conflate instances.
-	if _, live := sh.instances[req.id]; live || sh.tombs.has(req.id) {
+	if inst == nil || !inst.move(instProposed) {
 		sh.finish(&instance{id: req.id, res: req.res}, instRefused)
 		return
 	}
 	now := time.Now()
-	inst := &instance{
-		id:       req.id,
-		node:     req.node,
-		res:      req.res,
-		started:  now,
-		deadline: now.Add(sh.svc.cfg.InstanceTimeout),
-	}
-	sh.instances[req.id] = inst
+	inst.node, inst.res = req.node, req.res
+	inst.started, inst.deadline = now, now.Add(sh.svc.cfg.InstanceTimeout)
 	sh.svc.ctr.proposed.Add(1)
 
+	parked := sh.unpark(inst)
 	sh.afterStep(inst, inst.node.Start())
-	if box, ok := sh.pending[req.id]; ok {
-		delete(sh.pending, req.id)
-		sh.svc.ctr.pendingFrames.Add(-int64(len(box.msgs)))
-		for i := range box.msgs {
-			if inst.state == instEnded {
-				break // failed mid-replay
-			}
-			sh.step(inst, box.msgs[i].from, &box.msgs[i].msg)
+	for i := range parked {
+		if inst.state == instEnded {
+			break // failed mid-replay
 		}
+		sh.step(inst, parked[i].from, &parked[i].msg)
 	}
 }
 
@@ -777,25 +782,20 @@ func (sh *shard) tombstone(inst *instance, ev instEvent) {
 	}
 }
 
-// expire enforces instance deadlines, tombstones lingering instances whose
-// window closed — those that never quiesced, e.g. behind a crashed origin —
-// and garbage-collects pending boxes and tombstone generations.
+// expire enforces deadlines — times out running instances, tombstones
+// lingering ones that never quiesced (behind a crashed origin, say), drops
+// waiting rows, leaving their ids open — and collects tombstone generations.
 func (sh *shard) expire(now time.Time) {
 	for _, inst := range sh.instances {
 		switch {
 		case !now.After(inst.deadline):
 		case inst.state == instRunning:
 			sh.finish(inst, instTimedOut)
-		default:
+		case inst.state == instLingering:
 			sh.tombstone(inst, instExpired)
-		}
-	}
-	pendingTTL := sh.svc.cfg.InstanceTimeout
-	for id, box := range sh.pending {
-		if now.Sub(box.since) > pendingTTL {
-			sh.svc.ctr.pendingFrames.Add(-int64(len(box.msgs)))
-			sh.svc.ctr.pendingDropped.Add(int64(len(box.msgs)))
-			delete(sh.pending, id)
+		case inst.move(instExpired):
+			delete(sh.instances, inst.id)
+			sh.svc.ctr.pendingDropped.Add(int64(len(sh.unpark(inst))))
 		}
 	}
 	sh.tombs.expire(now)

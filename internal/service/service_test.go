@@ -270,7 +270,7 @@ func TestServiceSyscallCounters(t *testing.T) {
 }
 
 // TestServiceLatePropose delays one process's proposal: the early
-// processes' round-1 traffic must be buffered and replayed so everyone
+// processes' round-1 traffic must be parked and replayed so everyone
 // still decides.
 func TestServiceLatePropose(t *testing.T) {
 	const n = 5
@@ -289,7 +289,7 @@ func TestServiceLatePropose(t *testing.T) {
 	time.Sleep(150 * time.Millisecond) // let early traffic arrive and buffer
 	last := svcs[n-1]
 	if got := last.Stats().PendingFrames; got == 0 {
-		t.Error("late process buffered no pending frames (want > 0)")
+		t.Error("late process parked no frames (want > 0)")
 	}
 	ch, err := last.Propose(1, inputs[n-1])
 	if err != nil {
@@ -327,7 +327,7 @@ func TestServiceDuplicateInstance(t *testing.T) {
 
 // TestServiceInstanceTimeout: an instance only one process proposes can
 // never decide; it must be retired with ErrInstanceTimeout, and the
-// other processes' buffered frames for it must expire.
+// other processes' parked frames for it must expire.
 func TestServiceInstanceTimeout(t *testing.T) {
 	const n = 5
 	svcs := startMesh(t, n, func(_ int, cfg *Config) {
@@ -344,8 +344,8 @@ func TestServiceInstanceTimeout(t *testing.T) {
 	if got := svcs[0].Stats().TimedOut; got != 1 {
 		t.Errorf("TimedOut = %d, want 1", got)
 	}
-	// The peers buffered p0's round-1 frames for instance 77; the pending
-	// boxes expire on the same clock.
+	// The peers parked p0's round-1 frames for instance 77; the waiting
+	// rows expire on the same clock.
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		if svcs[1].Stats().PendingFrames == 0 {

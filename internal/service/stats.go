@@ -73,9 +73,9 @@ type Stats struct {
 	// retried frames the peer already consumed are deduped like any
 	// duplicate.
 	WriteDrops, WriteRetries int64
-	// PendingFrames is the current number of frames buffered for
-	// instances not yet proposed locally (gauge); PendingDropped counts
-	// frames discarded because a pending buffer overflowed or expired.
+	// PendingFrames is the current number of frames parked for instances
+	// not yet proposed locally (gauge); PendingDropped counts frames from
+	// a peer over its QueueDepth budget of them, or that expired parked.
 	PendingFrames, PendingDropped int64
 	// Reconnects counts successful re-establishments of failed peer
 	// connections; ReadErrors counts reader-loop failures beyond clean

@@ -160,19 +160,29 @@ var wantInstEdges = map[instState]map[instEvent]instState{
 	instRunning:   {instDecided: instLingering, instFailed: instEnded, instTimedOut: instEnded, instClosed: instEnded, instRefused: instEnded},
 	instLingering: {instQuiesced: instEnded, instExpired: instEnded},
 	instEnded:     {},
+	instWaiting:   {instProposed: instRunning, instExpired: instEnded},
 }
 
 // TestInstanceTransitions fires every event in every instance state and
 // checks the next state and that an edge missing from the table is
-// refused.
+// refused. A bare instance must be running: finish answers refused
+// proposals and those left at Close with one.
 func TestInstanceTransitions(t *testing.T) {
+	if (instance{}).state != instRunning {
+		t.Fatalf("a bare instance is %v, want running", (instance{}).state)
+	}
 	if len(instEdges) != len(wantInstEdges) {
 		t.Fatalf("instEdges has %d states, want %d", len(instEdges), len(wantInstEdges))
 	}
-	path := map[instState][]instEvent{instRunning: nil, instLingering: {instDecided}, instEnded: {instFailed}}
-	for from := instRunning; from <= instEnded; from++ {
-		for ev := instDecided; ev <= instExpired; ev++ {
-			inst := &instance{}
+	path := map[instState][]instEvent{
+		instWaiting:   nil,
+		instRunning:   {instProposed},
+		instLingering: {instProposed, instDecided},
+		instEnded:     {instProposed, instFailed},
+	}
+	for from := range instState(len(instEdges)) {
+		for ev := instDecided; ev <= instProposed; ev++ {
+			inst := &instance{state: instWaiting}
 			for _, step := range path[from] {
 				if !inst.move(step) {
 					t.Fatalf("path to %v refused %v", from, step)

@@ -33,8 +33,6 @@ import (
 // import path, receiver type (if any) and name, dot-separated, as
 // shipcheck prints them.
 var allowed = map[string]string{
-	"repro.RadonPartition":                       "public root API",
-	"repro.toGeometrySlice":                      "public root API: RadonPartition's argument conversion",
 	"repro.NewGammaEngine":                       "public root API",
 	"repro.GammaEngine.Counters":                 "public root API",
 	"repro/internal/chaos.Injector.HealAll":      "manual fault control for the chaos, service and verify tests",
