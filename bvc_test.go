@@ -391,55 +391,6 @@ func TestRunAsyncCluster(t *testing.T) {
 	}
 }
 
-func TestRunTCPCluster(t *testing.T) {
-	cfg := bvc.Config{N: 4, F: 1, D: 1, Epsilon: 0.25, Lo: []float64{0}, Hi: []float64{1}}
-	inputs := []bvc.Vector{{0}, {1}, {0.5}, {0.75}}
-	tmpl := []string{"127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0", "127.0.0.1:0"}
-	procs := make([]*bvc.TCPProcess, cfg.N)
-	addrs := make([]string, cfg.N)
-	for i := 0; i < cfg.N; i++ {
-		p, err := bvc.NewTCPProcess(cfg, i, tmpl, inputs[i])
-		if err != nil {
-			t.Fatal(err)
-		}
-		procs[i] = p
-		addrs[i] = p.Addr()
-	}
-	defer func() {
-		for _, p := range procs {
-			_ = p.Close()
-		}
-	}()
-	ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
-	defer cancel()
-	type outcome struct {
-		id  int
-		dec bvc.Vector
-		err error
-	}
-	ch := make(chan outcome, cfg.N)
-	for i, p := range procs {
-		i, p := i, p
-		go func() {
-			dec, err := p.Run(ctx, addrs)
-			ch <- outcome{id: i, dec: dec, err: err}
-		}()
-	}
-	decisions := make([]bvc.Vector, cfg.N)
-	for k := 0; k < cfg.N; k++ {
-		o := <-ch
-		if o.err != nil {
-			t.Fatalf("process %d: %v", o.id, o.err)
-		}
-		decisions[o.id] = o.dec
-	}
-	for i := 1; i < cfg.N; i++ {
-		if math.Abs(decisions[i][0]-decisions[0][0]) > cfg.Epsilon {
-			t.Errorf("ε-agreement violated over TCP: %v", decisions)
-		}
-	}
-}
-
 // TestRunAsyncClusterF2 runs the one-shot cluster at the asynchronous
 // bound n = (d+2)f+1 with f = 2, where a decided process must keep
 // relaying for the others to deliver (see core.AsyncNode.emit).

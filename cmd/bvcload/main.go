@@ -680,7 +680,7 @@ func (r *loadResult) summarize(w io.Writer, cfg loadConfig) {
 		fmt.Fprintf(w, "degraded   %d read errors, %d dial failures, %d crash-aborted results\n",
 			st.ReadErrors, st.DialFailures, r.crashAborted)
 		c := r.chaos
-		fmt.Fprintf(w, "chaos      %d frames seen: %d delayed, %d dropped, %d dup, %d reordered, %d corrupted, %d blackholed; %d conns killed, %d dials refused\n",
-			c.Frames, c.Delayed, c.Dropped, c.Duplicated, c.Reordered, c.Corrupted, c.Blackholed, c.KilledConns, c.RefusedDials)
+		fmt.Fprintf(w, "chaos      %d frames seen: %d delayed, %d dropped, %d dup, %d reordered, %d corrupted; %d conns killed, %d dials refused\n",
+			c.Frames, c.Delayed, c.Dropped, c.Duplicated, c.Reordered, c.Corrupted, c.KilledConns, c.RefusedDials)
 	}
 }

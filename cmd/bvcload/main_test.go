@@ -3,6 +3,7 @@ package main
 import (
 	"bytes"
 	"fmt"
+	"path/filepath"
 	"strings"
 	"testing"
 	"time"
@@ -104,6 +105,29 @@ func TestLoadDurationCoversScenario(t *testing.T) {
 	}
 	if got := loadDuration(2*time.Second, nil); got != 2*time.Second {
 		t.Errorf("no scenario at -duration 2s runs %v, want 2s", got)
+	}
+}
+
+// TestScenariosValidate loads every committed scenario and validates it
+// against the default 5-process mesh, so a scenario that names a removed
+// action or an out-of-range process fails here, not only in a chaos run.
+func TestScenariosValidate(t *testing.T) {
+	paths, err := filepath.Glob("testdata/*.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(paths) < 4 {
+		t.Fatalf("found %d scenarios in testdata, want the 4 committed ones: %v", len(paths), paths)
+	}
+	for _, path := range paths {
+		scn, err := chaos.Load(path)
+		if err != nil {
+			t.Errorf("%s: %v", path, err)
+			continue
+		}
+		if err := scn.Validate(5); err != nil {
+			t.Errorf("%s: %v", path, err)
+		}
 	}
 }
 

@@ -152,7 +152,7 @@ func TestInjectorEmissionsParse(t *testing.T) {
 		_ = frame
 		frames++
 	}
-	want := ctr.Frames - ctr.Dropped - ctr.Blackholed + ctr.Duplicated
+	want := ctr.Frames - ctr.Dropped + ctr.Duplicated
 	if int64(frames) < want-1 || int64(frames) > want {
 		// A frame held for reorder with no successor stays held; allow 1.
 		t.Fatalf("emitted %d parseable frames, counters imply %d", frames, want)
@@ -165,9 +165,9 @@ func TestTimelineDeterministic(t *testing.T) {
 	scn := &Scenario{
 		Seed: 7,
 		Events: []Event{
-			{At: Dur(100 * time.Millisecond), Action: ActionCut, From: 0, To: Wildcard},
+			{At: Dur(100 * time.Millisecond), Action: ActionLose, From: 0, To: Wildcard, Rate: 0.5},
 			{At: Dur(200 * time.Millisecond), Action: ActionPartition, Groups: [][]int{{0}, {1, 2, 3}}},
-			{At: Dur(300 * time.Millisecond), Action: ActionHeal, From: 0, To: 1},
+			{At: Dur(300 * time.Millisecond), Action: ActionLose, From: 0, To: 1},
 			{At: Dur(400 * time.Millisecond), Action: ActionHealAll},
 			{At: Dur(500 * time.Millisecond), Action: ActionCrash, Proc: 2},
 			{At: Dur(600 * time.Millisecond), Action: ActionRestart, Proc: 2},
@@ -209,8 +209,10 @@ func TestTimelineDeterministic(t *testing.T) {
 	}
 }
 
-// TestCutBlackholesAndRefusesDials covers the manual control surface.
-func TestCutBlackholesAndRefusesDials(t *testing.T) {
+// TestIsolateRefusesWritesAndDials covers the manual control surface:
+// an isolated link refuses writes and dials with ErrLinkIsolated, leaks
+// nothing, and Heal restores both.
+func TestIsolateRefusesWritesAndDials(t *testing.T) {
 	inj, err := NewInjector(nil, 2, 0)
 	if err != nil {
 		t.Fatal(err)
@@ -226,15 +228,15 @@ func TestCutBlackholesAndRefusesDials(t *testing.T) {
 		t.Fatalf("healthy link altered frame: %x vs %x", got, frame)
 	}
 
-	inj.Cut(1)
-	if _, err := conn.Write(frame); err != nil {
-		t.Fatal(err)
+	inj.Isolate(1)
+	if _, err := conn.Write(frame); err != ErrLinkIsolated {
+		t.Fatalf("write on isolated link: err=%v, want ErrLinkIsolated", err)
 	}
 	if got := sink.bytes(); !bytes.Equal(got, frame) {
-		t.Fatalf("cut link leaked bytes: %x", got)
+		t.Fatalf("isolated link leaked bytes: %x", got)
 	}
-	if ctr := inj.Counters(); ctr.Blackholed != 1 {
-		t.Fatalf("blackholed = %d, want 1", ctr.Blackholed)
+	if ctr := inj.Counters(); ctr.RefusedWrites != 1 {
+		t.Fatalf("refusedWrites = %d, want 1", ctr.RefusedWrites)
 	}
 
 	ln, err := inj.Listen("127.0.0.1:0")
@@ -251,13 +253,16 @@ func TestCutBlackholesAndRefusesDials(t *testing.T) {
 			c.Close()
 		}
 	}()
-	if _, err := inj.Dial(context.Background(), 1, ln.Addr().String()); err != ErrLinkCut {
-		t.Fatalf("dial on cut link: err=%v, want ErrLinkCut", err)
+	if _, err := inj.Dial(context.Background(), 1, ln.Addr().String()); err != ErrLinkIsolated {
+		t.Fatalf("dial on isolated link: err=%v, want ErrLinkIsolated", err)
 	}
 	if ctr := inj.Counters(); ctr.RefusedDials != 1 {
 		t.Fatalf("refusedDials = %d, want 1", ctr.RefusedDials)
 	}
 	inj.Heal(1)
+	if _, err := conn.Write(frame); err != nil {
+		t.Fatalf("write after heal: %v", err)
+	}
 	c, err := inj.Dial(context.Background(), 1, ln.Addr().String())
 	if err != nil {
 		t.Fatalf("dial after heal: %v", err)
@@ -271,7 +276,7 @@ func TestCutBlackholesAndRefusesDials(t *testing.T) {
 func TestPacingPreservesOrder(t *testing.T) {
 	scn := &Scenario{
 		Seed:  1,
-		Links: []LinkFault{{From: Wildcard, To: Wildcard, Delay: Dur(time.Millisecond), Jitter: Dur(2 * time.Millisecond), BandwidthBps: 1 << 20}},
+		Links: []LinkFault{{From: Wildcard, To: Wildcard, Delay: Dur(time.Millisecond), Jitter: Dur(2 * time.Millisecond)}},
 	}
 	inj, err := NewInjector(scn, 2, 0)
 	if err != nil {
@@ -313,9 +318,15 @@ func TestSeverKillsConns(t *testing.T) {
 	a, b := net.Pipe()
 	defer b.Close()
 	wrapped := inj.Accepted(1, a)
+	// isolated reports whether the link to peer refuses a write.
+	frame := wire.AppendGoodbye(nil)
+	isolated := func(peer int) bool {
+		_, err := inj.Accepted(peer, &sinkConn{}).Write(frame)
+		return err == ErrLinkIsolated
+	}
 	inj.Partition([][]int{{0}, {1, 2}})
-	if !inj.CutTo(1) || !inj.CutTo(2) {
-		t.Fatal("partition did not cut cross-group links")
+	if !isolated(1) || !isolated(2) {
+		t.Fatal("partition did not isolate cross-group links")
 	}
 	if ctr := inj.Counters(); ctr.KilledConns != 1 {
 		t.Fatalf("killedConns = %d, want 1", ctr.KilledConns)
@@ -325,8 +336,8 @@ func TestSeverKillsConns(t *testing.T) {
 		t.Fatal("severed conn still writable")
 	}
 	inj.HealAll()
-	if inj.CutTo(1) || inj.CutTo(2) {
-		t.Fatal("heal-all left a cut")
+	if isolated(1) || isolated(2) {
+		t.Fatal("heal-all left a link isolated")
 	}
 }
 
@@ -372,6 +383,7 @@ func TestScenarioJSON(t *testing.T) {
 		{Links: []LinkFault{{From: 5, To: 0}}},
 		{Links: []LinkFault{{Drop: 1.5}}},
 		{Events: []Event{{Action: "explode"}}},
+		{Events: []Event{{Action: "cut", From: 0, To: 1}}}, // no longer an action
 		{Events: []Event{{Action: ActionPartition}}},
 		{Events: []Event{{Action: ActionPartition, Groups: [][]int{{0}, {0}}}}},
 		{Events: []Event{{Action: ActionCrash, Proc: 7}}},
@@ -382,30 +394,37 @@ func TestScenarioJSON(t *testing.T) {
 	}
 }
 
-// TestScheduledEvents runs a real (fast) scheduled timeline.
+// TestScheduledEvents runs a real (fast) scheduled timeline: a partition,
+// then a heal-all, each seen as a write refusal starting and ending.
 func TestScheduledEvents(t *testing.T) {
 	scn := &Scenario{
 		Seed: 3,
 		Events: []Event{
-			{At: Dur(10 * time.Millisecond), Action: ActionCut, From: 0, To: 1},
-			{At: Dur(60 * time.Millisecond), Action: ActionHeal, From: 0, To: 1},
+			{At: Dur(10 * time.Millisecond), Action: ActionPartition, Groups: [][]int{{0}, {1}}},
+			{At: Dur(60 * time.Millisecond), Action: ActionHealAll},
 		},
 	}
 	inj, err := NewInjector(scn, 2, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
+	conn := inj.Accepted(1, &sinkConn{})
+	frame := wire.AppendGoodbye(nil)
+	isolated := func() bool {
+		_, err := conn.Write(frame)
+		return err == ErrLinkIsolated
+	}
 	inj.Start(time.Now())
 	deadline := time.Now().Add(2 * time.Second)
-	for !inj.CutTo(1) {
+	for !isolated() {
 		if time.Now().After(deadline) {
-			t.Fatal("cut never applied")
+			t.Fatal("partition never applied")
 		}
 		time.Sleep(time.Millisecond)
 	}
-	for inj.CutTo(1) {
+	for isolated() {
 		if time.Now().After(deadline) {
-			t.Fatal("heal never applied")
+			t.Fatal("heal-all never applied")
 		}
 		time.Sleep(time.Millisecond)
 	}
@@ -480,20 +499,17 @@ func TestLossOverrideDeterministic(t *testing.T) {
 }
 
 // TestSkewStretchesPacing pins clock-skewed pacing: the same delayed
-// link paced at skew 4 holds its horizon out ~4× as far as at skew 1,
+// link profiled at skew 4 holds its horizon out ~4× as far as at skew 1,
 // without changing which frames are emitted.
 func TestSkewStretchesPacing(t *testing.T) {
 	const delay = 20 * time.Millisecond
 	pace := func(factor float64) time.Duration {
 		inj, err := NewInjector(&Scenario{
 			Seed:  2,
-			Links: []LinkFault{{From: Wildcard, To: Wildcard, Delay: Dur(delay)}},
+			Links: []LinkFault{{From: Wildcard, To: Wildcard, Delay: Dur(delay), Skew: factor}},
 		}, 2, 0)
 		if err != nil {
 			t.Fatal(err)
-		}
-		if factor != 1 {
-			inj.SetSkew(1, factor)
 		}
 		sink := &sinkConn{}
 		conn := inj.Accepted(1, sink)
@@ -551,16 +567,17 @@ func TestBurstQuantizesReleases(t *testing.T) {
 	}
 }
 
-// TestAsymmetricEventJSON covers the lose/skew/replace vocabulary end to
-// end: JSON forms, validation bounds, timeline expansion with values,
-// and replace surfacing in ProcEvents.
+// TestAsymmetricEventJSON covers the lose/replace vocabulary and the
+// static skew and burst profile end to end: JSON forms, validation
+// bounds, timeline expansion with values, and replace surfacing in
+// ProcEvents.
 func TestAsymmetricEventJSON(t *testing.T) {
 	blob := []byte(`{
 		"name": "asym", "seed": 4,
 		"links": [{"from": 0, "to": 1, "delay": "2ms", "skew": 3, "burst_every": "50ms"}],
 		"events": [
 			{"at": "100ms", "action": "lose", "from": 0, "to": 1, "rate": 0.4},
-			{"at": "200ms", "action": "skew", "from": 0, "to": -1, "factor": 2.5},
+			{"at": "200ms", "action": "lose", "from": 0, "to": -1, "rate": 0.25},
 			{"at": "300ms", "action": "replace", "proc": 2, "addr": "127.0.0.1:7777"},
 			{"at": "400ms", "action": "lose", "from": 0, "to": 1}
 		]
@@ -576,18 +593,18 @@ func TestAsymmetricEventJSON(t *testing.T) {
 		t.Fatalf("profile lost asymmetric fields: %+v", p)
 	}
 	tl := s.Timeline(3, 0)
-	var sawLose, sawSkew, sawClear bool
+	var sawLose, sawWild, sawClear bool
 	for _, op := range tl {
 		switch {
 		case op.Op == ActionLose && op.Peer == 1 && op.Val == 0.4:
 			sawLose = true
-		case op.Op == ActionSkew && op.Val == 2.5:
-			sawSkew = true
+		case op.Op == ActionLose && op.Peer == 2 && op.Val == 0.25:
+			sawWild = true
 		case op.Op == ActionLose && op.Val == 0:
 			sawClear = true
 		}
 	}
-	if !sawLose || !sawSkew || !sawClear {
+	if !sawLose || !sawWild || !sawClear {
 		t.Fatalf("timeline missing asymmetric ops: %+v", tl)
 	}
 	procs := s.ProcEvents()
@@ -596,7 +613,7 @@ func TestAsymmetricEventJSON(t *testing.T) {
 	}
 	for i, bad := range []Scenario{
 		{Events: []Event{{Action: ActionLose, Rate: 1.5}}},
-		{Events: []Event{{Action: ActionSkew, Factor: -1}}},
+		{Events: []Event{{Action: ActionLose, Rate: -0.5}}},
 		{Events: []Event{{Action: ActionReplace, Proc: 0}}},
 		{Events: []Event{{Action: ActionReplace, Proc: 9, Addr: "x"}}},
 		{Links: []LinkFault{{Skew: -2}}},

@@ -10,12 +10,12 @@ import (
 	"repro/internal/wire"
 )
 
-// ErrLinkIsolated is returned by Write while the link is isolated by a
-// partition. Unlike a cut — which swallows frames silently, modeling a
-// gray failure the sender cannot see — isolation refuses the write, so a
-// sender with retransmission (the service's writeLoop) retains the frames
-// and delivers them after the heal. Partitions are therefore lossless for
-// well-behaved senders; cuts are not.
+// ErrLinkIsolated is returned by Write and Dial while the link is isolated
+// by a partition. Isolation refuses the write rather than swallowing it,
+// so a sender with retransmission (the service's writeLoop) retains the
+// frames and delivers them after the heal: partitions are lossless for
+// well-behaved senders. Loss is scheduled separately, by a profile's Drop
+// or a lose event.
 var ErrLinkIsolated = errors.New("chaos: link isolated")
 
 // faultConn wraps one established conn on the directed link local→peer.
@@ -132,10 +132,6 @@ func (lk *linkState) process(frame []byte, out *[]byte) (time.Time, error) {
 		ctr.refusedWrites.Add(1)
 		return time.Time{}, ErrLinkIsolated
 	}
-	if lk.cut {
-		ctr.blackholed.Add(1)
-		return time.Time{}, nil
-	}
 	p := lk.prof
 	pDrop := lk.rng.Float64()
 	pCorrupt := lk.rng.Float64()
@@ -179,7 +175,7 @@ func (lk *linkState) process(frame []byte, out *[]byte) (time.Time, error) {
 	for _, e := range emits {
 		if lk.paced {
 			ctr.delayed.Add(1)
-			if r := lk.release(len(e)); r.After(rel) {
+			if r := lk.release(); r.After(rel) {
 				rel = r
 			}
 		}
@@ -188,33 +184,20 @@ func (lk *linkState) process(frame []byte, out *[]byte) (time.Time, error) {
 	return rel, nil
 }
 
-// release computes the paced release time of the next size-byte frame.
-// Delay and jitter model propagation: they push each frame's release out
-// but do not serialize — frames in one batch ride the link concurrently,
-// like a real wire. Only the bandwidth cap serializes, charging each
-// frame's transmission time against the link's bandwidth horizon. All
-// pacing durations stretch by the link's clock skew; a slow-then-burst
-// profile then quantizes the release up to the next burst boundary, so
-// the link sits silent between boundaries and flushes at each one. FIFO
-// order is preserved by flooring every release at its predecessor's.
-// Caller holds lk.mu.
-func (lk *linkState) release(size int) time.Time {
+// release computes the paced release time of the next frame. Delay and
+// jitter model propagation: they push each frame's release out but do not
+// serialize — frames in one batch ride the link concurrently, like a real
+// wire. All pacing durations stretch by the link's clock skew; a
+// slow-then-burst profile then quantizes the release up to the next burst
+// boundary, so the link sits silent between boundaries and flushes at
+// each one. FIFO order is preserved by flooring every release at its
+// predecessor's. Caller holds lk.mu.
+func (lk *linkState) release() time.Time {
 	p := lk.prof
 	now := time.Now()
 	rel := now.Add(skewed(p.Delay.D(), lk.skew))
 	if p.Jitter > 0 {
 		rel = rel.Add(skewed(time.Duration(lk.rng.Int63n(int64(p.Jitter)+1)), lk.skew))
-	}
-	if p.BandwidthBps > 0 {
-		start := now
-		if lk.bwFree.After(start) {
-			start = lk.bwFree
-		}
-		tx := skewed(time.Duration(float64(size)/float64(p.BandwidthBps)*float64(time.Second)), lk.skew)
-		lk.bwFree = start.Add(tx)
-		if lk.bwFree.After(rel) {
-			rel = lk.bwFree
-		}
 	}
 	if every := skewed(p.BurstEvery.D(), lk.skew); every > 0 {
 		if lk.anchor.IsZero() {

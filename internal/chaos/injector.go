@@ -2,7 +2,6 @@ package chaos
 
 import (
 	"context"
-	"errors"
 	"fmt"
 	"math/rand"
 	"net"
@@ -11,10 +10,6 @@ import (
 	"time"
 )
 
-// ErrLinkCut is returned by Dial while the directed link to the peer is
-// cut.
-var ErrLinkCut = errors.New("chaos: link cut")
-
 // Counters is a snapshot of one injector's fault counters. All fields
 // count frames except KilledConns and RefusedDials. For a fixed frame
 // sequence per link, every field is a deterministic function of the
@@ -22,17 +17,16 @@ var ErrLinkCut = errors.New("chaos: link cut")
 type Counters struct {
 	// Frames counts frames that crossed the injector's write path.
 	Frames int64
-	// Delayed counts frames paced by the latency/bandwidth model.
+	// Delayed counts frames paced by the delay, jitter and burst model.
 	Delayed int64
 	// Dropped, Duplicated, Reordered, Corrupted count per-frame fault
 	// decisions from the link PRNGs.
 	Dropped, Duplicated, Reordered, Corrupted int64
-	// Blackholed counts frames swallowed by an active cut; RefusedWrites
-	// counts frames refused (with ErrLinkIsolated, retained by the
-	// sender) on an isolated link.
-	Blackholed, RefusedWrites int64
+	// RefusedWrites counts frames refused (with ErrLinkIsolated,
+	// retained by the sender) on an isolated link.
+	RefusedWrites int64
 	// KilledConns counts established conns severed by partitions (or
-	// Sever); RefusedDials counts dials refused by an active cut.
+	// Sever); RefusedDials counts dials refused on an isolated link.
 	KilledConns, RefusedDials int64
 }
 
@@ -44,7 +38,6 @@ func (c *Counters) Add(o Counters) {
 	c.Duplicated += o.Duplicated
 	c.Reordered += o.Reordered
 	c.Corrupted += o.Corrupted
-	c.Blackholed += o.Blackholed
 	c.RefusedWrites += o.RefusedWrites
 	c.KilledConns += o.KilledConns
 	c.RefusedDials += o.RefusedDials
@@ -52,19 +45,18 @@ func (c *Counters) Add(o Counters) {
 
 // injCounters is the internal atomic form.
 type injCounters struct {
-	frames, delayed                         atomic.Int64
-	dropped, duplicated, reorder, corrupted atomic.Int64
-	blackholed, refusedWrites               atomic.Int64
-	killedConns, refusedDials               atomic.Int64
+	frames, delayed                          atomic.Int64
+	dropped, duplicated, reorder, corrupted  atomic.Int64
+	refusedWrites, killedConns, refusedDials atomic.Int64
 }
 
 // Injector applies one process's half of a Scenario: it owns the fault
 // state of every directed link local→peer (each direction of a link is
 // controlled by its writer's endpoint) and implements the service's
-// Transport surface — Listen passes through, Dial refuses cut links and
-// wraps the conn, Accepted wraps inbound conns. Zero-valued scenarios
+// Transport surface — Listen passes through, Dial refuses isolated links
+// and wraps the conn, Accepted wraps inbound conns. Zero-valued scenarios
 // wrap into pure passthroughs, so an Injector with only manual
-// Cut/Heal/Partition control is also the fault backend for
+// Partition/Sever/HealAll control is also the fault backend for
 // verify.ServiceSystem.
 type Injector struct {
 	scn   *Scenario
@@ -82,24 +74,22 @@ type Injector struct {
 }
 
 // linkState is the shared fault state of the directed link local→peer:
-// the PRNG all fault decisions draw from (in frame order), the cut and
-// isolate flags, the pacing horizon latency/bandwidth extends, the
-// one-frame reorder hold, and the live conns to sever on partition.
+// the PRNG all fault decisions draw from (in frame order), the isolate
+// flag, the pacing horizon delay extends, the one-frame reorder hold, and
+// the live conns to sever on partition.
 type linkState struct {
 	inj   *Injector
 	peer  int
 	prof  LinkFault
-	paced bool // profile delays, jitters, or caps bandwidth
+	paced bool    // profile delays, jitters, or bursts
+	skew  float64 // pacing clock multiplier (1 = nominal)
 
 	mu      sync.Mutex
 	rng     *rand.Rand
-	cut     bool      // frames swallowed silently, dials refused
-	refuse  bool      // writes refused with ErrLinkIsolated, dials refused
+	refuse  bool      // writes and dials refused with ErrLinkIsolated
 	loss    float64   // dynamic one-directional loss rate; -1 = use profile Drop
-	skew    float64   // pacing clock multiplier (1 = nominal)
 	held    []byte    // frame held back by a reorder decision
 	horizon time.Time // FIFO floor: next frame releases no earlier
-	bwFree  time.Time // bandwidth horizon: when the capped link is idle
 	anchor  time.Time // slow-then-burst boundary anchor (first paced frame)
 	conns   map[*faultConn]struct{}
 }
@@ -131,7 +121,7 @@ func NewInjector(scn *Scenario, n, local int) (*Injector, error) {
 			inj:   in,
 			peer:  peer,
 			prof:  prof,
-			paced: prof.Delay > 0 || prof.Jitter > 0 || prof.BandwidthBps > 0 || prof.BurstEvery > 0,
+			paced: prof.Delay > 0 || prof.Jitter > 0 || prof.BurstEvery > 0,
 			rng:   rand.New(rand.NewSource(linkSeed(scn.Seed, local, peer))),
 			loss:  -1,
 			skew:  skew,
@@ -196,14 +186,10 @@ func (in *Injector) Stop() {
 // apply executes one timeline operation.
 func (in *Injector) apply(op LinkOp) {
 	switch op.Op {
-	case ActionCut:
-		in.Cut(op.Peer)
-	case ActionHeal:
+	case "heal":
 		in.Heal(op.Peer)
 	case ActionLose:
 		in.SetLoss(op.Peer, op.Val)
-	case ActionSkew:
-		in.SetSkew(op.Peer, op.Val)
 	case "isolate":
 		in.Isolate(op.Peer)
 	case "sever":
@@ -228,26 +214,9 @@ func (in *Injector) SetLoss(peer int, rate float64) {
 	}
 }
 
-// SetSkew sets the pacing clock multiplier of local→peer: delay, jitter,
-// and bandwidth transmission times stretch by factor — the clock-skewed
-// writer whose traffic paces out slow (or fast, factor < 1). Factor 0 or
-// 1 restores nominal pace. Skew scales an existing pacing profile; it
-// never changes PRNG draw order, and an unpaced link stays unpaced.
-func (in *Injector) SetSkew(peer int, factor float64) {
-	if lk := in.link(peer); lk != nil {
-		lk.mu.Lock()
-		if factor <= 0 {
-			factor = 1
-		}
-		lk.skew = factor
-		lk.mu.Unlock()
-	}
-}
-
 // Isolate refuses writes and dials on the directed link local→peer with
 // ErrLinkIsolated — the lossless partition primitive: a sender with
-// retransmission retains everything for the heal. Contrast Cut, which
-// swallows frames silently.
+// retransmission retains everything for the heal.
 func (in *Injector) Isolate(peer int) {
 	if lk := in.link(peer); lk != nil {
 		lk.mu.Lock()
@@ -256,31 +225,18 @@ func (in *Injector) Isolate(peer int) {
 	}
 }
 
-// Cut blackholes the directed link local→peer: frames vanish, dials are
-// refused. Established conns stay up (silent partition); use Sever to
-// kill them too.
-func (in *Injector) Cut(peer int) {
-	if lk := in.link(peer); lk != nil {
-		lk.mu.Lock()
-		lk.cut = true
-		lk.held = nil
-		lk.mu.Unlock()
-	}
-}
-
-// Heal clears a cut, isolation, or loss override on local→peer — the
-// link returns to its static profile.
+// Heal clears isolation or a loss override on local→peer — the link
+// returns to its static profile.
 func (in *Injector) Heal(peer int) {
 	if lk := in.link(peer); lk != nil {
 		lk.mu.Lock()
-		lk.cut = false
 		lk.refuse = false
 		lk.loss = -1
 		lk.mu.Unlock()
 	}
 }
 
-// HealAll clears every cut.
+// HealAll heals every link.
 func (in *Injector) HealAll() {
 	for peer := range in.links {
 		in.Heal(peer)
@@ -336,18 +292,6 @@ func (in *Injector) Partition(groups [][]int) {
 	}
 }
 
-// CutTo reports whether the directed link local→peer is currently cut or
-// isolated (either way, dials are refused).
-func (in *Injector) CutTo(peer int) bool {
-	lk := in.link(peer)
-	if lk == nil {
-		return false
-	}
-	lk.mu.Lock()
-	defer lk.mu.Unlock()
-	return lk.cut || lk.refuse
-}
-
 // Counters snapshots the injector's fault counters.
 func (in *Injector) Counters() Counters {
 	return Counters{
@@ -357,7 +301,6 @@ func (in *Injector) Counters() Counters {
 		Duplicated:    in.ctr.duplicated.Load(),
 		Reordered:     in.ctr.reorder.Load(),
 		Corrupted:     in.ctr.corrupted.Load(),
-		Blackholed:    in.ctr.blackholed.Load(),
 		RefusedWrites: in.ctr.refusedWrites.Load(),
 		KilledConns:   in.ctr.killedConns.Load(),
 		RefusedDials:  in.ctr.refusedDials.Load(),
@@ -377,12 +320,17 @@ func (in *Injector) Listen(addr string) (net.Listener, error) {
 	return net.Listen("tcp", addr)
 }
 
-// Dial dials peer, refusing while the link is cut, and wraps the conn so
-// outbound frames pass the fault path.
+// Dial dials peer, refusing with ErrLinkIsolated while the link is
+// isolated, and wraps the conn so outbound frames pass the fault path.
 func (in *Injector) Dial(ctx context.Context, peer int, addr string) (net.Conn, error) {
-	if in.CutTo(peer) {
-		in.ctr.refusedDials.Add(1)
-		return nil, ErrLinkCut
+	if lk := in.link(peer); lk != nil {
+		lk.mu.Lock()
+		refuse := lk.refuse
+		lk.mu.Unlock()
+		if refuse {
+			in.ctr.refusedDials.Add(1)
+			return nil, ErrLinkIsolated
+		}
 	}
 	var d net.Dialer
 	conn, err := d.DialContext(ctx, "tcp", addr)

@@ -1,16 +1,17 @@
 // Package chaos is the deterministic fault-injection layer for the live
 // service: it wraps the service's dialer/listener/conn surface
 // (service.Transport) and subjects every directed link to a scheduled,
-// seeded fault program — added latency and jitter, bandwidth caps, silent
-// frame drops, duplication and reordering at frame granularity, byte
-// corruption (exercising the internal/wire parse paths), directed link
-// cuts, full partitions with timed heals, and the asymmetric faults:
-// one-directional loss overrides (lose), clock-skewed pacing (skew, a
-// writer whose pacing clock runs at a multiple of real time), and
-// slow-then-burst profiles (burst_every, a link that sits silent and
-// flushes at boundaries). Every fault is directional — each direction of
-// a link is owned by its writer's endpoint — so loss, skew, and bursts
-// on A→B leave B→A untouched.
+// seeded fault program — added latency and jitter, silent frame drops,
+// duplication and reordering at frame granularity, byte corruption
+// (exercising the internal/wire parse paths), full partitions with timed
+// heals, and the asymmetric faults: one-directional loss overrides
+// (lose), clock-skewed pacing (a link profile's skew, a writer whose
+// pacing clock runs at a multiple of real time), and slow-then-burst
+// profiles (burst_every, a link that sits silent and flushes at
+// boundaries). A link is made lossy by its profile's drop or by lose, and
+// the mesh is split by partition and rejoined by heal-all. Every fault is
+// directional — each direction of a link is owned by its writer's
+// endpoint — so loss, skew, and bursts on A→B leave B→A untouched.
 //
 // Faults are driven by a JSON Scenario, replayable the way a
 // schedule-search Instance (internal/verify) is: the same scenario and
@@ -81,9 +82,6 @@ type LinkFault struct {
 	// within the link is preserved (delays are monotone).
 	Delay  Dur `json:"delay,omitempty"`
 	Jitter Dur `json:"jitter,omitempty"`
-	// BandwidthBps caps the link's throughput in bytes per second; 0 is
-	// uncapped.
-	BandwidthBps int64 `json:"bandwidth_bps,omitempty"`
 	// Drop, Duplicate, Reorder, Corrupt are per-frame probabilities in
 	// [0, 1]: silently drop the frame, send it twice, swap it with the
 	// next frame, or flip one body byte (the length prefix is preserved
@@ -93,9 +91,9 @@ type LinkFault struct {
 	Duplicate float64 `json:"duplicate,omitempty"`
 	Reorder   float64 `json:"reorder,omitempty"`
 	Corrupt   float64 `json:"corrupt,omitempty"`
-	// Skew multiplies the link's pacing clock (delay, jitter draw, and
-	// bandwidth transmission time): a writer whose clock runs slow paces
-	// frames out at Skew× the nominal durations. 0 means 1 (no skew).
+	// Skew multiplies the link's pacing clock (delay, jitter draw and
+	// burst period): a writer whose clock runs slow paces frames out at
+	// Skew× the nominal durations. 0 means 1 (no skew).
 	// Skew is asymmetric by construction — it applies to this direction
 	// only — and changes no PRNG draw order.
 	Skew float64 `json:"skew,omitempty"`
@@ -109,21 +107,15 @@ type LinkFault struct {
 
 // Event actions.
 const (
-	// ActionCut blackholes the directed link From→To from At on: frames
-	// vanish silently and new dials are refused, but established conns
-	// stay up — the silent-partition failure mode.
-	ActionCut = "cut"
-	// ActionHeal clears a cut on From→To.
-	ActionHeal = "heal"
 	// ActionPartition severs the mesh into Groups: every link crossing a
-	// group boundary is isolated in both directions (writes refused with
-	// ErrLinkIsolated, dials refused) and its established conns are
-	// killed, so redial and backoff run. Unlike a cut, isolation is
-	// lossless for a sender with retransmission: refused frames are
-	// retained and flow at the heal. Links within a group are healed.
-	// Processes not named in any group form one implicit remainder group.
+	// group boundary is isolated in both directions (writes and dials
+	// refused with ErrLinkIsolated) and its established conns are killed,
+	// so redial and backoff run. Isolation is lossless for a sender with
+	// retransmission: refused frames are retained and flow at the heal.
+	// Links within a group are healed. Processes not named in any group
+	// form one implicit remainder group.
 	ActionPartition = "partition"
-	// ActionHealAll clears every cut and isolation.
+	// ActionHealAll clears every isolation and loss override.
 	ActionHealAll = "heal-all"
 	// ActionCrash closes process Proc; executed by the driver.
 	ActionCrash = "crash"
@@ -144,9 +136,6 @@ const (
 	// order, so flipping the rate mid-run changes outcomes but not the
 	// alignment of later decisions.
 	ActionLose = "lose"
-	// ActionSkew sets the pacing clock skew of From→To to Factor from
-	// At on (see LinkFault.Skew). Factor 0 or 1 restores nominal pace.
-	ActionSkew = "skew"
 )
 
 // Event is one scheduled fault transition at offset At from scenario
@@ -154,13 +143,12 @@ const (
 type Event struct {
 	At     Dur     `json:"at"`
 	Action string  `json:"action"`
-	From   int     `json:"from,omitempty"`   // cut/heal/lose/skew
-	To     int     `json:"to,omitempty"`     // cut/heal/lose/skew
+	From   int     `json:"from,omitempty"`   // lose
+	To     int     `json:"to,omitempty"`     // lose
 	Groups [][]int `json:"groups,omitempty"` // partition
 	Proc   int     `json:"proc,omitempty"`   // crash/restart/replace
 	Addr   string  `json:"addr,omitempty"`   // replace: the successor's address
 	Rate   float64 `json:"rate,omitempty"`   // lose: loss probability in [0, 1]
-	Factor float64 `json:"factor,omitempty"` // skew: pacing clock multiplier
 }
 
 // Scenario is a complete, replayable fault program for one mesh run.
@@ -222,8 +210,8 @@ func (s *Scenario) Validate(n int) error {
 				return fmt.Errorf("chaos: links[%d].%s = %g outside [0, 1]", i, p.name, p.v)
 			}
 		}
-		if lf.Delay < 0 || lf.Jitter < 0 || lf.BandwidthBps < 0 {
-			return fmt.Errorf("chaos: links[%d] negative delay/jitter/bandwidth", i)
+		if lf.Delay < 0 || lf.Jitter < 0 {
+			return fmt.Errorf("chaos: links[%d] negative delay/jitter", i)
 		}
 		if lf.Skew < 0 || lf.BurstEvery < 0 {
 			return fmt.Errorf("chaos: links[%d] negative skew/burst_every", i)
@@ -234,18 +222,15 @@ func (s *Scenario) Validate(n int) error {
 			return fmt.Errorf("chaos: events[%d] negative time", i)
 		}
 		switch ev.Action {
-		case ActionCut, ActionHeal, ActionLose, ActionSkew:
+		case ActionLose:
 			if err := checkID(fmt.Sprintf("events[%d].from", i), ev.From, true); err != nil {
 				return err
 			}
 			if err := checkID(fmt.Sprintf("events[%d].to", i), ev.To, true); err != nil {
 				return err
 			}
-			if ev.Action == ActionLose && (ev.Rate < 0 || ev.Rate > 1) {
+			if ev.Rate < 0 || ev.Rate > 1 {
 				return fmt.Errorf("chaos: events[%d] lose rate %g outside [0, 1]", i, ev.Rate)
-			}
-			if ev.Action == ActionSkew && ev.Factor < 0 {
-				return fmt.Errorf("chaos: events[%d] negative skew factor %g", i, ev.Factor)
 			}
 		case ActionPartition:
 			if len(ev.Groups) == 0 {
@@ -309,13 +294,13 @@ func (s *Scenario) Profile(from, to int) LinkFault {
 }
 
 // LinkOp is one expanded timeline operation on a directed link owned by a
-// local process: cut or heal the link local→Peer, additionally sever its
-// established conns, or retune it (lose/skew, value in Val).
+// local process: isolate or heal the link local→Peer, sever its
+// established conns, or set its loss rate (lose, rate in Val).
 type LinkOp struct {
 	At   time.Duration
 	Peer int
-	Op   string  // ActionCut, ActionHeal, ActionLose, ActionSkew, "isolate", or "sever"
-	Val  float64 // lose rate or skew factor
+	Op   string  // ActionLose, "isolate", "sever", or "heal"
+	Val  float64 // lose rate
 }
 
 // Timeline expands the scenario's transport events into the ordered
@@ -330,29 +315,20 @@ func (s *Scenario) Timeline(n, local int) []LinkOp {
 			ops = append(ops, LinkOp{At: at.D(), Peer: peer, Op: op, Val: val})
 		}
 	}
-	forMatches := func(at Dur, from, to int, op string, val float64) {
-		if from != Wildcard && from != local {
-			return
-		}
-		for peer := 0; peer < n; peer++ {
-			if to == Wildcard || to == peer {
-				emit(at, peer, op, val)
-			}
-		}
-	}
 	for _, ev := range s.Events {
 		switch ev.Action {
-		case ActionCut:
-			forMatches(ev.At, ev.From, ev.To, ActionCut, 0)
-		case ActionHeal:
-			forMatches(ev.At, ev.From, ev.To, ActionHeal, 0)
 		case ActionLose:
-			forMatches(ev.At, ev.From, ev.To, ActionLose, ev.Rate)
-		case ActionSkew:
-			forMatches(ev.At, ev.From, ev.To, ActionSkew, ev.Factor)
+			if ev.From != Wildcard && ev.From != local {
+				continue
+			}
+			for peer := 0; peer < n; peer++ {
+				if ev.To == Wildcard || ev.To == peer {
+					emit(ev.At, peer, ActionLose, ev.Rate)
+				}
+			}
 		case ActionHealAll:
 			for peer := 0; peer < n; peer++ {
-				emit(ev.At, peer, ActionHeal, 0)
+				emit(ev.At, peer, "heal", 0)
 			}
 		case ActionPartition:
 			group := groupIndex(ev.Groups, n)
@@ -361,7 +337,7 @@ func (s *Scenario) Timeline(n, local int) []LinkOp {
 					continue
 				}
 				if group[local] == group[peer] {
-					emit(ev.At, peer, ActionHeal, 0)
+					emit(ev.At, peer, "heal", 0)
 				} else {
 					// Isolate before sever: a writer racing the sever
 					// gets a refusal and retains its frames.

@@ -38,7 +38,7 @@ import (
 //     compute the same point. The cache key is exactly that canonical
 //     multiset plus (d, f, method), with each value named by its interned
 //     id (valueIDs): within one memo generation ids are a bijection on the
-//     values' bit-exact geometry.Key bytes, so equal keys mean equal
+//     values' bit-exact geometry.AppendKey bytes, so equal keys mean equal
 //     multisets, and every key carries its generation, so ids reissued
 //     after a drop never hit an earlier generation's entries. A walk
 //     interns each distinct value once. The round-level (zi) and

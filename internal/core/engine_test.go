@@ -28,7 +28,7 @@ func randomTuples(rng *rand.Rand, n, d int) []tuple {
 }
 
 // TestEngineDeterminismAcrossWorkersAndCache: the Zi average must be
-// byte-identical (bit-exact, via geometry.Key) for every engine
+// byte-identical (bit-exact, via geometry.AppendKey) for every engine
 // configuration — workers ∈ {1, 4, GOMAXPROCS} × memoization on/off — and
 // across repeated calls on the same engine (cache hits), over random
 // (n, d, f) instances. This is the property that makes the engine knobs
@@ -52,7 +52,7 @@ func TestEngineDeterminismAcrossWorkersAndCache(t *testing.T) {
 					if err != nil {
 						t.Fatalf("d=%d f=%d workers=%d memo=%v: %v", c.d, c.f, workers, memo, err)
 					}
-					key := geometry.Key(got)
+					key := string(geometry.AppendKey(nil, got))
 					if wantKey == "" {
 						wantKey, wantSize = key, size
 						continue
@@ -93,7 +93,7 @@ func TestEngineSafePointMatchesSafearea(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if geometry.Key(got) != geometry.Key(want) {
+			if string(geometry.AppendKey(nil, got)) != string(geometry.AppendKey(nil, want)) {
 				t.Fatalf("d=%d f=%d rep=%d: engine %v != safearea %v", c.d, c.f, rep, got, want)
 			}
 		}
@@ -173,14 +173,14 @@ func TestEngineMatchesReferenceAverage(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if size != wantSize || geometry.Key(got) != geometry.Key(want) {
+		if size != wantSize || string(geometry.AppendKey(nil, got)) != string(geometry.AppendKey(nil, want)) {
 			t.Fatalf("workers=%d: engine %v (|Zi|=%d) != reference %v (|Zi|=%d)", workers, got, size, want, wantSize)
 		}
 		gotSets, sizeSets, err := eng.AverageGammaSets(sets, f, safearea.MethodAuto)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if sizeSets != wantSize || geometry.Key(gotSets) != geometry.Key(want) {
+		if sizeSets != wantSize || string(geometry.AppendKey(nil, gotSets)) != string(geometry.AppendKey(nil, want)) {
 			t.Fatalf("workers=%d: AverageGammaSets diverged from reference", workers)
 		}
 	}
@@ -451,7 +451,7 @@ func TestAverageGammaHelpersStartMidWalk(t *testing.T) {
 					if err != nil {
 						t.Fatalf("%s method=%v j=%d workers=%d: %v", name, method, j, workers, err)
 					}
-					got := result{geometry.Key(pt), size, eng.Counters().Sub(before)}
+					got := result{string(geometry.AppendKey(nil, pt)), size, eng.Counters().Sub(before)}
 					if i == 0 {
 						want = got
 						if (j == total) != (got.delta.Solves == 0) {
@@ -546,11 +546,11 @@ func gammaPointOfSet(set []tuple, f int, method safearea.Method) (geometry.Vecto
 	for i, tp := range sorted {
 		vals[i] = tp.value
 	}
-	ms, err := geometry.ViewOf(vals)
-	if err != nil {
+	var ms geometry.Multiset
+	if err := ms.View(vals); err != nil {
 		return nil, err
 	}
-	return safearea.PointWith(ms, f, method)
+	return safearea.PointWith(&ms, f, method)
 }
 
 // averageGammaPoints computes Zi = {one safe point per candidate set} and

@@ -275,7 +275,7 @@ func TestMemoTableBoundDrops(t *testing.T) {
 		if got, _ := tab.memoEntries(); got > bound {
 			t.Fatalf("table holds %d entries, bound %d", got, bound)
 		}
-		return geometry.Key(pt)
+		return string(geometry.AppendKey(nil, pt))
 	}
 	want := make([]string, sets)
 	for i := range want {
@@ -453,7 +453,7 @@ func TestMemoIDKeysSurviveDrops(t *testing.T) {
 			if err != nil {
 				return "error: " + err.Error()
 			}
-			return fmt.Sprintf("%x", geometry.Key(pt))
+			return fmt.Sprintf("%x", string(geometry.AppendKey(nil, pt)))
 		}
 		var r result
 		pt, _, err := eng.AverageGamma(in.tuples, in.k, in.f, safearea.MethodAuto)

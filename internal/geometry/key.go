@@ -5,22 +5,16 @@ import (
 	"math"
 )
 
-// Key returns a canonical, bit-exact map key for v. Two vectors have equal
-// keys iff they are Equal (same dimension, identical float bits). The
-// broadcast protocols use keys to count votes for "the same value" — vote
-// counting must be exact, not tolerance-based, or a Byzantine process could
-// split or merge quorums with near-identical values.
-func Key(v Vector) string {
-	return string(AppendKey(make([]byte, 0, 8*len(v)), v))
-}
-
-// AppendKey appends v's canonical key bytes (the Key encoding) to dst and
-// returns the extended slice, letting callers build composite keys over many
-// vectors without intermediate string allocations.
+// AppendKey appends v's canonical, bit-exact key bytes to dst and returns
+// the extended slice. Two vectors have equal keys iff they are Equal (same
+// dimension, identical float bits). The Γ-point memo and its value
+// interner key values by these bytes, building composite keys over many
+// vectors without intermediate string allocations; keying must be exact,
+// not tolerance-based, or two distinct values would share one solve.
 func AppendKey(dst []byte, v Vector) []byte {
 	for _, x := range v {
 		if x == 0 {
-			x = 0 // collapse −0.0 onto +0.0 so Key agrees with Equal
+			x = 0 // collapse −0.0 onto +0.0 so keys agree with Equal
 		}
 		dst = binary.BigEndian.AppendUint64(dst, math.Float64bits(x))
 	}

@@ -46,23 +46,14 @@ func MustMultisetOf(points ...Vector) *Multiset {
 	return m
 }
 
-// ViewOf returns a multiset over the given points WITHOUT copying them: the
-// slice and its vectors are shared, so the caller must leave both unchanged
-// for as long as the multiset is in use. It exists for hot paths that hand
-// immutable values (the Γ-point engine's delivered tuple values) to a
-// Multiset-taking reader that only looks; everything else wants MultisetOf.
-func ViewOf(points []Vector) (*Multiset, error) {
-	m := new(Multiset)
-	if err := m.View(points); err != nil {
-		return nil, err
-	}
-	return m, nil
-}
-
-// View makes m a view over points, exactly as ViewOf does, in place of
-// whatever m held: a hot path that hands a fresh selection to a reader per
-// call keeps one Multiset value and re-points it instead of allocating one.
-// On error m is left unchanged.
+// View makes m a view over points WITHOUT copying them, in place of
+// whatever m held: the slice and its vectors are shared, so the caller must
+// leave both unchanged for as long as m is in use. It exists for hot paths
+// that hand immutable values (the Γ-point engine's delivered tuple values)
+// to a Multiset-taking reader that only looks: one that hands a fresh
+// selection per call keeps one Multiset value and re-points it instead of
+// allocating one. Everything else wants MultisetOf. On error m is left
+// unchanged.
 func (m *Multiset) View(points []Vector) error {
 	if len(points) == 0 {
 		return fmt.Errorf("geometry: empty multiset needs an explicit dimension; use NewMultiset")

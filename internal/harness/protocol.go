@@ -7,6 +7,7 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/combin"
 	"repro/internal/core"
 	"repro/internal/geometry"
 	"repro/internal/safearea"
@@ -552,24 +553,10 @@ func E9WitnessAblation(seed int64) (*Table, error) {
 		t.AddRow(name, gamma, analytic, measured, maxZi, stats.Sent)
 	}
 	t.Notes = append(t.Notes,
-		fmt.Sprintf("full: C(%d,%d) = %d candidate sets per round; witness-opt: ≤ %d", n, n-f, combinCount(n, n-f), n),
+		fmt.Sprintf("full: C(%d,%d) = %d candidate sets per round; witness-opt: ≤ %d", n, n-f, combin.Binomial(n, n-f), n),
 		"witness-opt wins on both per-round cost and analytic round bound; measured convergence is similar",
 	)
 	return t, nil
-}
-
-func combinCount(n, k int) int64 {
-	if k < 0 || k > n {
-		return 0
-	}
-	if k > n-k {
-		k = n - k
-	}
-	out := int64(1)
-	for i := 1; i <= k; i++ {
-		out = out * int64(n-k+i) / int64(i)
-	}
-	return out
 }
 
 func sum(v bvc.Vector) float64 {

@@ -141,9 +141,6 @@ func (p *Problem) AddVar(name string, lo, hi float64) (VarID, error) {
 	return VarID(len(p.varLo) - 1), nil
 }
 
-// NumRows returns the number of constraints added so far.
-func (p *Problem) NumRows() int { return len(p.rows) }
-
 // AddConstraint adds the row Σ termᵢ rel rhs.
 func (p *Problem) AddConstraint(name string, terms []Term, rel Rel, rhs float64) error {
 	if math.IsNaN(rhs) || math.IsInf(rhs, 0) {

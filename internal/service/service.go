@@ -8,9 +8,9 @@
 //
 // The architecture — instance lifecycle, connection pool, framing,
 // backpressure, drain/reconfiguration semantics, and the load-test
-// workflow with cmd/bvcload — is documented in docs/SERVICE.md; the frame layout is docs/WIRE_FORMAT.md. The public
-// one-shot entry points (bvc.TCPProcess, bvc.RunAsyncCluster) are
-// single-instance services.
+// workflow with cmd/bvcload — is documented in docs/SERVICE.md; the frame
+// layout is docs/WIRE_FORMAT.md. The public one-shot entry point,
+// bvc.RunAsyncCluster, runs single-instance services.
 package service
 
 import (

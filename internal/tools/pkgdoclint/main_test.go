@@ -3,7 +3,7 @@ package main
 import "testing"
 
 // TestModuleDocumented runs the lint over the module root, as CI's
-// "Package and API docs" step does, so a missing doc comment fails
+// "Package docs" step does, so a missing package doc comment fails
 // go test ./... too.
 func TestModuleDocumented(t *testing.T) {
 	problems, err := lint("../../..")
