@@ -69,9 +69,9 @@ func requireSameFingerprint(t *testing.T, label string, want, got []float64) {
 
 // TestSimulateDeterministicAcrossEngineOptions: end-to-end property — the
 // decisions of every protocol variant are byte-identical for workers ∈
-// {1, 4, GOMAXPROCS} with the Γ-point cache on or off, across random
-// instances. The GammaEngine a simulation runs on is a pure performance
-// knob.
+// {1, 4, GOMAXPROCS}, on a fresh Γ engine and again on the same engine
+// warm from the first run, across random instances. The GammaEngine a
+// simulation runs on is a pure performance knob.
 func TestSimulateDeterministicAcrossEngineOptions(t *testing.T) {
 	rng := rand.New(rand.NewSource(99))
 	workerSets := []int{1, 4, runtime.GOMAXPROCS(0)}
@@ -127,10 +127,11 @@ func TestSimulateDeterministicAcrossEngineOptions(t *testing.T) {
 			logReplayOnFailure(t, 99, 5, caseCfgs[name], "")
 			var want []float64
 			for _, workers := range workerSets {
-				for _, noCache := range []bool{false, true} {
-					res, err := run(bvc.SimOptions{Seed: 5, Engine: bvc.NewGammaEngine(workers, !noCache)})
+				eng := bvc.NewGammaEngine(workers)
+				for _, pass := range []string{"fresh", "warm"} {
+					res, err := run(bvc.SimOptions{Seed: 5, Engine: eng})
 					if err != nil {
-						t.Fatalf("workers=%d noCache=%v: %v", workers, noCache, err)
+						t.Fatalf("workers=%d %s: %v", workers, pass, err)
 					}
 					got := decisionsKey(t, res)
 					if want == nil {
@@ -138,12 +139,12 @@ func TestSimulateDeterministicAcrossEngineOptions(t *testing.T) {
 						continue
 					}
 					if len(got) != len(want) {
-						t.Fatalf("workers=%d noCache=%v: %d decision coords, want %d", workers, noCache, len(got), len(want))
+						t.Fatalf("workers=%d %s: %d decision coords, want %d", workers, pass, len(got), len(want))
 					}
 					for i := range got {
 						if got[i] != want[i] {
-							t.Fatalf("workers=%d noCache=%v: decision coord %d = %x, want %x",
-								workers, noCache, i, got[i], want[i])
+							t.Fatalf("workers=%d %s: decision coord %d = %x, want %x",
+								workers, pass, i, got[i], want[i])
 						}
 					}
 				}
@@ -155,8 +156,8 @@ func TestSimulateDeterministicAcrossEngineOptions(t *testing.T) {
 // TestSimulateDeterministicAcrossNodeWorkers: every protocol variant, under
 // every delay kind and adversary strategy, produces a bit-identical
 // execution (decisions, per-round histories, round counts, message counts,
-// virtual time) on a serial uncached Γ engine, a parallel memoized one and
-// the shared default engine. The simulators step nodes serially, so the Γ
+// virtual time) on a fresh serial Γ engine, a fresh parallel one and the
+// shared default engine. The simulators step nodes serially, so the Γ
 // engine is the only parallel layer under a run; the test keeps the name
 // it had when the grid also varied the simulators' own node workers.
 func TestSimulateDeterministicAcrossNodeWorkers(t *testing.T) {
@@ -164,8 +165,8 @@ func TestSimulateDeterministicAcrossNodeWorkers(t *testing.T) {
 		name string
 		mk   func() *bvc.GammaEngine
 	}{
-		{"serial uncached", func() *bvc.GammaEngine { return bvc.NewGammaEngine(1, false) }},
-		{"parallel memoized", func() *bvc.GammaEngine { return bvc.NewGammaEngine(0, true) }},
+		{"fresh serial", func() *bvc.GammaEngine { return bvc.NewGammaEngine(1) }},
+		{"fresh parallel", func() *bvc.GammaEngine { return bvc.NewGammaEngine(0) }},
 		{"default", func() *bvc.GammaEngine { return nil }},
 	}
 	delayKinds := []struct {

@@ -13,16 +13,21 @@ import (
 // TestIncrementalGammaMatchesFromScratch: the incremental Γ engine — the
 // sub-family (prefix) memo, the round-level AverageGamma memo, and every
 // warm-started solve behind them — must reproduce the from-scratch ladder
-// bit for bit. The reference execution runs with the Γ cache disabled and
-// one worker (every candidate set solved from scratch, serially); it is
-// compared against cached executions for workers ∈ {1, 4, GOMAXPROCS},
-// across all four protocol variants × the six adversary strategies,
-// extending the PR 1 (engine options) and PR 2 (node workers) determinism
-// suites. The cached runs must also actually exercise the incremental path
-// (nonzero reuse counters) — a silently cold cache would make this test
-// vacuous.
+// bit for bit. The reference execution runs on a fresh one-worker engine
+// (internal/core's TestAverageGammaMatchesOracle holds the engine to eq. (9)
+// computed from its definition); it is compared against executions on one
+// engine per worker count ∈ {1, 4, GOMAXPROCS}, each kept warm across the
+// whole test, over all four protocol variants × the six adversary
+// strategies, extending the engine-options and node-workers determinism
+// suites. The compared runs must also actually exercise the incremental
+// path (nonzero reuse counters) — a silently cold cache would make this
+// test vacuous.
 func TestIncrementalGammaMatchesFromScratch(t *testing.T) {
 	workerSets := []int{1, 4, runtime.GOMAXPROCS(0)}
+	engines := make([]*bvc.GammaEngine, len(workerSets))
+	for i, workers := range workerSets {
+		engines[i] = bvc.NewGammaEngine(workers)
+	}
 
 	adversaries := []struct {
 		name string
@@ -130,18 +135,19 @@ func TestIncrementalGammaMatchesFromScratch(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/%s", vc.name, adv.name), func(t *testing.T) {
 				logReplayOnFailure(t, 23, 11, cfg,
 					fmt.Sprintf(" delay=uniform[1ms,7ms] adversary=%s workers=%v", adv.name, workerSets))
-				// From-scratch reference: cache off, serial.
+				// Reference: a fresh serial engine.
 				ref, err := vc.run(cfg, inputs, byz, bvc.SimOptions{
-					Seed: 11, Delay: delay, Engine: bvc.NewGammaEngine(1, false),
+					Seed: 11, Delay: delay, Engine: bvc.NewGammaEngine(1),
 				})
 				if err != nil {
-					t.Fatalf("from-scratch reference: %v", err)
+					t.Fatalf("reference: %v", err)
 				}
 				want := fingerprint(t, ref)
 
 				reused := false
-				for _, workers := range workerSets {
-					eng := bvc.NewGammaEngine(workers, true)
+				for i, workers := range workerSets {
+					eng := engines[i]
+					before := eng.Counters()
 					res, err := vc.run(cfg, inputs, byz, bvc.SimOptions{
 						Seed: 11, Delay: delay, Engine: eng,
 					})
@@ -149,7 +155,7 @@ func TestIncrementalGammaMatchesFromScratch(t *testing.T) {
 						t.Fatalf("incremental workers=%d: %v", workers, err)
 					}
 					requireSameFingerprint(t, fmt.Sprintf("incremental workers=%d", workers), want, fingerprint(t, res))
-					delta := eng.Counters()
+					delta := eng.Counters().Sub(before)
 					if delta.CacheHits+delta.PrefixHits+delta.RoundHits > 0 {
 						reused = true
 					}

@@ -3,7 +3,6 @@ package adversary
 import (
 	"math/rand"
 	"testing"
-	"time"
 
 	"repro/internal/aad"
 	"repro/internal/broadcast"
@@ -329,7 +328,6 @@ type sentMsg struct {
 var _ sim.API = (*recordingAPI)(nil)
 
 func (r *recordingAPI) ID() sim.ProcID { return sim.ProcID(r.n - 1) }
-func (r *recordingAPI) N() int         { return r.n }
 
 func (r *recordingAPI) Send(to sim.ProcID, msg sim.Message) {
 	r.sent = append(r.sent, sentMsg{to: to, msg: msg})
@@ -341,6 +339,5 @@ func (r *recordingAPI) Broadcast(msg sim.Message) {
 	}
 }
 
-func (r *recordingAPI) Halt()              {}
-func (r *recordingAPI) Rand() *rand.Rand   { return rand.New(rand.NewSource(1)) }
-func (r *recordingAPI) Now() time.Duration { return 0 }
+func (r *recordingAPI) Halt()            {}
+func (r *recordingAPI) Rand() *rand.Rand { return rand.New(rand.NewSource(1)) }

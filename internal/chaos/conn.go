@@ -30,8 +30,12 @@ var ErrLinkIsolated = errors.New("chaos: link isolated")
 // ever acknowledged before it reaches the underlying conn, so severing a
 // link mid-flight surfaces as a write error instead of silently losing
 // frames the sender believes were delivered — the property the service's
-// write-retry depends on. Senders pipeline by batching: while one Write
-// sleeps, the next batch accumulates behind it.
+// write-retry depends on. The sleep runs inside the link writer's Write,
+// so successive batches on one link serialize: the next batch, which
+// accumulates behind the sleeping Write, is paced only once that Write
+// returns, and reaches the peer at least one delay after its
+// predecessor. A link with delay D thus delivers at most one batch per
+// D, where a real wire would pipeline them.
 type faultConn struct {
 	net.Conn
 	lk *linkState
@@ -185,13 +189,15 @@ func (lk *linkState) process(frame []byte, out *[]byte) (time.Time, error) {
 }
 
 // release computes the paced release time of the next frame. Delay and
-// jitter model propagation: they push each frame's release out but do not
-// serialize — frames in one batch ride the link concurrently, like a real
-// wire. All pacing durations stretch by the link's clock skew; a
-// slow-then-burst profile then quantizes the release up to the next burst
-// boundary, so the link sits silent between boundaries and flushes at
-// each one. FIFO order is preserved by flooring every release at its
-// predecessor's. Caller holds lk.mu.
+// jitter model propagation: they push each frame's release out, and the
+// frames of one batch leave together at the latest of their releases.
+// Batches do not overlap: faultConn.Write sleeps out each batch before
+// the writer hands it the next, so a batch's delay starts only when its
+// predecessor has been forwarded. All pacing durations stretch by the
+// link's clock skew; a slow-then-burst profile then quantizes the release
+// up to the next burst boundary, so the link sits silent between
+// boundaries and flushes at each one. FIFO order is preserved by flooring
+// every release at its predecessor's. Caller holds lk.mu.
 func (lk *linkState) release() time.Time {
 	p := lk.prof
 	now := time.Now()

@@ -7,7 +7,7 @@ import "sync/atomic"
 // built. They quantify how much of the Γ workload the incremental layers
 // absorbed:
 //
-//   - Solves: Γ-points computed from scratch (memo misses, or cache off);
+//   - Solves: Γ-points computed from scratch (memo misses);
 //   - CacheHits: full-multiset memo hits (Observation 2 — identical
 //     candidate sets across processes and rounds);
 //   - PrefixHits: sub-family reuse — candidate sets that shared the

@@ -17,8 +17,8 @@ import (
 // variant: it bounds how many workers fan the per-candidate-set safe-point
 // solves of one Zi walk out across CPUs, and owns the memoization table
 // that collapses identical solves to one. Both optimizations are exact —
-// parallel and serial, cached and uncached runs produce bit-identical
-// results:
+// any worker count, on a cold engine or a warm one, produces the
+// bit-identical result eq. (9) defines:
 //
 //   - Parallelism: the C(|B|, k) candidate sets are streamed by
 //     lexicographic rank (workers claim short runs of ranks, unrank the
@@ -26,11 +26,10 @@ import (
 //     list is never materialized), each Γ-point depends only on its own
 //     candidate set, and the Zi average is reduced in rank order. The
 //     walk's caller is worker 0 (sim.FanOut); the other workers−1 start
-//     only when the caller first meets a set that needs a solve (a memo
-//     miss, or any set with memoization off). A memo hit costs a few hash
-//     probes, less than starting and joining a goroutine: on the
-//     witness-optimised approx workload, where ~99 % of sets are hits,
-//     fanning out every walk ran slower than one worker.
+//     only when the caller first meets a memo miss. A memo hit costs a
+//     few hash probes, less than starting and joining a goroutine: on
+//     the witness-optimised approx workload, where ~99 % of sets are
+//     hits, fanning out every walk ran slower than one worker.
 //   - Memoization: by Observation 2 of the paper, the deterministic point
 //     zij of a candidate set depends only on the canonical (origin-sorted)
 //     multiset of values, so any two processes — and any two rounds, and any
@@ -55,7 +54,6 @@ import (
 // An Engine is safe for concurrent use by multiple goroutines.
 type Engine struct {
 	workers int
-	memoize bool
 
 	memo *memoTable[memoResult] // per-candidate-set and prefix Γ-points
 	zi   *memoTable[memoResult] // whole AverageGamma reductions
@@ -101,46 +99,41 @@ const (
 )
 
 // NewEngine returns an engine with the given worker bound (≤ 0 means
-// GOMAXPROCS) and memoization switch.
-func NewEngine(workers int, memoize bool) *Engine {
-	return newEngine(workers, memoize, maxMemoEntries, maxInternValues)
+// GOMAXPROCS).
+func NewEngine(workers int) *Engine {
+	return newEngine(workers, maxMemoEntries, maxInternValues)
 }
 
 // newEngine is NewEngine with the Γ-point table's and the interner's
 // bounds supplied (tests shrink them to force drops mid-walk).
-func newEngine(workers int, memoize bool, maxMemo, maxValues int) *Engine {
+func newEngine(workers int, maxMemo, maxValues int) *Engine {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	e := &Engine{workers: workers, memoize: memoize, maxValues: maxValues}
+	e := &Engine{workers: workers, maxValues: maxValues}
 	e.keyBufs.New = func() any { return new(keyBuf) }
-	if memoize {
-		e.memo = newMemoTable[memoResult](maxMemo, e.nextGen)
-		e.nextGen()
-		e.zi = newMemoTable[memoResult](maxZiEntries, nil)
+	e.memo = newMemoTable[memoResult](maxMemo, e.nextGen)
+	e.nextGen()
+	e.zi = newMemoTable[memoResult](maxZiEntries, nil)
+	e.famSub = make(map[string]famRef)
+	e.fams = newMemoTable[memoResult](maxFamEntries, func() {
+		e.famMu.Lock()
 		e.famSub = make(map[string]famRef)
-		e.fams = newMemoTable[memoResult](maxFamEntries, func() {
-			e.famMu.Lock()
-			e.famSub = make(map[string]famRef)
-			e.famMu.Unlock()
-		})
-	}
+		e.famMu.Unlock()
+	})
 	return e
 }
 
 // defaultEngine backs every node whose Params carry no explicit Engine:
 // parallel across GOMAXPROCS and memoized, so the n simulated processes of
 // one execution share work by default.
-var defaultEngine = NewEngine(0, true)
+var defaultEngine = NewEngine(0)
 
 // DefaultEngine returns the process-wide shared engine.
 func DefaultEngine() *Engine { return defaultEngine }
 
 // Reset drops every memoized Γ-point and round reduction.
 func (e *Engine) Reset() {
-	if !e.memoize {
-		return
-	}
 	e.memo.reset()
 	e.zi.reset()
 	e.fams.reset()
@@ -162,10 +155,6 @@ func appendMeta(dst []byte, d, f int, method safearea.Method) []byte {
 // collapses to a single solve. The key is built in pooled buffers, so a
 // hit allocates only the returned copy.
 func (e *Engine) SafePoint(y *geometry.Multiset, f int, method safearea.Method) (geometry.Vector, error) {
-	if !e.memoize {
-		e.counters.solves.Add(1)
-		return safearea.PointWith(y, f, method)
-	}
 	buf := e.keyBufs.Get().(*keyBuf)
 	values := e.values.Load()
 	buf.key = appendKeyHead(buf.key[:0], y.Dim(), f, method, setKeyTag, values.gen)
@@ -240,19 +229,19 @@ type gammaScratch struct {
 // scratch builds worker w's scratch for a walk on fan over candidate sets
 // of at most k members whose origins are below origins.
 func (e *Engine) scratch(fan *sim.Fan, w, k, origins, d, f int, method safearea.Method) gammaScratch {
+	// One buffer for the key and the value bytes being interned; the key's
+	// capacity is capped, so growing it never overwrites them.
+	keyCap := 20 + 3*k
+	buf := make([]byte, keyCap+8*d)
 	sc := gammaScratch{
 		e: e, f: f, method: method, d: d,
-		sel:  make([]tuple, 0, k),
-		vals: make([]geometry.Vector, 0, k),
-	}
-	if e.memoize {
-		// One buffer for the key and the value bytes being interned; the
-		// key's capacity is capped, so growing it never overwrites them.
-		buf := make([]byte, 20+3*k+8*d)
-		sc.key, sc.vkey = buf[:0:20+3*k], buf[20+3*k:20+3*k]
-		sc.values = e.values.Load()
-		sc.seen = make([]seenValue, min(max(origins, 0), maxSeenOrigins))
-		sc.members = make([]memberID, 0, k)
+		sel:     make([]tuple, 0, k),
+		vals:    make([]geometry.Vector, 0, k),
+		key:     buf[:0:keyCap],
+		vkey:    buf[keyCap:keyCap],
+		values:  e.values.Load(),
+		seen:    make([]seenValue, min(max(origins, 0), maxSeenOrigins)),
+		members: make([]memberID, 0, k),
 	}
 	if w == 0 {
 		sc.fan = fan
@@ -275,14 +264,6 @@ func (sc *gammaScratch) solving() {
 // tuples by idx. The returned vector is shared with the memo table and must
 // not be mutated.
 func (sc *gammaScratch) point(tuples []tuple, idx []int) (geometry.Vector, error) {
-	if !sc.e.memoize {
-		sel := sc.sel[:0]
-		for _, j := range idx {
-			sel = append(sel, tuples[j])
-		}
-		sc.sel = sel
-		return sc.pointUncached()
-	}
 	sc.startSet()
 	for _, j := range idx {
 		sc.addMember(tuples, j)
@@ -293,30 +274,11 @@ func (sc *gammaScratch) point(tuples []tuple, idx []int) (geometry.Vector, error
 // pointOfSet is point for an explicitly materialized candidate set (the
 // witness-optimization path).
 func (sc *gammaScratch) pointOfSet(set []tuple) (geometry.Vector, error) {
-	if !sc.e.memoize {
-		sc.sel = append(sc.sel[:0], set...)
-		return sc.pointUncached()
-	}
 	sc.startSet()
 	for i := range set {
 		sc.addMember(set, i)
 	}
 	return sc.pointOfMembers(set)
-}
-
-// pointUncached solves the selection with memoization off.
-func (sc *gammaScratch) pointUncached() (geometry.Vector, error) {
-	sel := sc.sel
-	// Canonicalize by origin id (Observation 2); insertion sort — the
-	// selections are small and usually already sorted.
-	for i := 1; i < len(sel); i++ {
-		for j := i; j > 0 && sel[j].origin < sel[j-1].origin; j-- {
-			sel[j], sel[j-1] = sel[j-1], sel[j]
-		}
-	}
-	sc.solving()
-	sc.solves++
-	return sc.solve(sel)
 }
 
 // solve is the cache-miss compute path: the ladder on the origin-sorted
@@ -420,8 +382,7 @@ const ziKeyTag = byte('Z')
 // workers run concurrently and are reduced in lexicographic rank order, so
 // the result is bit-identical to the serial computation.
 //
-// With memoization on, the whole reduction is additionally keyed by the
-// ordered (origin, value) tuple sequence: in the synchronous state exchange
+// The whole reduction is additionally keyed by the ordered (origin, value) tuple sequence: in the synchronous state exchange
 // every correct process holds the identical inbox, so the n−f per-process
 // reductions of one round collapse to a single subset walk.
 func (e *Engine) AverageGamma(tuples []tuple, k, f int, method safearea.Method) (geometry.Vector, int, error) {
@@ -455,9 +416,6 @@ func (e *Engine) AverageGamma(tuples []tuple, k, f int, method safearea.Method) 
 		}
 		tuples = sorted
 	}
-	if !e.memoize {
-		return e.averageGammaCompute(tuples, k, f, method, d)
-	}
 	key := make([]byte, 0, 10+4+(4+8*d)*n)
 	key = appendMeta(key, d, f, method)
 	key = append(key, ziKeyTag)
@@ -486,11 +444,11 @@ func (e *Engine) AverageGamma(tuples []tuple, k, f int, method safearea.Method) 
 // hundred subsets across workers.
 const walkRun = 8
 
-// averageGammaCompute is the uncached reduction behind AverageGamma.
+// averageGammaCompute is the reduction behind AverageGamma's round memo.
 // tuples are origin-sorted (canonical). Every point lands at its rank, so
 // the mean is the serial walk's whatever the workers' interleaving.
 func (e *Engine) averageGammaCompute(tuples []tuple, k, f int, method safearea.Method, d int) (geometry.Vector, int, error) {
-	if e.memoize && k == d+2 && len(tuples) > k &&
+	if k == d+2 && len(tuples) > k &&
 		safearea.Resolve(k, d, f, method) == safearea.MethodRadon {
 		// Radon regime (restricted-async f = 1 at the shared-subset
 		// bound): candidate sets are exactly prefix-sized, so neither the

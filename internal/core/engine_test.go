@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"math/rand"
 	"runtime"
-	"sort"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -28,8 +27,8 @@ func randomTuples(rng *rand.Rand, n, d int) []tuple {
 }
 
 // TestEngineDeterminismAcrossWorkersAndCache: the Zi average must be
-// byte-identical (bit-exact, via geometry.AppendKey) for every engine
-// configuration — workers ∈ {1, 4, GOMAXPROCS} × memoization on/off — and
+// byte-identical (bit-exact, via geometry.AppendKey) to the eq. (9) oracle
+// for every worker count ∈ {1, 4, GOMAXPROCS}, on a fresh engine and
 // across repeated calls on the same engine (cache hits), over random
 // (n, d, f) instances. This is the property that makes the engine knobs
 // safe: consensus correctness depends on all correct processes computing
@@ -42,25 +41,12 @@ func TestEngineDeterminismAcrossWorkersAndCache(t *testing.T) {
 		n := MinProcesses(VariantRestrictedSync, c.d, c.f)
 		tuples := randomTuples(rng, n, c.d)
 		k := n - c.f
-		var wantKey string
-		var wantSize int
+		want := resultKey(oracleAverageGamma(t, tuples, k, c.f, safearea.MethodAuto))
 		for _, workers := range workerSets {
-			for _, memo := range []bool{true, false} {
-				eng := NewEngine(workers, memo)
-				for rep := 0; rep < 2; rep++ { // rep 1 hits the memo table
-					got, size, err := eng.AverageGamma(tuples, k, c.f, safearea.MethodAuto)
-					if err != nil {
-						t.Fatalf("d=%d f=%d workers=%d memo=%v: %v", c.d, c.f, workers, memo, err)
-					}
-					key := string(geometry.AppendKey(nil, got))
-					if wantKey == "" {
-						wantKey, wantSize = key, size
-						continue
-					}
-					if key != wantKey || size != wantSize {
-						t.Fatalf("d=%d f=%d workers=%d memo=%v rep=%d: Zi average diverged: %v (size %d)",
-							c.d, c.f, workers, memo, rep, got, size)
-					}
+			eng := NewEngine(workers)
+			for rep := 0; rep < 2; rep++ { // rep 1 hits the memo table
+				if got := resultKey(eng.AverageGamma(tuples, k, c.f, safearea.MethodAuto)); got != want {
+					t.Fatalf("d=%d f=%d workers=%d rep=%d: Zi average %s, oracle %s", c.d, c.f, workers, rep, got, want)
 				}
 			}
 		}
@@ -87,7 +73,7 @@ func TestEngineSafePointMatchesSafearea(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		eng := NewEngine(2, true)
+		eng := NewEngine(2)
 		for rep := 0; rep < 3; rep++ {
 			got, err := eng.SafePoint(ms, c.f, safearea.MethodAuto)
 			if err != nil {
@@ -115,7 +101,7 @@ func TestEngineSafePointHitAllocs(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	eng := NewEngine(1, true)
+	eng := NewEngine(1)
 	if _, err := eng.SafePoint(ms, f, safearea.MethodAuto); err != nil {
 		t.Fatal(err)
 	}
@@ -134,7 +120,8 @@ func TestEngineSafePointHitAllocs(t *testing.T) {
 }
 
 // TestEngineMatchesReferenceAverage: the streaming engine must reproduce the
-// eager serial reference (subset materialization + geometry.Mean) exactly.
+// eager serial reference (subset materialization + geometry.Mean) exactly,
+// through AverageGamma and AverageGammaSets.
 func TestEngineMatchesReferenceAverage(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	// n = (d+2)f+1 as in restricted sync, so every (n−f)-subset satisfies
@@ -142,46 +129,16 @@ func TestEngineMatchesReferenceAverage(t *testing.T) {
 	n, d, f := 7, 1, 2
 	tuples := randomTuples(rng, n, d)
 	k := n - f
-
-	// Reference: materialize every subset, then average.
-	var sets [][]tuple
-	idx := make([]int, k)
-	var recurse func(start, pos int)
-	recurse = func(start, pos int) {
-		if pos == k {
-			set := make([]tuple, k)
-			for i, j := range idx {
-				set[i] = tuples[j]
-			}
-			sets = append(sets, set)
-			return
-		}
-		for j := start; j <= n-(k-pos); j++ {
-			idx[pos] = j
-			recurse(j+1, pos+1)
-		}
-	}
-	recurse(0, 0)
-	want, wantSize, err := averageGammaPoints(sets, f, safearea.MethodAuto)
-	if err != nil {
-		t.Fatal(err)
-	}
+	sets := candidateSets(t, tuples, k)
+	want := resultKey(averageGammaPoints(sets, f, safearea.MethodAuto))
 
 	for _, workers := range []int{1, 3} {
-		eng := NewEngine(workers, true)
-		got, size, err := eng.AverageGamma(tuples, k, f, safearea.MethodAuto)
-		if err != nil {
-			t.Fatal(err)
+		eng := NewEngine(workers)
+		if got := resultKey(eng.AverageGamma(tuples, k, f, safearea.MethodAuto)); got != want {
+			t.Fatalf("workers=%d: engine %s != reference %s", workers, got, want)
 		}
-		if size != wantSize || string(geometry.AppendKey(nil, got)) != string(geometry.AppendKey(nil, want)) {
-			t.Fatalf("workers=%d: engine %v (|Zi|=%d) != reference %v (|Zi|=%d)", workers, got, size, want, wantSize)
-		}
-		gotSets, sizeSets, err := eng.AverageGammaSets(sets, f, safearea.MethodAuto)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if sizeSets != wantSize || string(geometry.AppendKey(nil, gotSets)) != string(geometry.AppendKey(nil, want)) {
-			t.Fatalf("workers=%d: AverageGammaSets diverged from reference", workers)
+		if got := resultKey(eng.AverageGammaSets(sets, f, safearea.MethodAuto)); got != want {
+			t.Fatalf("workers=%d: AverageGammaSets %s diverged from reference %s", workers, got, want)
 		}
 	}
 }
@@ -213,7 +170,7 @@ func TestEngineCountersExactAcrossWorkers(t *testing.T) {
 		}
 		var want GammaCounters
 		for i, workers := range workerSets {
-			eng := NewEngine(workers, true)
+			eng := NewEngine(workers)
 			for rep := 0; rep < 2; rep++ { // rep 1 is a round hit
 				if _, _, err := eng.AverageGamma(tuples, k, c.f, safearea.MethodAuto); err != nil {
 					t.Fatal(err)
@@ -243,7 +200,7 @@ func TestEngineCountersExactAcrossWorkers(t *testing.T) {
 	}
 	for _, workers := range workerSets {
 		// Two engines: SafePoint shares the set path's full-multiset key.
-		sets, single := NewEngine(workers, true), NewEngine(workers, true)
+		sets, single := NewEngine(workers), NewEngine(workers)
 		for rep, want := range []GammaCounters{{Solves: 1}, {}, {}} {
 			before := sets.Counters()
 			if _, _, err := sets.AverageGammaSets(bad, 1, safearea.MethodAuto); err == nil {
@@ -297,7 +254,7 @@ func BenchmarkEngineMemo(b *testing.B) {
 		b.ReportMetric(float64(held)/float64(n), "retained-B/entry")
 	}
 	b.Run("hit-parallel", func(b *testing.B) {
-		eng := NewEngine(0, true)
+		eng := NewEngine(0)
 		sets := make([][]tuple, 4096)
 		sc := eng.scratch(nil, 1, k, poolSize, d, f, safearea.MethodAuto)
 		solved := func() (geometry.Vector, uint32, error) { return geometry.Vector{1, 2}, 0, nil }
@@ -327,7 +284,7 @@ func BenchmarkEngineMemo(b *testing.B) {
 		report(b, eng)
 	})
 	b.Run("miss", func(b *testing.B) {
-		eng := NewEngine(1, true)
+		eng := NewEngine(1)
 		sc := eng.scratch(nil, 1, k, poolSize, d, f, safearea.MethodAuto)
 		idx := []int{0, 1, 2, 3, 4, 5, 6}
 		var sel []tuple
@@ -341,23 +298,25 @@ func BenchmarkEngineMemo(b *testing.B) {
 	})
 }
 
-// BenchmarkAverageGammaCachedVsUncached measures the value of the Γ-point
+// BenchmarkAverageGammaColdVsWarm measures the value of the Γ-point
 // memoization on the restricted-round hot path, for a fixed B set (n=9,
-// d=2, f=2 → C(9,7)=36 candidate sets): uncached is one Zi construction,
-// 36 lex-min LP solves; cached walks the same 36 sets as AverageGammaSets
-// over a warm per-set memo, 36 table hits and no solve. Cached runs at one
-// worker and at GOMAXPROCS: an all-hit walk starts no helper, so the two
-// read alike, and a gap between them is the fan-out's fixed cost.
-func BenchmarkAverageGammaCachedVsUncached(b *testing.B) {
+// d=2, f=2 → C(9,7)=36 candidate sets): cold resets the engine before
+// every iteration, so each is one Zi construction, 36 lex-min LP solves;
+// warm walks the same 36 sets as AverageGammaSets over a warm per-set
+// memo, 36 table hits and no solve. Warm runs at one worker and at
+// GOMAXPROCS: an all-hit walk starts no helper, so the two read alike, and
+// a gap between them is the fan-out's fixed cost.
+func BenchmarkAverageGammaColdVsWarm(b *testing.B) {
 	rng := rand.New(rand.NewSource(3))
 	n, d, f := 9, 2, 2 // (d+2)f+1: the restricted-sync bound
 	tuples := randomTuples(rng, n, d)
 	k := n - f
 
-	b.Run("uncached", func(b *testing.B) {
-		eng := NewEngine(1, false)
+	b.Run("cold", func(b *testing.B) {
+		eng := NewEngine(1)
 		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
+		for b.Loop() {
+			eng.Reset()
 			if _, _, err := eng.AverageGamma(tuples, k, f, safearea.MethodLexMinLP); err != nil {
 				b.Fatal(err)
 			}
@@ -365,8 +324,8 @@ func BenchmarkAverageGammaCachedVsUncached(b *testing.B) {
 	})
 	sets := candidateSets(b, tuples, k)
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
-		b.Run(fmt.Sprintf("cached/workers=%d", workers), func(b *testing.B) {
-			eng := NewEngine(workers, true)
+		b.Run(fmt.Sprintf("warm/workers=%d", workers), func(b *testing.B) {
+			eng := NewEngine(workers)
 			if _, _, err := eng.AverageGammaSets(sets, f, safearea.MethodLexMinLP); err != nil {
 				b.Fatal(err) // warm the table outside the timed loop
 			}
@@ -444,7 +403,7 @@ func TestAverageGammaHelpersStartMidWalk(t *testing.T) {
 			for name, call := range calls {
 				var want result
 				for i, workers := range workerSets {
-					eng := NewEngine(workers, true)
+					eng := NewEngine(workers)
 					warm(eng, j, method)
 					before := eng.Counters()
 					pt, size, err := call(eng, method)
@@ -497,7 +456,7 @@ func TestAverageGammaHelpersStartMidWalk(t *testing.T) {
 	for name, c := range failing {
 		var want string
 		for i, workers := range workerSets {
-			eng := NewEngine(workers, true)
+			eng := NewEngine(workers)
 			warm(eng, 1, safearea.MethodLexMinLP) // the first miss is set 1
 			err := c.call(eng)
 			if err == nil {
@@ -517,7 +476,7 @@ func TestAverageGammaHelpersStartMidWalk(t *testing.T) {
 	// All hits: the walk never leaves its caller's goroutine.
 	allocs := make([]float64, len(workerSets))
 	for i, workers := range workerSets {
-		eng := NewEngine(workers, true)
+		eng := NewEngine(workers)
 		warm(eng, total, safearea.MethodLexMinLP)
 		allocs[i] = testing.AllocsPerRun(50, func() {
 			if _, _, err := eng.AverageGammaSets(sets, f, safearea.MethodLexMinLP); err != nil {
@@ -528,54 +487,6 @@ func TestAverageGammaHelpersStartMidWalk(t *testing.T) {
 			t.Fatalf("warm AverageGammaSets: %v allocs/op on %d workers, %v on one", allocs[i], workers, allocs[0])
 		}
 	}
-}
-
-// gammaPointOfSet computes the deterministic safe point of one candidate
-// set C: the tuples are canonicalized by origin id (so any two correct
-// processes holding the same set compute the identical multiset and hence
-// the identical point — the zij of Observation 2), then Γ(Φ(C))'s
-// deterministic point is returned.
-func gammaPointOfSet(set []tuple, f int, method safearea.Method) (geometry.Vector, error) {
-	if len(set) == 0 {
-		return nil, fmt.Errorf("core: empty candidate set")
-	}
-	sorted := make([]tuple, len(set))
-	copy(sorted, set)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].origin < sorted[j].origin })
-	vals := make([]geometry.Vector, len(sorted))
-	for i, tp := range sorted {
-		vals[i] = tp.value
-	}
-	var ms geometry.Multiset
-	if err := ms.View(vals); err != nil {
-		return nil, err
-	}
-	return safearea.PointWith(&ms, f, method)
-}
-
-// averageGammaPoints computes Zi = {one safe point per candidate set} and
-// returns its average — eq. (9) of the paper — along with |Zi|. It is the
-// serial reference implementation; production paths go through
-// Engine.AverageGamma / Engine.AverageGammaSets, which stream the subset
-// enumeration, parallelize the solves and memoize identical sets while
-// producing bit-identical results.
-func averageGammaPoints(sets [][]tuple, f int, method safearea.Method) (geometry.Vector, int, error) {
-	if len(sets) == 0 {
-		return nil, 0, fmt.Errorf("core: no candidate sets")
-	}
-	points := make([]geometry.Vector, 0, len(sets))
-	for _, set := range sets {
-		pt, err := gammaPointOfSet(set, f, method)
-		if err != nil {
-			return nil, 0, fmt.Errorf("core: safe point of candidate set: %w", err)
-		}
-		points = append(points, pt)
-	}
-	avg, err := geometry.Mean(points)
-	if err != nil {
-		return nil, 0, err
-	}
-	return avg, len(points), nil
 }
 
 // AgreedMultiset returns the multiset S of broadcast-agreed inputs (the

@@ -69,7 +69,7 @@ func (e *ExactNode) Deliver(r int, inbox map[sim.ProcID]sim.Message) {
 		}
 	}
 	e.s = s
-	// The engine memoizes on the canonical multiset: all n correct
+	// The engine's memo keys on the canonical multiset: all n correct
 	// processes hold the identical agreed S, so only the first to reach
 	// this point pays for the lex-min LP.
 	pt, err := e.params.engine().SafePoint(s, e.params.F, e.params.Method)

@@ -3,7 +3,6 @@ package core
 import (
 	"encoding/binary"
 	"errors"
-	"fmt"
 	"math/rand"
 	"runtime"
 	"strings"
@@ -377,7 +376,7 @@ func TestEngineMemoSizedToContent(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	d, f := 2, 1
 	n := MinProcesses(VariantExactSync, d, f)
-	eng := NewEngine(1, true)
+	eng := NewEngine(1)
 	solve := func(count int) {
 		for i := 0; i < count; i++ {
 			ms := geometry.NewMultiset(d)
@@ -414,10 +413,10 @@ func TestEngineMemoSizedToContent(t *testing.T) {
 // to a handful of entries, drops — and with them the end of a generation
 // and the reissue of ids from 0 — land in the middle of walks running
 // concurrently on one 4-worker engine. Every AverageGamma, AverageGammaSets
-// and SafePoint result over overlapping value pools must still equal an
-// uncached serial engine's bit for bit: a key built from ids of an ended
-// generation may only miss or insert a dead entry, never hit an entry of
-// another generation.
+// and SafePoint result over overlapping value pools must still equal the
+// eq. (9) oracle's bit for bit (safearea.PointWith's, for SafePoint): a key
+// built from ids of an ended generation may only miss or insert a dead
+// entry, never hit an entry of another generation.
 func TestMemoIDKeysSurviveDrops(t *testing.T) {
 	type input struct {
 		tuples []tuple
@@ -449,28 +448,25 @@ func TestMemoIDKeysSurviveDrops(t *testing.T) {
 		}
 	}
 	run := func(eng *Engine, in input) result {
-		key := func(pt geometry.Vector, err error) string {
-			if err != nil {
-				return "error: " + err.Error()
-			}
-			return fmt.Sprintf("%x", string(geometry.AppendKey(nil, pt)))
+		pt, err := eng.SafePoint(in.ms, in.f, safearea.MethodAuto)
+		return result{
+			avg:  resultKey(eng.AverageGamma(in.tuples, in.k, in.f, safearea.MethodAuto)),
+			sets: resultKey(eng.AverageGammaSets(in.sets, in.f, safearea.MethodAuto)),
+			safe: resultKey(pt, 0, err),
 		}
-		var r result
-		pt, _, err := eng.AverageGamma(in.tuples, in.k, in.f, safearea.MethodAuto)
-		r.avg = key(pt, err)
-		pt, _, err = eng.AverageGammaSets(in.sets, in.f, safearea.MethodAuto)
-		r.sets = key(pt, err)
-		r.safe = key(eng.SafePoint(in.ms, in.f, safearea.MethodAuto))
-		return r
 	}
-	ref := NewEngine(1, false)
 	want := make([]result, len(inputs))
 	for i, in := range inputs {
-		want[i] = run(ref, in)
+		pt, err := safearea.PointWith(in.ms, in.f, safearea.MethodAuto)
+		want[i] = result{
+			avg:  resultKey(oracleAverageGamma(t, in.tuples, in.k, in.f, safearea.MethodAuto)),
+			sets: resultKey(averageGammaPoints(in.sets, in.f, safearea.MethodAuto)),
+			safe: resultKey(pt, 0, err),
+		}
 	}
 
 	for _, bounds := range []struct{ memo, values int }{{5, maxInternValues}, {8, maxInternValues}, {64, 9}} {
-		eng := newEngine(4, true, bounds.memo, bounds.values)
+		eng := newEngine(4, bounds.memo, bounds.values)
 		const goroutines, passes = 4, 2
 		var wg sync.WaitGroup
 		for g := range goroutines {
@@ -480,7 +476,7 @@ func TestMemoIDKeysSurviveDrops(t *testing.T) {
 				for p := range passes * len(inputs) {
 					i := (p*(2*g+1) + g) % len(inputs)
 					if got := run(eng, inputs[i]); got != want[i] {
-						t.Errorf("bounds %+v, input %d: %+v, uncached serial engine gave %+v", bounds, i, got, want[i])
+						t.Errorf("bounds %+v, input %d: %+v, the oracle gave %+v", bounds, i, got, want[i])
 						return
 					}
 				}
@@ -512,7 +508,7 @@ func (t *memoTable[V]) memoKeyBytes() (n, bytes int) {
 // keys holding the members' bytes stored 9 + 7·16 = 121.
 func TestEngineMemoKeyBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	eng := NewEngine(1, true)
+	eng := NewEngine(1)
 	if _, _, err := eng.AverageGamma(randomTuples(rng, 11, 2), 7, 2, safearea.MethodAuto); err != nil {
 		t.Fatal(err)
 	}
@@ -552,7 +548,7 @@ func TestEngineMemoBytesPerEntry(t *testing.T) {
 	for i := range bsets {
 		bsets[i] = randomTuples(rng, 11, 2)
 	}
-	eng := NewEngine(1, true)
+	eng := NewEngine(1)
 	before := heapAfterGC()
 	for _, tuples := range bsets {
 		if _, _, err := eng.AverageGamma(tuples, 7, 2, safearea.MethodAuto); err != nil {
@@ -587,7 +583,7 @@ func TestEngineMemoBytesPerInternedValue(t *testing.T) {
 	for range values {
 		keys = geometry.AppendKey(keys, geometry.Vector{rng.Float64(), rng.Float64()})
 	}
-	eng := NewEngine(1, true)
+	eng := NewEngine(1)
 	v := eng.values.Load()
 	before := heapAfterGC()
 	for i := range values {

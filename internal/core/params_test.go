@@ -172,7 +172,7 @@ func TestAverageGammaSubsetErrors(t *testing.T) {
 		{origin: 1, value: geometry.Vector{1}},
 		{origin: 2, value: geometry.Vector{2}},
 	}
-	eng := NewEngine(1, false)
+	eng := NewEngine(1)
 	avg, size, err := eng.AverageGamma(tuples, 2, 0, 1) // f=0, MethodAuto
 	if err != nil {
 		t.Fatal(err)
@@ -180,8 +180,8 @@ func TestAverageGammaSubsetErrors(t *testing.T) {
 	if size != 3 {
 		t.Errorf("C(3,2) = %d sets, want 3", size)
 	}
-	if avg == nil {
-		t.Error("nil average")
+	if got, want := resultKey(avg, size, nil), resultKey(oracleAverageGamma(t, tuples, 2, 0, 1)); got != want {
+		t.Errorf("average %s, oracle %s", got, want)
 	}
 	if _, _, err := eng.AverageGamma(tuples, 4, 0, 1); err == nil {
 		t.Error("k > len: expected error")

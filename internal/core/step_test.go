@@ -4,7 +4,6 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
-	"time"
 
 	"repro/internal/aad"
 	"repro/internal/broadcast"
@@ -160,11 +159,9 @@ type adapterAPI struct {
 	id sim.ProcID
 }
 
-func (a adapterAPI) ID() sim.ProcID     { return a.id }
-func (a adapterAPI) N() int             { return len(a.m.nodes) }
-func (a adapterAPI) Halt()              { a.m.halted[a.id] = true }
-func (a adapterAPI) Rand() *rand.Rand   { return nil }
-func (a adapterAPI) Now() time.Duration { return 0 }
+func (a adapterAPI) ID() sim.ProcID   { return a.id }
+func (a adapterAPI) Halt()            { a.m.halted[a.id] = true }
+func (a adapterAPI) Rand() *rand.Rand { return nil }
 func (a adapterAPI) Send(to sim.ProcID, msg sim.Message) {
 	a.m.queue = append(a.m.queue, meshMsg{from: a.id, to: to, msg: msg.(aad.Msg)})
 }

@@ -232,9 +232,9 @@ func TestAll(t *testing.T) {
 	}
 }
 
-// TestAllIdenticalAcrossEngineOptions: the default engine and serial
-// uncached Γ solves render the whole suite byte for byte the same; the
-// engine options only move work and memory around.
+// TestAllIdenticalAcrossEngineOptions: the shared parallel default engine
+// and a fresh serial Γ engine render the whole suite byte for byte the
+// same; the engine options only move work and memory around.
 func TestAllIdenticalAcrossEngineOptions(t *testing.T) {
 	if testing.Short() {
 		t.Skip("three full experiment sweeps in -short mode")
@@ -256,7 +256,7 @@ func TestAllIdenticalAcrossEngineOptions(t *testing.T) {
 		name string
 		opts bvc.SimOptions
 	}{
-		{"serial uncached Γ", bvc.SimOptions{Engine: bvc.NewGammaEngine(1, false)}},
+		{"fresh serial Γ", bvc.SimOptions{Engine: bvc.NewGammaEngine(1)}},
 	} {
 		got := render(opt.opts)
 		if got == want {

@@ -65,7 +65,7 @@ func TestE10RowBudgets(t *testing.T) {
 			t.Fatalf("no pin for E10 row %s", key)
 		}
 		t.Run(c.Name(), func(t *testing.T) {
-			eng := bvc.NewGammaEngine(1, true)
+			eng := bvc.NewGammaEngine(1)
 			var m0, m1 runtime.MemStats
 			runtime.ReadMemStats(&m0)
 			out, err := runSweepCell(c, bvc.SimOptions{Engine: eng})
@@ -130,7 +130,7 @@ func TestEngineCountersAreThePerEngineWork(t *testing.T) {
 	results := make(chan result, 2)
 	for range 2 {
 		go func() {
-			c, err := run(bvc.NewGammaEngine(1, true))
+			c, err := run(bvc.NewGammaEngine(1))
 			results <- result{c, err}
 		}()
 	}
@@ -142,7 +142,7 @@ func TestEngineCountersAreThePerEngineWork(t *testing.T) {
 		}
 		concurrent = append(concurrent, r.counters)
 	}
-	alone, err := run(bvc.NewGammaEngine(1, true))
+	alone, err := run(bvc.NewGammaEngine(1))
 	if err != nil {
 		t.Fatal(err)
 	}

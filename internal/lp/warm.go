@@ -26,7 +26,7 @@ import (
 // inputs, same basis → same bits), but a warm-started *solution vector* is a
 // function of the program AND the starting basis: on a degenerate optimal
 // face, different bases can reach different optimal vertices. Callers that
-// memoize or exchange solution points must therefore only use warm starts
+// cache or exchange solution points must therefore only use warm starts
 // where the consumed output is basis-independent (feasibility/emptiness
 // verdicts, objective values within tolerance) or where the whole warm chain
 // is a pure function of the memo key (the lex-min stages of one candidate

@@ -50,7 +50,7 @@ func newFamilyShell(vals []geometry.Vector, f, k int, method Method) (*RadonFami
 
 // pointOf computes one subset's Γ-point through the identical ladder the
 // engine's from-scratch path uses (PointWith on the subset multiset), so
-// family points are bit-identical to uncached solves.
+// family points are bit-identical to from-scratch solves.
 func (rf *RadonFamily) pointOf(idx []int) (geometry.Vector, error) {
 	ms := geometry.NewMultiset(rf.vals[0].Dim())
 	for _, j := range idx {

@@ -90,8 +90,8 @@ func TestCrashedOriginInstanceLingers(t *testing.T) {
 // tombstoned on quiescence leaves next to nothing of its own: the batch's
 // sequential ids merge into one tombstone range. Twenty-three runs
 // measured −59 to 30 B; one instance that kept lingering would hold ~4 KB
-// (see lingeringInstanceBudget). The mesh runs an unmemoized Γ engine, whose
-// memo would otherwise grow with every distinct input.
+// (see lingeringInstanceBudget). The mesh runs its own Γ engine, reset
+// before each heap reading: its memo grows with every distinct input.
 const decidedInstanceBudget = 1 << 10
 
 // lingeringInstanceBudget is the committed ceiling on heap retained per
@@ -152,7 +152,7 @@ func TestDecidedInstanceFootprint(t *testing.T) {
 		t.Skip("heap figures are not meaningful under -race")
 	}
 	const n, instances = 5, footprintInstances
-	engine := core.NewEngine(1, false)
+	engine := core.NewEngine(1)
 	svcs := startMesh(t, n, func(_ int, cfg *Config) {
 		cfg.LingerTimeout = time.Minute
 		cfg.Node.Engine = engine
@@ -177,8 +177,10 @@ func TestDecidedInstanceFootprint(t *testing.T) {
 	for k := range uint64(3) {
 		batch(1 + k*instances)
 	}
+	engine.Reset()
 	before := heapAfterGC()
 	batch(1 + 3*instances)
+	engine.Reset()
 	per := (int64(heapAfterGC()) - int64(before)) / instances
 	t.Logf("%d bytes retained per decided instance (budget %d)", per, decidedInstanceBudget)
 	if per > decidedInstanceBudget {
@@ -200,7 +202,7 @@ func TestLingeringInstanceFootprint(t *testing.T) {
 		t.Skip("heap figures are not meaningful under -race")
 	}
 	const n, instances = 5, footprintInstances
-	engine := core.NewEngine(1, false)
+	engine := core.NewEngine(1)
 	svcs := startMesh(t, n, func(_ int, cfg *Config) {
 		cfg.LingerTimeout = time.Minute
 		cfg.Node.Engine = engine
@@ -211,8 +213,10 @@ func TestLingeringInstanceFootprint(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	footprintBatch(t, live, rng, 1)
 	footprintBatch(t, live, rng, 1+instances)
+	engine.Reset()
 	before := heapAfterGC()
 	footprintBatch(t, live, rng, 1+2*instances)
+	engine.Reset()
 	per := (int64(heapAfterGC()) - int64(before)) / instances
 	for i, s := range live {
 		if st := s.Stats(); st.Lingering != 3*instances || st.Quiesced != 0 {

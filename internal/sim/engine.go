@@ -26,9 +26,6 @@ type Config struct {
 	Seed int64
 	// MaxEvents caps total deliveries as a runaway-protocol guard.
 	MaxEvents int
-	// MaxTime, when positive, stops the run before the first event due
-	// after it, so no delivery happens past MaxTime.
-	MaxTime time.Duration
 	// Observer, when non-nil, is invoked after each delivery (for tests
 	// and tracing), in delivery order. It must not retain msg.
 	Observer func(ev Delivery)
@@ -136,9 +133,6 @@ func (e *Engine) Run() (Stats, error) {
 		if e.stats.Delivered+e.stats.Suppressed >= int64(e.cfg.MaxEvents) {
 			return e.Stats(), fmt.Errorf("%w after %d deliveries", ErrMaxEvents, e.stats.Delivered)
 		}
-		if e.cfg.MaxTime > 0 && e.queue.nextAt() > e.cfg.MaxTime {
-			break
-		}
 		e.deliver(e.queue.pop())
 	}
 	return e.Stats(), nil
@@ -203,8 +197,6 @@ var _ API = (*engineAPI)(nil)
 
 func (a *engineAPI) ID() ProcID { return a.id }
 
-func (a *engineAPI) N() int { return len(a.engine.nodes) }
-
 func (a *engineAPI) Send(to ProcID, msg Message) { a.engine.send(a.id, to, msg) }
 
 func (a *engineAPI) Broadcast(msg Message) {
@@ -221,5 +213,3 @@ func (a *engineAPI) Halt() {
 }
 
 func (a *engineAPI) Rand() *rand.Rand { return a.rng }
-
-func (a *engineAPI) Now() time.Duration { return a.engine.now }

@@ -14,7 +14,6 @@ package sim
 
 import (
 	"math/rand"
-	"time"
 )
 
 // ProcID identifies a process; processes are numbered 0 … n−1. The paper
@@ -31,8 +30,6 @@ type Message any
 type API interface {
 	// ID returns this process's id.
 	ID() ProcID
-	// N returns the total number of processes.
-	N() int
 	// Send enqueues a message on the reliable FIFO link to `to`.
 	// Sending to self is allowed and is delivered like any other message.
 	Send(to ProcID, msg Message)
@@ -45,9 +42,6 @@ type API interface {
 	// Rand returns this process's seeded PRNG stream (deterministic per
 	// engine seed and process id).
 	Rand() *rand.Rand
-	// Now returns the current virtual (engine) or wall-clock (runtime)
-	// time, as an offset from the start of the execution.
-	Now() time.Duration
 }
 
 // Node is an asynchronous, event-driven process.

@@ -67,9 +67,6 @@ func newLaneQueue(n int) laneQueue {
 // empty reports whether no event is pending.
 func (q *laneQueue) empty() bool { return len(q.heap) == 0 }
 
-// nextAt is the earliest pending arrival time; the queue must not be empty.
-func (q *laneQueue) nextAt() time.Duration { return q.heap[0].at }
-
 // push enqueues ev, which must follow its lane's tail in (time, seq) order.
 func (q *laneQueue) push(ev event) {
 	i := q.free

@@ -81,8 +81,8 @@ func driveQueues(t *testing.T, n int, ops []byte) {
 	last := make([]time.Duration, n*n)
 	var seq uint64
 	pop := func() {
-		if got, want := lq.nextAt(), oracle[0].at; got != want {
-			t.Fatalf("nextAt = %v, oracle %v", got, want)
+		if got, want := lq.heap[0].at, oracle[0].at; got != want {
+			t.Fatalf("earliest arrival = %v, oracle %v", got, want)
 		}
 		if got, want := lq.pop(), oracle.pop(); got != want {
 			t.Fatalf("pop = %+v, oracle %+v", got, want)

@@ -46,8 +46,6 @@ var allowed = map[string]string{
 	"repro/internal/harness.Table.String":        "interface method: fmt.Stringer",
 	"repro/internal/lp.Problem.SolveDense":       "dense-tableau oracle for the lp, tverberg and verify tests",
 	"repro/internal/service.linkState.String":    "interface method: fmt.Stringer; the link state names docs/SERVICE.md uses, printed by the service tests",
-	"repro/internal/sim.engineAPI.N":             "interface method: sim.API",
-	"repro/internal/sim.engineAPI.Now":           "interface method: sim.API",
 	"repro/internal/tverberg.LiftAffine":         "lift oracle for the tverberg and safearea tests",
 	"repro/internal/tverberg.Residual":           "certificate oracle for the tverberg and safearea tests",
 }

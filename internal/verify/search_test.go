@@ -222,6 +222,7 @@ func Evaluate(spec SearchSpec, g Genome) (*Result, error) {
 		if len(g.CrashRounds) > 0 && g.CrashRounds[2*i] > 0 {
 			nodes[i] = &crashWindowNode{
 				inner:   node,
+				n:       spec.N,
 				crash:   g.CrashRounds[2*i],
 				restart: g.CrashRounds[2*i+1],
 			}
@@ -310,6 +311,7 @@ func byzScheduleNode(spec SearchSpec, g Genome, slot int) sim.Node {
 // asynchronous fault model.
 type crashWindowNode struct {
 	inner          sim.Node
+	n              int // processes, for Broadcast
 	crash, restart int
 	held           []heldSend
 }
@@ -355,7 +357,7 @@ func (g *crashGateAPI) Send(to sim.ProcID, msg sim.Message) {
 // Broadcast routes through the gated Send so window filtering applies
 // per recipient.
 func (g *crashGateAPI) Broadcast(msg sim.Message) {
-	for to := 0; to < g.N(); to++ {
+	for to := 0; to < g.w.n; to++ {
 		g.Send(sim.ProcID(to), msg)
 	}
 }

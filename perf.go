@@ -23,10 +23,10 @@ type GammaEngine struct {
 }
 
 // NewGammaEngine returns an engine whose Γ-point fan-out runs on at most
-// workers goroutines (≤ 0 selects GOMAXPROCS, 1 is serial) and whose memo is
-// on when memoize is set. Its memo and counters live as long as the engine.
-func NewGammaEngine(workers int, memoize bool) *GammaEngine {
-	return &GammaEngine{e: core.NewEngine(workers, memoize)}
+// workers goroutines (≤ 0 selects GOMAXPROCS, 1 is serial). Its memo and
+// counters live as long as the engine.
+func NewGammaEngine(workers int) *GammaEngine {
+	return &GammaEngine{e: core.NewEngine(workers)}
 }
 
 // Counters returns a snapshot of the engine's Γ-reuse counters.
