@@ -139,13 +139,13 @@ func (e *Engine) Reset() {
 	e.fams.reset()
 }
 
-// appendMeta prefixes a memo key with the non-value parameters the Γ-point
-// depends on.
+// appendMeta appends the non-value parameters the Γ-point depends on: the
+// method byte, then d and f as uvarints (one byte each below 128; uvarints
+// are prefix-free, so the meta decodes to exactly one triple).
 func appendMeta(dst []byte, d, f int, method safearea.Method) []byte {
 	dst = append(dst, byte(method))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(d))
-	dst = binary.BigEndian.AppendUint32(dst, uint32(f))
-	return dst
+	dst = binary.AppendUvarint(dst, uint64(d))
+	return binary.AppendUvarint(dst, uint64(f))
 }
 
 // SafePoint returns the deterministic Γ-point of (y, f) under method,
@@ -162,7 +162,7 @@ func (e *Engine) SafePoint(y *geometry.Multiset, f int, method safearea.Method) 
 		buf.vkey = geometry.AppendKey(buf.vkey[:0], y.At(i))
 		buf.key = binary.AppendUvarint(buf.key, values.id(buf.vkey))
 	}
-	pt, _, fresh, err := solveOnce(e.memo, buf.key, func() (geometry.Vector, uint32, error) {
+	pt, _, fresh, err := solveOnce(e.memo, buf.key, y.Dim(), func() (geometry.Vector, uint32, error) {
 		pt, err := safearea.PointWith(y, f, method)
 		return pt, 0, err
 	})
@@ -332,7 +332,7 @@ func (sc *gammaScratch) pointOfMembers(src []tuple) (geometry.Vector, error) {
 	key, prefixEnd := sc.setKey(m)
 	if m < len(ms) {
 		key[keyTagAt] = prefixKeyTag
-		pt, ok, fresh, err := solveOnce(sc.e.memo, key[:prefixEnd], func() (geometry.Vector, uint32, error) {
+		pt, ok, fresh, err := solveOnce(sc.e.memo, key[:prefixEnd], sc.d, func() (geometry.Vector, uint32, error) {
 			sc.solving()
 			ms, err := sc.viewOf(sc.gather(src)[:m])
 			if err != nil {
@@ -353,7 +353,7 @@ func (sc *gammaScratch) pointOfMembers(src []tuple) (geometry.Vector, error) {
 		// fallbacks) decides, keyed by the full multiset below, exactly as
 		// the from-scratch ladder would fall back.
 	}
-	pt, _, fresh, err := solveOnce(sc.e.memo, key, func() (geometry.Vector, uint32, error) {
+	pt, _, fresh, err := solveOnce(sc.e.memo, key, sc.d, func() (geometry.Vector, uint32, error) {
 		sc.solving()
 		pt, err := sc.solve(sc.gather(src))
 		return pt, 0, err
@@ -424,7 +424,7 @@ func (e *Engine) AverageGamma(tuples []tuple, k, f int, method safearea.Method) 
 		key = binary.BigEndian.AppendUint32(key, uint32(tp.origin))
 		key = geometry.AppendKey(key, tp.value)
 	}
-	pt, size, fresh, err := solveOnce(e.zi, key, func() (geometry.Vector, uint32, error) {
+	pt, size, fresh, err := solveOnce(e.zi, key, d, func() (geometry.Vector, uint32, error) {
 		pt, size, err := e.averageGammaCompute(tuples, k, f, method, d)
 		return pt, uint32(size), err
 	})
@@ -530,7 +530,7 @@ func famKey(dst []byte, tuples []tuple, d, f int, method safearea.Method, skip i
 // subset walk — the family stores the identical points in the identical
 // order.
 func (e *Engine) radonFamilyMean(tuples []tuple, k, f int, method safearea.Method, d int) (geometry.Vector, int, error) {
-	pt, size, _, err := solveOnce(e.fams, famKey(make([]byte, 0, 10+8*len(tuples)*d), tuples, d, f, method, -1), func() (geometry.Vector, uint32, error) {
+	pt, size, _, err := solveOnce(e.fams, famKey(make([]byte, 0, 10+8*len(tuples)*d), tuples, d, f, method, -1), d, func() (geometry.Vector, uint32, error) {
 		vals := make([]geometry.Vector, len(tuples))
 		for i, tp := range tuples {
 			vals[i] = tp.value

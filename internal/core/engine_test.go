@@ -264,7 +264,7 @@ func BenchmarkEngineMemo(b *testing.B) {
 				b.Fatal(err)
 			}
 			sets[i] = set(nil, idx)
-			solveOnce(eng.memo, keyOf(&sc, sets[i]), solved)
+			solveOnce(eng.memo, keyOf(&sc, sets[i]), d, solved)
 		}
 		var goroutine atomic.Int64
 		b.ReportAllocs()

@@ -2,7 +2,6 @@ package core
 
 import (
 	"encoding/binary"
-	"math"
 
 	"repro/internal/geometry"
 	"repro/internal/safearea"
@@ -51,11 +50,16 @@ const maxInternValues = 1 << 14
 
 // nextGen installs a fresh interner under the next generation number. It is
 // the Γ-point table's onDrop, so it runs under that table's lock, or at
-// construction before the engine is shared. An interner never drops: walks
-// still holding it after its generation ended add at most a few values.
+// construction before the engine is shared. An interner never drops: a
+// walk still holding it after its generation ended adds at most the rest of
+// one candidate set per worker, so its ids stay far below memoMaxRecords.
+// A drop would reissue ids within the generation, so it panics instead.
 func (e *Engine) nextGen() {
 	e.gens++
-	e.values.Store(&valueIDs{gen: e.gens, ids: newMemoTable[struct{}](math.MaxInt32, nil), e: e})
+	ids := newMemoTable[struct{}](memoMaxRecords, func() {
+		panic("core: a value interner outgrew its 16-bit ids")
+	})
+	e.values.Store(&valueIDs{gen: e.gens, ids: ids, e: e})
 }
 
 // Γ-point memo key tags: full candidate sets (and SafePoint's multisets)
@@ -65,16 +69,17 @@ const (
 	prefixKeyTag = byte('P')
 )
 
-// keyTagAt is the offset of the tag byte in a Γ-point memo key, after the
-// fixed-size meta.
-const keyTagAt = 9
+// keyTagAt is the offset of the tag byte in a Γ-point memo key: it leads,
+// so a prefix key is retagged in place whatever the meta's length.
+const keyTagAt = 0
 
-// appendKeyHead starts a Γ-point memo key: meta, tag and generation. The
-// member ids follow as uvarints, in canonical order; uvarints are
-// prefix-free, so the key decodes to exactly one id sequence.
+// appendKeyHead starts a Γ-point memo key: tag, meta and generation, which
+// take 5 bytes while d, f and the generation are below 128. The member ids
+// follow as uvarints, in canonical order; uvarints are prefix-free, so the
+// key decodes to exactly one id sequence.
 func appendKeyHead(dst []byte, d, f int, method safearea.Method, tag byte, gen uint64) []byte {
-	dst = appendMeta(dst, d, f, method)
 	dst = append(dst, tag)
+	dst = appendMeta(dst, d, f, method)
 	return binary.AppendUvarint(dst, gen)
 }
 

@@ -14,21 +14,27 @@ import (
 // Reset or a drop at its bound; the array then grows only with content.
 const memoMinSlots = 32
 
-// memoInlineKey is the longest key a record holds inline. A Γ-point key of
-// up to eight members fits even with two-byte ids and generation
-// (9 + 1 + 2 + 8·2 bytes); longer keys live in the store's key arena.
-const memoInlineKey = 28
+// memoInlineKey is the longest key a record holds inline: a Γ-point key of
+// seven members with ids and generation below 2¹⁴ (4 + 2 + 7·2 bytes), and
+// with the record's state word and value it makes a 32-byte record. Longer
+// keys live in the store's key arena.
+const memoInlineKey = 20
+
+// memoMaxRecords bounds a store's records: a slot holds a record's index
+// plus one in 16 bits.
+const memoMaxRecords = 1<<16 - 1
 
 // memoTable is the Engine's get-or-create map from byte keys to records
 // holding a V: an open-addressed hash table whose hits take no lock.
 //
-// A slot is one atomic word: the low 32 bits of its key's hash beside its
-// record's index plus one (0: empty). The probe position comes from the
-// same bits, so a resize re-places slots without reading records. Records
-// live in a store (memoStore) of append-only arenas; a record holds its key
-// inline when it has at most memoInlineKey bytes, else the key's index in
-// the key arena, and a computed entry's point (solveOnce) lives in the
-// float arena. Records are numbered densely from 0 in insertion order: the
+// A slot is one atomic 32-bit word: the low 16 bits of its key's hash
+// above its record's index plus one (0: empty), so a table holds at most
+// memoMaxRecords records. The probe position comes from the same 16 bits,
+// so a resize re-places slots without reading records. Records live in a
+// store (memoStore) of append-only arenas; a record holds its key inline
+// when it has at most memoInlineKey bytes, else the key's index in the key
+// arena, and a computed entry's point (solveOnce) lives in the float
+// arena. Records are numbered densely from 0 in insertion order: the
 // interner's ids.
 //
 // A lookup hashes the key with maphash, loads the current slots and probes
@@ -37,17 +43,17 @@ const memoInlineKey = 28
 // the table mutex, re-probes the current array — an entry another
 // goroutine inserted, or moved by a resize, since the lock-free probe is
 // found there — and inserts, doubling the array whenever the load would
-// pass ¾ (eight slots share a cache line). Arrays are never written after
+// pass ¾ (sixteen slots share a cache line). Arrays are never written after
 // being replaced, so a reader still probing one sees a consistent table
 // and at worst misses into the locked path. Arena memory is written before
 // the slot or state store that publishes it and is never moved or written
 // again, so readers need no lock.
 //
-// The table is bounded: an insert at max entries (max < 2³²) first drops
-// every entry by swapping in a fresh store (entries are pure functions of
-// their key, so a drop only costs recomputation), and onDrop, when set,
-// runs under the table lock at that moment and at reset. A lookup reads
-// everything from the store it found the record in.
+// The table is bounded: an insert at max entries (max ≤ memoMaxRecords)
+// first drops every entry by swapping in a fresh store (entries are pure
+// functions of their key, so a drop only costs recomputation), and onDrop,
+// when set, runs under the table lock at that moment and at reset. A
+// lookup reads everything from the store it found the record in.
 //
 // The table never looks inside its keys; the Engine chooses them. Γ-point
 // keys name each member by its interned id (valueIDs), which is exact
@@ -68,7 +74,7 @@ type memoTable[V any] struct {
 // memoSlots is a slot array and the store its records live in, published
 // together so that a lookup loads one pointer.
 type memoSlots[V any] struct {
-	words []atomic.Uint64
+	words []atomic.Uint32
 	st    *memoStore[V]
 }
 
@@ -82,11 +88,12 @@ type memoStore[V any] struct {
 
 // memoRecord is one entry. meta holds the key's length above a
 // memoStateBits-bit state: a record starts pending, and solveOnce moves it
-// to done or failed once, after writing val.
+// to done or failed once, after writing val. val comes first, so a
+// zero-size V adds no trailing padding.
 type memoRecord[V any] struct {
 	val  V
-	meta atomic.Uint32
 	key  [memoInlineKey]byte // the key, or its key-arena index
+	meta atomic.Uint32
 }
 
 const (
@@ -184,17 +191,17 @@ func (st *memoStore[V]) key(r *memoRecord[V]) []byte {
 
 // find returns key's record and its index, or a nil record and the slot
 // that ends key's probe sequence. len(s.words) is a power of two.
-func (s *memoSlots[V]) find(key []byte, h uint64) (slot int, i uint32, r *memoRecord[V]) {
+func (s *memoSlots[V]) find(key []byte, h uint16) (slot int, i uint32, r *memoRecord[V]) {
 	mask := len(s.words) - 1
 	for slot = int(h) & mask; ; slot = (slot + 1) & mask {
 		w := s.words[slot].Load()
 		if w == 0 {
 			return slot, 0, nil
 		}
-		if uint32(w>>32) != uint32(h) {
+		if uint16(w>>16) != h {
 			continue
 		}
-		i = uint32(w) - 1
+		i = w&0xffff - 1
 		c, off, _ := memoChunkOf(i, memoChunkBits)
 		r = &(*s.st.recs.chunks.Load())[c][off]
 		if string(s.st.key(r)) == string(key) {
@@ -211,8 +218,9 @@ func (t *memoTable[V]) get(key []byte) (st *memoStore[V], i uint32, r *memoRecor
 }
 
 // getHashed is get with the key's hash supplied (tests force collisions
-// through it).
-func (t *memoTable[V]) getHashed(key []byte, h uint64) (*memoStore[V], uint32, *memoRecord[V], bool) {
+// through it). Only its low 16 bits are used.
+func (t *memoTable[V]) getHashed(key []byte, hash uint64) (*memoStore[V], uint32, *memoRecord[V], bool) {
+	h := uint16(hash)
 	s := t.slots.Load()
 	if _, i, r := s.find(key, h); r != nil {
 		return s.st, i, r, false
@@ -221,7 +229,7 @@ func (t *memoTable[V]) getHashed(key []byte, h uint64) (*memoStore[V], uint32, *
 }
 
 // insert is get's locked path.
-func (t *memoTable[V]) insert(key []byte, h uint64) (*memoStore[V], uint32, *memoRecord[V], bool) {
+func (t *memoTable[V]) insert(key []byte, h uint16) (*memoStore[V], uint32, *memoRecord[V], bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	s := t.slots.Load()
@@ -248,13 +256,13 @@ func (t *memoTable[V]) insert(key []byte, h uint64) (*memoStore[V], uint32, *mem
 		binary.LittleEndian.PutUint32(r.key[:], at)
 	}
 	r.meta.Store(uint32(len(key)) << memoStateBits)
-	s.words[slot].Store(h<<32 | uint64(i+1))
+	s.words[slot].Store(uint32(h)<<16 | (i + 1))
 	return st, i, r, true
 }
 
 // grow publishes a doubled copy of s and returns it. Caller holds mu.
 func (t *memoTable[V]) grow(s *memoSlots[V]) *memoSlots[V] {
-	ns := &memoSlots[V]{words: make([]atomic.Uint64, 2*len(s.words)), st: s.st}
+	ns := &memoSlots[V]{words: make([]atomic.Uint32, 2*len(s.words)), st: s.st}
 	mask := len(ns.words) - 1
 	for i := range s.words {
 		w := s.words[i].Load()
@@ -262,7 +270,7 @@ func (t *memoTable[V]) grow(s *memoSlots[V]) *memoSlots[V] {
 			continue
 		}
 		// Keys are distinct, so the word goes to the first empty slot.
-		j := int(w>>32) & mask
+		j := int(w>>16) & mask
 		for ns.words[j].Load() != 0 {
 			j = (j + 1) & mask
 		}
@@ -277,7 +285,7 @@ func (t *memoTable[V]) grow(s *memoSlots[V]) *memoSlots[V] {
 func (t *memoTable[V]) dropLocked() *memoSlots[V] {
 	st := &memoStore[V]{}
 	st.recs.bits, st.keys.bits, st.floats.bits = memoChunkBits, 12, 9
-	s := &memoSlots[V]{words: make([]atomic.Uint64, memoMinSlots), st: st}
+	s := &memoSlots[V]{words: make([]atomic.Uint32, memoMinSlots), st: st}
 	t.slots.Store(s)
 	if t.onDrop != nil {
 		t.onDrop()
@@ -293,21 +301,25 @@ func (t *memoTable[V]) reset() {
 }
 
 // memoResult is a computed record's value: where its point lies in the
-// store's float arena, and one count (a prefix entry's certification, a
-// reduction's size). The padding makes a record 48 bytes, so a chunk of
-// 2^memoChunkBits fills its 6 KiB size class and fewer records straddle a
-// cache line.
+// store's float arena (memoNoPoint: it has none), and one count (a prefix
+// entry's certification, a reduction's size). The point's dimension is the
+// caller's (solveOnce), so a record is 32 bytes and a chunk of
+// 2^memoChunkBits fills its 4 KiB size class.
 type memoResult struct {
-	pt, dim, n uint32
-	_          uint32
+	pt, n uint32
 }
 
-// solveOnce returns key's point and count, computing them with fill when
-// key is new. Exactly one caller computes; a caller that meets the record
-// while it is pending waits on the table, and every caller gets the same
-// point — carved into the store's float arena, shared, never to be
-// mutated — or the same error. fresh reports whether this call computed.
-func solveOnce(t *memoTable[memoResult], key []byte, fill func() (geometry.Vector, uint32, error)) (pt geometry.Vector, n uint32, fresh bool, err error) {
+// memoNoPoint is the point index of a computed record whose fill returned
+// no point: an uncertified prefix entry.
+const memoNoPoint = ^uint32(0)
+
+// solveOnce returns key's point, of dimension dim, and count, computing
+// them with fill when key is new. Exactly one caller computes; a caller
+// that meets the record while it is pending waits on the table, and every
+// caller gets the same point — carved into the store's float arena,
+// shared, never to be mutated; nil if fill returned none — or the same
+// error. fresh reports whether this call computed.
+func solveOnce(t *memoTable[memoResult], key []byte, dim int, fill func() (geometry.Vector, uint32, error)) (pt geometry.Vector, n uint32, fresh bool, err error) {
 	st, i, r, fresh := t.get(key)
 	if fresh {
 		p, cnt, ferr := fill()
@@ -319,9 +331,12 @@ func solveOnce(t *memoTable[memoResult], key []byte, fill func() (geometry.Vecto
 			}
 			st.errs[i], state = ferr, memoFailed
 		} else {
-			at, fl := st.floats.carve(len(p))
-			copy(fl, p)
-			r.val = memoResult{pt: at, dim: uint32(len(p)), n: cnt}
+			r.val = memoResult{pt: memoNoPoint, n: cnt}
+			if len(p) != 0 {
+				at, fl := st.floats.carve(dim)
+				copy(fl, p)
+				r.val.pt = at
+			}
 		}
 		r.meta.Add(state)
 		t.done.Broadcast()
@@ -338,5 +353,8 @@ func solveOnce(t *memoTable[memoResult], key []byte, fill func() (geometry.Vecto
 			return nil, 0, fresh, err
 		}
 	}
-	return st.floats.at(r.val.pt, int(r.val.dim)), r.val.n, fresh, nil
+	if r.val.pt == memoNoPoint {
+		return nil, r.val.n, fresh, nil
+	}
+	return st.floats.at(r.val.pt, dim), r.val.n, fresh, nil
 }

@@ -16,28 +16,34 @@ import (
 	"repro/internal/safearea"
 )
 
-// memoTestKey is a 121-byte key (9 bytes of metadata plus seven 2-d
-// values: a candidate-set key spelling out its members' bytes, as the
-// round and Radon-family keys still do) that differs from its siblings only
-// in its last 8 bytes, so every hit compares the whole key. It is longer
-// than memoInlineKey, so its bytes live in the key arena.
-func memoTestKey(dst []byte, i int) []byte {
-	dst = append(dst[:0], make([]byte, 113)...)
+// appendMemoKey appends an n-byte key (n ≥ 8) that differs from its
+// siblings only in its last 8 bytes, so every hit compares the whole key.
+func appendMemoKey(dst []byte, n, i int) []byte {
+	dst = append(dst[:0], make([]byte, n-8)...)
 	return binary.BigEndian.AppendUint64(dst, uint64(i))
 }
 
-// memoShortKey is an 18-byte key, the length of a sim-rasync-f2 Γ-point
-// key, held inline in its record; it too differs only in its last 8 bytes.
-func memoShortKey(dst []byte, i int) []byte {
-	dst = append(dst[:0], make([]byte, 10)...)
-	return binary.BigEndian.AppendUint64(dst, uint64(i))
-}
+// memoTestKey is a 121-byte key, the length of a candidate-set key
+// spelling out seven 2-d members' bytes, as the round and Radon-family keys
+// still do. It is longer than memoInlineKey, so its bytes live in the key
+// arena.
+func memoTestKey(dst []byte, i int) []byte { return appendMemoKey(dst, 121, i) }
 
-// memoKeyShapes are the two places a record's key can live.
+// memoShortKey is an 18-byte key, inside the 12–19 bytes of a
+// sim-rasync-f2 Γ-point key, held inline in its record.
+func memoShortKey(dst []byte, i int) []byte { return appendMemoKey(dst, 18, i) }
+
+// memoKeyShapes are the two places a record's key can live, and the
+// lengths on either side of the boundary between them.
 var memoKeyShapes = []struct {
 	name string
 	key  func(dst []byte, i int) []byte
-}{{"inline", memoShortKey}, {"arena", memoTestKey}}
+}{
+	{"inline", memoShortKey},
+	{"20 bytes", func(dst []byte, i int) []byte { return appendMemoKey(dst, memoInlineKey, i) }},
+	{"21 bytes", func(dst []byte, i int) []byte { return appendMemoKey(dst, memoInlineKey+1, i) }},
+	{"arena", memoTestKey},
+}
 
 // memoEntries returns the table's entry count and slot-array length.
 func (t *memoTable[V]) memoEntries() (n, slots int) {
@@ -68,7 +74,7 @@ func (t *memoTable[V]) memoRetained() (n, bytes int) {
 	defer t.mu.Unlock()
 	s := t.slots.Load()
 	st := s.st
-	bytes = 8*len(s.words) + st.recs.heldBytes() + st.keys.heldBytes() + st.floats.heldBytes()
+	bytes = 4*len(s.words) + st.recs.heldBytes() + st.keys.heldBytes() + st.floats.heldBytes()
 	return int(st.recs.next), bytes
 }
 
@@ -100,7 +106,7 @@ func TestMemoTableConcurrentGetOrCreate(t *testing.T) {
 			for l := 0; l < lookups; l++ {
 				k := (l*7 + g*251) % keys // every goroutine visits every key
 				key = memoTestKey(key, k)
-				pt, _, _, err := solveOnce(tab, key, func() (geometry.Vector, uint32, error) {
+				pt, _, _, err := solveOnce(tab, key, 1, func() (geometry.Vector, uint32, error) {
 					computed[k].Add(1)
 					return geometry.Vector{float64(k)}, 0, nil
 				})
@@ -165,7 +171,7 @@ func TestMemoTableConcurrentMiss(t *testing.T) {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				pt, _, fresh, err := solveOnce(tab, key, func() (geometry.Vector, uint32, error) {
+				pt, _, fresh, err := solveOnce(tab, key, 2, func() (geometry.Vector, uint32, error) {
 					computes.Add(1)
 					// Wait until the others wait; a caller that returns
 					// without waiting ends the loop too, and fails below.
@@ -198,7 +204,7 @@ func TestMemoTableConcurrentMiss(t *testing.T) {
 		wantHits := uint64(goroutines - 1)
 		if fail != nil {
 			wantHits = 0
-			if _, _, fresh, err := solveOnce(tab, key, nil); fresh || err != fail {
+			if _, _, fresh, err := solveOnce(tab, key, 2, nil); fresh || err != fail {
 				t.Errorf("recall of a failed entry: fresh %v, error %v", fresh, err)
 			}
 		}
@@ -208,18 +214,20 @@ func TestMemoTableConcurrentMiss(t *testing.T) {
 	}
 }
 
-// TestMemoTableHashCollision: distinct keys under one forced hash get
-// distinct entries — across the resizes their shared probe chain forces —
-// and each lookup finds its own.
+// TestMemoTableHashCollision: distinct keys whose hashes differ but share
+// their low 16 bits — the bits a slot keeps and probes from — get distinct
+// entries, across the resizes their shared probe chain forces, and each
+// lookup finds its own: only the key compare tells them apart.
 func TestMemoTableHashCollision(t *testing.T) {
 	for _, shape := range memoKeyShapes {
-		const keys, h = 40, 7
+		const keys = 40
+		hash := func(i int) uint64 { return uint64(i+1)<<16 | 7 }
 		tab := newMemoTable[int](1<<10, nil)
 		ids := make([]uint32, keys)
 		var key []byte
 		for i := range ids {
 			key = shape.key(key, i)
-			_, id, r, inserted := tab.getHashed(key, h)
+			_, id, r, inserted := tab.getHashed(key, hash(i))
 			if !inserted {
 				t.Fatalf("%s key %d: found before insertion", shape.name, i)
 			}
@@ -228,7 +236,7 @@ func TestMemoTableHashCollision(t *testing.T) {
 		}
 		for i := range ids {
 			key = shape.key(key, i)
-			if _, id, r, _ := tab.getHashed(key, h); id != ids[i] || r.val != i {
+			if _, id, r, _ := tab.getHashed(key, hash(i)); id != ids[i] || r.val != i {
 				t.Fatalf("%s key %d: found entry of key %d", shape.name, i, r.val)
 			}
 		}
@@ -261,7 +269,7 @@ func TestMemoTableBoundDrops(t *testing.T) {
 	}
 	solves := 0
 	point := func(i int) string {
-		pt, _, fresh, err := solveOnce(tab, keys[i], func() (geometry.Vector, uint32, error) {
+		pt, _, fresh, err := solveOnce(tab, keys[i], d, func() (geometry.Vector, uint32, error) {
 			pt, err := safearea.PointWith(pts[i], f, safearea.MethodAuto)
 			return pt, 0, err
 		})
@@ -310,8 +318,8 @@ func TestMemoTableAllocBudget(t *testing.T) {
 			t.Errorf("%s hit: %v allocs, want 0", shape.name, allocs)
 		}
 		solved := func() (geometry.Vector, uint32, error) { return geometry.Vector{1, 2}, 0, nil }
-		solveOnce(tab, keys[599], solved)
-		if allocs := testing.AllocsPerRun(100, func() { solveOnce(tab, keys[599], solved) }); allocs != 0 {
+		solveOnce(tab, keys[599], 2, solved)
+		if allocs := testing.AllocsPerRun(100, func() { solveOnce(tab, keys[599], 2, solved) }); allocs != 0 {
 			t.Errorf("%s hit through solveOnce: %v allocs, want 0", shape.name, allocs)
 		}
 		var m0, m1 runtime.MemStats
@@ -504,8 +512,10 @@ func (t *memoTable[V]) memoKeyBytes() (n, bytes int) {
 
 // TestEngineMemoKeyBytes pins the Γ-point keys' footprint on a
 // sim-rasync-f2-shaped walk (11 tuples, k = 7, d = 2, f = 2): keys naming
-// each member by its interned id store at most 42 bytes per entry, where
-// keys holding the members' bytes stored 9 + 7·16 = 121.
+// each member by its interned id behind a 5-byte head (tag, method, d, f,
+// generation) store at most 20 bytes per entry, so they fit a record
+// inline; the 9-byte fixed-width head made them 18, and keys holding the
+// members' bytes stored 9 + 7·16 = 121.
 func TestEngineMemoKeyBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	eng := NewEngine(1)
@@ -516,8 +526,8 @@ func TestEngineMemoKeyBytes(t *testing.T) {
 	if n != 330 {
 		t.Fatalf("%d entries, want one per candidate set, C(11, 7) = 330", n)
 	}
-	if per := float64(bytes) / float64(n); per > 42 {
-		t.Fatalf("%.1f key bytes per entry, want ≤ 42", per)
+	if per := float64(bytes) / float64(n); per > 20 {
+		t.Fatalf("%.1f key bytes per entry, want ≤ 20", per)
 	} else {
 		t.Logf("%.1f key bytes per entry", per)
 	}
@@ -535,9 +545,10 @@ func heapAfterGC() uint64 {
 // TestEngineMemoBytesPerEntry pins the heap the Γ-point memo keeps per
 // entry on a sim-rasync-f2-shaped run: one serial engine walks 40 B sets of
 // 11 tuples (k = 7, d = 2, f = 2), 40 × C(11, 7) = 13 200 entries. Retained
-// heap after GC, divided by the entries, covers the slots, the record with
-// its inline key, the point, and the walks' interned values and round
-// entries: at most 96 bytes (163.5 with 16-byte slots and per-entry nodes).
+// heap after GC, divided by the entries, covers the 4-byte slots, the
+// 32-byte record with its inline key, the point, and the walks' interned
+// values and round entries: at most 66 bytes (88 with 48-byte records and
+// 8-byte slots, 163.5 with 16-byte slots and per-entry nodes).
 func TestEngineMemoBytesPerEntry(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("heap sizes are not meaningful under -race")
@@ -563,16 +574,17 @@ func TestEngineMemoBytesPerEntry(t *testing.T) {
 	per := float64(int64(after)-int64(before)) / float64(n)
 	_, held := eng.memo.memoRetained()
 	t.Logf("%.1f bytes retained per entry (the table's store alone: %.1f)", per, float64(held)/float64(n))
-	if per > 96 {
-		t.Fatalf("%.1f bytes retained per Γ entry, want ≤ 96", per)
+	if per > 66 {
+		t.Fatalf("%.1f bytes retained per Γ entry, want ≤ 66", per)
 	}
 	runtime.KeepAlive(bsets)
 }
 
 // TestEngineMemoBytesPerInternedValue pins the heap the value interner
 // keeps per value: 10 000 distinct d = 2 values, each stored once as a
-// record with its 16 key bytes inline, at most 48 bytes each with the
-// slots (92.8 with a node and a key string per value).
+// 24-byte record with its 16 key bytes inline, at most 36 bytes each with
+// the 4-byte slots (46 with 32-byte records and 8-byte slots, 92.8 with a
+// node and a key string per value).
 func TestEngineMemoBytesPerInternedValue(t *testing.T) {
 	if raceflag.Enabled {
 		t.Skip("heap sizes are not meaningful under -race")
@@ -594,9 +606,126 @@ func TestEngineMemoBytesPerInternedValue(t *testing.T) {
 	after := heapAfterGC()
 	per := float64(int64(after)-int64(before)) / values
 	t.Logf("%.1f bytes retained per interned value", per)
-	if per > 48 {
-		t.Fatalf("%.1f bytes retained per interned value, want ≤ 48", per)
+	if per > 36 {
+		t.Fatalf("%.1f bytes retained per interned value, want ≤ 36", per)
 	}
 	runtime.KeepAlive(keys)
 	runtime.KeepAlive(eng)
+}
+
+// TestMemoUncertifiedPrefixEntry: a Tverberg-lift walk (d = 2, f = 2, sets
+// of 8, prefixes of 7) whose prefix cannot be certified — its seven
+// members coincide, so only the full multiset decides — stores a count-0
+// prefix entry with no point. A later superset sharing the prefix must
+// read that entry back as "no point" and fall through to its own full-set
+// key, and every result must equal the oracle's.
+func TestMemoUncertifiedPrefixEntry(t *testing.T) {
+	const d, f, k = 2, 2, 8
+	if m := safearea.PrefixLen(k, d, f, safearea.MethodAuto); m != k-1 {
+		t.Fatalf("prefix of %d members, want %d", m, k-1)
+	}
+	set := func(last geometry.Vector) []tuple {
+		s := make([]tuple, k)
+		for i := range s[:k-1] {
+			s[i] = tuple{origin: i, value: geometry.Vector{0.5, 0.5}}
+		}
+		s[k-1] = tuple{origin: k - 1, value: last}
+		return s
+	}
+	a, b := set(geometry.Vector{1, 0.25}), set(geometry.Vector{0.75, 1})
+	eng := NewEngine(1)
+	for _, c := range []struct {
+		name string
+		set  []tuple
+		want GammaCounters
+	}{
+		{"first superset", a, GammaCounters{Solves: 1}},
+		{"second superset", b, GammaCounters{Solves: 1}},
+		{"first again", a, GammaCounters{CacheHits: 1}},
+	} {
+		before := eng.Counters()
+		got := resultKey(eng.AverageGammaSets([][]tuple{c.set}, f, safearea.MethodAuto))
+		if want := resultKey(averageGammaPoints([][]tuple{c.set}, f, safearea.MethodAuto)); got != want {
+			t.Fatalf("%s: %s, the oracle gave %s", c.name, got, want)
+		}
+		if n := eng.Counters().Sub(before); n != c.want {
+			t.Fatalf("%s: counters %+v, want %+v", c.name, n, c.want)
+		}
+	}
+	sc := eng.scratch(nil, 0, k, k, d, f, safearea.MethodAuto)
+	sc.startSet()
+	for i := range a {
+		sc.addMember(a, i)
+	}
+	key, prefixEnd := sc.setKey(k - 1)
+	key[keyTagAt] = prefixKeyTag
+	pt, n, fresh, err := solveOnce(eng.memo, key[:prefixEnd], d, nil)
+	if pt != nil || n != 0 || fresh || err != nil {
+		t.Fatalf("prefix entry: point %v, count %d, fresh %v, error %v; want a stored entry with no point", pt, n, fresh, err)
+	}
+	if entries, _ := eng.memo.memoEntries(); entries != 3 {
+		t.Fatalf("%d Γ-point entries, want the prefix and two full sets", entries)
+	}
+}
+
+// TestMemoRecordIndexBound: records are 32 bytes (24 for the interner),
+// and a slot keeps a record's index plus one in 16 bits, so no table may
+// reach memoMaxRecords records. The Γ-point, round and Radon-family tables
+// drop at bounds below it. An interner is never dropped: its generation
+// ends at maxValues ids, and walks that began a candidate set under it
+// finish that set in it. Here four goroutines walk fresh values on a
+// 4-worker engine whose interners end every 40 values, and every interner
+// seen must stay within one candidate set per worker beyond its bound.
+func TestMemoRecordIndexBound(t *testing.T) {
+	if got := unsafe.Sizeof(memoRecord[memoResult]{}); got != 32 {
+		t.Errorf("Γ-point record of %d bytes, want 32", got)
+	}
+	if got := unsafe.Sizeof(memoRecord[struct{}]{}); got != 24 {
+		t.Errorf("interner record of %d bytes, want 24", got)
+	}
+	const goroutines, workers, maxValues, k = 4, 4, 40, 5
+	for name, bound := range map[string]int{
+		"Γ-point": maxMemoEntries, "round": maxZiEntries, "Radon-family": maxFamEntries,
+		"interner": maxInternValues + goroutines*workers*k,
+	} {
+		if bound >= memoMaxRecords {
+			t.Errorf("%s table bound %d reaches memoMaxRecords = %d", name, bound, memoMaxRecords)
+		}
+	}
+
+	eng := newEngine(workers, maxMemoEntries, maxValues)
+	var mu sync.Mutex
+	seen := map[*valueIDs]bool{}
+	var wg sync.WaitGroup
+	for g := range goroutines {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(31 + g)))
+			for range 40 {
+				v := eng.values.Load()
+				if _, _, err := eng.AverageGamma(randomTuples(rng, 7, 1), k, 2, safearea.MethodAuto); err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				seen[v], seen[eng.values.Load()] = true, true
+				mu.Unlock()
+			}
+		}()
+	}
+	wg.Wait()
+	if gens := eng.values.Load().gen; gens < 10 {
+		t.Errorf("%d generations, want the interner bound to end many", gens)
+	}
+	most := 0
+	for v := range seen {
+		n, _ := v.ids.memoEntries()
+		most = max(most, n)
+	}
+	if limit := maxValues + goroutines*workers*k; most > limit {
+		t.Fatalf("an interner holds %d values, want ≤ %d: its bound plus one candidate set per worker", most, limit)
+	} else {
+		t.Logf("largest interner: %d values, bound %d", most, maxValues)
+	}
 }
