@@ -26,8 +26,7 @@ const DefaultTol = 1e-7
 // Contains reports whether z lies in the convex hull of points, within the
 // per-coordinate tolerance tol (DefaultTol if tol ≤ 0). It reduces to an LP
 // feasibility problem in the convex weights α, solved through a pooled
-// MembershipTester so repeated calls reuse problem/workspace buffers and
-// warm-start from earlier bases (the verdict is basis-independent).
+// MembershipTester so repeated calls reuse problem/workspace buffers.
 func Contains(points []geometry.Vector, z geometry.Vector, tol float64) (bool, error) {
 	mt := testerPool.Get().(*MembershipTester)
 	defer testerPool.Put(mt)

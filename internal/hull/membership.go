@@ -11,31 +11,13 @@ import (
 )
 
 // MembershipTester answers hull-membership queries through one reusable
-// modeling problem, one solver workspace and one carried simplex basis:
-// repeated queries are allocation-free in steady state, and consecutive
-// queries over similar point sets (the sibling candidate subsets of one
-// Γ-membership walk) warm-start from the previous optimal basis instead of
-// re-running Phase 1.
-//
-// The carried basis only ever influences which pivots the solver takes —
-// the feasibility verdict is basis-independent — so a tester may be reused
-// across completely unrelated queries without affecting any result. The one
-// theoretical exception is a query whose COLD solve would die at the simplex
-// iteration cap (a warm basis could sidestep the failure, making the
-// error-vs-verdict outcome history-dependent); the membership programs this
-// tester builds have a handful of rows against a ≥10000-iteration floor and
-// Bland-rule termination, so the cap is unreachable for them and outcomes
-// stay pure in practice. A MembershipTester is not safe for concurrent use;
-// use one per goroutine.
+// modeling problem and one solver workspace, so repeated queries are
+// allocation-free in steady state. Every query solves cold: its verdict is
+// a function of the query alone, whatever the tester answered before. A
+// MembershipTester is not safe for concurrent use; use one per goroutine.
 type MembershipTester struct {
 	prob *lp.Problem
 	ws   *lp.Workspace
-	bas  lp.Basis
-
-	// shape of the previously built program; a mismatch invalidates the
-	// carried basis (the solver would reject it anyway — this just keeps the
-	// bookkeeping obvious).
-	lastPts, lastDim int
 
 	alphas []lp.VarID
 	terms  []lp.Term
@@ -47,8 +29,8 @@ func NewMembershipTester() *MembershipTester {
 	return &MembershipTester{prob: lp.NewProblem(), ws: lp.NewWorkspace()}
 }
 
-// testerPool backs Contains so that one-shot callers still reuse problems,
-// workspaces and (opportunistically) bases across calls.
+// testerPool backs Contains so that one-shot callers still reuse problems
+// and workspaces across calls.
 var testerPool = sync.Pool{New: func() any { return NewMembershipTester() }}
 
 // Test reports whether z lies in the convex hull of points within tol
@@ -71,10 +53,6 @@ func (mt *MembershipTester) Test(points []geometry.Vector, z geometry.Vector, to
 	// the point set, so keep the first occurrence of each.
 	mt.uniq = dedupePoints(mt.uniq[:0], points)
 	points = mt.uniq
-	if len(points) != mt.lastPts || d != mt.lastDim {
-		mt.bas.Reset()
-		mt.lastPts, mt.lastDim = len(points), d
-	}
 
 	prob := mt.prob
 	prob.Reset()
@@ -115,7 +93,7 @@ func (mt *MembershipTester) Test(points []geometry.Vector, z geometry.Vector, to
 		}
 	}
 	mt.terms = terms
-	sol, err := prob.SolveWithBasis(mt.ws, &mt.bas)
+	sol, err := prob.SolveWith(mt.ws)
 	if err != nil {
 		return false, err
 	}

@@ -10,11 +10,12 @@ import (
 // This file is the differential suite between the two simplex kernels.
 // Every program is standardized once per kernel and run on the dense
 // tableau and on the revised simplex directly — cold (standard.solve vs
-// standard.solveRevised), warm (solveWarm vs solveWarmRevised) and hot (a
-// dense Hot vs one kept from solveRevisedKeep) — so the size rule that
-// routes small programs to the dense kernel in production does not hide
-// the revised kernel here. The verdicts must agree (objectives within
-// tolerance; solutions feasible).
+// standard.solveRevised) and hot (a dense Hot vs one kept from
+// solveRevisedKeep) — so the size rule that routes small programs to the
+// dense kernel in production does not hide the revised kernel here. The
+// revised kernel's warm path (solveWarmRevised) is held to cold dense
+// solves. The verdicts must agree (objectives within tolerance; solutions
+// feasible).
 
 // kernelName labels a kernel choice in failure messages.
 func kernelName(dense bool) string {
@@ -33,13 +34,13 @@ func solveKernel(p *Problem, ws *Workspace, dense bool) (*Solution, error) {
 	return p.solveOn(std, ws, dense)
 }
 
-// solveKernelWithBasis is SolveWithBasis pinned to one kernel.
-func solveKernelWithBasis(p *Problem, ws *Workspace, bas *Basis, dense bool) (*Solution, error) {
+// solveRevisedWithBasis is SolveWithBasis pinned to the revised kernel.
+func solveRevisedWithBasis(p *Problem, ws *Workspace, bas *Basis) (*Solution, error) {
 	std, err := p.standardize(ws)
 	if err != nil {
 		return nil, err
 	}
-	return p.solveWithBasisOn(std, ws, bas, dense)
+	return p.solveWithBasisRevised(std, ws, bas)
 }
 
 // solveKernelHot is SolveHot pinned to one kernel. It fails the test when
@@ -312,10 +313,9 @@ func TestCoresAgreeOnUnbounded(t *testing.T) {
 }
 
 // TestCoresAgreeOnWarmChains drives sibling programs through one carried
-// Basis per kernel: every warm verdict must equal the other kernel's warm
-// verdict and an independent cold solve. Re-solving a
-// feasible program from its own optimal basis must take the warm path on
-// both kernels.
+// Basis on the revised kernel: every warm verdict must equal an
+// independent cold dense solve. Re-solving a feasible program from its own
+// optimal basis must take the warm path.
 func TestCoresAgreeOnWarmChains(t *testing.T) {
 	rng := rand.New(rand.NewSource(31))
 	const d, npts = 3, 6
@@ -323,8 +323,8 @@ func TestCoresAgreeOnWarmChains(t *testing.T) {
 	for i := range pts {
 		pts[i] = randVec(rng, d)
 	}
-	dws, rws := NewWorkspace(), NewWorkspace()
-	var dbas, rbas Basis
+	ws := NewWorkspace()
+	var bas Basis
 	warm := NewProblem()
 	for step := 0; step < 80; step++ {
 		pts[step%npts] = randVec(rng, d)
@@ -335,38 +335,23 @@ func TestCoresAgreeOnWarmChains(t *testing.T) {
 			}
 		}
 		membershipProblem(t, warm, pts, z, 1e-7)
-		label := "step " + itoa(step)
-		dsol, derr := solveKernelWithBasis(warm, dws, &dbas, true)
-		rsol, rerr := solveKernelWithBasis(warm, rws, &rbas, false)
-		requireAgree(t, label+" warm dense vs warm revised", dsol, rsol, derr, rerr)
+		rsol, rerr := solveRevisedWithBasis(warm, ws, &bas)
 		csol, cerr := warm.SolveDense(NewWorkspace())
-		requireAgree(t, label+" warm dense vs cold", dsol, csol, derr, cerr)
+		requireAgree(t, "step "+itoa(step)+" warm revised vs cold dense", rsol, csol, rerr, cerr)
 	}
 	z := make([]float64, d)
 	for l := range z {
 		z[l] = 0.5*pts[0][l] + 0.5*pts[1][l]
 	}
 	membershipProblem(t, warm, pts, z, 1e-7)
-	for _, dense := range []bool{true, false} {
-		ws, bas := dws, &dbas
-		if !dense {
-			ws, bas = rws, &rbas
-		}
-		sol, err := solveKernelWithBasis(warm, ws, bas, dense)
-		if err != nil || sol.Status != Optimal || !bas.Valid() {
-			t.Fatalf("%s: feasible program: %+v %v, basis valid %v", kernelName(dense), sol, err, bas.Valid())
-		}
-		std, err := warm.standardize(ws)
-		mustNoErr(t, err)
-		var warmed bool
-		if dense {
-			_, _, warmed = std.solveWarm(ws, bas.cols)
-		} else {
-			_, _, warmed = std.solveWarmRevised(ws, bas.cols)
-		}
-		if !warmed {
-			t.Fatalf("%s: re-solve from its own optimal basis fell back to cold", kernelName(dense))
-		}
+	sol, err := solveRevisedWithBasis(warm, ws, &bas)
+	if err != nil || sol.Status != Optimal || !bas.Valid() {
+		t.Fatalf("feasible program: %+v %v, basis valid %v", sol, err, bas.Valid())
+	}
+	std, err := warm.standardize(ws)
+	mustNoErr(t, err)
+	if _, _, warmed := std.solveWarmRevised(ws, bas.cols); !warmed {
+		t.Fatal("re-solve from its own optimal basis fell back to cold")
 	}
 }
 
@@ -510,9 +495,10 @@ func TestPhase1MarginGap(t *testing.T) {
 
 // TestSizeRuleBoundary solves programs of exactly smallCoreRows and
 // smallCoreRows+1 rows through the public entry points — Solve,
-// SolveWithBasis (capture, then a warm re-solve) and SolveHot with
-// AppendLE rows that grow a dense Hot past smallCoreRows — and requires
-// each to agree with the SolveDense oracle.
+// SolveWithBasis (capture, then a warm re-solve; only the revised side
+// keeps a basis) and SolveHot with AppendLE rows that grow a dense Hot
+// past smallCoreRows — and requires each to agree with the SolveDense
+// oracle.
 func TestSizeRuleBoundary(t *testing.T) {
 	rng := rand.New(rand.NewSource(3301))
 	for _, rows := range []int{smallCoreRows, smallCoreRows + 1} {
@@ -528,6 +514,9 @@ func TestSizeRuleBoundary(t *testing.T) {
 			for pass := 0; pass < 2; pass++ {
 				got, err = p.SolveWithBasis(ws, &bas)
 				requireAgree(t, label+" SolveWithBasis", got, want, err, werr)
+				if rows <= smallCoreRows && bas.Valid() {
+					t.Fatalf("%s: a dense-kernel SolveWithBasis kept a basis", label)
+				}
 			}
 
 			sol, hot, err := p.SolveHot(NewWorkspace())

@@ -22,10 +22,9 @@ import (
 //     slack stays basic, making the extended basis block-triangular over
 //     the retained factors);
 //   - the basis is refactored from scratch every refactorEvery updates, and
-//     on demand whenever the stability monitor trips (relatively tiny pivot
-//     in the FTRAN'd column, or a beyond-tolerance infeasible basic value
-//     after an update), with the basic values recomputed from the fresh
-//     factors.
+//     on demand whenever the stability monitor trips (a relatively tiny
+//     pivot in the FTRAN'd column), with the basic values recomputed from
+//     the fresh factors.
 //
 // Pivoting is the textbook ratio test under Dantzig pricing, falling back
 // to Bland's rule (provably acyclic) whenever the objective stalls — the
@@ -38,9 +37,6 @@ const (
 	// the bound scales with the row count (refactorBound) — an O(m³)
 	// refactorization must amortize over enough O(m²) iterations.
 	refactorEvery = 64
-	// driftCooldown is the minimum update-file length before the drift
-	// monitor may trigger an out-of-cadence refactorization.
-	driftCooldown = 16
 	// verdictOps is the re-certification threshold: an Optimal verdict
 	// reached with at most this many outstanding update operators is
 	// accepted on the per-iteration fresh pricing alone; longer update
@@ -375,11 +371,9 @@ func (rv *rev) refactorStrict() bool {
 // refresh refactors and recomputes the basic values from the fresh
 // factors. Negative recomputed values are clamped to exactly zero — noise
 // within feasEps always is, and on the ill-conditioned fragile bases the
-// residual infeasibility beyond it is shifted away too (the alternative is
-// a refactorization storm: the drift monitor would re-trip on every
-// subsequent pivot while the terminal verdicts are certified against the
-// true data anyway, by the strict phase-1 re-pass and the unbounded-ray
-// residual check).
+// residual infeasibility beyond it is shifted away too: the terminal
+// verdicts are certified against the true data anyway, by the strict
+// phase-1 re-pass, checkArtificials and the unbounded-ray residual check.
 func (rv *rev) refresh() bool {
 	if !rv.refactor() {
 		return false
@@ -576,10 +570,9 @@ func (rv *rev) rayResidualOK(enter int, d []float64) bool {
 // reduced costs: Dantzig's rule (most negative) or, in Bland mode, the
 // lowest improving index. The ratio test is the textbook minimum with ties
 // broken toward the lowest basis column (the Bland-compatible tie break the
-// anti-cycling guarantee needs). Columns whose FTRAN image has no usable
-// pivot and whose reduced cost is within noise of zero are excluded for
-// this pricing pass only. On success the FTRAN'd entering column is left in
-// ws.col2.
+// anti-cycling guarantee needs). An improving column with no blocking row
+// is an unbounded ray only if its FTRAN image passes rayResidualOK. On
+// success the FTRAN'd entering column is left in ws.col2.
 func (rv *rev) selectPivot(red []float64, limit int, bland bool, blandTol float64) (enter, leave int, col []float64) {
 	// In phase 2 (limit ≤ n: artificial columns barred from entering) a
 	// basic artificial is pinned at zero and must block the ratio test
@@ -587,105 +580,86 @@ func (rv *rev) selectPivot(red []float64, limit int, bland bool, blandTol float6
 	// cost-1 variables and move freely.
 	pinned := limit <= rv.n
 	ws := rv.ws
-	excl := ws.excl[:0]
-	defer func() {
-		for _, j := range excl {
-			rv.inBasis[j] = false
-		}
-		ws.excl = excl
-	}()
-	for {
-		enter = -1
-		if bland {
-			for j := 0; j < limit; j++ {
-				if !rv.inBasis[j] && red[j] < -blandTol {
-					enter = j // Bland: first index improving beyond the tolerance
-					break
-				}
-			}
-		} else {
-			best := -reducedEps
-			for j := 0; j < limit; j++ {
-				if r := red[j]; r < best && !rv.inBasis[j] {
-					best = r
-					enter = j // Dantzig: most improving index
-				}
+	enter = -1
+	if bland {
+		for j := 0; j < limit; j++ {
+			if !rv.inBasis[j] && red[j] < -blandTol {
+				enter = j // Bland: first index improving beyond the tolerance
+				break
 			}
 		}
-		if enter < 0 {
-			return selOptimal, 0, nil
-		}
-
-		col = grow(&ws.col2, rv.m)
-		rv.column(enter, col)
-		rv.ftran(col)
-
-		// Exact minimum-ratio test with ties broken toward the lowest basis
-		// column. The comparisons are exact on the computed ratios — an
-		// epsilon window here lets a "tied" higher-ratio row win and
-		// silently breaks Bland's anti-cycling invariant on the massively
-		// degenerate phase-1 bases of the hull programs (every eq-row
-		// ratio is exactly 0 thanks to the basic-value clamping, so exact
-		// ties resolve by index just as the textbook rule requires).
-		leave = -1
-		var bestRatio, colMax float64
-		for i := 0; i < rv.m; i++ {
-			e := col[i]
-			if a := math.Abs(e); a > colMax {
-				colMax = a
-			}
-			eligible := e > pivotEps
-			ratio := 0.0
-			if eligible {
-				xb := rv.xB[i]
-				if xb < 0 {
-					xb = 0
-				}
-				ratio = xb / e
-			} else if pinned && e < -pivotEps && rv.basis[i] >= rv.n && rv.xB[i] <= feasEps {
-				// A basic artificial pinned at ~zero blocks the column with
-				// EITHER sign: it must never grow (its row would silently
-				// relax — basis repairs seat artificials mid-phase-2, and a
-				// "ray" through a relaxed row is not a ray of the real
-				// program), so it leaves at a zero step instead.
-				eligible = true
-			}
-			if !eligible {
-				continue
-			}
-			switch {
-			case leave < 0 || ratio < bestRatio:
-				leave = i
-				bestRatio = ratio
-			case ratio == bestRatio && rv.basis[i] < rv.basis[leave]:
-				leave = i
+	} else {
+		best := -reducedEps
+		for j := 0; j < limit; j++ {
+			if r := red[j]; r < best && !rv.inBasis[j] {
+				best = r
+				enter = j // Dantzig: most improving index
 			}
 		}
-		if leave < 0 {
-			// No blocking row. Only a decisively negative reduced cost
-			// signals a genuine unbounded ray; a reduced cost within noise
-			// of zero on a pivotless column is numerical debris — exclude
-			// the column for this pricing pass and rescan (the fresh-priced
-			// analogue of the dense core's phantom-column guard).
-			if red[enter] >= -phantomEps {
-				rv.inBasis[enter] = true
-				excl = append(excl, enter)
-				continue
-			}
-			if !rv.rayResidualOK(enter, col) {
-				return selBad, 0, nil
-			}
-			return selUnbounded, 0, nil
-		}
-		// Stability monitor: a relatively tiny pivot would produce an
-		// ill-conditioned eta. With updates outstanding, refactor first and
-		// retry on fresh factors; on a fresh factorization the column's
-		// image is as accurate as it gets, so the pivot is accepted.
-		if len(ws.ops) > 0 && math.Abs(col[leave]) < etaStabRel*colMax {
-			return selRefresh, 0, nil
-		}
-		return enter, leave, col
 	}
+	if enter < 0 {
+		return selOptimal, 0, nil
+	}
+
+	col = grow(&ws.col2, rv.m)
+	rv.column(enter, col)
+	rv.ftran(col)
+
+	// Exact minimum-ratio test with ties broken toward the lowest basis
+	// column. The comparisons are exact on the computed ratios — an
+	// epsilon window here lets a "tied" higher-ratio row win and
+	// silently breaks Bland's anti-cycling invariant on the massively
+	// degenerate phase-1 bases of the hull programs (every eq-row
+	// ratio is exactly 0 thanks to the basic-value clamping, so exact
+	// ties resolve by index just as the textbook rule requires).
+	leave = -1
+	var bestRatio, colMax float64
+	for i := 0; i < rv.m; i++ {
+		e := col[i]
+		if a := math.Abs(e); a > colMax {
+			colMax = a
+		}
+		eligible := e > pivotEps
+		ratio := 0.0
+		if eligible {
+			xb := rv.xB[i]
+			if xb < 0 {
+				xb = 0
+			}
+			ratio = xb / e
+		} else if pinned && e < -pivotEps && rv.basis[i] >= rv.n && rv.xB[i] <= feasEps {
+			// A basic artificial pinned at ~zero blocks the column with
+			// EITHER sign: it must never grow (its row would silently
+			// relax — basis repairs seat artificials mid-phase-2, and a
+			// "ray" through a relaxed row is not a ray of the real
+			// program), so it leaves at a zero step instead.
+			eligible = true
+		}
+		if !eligible {
+			continue
+		}
+		switch {
+		case leave < 0 || ratio < bestRatio:
+			leave = i
+			bestRatio = ratio
+		case ratio == bestRatio && rv.basis[i] < rv.basis[leave]:
+			leave = i
+		}
+	}
+	if leave < 0 {
+		if !rv.rayResidualOK(enter, col) {
+			return selBad, 0, nil
+		}
+		return selUnbounded, 0, nil
+	}
+	// Stability monitor: a relatively tiny pivot would produce an
+	// ill-conditioned eta. With updates outstanding, refactor first and
+	// retry on fresh factors; on a fresh factorization the column's
+	// image is as accurate as it gets, so the pivot is accepted.
+	if len(ws.ops) > 0 && math.Abs(col[leave]) < etaStabRel*colMax {
+		return selRefresh, 0, nil
+	}
+	return enter, leave, col
 }
 
 // iterate runs revised-simplex pivots under the given cost vector (length
@@ -729,7 +703,8 @@ func (rv *rev) iterate(cost []float64, limit int, blandTol float64) (Status, err
 			// from the factored basis this iteration. Optimality is
 			// additionally re-certified on a from-scratch refactorization
 			// when the update file has grown past a handful of operators;
-			// terminal Infeasible/Unbounded claims always are.
+			// every other outcome (Unbounded, a refused ray, a tripped
+			// stability monitor) always is.
 			recertify := len(ws.ops) > 0 &&
 				(enter != selOptimal || len(ws.ops) > verdictOps)
 			if recertify {
@@ -742,15 +717,12 @@ func (rv *rev) iterate(cost []float64, limit int, blandTol float64) (Status, err
 			case selOptimal:
 				return Optimal, nil
 			case selUnbounded:
-				if len(ws.ops) > 0 {
-					if !rv.refresh() {
-						return 0, errSingularBasis
-					}
-					continue
-				}
 				return Unbounded, nil
 			}
-			continue // selRefresh with nothing to refresh cannot occur
+			// selBad on fresh factors: the same pricing would refuse the
+			// same ray on every further iteration, so this is the
+			// iteration cap reached early.
+			return 0, errIterationCap
 		}
 
 		// Pivot: update the basic values, swap the basis column, push the
@@ -776,21 +748,7 @@ func (rv *rev) iterate(cost []float64, limit int, blandTol float64) (Status, err
 		rv.basis[leave] = enter
 		rv.inBasis[enter] = true
 		rv.pushEta(col, leave)
-
-		drift := false
-		if len(ws.ops) >= driftCooldown {
-			// Beyond-tolerance infeasibility trips the monitor, but only
-			// after a few updates have accumulated — refresh clamps the
-			// basic values to feasibility, so immediate re-trips would
-			// refactor on every pivot for nothing.
-			for i := 0; i < m; i++ {
-				if rv.xB[i] < -feasEps {
-					drift = true
-					break
-				}
-			}
-		}
-		if len(ws.ops) >= refactorBound(m) || drift {
+		if len(ws.ops) >= refactorBound(m) {
 			if !rv.refresh() {
 				return 0, errSingularBasis
 			}

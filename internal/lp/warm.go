@@ -9,34 +9,35 @@ import (
 // This file is the warm-start layer of the solver: reusing the work of a
 // previous solve instead of re-running Phase 1 from the all-artificial basis.
 //
-// Two forms are provided, matching the two reuse shapes of the Γ-point
-// pipeline:
+// Two forms are provided:
 //
-//   - Basis + SolveWithBasis: restart a *sibling* program (same shape,
-//     slightly different coefficients — e.g. the hull-membership LPs of
-//     consecutive candidate subsets of one Γ-membership walk) from the
-//     previous program's optimal basis. The basis is pivoted into the fresh
-//     tableau; if it is primal feasible there, Phase 1 is skipped entirely
-//     and Phase 2 runs from a near-optimal vertex.
-//   - Hot + AppendLE + Resolve: keep *one* program's final tableau alive
+//   - Hot + AppendLE + Resolve: keep *one* program's final state alive
 //     across objective changes and appended ≤-rows (the lex-min pinning
-//     chain), re-pricing the retained tableau instead of rebuilding it.
+//     chain of internal/hull), re-pricing the retained basis instead of
+//     rebuilding it. This is the warm start production relies on.
+//   - Basis + SolveWithBasis: restart a *sibling* program (same shape,
+//     slightly different coefficients) from the previous program's
+//     optimal basis, refactored against the new coefficients; if it is
+//     primal feasible there, Phase 1 is skipped. Only the revised kernel
+//     warm-starts: a program of at most smallCoreRows rows solves cold.
+//     Its one caller is the benchmark's lp.warm_solve_us probe — hull
+//     membership queries are dense-kernel sized, and a warm start there
+//     cost what a cold solve does — so the path can go once the
+//     benchmark stops importing this package.
 //
 // CAUTION — determinism vs. purity. Every solve here is deterministic (same
 // inputs, same basis → same bits), but a warm-started *solution vector* is a
 // function of the program AND the starting basis: on a degenerate optimal
 // face, different bases can reach different optimal vertices. Callers that
 // cache or exchange solution points must therefore only use warm starts
-// where the consumed output is basis-independent (feasibility/emptiness
-// verdicts, objective values within tolerance) or where the whole warm chain
-// is a pure function of the memo key (the lex-min stages of one candidate
-// set). See internal/hull for both patterns.
+// where the whole warm chain is a pure function of the memo key, as the
+// lex-min stages of one candidate set are (internal/hull).
 
-// Basis is a reusable snapshot of an optimal simplex basis: the set of basic
-// columns in standard-form column space. Its zero value is empty (cold). A
-// Basis may be carried between Problems of identical shape; SolveWithBasis
-// validates it against the target program and silently falls back to a cold
-// two-phase solve when it does not fit.
+// Basis is a reusable snapshot of an optimal revised-kernel basis: the set
+// of basic columns in standard-form column space. Its zero value is empty
+// (cold). A Basis may be carried between Problems of identical shape;
+// SolveWithBasis validates it against the target program and silently
+// falls back to a cold two-phase solve when it does not fit.
 type Basis struct {
 	cols []int
 	m, n int
@@ -78,17 +79,16 @@ func (p *Problem) Reset() {
 	p.obj = p.obj[:0]
 }
 
-// SolveWithBasis is SolveWith seeded by a previous optimal basis. On the
-// revised core the candidate basis is refactored directly against the new
-// program's coefficients (one LU factorization instead of Phase 1); on the
-// dense core the basis columns are pivoted into a fresh tableau. Either
-// way, when the resulting basic solution is primal feasible the solve
-// proceeds directly to Phase 2 — skipping Phase 1, which dominates cold
-// solves of the sibling programs the Γ-point pipeline generates. When the
-// basis does not fit (wrong shape, singular factorization, infeasible basic
-// point) the solve falls back to the cold two-phase path. On an Optimal
-// outcome the basis snapshot is replaced by this solve's final basis;
-// otherwise it is invalidated.
+// SolveWithBasis is SolveWith seeded by a previous optimal basis. On a
+// program above smallCoreRows rows the candidate basis is refactored
+// directly against the new program's coefficients (one LU factorization
+// instead of Phase 1); when the resulting basic solution is primal
+// feasible the solve proceeds directly to Phase 2. When the basis does not
+// fit (wrong shape, singular factorization, infeasible basic point) the
+// solve falls back to the cold two-phase path. On an Optimal outcome the
+// basis snapshot is replaced by this solve's final basis; otherwise it is
+// invalidated. A program of at most smallCoreRows rows is solved cold on
+// the dense kernel, and the basis is invalidated.
 //
 // See the package note above on when a warm-started solution may be used.
 func (p *Problem) SolveWithBasis(ws *Workspace, bas *Basis) (*Solution, error) {
@@ -99,12 +99,16 @@ func (p *Problem) SolveWithBasis(ws *Workspace, bas *Basis) (*Solution, error) {
 	if err != nil {
 		return nil, err
 	}
-	return p.solveWithBasisOn(std, ws, bas, std.useDense())
+	if std.useDense() {
+		bas.Reset()
+		return p.solveOn(std, ws, true)
+	}
+	return p.solveWithBasisRevised(std, ws, bas)
 }
 
-// solveWithBasisOn is the body of SolveWithBasis on the dense tableau
-// kernel (dense) or on the revised kernel.
-func (p *Problem) solveWithBasisOn(std *standard, ws *Workspace, bas *Basis, dense bool) (*Solution, error) {
+// solveWithBasisRevised is the body of SolveWithBasis on the revised
+// kernel, at any program size.
+func (p *Problem) solveWithBasisRevised(std *standard, ws *Workspace, bas *Basis) (*Solution, error) {
 	var (
 		status Status
 		x      []float64
@@ -112,14 +116,10 @@ func (p *Problem) solveWithBasisOn(std *standard, ws *Workspace, bas *Basis, den
 		err    error
 	)
 	if bas.Valid() && bas.m == std.m && bas.n == std.n {
-		if dense {
-			status, x, warmed = std.solveWarm(ws, bas.cols)
-		} else {
-			status, x, warmed = std.solveWarmRevised(ws, bas.cols)
-		}
+		status, x, warmed = std.solveWarmRevised(ws, bas.cols)
 	}
 	if !warmed {
-		status, x, err = std.solveCold(ws, dense)
+		status, x, err = std.solveRevised(ws)
 		if err != nil {
 			bas.Reset()
 			return nil, err
@@ -131,74 +131,6 @@ func (p *Problem) solveWithBasisOn(std *standard, ws *Workspace, bas *Basis, den
 		bas.Reset()
 	}
 	return p.assemble(std, status, x)
-}
-
-// solveWarm attempts the warm path: rebuild the tableau, pivot the given
-// basis in, verify primal feasibility, run Phase 2. The boolean result
-// reports whether the warm path produced a verdict; false means the caller
-// must run the cold path (nothing observable has been decided).
-func (s *standard) solveWarm(ws *Workspace, cols []int) (Status, []float64, bool) {
-	m, n := s.m, s.n
-	if m == 0 || len(cols) != m {
-		return 0, nil, false
-	}
-	t, basis := s.buildTableau(ws)
-	width := n + m + 1
-	// Pivot each basis column into an unassigned row, choosing the largest
-	// eligible pivot for stability. A near-zero column means the basis is
-	// singular for this program's coefficients: fall back.
-	assigned := grow(&ws.rowUsed, m)
-	for i := range assigned {
-		assigned[i] = false
-	}
-	for _, col := range cols {
-		if col < 0 || col >= n {
-			return 0, nil, false
-		}
-		row, best := -1, pivotEps
-		for i := 0; i < m; i++ {
-			if assigned[i] {
-				continue
-			}
-			if a := math.Abs(t[i*width+col]); a > best {
-				row, best = i, a
-			}
-		}
-		if row < 0 {
-			return 0, nil, false
-		}
-		pivot(t, m, width, basis, row, col)
-		assigned[row] = true
-	}
-	// Primal feasibility of the warm basic solution. Values inside the
-	// feasibility tolerance are clamped to exactly zero so the ratio test
-	// never divides against negative noise.
-	for i := 0; i < m; i++ {
-		b := t[i*width+width-1]
-		if b < -feasEps {
-			return 0, nil, false
-		}
-		if b < 0 {
-			t[i*width+width-1] = 0
-		}
-	}
-	// Phase 2 from the warm vertex.
-	p2c := growZero(&ws.cvec, width)
-	copy(p2c, s.c)
-	reprice(t, m, width, basis, p2c)
-	if err := simplexLoop(t, m, width, basis, n, p2c); err != nil {
-		if errors.Is(err, errUnboundedPivot) {
-			return Unbounded, nil, true
-		}
-		return 0, nil, false // numeric trouble: let the cold path decide
-	}
-	x := growZero(&ws.x, n)
-	for i, bi := range basis {
-		if bi < n {
-			x[bi] = t[i*width+width-1]
-		}
-	}
-	return Optimal, x, true
 }
 
 // assemble converts a standard-form outcome into the public Solution.
@@ -250,7 +182,8 @@ type Hot struct {
 
 // SolveHot is SolveWith that additionally returns a Hot handle retaining the
 // solved basis for objective changes and row appends. The handle is only
-// returned on an Optimal outcome (there is nothing to retain otherwise).
+// returned on an Optimal outcome of a program with at least one row (there
+// is nothing to retain otherwise).
 func (p *Problem) SolveHot(ws *Workspace) (*Solution, *Hot, error) {
 	std, err := p.standardize(ws)
 	if err != nil {
@@ -269,8 +202,8 @@ func (p *Problem) solveHotOn(std *standard, ws *Workspace, dense bool) (*Solutio
 			return nil, nil, err
 		}
 		sol, err := p.assemble(std, status, x)
-		if err != nil || status != Optimal {
-			return sol, nil, err
+		if err != nil || status != Optimal || std.m == 0 {
+			return sol, nil, err // a row-less solve builds no tableau
 		}
 		return sol, &Hot{p: p, ws: ws, std: std, m: std.m, n: std.n, width: std.n + std.m + 1}, nil
 	}

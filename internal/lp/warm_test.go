@@ -45,8 +45,9 @@ func membershipProblem(t *testing.T, p *Problem, pts [][]float64, z []float64, t
 
 // TestSolveWithBasisMatchesCold drives a chain of sibling membership
 // programs (one point swapped per step) through SolveWithBasis and checks
-// every verdict against an independent cold solve — feasibility must be
-// basis-independent.
+// every verdict against an independent cold solve. The programs are
+// dense-kernel sized, so each solve runs cold and the carried basis stays
+// empty.
 func TestSolveWithBasisMatchesCold(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	const d, npts = 3, 6
@@ -72,6 +73,9 @@ func TestSolveWithBasisMatchesCold(t *testing.T) {
 		if err != nil {
 			t.Fatalf("step %d: warm solve: %v", step, err)
 		}
+		if bas.Valid() {
+			t.Fatalf("step %d: a dense-kernel solve kept a basis", step)
+		}
 
 		cold := NewProblem()
 		membershipProblem(t, cold, pts, z, 1e-7)
@@ -85,43 +89,21 @@ func TestSolveWithBasisMatchesCold(t *testing.T) {
 	}
 }
 
-// TestSolveWithBasisShapeMismatch checks that a basis from a differently
-// shaped program falls back to a cold solve rather than failing.
+// TestSolveWithBasisShapeMismatch checks that a revised-kernel basis
+// carried to a differently shaped program falls back to a cold solve
+// rather than failing.
 func TestSolveWithBasisShapeMismatch(t *testing.T) {
+	rng := rand.New(rand.NewSource(11))
 	ws := NewWorkspace()
 	var bas Basis
-
-	p1 := NewProblem()
-	x, _ := p1.AddVar("x", 0, 10)
-	if err := p1.AddConstraint("c", []Term{{Var: x, Coeff: 1}}, LE, 5); err != nil {
-		t.Fatal(err)
-	}
-	if err := p1.SetObjective(Maximize, []Term{{Var: x, Coeff: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	sol, err := p1.SolveWithBasis(ws, &bas)
-	if err != nil || sol.Status != Optimal {
-		t.Fatalf("p1: %v %v", sol, err)
-	}
-	if math.Abs(sol.Values[x]-5) > 1e-9 {
-		t.Fatalf("p1 optimum %v, want 5", sol.Values[x])
-	}
-
-	p2 := NewProblem()
-	a, _ := p2.AddVar("a", 0, math.Inf(1))
-	b, _ := p2.AddVar("b", 0, math.Inf(1))
-	if err := p2.AddConstraint("c", []Term{{Var: a, Coeff: 1}, {Var: b, Coeff: 1}}, EQ, 3); err != nil {
-		t.Fatal(err)
-	}
-	if err := p2.SetObjective(Minimize, []Term{{Var: a, Coeff: 2}, {Var: b, Coeff: 1}}); err != nil {
-		t.Fatal(err)
-	}
-	sol2, err := p2.SolveWithBasis(ws, &bas)
-	if err != nil || sol2.Status != Optimal {
-		t.Fatalf("p2: %v %v", sol2, err)
-	}
-	if math.Abs(sol2.Objective-3) > 1e-9 {
-		t.Fatalf("p2 objective %v, want 3", sol2.Objective)
+	for i, rows := range []int{smallCoreRows + 1, smallCoreRows + 2} {
+		p := sizedLP(rng, rows)
+		want, werr := p.SolveDense(NewWorkspace())
+		got, err := p.SolveWithBasis(ws, &bas)
+		requireAgree(t, itoa(rows)+" rows", got, want, err, werr)
+		if i == 0 && !bas.Valid() {
+			t.Fatal("the first program captured no basis to carry")
+		}
 	}
 }
 

@@ -16,10 +16,9 @@ type Workspace struct {
 	x     []float64
 	cvec  []float64 // per-phase cost vector for re-pricing
 
-	// warm-start buffers (see warm.go)
-	tab2    []float64 // alternate slab for Hot.AppendLE re-layouts
-	rowBuf  []float64 // appended-row construction
-	rowUsed []bool    // row-assignment marks for basis pivot-in
+	// hot-chain buffers (see warm.go)
+	tab2   []float64 // alternate slab for Hot.AppendLE re-layouts
+	rowBuf []float64 // appended-row construction
 
 	// revised-core buffers (see revised.go)
 	xB      []float64 // basic values
@@ -44,7 +43,6 @@ type Workspace struct {
 	col     []float64 // column gather scratch (refactorization)
 	col2    []float64 // FTRAN'd entering column
 	red     []float64 // freshly priced reduced costs
-	excl    []int     // per-pricing-pass column exclusions
 	rowBuf2 []float64 // appended-row basis coefficients
 	a2      []float64 // alternate standard-form slab for row appends
 	cscPtr  []int     // CSC column pointers of the structural matrix

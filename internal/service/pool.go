@@ -286,14 +286,17 @@ func (p *peerLink) enqueue(frame []byte, stalled func()) (ring bool) {
 // outbox for its own buffer and issues one Write, so every frame queued
 // since the last swap shares a syscall. The swap waits for a connection —
 // while the peer is down frames accumulate in the outbox, which is the
-// partition buffer OutboxDepth sizes. A batch that fails mid-write is
+// partition buffer OutboxDepth sizes. A batch whose Write fails is
 // RETAINED and resent on the next connection generation, ahead of anything
 // queued since: the receiver discards any torn frame with the dead conn
 // (framing is per-conn), and whole frames it already consumed arrive again
 // as duplicates, which the protocols dedup exactly as they dedup injected
-// duplicate faults. Delivery is therefore at-least-once per link while the
-// peer is reachable; frames are lost only when the outbox itself overflows
-// against a down peer (see enqueue).
+// duplicate faults. A batch whose Write succeeded is gone from here: if
+// the conn resets before the peer reads it, its frames are lost, and a
+// later retained batch arrives after the gap. So frames arrive in queue
+// order, possibly repeated, and are lost to a reset conn or to an outbox
+// overflow against a down peer (see enqueue); delivery is not
+// at-least-once. ROADMAP's links item plans acknowledged sessions.
 func (p *peerLink) writeLoop() {
 	var batch []byte
 	for {

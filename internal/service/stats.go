@@ -69,9 +69,10 @@ type Stats struct {
 	// instance loop, so the overflow drops — the protocols tolerate it as
 	// a crashed peer would be tolerated). WriteRetries counts frames
 	// retained after a failed write and resent on the next connection
-	// generation: delivery on a live link is at-least-once, and the
-	// retried frames the peer already consumed are deduped like any
-	// duplicate.
+	// generation; the retried frames the peer already consumed are
+	// deduped like any duplicate. Frames a successful write handed the
+	// kernel are not retained, so a reset connection can still lose
+	// them: delivery is not at-least-once (see peerLink.writeLoop).
 	WriteDrops, WriteRetries int64
 	// PendingFrames is the current number of frames parked for instances
 	// not yet proposed locally (gauge); PendingDropped counts frames from

@@ -613,9 +613,14 @@ func nearMissNeedleTrial(brng *rand.Rand) []byte {
 // harvestedNearMiss pins near-miss needle-stream triggers by trial index,
 // exactly as the harvested table does for the uniform stream.
 // lastNearMissNeedle is the highest pinned index (the regen walks the
-// stream that far).
+// stream that far). Trial 571 is no fragility trigger: it is the committed
+// input on which the revised kernel's first attempt hits the stall cap and
+// the perturbed retry then solves it, so its replay fails once the retry
+// is removed. Without the stall cap the first attempt runs into the
+// iteration cap instead, and the solve takes about twenty times as long.
 var (
 	harvestedNearMiss = map[int]string{
+		571:  "revised_stall_cap_then_perturbed_retry",
 		1121: "uncertified_optimum_0",
 		2077: "revised_uncertified_0",
 	}

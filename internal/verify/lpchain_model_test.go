@@ -9,11 +9,12 @@ import (
 	"repro/internal/lp"
 )
 
-// This file is the stateful model for the LP warm-start layer: chains of
-// SolveWithBasis solves over mutating sibling programs, and one Hot
+// This file is the stateful model for the LP warm-start layer: a chain of
+// SolveWithBasis solves over mutating sibling joint-Γ programs, and one Hot
 // (AppendLE/Resolve) tableau kept alive across row appends and objective
 // changes, each checked against a cold from-scratch solve after every
-// command. The invariants are exactly the documented warm-start contract:
+// command. Membership programs ride along through one reused Problem and
+// Workspace, the shape of hull.MembershipTester. The invariants are exactly the documented warm-start contract:
 // statuses are basis-independent, objectives agree within tolerance —
 // solution *vectors* are deliberately not compared (on a degenerate
 // optimal face a warm start may land on a different optimal vertex).
@@ -25,11 +26,10 @@ const lpObjTol = 1e-6
 type LPSystem struct {
 	d, npts, f int
 
-	// Warm membership/Γ chain: one carried basis per program shape.
+	// Reused membership program and warm Γ chain.
 	pts      [][]float64
 	warm     *lp.Problem
 	ws       *lp.Workspace
-	memBasis lp.Basis
 	gamBasis lp.Basis
 
 	// Hot chain state: the SUT tableau plus the row/objective mirror the
@@ -62,7 +62,8 @@ type CmdMutatePoint struct {
 
 func (c CmdMutatePoint) String() string { return fmt.Sprintf("MutatePoint(%d, %v)", c.I, c.V) }
 
-// CmdMember probes hull membership of Z: warm chained solve vs cold.
+// CmdMember probes hull membership of Z: a solve through the reused
+// Problem and Workspace vs a fresh one.
 type CmdMember struct{ Z []float64 }
 
 func (c CmdMember) String() string { return fmt.Sprintf("Member(%v)", c.Z) }
@@ -100,7 +101,6 @@ func (s *LPSystem) Reset(seed int64) {
 	}
 	s.warm = lp.NewProblem()
 	s.ws = lp.NewWorkspace()
-	s.memBasis.Reset()
 	s.gamBasis.Reset()
 
 	s.base = make([]float64, s.nv)
@@ -213,20 +213,20 @@ func (s *LPSystem) checkMember(z []float64) error {
 	if err := buildMembership(s.warm, s.pts, z, 1e-7); err != nil {
 		return err
 	}
-	wsol, werr := s.warm.SolveWithBasis(s.ws, &s.memBasis)
+	wsol, werr := s.warm.SolveWith(s.ws)
 	cold := lp.NewProblem()
 	if err := buildMembership(cold, s.pts, z, 1e-7); err != nil {
 		return err
 	}
 	csol, cerr := cold.Solve()
 	if (werr == nil) != (cerr == nil) {
-		return fmt.Errorf("Member(%v): warm err %v, cold err %v", z, werr, cerr)
+		return fmt.Errorf("Member(%v): reused err %v, cold err %v", z, werr, cerr)
 	}
 	if werr != nil {
 		return nil // both failed identically-shaped — no verdict to compare
 	}
 	if wsol.Status != csol.Status {
-		return fmt.Errorf("Member(%v): warm %v, cold %v", z, wsol.Status, csol.Status)
+		return fmt.Errorf("Member(%v): reused %v, cold %v", z, wsol.Status, csol.Status)
 	}
 	return nil
 }
@@ -429,8 +429,9 @@ func randVec(rng *rand.Rand, d int) []float64 {
 	return v
 }
 
-// TestLPChainStateful drives the warm-start layer: membership and joint-Γ
-// programs re-solved through a carried Basis while the point set mutates,
+// TestLPChainStateful drives the warm-start layer: joint-Γ programs
+// re-solved through a carried Basis (and membership programs through a
+// reused Problem and Workspace) while the point set mutates,
 // and a Hot tableau accumulating appended rows and objective swaps, each
 // checked against cold from-scratch solves after every command.
 func TestLPChainStateful(t *testing.T) {
