@@ -40,7 +40,6 @@ var callers = map[string]string{
 	"MinProcesses":            "cmd/bvcsim",
 	"NewGammaEngine":          "none: goes with ROADMAP's engines item",
 	"NewService":              "examples/tcpcluster",
-	"PointMethod":             "in Config",
 	"ProcessResult":           "in Result",
 	"ResetEngineCaches":       "bench",
 	"Result":                  "cmd/bvcsim",
@@ -53,7 +52,6 @@ var callers = map[string]string{
 	"SafeAreaContains":        "internal/harness",
 	"SafeAreaEmpty":           "internal/harness",
 	"SafePoint":               "examples/mlagg",
-	"SafePointWith":           "internal/harness",
 	"Service":                 "examples/tcpcluster",
 	"ServiceConfig":           "examples/tcpcluster",
 	"ServiceResult":           "examples/tcpcluster",

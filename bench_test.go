@@ -12,7 +12,9 @@ import (
 	"time"
 
 	"repro"
+	"repro/internal/geometry"
 	"repro/internal/harness"
+	"repro/internal/safearea"
 )
 
 // --- Experiment benchmarks (one per table / figure) ---
@@ -202,26 +204,37 @@ func BenchmarkRestrictedAsync(b *testing.B) {
 
 // --- Geometry ablation benchmarks (Γ-point strategy ladder) ---
 
+// BenchmarkSafePoint times each rung of the ladder on its own, which only
+// safearea.PointWith's explicit methods can name; the exhaustive Tverberg
+// search is timed by BenchmarkTverbergSearchHeptagon.
 func BenchmarkSafePoint(b *testing.B) {
-	pointsF1 := benchInputs(6, 2, 5) // f=1, |Y|=6, d=2
-	pointsF2 := benchInputs(7, 2, 6) // f=2, |Y|=7, d=2
+	multiset := func(points []bvc.Vector) *geometry.Multiset {
+		ms := geometry.NewMultiset(len(points[0]))
+		for _, p := range points {
+			if err := ms.Add(geometry.Vector(p)); err != nil {
+				b.Fatal(err)
+			}
+		}
+		return ms
+	}
+	pointsF1 := multiset(benchInputs(6, 2, 5)) // f=1, |Y|=6, d=2
+	pointsF2 := multiset(benchInputs(7, 2, 6)) // f=2, |Y|=7, d=2
 	cases := []struct {
 		name   string
-		points []bvc.Vector
+		points *geometry.Multiset
 		f      int
-		method bvc.PointMethod
+		method safearea.Method
 	}{
-		{"radon_f1", pointsF1, 1, bvc.MethodRadon},
-		{"lexmin_f1", pointsF1, 1, bvc.MethodLexMinLP},
-		{"lexmin_f2", pointsF2, 2, bvc.MethodLexMinLP},
-		{"search_f2", pointsF2, 2, bvc.MethodTverbergSearch},
-		{"lift_f2", pointsF2, 2, bvc.MethodTverbergLift},
+		{"radon_f1", pointsF1, 1, safearea.MethodRadon},
+		{"lexmin_f1", pointsF1, 1, safearea.MethodLexMinLP},
+		{"lexmin_f2", pointsF2, 2, safearea.MethodLexMinLP},
+		{"lift_f2", pointsF2, 2, safearea.MethodTverbergLift},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {
 			b.ReportAllocs()
 			for i := 0; i < b.N; i++ {
-				if _, err := bvc.SafePointWith(c.points, c.f, c.method); err != nil {
+				if _, err := safearea.PointWith(c.points, c.f, c.method); err != nil {
 					b.Fatal(err)
 				}
 			}

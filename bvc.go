@@ -29,25 +29,27 @@
 // # Performance
 //
 // Every algorithm bottoms out in the same hot path: computing deterministic
-// points of safe areas Γ(Y) — C(n, n−f) linear-program solves per candidate
-// set per round. That path runs on a dedicated Γ-point engine
-// (internal/core.Engine) which is allocation-free in steady state (the
-// simplex solver reuses flat tableau slabs through internal/lp.Workspace),
-// parallel (candidate-set solves are streamed by subset rank across up
-// to a bound of workers; the caller is one of them, and the others start
-// only at a walk's first memo miss) and memoized (by the paper's
-// Observation 2, every correct process computes the identical point zij
-// for the same candidate set, so identical solves — across the n
-// simulated processes, and across rounds — collapse to one, keyed by the
-// canonical bit-exact multiset key).
+// points of safe areas Γ(Y), one per candidate set per round. The shape of
+// Y picks the rung (docs/ARCHITECTURE.md, "Method ladder"): a closed form
+// for d = 1, the Radon point for f = 1, Sarkaria's lifted Tverberg search
+// for f ≥ 2, and the lex-min member for sets already converged within
+// tolerance. The paper's linear program over all C(|Y|, f) subset hulls is
+// only the conclusive last resort, and no benchmark workload reaches it.
+// That path runs on a dedicated Γ-point engine (internal/core.Engine),
+// parallel (candidate-set solves are streamed by subset rank across up to
+// a bound of workers; the caller is one of them, and the others start only
+// at a walk's first memo miss) and memoized (by the paper's Observation 2,
+// every correct process computes the identical point zij for the same
+// candidate set, so identical solves — across the n simulated processes,
+// and across rounds — collapse to one, keyed by the canonical bit-exact
+// multiset key).
 //
 // The engine is a value: SimOptions.Engine runs a simulation on a
 // GammaEngine built by NewGammaEngine (a worker bound — 0 = GOMAXPROCS,
-// 1 = serial — and a memoization switch), and nil selects the shared
-// default engine, parallel and memoized, which every live Service also
-// uses. Engine choice is a pure performance knob: parallel runs reduce
-// results in subset-rank order and the memo is exact, so every engine
-// leaves results bit-identical. Each engine counts its own work
+// 1 = serial), and nil selects the shared default engine, which every live
+// Service also uses. Engine choice is a pure performance knob: parallel
+// runs reduce results in subset-rank order and the memo is exact, so every
+// engine leaves results bit-identical. Each engine counts its own work
 // (GammaEngine.Counters); EngineGammaCounters reads the default engine's.
 package bvc
 
@@ -88,36 +90,7 @@ type Config struct {
 	// per-round contraction plus validity instead of full ε-termination
 	// (see internal/harness.GammaBudget and experiment E10).
 	MaxRounds int
-	// Method selects how the deterministic point of a safe area Γ(Y) is
-	// computed; MethodAuto (the zero value's replacement) picks closed
-	// forms and fast paths automatically.
-	Method PointMethod
 }
-
-// PointMethod selects the Γ-point computation strategy.
-type PointMethod int
-
-// Γ-point strategies (docs/ARCHITECTURE.md describes the method ladder;
-// experiment E3 and the bench_test.go ablation benchmarks compare them).
-const (
-	// MethodAuto picks the cheapest applicable strategy: a closed form
-	// for d = 1, the Radon point for f = 1, the lifted Tverberg search
-	// for f ≥ 2 above the Lemma 1 threshold, else the lex-min LP.
-	MethodAuto PointMethod = iota + 1
-	// MethodLexMinLP always solves the paper's §2.2 linear program,
-	// returning the lexicographically minimal point of Γ(Y).
-	MethodLexMinLP
-	// MethodRadon uses the O(d³) Radon-point fast path (requires f = 1).
-	MethodRadon
-	// MethodTverbergSearch exhaustively searches for a Tverberg partition
-	// (small inputs only; mainly for validation).
-	MethodTverbergSearch
-	// MethodTverbergLift computes a Tverberg point via Sarkaria's lifted
-	// colorful-Carathéodory search — polynomial for any f, the strategy
-	// that makes d ≥ 2, f ≥ 2 grids practical. Verified geometrically,
-	// with the lex-min LP as deterministic fallback.
-	MethodTverbergLift
-)
 
 // Variant identifies one of the paper's algorithms.
 type Variant int
@@ -170,14 +143,10 @@ func coreVariant(v Variant) core.Variant {
 
 // params converts a Config to the internal parameter form.
 func (c Config) params() (core.Params, error) {
-	method, err := c.method()
-	if err != nil {
-		return core.Params{}, err
-	}
 	p := core.Params{
 		N: c.N, F: c.F, D: c.D,
 		Epsilon:   c.Epsilon,
-		Method:    method,
+		Method:    safearea.MethodAuto,
 		MaxRounds: c.MaxRounds,
 	}
 	box, err := c.box()
@@ -186,23 +155,6 @@ func (c Config) params() (core.Params, error) {
 	}
 	p.Bounds = box
 	return p, nil
-}
-
-func (c Config) method() (safearea.Method, error) {
-	switch c.Method {
-	case 0, MethodAuto:
-		return safearea.MethodAuto, nil
-	case MethodLexMinLP:
-		return safearea.MethodLexMinLP, nil
-	case MethodRadon:
-		return safearea.MethodRadon, nil
-	case MethodTverbergSearch:
-		return safearea.MethodTverbergSearch, nil
-	case MethodTverbergLift:
-		return safearea.MethodTverbergLift, nil
-	default:
-		return 0, fmt.Errorf("bvc: unknown point method %d", c.Method)
-	}
 }
 
 // box materializes the [Lo, Hi] input box; a nil Lo/Hi pair yields the

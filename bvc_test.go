@@ -306,20 +306,6 @@ func TestSafePointAPI(t *testing.T) {
 	}
 }
 
-func TestSafePointMethodsAgree(t *testing.T) {
-	points := []bvc.Vector{{0, 0}, {1, 0}, {0, 1}, {1, 1}, {0.5, 0.5}}
-	for _, m := range []bvc.PointMethod{bvc.MethodAuto, bvc.MethodLexMinLP, bvc.MethodTverbergSearch} {
-		pt, err := bvc.SafePointWith(points, 1, m)
-		if err != nil {
-			t.Fatalf("method %d: %v", m, err)
-		}
-		in, err := bvc.SafeAreaContains(points, 1, pt)
-		if err != nil || !in {
-			t.Errorf("method %d: point %v not in Γ (err=%v)", m, pt, err)
-		}
-	}
-}
-
 func TestInConvexHullAPI(t *testing.T) {
 	tri := []bvc.Vector{{0, 0}, {1, 0}, {0, 1}}
 	in, err := bvc.InConvexHull(tri, bvc.Vector{0.2, 0.2})

@@ -46,20 +46,11 @@ func validatePoints(points []Vector) (*geometry.Multiset, error) {
 // whenever len(points) ≥ (d+1)f+1; below that threshold Γ may be empty, in
 // which case an error is returned.
 func SafePoint(points []Vector, f int) (Vector, error) {
-	return SafePointWith(points, f, MethodAuto)
-}
-
-// SafePointWith is SafePoint with an explicit computation strategy.
-func SafePointWith(points []Vector, f int, method PointMethod) (Vector, error) {
 	ms, err := validatePoints(points)
 	if err != nil {
 		return nil, err
 	}
-	m, err := Config{D: ms.Dim(), Method: method}.method()
-	if err != nil {
-		return nil, err
-	}
-	pt, err := safearea.PointWith(ms, f, m)
+	pt, err := safearea.PointWith(ms, f, safearea.MethodAuto)
 	if err != nil {
 		return nil, err
 	}

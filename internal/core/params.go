@@ -97,8 +97,9 @@ type Params struct {
 	// Bounds is the a-priori input box ([ν, U]^d in the paper); required
 	// by the approximate variants' termination rule.
 	Bounds geometry.Box
-	// Method selects the Γ-point computation (safearea.MethodAuto when
-	// zero-valued is not allowed; set explicitly or use Defaults).
+	// Method is the Γ-point method; WithDefaults, which every constructor
+	// applies, turns the zero value into safearea.MethodAuto. It is not a
+	// constant only because bench/replay.go sets it (ROADMAP's judge item).
 	Method safearea.Method
 	// MaxRounds, when positive, caps the round horizon of the restricted
 	// variants below the analytic termination bound. The analytic bound

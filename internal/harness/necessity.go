@@ -50,21 +50,18 @@ func E1SyncNecessity(seed int64) (*Table, error) {
 			}
 
 			// At the threshold, Lemma 1 guarantees non-emptiness for any
-			// multiset. Verify constructively: find a Tverberg point
-			// (Radon for f = 1) and membership-test it into every
+			// multiset. Verify constructively: find a point of Γ
+			// (SafePoint) and membership-test it into every
 			// (|Y|−f)-subset hull — numerically far better conditioned
-			// than one monolithic emptiness LP. The exhaustive partition
-			// search is kept to small instances (f = 1, or d ≤ 3).
+			// than one monolithic emptiness LP. The check keeps to the
+			// instances the exhaustive search it once used could reach
+			// (f = 1, or d ≤ 3), as the table's note says.
 			verdict := "-"
 			if f == 1 || d <= 3 {
 				allVerified := true
 				for trial := 0; trial < 5; trial++ {
 					pts := UniformInputs(rng, (d+1)*f+1, d, -1, 1)
-					method := bvc.MethodRadon
-					if f > 1 {
-						method = bvc.MethodTverbergSearch
-					}
-					pt, err := bvc.SafePointWith(pts, f, method)
+					pt, err := bvc.SafePoint(pts, f)
 					if err != nil {
 						return nil, fmt.Errorf("E1 threshold d=%d f=%d: %w", d, f, err)
 					}

@@ -7,30 +7,7 @@ import (
 	"fmt"
 
 	"repro/internal/geometry"
-	"repro/internal/hull"
-	"repro/internal/tverberg"
 )
-
-// Resolve maps MethodAuto to the concrete method the ladder would run for a
-// candidate multiset of the given size (n = |Y|), dimension and fault bound.
-// Non-auto methods resolve to themselves. This mirrors PointWith's ladder
-// exactly; keeping the two adjacent is load-bearing — the Engine's memo keys
-// include the resolved method.
-func Resolve(n, d, f int, method Method) Method {
-	if method != MethodAuto {
-		return method
-	}
-	switch {
-	case d == 1, f == 0:
-		return MethodAuto // closed forms; no sub-method to name
-	case f == 1 && n >= d+2:
-		return MethodRadon
-	case n >= (d+1)*f+1:
-		return MethodTverbergLift
-	default:
-		return MethodLexMinLP
-	}
-}
 
 // PrefixLen returns how many leading members of a canonical (origin-sorted)
 // candidate multiset of size n the Γ-point computed by PointWith actually
@@ -40,22 +17,15 @@ func Resolve(n, d, f int, method Method) Method {
 //   - MethodTverbergLift reads the first (d+1)f+1 members (the lifted search
 //     appends the rest to the last block, which cannot move the point);
 //   - every other method — the d = 1 closed form, the f = 0 lex-min member,
-//     the joint lex-min LP, the exhaustive search — depends on all n.
+//     the joint lex-min LP — depends on all n.
 //
 // Two candidate sets sharing their first PrefixLen members therefore share
 // the Γ-point, PROVIDED the prefix computation certifies itself
 // (PointOnPrefix): the Tverberg-lift fallback to the joint LP re-reads the
 // whole multiset, so an unverified lift re-opens full dependence.
 func PrefixLen(n, d, f int, method Method) int {
-	switch Resolve(n, d, f, method) {
-	case MethodRadon:
-		if f == 1 && n > d+2 {
-			return d + 2
-		}
-	case MethodTverbergLift:
-		if m := (d+1)*f + 1; n > m {
-			return m
-		}
+	if m := rungLen(d, f, Resolve(n, d, f, method)); m > 0 && n > m {
+		return m
 	}
 	return n
 }
@@ -79,41 +49,20 @@ func PrefixLen(n, d, f int, method Method) int {
 //
 // (false, nil) means the caller must fall back to the full candidate set.
 func PointOnPrefix(prefix *geometry.Multiset, f int, method Method) (geometry.Vector, bool, error) {
-	d := prefix.Dim()
-	// The prefix's frame, as in PointWith: when the prefix is exactly the
-	// lift rung's members it is the rung's frame too.
 	var loBuf [frameStackDims]float64
-	var lo geometry.Vector
-	var spread float64
-	if d > 1 && f > 0 {
-		lo, spread = normParams(loBuf[:0], prefix, prefix.Len())
-		if spread <= hull.DefaultTol {
-			// The full multiset may take the degenerate-spread shortcut
-			// (PointWith), whose result depends on ALL members — a prefix
-			// cannot certify it.
-			return nil, false, nil
-		}
-	}
-	switch Resolve(prefix.Len(), d, f, method) {
-	case MethodRadon:
-		if f != 1 || prefix.Len() < d+2 {
-			return nil, false, nil
-		}
-		part, err := tverberg.RadonOfFirst(prefix)
-		if err != nil {
-			return nil, false, err
-		}
-		return part.Point, true, nil
-	case MethodTverbergLift:
-		if prefix.Len() < (d+1)*f+1 {
-			return nil, false, nil
-		}
-		lo, scale := liftFrame(loBuf[:0], prefix, f, lo, spread)
-		pt, ok := liftPoint(prefix, f, lo, scale)
-		return pt, ok, nil
-	default:
+	lo, spread, degenerate := ownFrame(loBuf[:0], prefix, f)
+	if degenerate {
+		// The full multiset may take the degenerate-spread shortcut
+		// (PointWith), whose result depends on ALL members — a prefix
+		// cannot certify it.
 		return nil, false, nil
 	}
+	d := prefix.Dim()
+	method = Resolve(prefix.Len(), d, f, method)
+	if m := rungLen(d, f, method); m == 0 || prefix.Len() < m {
+		return nil, false, nil
+	}
+	return prefixRung(loBuf[:0], prefix, f, method, lo, spread)
 }
 
 // Incremental holds a working multiset for Γ(Y) under member swaps. Point

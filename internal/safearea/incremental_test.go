@@ -1,6 +1,7 @@
 package safearea
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -49,6 +50,66 @@ func TestResolveMatchesLadder(t *testing.T) {
 	}
 }
 
+// TestAutoMatchesResolvedMethod: PointWith resolves MethodAuto through
+// Resolve, so naming the resolved method explicitly must give the same
+// point, bit for bit, or the same error — in every regime of the ladder.
+func TestAutoMatchesResolvedMethod(t *testing.T) {
+	rng := rand.New(rand.NewSource(58))
+	sliver := func(n, d int) *geometry.Multiset {
+		ms := geometry.NewMultiset(d)
+		for i := 0; i < n; i++ {
+			v := randVector(rng, d)
+			for l := range v {
+				v[l] = 0.3 + v[l]*1e-12
+			}
+			if err := ms.Add(v); err != nil {
+				panic(err)
+			}
+		}
+		return ms
+	}
+	cases := []struct {
+		name string
+		f    int
+		y    func() *geometry.Multiset
+	}{
+		{"d=1", 2, func() *geometry.Multiset { return randMultiset(rng, 7, 1) }},
+		{"f=0", 0, func() *geometry.Multiset { return randMultiset(rng, 4, 3) }},
+		{"radon", 1, func() *geometry.Multiset { return randMultiset(rng, 6, 2) }},
+		{"lift", 2, func() *geometry.Multiset { return randMultiset(rng, 9, 2) }},
+		{"lift-rescaled", 2, func() *geometry.Multiset {
+			ms := randMultiset(rng, 7, 2)
+			for i := 0; i < ms.Len(); i++ {
+				for l := range ms.At(i) {
+					ms.At(i)[l] *= 1e-3
+				}
+			}
+			return ms
+		}},
+		{"below-threshold", 2, func() *geometry.Multiset { return randMultiset(rng, 6, 2) }},
+		{"degenerate-spread", 2, func() *geometry.Multiset { return sliver(7, 2) }},
+	}
+	for _, c := range cases {
+		for trial := 0; trial < 8; trial++ {
+			y := c.y()
+			resolved := Resolve(y.Len(), y.Dim(), c.f, MethodAuto)
+			auto, autoErr := PointWith(y, c.f, MethodAuto)
+			want, wantErr := PointWith(y, c.f, resolved)
+			if (autoErr == nil) != (wantErr == nil) || autoErr != nil && autoErr.Error() != wantErr.Error() {
+				t.Fatalf("%s trial %d: auto error %v, %v error %v", c.name, trial, autoErr, resolved, wantErr)
+			}
+			if len(auto) != len(want) {
+				t.Fatalf("%s trial %d: auto %v, %v %v", c.name, trial, auto, resolved, want)
+			}
+			for l := range auto {
+				if math.Float64bits(auto[l]) != math.Float64bits(want[l]) {
+					t.Fatalf("%s trial %d: auto %v, %v %v", c.name, trial, auto, resolved, want)
+				}
+			}
+		}
+	}
+}
+
 // TestPrefixLen pins the dependence lengths of the ladder's methods.
 func TestPrefixLen(t *testing.T) {
 	cases := []struct {
@@ -63,7 +124,6 @@ func TestPrefixLen(t *testing.T) {
 		{9, 3, 0, MethodAuto, 9},       // f = 0: full
 		{13, 3, 2, MethodLexMinLP, 13}, // joint LP: full
 		{9, 3, 2, MethodAuto, 9},       // lift at exactly (d+1)f+1: full
-		{13, 3, 2, MethodTverbergSearch, 13},
 	}
 	for _, c := range cases {
 		if got := PrefixLen(c.n, c.d, c.f, c.method); got != c.want {

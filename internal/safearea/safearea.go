@@ -9,7 +9,7 @@
 //
 // Three point-selection strategies are provided and benchmarked as an
 // ablation (BenchmarkSafePoint in the root package; docs/ARCHITECTURE.md
-// describes the auto-selection ladder):
+// describes the auto-selection ladder, which Resolve picks from):
 //
 //   - MethodLexMinLP: the paper's §2.2 linear program, extended to return
 //     the lexicographically minimal point (deterministic across processes).
@@ -24,8 +24,6 @@
 //     common point (any such point is in Γ), with the joint LP as the
 //     conclusive last resort. Proportionally degenerate inputs are
 //     affinely normalized to unit spread first (Γ is affine-equivariant).
-//   - MethodTverbergSearch: exhaustive Tverberg partition search (small
-//     inputs; used for validation).
 //
 // For d = 1 everything collapses to closed form: Γ(Y) is the interval
 // [y₍f+1₎, y₍|Y|−f₎] of the sorted members.
@@ -47,16 +45,14 @@ type Method int
 
 // Point-selection methods.
 const (
-	// MethodAuto picks the cheapest applicable method: closed form for
-	// d = 1, Radon for f = 1, otherwise the lex-min LP.
+	// MethodAuto picks the cheapest applicable method (Resolve): closed
+	// form for d = 1 or f = 0, Radon for f = 1, the Tverberg lift above the
+	// Lemma 1 threshold, otherwise the lex-min LP.
 	MethodAuto Method = iota + 1
 	// MethodLexMinLP solves the paper's LP, lexicographically minimized.
 	MethodLexMinLP
 	// MethodRadon uses the Radon-point fast path (requires f == 1).
 	MethodRadon
-	// MethodTverbergSearch exhaustively searches for a Tverberg partition
-	// and returns its Tverberg point (small |Y| only).
-	MethodTverbergSearch
 	// MethodTverbergLift computes a Tverberg point of the first (d+1)f+1
 	// members via Sarkaria's lifted colorful-Carathéodory search (any f,
 	// polynomial), verifying the partition and falling back to the
@@ -72,8 +68,6 @@ func (m Method) String() string {
 		return "lexmin-lp"
 	case MethodRadon:
 		return "radon"
-	case MethodTverbergSearch:
-		return "tverberg-search"
 	case MethodTverbergLift:
 		return "tverberg-lift"
 	default:
@@ -201,6 +195,31 @@ func Contains(y *geometry.Multiset, f int, z geometry.Vector, tol float64) (bool
 	return inside, nil
 }
 
+// Resolve maps MethodAuto to the concrete method the ladder runs for a
+// candidate multiset of the given size (n = |Y|), dimension and fault bound;
+// PointWith resolves MethodAuto here, so this switch is the ladder. The
+// closed forms (d = 1, f = 0) resolve to MethodAuto itself. Non-auto
+// methods resolve to themselves.
+func Resolve(n, d, f int, method Method) Method {
+	if method != MethodAuto {
+		return method
+	}
+	switch {
+	case d == 1, f == 0:
+		return MethodAuto // closed forms; no sub-method to name
+	case f == 1 && n >= d+2:
+		return MethodRadon
+	case n >= (d+1)*f+1:
+		// Above the Lemma 1 threshold the lifted Tverberg search is
+		// polynomial and numerically robust where the joint LP over
+		// C(|Y|, f) hulls is neither; every product candidate set (exact
+		// S, restricted and async Φ(C)) with f ≥ 2 lands here.
+		return MethodTverbergLift
+	default:
+		return MethodLexMinLP
+	}
+}
+
 // PointWith returns a deterministic point of Γ(Y) computed with the given
 // method. It returns ErrEmpty if Γ(Y) is empty (only possible when |Y| <
 // (d+1)f+1; Lemma 1 guarantees non-emptiness above that threshold).
@@ -210,32 +229,15 @@ func PointWith(y *geometry.Multiset, f int, method Method) (geometry.Vector, err
 		return nil, err
 	}
 	d := y.Dim()
-
-	// y's own frame. The degenerate-spread shortcut reads its spread, and
-	// when |Y| is exactly the (d+1)f+1 members the lift rung reads it is
-	// the rung's frame too: computed once per solve, its offset on the
-	// stack.
 	var loBuf [frameStackDims]float64
-	var lo geometry.Vector
-	var spread float64
-	if d > 1 && f > 0 {
-		lo, spread = normParams(loBuf[:0], y, y.Len())
-		// Degenerate-spread shortcut: when every member lies within the
-		// geometric tolerance of every other (the converging tail of a
-		// protocol run — spreads decay geometrically, so late rounds sit
-		// at 1e-8 and below), every subset hull contains every member to
-		// within that tolerance, and the lexicographically smallest member
-		// is a deterministic within-tolerance Γ-point. Grinding the
-		// solvers on these all-noise slivers is where the fragile regime
-		// burned its time.
-		if spread <= hull.DefaultTol {
-			return lexMinMember(y), nil
-		}
+	lo, spread, degenerate := ownFrame(loBuf[:0], y, f)
+	if degenerate {
+		return lexMinMember(y), nil
 	}
-
-	if method == MethodAuto {
-		switch {
-		case d == 1:
+	method = Resolve(y.Len(), d, f, method)
+	switch method {
+	case MethodAuto: // the closed forms
+		if d == 1 {
 			lo, hi, err := interval(y, f)
 			if err != nil {
 				return nil, err
@@ -244,30 +246,19 @@ func PointWith(y *geometry.Multiset, f int, method Method) (geometry.Vector, err
 				return nil, ErrEmpty
 			}
 			return geometry.Vector{lo}, nil
-		case f == 0:
-			// Γ(Y) = H(Y): any member is inside; pick the lex-min member.
-			return lexMinMember(y), nil
-		case f == 1 && y.Len() >= d+2:
-			method = MethodRadon
-		case y.Len() >= (d+1)*f+1:
-			// Above the Lemma 1 threshold the lifted Tverberg search is
-			// polynomial and numerically robust where the joint LP over
-			// C(|Y|, f) hulls is neither; every product candidate set
-			// (exact S, restricted and async Φ(C)) lands here.
-			method = MethodTverbergLift
-		default:
-			method = MethodLexMinLP
 		}
-	}
+		// f = 0: Γ(Y) = H(Y), so any member is inside; pick the lex-min one.
+		return lexMinMember(y), nil
 
-	// Normalize proportionally degenerate inputs for the joint LP: the
-	// solver's tolerances are absolute and tuned for O(1) data, but mid-run
-	// candidate sets span ever-smaller ranges as the protocol converges. Γ
-	// is affine-equivariant — Γ(aY+b) = a·Γ(Y)+b, and the lex-min point
-	// maps along — so the set is translated and scaled to unit spread,
-	// solved there, and the point mapped back. (The lift rung normalizes
-	// the same way, in liftFrame's frame of the prefix it reads.)
-	if method == MethodLexMinLP {
+	case MethodLexMinLP:
+		// Normalize proportionally degenerate inputs for the joint LP: the
+		// solver's tolerances are absolute and tuned for O(1) data, but
+		// mid-run candidate sets span ever-smaller ranges as the protocol
+		// converges. Γ is affine-equivariant — Γ(aY+b) = a·Γ(Y)+b, and the
+		// lex-min point maps along — so the set is translated and scaled to
+		// unit spread, solved there, and the point mapped back. (The lift
+		// rung normalizes the same way, in liftFrame's frame of the prefix
+		// it reads.)
 		if lo == nil {
 			lo, spread = normParams(loBuf[:0], y, y.Len())
 		}
@@ -278,10 +269,6 @@ func PointWith(y *geometry.Multiset, f int, method Method) (geometry.Vector, err
 			}
 			return denormalizePoint(pt, lo, spread), nil
 		}
-	}
-
-	switch method {
-	case MethodLexMinLP:
 		gs, err := groups(y, keep)
 		if err != nil {
 			return nil, err
@@ -295,57 +282,72 @@ func PointWith(y *geometry.Multiset, f int, method Method) (geometry.Vector, err
 		}
 		return pt, nil
 
-	case MethodRadon:
-		if f != 1 {
-			return nil, fmt.Errorf("safearea: Radon method requires f = 1, got f = %d", f)
-		}
-		if y.Len() < d+2 {
-			return nil, fmt.Errorf("safearea: Radon method needs |Y| ≥ d+2 = %d, got %d", d+2, y.Len())
-		}
-		part, err := tverberg.RadonOfFirst(y)
-		if err != nil {
-			return nil, err
-		}
-		return part.Point, nil
-
-	case MethodTverbergSearch:
-		part, ok, err := tverberg.Search(y, f+1)
-		if err != nil {
-			return nil, err
-		}
-		if !ok {
-			// No Tverberg partition found. Γ may still be non-empty in
-			// exotic cases; fall back to the LP to decide conclusively.
-			return PointWith(y, f, MethodLexMinLP)
-		}
-		return part.Point, nil
-
-	case MethodTverbergLift:
-		if y.Len() < (d+1)*f+1 {
+	case MethodRadon, MethodTverbergLift:
+		if m := rungLen(d, f, method); m == 0 || y.Len() < m {
+			if method == MethodRadon {
+				return nil, fmt.Errorf("safearea: Radon method needs f = 1 and |Y| ≥ d+2 = %d, got f = %d, |Y| = %d", d+2, f, y.Len())
+			}
 			// Below the Tverberg number the lifting does not apply; the
 			// LP decides emptiness conclusively.
 			return PointWith(y, f, MethodLexMinLP)
 		}
-		lo, scale := liftFrame(loBuf[:0], y, f, lo, spread)
-		if pt, ok := liftPoint(y, f, lo, scale); ok {
-			return pt, nil
-		}
-		// The lifted partition failed (numerically or geometrically) —
-		// a deterministic outcome, so every correct process takes the
-		// same fallback chain, in the same normalized frame the lift ran
-		// in.
-		if scale != 1 {
-			pt, err := liftFallback(normalizeMultiset(y, lo, scale), f)
-			if err != nil {
-				return nil, err
-			}
-			return denormalizePoint(pt, lo, scale), nil
-		}
-		return liftFallback(y, f)
 
 	default:
 		return nil, fmt.Errorf("safearea: unknown method %v", method)
 	}
+
+	pt, ok, err := prefixRung(loBuf[:0], y, f, method, lo, spread)
+	if ok || err != nil {
+		return pt, err
+	}
+	// The lifted partition failed (numerically or geometrically) — a
+	// deterministic outcome, so every correct process takes the same
+	// fallback chain.
+	return liftFallback(y, f)
+}
+
+// ownFrame is the prologue PointWith and PointOnPrefix share: y's own
+// normParams (lo appended to buf[:0]; nil for d = 1 or f = 0), which are
+// the lift rung's frame too when |Y| = (d+1)f+1, and the degenerate-spread
+// shortcut. When every member lies within the geometric tolerance of every
+// other (the converging tail of a run: spreads decay geometrically to 1e-8
+// and below), every subset hull contains every member to within that
+// tolerance, so the lex-min member is a deterministic Γ-point, and the
+// solvers need not grind on all-noise slivers.
+func ownFrame(buf []float64, y *geometry.Multiset, f int) (lo geometry.Vector, spread float64, degenerate bool) {
+	if y.Dim() <= 1 || f <= 0 {
+		return nil, 0, false
+	}
+	lo, spread = normParams(buf, y, y.Len())
+	return lo, spread, spread <= hull.DefaultTol
+}
+
+// rungLen is how many leading members the Radon rung (f = 1) or the lift
+// rung reads, or 0 when method names neither rung or Radon does not apply.
+func rungLen(d, f int, method Method) int {
+	switch {
+	case method == MethodRadon && f == 1:
+		return d + 2
+	case method == MethodTverbergLift:
+		return (d+1)*f + 1
+	}
+	return 0
+}
+
+// prefixRung is the Radon/lift dispatch PointWith and PointOnPrefix share,
+// for a y of at least rungLen members in ownFrame's frame (own, spread).
+// ok is false when the lift rung fails; only PointWith falls back.
+func prefixRung(buf []float64, y *geometry.Multiset, f int, method Method, own geometry.Vector, spread float64) (geometry.Vector, bool, error) {
+	if method == MethodRadon {
+		part, err := tverberg.RadonOfFirst(y)
+		if err != nil {
+			return nil, false, err
+		}
+		return part.Point, true, nil
+	}
+	lo, scale := liftFrame(buf, y, f, own, spread)
+	pt, ok := liftPoint(y, f, lo, scale)
+	return pt, ok, nil
 }
 
 // liftPoint is the lift rung: the Tverberg point of y's first (d+1)f+1
@@ -405,11 +407,24 @@ func liftFrame(buf []float64, y *geometry.Multiset, f int, own geometry.Vector, 
 // joint lex-min LP over all C(|Y|, f) hulls — the historical fallback, and
 // the one solver these degenerate cluster-plus-outlier slivers can exhaust
 // — is the true last resort, consulted only if the scan finds nothing.
+// Both run in the lift's frame, recomputed here: failures are rare.
 func liftFallback(y *geometry.Multiset, f int) (geometry.Vector, error) {
-	if pt, ok := scanTverbergPoint(y, f); ok {
-		return pt, nil
+	var loBuf [frameStackDims]float64
+	lo, scale := liftFrame(loBuf[:0], y, f, nil, 0)
+	if scale != 1 {
+		y = normalizeMultiset(y, lo, scale)
 	}
-	return PointWith(y, f, MethodLexMinLP)
+	pt, ok := scanTverbergPoint(y, f)
+	if !ok {
+		var err error
+		if pt, err = PointWith(y, f, MethodLexMinLP); err != nil {
+			return nil, err
+		}
+	}
+	if scale != 1 {
+		pt = denormalizePoint(pt, lo, scale)
+	}
+	return pt, nil
 }
 
 // needsRescale reports whether a multiset of the given spread is

@@ -10,6 +10,7 @@ import (
 	"repro/internal/combin"
 	"repro/internal/geometry"
 	"repro/internal/hull"
+	"repro/internal/tverberg"
 )
 
 func vec(xs ...float64) geometry.Vector { return geometry.Vector(xs) }
@@ -156,28 +157,42 @@ func TestGammaF0IsHull(t *testing.T) {
 }
 
 // TestPointMethodsAgreeOnMembership: every method must return a point that
-// membership-tests into Γ(Y).
+// membership-tests into Γ(Y), and so must the Tverberg point an exhaustive
+// partition search finds, the ladder's independent oracle. The fixed case
+// is the unit square with its centre.
 func TestPointMethodsAgreeOnMembership(t *testing.T) {
-	rng := rand.New(rand.NewSource(23))
-	methods := []Method{MethodAuto, MethodLexMinLP, MethodTverbergSearch}
-	for trial := 0; trial < 25; trial++ {
-		d := 1 + rng.Intn(2)
-		f := 1
-		n := (d+1)*f + 1 + rng.Intn(2)
-		ms := randomMultiset(rng, n, d)
-		for _, m := range methods {
+	inside := func(what string, ms *geometry.Multiset, f int, pt geometry.Vector) {
+		t.Helper()
+		in, err := Contains(ms, f, pt, 1e-6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !in {
+			t.Fatalf("%s: point %v not in Γ", what, pt)
+		}
+	}
+	check := func(trial int, ms *geometry.Multiset, f int) {
+		t.Helper()
+		for _, m := range []Method{MethodAuto, MethodLexMinLP} {
 			pt, err := PointWith(ms, f, m)
 			if err != nil {
 				t.Fatalf("trial %d method %v: %v", trial, m, err)
 			}
-			in, err := Contains(ms, f, pt, 1e-6)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !in {
-				t.Fatalf("trial %d method %v: point %v not in Γ", trial, m, pt)
-			}
+			inside(fmt.Sprintf("trial %d method %v", trial, m), ms, f, pt)
 		}
+		part, ok, err := tverberg.Search(ms, f+1)
+		if err != nil || !ok {
+			t.Fatalf("trial %d: exhaustive search found no partition (err %v)", trial, err)
+		}
+		inside(fmt.Sprintf("trial %d exhaustive search", trial), ms, f, part.Point)
+	}
+	check(-1, geometry.MustMultisetOf(vec(0, 0), vec(1, 0), vec(0, 1), vec(1, 1), vec(0.5, 0.5)), 1)
+	rng := rand.New(rand.NewSource(23))
+	for trial := 0; trial < 25; trial++ {
+		d := 1 + rng.Intn(2)
+		f := 1
+		n := (d+1)*f + 1 + rng.Intn(2)
+		check(trial, randomMultiset(rng, n, d), f)
 	}
 }
 
@@ -281,7 +296,7 @@ func TestContainsDimMismatch(t *testing.T) {
 }
 
 func TestMethodString(t *testing.T) {
-	for _, m := range []Method{MethodAuto, MethodLexMinLP, MethodRadon, MethodTverbergSearch} {
+	for _, m := range []Method{MethodAuto, MethodLexMinLP, MethodRadon, MethodTverbergLift} {
 		if m.String() == "" {
 			t.Errorf("method %d renders empty", m)
 		}

@@ -76,9 +76,11 @@ type ServiceConfig struct {
 	Addrs []string
 	// OutboxDepth bounds each peer's outbound frame queue (default 1024).
 	// A full queue blocks the sender while the peer is connected —
-	// backpressure that reaches Propose, keeping the paper's reliable
-	// channels — and drops frames (ServiceStats.WriteDrops) while it is
-	// down, as the algorithm tolerates a crashed peer.
+	// backpressure that reaches Propose — and drops frames
+	// (ServiceStats.WriteDrops) while it is down. Links are not the paper's
+	// reliable channels: frames arrive in queue order, a resent batch may
+	// repeat some, and a reset connection or this overflow against a down
+	// peer loses them (ROADMAP's links item).
 	OutboxDepth int
 	// InstanceTimeout fails undecided instances after this long (default
 	// 30s). LingerTimeout bounds how long a decided instance keeps
