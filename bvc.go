@@ -59,7 +59,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/geometry"
-	"repro/internal/safearea"
 )
 
 // Vector is a point in R^d. Plain []float64 keeps the API friction-free;
@@ -146,7 +145,6 @@ func (c Config) params() (core.Params, error) {
 	p := core.Params{
 		N: c.N, F: c.F, D: c.D,
 		Epsilon:   c.Epsilon,
-		Method:    safearea.MethodAuto,
 		MaxRounds: c.MaxRounds,
 	}
 	box, err := c.box()

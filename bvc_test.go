@@ -66,6 +66,48 @@ func TestSimulateExactAllStrategies(t *testing.T) {
 	}
 }
 
+// TestCrashSendsThenStops: a crash spec with CrashAfter unset sends
+// something before it stops, in every variant: its run carries more
+// messages than the same run with the process silent, and fewer than with
+// the process correct throughout.
+func TestCrashSendsThenStops(t *testing.T) {
+	cfg := bvc.Config{N: 7, F: 1, D: 1, Epsilon: 0.1, Lo: []float64{0}, Hi: []float64{1}, MaxRounds: 6}
+	variants := []struct {
+		name   string
+		sim    func(bvc.Config, []bvc.Vector, []bvc.Byzantine, bvc.SimOptions) (*bvc.Result, error)
+		verify func(*bvc.Result) error
+	}{
+		{"Exact", bvc.SimulateExact, (*bvc.Result).VerifyExact},
+		{"CoordinateWise", bvc.SimulateCoordinateWise, (*bvc.Result).VerifyExact},
+		{"RestrictedSync", bvc.SimulateRestrictedSync, (*bvc.Result).VerifyApprox},
+		{"ApproxAsync", bvc.SimulateApproxAsync, (*bvc.Result).VerifyApprox},
+		{"RestrictedAsync", bvc.SimulateRestrictedAsync, (*bvc.Result).VerifyApprox},
+	}
+	inputs := randInputs(rand.New(rand.NewSource(8)), cfg.N, cfg.D, 0, 1)
+	const id = 6
+	for _, v := range variants {
+		messages := map[string]int64{}
+		for name, byz := range map[string][]bvc.Byzantine{
+			"correct": nil,
+			"silent":  {{ID: id, Strategy: bvc.StrategySilent}},
+			"crash":   {{ID: id, Strategy: bvc.StrategyCrash}},
+		} {
+			res, err := v.sim(cfg, inputs, byz, bvc.SimOptions{Seed: 1})
+			if err != nil {
+				t.Fatalf("%s %s: %v", v.name, name, err)
+			}
+			if err := v.verify(res); err != nil {
+				t.Fatalf("%s %s: verification: %v", v.name, name, err)
+			}
+			messages[name] = res.Messages
+		}
+		if !(messages["silent"] < messages["crash"] && messages["crash"] < messages["correct"]) {
+			t.Errorf("%s: messages silent %d, crash %d, correct %d: want the crash strictly between",
+				v.name, messages["silent"], messages["crash"], messages["correct"])
+		}
+	}
+}
+
 func TestSimulateCoordinateWisePaperExample(t *testing.T) {
 	cfg := bvc.Config{N: 4, F: 1, D: 3}
 	inputs := []bvc.Vector{

@@ -10,14 +10,13 @@
 //	bvcload -rate 500 -duration 5s   # heavier sustained load
 //	bvcload -minrate 200             # fail unless ≥200 inst/s achieved
 //	bvcload -chaos scenario.json     # replay a fault timeline under load
-//	bvcload -churn 3                 # replace 3 random processes mid-load
 //
 // Every instance's decision is checked for hull-containment validity (the
 // paper's validity condition) on every process, and at -rounds 0 (the
 // analytic horizon) every pair of an instance's decisions for ε-agreement;
 // the default -rounds 4 is a contraction demo that does not reach ε. After
 // the final drain every process must have Proposed = Decided + TimedOut +
-// Failed and, without -chaos or -churn, no read error and no parked frame
+// Failed and, without -chaos, no read error and no parked frame
 // dropped or left over. Any error, violation, or missed -minrate makes the exit status
 // nonzero — the CI live-smoke gate.
 //
@@ -34,10 +33,6 @@
 // membership epoch: the survivors are Reconfigured, the successor dials
 // in under the new epoch, and load keeps flowing across the flip.
 // cmd/bvcload/testdata/ holds the committed scenarios CI replays.
-//
-// -churn N is the scenario-free soak form of the same thing: N seeded
-// replacements spread evenly across the run, each retiring a random
-// process and admitting its successor at epoch+1.
 package main
 
 import (
@@ -80,7 +75,6 @@ type loadConfig struct {
 	warmup    int
 	outbox    int
 	chaosPath string
-	churn     int
 }
 
 func run(args []string, w io.Writer) error {
@@ -100,7 +94,6 @@ func run(args []string, w io.Writer) error {
 	fs.IntVar(&cfg.warmup, "warmup", -1, "warmup instances excluded from measurement (-1 = max(10, 5% of count); cold-start tails otherwise dominate p99)")
 	fs.IntVar(&cfg.outbox, "outbox", 0, "per-peer outbox depth in frames (0 = service default); partitions queue traffic here, so size it as rate x frames-per-instance x longest partition")
 	fs.StringVar(&cfg.chaosPath, "chaos", "", "chaos scenario JSON (internal/chaos): replay its fault timeline under load")
-	fs.IntVar(&cfg.churn, "churn", 0, "membership churn: replace this many seeded-random processes mid-load, each at epoch+1")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -153,9 +146,9 @@ func (r *loadResult) percentile(q float64) time.Duration {
 
 // gate returns the run's verdict: any instance error, background transport
 // error, validity violation, or missed rate target is a failure. Under
-// -chaos or -churn, results lost to a scheduled crash are expected and
-// excluded, and read errors are injected damage; on a clean network a read
-// error means the wire path itself is broken, so it fails the run. So does
+// -chaos, results lost to a scheduled crash are expected and excluded, and
+// read errors are injected damage; on a clean network a read error means
+// the wire path itself is broken, so it fails the run. So does
 // a parked frame dropped or left over there: every process proposes every
 // id, so a drop means a correct peer ran over its parking budget.
 func (r *loadResult) gate(cfg loadConfig) error {
@@ -313,26 +306,12 @@ func drive(cfg loadConfig) (*loadResult, error) {
 		}
 	}
 
-	// Proc events: the scenario's crash/restart/replace schedule merged
-	// with the -churn synthesis — seeded replacements spread evenly
-	// across the run, each admitting an ephemeral-address successor under
-	// the next membership epoch.
+	// Proc events: the scenario's crash/restart/replace schedule.
 	var procEvents []chaos.Event
 	if scn != nil {
 		procEvents = scn.ProcEvents()
 	}
-	if cfg.churn > 0 {
-		churnRng := rand.New(rand.NewSource(cfg.seed + 0x5eed))
-		for i := 0; i < cfg.churn; i++ {
-			at := time.Duration(float64(cfg.duration) * float64(i+1) / float64(cfg.churn+1))
-			procEvents = append(procEvents, chaos.Event{
-				At: chaos.Dur(at), Action: chaos.ActionReplace,
-				Proc: churnRng.Intn(cfg.n), Addr: "127.0.0.1:0",
-			})
-		}
-		sort.SliceStable(procEvents, func(i, j int) bool { return procEvents[i].At < procEvents[j].At })
-	}
-	chaosMode := scn != nil || cfg.churn > 0
+	chaosMode := scn != nil
 
 	// The fault clock starts only after a clean establish, so the scenario
 	// timeline is measured from a whole mesh.

@@ -25,12 +25,13 @@ func TestLoadSummary(t *testing.T) {
 	}
 }
 
-// TestLoadChurn drives load across a live membership replacement: one
-// process is retired mid-run and its successor admitted at epoch+1, with
-// the validity gate still required to hold on every decision.
+// TestLoadChurn drives load across a live membership replacement: the
+// replace-one scenario retires one process mid-run and admits its
+// successor at epoch+1, with the validity gate still required to hold on
+// every decision.
 func TestLoadChurn(t *testing.T) {
 	var out bytes.Buffer
-	err := run([]string{"-rate", "100", "-duration", "800ms", "-churn", "1"}, &out)
+	err := run([]string{"-chaos", "testdata/replace-one.json", "-rate", "100", "-duration", "800ms"}, &out)
 	if err != nil {
 		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
 	}
@@ -69,16 +70,17 @@ func TestLoadChurnScenario(t *testing.T) {
 	}
 }
 
-// TestLoadRestartAfterReplace replays crash-restart with one churn
-// replacement mid-run: a process crashed before the replace misses the
-// epoch flip, so its restart must rejoin at the survivors' epoch — under
-// the epoch it was born at, every survivor would refuse its handshakes.
+// TestLoadRestartAfterReplace replays crash-restart-churn, crash-restart
+// with one replacement mid-run: a process crashed before the replace
+// misses the epoch flip, so its restart must rejoin at the survivors'
+// epoch — under the epoch it was born at, every survivor would refuse its
+// handshakes.
 func TestLoadRestartAfterReplace(t *testing.T) {
 	if testing.Short() {
 		t.Skip("replays a 3.2s fault timeline")
 	}
 	var out bytes.Buffer
-	err := run([]string{"-chaos", "testdata/crash-restart.json", "-rate", "40", "-churn", "1"}, &out)
+	err := run([]string{"-chaos", "testdata/crash-restart-churn.json", "-rate", "40"}, &out)
 	if err != nil {
 		t.Fatalf("run: %v\noutput:\n%s", err, out.String())
 	}
@@ -167,9 +169,8 @@ func TestLoadEpsilonAgreement(t *testing.T) {
 }
 
 // TestGatePendingCounters: on a fault-free run every process proposes every
-// id, so a parked frame dropped or left over fails the gate; under -chaos
-// or -churn, where a crashed or replaced process leaves ids unproposed, it
-// does not.
+// id, so a parked frame dropped or left over fails the gate; under -chaos,
+// where a crashed or replaced process leaves ids unproposed, it does not.
 func TestGatePendingCounters(t *testing.T) {
 	for _, tc := range []struct {
 		name    string

@@ -72,7 +72,6 @@ var _ sim.Node = (*AsyncNode)(nil)
 
 // NewAsyncNode builds the node for process self with the given input.
 func NewAsyncNode(cfg AsyncConfig, self sim.ProcID, input geometry.Vector) (*AsyncNode, error) {
-	cfg.Params = cfg.Params.WithDefaults()
 	if err := cfg.Validate(VariantApproxAsync); err != nil {
 		return nil, err
 	}
@@ -254,11 +253,11 @@ func (a *AsyncNode) finishRound(res *aad.Result) (advanced bool) {
 			sets = append(sets, members[at:len(members):len(members)])
 		}
 		a.sets, a.members = sets, members
-		next, ziSize, err = a.cfg.engine().AverageGammaSets(sets, a.cfg.F, a.cfg.Method)
+		next, ziSize, err = a.cfg.engine().AverageGammaSets(sets, a.cfg.F)
 	} else {
 		// §3.2 Step 2: every C ⊆ Bi[t] with |C| = n−f, streamed by the
 		// engine rather than materialized.
-		next, ziSize, err = a.cfg.engine().AverageGamma(tuples, a.cfg.N-a.cfg.F, a.cfg.F, a.cfg.Method)
+		next, ziSize, err = a.cfg.engine().AverageGamma(tuples, a.cfg.N-a.cfg.F, a.cfg.F)
 	}
 	if err != nil {
 		a.fail(err)

@@ -35,7 +35,7 @@ import (
 //     multiset of values, so any two processes — and any two rounds, and any
 //     two of the n simulated nodes of one execution — holding the same set
 //     compute the same point. The cache key is exactly that canonical
-//     multiset plus (d, f, method), with each value named by its interned
+//     multiset plus (d, f), with each value named by its interned
 //     id (valueIDs): within one memo generation ids are a bijection on the
 //     values' bit-exact geometry.AppendKey bytes, so equal keys mean equal
 //     multisets, and every key carries its generation, so ids reissued
@@ -139,31 +139,30 @@ func (e *Engine) Reset() {
 	e.fams.reset()
 }
 
-// appendMeta appends the non-value parameters the Γ-point depends on: the
-// method byte, then d and f as uvarints (one byte each below 128; uvarints
-// are prefix-free, so the meta decodes to exactly one triple).
-func appendMeta(dst []byte, d, f int, method safearea.Method) []byte {
-	dst = append(dst, byte(method))
+// appendMeta appends the non-value parameters the Γ-point depends on: d and
+// f as uvarints (one byte each below 128; uvarints are prefix-free, so the
+// meta decodes to exactly one pair).
+func appendMeta(dst []byte, d, f int) []byte {
 	dst = binary.AppendUvarint(dst, uint64(d))
 	return binary.AppendUvarint(dst, uint64(f))
 }
 
-// SafePoint returns the deterministic Γ-point of (y, f) under method,
-// memoized on the canonical multiset key — the key space of the walks'
-// full candidate sets. In Exact BVC all n processes hold the identical
-// agreed multiset S, so the n-fold recomputation of the same lex-min LP
-// collapses to a single solve. The key is built in pooled buffers, so a
+// SafePoint returns the deterministic Γ-point of (y, f), memoized on the
+// canonical multiset key — the key space of the walks' full candidate
+// sets. In Exact BVC all n processes hold the identical agreed multiset S,
+// so the n-fold recomputation of the same Γ-point collapses to a single
+// solve. The key is built in pooled buffers, so a
 // hit allocates only the returned copy.
-func (e *Engine) SafePoint(y *geometry.Multiset, f int, method safearea.Method) (geometry.Vector, error) {
+func (e *Engine) SafePoint(y *geometry.Multiset, f int) (geometry.Vector, error) {
 	buf := e.keyBufs.Get().(*keyBuf)
 	values := e.values.Load()
-	buf.key = appendKeyHead(buf.key[:0], y.Dim(), f, method, setKeyTag, values.gen)
+	buf.key = appendKeyHead(buf.key[:0], y.Dim(), f, setKeyTag, values.gen)
 	for i := 0; i < y.Len(); i++ {
 		buf.vkey = geometry.AppendKey(buf.vkey[:0], y.At(i))
 		buf.key = binary.AppendUvarint(buf.key, values.id(buf.vkey))
 	}
 	pt, _, fresh, err := solveOnce(e.memo, buf.key, y.Dim(), func() (geometry.Vector, uint32, error) {
-		pt, err := safearea.PointWith(y, f, method)
+		pt, err := safearea.PointWith(y, f, safearea.MethodAuto)
 		return pt, 0, err
 	})
 	e.keyBufs.Put(buf)
@@ -210,7 +209,6 @@ func (t *gammaTally) flush(e *Engine) {
 type gammaScratch struct {
 	e       *Engine
 	f       int
-	method  safearea.Method
 	d       int
 	sel     []tuple
 	vals    []geometry.Vector
@@ -228,13 +226,13 @@ type gammaScratch struct {
 
 // scratch builds worker w's scratch for a walk on fan over candidate sets
 // of at most k members whose origins are below origins.
-func (e *Engine) scratch(fan *sim.Fan, w, k, origins, d, f int, method safearea.Method) gammaScratch {
+func (e *Engine) scratch(fan *sim.Fan, w, k, origins, d, f int) gammaScratch {
 	// One buffer for the key and the value bytes being interned; the key's
 	// capacity is capped, so growing it never overwrites them.
 	keyCap := 20 + 3*k
 	buf := make([]byte, keyCap+8*d)
 	sc := gammaScratch{
-		e: e, f: f, method: method, d: d,
+		e: e, f: f, d: d,
 		sel:     make([]tuple, 0, k),
 		vals:    make([]geometry.Vector, 0, k),
 		key:     buf[:0:keyCap],
@@ -288,7 +286,7 @@ func (sc *gammaScratch) solve(sel []tuple) (geometry.Vector, error) {
 	if err != nil {
 		return nil, err
 	}
-	return safearea.PointWith(ms, sc.f, sc.method)
+	return safearea.PointWith(ms, sc.f, safearea.MethodAuto)
 }
 
 // viewOf re-points the scratch's value view at the selection's values,
@@ -320,7 +318,7 @@ func (sc *gammaScratch) pointOfMembers(src []tuple) (geometry.Vector, error) {
 			ms[j], ms[j-1] = ms[j-1], ms[j]
 		}
 	}
-	// Sub-family (delta-key) lookup first: under the resolved method the
+	// Sub-family (delta-key) lookup first: under the ladder's rung the
 	// Γ-point depends only on the first m canonical members, so any two
 	// candidate sets sharing that prefix — consecutive subsets of one walk,
 	// sets of sibling processes, sets across rounds whose moved point sits
@@ -328,7 +326,7 @@ func (sc *gammaScratch) pointOfMembers(src []tuple) (geometry.Vector, error) {
 	// full key cut after m members and retagged (the table copies what it
 	// keeps). A prefix entry's count is 1 when the prefix computation
 	// certified its point for every superset sharing the prefix.
-	m := safearea.PrefixLen(len(ms), sc.d, sc.f, sc.method)
+	m := safearea.PrefixLen(len(ms), sc.d, sc.f)
 	key, prefixEnd := sc.setKey(m)
 	if m < len(ms) {
 		key[keyTagAt] = prefixKeyTag
@@ -338,7 +336,7 @@ func (sc *gammaScratch) pointOfMembers(src []tuple) (geometry.Vector, error) {
 			if err != nil {
 				return nil, 0, err
 			}
-			pt, ok, err := safearea.PointOnPrefix(ms, sc.f, sc.method)
+			pt, ok, err := safearea.PointOnPrefix(ms, sc.f)
 			if !ok {
 				return nil, 0, err
 			}
@@ -385,7 +383,7 @@ const ziKeyTag = byte('Z')
 // The whole reduction is additionally keyed by the ordered (origin, value) tuple sequence: in the synchronous state exchange
 // every correct process holds the identical inbox, so the n−f per-process
 // reductions of one round collapse to a single subset walk.
-func (e *Engine) AverageGamma(tuples []tuple, k, f int, method safearea.Method) (geometry.Vector, int, error) {
+func (e *Engine) AverageGamma(tuples []tuple, k, f int) (geometry.Vector, int, error) {
 	n := len(tuples)
 	if k <= 0 || k > n {
 		return nil, 0, fmt.Errorf("core: subset size %d of %d tuples", k, n)
@@ -416,8 +414,8 @@ func (e *Engine) AverageGamma(tuples []tuple, k, f int, method safearea.Method) 
 		}
 		tuples = sorted
 	}
-	key := make([]byte, 0, 10+4+(4+8*d)*n)
-	key = appendMeta(key, d, f, method)
+	key := make([]byte, 0, 9+4+(4+8*d)*n)
+	key = appendMeta(key, d, f)
 	key = append(key, ziKeyTag)
 	key = binary.BigEndian.AppendUint32(key, uint32(k))
 	for _, tp := range tuples {
@@ -425,7 +423,7 @@ func (e *Engine) AverageGamma(tuples []tuple, k, f int, method safearea.Method) 
 		key = geometry.AppendKey(key, tp.value)
 	}
 	pt, size, fresh, err := solveOnce(e.zi, key, d, func() (geometry.Vector, uint32, error) {
-		pt, size, err := e.averageGammaCompute(tuples, k, f, method, d)
+		pt, size, err := e.averageGammaCompute(tuples, k, f, d)
 		return pt, uint32(size), err
 	})
 	if err != nil {
@@ -447,19 +445,19 @@ const walkRun = 8
 // averageGammaCompute is the reduction behind AverageGamma's round memo.
 // tuples are origin-sorted (canonical). Every point lands at its rank, so
 // the mean is the serial walk's whatever the workers' interleaving.
-func (e *Engine) averageGammaCompute(tuples []tuple, k, f int, method safearea.Method, d int) (geometry.Vector, int, error) {
+func (e *Engine) averageGammaCompute(tuples []tuple, k, f, d int) (geometry.Vector, int, error) {
 	if k == d+2 && len(tuples) > k &&
-		safearea.Resolve(k, d, f, method) == safearea.MethodRadon {
+		safearea.Resolve(k, d, f, safearea.MethodAuto) == safearea.MethodRadon {
 		// Radon regime (restricted-async f = 1 at the shared-subset
 		// bound): candidate sets are exactly prefix-sized, so neither the
 		// sub-family nor the per-set memo can share work across B-set
 		// deltas — the per-B-set incremental family walk does.
-		return e.radonFamilyMean(tuples, k, f, method, d)
+		return e.radonFamilyMean(tuples, k, f, d)
 	}
 	n := len(tuples)
 	points := make([]geometry.Vector, combin.Binomial(n, k))
 	return e.walk(points, func(fan *sim.Fan, w int) {
-		sc := e.scratch(fan, w, k, tuples[n-1].origin+1, d, f, method)
+		sc := e.scratch(fan, w, k, tuples[n-1].origin+1, d, f)
 		defer sc.flush(e)
 		idx := make([]int, k)
 		for {
@@ -510,8 +508,8 @@ const famKeyTag = byte('B')
 // famKey builds the family cache key of the canonical pool, optionally
 // skipping one slot (skip < 0 keys the full pool; otherwise the drop-one
 // sub-key used for delta probing).
-func famKey(dst []byte, tuples []tuple, d, f int, method safearea.Method, skip int) []byte {
-	dst = appendMeta(dst, d, f, method)
+func famKey(dst []byte, tuples []tuple, d, f, skip int) []byte {
+	dst = appendMeta(dst, d, f)
 	dst = append(dst, famKeyTag)
 	for i, tp := range tuples {
 		if i == skip {
@@ -529,8 +527,8 @@ func famKey(dst []byte, tuples []tuple, d, f int, method safearea.Method, skip i
 // relative is solved from scratch. Results are bit-identical to the plain
 // subset walk — the family stores the identical points in the identical
 // order.
-func (e *Engine) radonFamilyMean(tuples []tuple, k, f int, method safearea.Method, d int) (geometry.Vector, int, error) {
-	pt, size, _, err := solveOnce(e.fams, famKey(make([]byte, 0, 10+8*len(tuples)*d), tuples, d, f, method, -1), d, func() (geometry.Vector, uint32, error) {
+func (e *Engine) radonFamilyMean(tuples []tuple, k, f, d int) (geometry.Vector, int, error) {
+	pt, size, _, err := solveOnce(e.fams, famKey(make([]byte, 0, 9+8*len(tuples)*d), tuples, d, f, -1), d, func() (geometry.Vector, uint32, error) {
 		vals := make([]geometry.Vector, len(tuples))
 		for i, tp := range tuples {
 			vals[i] = tp.value
@@ -544,10 +542,10 @@ func (e *Engine) radonFamilyMean(tuples []tuple, k, f int, method safearea.Metho
 			iNew = -1
 			jOld = -1
 		)
-		sub := make([]byte, 0, 10+8*len(tuples)*d)
+		sub := make([]byte, 0, 9+8*len(tuples)*d)
 		e.famMu.Lock()
 		for i := range tuples {
-			sub = famKey(sub[:0], tuples, d, f, method, i)
+			sub = famKey(sub[:0], tuples, d, f, i)
 			if ref, ok := e.famSub[string(sub)]; ok {
 				prev, iNew, jOld = ref.fam, i, ref.slot
 				break
@@ -560,9 +558,9 @@ func (e *Engine) radonFamilyMean(tuples []tuple, k, f int, method safearea.Metho
 			err            error
 		)
 		if prev != nil {
-			fam, reused, solved, err = safearea.NewRadonFamilyFrom(prev, vals, iNew, jOld, f, k, method)
+			fam, reused, solved, err = safearea.NewRadonFamilyFrom(prev, vals, iNew, jOld, f, k)
 		} else {
-			fam, solved, err = safearea.NewRadonFamily(vals, f, k, method)
+			fam, solved, err = safearea.NewRadonFamily(vals, f, k)
 		}
 		e.counters.solves.Add(uint64(solved))
 		e.counters.prefixHits.Add(uint64(reused))
@@ -578,7 +576,7 @@ func (e *Engine) radonFamilyMean(tuples []tuple, k, f int, method safearea.Metho
 		// yields identical reused points.
 		e.famMu.Lock()
 		for i := range tuples {
-			sub = famKey(sub[:0], tuples, d, f, method, i)
+			sub = famKey(sub[:0], tuples, d, f, i)
 			e.famSub[string(sub)] = famRef{fam: fam, slot: i}
 		}
 		e.famMu.Unlock()
@@ -593,7 +591,7 @@ func (e *Engine) radonFamilyMean(tuples []tuple, k, f int, method safearea.Metho
 // AverageGammaSets is AverageGamma over explicitly materialized candidate
 // sets — the Appendix-F witness-optimization path, where the sets are the
 // witnesses' reported prefixes rather than all k-subsets.
-func (e *Engine) AverageGammaSets(sets [][]tuple, f int, method safearea.Method) (geometry.Vector, int, error) {
+func (e *Engine) AverageGammaSets(sets [][]tuple, f int) (geometry.Vector, int, error) {
 	if len(sets) == 0 {
 		return nil, 0, fmt.Errorf("core: no candidate sets")
 	}
@@ -610,7 +608,7 @@ func (e *Engine) AverageGammaSets(sets [][]tuple, f int, method safearea.Method)
 	}
 	points := make([]geometry.Vector, len(sets))
 	return e.walk(points, func(fan *sim.Fan, w int) {
-		sc := e.scratch(fan, w, maxK, origins, d, f, method)
+		sc := e.scratch(fan, w, maxK, origins, d, f)
 		defer sc.flush(e)
 		for {
 			r, _, ok := fan.Claim(1)

@@ -41,11 +41,11 @@ func TestEngineDeterminismAcrossWorkersAndCache(t *testing.T) {
 		n := MinProcesses(VariantRestrictedSync, c.d, c.f)
 		tuples := randomTuples(rng, n, c.d)
 		k := n - c.f
-		want := resultKey(oracleAverageGamma(t, tuples, k, c.f, safearea.MethodAuto))
+		want := resultKey(oracleAverageGamma(t, tuples, k, c.f))
 		for _, workers := range workerSets {
 			eng := NewEngine(workers)
 			for rep := 0; rep < 2; rep++ { // rep 1 hits the memo table
-				if got := resultKey(eng.AverageGamma(tuples, k, c.f, safearea.MethodAuto)); got != want {
+				if got := resultKey(eng.AverageGamma(tuples, k, c.f)); got != want {
 					t.Fatalf("d=%d f=%d workers=%d rep=%d: Zi average %s, oracle %s", c.d, c.f, workers, rep, got, want)
 				}
 			}
@@ -75,7 +75,7 @@ func TestEngineSafePointMatchesSafearea(t *testing.T) {
 		}
 		eng := NewEngine(2)
 		for rep := 0; rep < 3; rep++ {
-			got, err := eng.SafePoint(ms, c.f, safearea.MethodAuto)
+			got, err := eng.SafePoint(ms, c.f)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -102,12 +102,12 @@ func TestEngineSafePointHitAllocs(t *testing.T) {
 		}
 	}
 	eng := NewEngine(1)
-	if _, err := eng.SafePoint(ms, f, safearea.MethodAuto); err != nil {
+	if _, err := eng.SafePoint(ms, f); err != nil {
 		t.Fatal(err)
 	}
 	before := eng.Counters()
 	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := eng.SafePoint(ms, f, safearea.MethodAuto); err != nil {
+		if _, err := eng.SafePoint(ms, f); err != nil {
 			t.Fatal(err)
 		}
 	})
@@ -130,14 +130,14 @@ func TestEngineMatchesReferenceAverage(t *testing.T) {
 	tuples := randomTuples(rng, n, d)
 	k := n - f
 	sets := candidateSets(t, tuples, k)
-	want := resultKey(averageGammaPoints(sets, f, safearea.MethodAuto))
+	want := resultKey(averageGammaPoints(sets, f))
 
 	for _, workers := range []int{1, 3} {
 		eng := NewEngine(workers)
-		if got := resultKey(eng.AverageGamma(tuples, k, f, safearea.MethodAuto)); got != want {
+		if got := resultKey(eng.AverageGamma(tuples, k, f)); got != want {
 			t.Fatalf("workers=%d: engine %s != reference %s", workers, got, want)
 		}
-		if got := resultKey(eng.AverageGammaSets(sets, f, safearea.MethodAuto)); got != want {
+		if got := resultKey(eng.AverageGammaSets(sets, f)); got != want {
 			t.Fatalf("workers=%d: AverageGammaSets %s diverged from reference %s", workers, got, want)
 		}
 	}
@@ -172,11 +172,11 @@ func TestEngineCountersExactAcrossWorkers(t *testing.T) {
 		for i, workers := range workerSets {
 			eng := NewEngine(workers)
 			for rep := 0; rep < 2; rep++ { // rep 1 is a round hit
-				if _, _, err := eng.AverageGamma(tuples, k, c.f, safearea.MethodAuto); err != nil {
+				if _, _, err := eng.AverageGamma(tuples, k, c.f); err != nil {
 					t.Fatal(err)
 				}
 			}
-			if _, _, err := eng.AverageGammaSets(sets, c.f, safearea.MethodAuto); err != nil {
+			if _, _, err := eng.AverageGammaSets(sets, c.f); err != nil {
 				t.Fatal(err)
 			}
 			got := eng.Counters()
@@ -203,14 +203,14 @@ func TestEngineCountersExactAcrossWorkers(t *testing.T) {
 		sets, single := NewEngine(workers), NewEngine(workers)
 		for rep, want := range []GammaCounters{{Solves: 1}, {}, {}} {
 			before := sets.Counters()
-			if _, _, err := sets.AverageGammaSets(bad, 1, safearea.MethodAuto); err == nil {
+			if _, _, err := sets.AverageGammaSets(bad, 1); err == nil {
 				t.Fatal("one-member candidate set with f = 1 solved")
 			}
 			if got := sets.Counters().Sub(before); got != want {
 				t.Fatalf("workers=%d AverageGammaSets rep %d: counters %+v, want %+v", workers, rep, got, want)
 			}
 			before = single.Counters()
-			if _, err := single.SafePoint(ms, 1, safearea.MethodAuto); err == nil {
+			if _, err := single.SafePoint(ms, 1); err == nil {
 				t.Fatal("one-member multiset with f = 1 solved")
 			}
 			if got := single.Counters().Sub(before); got != want {
@@ -256,7 +256,7 @@ func BenchmarkEngineMemo(b *testing.B) {
 	b.Run("hit-parallel", func(b *testing.B) {
 		eng := NewEngine(0)
 		sets := make([][]tuple, 4096)
-		sc := eng.scratch(nil, 1, k, poolSize, d, f, safearea.MethodAuto)
+		sc := eng.scratch(nil, 1, k, poolSize, d, f)
 		solved := func() (geometry.Vector, uint32, error) { return geometry.Vector{1, 2}, 0, nil }
 		for i := range sets {
 			idx, err := combin.Unrank(poolSize, k, int64(i)*7919, nil)
@@ -270,7 +270,7 @@ func BenchmarkEngineMemo(b *testing.B) {
 		b.ReportAllocs()
 		b.ResetTimer()
 		b.RunParallel(func(pb *testing.PB) {
-			sc := eng.scratch(nil, 1, k, poolSize, d, f, safearea.MethodAuto)
+			sc := eng.scratch(nil, 1, k, poolSize, d, f)
 			i := int(goroutine.Add(1)) * 997
 			for pb.Next() {
 				if _, id, _, inserted := eng.memo.get(keyOf(&sc, sets[i%len(sets)])); inserted || id >= uint32(len(sets)) {
@@ -285,7 +285,7 @@ func BenchmarkEngineMemo(b *testing.B) {
 	})
 	b.Run("miss", func(b *testing.B) {
 		eng := NewEngine(1)
-		sc := eng.scratch(nil, 1, k, poolSize, d, f, safearea.MethodAuto)
+		sc := eng.scratch(nil, 1, k, poolSize, d, f)
 		idx := []int{0, 1, 2, 3, 4, 5, 6}
 		var sel []tuple
 		b.ReportAllocs()
@@ -301,9 +301,9 @@ func BenchmarkEngineMemo(b *testing.B) {
 // BenchmarkAverageGammaColdVsWarm measures the value of the Γ-point
 // memoization on the restricted-round hot path, for a fixed B set (n=9,
 // d=2, f=2 → C(9,7)=36 candidate sets): cold resets the engine before
-// every iteration, so each is one Zi construction, 36 lex-min LP solves;
-// warm walks the same 36 sets as AverageGammaSets over a warm per-set
-// memo, 36 table hits and no solve. Warm runs at one worker and at
+// every iteration, so each is one Zi construction, 36 Γ-point solves (the
+// ladder's lift rung); warm walks the same 36 sets as AverageGammaSets
+// over a warm per-set memo, 36 table hits and no solve. Warm runs at one worker and at
 // GOMAXPROCS: an all-hit walk starts no helper, so the two read alike, and
 // a gap between them is the fan-out's fixed cost.
 func BenchmarkAverageGammaColdVsWarm(b *testing.B) {
@@ -317,7 +317,7 @@ func BenchmarkAverageGammaColdVsWarm(b *testing.B) {
 		b.ReportAllocs()
 		for b.Loop() {
 			eng.Reset()
-			if _, _, err := eng.AverageGamma(tuples, k, f, safearea.MethodLexMinLP); err != nil {
+			if _, _, err := eng.AverageGamma(tuples, k, f); err != nil {
 				b.Fatal(err)
 			}
 		}
@@ -326,12 +326,12 @@ func BenchmarkAverageGammaColdVsWarm(b *testing.B) {
 	for _, workers := range []int{1, runtime.GOMAXPROCS(0)} {
 		b.Run(fmt.Sprintf("warm/workers=%d", workers), func(b *testing.B) {
 			eng := NewEngine(workers)
-			if _, _, err := eng.AverageGammaSets(sets, f, safearea.MethodLexMinLP); err != nil {
+			if _, _, err := eng.AverageGammaSets(sets, f); err != nil {
 				b.Fatal(err) // warm the table outside the timed loop
 			}
 			b.ReportAllocs()
 			for b.Loop() {
-				if _, _, err := eng.AverageGammaSets(sets, f, safearea.MethodLexMinLP); err != nil {
+				if _, _, err := eng.AverageGammaSets(sets, f); err != nil {
 					b.Fatal(err)
 				}
 			}
@@ -375,12 +375,12 @@ func TestAverageGammaHelpersStartMidWalk(t *testing.T) {
 	sets := candidateSets(t, tuples, k)
 	total := len(sets)
 	workerSets := []int{1, 4, runtime.GOMAXPROCS(0)}
-	warm := func(eng *Engine, j int, method safearea.Method) {
+	warm := func(eng *Engine, j int) {
 		t.Helper()
 		if j == 0 {
 			return
 		}
-		if _, _, err := eng.AverageGammaSets(sets[:j], f, method); err != nil {
+		if _, _, err := eng.AverageGammaSets(sets[:j], f); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -390,37 +390,35 @@ func TestAverageGammaHelpersStartMidWalk(t *testing.T) {
 		size  int
 		delta GammaCounters
 	}
-	calls := map[string]func(*Engine, safearea.Method) (geometry.Vector, int, error){
-		"AverageGamma": func(eng *Engine, m safearea.Method) (geometry.Vector, int, error) {
-			return eng.AverageGamma(tuples, k, f, m)
+	calls := map[string]func(*Engine) (geometry.Vector, int, error){
+		"AverageGamma": func(eng *Engine) (geometry.Vector, int, error) {
+			return eng.AverageGamma(tuples, k, f)
 		},
-		"AverageGammaSets": func(eng *Engine, m safearea.Method) (geometry.Vector, int, error) {
-			return eng.AverageGammaSets(sets, f, m)
+		"AverageGammaSets": func(eng *Engine) (geometry.Vector, int, error) {
+			return eng.AverageGammaSets(sets, f)
 		},
 	}
-	for _, method := range []safearea.Method{safearea.MethodLexMinLP, safearea.MethodAuto} {
-		for _, j := range []int{0, 1, total - 1, total} {
-			for name, call := range calls {
-				var want result
-				for i, workers := range workerSets {
-					eng := NewEngine(workers)
-					warm(eng, j, method)
-					before := eng.Counters()
-					pt, size, err := call(eng, method)
-					if err != nil {
-						t.Fatalf("%s method=%v j=%d workers=%d: %v", name, method, j, workers, err)
+	for _, j := range []int{0, 1, total - 1, total} {
+		for name, call := range calls {
+			var want result
+			for i, workers := range workerSets {
+				eng := NewEngine(workers)
+				warm(eng, j)
+				before := eng.Counters()
+				pt, size, err := call(eng)
+				if err != nil {
+					t.Fatalf("%s j=%d workers=%d: %v", name, j, workers, err)
+				}
+				got := result{string(geometry.AppendKey(nil, pt)), size, eng.Counters().Sub(before)}
+				if i == 0 {
+					want = got
+					if (j == total) != (got.delta.Solves == 0) {
+						t.Fatalf("%s j=%d: %d solves after warming %d of %d sets",
+							name, j, got.delta.Solves, j, total)
 					}
-					got := result{string(geometry.AppendKey(nil, pt)), size, eng.Counters().Sub(before)}
-					if i == 0 {
-						want = got
-						if (j == total) != (got.delta.Solves == 0) {
-							t.Fatalf("%s method=%v j=%d: %d solves after warming %d of %d sets",
-								name, method, j, got.delta.Solves, j, total)
-						}
-					} else if got != want {
-						t.Fatalf("%s method=%v j=%d workers=%d: %+v, workers=1 gave %+v",
-							name, method, j, workers, got, want)
-					}
+				} else if got != want {
+					t.Fatalf("%s j=%d workers=%d: %+v, workers=1 gave %+v",
+						name, j, workers, got, want)
 				}
 			}
 		}
@@ -445,11 +443,11 @@ func TestAverageGammaHelpersStartMidWalk(t *testing.T) {
 		first string // in the first failing set's error only
 	}{
 		"AverageGammaSets": {func(eng *Engine) error {
-			_, _, err := eng.AverageGammaSets(badSets, f, safearea.MethodLexMinLP)
+			_, _, err := eng.AverageGammaSets(badSets, f)
 			return err
 		}, "|Y| = 2"},
 		"AverageGamma": {func(eng *Engine) error {
-			_, _, err := eng.AverageGamma(badTuples, k, f, safearea.MethodLexMinLP)
+			_, _, err := eng.AverageGamma(badTuples, k, f)
 			return err
 		}, "point dimension 2"},
 	}
@@ -457,7 +455,7 @@ func TestAverageGammaHelpersStartMidWalk(t *testing.T) {
 		var want string
 		for i, workers := range workerSets {
 			eng := NewEngine(workers)
-			warm(eng, 1, safearea.MethodLexMinLP) // the first miss is set 1
+			warm(eng, 1) // the first miss is set 1
 			err := c.call(eng)
 			if err == nil {
 				t.Fatalf("%s workers=%d: no error", name, workers)
@@ -477,9 +475,9 @@ func TestAverageGammaHelpersStartMidWalk(t *testing.T) {
 	allocs := make([]float64, len(workerSets))
 	for i, workers := range workerSets {
 		eng := NewEngine(workers)
-		warm(eng, total, safearea.MethodLexMinLP)
+		warm(eng, total)
 		allocs[i] = testing.AllocsPerRun(50, func() {
-			if _, _, err := eng.AverageGammaSets(sets, f, safearea.MethodLexMinLP); err != nil {
+			if _, _, err := eng.AverageGammaSets(sets, f); err != nil {
 				t.Fatal(err)
 			}
 		})

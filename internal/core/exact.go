@@ -32,7 +32,6 @@ var _ sim.SyncNode = (*ExactNode)(nil)
 
 // NewExactNode builds the node for process self with the given input.
 func NewExactNode(params Params, self sim.ProcID, input geometry.Vector) (*ExactNode, error) {
-	params = params.WithDefaults()
 	if err := params.Validate(VariantExactSync); err != nil {
 		return nil, err
 	}
@@ -71,8 +70,8 @@ func (e *ExactNode) Deliver(r int, inbox map[sim.ProcID]sim.Message) {
 	e.s = s
 	// The engine's memo keys on the canonical multiset: all n correct
 	// processes hold the identical agreed S, so only the first to reach
-	// this point pays for the lex-min LP.
-	pt, err := e.params.engine().SafePoint(s, e.params.F, e.params.Method)
+	// this point pays for the Γ-point solve.
+	pt, err := e.params.engine().SafePoint(s, e.params.F)
 	if err != nil {
 		// Γ(S) is non-empty whenever n ≥ (d+1)f+1 (Lemma 1), which
 		// Validate enforced; reaching this indicates a real failure.
@@ -117,12 +116,8 @@ var _ sim.SyncNode = (*CoordWiseNode)(nil)
 // weaker requirement n ≥ 3f+1 regardless of d — the seeming advantage over
 // Exact BVC's (d+1)f+1 is precisely what the broken validity pays for.
 func NewCoordWiseNode(params Params, self sim.ProcID, input geometry.Vector) (*CoordWiseNode, error) {
-	params = params.WithDefaults()
-	if params.D < 1 {
-		return nil, fmt.Errorf("core: dimension d=%d, want ≥ 1", params.D)
-	}
-	if params.F < 0 {
-		return nil, fmt.Errorf("core: fault bound f=%d, want ≥ 0", params.F)
+	if err := params.checkShape(); err != nil {
+		return nil, err
 	}
 	if params.N < 3*params.F+1 {
 		return nil, fmt.Errorf("core: scalar consensus requires n ≥ 3f+1, got n=%d f=%d", params.N, params.F)

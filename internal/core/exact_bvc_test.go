@@ -158,7 +158,7 @@ func TestExactF2Grid(t *testing.T) {
 
 func TestExactDeterministicChoiceMatchesGamma(t *testing.T) {
 	// The decision must lie in Γ(S) where S is the agreed multiset.
-	params := core.Params{N: 5, F: 1, D: 2, Method: safearea.MethodLexMinLP}
+	params := core.Params{N: 5, F: 1, D: 2}
 	rng := rand.New(rand.NewSource(6))
 	inputs := boxInputs(rng, params.N, params.D, 0, 1)
 	ex, impls := runExact(t, params, inputs, nil)

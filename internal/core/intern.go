@@ -4,7 +4,6 @@ import (
 	"encoding/binary"
 
 	"repro/internal/geometry"
-	"repro/internal/safearea"
 )
 
 // valueIDs is one memo generation's value interner: it names every distinct
@@ -74,12 +73,12 @@ const (
 const keyTagAt = 0
 
 // appendKeyHead starts a Γ-point memo key: tag, meta and generation, which
-// take 5 bytes while d, f and the generation are below 128. The member ids
+// take 4 bytes while d, f and the generation are below 128. The member ids
 // follow as uvarints, in canonical order; uvarints are prefix-free, so the
 // key decodes to exactly one id sequence.
-func appendKeyHead(dst []byte, d, f int, method safearea.Method, tag byte, gen uint64) []byte {
+func appendKeyHead(dst []byte, d, f int, tag byte, gen uint64) []byte {
 	dst = append(dst, tag)
-	dst = appendMeta(dst, d, f, method)
+	dst = appendMeta(dst, d, f)
 	return binary.AppendUvarint(dst, gen)
 }
 
@@ -143,7 +142,7 @@ func (sc *gammaScratch) intern(v geometry.Vector) uint64 {
 // setKey builds the full-set memo key of the canonical members. It also
 // returns the key's length through the first m members, for the prefix key.
 func (sc *gammaScratch) setKey(m int) (key []byte, prefixEnd int) {
-	key = appendKeyHead(sc.key[:0], sc.d, sc.f, sc.method, setKeyTag, sc.values.gen)
+	key = appendKeyHead(sc.key[:0], sc.d, sc.f, setKeyTag, sc.values.gen)
 	for i, mb := range sc.members {
 		if i == m {
 			prefixEnd = len(key)

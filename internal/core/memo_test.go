@@ -393,7 +393,7 @@ func TestEngineMemoSizedToContent(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if _, err := eng.SafePoint(ms, f, safearea.MethodAuto); err != nil {
+			if _, err := eng.SafePoint(ms, f); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -456,10 +456,10 @@ func TestMemoIDKeysSurviveDrops(t *testing.T) {
 		}
 	}
 	run := func(eng *Engine, in input) result {
-		pt, err := eng.SafePoint(in.ms, in.f, safearea.MethodAuto)
+		pt, err := eng.SafePoint(in.ms, in.f)
 		return result{
-			avg:  resultKey(eng.AverageGamma(in.tuples, in.k, in.f, safearea.MethodAuto)),
-			sets: resultKey(eng.AverageGammaSets(in.sets, in.f, safearea.MethodAuto)),
+			avg:  resultKey(eng.AverageGamma(in.tuples, in.k, in.f)),
+			sets: resultKey(eng.AverageGammaSets(in.sets, in.f)),
 			safe: resultKey(pt, 0, err),
 		}
 	}
@@ -467,8 +467,8 @@ func TestMemoIDKeysSurviveDrops(t *testing.T) {
 	for i, in := range inputs {
 		pt, err := safearea.PointWith(in.ms, in.f, safearea.MethodAuto)
 		want[i] = result{
-			avg:  resultKey(oracleAverageGamma(t, in.tuples, in.k, in.f, safearea.MethodAuto)),
-			sets: resultKey(averageGammaPoints(in.sets, in.f, safearea.MethodAuto)),
+			avg:  resultKey(oracleAverageGamma(t, in.tuples, in.k, in.f)),
+			sets: resultKey(averageGammaPoints(in.sets, in.f)),
 			safe: resultKey(pt, 0, err),
 		}
 	}
@@ -512,22 +512,22 @@ func (t *memoTable[V]) memoKeyBytes() (n, bytes int) {
 
 // TestEngineMemoKeyBytes pins the Γ-point keys' footprint on a
 // sim-rasync-f2-shaped walk (11 tuples, k = 7, d = 2, f = 2): keys naming
-// each member by its interned id behind a 5-byte head (tag, method, d, f,
-// generation) store at most 20 bytes per entry, so they fit a record
-// inline; the 9-byte fixed-width head made them 18, and keys holding the
-// members' bytes stored 9 + 7·16 = 121.
+// each member by its interned id behind a 4-byte head (tag, d, f,
+// generation) store 4 + 7 = 11 bytes per entry, well inside a record's
+// 20 inline bytes; the head's former method byte made them 12, the 9-byte
+// fixed-width head 18, and keys holding the members' bytes 9 + 7·16 = 121.
 func TestEngineMemoKeyBytes(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	eng := NewEngine(1)
-	if _, _, err := eng.AverageGamma(randomTuples(rng, 11, 2), 7, 2, safearea.MethodAuto); err != nil {
+	if _, _, err := eng.AverageGamma(randomTuples(rng, 11, 2), 7, 2); err != nil {
 		t.Fatal(err)
 	}
 	n, bytes := eng.memo.memoKeyBytes()
 	if n != 330 {
 		t.Fatalf("%d entries, want one per candidate set, C(11, 7) = 330", n)
 	}
-	if per := float64(bytes) / float64(n); per > 20 {
-		t.Fatalf("%.1f key bytes per entry, want ≤ 20", per)
+	if per := float64(bytes) / float64(n); per > 11 {
+		t.Fatalf("%.1f key bytes per entry, want ≤ 11", per)
 	} else {
 		t.Logf("%.1f key bytes per entry", per)
 	}
@@ -562,7 +562,7 @@ func TestEngineMemoBytesPerEntry(t *testing.T) {
 	eng := NewEngine(1)
 	before := heapAfterGC()
 	for _, tuples := range bsets {
-		if _, _, err := eng.AverageGamma(tuples, 7, 2, safearea.MethodAuto); err != nil {
+		if _, _, err := eng.AverageGamma(tuples, 7, 2); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -621,7 +621,7 @@ func TestEngineMemoBytesPerInternedValue(t *testing.T) {
 // key, and every result must equal the oracle's.
 func TestMemoUncertifiedPrefixEntry(t *testing.T) {
 	const d, f, k = 2, 2, 8
-	if m := safearea.PrefixLen(k, d, f, safearea.MethodAuto); m != k-1 {
+	if m := safearea.PrefixLen(k, d, f); m != k-1 {
 		t.Fatalf("prefix of %d members, want %d", m, k-1)
 	}
 	set := func(last geometry.Vector) []tuple {
@@ -644,15 +644,15 @@ func TestMemoUncertifiedPrefixEntry(t *testing.T) {
 		{"first again", a, GammaCounters{CacheHits: 1}},
 	} {
 		before := eng.Counters()
-		got := resultKey(eng.AverageGammaSets([][]tuple{c.set}, f, safearea.MethodAuto))
-		if want := resultKey(averageGammaPoints([][]tuple{c.set}, f, safearea.MethodAuto)); got != want {
+		got := resultKey(eng.AverageGammaSets([][]tuple{c.set}, f))
+		if want := resultKey(averageGammaPoints([][]tuple{c.set}, f)); got != want {
 			t.Fatalf("%s: %s, the oracle gave %s", c.name, got, want)
 		}
 		if n := eng.Counters().Sub(before); n != c.want {
 			t.Fatalf("%s: counters %+v, want %+v", c.name, n, c.want)
 		}
 	}
-	sc := eng.scratch(nil, 0, k, k, d, f, safearea.MethodAuto)
+	sc := eng.scratch(nil, 0, k, k, d, f)
 	sc.startSet()
 	for i := range a {
 		sc.addMember(a, i)
@@ -704,7 +704,7 @@ func TestMemoRecordIndexBound(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(31 + g)))
 			for range 40 {
 				v := eng.values.Load()
-				if _, _, err := eng.AverageGamma(randomTuples(rng, 7, 1), k, 2, safearea.MethodAuto); err != nil {
+				if _, _, err := eng.AverageGamma(randomTuples(rng, 7, 1), k, 2); err != nil {
 					t.Error(err)
 					return
 				}

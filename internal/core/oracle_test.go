@@ -12,7 +12,7 @@ import (
 )
 
 // The oracle: eq. (9) of the paper computed from its definition, one
-// safearea.PointWith per origin-sorted candidate set in combin.Combinations
+// safearea.PointWith (the MethodAuto ladder) per origin-sorted candidate set in combin.Combinations
 // order, averaged by geometry.Mean. It shares no walk, key, memo or fan-out
 // code with Engine, so an engine result that differs from it in one bit is
 // an engine fault.
@@ -22,7 +22,7 @@ import (
 // processes holding the same set compute the identical multiset and hence
 // the identical point — the zij of Observation 2), then Γ(Φ(C))'s
 // deterministic point is returned.
-func gammaPointOfSet(set []tuple, f int, method safearea.Method) (geometry.Vector, error) {
+func gammaPointOfSet(set []tuple, f int) (geometry.Vector, error) {
 	if len(set) == 0 {
 		return nil, fmt.Errorf("core: empty candidate set")
 	}
@@ -37,19 +37,19 @@ func gammaPointOfSet(set []tuple, f int, method safearea.Method) (geometry.Vecto
 	if err := ms.View(vals); err != nil {
 		return nil, err
 	}
-	return safearea.PointWith(&ms, f, method)
+	return safearea.PointWith(&ms, f, safearea.MethodAuto)
 }
 
 // averageGammaPoints computes Zi = {one safe point per candidate set} and
 // returns its average — eq. (9) of the paper — along with |Zi|: the oracle
 // for Engine.AverageGammaSets.
-func averageGammaPoints(sets [][]tuple, f int, method safearea.Method) (geometry.Vector, int, error) {
+func averageGammaPoints(sets [][]tuple, f int) (geometry.Vector, int, error) {
 	if len(sets) == 0 {
 		return nil, 0, fmt.Errorf("core: no candidate sets")
 	}
 	points := make([]geometry.Vector, 0, len(sets))
 	for _, set := range sets {
-		pt, err := gammaPointOfSet(set, f, method)
+		pt, err := gammaPointOfSet(set, f)
 		if err != nil {
 			return nil, 0, fmt.Errorf("core: safe point of candidate set: %w", err)
 		}
@@ -65,11 +65,11 @@ func averageGammaPoints(sets [][]tuple, f int, method safearea.Method) (geometry
 // oracleAverageGamma is the oracle for Engine.AverageGamma: the B set
 // sorted by origin, then averageGammaPoints over its k-subsets in rank
 // order.
-func oracleAverageGamma(tb testing.TB, tuples []tuple, k, f int, method safearea.Method) (geometry.Vector, int, error) {
+func oracleAverageGamma(tb testing.TB, tuples []tuple, k, f int) (geometry.Vector, int, error) {
 	tb.Helper()
 	sorted := append([]tuple(nil), tuples...)
 	sort.SliceStable(sorted, func(i, j int) bool { return sorted[i].origin < sorted[j].origin })
-	return averageGammaPoints(candidateSets(tb, sorted, k), f, method)
+	return averageGammaPoints(candidateSets(tb, sorted, k), f)
 }
 
 // resultKey renders a Γ result bit for bit: the point's geometry.AppendKey
@@ -86,8 +86,7 @@ func resultKey(pt geometry.Vector, size int, err error) string {
 // and again warm, on engines whose Γ-point table or value interner is
 // bounded to a handful of entries so that drops land mid-walk, and in
 // every regime of the reuse ladder: d = 1 closed forms, Radon and
-// Tverberg-lift prefix keys, full keys, the lex-min LP, and the
-// Radon-family walk (f = 1, k = d+2 < |B|). Each case is a chain of B
+// Tverberg-lift prefix keys, full keys, and the Radon-family walk (f = 1, k = d+2 < |B|). Each case is a chain of B
 // sets, each one member's value off its predecessor's, handed over in a
 // shuffled arrival order — the shape restricted-async rounds produce — and
 // the candidate sets reach AverageGammaSets in descending origin order.
@@ -99,16 +98,14 @@ func TestAverageGammaMatchesOracle(t *testing.T) {
 	cases := []struct {
 		name       string
 		d, f, n, k int
-		method     safearea.Method
 		family     bool // the Radon-family walk serves AverageGamma
 	}{
-		{"d1-closed-form", 1, 2, 7, 5, safearea.MethodAuto, false},
-		{"radon-prefix", 2, 1, 7, 6, safearea.MethodAuto, false},
-		{"lift-prefix", 2, 2, 9, 8, safearea.MethodAuto, false},
-		{"lift-full", 2, 2, 9, 7, safearea.MethodAuto, false},
-		{"lexmin", 2, 1, 6, 5, safearea.MethodLexMinLP, false},
-		{"radon-family-d2", 2, 1, 6, 4, safearea.MethodAuto, true},
-		{"radon-family-d3", 3, 1, 7, 5, safearea.MethodAuto, true},
+		{"d1-closed-form", 1, 2, 7, 5, false},
+		{"radon-prefix", 2, 1, 7, 6, false},
+		{"lift-prefix", 2, 2, 9, 8, false},
+		{"lift-full", 2, 2, 9, 7, false},
+		{"radon-family-d2", 2, 1, 6, 4, true},
+		{"radon-family-d3", 3, 1, 7, 5, true},
 	}
 	engines := []struct {
 		name           string
@@ -121,7 +118,7 @@ func TestAverageGammaMatchesOracle(t *testing.T) {
 	rng := rand.New(rand.NewSource(59))
 	var total GammaCounters
 	for _, c := range cases {
-		if got := safearea.Resolve(c.k, c.d, c.f, c.method) == safearea.MethodRadon && c.k == c.d+2; got != c.family {
+		if got := safearea.Resolve(c.k, c.d, c.f, safearea.MethodAuto) == safearea.MethodRadon && c.k == c.d+2; got != c.family {
 			t.Fatalf("%s: Radon-family regime %v, case says %v", c.name, got, c.family)
 		}
 		const chain = 4
@@ -142,8 +139,8 @@ func TestAverageGammaMatchesOracle(t *testing.T) {
 				}
 			}
 			inputs = append(inputs, input{arrival, sets})
-			want = append(want, resultKey(oracleAverageGamma(t, arrival, c.k, c.f, c.method)))
-			if got := resultKey(averageGammaPoints(sets, c.f, c.method)); got != want[len(want)-1] {
+			want = append(want, resultKey(oracleAverageGamma(t, arrival, c.k, c.f)))
+			if got := resultKey(averageGammaPoints(sets, c.f)); got != want[len(want)-1] {
 				t.Fatalf("%s: the oracle's two forms disagree: %s and %s", c.name, got, want[len(want)-1])
 			}
 		}
@@ -153,10 +150,10 @@ func TestAverageGammaMatchesOracle(t *testing.T) {
 				for _, pass := range []string{"cold", "warm"} {
 					for i, in := range inputs {
 						label := fmt.Sprintf("%s %s workers=%d %s input %d", c.name, bounds.name, workers, pass, i)
-						if got := resultKey(eng.AverageGamma(in.tuples, c.k, c.f, c.method)); got != want[i] {
+						if got := resultKey(eng.AverageGamma(in.tuples, c.k, c.f)); got != want[i] {
 							t.Fatalf("%s: AverageGamma %s, oracle %s", label, got, want[i])
 						}
-						if got := resultKey(eng.AverageGammaSets(in.sets, c.f, c.method)); got != want[i] {
+						if got := resultKey(eng.AverageGammaSets(in.sets, c.f)); got != want[i] {
 							t.Fatalf("%s: AverageGammaSets %s, oracle %s", label, got, want[i])
 						}
 					}

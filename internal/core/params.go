@@ -97,9 +97,10 @@ type Params struct {
 	// Bounds is the a-priori input box ([ν, U]^d in the paper); required
 	// by the approximate variants' termination rule.
 	Bounds geometry.Box
-	// Method is the Γ-point method; WithDefaults, which every constructor
-	// applies, turns the zero value into safearea.MethodAuto. It is not a
-	// constant only because bench/replay.go sets it (ROADMAP's judge item).
+	// Method must be 0 or safearea.MethodAuto, which mean the same: the
+	// Γ-point rule is safearea's ladder alone, and Validate refuses any
+	// other value rather than ignore it. The field remains only because
+	// bench/replay.go sets it.
 	Method safearea.Method
 	// MaxRounds, when positive, caps the round horizon of the restricted
 	// variants below the analytic termination bound. The analytic bound
@@ -122,22 +123,11 @@ func (p Params) engine() *Engine {
 	return defaultEngine
 }
 
-// WithDefaults fills unset optional fields: MethodAuto for Method.
-func (p Params) WithDefaults() Params {
-	if p.Method == 0 {
-		p.Method = safearea.MethodAuto
-	}
-	return p
-}
-
 // Validate checks the parameters for the given variant, including the
 // paper's tight resilience bound.
 func (p Params) Validate(v Variant) error {
-	if p.D < 1 {
-		return fmt.Errorf("core: dimension d=%d, want ≥ 1", p.D)
-	}
-	if p.F < 0 {
-		return fmt.Errorf("core: fault bound f=%d, want ≥ 0", p.F)
+	if err := p.checkShape(); err != nil {
+		return err
 	}
 	if want := MinProcesses(v, p.D, p.F); p.N < want {
 		return fmt.Errorf("core: %v requires n ≥ %d for d=%d f=%d, got n=%d", v, want, p.D, p.F, p.N)
@@ -157,6 +147,21 @@ func (p Params) Validate(v Variant) error {
 		// No ε or bounds needed.
 	default:
 		return fmt.Errorf("core: unknown variant %v", v)
+	}
+	return nil
+}
+
+// checkShape is the part of Validate every node constructor shares, the
+// coordinate-wise baseline included: dimension, fault bound and Method.
+func (p Params) checkShape() error {
+	if p.D < 1 {
+		return fmt.Errorf("core: dimension d=%d, want ≥ 1", p.D)
+	}
+	if p.F < 0 {
+		return fmt.Errorf("core: fault bound f=%d, want ≥ 0", p.F)
+	}
+	if p.Method != 0 && p.Method != safearea.MethodAuto {
+		return fmt.Errorf("core: Γ-point method %v, want auto (the ladder is the only rule)", p.Method)
 	}
 	return nil
 }

@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/geometry"
+	"repro/internal/safearea"
 )
 
 func TestMinProcesses(t *testing.T) {
@@ -61,11 +62,48 @@ func TestParamsValidate(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			err := tt.params.WithDefaults().Validate(tt.variant)
+			err := tt.params.Validate(tt.variant)
 			if (err != nil) != tt.wantErr {
 				t.Errorf("Validate: err = %v, wantErr = %v", err, tt.wantErr)
 			}
 		})
+	}
+}
+
+// TestConstructorsRefuseMethod: Params.Method is 0 or MethodAuto, which mean
+// the one ladder; every node constructor refuses any other value instead of
+// ignoring it.
+func TestConstructorsRefuseMethod(t *testing.T) {
+	base := Params{N: 7, F: 1, D: 2, Epsilon: 0.1, Bounds: geometry.UniformBox(2, 0, 1)}
+	input := geometry.Vector{0.5, 0.5}
+	constructors := map[string]func(Params) error{
+		"ExactNode": func(p Params) error { _, err := NewExactNode(p, 0, input); return err },
+		"CoordWiseNode": func(p Params) error {
+			_, err := NewCoordWiseNode(p, 0, input)
+			return err
+		},
+		"RestrictedSyncNode": func(p Params) error {
+			_, err := NewRestrictedSyncNode(p, 0, input)
+			return err
+		},
+		"RestrictedAsyncNode": func(p Params) error {
+			_, err := NewRestrictedAsyncNode(p, 0, input)
+			return err
+		},
+		"AsyncNode": func(p Params) error {
+			_, err := NewAsyncNode(AsyncConfig{Params: p}, 0, input)
+			return err
+		},
+	}
+	for name, build := range constructors {
+		for _, m := range []safearea.Method{0, safearea.MethodAuto, safearea.MethodLexMinLP} {
+			p := base
+			p.Method = m
+			err := build(p)
+			if refuse := m == safearea.MethodLexMinLP; (err != nil) != refuse {
+				t.Errorf("%s with Method %v: err = %v, want refused = %v", name, m, err, refuse)
+			}
+		}
 	}
 }
 
@@ -149,15 +187,11 @@ func TestGammaPointOfSetCanonicalizes(t *testing.T) {
 		{origin: 1, value: geometry.Vector{1, 0}},
 	}
 	set2 := []tuple{set1[3], set1[0], set1[1], set1[2]}
-	p1, err := gammaPointOfSet(set1, 1, 0)
-	if err == nil {
-		t.Fatal("method 0 should be invalid")
-	}
-	p1, err = gammaPointOfSet(set1, 1, 1) // safearea.MethodAuto == 1
+	p1, err := gammaPointOfSet(set1, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	p2, err := gammaPointOfSet(set2, 1, 1)
+	p2, err := gammaPointOfSet(set2, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,26 +207,26 @@ func TestAverageGammaSubsetErrors(t *testing.T) {
 		{origin: 2, value: geometry.Vector{2}},
 	}
 	eng := NewEngine(1)
-	avg, size, err := eng.AverageGamma(tuples, 2, 0, 1) // f=0, MethodAuto
+	avg, size, err := eng.AverageGamma(tuples, 2, 0) // f=0
 	if err != nil {
 		t.Fatal(err)
 	}
 	if size != 3 {
 		t.Errorf("C(3,2) = %d sets, want 3", size)
 	}
-	if got, want := resultKey(avg, size, nil), resultKey(oracleAverageGamma(t, tuples, 2, 0, 1)); got != want {
+	if got, want := resultKey(avg, size, nil), resultKey(oracleAverageGamma(t, tuples, 2, 0)); got != want {
 		t.Errorf("average %s, oracle %s", got, want)
 	}
-	if _, _, err := eng.AverageGamma(tuples, 4, 0, 1); err == nil {
+	if _, _, err := eng.AverageGamma(tuples, 4, 0); err == nil {
 		t.Error("k > len: expected error")
 	}
-	if _, _, err := eng.AverageGamma(tuples, 0, 0, 1); err == nil {
+	if _, _, err := eng.AverageGamma(tuples, 0, 0); err == nil {
 		t.Error("k = 0: expected error")
 	}
 }
 
 func TestAverageGammaPointsEmpty(t *testing.T) {
-	if _, _, err := averageGammaPoints(nil, 1, 1); err == nil {
+	if _, _, err := averageGammaPoints(nil, 1); err == nil {
 		t.Error("no sets: expected error")
 	}
 }

@@ -41,7 +41,6 @@ var _ sim.SyncNode = (*RestrictedSyncNode)(nil)
 
 // NewRestrictedSyncNode builds the node for process self.
 func NewRestrictedSyncNode(params Params, self sim.ProcID, input geometry.Vector) (*RestrictedSyncNode, error) {
-	params = params.WithDefaults()
 	if err := params.Validate(VariantRestrictedSync); err != nil {
 		return nil, err
 	}
@@ -91,7 +90,7 @@ func (rs *RestrictedSyncNode) Deliver(r int, inbox map[sim.ProcID]sim.Message) {
 		}
 		tuples[j] = tuple{origin: j, value: value}
 	}
-	next, _, err := rs.params.engine().AverageGamma(tuples, rs.params.N-rs.params.F, rs.params.F, rs.params.Method)
+	next, _, err := rs.params.engine().AverageGamma(tuples, rs.params.N-rs.params.F, rs.params.F)
 	if err != nil {
 		rs.err = err
 		return
@@ -155,7 +154,6 @@ var _ sim.Node = (*RestrictedAsyncNode)(nil)
 
 // NewRestrictedAsyncNode builds the node for process self.
 func NewRestrictedAsyncNode(params Params, self sim.ProcID, input geometry.Vector) (*RestrictedAsyncNode, error) {
-	params = params.WithDefaults()
 	if err := params.Validate(VariantRestrictedAsync); err != nil {
 		return nil, err
 	}
@@ -232,7 +230,7 @@ func (ra *RestrictedAsyncNode) tryAdvance(api sim.API) bool {
 	b = append(b, tuple{origin: int(ra.self), value: ra.v})
 	b = append(b, arrived[:need]...)
 
-	next, _, err := ra.params.engine().AverageGamma(b, ra.params.N-3*ra.params.F, ra.params.F, ra.params.Method)
+	next, _, err := ra.params.engine().AverageGamma(b, ra.params.N-3*ra.params.F, ra.params.F)
 	if err != nil {
 		ra.fail(api, err)
 		return false

@@ -53,40 +53,33 @@ func E1SyncNecessity(seed int64) (*Table, error) {
 			// multiset. Verify constructively: find a point of Γ
 			// (SafePoint) and membership-test it into every
 			// (|Y|−f)-subset hull — numerically far better conditioned
-			// than one monolithic emptiness LP. The check keeps to the
-			// instances the exhaustive search it once used could reach
-			// (f = 1, or d ≤ 3), as the table's note says.
-			verdict := "-"
-			if f == 1 || d <= 3 {
-				allVerified := true
-				for trial := 0; trial < 5; trial++ {
-					pts := UniformInputs(rng, (d+1)*f+1, d, -1, 1)
-					pt, err := bvc.SafePoint(pts, f)
-					if err != nil {
-						return nil, fmt.Errorf("E1 threshold d=%d f=%d: %w", d, f, err)
-					}
-					in, err := bvc.SafeAreaContains(pts, f, pt)
-					if err != nil {
-						return nil, err
-					}
-					if !in {
-						allVerified = false
-					}
+			// than one monolithic emptiness LP.
+			allVerified := true
+			for trial := 0; trial < 5; trial++ {
+				pts := UniformInputs(rng, (d+1)*f+1, d, -1, 1)
+				pt, err := bvc.SafePoint(pts, f)
+				if err != nil {
+					return nil, fmt.Errorf("E1 threshold d=%d f=%d: %w", d, f, err)
 				}
-				verdict = check(allVerified)
-				if !allVerified {
-					t.Pass = false
+				in, err := bvc.SafeAreaContains(pts, f, pt)
+				if err != nil {
+					return nil, err
 				}
+				if !in {
+					allVerified = false
+				}
+			}
+			if !allVerified {
+				t.Pass = false
 			}
 			if !empty {
 				t.Pass = false
 			}
-			t.AddRow(d, f, (d+1)*f, check(empty), (d+1)*f+1, verdict)
+			t.AddRow(d, f, (d+1)*f, check(empty), (d+1)*f+1, check(allVerified))
 		}
 	}
 	t.Notes = append(t.Notes,
-		"the proof's instance has empty Γ one process below the bound; at the bound a Γ point is constructed and verified",
-		"'-': constructive check skipped (exhaustive Tverberg search too large); covered by Lemma 1 + E3")
+		"the proof's instance has empty Γ one process below the bound; at the bound a Γ point is constructed and verified")
 	return t, nil
 }
 

@@ -10,7 +10,6 @@ import (
 	"repro/internal/combin"
 	"repro/internal/core"
 	"repro/internal/geometry"
-	"repro/internal/safearea"
 	"repro/internal/sim"
 )
 
@@ -477,7 +476,6 @@ func E9WitnessAblation(seed int64) (*Table, error) {
 			Params: core.Params{
 				N: n, F: f, D: d, Epsilon: eps,
 				Bounds: geometry.UniformBox(d, 0, 1),
-				Method: safearea.MethodAuto,
 			},
 			WitnessOpt: witness,
 			MaxRounds:  40, // fixed horizon to measure actual convergence

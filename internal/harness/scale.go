@@ -45,28 +45,8 @@ func E10ScaleSweep(seed int64, opts bvc.SimOptions) (*Table, error) {
 	rng := rand.New(rand.NewSource(seed))
 
 	// Exact BVC at the tight synchronous bound. The adversary set scales
-	// with f: all f Byzantine slots are used at once, mixing strategies.
-	mkByz := func(cfg bvc.Config) []bvc.Byzantine {
-		lo := make(bvc.Vector, cfg.D)
-		hi := make(bvc.Vector, cfg.D)
-		for i := 0; i < cfg.D; i++ {
-			lo[i] = -3
-			hi[i] = 7
-		}
-		strategies := []bvc.Strategy{bvc.StrategyEquivocate, bvc.StrategySilent, bvc.StrategyLure}
-		byz := make([]bvc.Byzantine, 0, cfg.F)
-		for k := 0; k < cfg.F; k++ {
-			b := bvc.Byzantine{ID: cfg.N - 1 - k, Strategy: strategies[k%len(strategies)]}
-			switch b.Strategy {
-			case bvc.StrategyEquivocate:
-				b.Target, b.Target2 = lo, hi
-			case bvc.StrategyLure:
-				b.Target = hi
-			}
-			byz = append(byz, b)
-		}
-		return byz
-	}
+	// with f: all f Byzantine slots are used at once, mixing strategies as
+	// the sweep's "mixed" adversary does.
 	for _, df := range [][2]int{{3, 2}, {4, 2}, {3, 3}} {
 		d, f := df[0], df[1]
 		n := bvc.MinProcesses(bvc.ExactSync, d, f)
@@ -74,7 +54,7 @@ func E10ScaleSweep(seed int64, opts bvc.SimOptions) (*Table, error) {
 		for _, adv := range []string{"none", fmt.Sprintf("mixed×%d", f)} {
 			var byz []bvc.Byzantine
 			if adv != "none" {
-				byz = mkByz(cfg)
+				byz = SweepCell{N: n, F: f, D: d, Adversary: "mixed"}.byzantineFor()
 			}
 			inputs := UniformInputs(rng, n, d, 0, 1)
 			for _, b := range byz {

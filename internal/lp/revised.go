@@ -574,11 +574,6 @@ func (rv *rev) rayResidualOK(enter int, d []float64) bool {
 // is an unbounded ray only if its FTRAN image passes rayResidualOK. On
 // success the FTRAN'd entering column is left in ws.col2.
 func (rv *rev) selectPivot(red []float64, limit int, bland bool, blandTol float64) (enter, leave int, col []float64) {
-	// In phase 2 (limit ≤ n: artificial columns barred from entering) a
-	// basic artificial is pinned at zero and must block the ratio test
-	// with either entry sign; in phase 1 artificials are ordinary
-	// cost-1 variables and move freely.
-	pinned := limit <= rv.n
 	ws := rv.ws
 	enter = -1
 	if bland {
@@ -619,25 +614,14 @@ func (rv *rev) selectPivot(red []float64, limit int, bland bool, blandTol float6
 		if a := math.Abs(e); a > colMax {
 			colMax = a
 		}
-		eligible := e > pivotEps
-		ratio := 0.0
-		if eligible {
-			xb := rv.xB[i]
-			if xb < 0 {
-				xb = 0
-			}
-			ratio = xb / e
-		} else if pinned && e < -pivotEps && rv.basis[i] >= rv.n && rv.xB[i] <= feasEps {
-			// A basic artificial pinned at ~zero blocks the column with
-			// EITHER sign: it must never grow (its row would silently
-			// relax — basis repairs seat artificials mid-phase-2, and a
-			// "ray" through a relaxed row is not a ray of the real
-			// program), so it leaves at a zero step instead.
-			eligible = true
-		}
-		if !eligible {
+		if !(e > pivotEps) {
 			continue
 		}
+		xb := rv.xB[i]
+		if xb < 0 {
+			xb = 0
+		}
+		ratio := xb / e
 		switch {
 		case leave < 0 || ratio < bestRatio:
 			leave = i
@@ -726,11 +710,9 @@ func (rv *rev) iterate(cost []float64, limit int, blandTol float64) (Status, err
 		}
 
 		// Pivot: update the basic values, swap the basis column, push the
-		// eta operator. A zero-step exit of a pinned artificial pivots on
-		// a negative element; the step is exactly zero there (the
-		// artificial sits within feasEps of zero), never negative.
+		// eta operator.
 		theta := rv.xB[leave]
-		if theta < 0 || col[leave] < 0 {
+		if theta < 0 {
 			theta = 0
 		} else {
 			theta /= col[leave]

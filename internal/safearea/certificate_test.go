@@ -45,7 +45,7 @@ func TestLiftRungAllocs(t *testing.T) {
 		for name, solve := range map[string]func() error{
 			"PointWith": func() error { _, err := PointWith(prefix, c.f, MethodAuto); return err },
 			"PointOnPrefix": func() error {
-				_, ok, err := PointOnPrefix(prefix, c.f, MethodAuto)
+				_, ok, err := PointOnPrefix(prefix, c.f)
 				if err == nil && !ok {
 					t.Fatal("prefix not certified")
 				}

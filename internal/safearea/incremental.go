@@ -10,31 +10,31 @@ import (
 )
 
 // PrefixLen returns how many leading members of a canonical (origin-sorted)
-// candidate multiset of size n the Γ-point computed by PointWith actually
-// depends on:
+// candidate multiset of size n the ladder's Γ-point (PointWith under
+// MethodAuto) actually depends on, by the rung Resolve picks:
 //
 //   - MethodRadon reads the first d+2 members (RadonOfFirst);
 //   - MethodTverbergLift reads the first (d+1)f+1 members (the lifted search
 //     appends the rest to the last block, which cannot move the point);
-//   - every other method — the d = 1 closed form, the f = 0 lex-min member,
+//   - every other rung — the d = 1 closed form, the f = 0 lex-min member,
 //     the joint lex-min LP — depends on all n.
 //
 // Two candidate sets sharing their first PrefixLen members therefore share
 // the Γ-point, PROVIDED the prefix computation certifies itself
 // (PointOnPrefix): the Tverberg-lift fallback to the joint LP re-reads the
 // whole multiset, so an unverified lift re-opens full dependence.
-func PrefixLen(n, d, f int, method Method) int {
-	if m := rungLen(d, f, Resolve(n, d, f, method)); m > 0 && n > m {
+func PrefixLen(n, d, f int) int {
+	if m := rungLen(d, f, Resolve(n, d, f, MethodAuto)); m > 0 && n > m {
 		return m
 	}
 	return n
 }
 
 // PointOnPrefix computes the Γ-point of any candidate multiset whose first
-// members equal prefix (with |prefix| = PrefixLen(n, d, f, method) < n for
-// the superset size n in question). The boolean result reports whether the
+// members equal prefix (with |prefix| = PrefixLen(n, d, f) < n for the
+// superset size n in question). The boolean result reports whether the
 // point is *certified* from the prefix alone — bit-identical to what
-// PointWith returns for every such superset:
+// PointWith under MethodAuto returns for every such superset:
 //
 //   - Radon: always certified (PointWith never verifies the f = 1 Radon
 //     point; the partition extension only grows the second block's hull).
@@ -48,7 +48,7 @@ func PrefixLen(n, d, f int, method Method) int {
 //     scratch.
 //
 // (false, nil) means the caller must fall back to the full candidate set.
-func PointOnPrefix(prefix *geometry.Multiset, f int, method Method) (geometry.Vector, bool, error) {
+func PointOnPrefix(prefix *geometry.Multiset, f int) (geometry.Vector, bool, error) {
 	var loBuf [frameStackDims]float64
 	lo, spread, degenerate := ownFrame(loBuf[:0], prefix, f)
 	if degenerate {
@@ -58,7 +58,7 @@ func PointOnPrefix(prefix *geometry.Multiset, f int, method Method) (geometry.Ve
 		return nil, false, nil
 	}
 	d := prefix.Dim()
-	method = Resolve(prefix.Len(), d, f, method)
+	method := Resolve(prefix.Len(), d, f, MethodAuto)
 	if m := rungLen(d, f, method); m == 0 || prefix.Len() < m {
 		return nil, false, nil
 	}

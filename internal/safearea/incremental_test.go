@@ -110,24 +110,23 @@ func TestAutoMatchesResolvedMethod(t *testing.T) {
 	}
 }
 
-// TestPrefixLen pins the dependence lengths of the ladder's methods.
+// TestPrefixLen pins the dependence lengths of the ladder's rungs.
 func TestPrefixLen(t *testing.T) {
 	cases := []struct {
 		n, d, f int
-		method  Method
 		want    int
 	}{
-		{13, 3, 2, MethodAuto, 9},      // lift: (d+1)f+1
-		{13, 4, 1, MethodAuto, 6},      // radon: d+2
-		{9, 4, 1, MethodAuto, 6},       // radon below full
-		{9, 1, 2, MethodAuto, 9},       // d = 1: full
-		{9, 3, 0, MethodAuto, 9},       // f = 0: full
-		{13, 3, 2, MethodLexMinLP, 13}, // joint LP: full
-		{9, 3, 2, MethodAuto, 9},       // lift at exactly (d+1)f+1: full
+		{13, 3, 2, 9}, // lift: (d+1)f+1
+		{13, 4, 1, 6}, // radon: d+2
+		{9, 4, 1, 6},  // radon below full
+		{9, 1, 2, 9},  // d = 1: full
+		{9, 3, 0, 9},  // f = 0: full
+		{6, 2, 2, 6},  // joint LP, below (d+1)f+1: full
+		{9, 3, 2, 9},  // lift at exactly (d+1)f+1: full
 	}
 	for _, c := range cases {
-		if got := PrefixLen(c.n, c.d, c.f, c.method); got != c.want {
-			t.Errorf("PrefixLen(%d,%d,%d,%v) = %d, want %d", c.n, c.d, c.f, c.method, got, c.want)
+		if got := PrefixLen(c.n, c.d, c.f); got != c.want {
+			t.Errorf("PrefixLen(%d,%d,%d) = %d, want %d", c.n, c.d, c.f, got, c.want)
 		}
 	}
 }
@@ -143,7 +142,7 @@ func TestPointOnPrefixMatchesFull(t *testing.T) {
 	for _, c := range cases {
 		for trial := 0; trial < 10; trial++ {
 			full := randMultiset(rng, c.n, c.d)
-			m := PrefixLen(c.n, c.d, c.f, MethodAuto)
+			m := PrefixLen(c.n, c.d, c.f)
 			if m == c.n {
 				continue
 			}
@@ -155,7 +154,7 @@ func TestPointOnPrefixMatchesFull(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			pt, ok, err := PointOnPrefix(prefix, c.f, MethodAuto)
+			pt, ok, err := PointOnPrefix(prefix, c.f)
 			if err != nil {
 				t.Fatalf("n=%d d=%d f=%d: %v", c.n, c.d, c.f, err)
 			}

@@ -24,14 +24,13 @@ import (
 // immutable after construction; core.Engine shares families across
 // goroutines and rounds.
 type RadonFamily struct {
-	f, k   int
-	method Method
-	vals   []geometry.Vector // owned clones of the pool members, in order
-	pts    []geometry.Vector // Γ-point per lex-rank subset
+	f, k int
+	vals []geometry.Vector // owned clones of the pool members, in order
+	pts  []geometry.Vector // Γ-point per lex-rank subset
 }
 
 // newFamilyShell validates the pool and prepares the point slots.
-func newFamilyShell(vals []geometry.Vector, f, k int, method Method) (*RadonFamily, error) {
+func newFamilyShell(vals []geometry.Vector, f, k int) (*RadonFamily, error) {
 	n := len(vals)
 	if k <= 0 || k > n {
 		return nil, fmt.Errorf("safearea: radon family subset size %d of %d members", k, n)
@@ -40,7 +39,7 @@ func newFamilyShell(vals []geometry.Vector, f, k int, method Method) (*RadonFami
 	if total <= 0 {
 		return nil, fmt.Errorf("safearea: radon family C(%d, %d) overflow", n, k)
 	}
-	rf := &RadonFamily{f: f, k: k, method: method,
+	rf := &RadonFamily{f: f, k: k,
 		vals: make([]geometry.Vector, n), pts: make([]geometry.Vector, total)}
 	for i, v := range vals {
 		rf.vals[i] = v.Clone()
@@ -49,8 +48,8 @@ func newFamilyShell(vals []geometry.Vector, f, k int, method Method) (*RadonFami
 }
 
 // pointOf computes one subset's Γ-point through the identical ladder the
-// engine's from-scratch path uses (PointWith on the subset multiset), so
-// family points are bit-identical to from-scratch solves.
+// engine's from-scratch path uses (PointWith under MethodAuto on the subset
+// multiset), so family points are bit-identical to from-scratch solves.
 func (rf *RadonFamily) pointOf(idx []int) (geometry.Vector, error) {
 	ms := geometry.NewMultiset(rf.vals[0].Dim())
 	for _, j := range idx {
@@ -58,13 +57,13 @@ func (rf *RadonFamily) pointOf(idx []int) (geometry.Vector, error) {
 			return nil, err
 		}
 	}
-	return PointWith(ms, rf.f, rf.method)
+	return PointWith(ms, rf.f, MethodAuto)
 }
 
 // NewRadonFamily materializes the family from scratch. The solved count is
 // the number of Γ-point computations performed (every subset).
-func NewRadonFamily(vals []geometry.Vector, f, k int, method Method) (*RadonFamily, int, error) {
-	rf, err := newFamilyShell(vals, f, k, method)
+func NewRadonFamily(vals []geometry.Vector, f, k int) (*RadonFamily, int, error) {
+	rf, err := newFamilyShell(vals, f, k)
 	if err != nil {
 		return nil, 0, err
 	}
@@ -95,13 +94,12 @@ func NewRadonFamily(vals []geometry.Vector, f, k int, method Method) (*RadonFami
 // pools in the same order). Subsets avoiding iNew reuse prev's points
 // outright; only subsets containing the new member are solved. It returns
 // the reused and solved counts alongside the family.
-func NewRadonFamilyFrom(prev *RadonFamily, vals []geometry.Vector, iNew, jOld int, f, k int, method Method) (*RadonFamily, int, int, error) {
-	if prev == nil || prev.f != f || prev.k != k || prev.method != method ||
-		len(prev.vals) != len(vals) {
-		rf, solved, err := NewRadonFamily(vals, f, k, method)
+func NewRadonFamilyFrom(prev *RadonFamily, vals []geometry.Vector, iNew, jOld int, f, k int) (*RadonFamily, int, int, error) {
+	if prev == nil || prev.f != f || prev.k != k || len(prev.vals) != len(vals) {
+		rf, solved, err := NewRadonFamily(vals, f, k)
 		return rf, 0, solved, err
 	}
-	rf, err := newFamilyShell(vals, f, k, method)
+	rf, err := newFamilyShell(vals, f, k)
 	if err != nil {
 		return nil, 0, 0, err
 	}

@@ -52,7 +52,7 @@ func TestRadonFamilyMatchesReference(t *testing.T) {
 	for _, c := range []struct{ n, d int }{{7, 2}, {8, 3}, {9, 4}} {
 		k := c.d + 2
 		vals := familyPool(rng, c.n, c.d)
-		fam, solved, err := NewRadonFamily(vals, 1, k, MethodAuto)
+		fam, solved, err := NewRadonFamily(vals, 1, k)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -103,17 +103,17 @@ func TestRadonFamilyDeltaMatchesFresh(t *testing.T) {
 		return out
 	}
 	ba, bb := without(3), without(6)
-	famA, _, err := NewRadonFamily(ba, 1, k, MethodAuto)
+	famA, _, err := NewRadonFamily(ba, 1, k)
 	if err != nil {
 		t.Fatal(err)
 	}
 	// B_b = B_a with member at (B_a slot 5 = pool slot 6) removed and the
 	// pool-slot-3 value inserted at B_b slot 3.
-	famB, reused, solved, err := NewRadonFamilyFrom(famA, bb, 3, 5, 1, k, MethodAuto)
+	famB, reused, solved, err := NewRadonFamilyFrom(famA, bb, 3, 5, 1, k)
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, total, err := NewRadonFamily(bb, 1, k, MethodAuto)
+	fresh, total, err := NewRadonFamily(bb, 1, k)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -138,8 +138,9 @@ func TestRadonFamilyDeltaMatchesFresh(t *testing.T) {
 			t.Fatalf("mean: delta %v != fresh %v", ma, mb)
 		}
 	}
-	// Mismatched family parameters fall back to a fresh build (no reuse).
-	fam2, reused2, _, err := NewRadonFamilyFrom(famA, bb, 3, 5, 1, k, MethodRadon)
+	// Mismatched family parameters (here f) fall back to a fresh build (no
+	// reuse).
+	fam2, reused2, _, err := NewRadonFamilyFrom(famA, bb, 3, 5, 0, k)
 	if err != nil || fam2 == nil || reused2 != 0 {
 		t.Fatalf("parameter-mismatch fallback: fam=%v reused=%d err=%v", fam2, reused2, err)
 	}

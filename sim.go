@@ -116,19 +116,18 @@ type Strategy int
 const (
 	// StrategySilent never sends a message.
 	StrategySilent Strategy = iota + 1
-	// StrategyCrash crashes the process; what it sends first depends on
-	// the variant:
-	//   - ExactSync (and the coordinate-wise baseline) runs a correct node
-	//     on Target (zero unless Target is d-dimensional) and crashes
-	//     mid-broadcast in round CrashAfter (default 1): that round
-	//     reaches only processes 0 … n/2−1, later rounds nobody;
-	//   - RestrictedSync announces Target (or zero) to everyone in every
-	//     round through CrashAfter, then goes silent (CrashAfter 0: silent
-	//     from the start);
-	//   - ApproxAsync runs a correct node on the process's own input
-	//     (Target, or zero, when that input is nil) and stops after
-	//     CrashAfter deliveries (default 10);
-	//   - RestrictedAsync is silent from the start.
+	// StrategyCrash sends something and then crashes, by one rule per
+	// timing model:
+	//   - synchronous (ExactSync, the coordinate-wise baseline,
+	//     RestrictedSync): the process crashes in round CrashAfter
+	//     (default 1). The EIG-based variants run a correct node on Target
+	//     (zero unless Target is d-dimensional) whose crash round reaches
+	//     only processes 0 … n/2−1; RestrictedSync announces Target (or
+	//     zero) to everyone through the crash round. Later rounds reach
+	//     nobody;
+	//   - asynchronous (ApproxAsync, RestrictedAsync): the process runs a
+	//     correct node on its own input (Target, or zero, when that input
+	//     is nil) and stops after CrashAfter deliveries (default 10).
 	StrategyCrash
 	// StrategyEquivocate tells different processes different values
 	// (Target to the first half, Target2 to the rest), every round.
@@ -249,7 +248,7 @@ func SimulateRestrictedAsync(cfg Config, inputs []Vector, byz []Byzantine, opts 
 			return nd, nd, err
 		},
 		adversary: func(b Byzantine, horizon int) (sim.Node, error) {
-			return restrictedAsyncAdversary(cfg, params.Bounds, b, horizon)
+			return restrictedAsyncAdversary(cfg, params, b, horizon, inputs)
 		},
 		run: runEvents(cfg, opts),
 	})
@@ -450,8 +449,8 @@ func restrictedSyncAdversary(cfg Config, bounds geometry.Box, b Byzantine, round
 		return adversary.SilentSync{}, nil
 	case StrategyCrash:
 		// In the restricted structure a crash is silence from the crash
-		// round on; model it as a lure until CrashAfter, silence after.
-		after := b.CrashAfter
+		// round on; model it as a lure through CrashAfter, silence after.
+		after := max(b.CrashAfter, 1)
 		target := toGeometry(orZero(b.Target, cfg.D))
 		return &adversary.FuncSync{Rounds: rounds, Fn: func(r int) map[sim.ProcID]sim.Message {
 			if r > after {
@@ -480,19 +479,11 @@ func asyncAdversary(cfg Config, acfg core.AsyncConfig, b Byzantine, rounds int, 
 	case StrategySilent:
 		return adversary.SilentAsync{}, nil
 	case StrategyCrash:
-		input := orZero(b.Target, cfg.D)
-		if inputs[b.ID] != nil {
-			input = inputs[b.ID]
-		}
-		wrapped, err := core.NewAsyncNode(acfg, sim.ProcID(b.ID), toGeometry(input))
+		wrapped, err := core.NewAsyncNode(acfg, sim.ProcID(b.ID), crashInput(cfg, b, inputs))
 		if err != nil {
 			return nil, err
 		}
-		after := b.CrashAfter
-		if after <= 0 {
-			after = 10
-		}
-		return &adversary.CrashAsync{Wrapped: wrapped, AfterDeliveries: after}, nil
+		return crashAsync(wrapped, b), nil
 	case StrategyEquivocate:
 		return adversary.NewAsyncEquivocator(cfg.N, rounds, sim.ProcID(b.ID), cfg.N/2, toGeometry(b.Target), toGeometry(b.Target2)), nil
 	case StrategyRandom:
@@ -505,10 +496,35 @@ func asyncAdversary(cfg Config, acfg core.AsyncConfig, b Byzantine, rounds int, 
 	}
 }
 
-func restrictedAsyncAdversary(cfg Config, bounds geometry.Box, b Byzantine, rounds int) (sim.Node, error) {
+// crashInput is the input an asynchronous crash's correct node runs on: the
+// process's own, or Target (zero when nil) when it has none.
+func crashInput(cfg Config, b Byzantine, inputs []Vector) geometry.Vector {
+	if inputs[b.ID] != nil {
+		return toGeometry(inputs[b.ID])
+	}
+	return toGeometry(orZero(b.Target, cfg.D))
+}
+
+// crashAsync stops an asynchronous crash's correct node after CrashAfter
+// deliveries (default 10).
+func crashAsync(wrapped sim.Node, b Byzantine) sim.Node {
+	after := b.CrashAfter
+	if after <= 0 {
+		after = 10
+	}
+	return &adversary.CrashAsync{Wrapped: wrapped, AfterDeliveries: after}
+}
+
+func restrictedAsyncAdversary(cfg Config, params core.Params, b Byzantine, rounds int, inputs []Vector) (sim.Node, error) {
 	switch b.Strategy {
-	case StrategySilent, StrategyCrash:
+	case StrategySilent:
 		return adversary.SilentAsync{}, nil
+	case StrategyCrash:
+		wrapped, err := core.NewRestrictedAsyncNode(params, sim.ProcID(b.ID), crashInput(cfg, b, inputs))
+		if err != nil {
+			return nil, err
+		}
+		return crashAsync(wrapped, b), nil
 	case StrategyEquivocate, StrategyLure:
 		ta := toGeometry(b.Target)
 		tb := ta
@@ -528,7 +544,7 @@ func restrictedAsyncAdversary(cfg Config, bounds geometry.Box, b Byzantine, roun
 			}
 		}}, nil
 	case StrategyRandom:
-		box := randomBox(bounds, cfg.D)
+		box := randomBox(params.Bounds, cfg.D)
 		n := cfg.N
 		return &adversary.FuncAsync{OnInit: func(api sim.API) {
 			rng := api.Rand()
